@@ -14,6 +14,11 @@
 //! large `n`, exactly as the paper prescribes. The cache is populated
 //! on demand (bootstrap) and invalidated by the online logger on persistent
 //! prediction drift.
+//!
+//! The planner's percentile queries are memoised exactly: a `T_rep` quantile
+//! depends on the object size only through one chunk count, so repeated
+//! queries for sizes that share that count are answered from a map, with
+//! the same bits a fresh computation would produce.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -128,23 +133,41 @@ struct MaxCacheKey {
     chunks_per_fn: u64,
 }
 
+/// Everything a `t_rep_quantile` answer depends on, given the model's
+/// parameters: the size enters only through [`PerfModel::plan_chunks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct QuantileKey {
+    path: PathKey,
+    n: u32,
+    local: bool,
+    chunks: u64,
+    p_bits: u64,
+}
+
 /// The fitted performance model.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
     loc: BTreeMap<RegionId, LocParams>,
     path: BTreeMap<PathKey, PathParams>,
     notif: BTreeMap<RegionId, Dist>,
-    max_cache: BTreeMap<MaxCacheKey, Dist>,
-    /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`. The
-    /// derived MC seed depends only on that pair — never on path parameters —
-    /// so these survive `set_path` / `rescale_path_chunks` invalidation and
-    /// make drift-triggered re-fits an affine remap instead of a fresh
-    /// Monte Carlo (the fig23 replay hot path).
+    max_cache: BTreeMap<MaxCacheKey, Rc<Dist>>,
+    /// Memoised `t_rep_quantile` answers. Invalidated with `max_cache` per
+    /// path, and entirely by `set_loc` (`T_func` reads the location).
+    quantile_memo: BTreeMap<QuantileKey, f64>,
+    /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`, sorted
+    /// ascending. The derived MC seed depends only on that pair — never on
+    /// path parameters — so these survive `set_path` / `rescale_path_chunks`
+    /// invalidation and make drift-triggered re-fits an affine remap instead
+    /// of a fresh Monte Carlo (the fig23 replay hot path).
     std_max_cache: BTreeMap<(u32, u64), Rc<Vec<f64>>>,
+    /// The standard-normal draws [`PerfModel::add_normal`] shifts a
+    /// `len`-sample empirical distribution by, keyed by `len`. Their seed
+    /// depends on `len` alone, so they never need invalidating.
+    shift_draws: BTreeMap<usize, Vec<f64>>,
     /// Chunk size `c` in bytes the parameters were profiled at.
-    pub chunk_size: u64,
+    chunk_size: u64,
     /// Monte-Carlo trial budget per cached distribution.
-    pub mc_trials: usize,
+    mc_trials: usize,
     mc_seed: u64,
 }
 
@@ -179,16 +202,23 @@ impl PerfModel {
         }
     }
 
-    /// Installs (or replaces) a region's `I/D/P` parameters.
+    /// Installs (or replaces) a region's `I/D/P` parameters, invalidating
+    /// every memoised quantile.
     pub fn set_loc(&mut self, region: RegionId, params: LocParams) {
+        self.quantile_memo.clear();
         self.loc.insert(region, params);
     }
 
     /// Installs (or replaces) a path's `S/C/C′` parameters, invalidating any
-    /// cached max-of-n distributions for it.
+    /// cached max-of-n distributions and quantiles for it.
     pub fn set_path(&mut self, key: PathKey, params: PathParams) {
-        self.max_cache.retain(|k, _| k.path != key);
+        self.invalidate_path(key);
         self.path.insert(key, params);
+    }
+
+    fn invalidate_path(&mut self, key: PathKey) {
+        self.max_cache.retain(|k, _| k.path != key);
+        self.quantile_memo.retain(|k, _| k.path != key);
     }
 
     /// Installs the notification-delay distribution for a source region.
@@ -242,11 +272,22 @@ impl PerfModel {
         }
     }
 
+    /// The one chunk count `T_rep` at parallelism `n` depends on: the whole
+    /// object's `⌈size/c⌉` for a single replicator, one instance's share
+    /// `⌈size/(c·n)⌉` for `n >= 2`.
+    fn plan_chunks(&self, size: u64, n: u32) -> u64 {
+        let chunks = size.div_ceil(self.chunk_size).max(1);
+        if n <= 1 {
+            chunks
+        } else {
+            chunks.div_ceil(n as u64).max(1)
+        }
+    }
+
     /// `T_transfer` for a single replicator.
     pub fn t_transfer_single(&self, path: PathKey, size: u64) -> Result<Dist, ModelError> {
         let p = self.path.get(&path).ok_or(ModelError::UnknownPath(path))?;
-        let chunks = size.div_ceil(self.chunk_size).max(1);
-        let base = sum_as_normal(&[p.setup.clone(), p.chunk.iid_sum(chunks)]);
+        let base = sum_as_normal(&[p.setup.clone(), p.chunk.iid_sum(self.plan_chunks(size, 1))]);
         Ok(inflate_instance_cv(base, p.instance_cv))
     }
 
@@ -257,17 +298,16 @@ impl PerfModel {
         path: PathKey,
         size: u64,
         n: u32,
-    ) -> Result<Dist, ModelError> {
+    ) -> Result<Rc<Dist>, ModelError> {
         assert!(n >= 2, "use t_transfer_single for n = 1");
-        let chunks_total = size.div_ceil(self.chunk_size).max(1);
-        let chunks_per_fn = chunks_total.div_ceil(n as u64).max(1);
+        let chunks_per_fn = self.plan_chunks(size, n);
         let key = MaxCacheKey {
             path,
             n,
             chunks_per_fn,
         };
         if let Some(cached) = self.max_cache.get(&key) {
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         let p = self.path.get(&path).ok_or(ModelError::UnknownPath(path))?;
         let per_instance = inflate_instance_cv(
@@ -294,7 +334,8 @@ impl PerfModel {
                 }
             }
         };
-        self.max_cache.insert(key, dist.clone());
+        let dist = Rc::new(dist);
+        self.max_cache.insert(key, Rc::clone(&dist));
         Ok(dist)
     }
 
@@ -313,12 +354,15 @@ impl PerfModel {
             Ok(sum_as_normal(&[t_func, t_transfer]))
         } else {
             let t_transfer = self.t_transfer_parallel(path, size, n)?;
-            Ok(add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
+            Ok(self.add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
         }
     }
 
     /// The planner's scalar query: `t` such that `P(T_rep <= t) >= p`,
     /// in seconds.
+    ///
+    /// Answers are memoised on `(path, n, local, chunk count, p)`, which
+    /// with the current parameters determines the answer exactly.
     pub fn t_rep_quantile(
         &mut self,
         path: PathKey,
@@ -327,7 +371,19 @@ impl PerfModel {
         local: bool,
         p: f64,
     ) -> Result<f64, ModelError> {
-        Ok(self.t_rep_dist(path, size, n, local)?.quantile(p).max(0.0))
+        let key = QuantileKey {
+            path,
+            n,
+            local,
+            chunks: self.plan_chunks(size, n),
+            p_bits: p.to_bits(),
+        };
+        if let Some(&q) = self.quantile_memo.get(&key) {
+            return Ok(q);
+        }
+        let q = self.t_rep_dist(path, size, n, local)?.quantile(p).max(0.0);
+        self.quantile_memo.insert(key, q);
+        Ok(q)
     }
 
     /// Convenience: the quantile as a [`SimDuration`].
@@ -352,12 +408,17 @@ impl PerfModel {
             p.chunk = p.chunk.scale(factor);
             p.chunk_distributed = p.chunk_distributed.scale(factor);
         }
-        self.max_cache.retain(|k, _| k.path != key);
+        self.invalidate_path(key);
     }
 
     /// Number of cached max-of-n distributions (test/inspection hook).
     pub fn cached_max_dists(&self) -> usize {
         self.max_cache.len()
+    }
+
+    /// Number of memoised `t_rep_quantile` answers (test/inspection hook).
+    pub fn cached_quantiles(&self) -> usize {
+        self.quantile_memo.len()
     }
 
     /// Number of cached standardized-maxima vectors (test/inspection hook).
@@ -368,54 +429,70 @@ impl PerfModel {
     /// Standardized per-trial maxima for `(n, chunks_per_fn)`, computed once
     /// per key with the same derived RNG seed the full Monte Carlo would use,
     /// so [`stats::monte_carlo_max_from_std`] reproduces it bit-for-bit.
+    ///
+    /// The maxima are cached sorted: the maps `monte_carlo_max_from_std`
+    /// applies are monotone, so its output is then already in the order
+    /// `EmpiricalDist::new` sorts into, and that sort finds nothing to move.
     fn std_maxima(&mut self, n: u32, chunks_per_fn: u64) -> Rc<Vec<f64>> {
         if let Some(v) = self.std_max_cache.get(&(n, chunks_per_fn)) {
             return v.clone();
         }
         let mut rng = StdRng::seed_from_u64(self.mc_seed ^ (n as u64) << 32 ^ chunks_per_fn);
-        let v = Rc::new(stats::std_normal_maxima(
-            n as usize,
-            self.mc_trials,
-            &mut rng,
-        ));
+        let mut v = stats::std_normal_maxima(n as usize, self.mc_trials, &mut rng);
+        v.sort_by(f64::total_cmp);
+        let v = Rc::new(v);
         self.std_max_cache.insert((n, chunks_per_fn), v.clone());
         v
     }
-}
 
-/// Adds an independent Normal(`mu`, `sigma`) to a distribution:
-/// exact for Normal, moment-matched Gumbel for Gumbel (preserving the tail
-/// shape of the max), sample-shifted for Empirical.
-fn add_normal(base: &Dist, mu: f64, sigma: f64) -> Dist {
-    match base {
-        Dist::Normal { mu: m, sigma: s } => Dist::Normal {
-            mu: m + mu,
-            sigma: (s * s + sigma * sigma).sqrt(),
-        },
-        Dist::Gumbel { mu: m, beta } => {
-            // Match the combined variance on a Gumbel, keeping the mean
-            // exact: Var(Gumbel) = pi^2 beta^2 / 6.
-            let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
-            let beta2 = (beta * beta + sigma * sigma / pi2_6).sqrt();
-            let mean_total = m + EULER_GAMMA * beta + mu;
-            Dist::Gumbel {
-                mu: mean_total - EULER_GAMMA * beta2,
-                beta: beta2,
+    /// The standard-normal draws that shift a `len`-sample empirical
+    /// distribution in [`PerfModel::add_normal`]: the fixed stream of a
+    /// `StdRng` seeded by `len`, drawn once per length.
+    fn shift_draws(&mut self, len: usize) -> &[f64] {
+        self.shift_draws.entry(len).or_insert_with(|| {
+            let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
+            (0..len)
+                .map(|_| stats::sample_std_normal(&mut rng))
+                .collect()
+        })
+    }
+
+    /// Adds an independent Normal(`mu`, `sigma`) to a distribution:
+    /// exact for Normal, moment-matched Gumbel for Gumbel (preserving the
+    /// tail shape of the max), sample-shifted for Empirical.
+    fn add_normal(&mut self, base: &Dist, mu: f64, sigma: f64) -> Dist {
+        match base {
+            Dist::Normal { mu: m, sigma: s } => Dist::Normal {
+                mu: m + mu,
+                sigma: (s * s + sigma * sigma).sqrt(),
+            },
+            Dist::Gumbel { mu: m, beta } => {
+                // Match the combined variance on a Gumbel, keeping the mean
+                // exact: Var(Gumbel) = pi^2 beta^2 / 6.
+                let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
+                let beta2 = (beta * beta + sigma * sigma / pi2_6).sqrt();
+                let mean_total = m + EULER_GAMMA * beta + mu;
+                Dist::Gumbel {
+                    mu: mean_total - EULER_GAMMA * beta2,
+                    beta: beta2,
+                }
             }
+            Dist::Empirical(e) => {
+                // Shift every stored max sample by an independent normal
+                // draw. `mu + sigma * z` is the float expression
+                // `Dist::sample` uses for a Normal, so the result matches a
+                // per-call RNG drawing `Dist::normal(mu, sigma)` bit-for-bit.
+                let shifted: Vec<f64> = e
+                    .samples()
+                    .iter()
+                    .zip(self.shift_draws(e.len()))
+                    .map(|(x, z)| x + (mu + sigma * z))
+                    .collect();
+                // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
+                Dist::Empirical(stats::EmpiricalDist::new(shifted).expect("finite samples"))
+            }
+            other => other.shift(mu),
         }
-        Dist::Empirical(e) => {
-            // Shift every stored max sample by an independent normal draw;
-            // deterministic seed keeps this reproducible.
-            let mut rng = StdRng::seed_from_u64(0x5eed ^ e.len() as u64);
-            let shifted: Vec<f64> = e
-                .samples()
-                .iter()
-                .map(|x| x + Dist::normal(mu, sigma).sample(&mut rng))
-                .collect();
-            // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
-            Dist::Empirical(stats::EmpiricalDist::new(shifted).expect("finite samples"))
-        }
-        other => other.shift(mu),
     }
 }
 
@@ -536,7 +613,10 @@ mod tests {
         assert_eq!(m.cached_max_dists(), 1);
         let b = m.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(m.cached_max_dists(), 1);
-        assert_eq!(a, b, "cache must return the identical distribution");
+        assert!(
+            Rc::ptr_eq(&a, &b),
+            "a hit must share the cached distribution, not copy it"
+        );
     }
 
     #[test]
@@ -544,7 +624,7 @@ mod tests {
         let r = regions();
         let (mut m, path) = test_model(&r);
         let d = m.t_transfer_parallel(path, 100 << 30, 256).unwrap();
-        assert!(matches!(d, Dist::Gumbel { .. }));
+        assert!(matches!(*d, Dist::Gumbel { .. }));
         // And it must still be a sane, finite prediction.
         let q = d.quantile(0.99);
         assert!(q.is_finite() && q > 0.0);
@@ -582,6 +662,123 @@ mod tests {
         cold.rescale_path_chunks(path, 1.7);
         let fresh = cold.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(reused, fresh, "std-maxima reuse drifted from cold path");
+
+        // The cached maxima are sorted, yet the distribution built from
+        // them is the full Monte Carlo's, float for float, for the same
+        // derived seed: 1 GiB at 8 MiB chunks over 16 instances is 8 chunks
+        // per instance.
+        let p = cold.path_params(path).unwrap().clone();
+        let per_instance = inflate_instance_cv(
+            sum_as_normal(&[p.setup.clone(), p.chunk_distributed.iid_sum(8)]),
+            p.instance_cv,
+        );
+        let mut rng = StdRng::seed_from_u64(99 ^ 16u64 << 32 ^ 8);
+        let full = stats::monte_carlo_max(&per_instance, 16, 2000, &mut rng);
+        assert_eq!(*fresh, Dist::Empirical(full));
+        let std_max = cold.std_maxima(16, 8);
+        assert!(std_max.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// `add_normal`'s Empirical arm with a fresh RNG per call: the reference
+    /// the cached shift draws must reproduce.
+    fn add_normal_per_call_rng(e: &stats::EmpiricalDist, mu: f64, sigma: f64) -> Dist {
+        let mut rng = StdRng::seed_from_u64(0x5eed ^ e.len() as u64);
+        let shifted: Vec<f64> = e
+            .samples()
+            .iter()
+            .map(|x| x + Dist::normal(mu, sigma).sample(&mut rng))
+            .collect();
+        Dist::Empirical(stats::EmpiricalDist::new(shifted).unwrap())
+    }
+
+    #[test]
+    fn cached_shift_draws_match_per_call_rng() {
+        let mut m = PerfModel::default();
+        let mut rng = StdRng::seed_from_u64(3);
+        for len in [1, 7, 3000] {
+            let e = stats::monte_carlo_max(&Dist::normal(4.0, 1.3), 8, len, &mut rng);
+            for (mu, sigma) in [(0.78, 0.21), (0.0, 0.0), (12.5, 3.25), (0.1, 1e-9)] {
+                // Twice: once drawing, once from the cache.
+                for _ in 0..2 {
+                    assert_eq!(
+                        m.add_normal(&Dist::Empirical(e.clone()), mu, sigma),
+                        add_normal_per_call_rng(&e, mu, sigma),
+                        "len {len} mu {mu} sigma {sigma}"
+                    );
+                }
+            }
+        }
+        assert_eq!(m.shift_draws.len(), 3);
+    }
+
+    #[test]
+    fn sizes_with_one_chunk_count_share_a_memo_entry() {
+        let r = regions();
+        let (mut m, path) = test_model(&r);
+        // 121..=128 chunks all give 8 chunks per instance at n = 16.
+        let sizes = [1 << 30, (1 << 30) - 5, 121 * (8 << 20)];
+        let first = m.t_rep_quantile(path, sizes[0], 16, false, 0.99).unwrap();
+        assert_eq!(m.cached_quantiles(), 1);
+        for &size in &sizes[1..] {
+            let q = m.t_rep_quantile(path, size, 16, false, 0.99).unwrap();
+            assert_eq!(q.to_bits(), first.to_bits());
+            let (mut cold, _) = test_model(&r);
+            let fresh = cold.t_rep_quantile(path, size, 16, false, 0.99).unwrap();
+            assert_eq!(q.to_bits(), fresh.to_bits(), "size {size}");
+        }
+        assert_eq!(m.cached_quantiles(), 1);
+        // At n = 1 the whole-object count matters: 120 chunks is a new entry.
+        m.t_rep_quantile(path, 120 * (8 << 20), 1, false, 0.99)
+            .unwrap();
+        m.t_rep_quantile(path, 1 << 30, 1, false, 0.99).unwrap();
+        m.t_rep_quantile(path, (1 << 30) - 5, 1, false, 0.99)
+            .unwrap();
+        assert_eq!(m.cached_quantiles(), 3);
+    }
+
+    #[test]
+    fn set_loc_empties_the_memo() {
+        let r = regions();
+        let (mut m, path) = test_model(&r);
+        let before = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
+        m.t_rep_quantile(path, 1 << 20, 1, true, 0.9).unwrap();
+        assert_eq!(m.cached_quantiles(), 2);
+        let mut slower = m.loc_params(path.src).unwrap().clone();
+        slower.cold = Dist::normal(2.0, 0.5);
+        m.set_loc(path.src, slower);
+        assert_eq!(m.cached_quantiles(), 0);
+        assert_eq!(m.cached_max_dists(), 1, "max-of-n does not read I/D/P");
+        let after = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
+        assert!(after > before + 1.0, "{before} -> {after}");
+    }
+
+    #[test]
+    fn rescale_keeps_the_other_sides_memo() {
+        let r = regions();
+        let (mut m, src_side) = test_model(&r);
+        let dst_side = PathKey {
+            side: ExecSide::Destination,
+            ..src_side
+        };
+        m.set_path(
+            dst_side,
+            PathParams::new(
+                Dist::normal(0.3, 0.05),
+                Dist::normal(0.25, 0.04),
+                Dist::normal(0.27, 0.05),
+            ),
+        );
+        for path in [src_side, dst_side] {
+            for n in [1, 4, 16] {
+                m.t_rep_quantile(path, 1 << 30, n, false, 0.99).unwrap();
+            }
+        }
+        assert_eq!(m.cached_quantiles(), 6);
+        m.rescale_path_chunks(src_side, 1.3);
+        assert_eq!(m.cached_quantiles(), 3);
+        assert_eq!(m.cached_max_dists(), 2, "only the dst side's n = 4, 16");
+        m.set_path(dst_side, m.path_params(dst_side).unwrap().clone());
+        assert_eq!(m.cached_quantiles(), 0);
     }
 
     #[test]
@@ -590,7 +787,7 @@ mod tests {
             mu: 10.0,
             beta: 2.0,
         };
-        let combined = add_normal(&g, 3.0, 1.5);
+        let combined = PerfModel::default().add_normal(&g, 3.0, 1.5);
         assert!((combined.mean() - (g.mean() + 3.0)).abs() < 1e-9);
         let var_expected = g.std_dev().powi(2) + 1.5f64.powi(2);
         assert!((combined.std_dev().powi(2) - var_expected).abs() < 1e-9);

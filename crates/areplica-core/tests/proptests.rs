@@ -1,5 +1,6 @@
 //! Property-based tests of AReplica's protocol building blocks: the
-//! replication lock, the batcher, and the planner's monotonicity.
+//! replication lock, the batcher, the planner's monotonicity, and the
+//! exactness of the performance model's quantile memo.
 
 use areplica_core::batching::{BatchDecision, Batcher};
 use areplica_core::lock::{self, LockOutcome};
@@ -153,6 +154,106 @@ proptest! {
             prop_assert!(plan.predicted <= slo);
         }
     }
+
+    #[test]
+    fn memoised_model_answers_like_a_cold_model(
+        edits in arb_model_edits(),
+        queries in proptest::collection::vec((arb_size(), 0u32..6, 0usize..3), 1..4),
+    ) {
+        // The warm model is queried before every edit, so stale memo entries
+        // would surface. Each answer must equal, bit for bit, the answer of
+        // a cold model that saw the same edits and was never queried.
+        let cfg = EngineConfig::default();
+        let (mut warm, src, dst) = fixed_model();
+        for step in 0..=edits.len() {
+            let cold = || {
+                let (mut m, _, _) = fixed_model();
+                for e in &edits[..step] {
+                    e.apply(&mut m, src, dst);
+                }
+                m
+            };
+            for &(size, log_n, pi) in &queries {
+                let n = 1u32 << log_n;
+                let p = [0.5, 0.99, 0.9999][pi];
+                for side in ExecSide::BOTH {
+                    let path = PathKey { src, dst, side };
+                    let local = n == 1 && side == ExecSide::Source;
+                    let w = warm.t_rep_quantile(path, size, n, local, p).unwrap();
+                    let c = cold().t_rep_quantile(path, size, n, local, p).unwrap();
+                    prop_assert_eq!(w.to_bits(), c.to_bits());
+                    let w = warm.t_rep_dist(path, size, n, local).unwrap().mean();
+                    let c = cold().t_rep_dist(path, size, n, local).unwrap().mean();
+                    prop_assert_eq!(w.to_bits(), c.to_bits());
+                }
+                let w = generate_plan(&mut warm, &cfg, src, dst, size, None, p).unwrap();
+                let c = generate_plan(&mut cold(), &cfg, src, dst, size, None, p).unwrap();
+                prop_assert_eq!(w, c);
+            }
+            if let Some(e) = edits.get(step) {
+                e.apply(&mut warm, src, dst);
+            }
+        }
+    }
+}
+
+/// One change to a model's parameters, as the profiler and the online
+/// logger make them.
+#[derive(Debug, Clone)]
+enum ModelEdit {
+    Rescale { side: usize, factor: f64 },
+    SetPath { side: usize, chunk_s: f64 },
+    SetLoc { at_dst: bool, cold_s: f64 },
+}
+
+impl ModelEdit {
+    fn apply(&self, m: &mut PerfModel, src: cloudsim::RegionId, dst: cloudsim::RegionId) {
+        let path = |side: usize| PathKey {
+            src,
+            dst,
+            side: ExecSide::BOTH[side],
+        };
+        match *self {
+            ModelEdit::Rescale { side, factor } => m.rescale_path_chunks(path(side), factor),
+            ModelEdit::SetPath { side, chunk_s } => m.set_path(
+                path(side),
+                PathParams::new(
+                    Dist::normal(0.25, 0.04),
+                    Dist::normal(chunk_s, chunk_s * 0.15),
+                    Dist::normal(chunk_s * 1.1, chunk_s * 0.2),
+                ),
+            ),
+            ModelEdit::SetLoc { at_dst, cold_s } => m.set_loc(
+                if at_dst { dst } else { src },
+                LocParams {
+                    invoke: Dist::normal(0.03, 0.01),
+                    cold: Dist::normal(cold_s, cold_s * 0.3),
+                    postpone: Dist::Constant(0.0),
+                },
+            ),
+        }
+    }
+}
+
+fn arb_model_edits() -> impl Strategy<Value = Vec<ModelEdit>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (0usize..2, 0.5f64..2.0).prop_map(|(side, factor)| ModelEdit::Rescale { side, factor }),
+            (0usize..2, 0.05f64..0.5)
+                .prop_map(|(side, chunk_s)| ModelEdit::SetPath { side, chunk_s }),
+            (0u8..2, 0.1f64..2.0).prop_map(|(d, cold_s)| ModelEdit::SetLoc {
+                at_dst: d == 1,
+                cold_s
+            }),
+        ],
+        0..4,
+    )
+}
+
+/// Sizes up to 32 chunks of 8 MiB, often a few bytes short of a chunk
+/// boundary, so that distinct sizes share chunk counts.
+fn arb_size() -> impl Strategy<Value = u64> {
+    (1u64..33, 0u64..(8 << 20)).prop_map(|(chunks, short)| (chunks * (8 << 20) - short).max(1))
 }
 
 fn fixed_model() -> (PerfModel, cloudsim::RegionId, cloudsim::RegionId) {

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of Algorithm 3's plan generation: the planner
 //! runs on the critical path of every replication, so it must be fast even
-//! when Monte-Carlo distributions are cold.
+//! when Monte-Carlo distributions are cold. The warm cases time the model's
+//! quantile memo; the drift case times re-planning after a rescale.
 
 use areplica_core::model::{ExecSide, LocParams, PathKey, PathParams, PerfModel};
 use areplica_core::{generate_plan, EngineConfig};
@@ -58,6 +59,32 @@ fn bench_planner(c: &mut Criterion) {
             let plan =
                 generate_plan(&mut model, &cfg, src, dst, black_box(1 << 30), None, 0.99).unwrap();
             black_box(plan)
+        })
+    });
+
+    c.bench_function("plan_mixed_sizes_after_drift_rescale", |b| {
+        // The online logger's drift correction rescales a path, which drops
+        // its memoised quantiles and max-of-n distributions; the next plans
+        // rebuild them from the cached standardized maxima and shift draws.
+        let (mut model, src, dst) = build_model();
+        let sizes: Vec<u64> = (0..16).map(|i| (3u64 << 20) << (i % 10)).collect();
+        for &size in &sizes {
+            generate_plan(&mut model, &cfg, src, dst, size, None, 0.99).unwrap();
+        }
+        let path = PathKey {
+            src,
+            dst,
+            side: ExecSide::Source,
+        };
+        let mut factor = 1.01;
+        b.iter(|| {
+            model.rescale_path_chunks(path, factor);
+            factor = 1.0 / factor;
+            for &size in &sizes {
+                let plan =
+                    generate_plan(&mut model, &cfg, src, dst, black_box(size), None, 0.99).unwrap();
+                black_box(plan);
+            }
         })
     });
 

@@ -17,5 +17,5 @@ pub mod replay;
 pub mod synth;
 
 pub use record::{ParseError, Trace, TraceOp, TraceRecord};
-pub use replay::{schedule, schedule_shard, ReplayConfig, ReplayStats};
+pub use replay::{schedule, ReplayConfig, ReplayStats};
 pub use synth::{generate, ibm_size_mixture, sample_size, SynthConfig};

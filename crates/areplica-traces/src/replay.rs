@@ -84,94 +84,6 @@ pub fn schedule(
     stats
 }
 
-/// Schedules shard `shard`'s slice of a key-partitioned sharded replay.
-///
-/// Records are dealt to *ingest* shards round-robin by record index (the
-/// trace arrives pre-split, as a real ingest tier would split a firehose),
-/// while each key is *owned* by `cloudsim::key_shard(key, n_shards)`.
-/// Records ingested by their owner are applied locally, exactly as
-/// [`schedule`] does; records ingested elsewhere are forwarded over the
-/// sharded exchange path ([`cloudsim::send_to_shard`]) and applied on the
-/// owner when the envelope arrives. Owning keys (not records) keeps each
-/// object's PUT/DELETE order intact within one shard.
-///
-/// With `n_shards == 1` every record is local and this degenerates to
-/// [`schedule`]'s behavior. The caller's world must carry a
-/// `cloudsim::ShardLink` when `n_shards > 1`.
-pub fn schedule_shard(
-    sim: &mut CloudSim,
-    trace: &Trace,
-    region: RegionId,
-    bucket: &str,
-    cfg: &ReplayConfig,
-    shard: usize,
-    n_shards: usize,
-) -> ReplayStats {
-    assert!(shard < n_shards, "shard {shard} out of range 0..{n_shards}");
-    let mut stats = ReplayStats::default();
-    sim.world.objstore_mut(region).create_bucket(bucket);
-    for (idx, r) in trace.records.iter().enumerate() {
-        if idx % n_shards != shard {
-            continue;
-        }
-        let at = cfg.start_at
-            + SimDuration::from_secs_f64(r.at.to_duration().as_secs_f64() * cfg.time_scale);
-        let owner = cloudsim::key_shard(&r.key, n_shards);
-        let key = r.key.clone();
-        let bucket = bucket.to_string();
-        match r.op {
-            TraceOp::Put { size } => {
-                stats.puts += 1;
-                let size = cfg.max_object_size.map_or(size, |cap| size.min(cap));
-                if owner == shard {
-                    sim.schedule_in(at, move |sim| {
-                        world::user_put(sim, region, &bucket, &key, size).expect("bucket exists");
-                    });
-                } else {
-                    sim.schedule_in(at, move |sim| {
-                        cloudsim::send_to_shard(
-                            sim,
-                            region,
-                            owner,
-                            cloudsim::ShardMsg {
-                                region,
-                                bucket,
-                                key,
-                                op: cloudsim::ShardOp::Put { size },
-                            },
-                        );
-                    });
-                }
-            }
-            TraceOp::Delete => {
-                stats.deletes += 1;
-                if owner == shard {
-                    sim.schedule_in(at, move |sim| {
-                        // xlint::allow(no-dropped-result, keys deleted before being written in this replay window are expected: the trace is a sliding cut of a longer history, so NotFound here is not an error)
-                        let _ = world::user_delete(sim, region, &bucket, &key);
-                    });
-                } else {
-                    sim.schedule_in(at, move |sim| {
-                        cloudsim::send_to_shard(
-                            sim,
-                            region,
-                            owner,
-                            cloudsim::ShardMsg {
-                                region,
-                                bucket,
-                                key,
-                                op: cloudsim::ShardOp::Delete,
-                            },
-                        );
-                    });
-                }
-            }
-            TraceOp::Get | TraceOp::Head => {}
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,99 +158,6 @@ mod tests {
         sim.run_to_completion(10);
         let stat = sim.world.objstore(region).stat("bkt", "x").unwrap();
         assert_eq!(stat.created_at.as_secs_f64(), 1.0);
-    }
-
-    /// Key-partitioned sharded replay: every key materializes on (exactly)
-    /// its owner shard, whichever shard ingested the record, and forwarded
-    /// DELETEs reach the owner too.
-    #[test]
-    fn sharded_replay_applies_each_key_on_its_owner() {
-        use cloudsim::{key_shard, region_shard_map, wan_lookahead, ShardLink};
-        use simkernel::{run_sharded, ShardConfig};
-        use std::rc::Rc;
-
-        let n = 2;
-        let mut records = Vec::new();
-        for i in 0..8u64 {
-            records.push(TraceRecord {
-                at: SimDurationMs(100 * (i + 1)),
-                key: format!("obj-{i}"),
-                op: TraceOp::Put { size: 100 + i },
-            });
-        }
-        // A late DELETE of obj-0; with 8 prior records and round-robin
-        // ingest, index 8 lands on shard 0 regardless of obj-0's owner.
-        records.push(TraceRecord {
-            at: SimDurationMs(2_000),
-            key: "obj-0".into(),
-            op: TraceOp::Delete,
-        });
-        let trace = Trace { records };
-
-        let regions = cloudsim::RegionRegistry::paper_regions();
-        let map = region_shard_map(&regions, n);
-        let lookahead = wan_lookahead(&regions, &map);
-        let trace_b = trace.clone();
-        let map_b = map.clone();
-        let run = run_sharded(
-            n,
-            &ShardConfig::new(lookahead),
-            move |id, outbox| {
-                let mut sim = World::paper_sim(60 + id as u64);
-                sim.world.shard = Some(ShardLink {
-                    id,
-                    map: Rc::new(map_b.clone()),
-                    outbox,
-                });
-                let region = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-                let stats = schedule_shard(
-                    &mut sim,
-                    &trace_b,
-                    region,
-                    "bkt",
-                    &ReplayConfig::default(),
-                    id,
-                    n,
-                );
-                sim.world.trace.counter_add("test.puts", stats.puts);
-                sim
-            },
-            cloudsim::deliver_remote_put,
-            |id, mut sim| {
-                sim.run_to_completion(u64::MAX);
-                let region = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-                let present: Vec<(String, u64)> = (0..8u64)
-                    .filter_map(|i| {
-                        let key = format!("obj-{i}");
-                        sim.world
-                            .objstore(region)
-                            .stat("bkt", &key)
-                            .ok()
-                            .map(|s| (key, s.size))
-                    })
-                    .collect();
-                (id, present)
-            },
-        );
-        // Each surviving key lives exactly on its owner shard.
-        let mut seen = std::collections::BTreeMap::new();
-        for (shard, present) in &run.results {
-            for (key, size) in present {
-                assert_eq!(key_shard(key, n), *shard, "{key} on wrong shard");
-                assert!(
-                    seen.insert(key.clone(), *size).is_none(),
-                    "{key} duplicated"
-                );
-            }
-        }
-        // obj-0 was deleted (possibly via a forwarded DELETE); the rest live.
-        assert!(!seen.contains_key("obj-0"));
-        for i in 1..8u64 {
-            assert_eq!(seen.get(&format!("obj-{i}")), Some(&(100 + i)));
-        }
-        // Ingest split the records round-robin, so at least one record was
-        // forwarded unless ownership happens to match ingest everywhere.
-        assert!(run.executed > 0);
     }
 
     #[test]

@@ -1,54 +1,36 @@
-//! Runs every experiment in sequence, writing all reports under `results/`.
+//! Runs every experiment on all cores, writing each report under `results/`
+//! in list order once all have finished.
 //!
 //! Honours `AREPLICA_SCALE` (set e.g. 0.2 for a quick pass) and
-//! `AREPLICA_ONLY=<substring>` to run a subset.
-use bench::experiments as ex;
+//! `AREPLICA_ONLY=<substring>` to run the experiments whose names contain
+//! it. A substring that matches nothing is an error.
+use bench::experiments::ALL;
 
 fn main() {
     let only = std::env::var("AREPLICA_ONLY").unwrap_or_default();
-    let run = |name: &str, f: &dyn Fn() -> String| {
-        if !only.is_empty() && !name.contains(&only) {
-            return;
-        }
+    let chosen: Vec<_> = ALL
+        .iter()
+        .filter(|(name, _)| name.contains(&only))
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing usage error, never in results)
+        eprintln!(
+            "AREPLICA_ONLY={only:?} matches no experiment; valid names:\n  {}",
+            names.join("\n  ")
+        );
+        std::process::exit(2);
+    }
+    let reports = simkernel::par_map(&chosen, |(name, run)| {
         // xlint::allow(no-adhoc-stderr, designated sink: operator-facing progress banner, never in results)
-        eprintln!("\n===== running {name} =====");
+        eprintln!("===== running {name} =====");
         let timer = bench::WallTimer::start();
-        let report = f();
-        bench::write_report(name, &report);
+        let report = run();
         // xlint::allow(no-adhoc-stderr, designated sink: operator-facing wall-clock progress line, never in results)
         eprintln!("[{name} took {:.1} s]", timer.elapsed_secs());
-    };
-    run("fig02_put_sizes", &ex::fig02_put_sizes::run);
-    run("fig03_throughput", &ex::fig03_throughput::run);
-    run(
-        "fig04_skyplane_breakdown",
-        &ex::fig04_skyplane_breakdown::run,
-    );
-    run("fig05_skyplane_dynamic", &ex::fig05_skyplane_dynamic::run);
-    run("fig06_bandwidth_config", &ex::fig06_bandwidth_config::run);
-    run("fig07_scaling", &ex::fig07_scaling::run);
-    run("fig08_asymmetry", &ex::fig08_asymmetry::run);
-    run("fig09_variability", &ex::fig09_variability::run);
-    run("table1_aws", &|| {
-        ex::tables_delay_cost::run(1, (cloudsim::Cloud::Aws, "us-east-1"))
+        report
     });
-    run("table2_azure", &|| {
-        ex::tables_delay_cost::run(2, (cloudsim::Cloud::Azure, "eastus"))
-    });
-    run("table3_gcp", &|| {
-        ex::tables_delay_cost::run(3, (cloudsim::Cloud::Gcp, "us-east1"))
-    });
-    run("fig16_bulk", &ex::fig16_bulk::run);
-    run("fig17_scheduling_ablation", &ex::fig17_scheduling::run);
-    run("fig18_model_accuracy", &ex::fig18_19_model_accuracy::run);
-    run("table4_model_accuracy", &ex::table4_model_accuracy::run);
-    run("fig20_region_selection", &ex::fig20_region_selection::run);
-    run("fig21_changelog", &ex::fig21_changelog::run);
-    run("fig22_batching", &ex::fig22_batching::run);
-    run("fig23_trace_replay", &ex::fig23_trace_replay::run);
-    run("shard_scale", &ex::shard_scale::run);
-    run("ablation_part_size", &ex::ablation_part_size::run);
-    run("multi_tenant", &ex::multi_tenant::run);
-    run("slo_burn", &ex::slo_burn::run);
-    run("region_outage", &ex::region_outage::run);
+    for ((name, _), report) in chosen.iter().zip(&reports) {
+        bench::write_report(name, report);
+    }
 }

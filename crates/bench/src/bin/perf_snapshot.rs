@@ -1,9 +1,9 @@
 //! Seeds the ROADMAP item-4 perf trajectory: one `BENCH_<pr>.json` per PR
 //! recording (a) raw event throughput through `simkernel`, (b) wall-clock
 //! for a fixed-scale fig17 run, (c) wall-clock for the fig23 trace replay
-//! and the full experiment suite at a pinned small scale, and — since
-//! PR 10 — (d) sharded-fig23 wall-clock under both drivers plus the
-//! determinism cross-check, and the core count the numbers were taken on.
+//! (its AReplica and S3 RTC halves run side by side) and the full
+//! experiment suite at a pinned small scale, (d) the core count the numbers
+//! were taken on, and (e) the Rust line count per crate.
 //!
 //! Wall-clock numbers here are machine-dependent by nature; the file records
 //! a trajectory on the CI fleet, not a portable benchmark. Simulated outputs
@@ -15,12 +15,14 @@
 //! slow PR resetting the baseline. It stays *soft* (warn-only): absolute
 //! wall-clock varies across machines.
 
+use std::path::Path;
+
 use bench::experiments as ex;
 use bench::WallTimer;
 use simkernel::{Sim, SimDuration};
 
 /// The PR this snapshot belongs to (also names the output file).
-const PR: u32 = 12;
+const PR: u32 = 13;
 
 /// Events pushed through the bare kernel for the throughput figure.
 const KERNEL_EVENTS: u64 = 2_000_000;
@@ -52,53 +54,54 @@ fn kernel_events_per_sec() -> (u64, f64) {
     (sim.stats().executed, secs)
 }
 
-/// Runs every replication experiment as a library call (reports are
-/// discarded, so nothing under `results/` is touched) and returns total
-/// wall-clock. `shard_scale` is deliberately *not* in this list: its cost
-/// is dominated by synchronization rounds (fixed by trace duration ÷
-/// lookahead, not by workload scale), so folding it in would swamp the
-/// suite's workload-scaling signal — it gets its own field instead.
+/// Runs every experiment in [`ex::ALL`] as a library call, one after
+/// another (reports are discarded, so nothing under `results/` is touched),
+/// and returns total wall-clock.
 fn suite_wall_secs() -> f64 {
-    let experiments: &[(&str, &dyn Fn() -> String)] = &[
-        ("fig02_put_sizes", &ex::fig02_put_sizes::run),
-        ("fig03_throughput", &ex::fig03_throughput::run),
-        (
-            "fig04_skyplane_breakdown",
-            &ex::fig04_skyplane_breakdown::run,
-        ),
-        ("fig05_skyplane_dynamic", &ex::fig05_skyplane_dynamic::run),
-        ("fig06_bandwidth_config", &ex::fig06_bandwidth_config::run),
-        ("fig07_scaling", &ex::fig07_scaling::run),
-        ("fig08_asymmetry", &ex::fig08_asymmetry::run),
-        ("fig09_variability", &ex::fig09_variability::run),
-        ("table1_aws", &|| {
-            ex::tables_delay_cost::run(1, (cloudsim::Cloud::Aws, "us-east-1"))
-        }),
-        ("table2_azure", &|| {
-            ex::tables_delay_cost::run(2, (cloudsim::Cloud::Azure, "eastus"))
-        }),
-        ("table3_gcp", &|| {
-            ex::tables_delay_cost::run(3, (cloudsim::Cloud::Gcp, "us-east1"))
-        }),
-        ("fig16_bulk", &ex::fig16_bulk::run),
-        ("fig17_scheduling_ablation", &ex::fig17_scheduling::run),
-        ("fig18_model_accuracy", &ex::fig18_19_model_accuracy::run),
-        ("table4_model_accuracy", &ex::table4_model_accuracy::run),
-        ("fig20_region_selection", &ex::fig20_region_selection::run),
-        ("fig21_changelog", &ex::fig21_changelog::run),
-        ("fig22_batching", &ex::fig22_batching::run),
-        ("fig23_trace_replay", &ex::fig23_trace_replay::run),
-        ("ablation_part_size", &ex::ablation_part_size::run),
-        ("multi_tenant", &ex::multi_tenant::run),
-        ("slo_burn", &ex::slo_burn::run),
-        ("region_outage", &ex::region_outage::run),
-    ];
     let timer = WallTimer::start();
-    for (name, f) in experiments {
-        let report = f();
+    for (name, run) in ex::ALL {
+        let report = run();
         assert!(!report.is_empty(), "{name} produced an empty report");
     }
     timer.elapsed_secs()
+}
+
+/// Newline count (`wc -l`) of every `.rs` file under `dir`, recursively.
+fn rs_lines(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| {
+            let path = e.path();
+            if path.is_dir() {
+                rs_lines(&path)
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                std::fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count())
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// Rust lines under each `crates/<crate>/`, sorted by crate name.
+fn rust_lines() -> Vec<(String, usize)> {
+    let mut per_crate: Vec<(String, usize)> = std::fs::read_dir("crates")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                rs_lines(&e.path()),
+            )
+        })
+        .collect();
+    per_crate.sort();
+    per_crate
 }
 
 /// Pulls `"key": <number>` out of a prior snapshot without a JSON parser.
@@ -192,8 +195,6 @@ fn main() {
     // regardless of the caller's environment.
     std::env::set_var("AREPLICA_SCALE", "1");
     std::env::remove_var("AREPLICA_SEED");
-    std::env::remove_var("AREPLICA_SHARDS");
-    std::env::remove_var("AREPLICA_SHARD_SEQUENTIAL");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let (kernel_events, kernel_secs) = kernel_events_per_sec();
@@ -211,59 +212,32 @@ fn main() {
     // the point is trend over PRs, not absolute magnitude.
     std::env::set_var("AREPLICA_SCALE", SUITE_SCALE);
     let timer = WallTimer::start();
-    let seq_report = ex::fig23_trace_replay::run();
+    let report = ex::fig23_trace_replay::run();
     let fig23_secs = timer.elapsed_secs();
     assert!(
-        seq_report.contains("window"),
+        report.contains("window"),
         "fig23 run produced an unexpected report"
-    );
-
-    // Sharded fig23 under both drivers, same scale: wall-clock for the
-    // trajectory, plus the byte-identity cross-check the design promises.
-    // On a single-core runner the parallel driver cannot beat the
-    // sequential one — the recorded `cores` field is what makes the two
-    // wall figures interpretable.
-    std::env::set_var("AREPLICA_SHARDS", "8");
-    let timer = WallTimer::start();
-    let par_report = ex::fig23_trace_replay::run();
-    let fig23_shard8_par_secs = timer.elapsed_secs();
-    std::env::set_var("AREPLICA_SHARD_SEQUENTIAL", "1");
-    let timer = WallTimer::start();
-    let shard_seq_report = ex::fig23_trace_replay::run();
-    let fig23_shard8_seq_secs = timer.elapsed_secs();
-    let shard8_identical = par_report == shard_seq_report;
-    std::env::remove_var("AREPLICA_SHARDS");
-    std::env::remove_var("AREPLICA_SHARD_SEQUENTIAL");
-    assert!(
-        shard8_identical,
-        "sharded fig23 reports differ between parallel and sequential drivers"
     );
 
     let suite_secs = suite_wall_secs();
 
-    // Sharded-experiment wall-clock, tracked apart from the suite: the
-    // shard_scale run's cost is synchronization rounds, which scale with
-    // trace duration ÷ lookahead rather than with AREPLICA_SCALE.
-    let timer = WallTimer::start();
-    let shard_scale_report = ex::shard_scale::run();
-    let shard_scale_secs = timer.elapsed_secs();
-    assert!(
-        shard_scale_report.contains("par = seq"),
-        "shard_scale run produced an unexpected report"
-    );
+    let lines = rust_lines();
+    let total: usize = lines.iter().map(|(_, n)| n).sum();
+    let mut lines_json = String::new();
+    for (name, n) in &lines {
+        lines_json.push_str(&format!("    \"{name}\": {n},\n"));
+    }
+    lines_json.push_str(&format!("    \"total\": {total}\n"));
 
     let json = format!(
-        "{{\n  \"schema\": 3,\n  \"pr\": {PR},\n  \"cores\": {cores},\n  \
+        "{{\n  \"schema\": 4,\n  \"pr\": {PR},\n  \"cores\": {cores},\n  \
          \"kernel_events\": {kernel_events},\n  \
          \"kernel_wall_secs\": {kernel_secs:.4},\n  \
          \"kernel_events_per_sec\": {kernel_eps:.0},\n  \
          \"fig17_scale\": 1.0,\n  \"fig17_wall_secs\": {fig17_secs:.3},\n  \
          \"fig23_scale\": {SUITE_SCALE},\n  \"fig23_wall_secs\": {fig23_secs:.3},\n  \
-         \"fig23_shard8_par_wall_secs\": {fig23_shard8_par_secs:.3},\n  \
-         \"fig23_shard8_seq_wall_secs\": {fig23_shard8_seq_secs:.3},\n  \
-         \"fig23_shard8_reports_identical\": {shard8_identical},\n  \
          \"suite_scale\": {SUITE_SCALE},\n  \"suite_wall_secs\": {suite_secs:.3},\n  \
-         \"shard_scale_wall_secs\": {shard_scale_secs:.3}\n}}\n"
+         \"rust_lines\": {{\n{lines_json}  }}\n}}\n"
     );
     compare_against_best(
         kernel_eps,
@@ -271,7 +245,6 @@ fn main() {
             ("fig17_wall_secs", fig17_secs),
             ("fig23_wall_secs", fig23_secs),
             ("suite_wall_secs", suite_secs),
-            ("shard_scale_wall_secs", shard_scale_secs),
         ],
     );
     let out = std::env::var("AREPLICA_BENCH_OUT").unwrap_or_else(|_| format!("BENCH_{PR}.json"));

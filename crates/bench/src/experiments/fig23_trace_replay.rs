@@ -11,12 +11,9 @@ use areplica_core::{AReplicaBuilder, ReplicationRule};
 use areplica_traces::{generate, ReplayConfig, SynthConfig};
 use baselines::{ManagedConfig, ManagedReplication};
 use cloudsim::Cloud;
-use simkernel::SimDuration;
+use simkernel::{par_map, SimDuration};
 
-use cloudsim::{region_shard_map, wan_lookahead, RegionRegistry, ShardLink};
-use simkernel::{run_sharded_stateful, ShardConfig};
-
-use crate::harness::{percentile, scale, seed, shards, shards_parallel, Table};
+use crate::harness::{percentile, scale, seed, Table};
 use crate::runners::{fresh_sim, profile_pairs};
 
 fn busy_trace() -> areplica_traces::Trace {
@@ -137,162 +134,14 @@ fn run_rtc(trace: &areplica_traces::Trace) -> WindowedDelays {
     windows_of(&delays)
 }
 
-/// Canonical merge of per-shard delay streams: `(completed_at, shard,
-/// per-shard index)` order, the same rule the kernel uses for envelopes, so
-/// the merged stream — and therefore the report — is independent of which
-/// driver (parallel or sequential) produced the parts.
-fn merge_delay_parts(parts: &[Vec<(u64, f64)>]) -> WindowedDelays {
-    let mut tagged: Vec<(u64, usize, usize, f64)> = Vec::new();
-    for (shard, part) in parts.iter().enumerate() {
-        for (idx, &(at_ns, d)) in part.iter().enumerate() {
-            tagged.push((at_ns, shard, idx, d));
-        }
-    }
-    tagged.sort_by_key(|&(at, shard, idx, _)| (at, shard, idx));
-    let delays: Vec<(f64, f64)> = tagged
-        .iter()
-        .map(|&(at_ns, _, _, d)| (at_ns as f64 / 1e9, d))
-        .collect();
-    windows_of(&delays)
-}
-
-/// Shard plan shared by both sharded runners. fig23's workload lives in a
-/// single region pair, so the ISSUE's fallback partitioning applies: records
-/// are key-partitioned (`cloudsim::key_shard`) and each shard replicates its
-/// keys on a private copy of the world, while the lookahead still comes from
-/// the WAN bound (`wan_lookahead` over the geo-grouped region map).
-fn shard_plan(
-    n: usize,
-) -> (
-    std::collections::BTreeMap<cloudsim::RegionId, usize>,
-    ShardConfig,
-) {
-    let regions = RegionRegistry::paper_regions();
-    let map = region_shard_map(&regions, n);
-    let lookahead = wan_lookahead(&regions, &map);
-    (map, ShardConfig::new(lookahead))
-}
-
-fn run_areplica_sharded(
-    trace: &areplica_traces::Trace,
-    n: usize,
-    parallel: bool,
-) -> WindowedDelays {
-    let (map, cfg) = shard_plan(n);
-    let cfg = cfg.with_parallel(parallel);
-    let run = run_sharded_stateful(
-        n,
-        &cfg,
-        move |id, outbox| {
-            let mut sim = fresh_sim(0x2311 + ((id as u64) << 20));
-            sim.world.shard = Some(ShardLink {
-                id,
-                map: Rc::new(map.clone()),
-                outbox,
-            });
-            let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-            let dst = sim.world.regions.lookup(Cloud::Aws, "us-east-2").unwrap();
-            sim.world.params.cloud_mut(Cloud::Aws).concurrency_limit = 2000;
-            let model = profile_pairs(&sim, &[(src, dst)]);
-            let service = AReplicaBuilder::new()
-                .rule(
-                    ReplicationRule::new(src, "trace-bucket", dst, "trace-mirror")
-                        .with_slo(SimDuration::from_secs(10))
-                        .with_percentile(0.9999),
-                )
-                .model(model)
-                .install(&mut sim);
-            areplica_traces::schedule_shard(
-                &mut sim,
-                trace,
-                src,
-                "trace-bucket",
-                &ReplayConfig::default(),
-                id,
-                n,
-            );
-            (sim, service)
-        },
-        cloudsim::deliver_remote_put,
-        |_, mut sim, service| {
-            sim.run_to_completion(u64::MAX);
-            let m = service.metrics();
-            m.completions
-                .iter()
-                .map(|c| (c.completed_at.as_nanos(), c.delay().as_secs_f64()))
-                .collect::<Vec<(u64, f64)>>()
-        },
-    );
-    merge_delay_parts(&run.results)
-}
-
-fn run_rtc_sharded(trace: &areplica_traces::Trace, n: usize, parallel: bool) -> WindowedDelays {
-    let (map, cfg) = shard_plan(n);
-    let cfg = cfg.with_parallel(parallel);
-    let run = run_sharded_stateful(
-        n,
-        &cfg,
-        move |id, outbox| {
-            let mut sim = fresh_sim(0x2322 + ((id as u64) << 20));
-            sim.world.shard = Some(ShardLink {
-                id,
-                map: Rc::new(map.clone()),
-                outbox,
-            });
-            let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-            let dst = sim.world.regions.lookup(Cloud::Aws, "us-east-2").unwrap();
-            let delays: Rc<RefCell<Vec<(u64, f64)>>> = Rc::default();
-            let d2 = delays.clone();
-            let _svc = ManagedReplication::install(
-                &mut sim,
-                ManagedConfig::s3_rtc(),
-                src,
-                "trace-bucket",
-                dst,
-                "trace-mirror",
-                Rc::new(move |sim, r| {
-                    d2.borrow_mut()
-                        .push((sim.now().as_nanos(), r.delay().as_secs_f64()));
-                }),
-            );
-            areplica_traces::schedule_shard(
-                &mut sim,
-                trace,
-                src,
-                "trace-bucket",
-                &ReplayConfig::default(),
-                id,
-                n,
-            );
-            (sim, delays)
-        },
-        cloudsim::deliver_remote_put,
-        |_, mut sim, delays| {
-            sim.run_to_completion(u64::MAX);
-            let out = delays.borrow().clone();
-            out
-        },
-    );
-    merge_delay_parts(&run.results)
-}
-
 /// Runs the experiment and returns the report.
 pub fn run() -> String {
     let trace = busy_trace();
     let writes = trace.len();
-    let n_shards = shards();
-    let (areplica, rtc) = if n_shards == 1 {
-        (run_areplica(&trace), run_rtc(&trace))
-    } else {
-        // The report deliberately does not name the driver (parallel worker
-        // threads vs the sequential round-robin reference): CI compares the
-        // two byte-for-byte, so any dependence on the driver is a bug.
-        let parallel = shards_parallel();
-        (
-            run_areplica_sharded(&trace, n_shards, parallel),
-            run_rtc_sharded(&trace, n_shards, parallel),
-        )
-    };
+    // The two systems replay the same trace in separate worlds, so their
+    // simulations are independent and run side by side.
+    let halves = par_map(&[run_areplica, run_rtc], |run| run(&trace));
+    let (areplica, rtc) = (&halves[0], &halves[1]);
 
     let mut table = Table::new([
         "window (min)",
@@ -313,14 +162,9 @@ pub fn run() -> String {
             format!("{rp:.1}"),
         ]);
     }
-    let sharding = if n_shards == 1 {
-        String::new()
-    } else {
-        format!("; key-partitioned across {n_shards} shards")
-    };
     format!(
         "Figure 23 — production-trace replay (60 min, {writes} PUT/DELETE records,\n\
-         AWS us-east-1 -> us-east-2; per-5-min-window delay percentiles{sharding})\n\n{}\n\
+         AWS us-east-1 -> us-east-2; per-5-min-window delay percentiles)\n\n{}\n\
          overall: AReplica p99.99 {:.2} s over {} replications; S3 RTC p99.99 {:.1} s over {}.\n\
          paper reference: AReplica keeps p99.99 < 10 s throughout; S3 RTC sits ~20 s and\n\
          exceeds 30 s during bursts.\n",

@@ -27,34 +27,6 @@ pub fn seed() -> u64 {
         .unwrap_or(2026)
 }
 
-/// Shard count for experiments that support sharded execution, from a
-/// `--shards=N` CLI flag (or the `AREPLICA_SHARDS` env var as a fallback).
-/// Default 1 = the legacy sequential path, byte-identical to pre-sharding
-/// output. Clamped to [1, 64].
-pub fn shards() -> usize {
-    let mut n: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if let Some(v) = arg.strip_prefix("--shards=") {
-            n = Some(v.to_string());
-        }
-    }
-    n.or_else(|| std::env::var("AREPLICA_SHARDS").ok())
-        .and_then(|s| s.parse::<usize>().ok())
-        .map_or(1, |n| n.clamp(1, 64))
-}
-
-/// Whether sharded experiments run their shards on worker threads (the
-/// default) or in-place on one thread. `--sequential-shards` (or
-/// `AREPLICA_SHARD_SEQUENTIAL=1`) forces the sequential driver — both
-/// drivers produce byte-identical reports, which the CI shard gate checks
-/// with `cmp`.
-pub fn shards_parallel() -> bool {
-    if std::env::args().skip(1).any(|a| a == "--sequential-shards") {
-        return false;
-    }
-    std::env::var("AREPLICA_SHARD_SEQUENTIAL").map_or(true, |v| v != "1")
-}
-
 /// Trace output directory from a `--trace-out[=DIR]` CLI flag (or the
 /// `AREPLICA_TRACE_OUT` env var as a fallback). `None` means tracing stays
 /// off. A bare `--trace-out` (or empty env var) uses the results directory.

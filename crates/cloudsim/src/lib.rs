@@ -13,8 +13,6 @@
 //! * [`net`] — the asymmetric, per-instance-variable WAN model;
 //! * [`outage`] — deterministic fault-domain outage windows (regional
 //!   service blackouts, WAN partitions, brownouts);
-//! * [`shard`] — region→shard mapping, WAN-derived lookahead, and the
-//!   outage-gated cross-shard exchange for sharded (parallel) runs;
 //! * [`world`] — the [`World`] aggregate and the timed,
 //!   cost-metered operation wrappers everything above is driven through.
 //!
@@ -28,7 +26,6 @@ pub mod faas;
 pub mod net;
 pub mod outage;
 pub mod params;
-pub mod shard;
 pub mod vm;
 pub mod world;
 
@@ -40,9 +37,5 @@ pub use cloudapi::{clouddb, objstore, region};
 pub use params::{CloudParams, FnConfig, WorldParams};
 pub use pricing::{Cloud, Geo};
 pub use region::{RegionId, RegionMeta, RegionRegistry};
-pub use shard::{
-    deliver_remote_put, key_shard, region_shard_map, send_remote_put, send_to_shard, wan_lookahead,
-    ShardLink, ShardMsg, ShardOp,
-};
 pub use simkernel::{EventInfo, PopPolicy};
 pub use world::{CloudSim, Executor, World};

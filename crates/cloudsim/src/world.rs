@@ -86,9 +86,6 @@ pub struct World {
     /// Recording draws no randomness and schedules no events, so enabling
     /// it cannot perturb simulation results.
     pub trace: simtrace::Tracer,
-    /// This world's connection to a sharded run (`None` outside sharded
-    /// execution — the default, which adds no behavior to any path).
-    pub shard: Option<crate::shard::ShardLink>,
     objstores: Vec<ObjectStore>,
     dbs: Vec<KvDb>,
     notif_handlers: BTreeMap<u64, NotifHandler>,
@@ -137,7 +134,6 @@ impl World {
             net: NetState::new(),
             outage: OutageSchedule::new(),
             trace: simtrace::Tracer::new(),
-            shard: None,
             objstores: (0..n).map(|_| ObjectStore::new()).collect(),
             dbs: (0..n).map(|_| KvDb::new()).collect(),
             notif_handlers: BTreeMap::new(),
@@ -325,7 +321,7 @@ impl World {
 
     /// One-way WAN propagation delay between two regions, in seconds.
     pub fn wan_propagation_s(&self, a: RegionId, b: RegionId) -> f64 {
-        crate::shard::wan_propagation_between(&self.regions, a, b)
+        0.06 * self.regions.geo(a).distance_factor(self.regions.geo(b))
     }
 }
 

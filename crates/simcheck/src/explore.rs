@@ -57,7 +57,7 @@ impl RunReport {
 /// The profiler configuration every scenario runs with: the smallest
 /// sample counts the planner accepts, so a schedule spends its decisions on
 /// the replication protocol rather than on profiling traffic.
-pub(crate) fn small_profiler() -> ProfilerConfig {
+fn small_profiler() -> ProfilerConfig {
     ProfilerConfig {
         warm_samples: 4,
         cold_samples: 3,

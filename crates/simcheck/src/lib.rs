@@ -30,12 +30,10 @@ pub mod explore;
 pub mod oracle;
 pub mod scenario;
 pub mod schedule;
-pub mod shardcheck;
 pub mod shrink;
 
 pub use explore::{explore_exhaustive, run_schedule, ExhaustiveReport, Failure, RunReport};
 pub use oracle::Violation;
 pub use scenario::Scenario;
 pub use schedule::{Decision, Mode, ScheduleState, Taken, WalkConfig};
-pub use shardcheck::{check_scenario_sharding, run_direct, run_sharded_scenario};
 pub use shrink::{non_default, shrink, ShrinkResult};

@@ -15,10 +15,8 @@
 //!   randomness from one another.
 //! * [`metrics`] — exact histograms / time series for experiment output
 //!   (p99.99 queries must not be estimator-approximate).
-//! * [`shard`] — conservative-lookahead sharded execution: `N` independent
-//!   event loops on worker threads, synchronized to a WAN-latency horizon
-//!   and exchanging messages in canonical `(time, shard, seq)` order, with
-//!   results byte-identical to the sequential kernel.
+//! * [`par_map`] — runs independent simulations on worker threads and
+//!   returns their results in input order.
 //!
 //! ## Example
 //!
@@ -37,14 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
+mod par;
 pub mod rng;
-pub mod shard;
 mod sim;
 mod time;
 
 pub use metrics::{Histogram, Summary, TimeSeries};
-pub use shard::{
-    run_sharded, run_sharded_stateful, Envelope, Outbox, ShardConfig, ShardId, ShardedRun,
-};
+pub use par::par_map;
 pub use sim::{CancelToken, EventInfo, PopPolicy, RunStats, Sim};
 pub use time::{SimDuration, SimTime};

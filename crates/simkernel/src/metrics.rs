@@ -118,12 +118,6 @@ impl Histogram {
         &self.samples
     }
 
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
     /// Buckets samples into `[edges[i], edges[i+1])` counts, with a final
     /// overflow bucket for values `>= edges.last()`. Used to print the paper's
     /// distribution figures (e.g. Figure 2).
@@ -305,17 +299,6 @@ mod tests {
         }
         h.record(1.0);
         assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean().unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -179,10 +179,6 @@ pub struct Sim<W> {
     /// Cancelled-but-still-queued event count, shared with every
     /// [`CancelToken`] this simulator has handed out.
     tombstones: Rc<Cell<u64>>,
-    /// While set (by [`Sim::run_before`]), explored pops must not gather
-    /// candidates at or past this bound — the shard horizon protocol relies
-    /// on no event `>= bound` executing within the round.
-    explore_bound: Option<SimTime>,
     /// The simulated world state, freely accessible to events.
     pub world: W,
 }
@@ -204,7 +200,6 @@ impl<W> Sim<W> {
             stats: RunStats::default(),
             pop_policy: None,
             tombstones: Rc::new(Cell::new(0)),
-            explore_bound: None,
             world,
         }
     }
@@ -259,23 +254,6 @@ impl<W> Sim<W> {
     /// Number of live (non-cancelled) events currently pending.
     pub fn live_pending_events(&self) -> usize {
         self.queue.len() - self.tombstones.get() as usize
-    }
-
-    /// Timestamp of the earliest live event, pruning any cancelled events
-    /// sitting at the head of the queue (they are counted as cancelled pops,
-    /// exactly as [`Sim::step`] would).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(ev) = self.queue.peek() {
-            match &ev.cancel {
-                Some(token) if token.is_cancelled() => {
-                    let ev = self.queue.pop().expect("peeked");
-                    ev.cancel.as_ref().expect("checked").consume();
-                    self.stats.cancelled += 1;
-                }
-                _ => return Some(ev.at),
-            }
-        }
-        None
     }
 
     fn note_live_depth(&mut self) {
@@ -423,13 +401,6 @@ impl<W> Sim<W> {
                     continue;
                 }
             }
-            // Inside a horizon-bounded run, events at or past the bound must
-            // not even become candidates: executing one would break the
-            // cross-shard causality guarantee.
-            if self.explore_bound.is_some_and(|bound| ev.at >= bound) {
-                self.queue.push(ev);
-                break;
-            }
             if candidates.is_empty() {
                 window_end = ev.at.max(self.now) + window;
             } else if ev.at > window_end || candidates.len() >= max_candidates {
@@ -495,29 +466,6 @@ impl<W> Sim<W> {
         if horizon > self.now {
             self.now = horizon;
         }
-        self.stats.executed - start
-    }
-
-    /// Runs all events with timestamp strictly `< horizon` and stops without
-    /// advancing the clock to the horizon. Events at exactly `horizon` stay
-    /// queued for the next call — the conservative-lookahead round primitive
-    /// used by [`crate::shard`]: a cross-shard message arriving at `>= horizon`
-    /// can still be scheduled after this returns without violating causality.
-    ///
-    /// Under an installed [`PopPolicy`] the candidate window is additionally
-    /// clipped at `horizon`, so exploration never executes an event past it.
-    pub fn run_before(&mut self, horizon: SimTime) -> u64 {
-        let start = self.stats.executed;
-        let prev_bound = self.explore_bound.replace(horizon);
-        loop {
-            match self.next_event_time() {
-                Some(at) if at < horizon => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        self.explore_bound = prev_bound;
         self.stats.executed - start
     }
 
@@ -647,55 +595,6 @@ mod tests {
         token.cancel();
         assert_eq!(sim.live_pending_events(), 0);
         assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn next_event_time_prunes_cancelled_heads() {
-        let mut sim = Sim::new(1, 0u32);
-        let token = sim.schedule_cancellable_at(SimTime::from_nanos(10), |sim| sim.world += 1);
-        sim.schedule_at(SimTime::from_nanos(20), |sim| sim.world += 10);
-        token.cancel();
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(20)));
-        assert_eq!(sim.stats().cancelled, 1);
-        assert_eq!(sim.pending_events(), 1);
-        // Pruning does not advance the clock.
-        assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn run_before_is_exclusive_at_the_horizon() {
-        let mut sim = Sim::new(1, 0u32);
-        sim.schedule_at(SimTime::from_nanos(10), |sim| sim.world += 1);
-        sim.schedule_at(SimTime::from_nanos(20), |sim| sim.world += 10);
-        sim.schedule_at(SimTime::from_nanos(30), |sim| sim.world += 100);
-        // The event exactly at the horizon must NOT run.
-        let ran = sim.run_before(SimTime::from_nanos(20));
-        assert_eq!(ran, 1);
-        assert_eq!(sim.world, 1);
-        // And the clock stays at the last executed event, not the horizon.
-        assert_eq!(sim.now(), SimTime::from_nanos(10));
-        let ran = sim.run_before(SimTime::from_nanos(21));
-        assert_eq!(ran, 1);
-        assert_eq!(sim.world, 11);
-        sim.run_before(SimTime::from_nanos(1000));
-        assert_eq!(sim.world, 111);
-    }
-
-    #[test]
-    fn run_before_clips_pop_policy_window_at_horizon() {
-        // A wide-window policy would normally gather the 25ns event alongside
-        // the 10ns one and could run it; under run_before(20) it must not.
-        let mut sim = Sim::new(1, ());
-        let log: Log = Rc::default();
-        sim.schedule_at(SimTime::from_nanos(10), log_event(&log, "in"));
-        sim.schedule_at(SimTime::from_nanos(25), log_event(&log, "out"));
-        sim.set_pop_policy(Box::new(PickLast {
-            window: SimDuration::from_nanos(100),
-        }));
-        sim.run_before(SimTime::from_nanos(20));
-        assert_eq!(*log.borrow(), vec![(10, "in")]);
-        sim.run_before(SimTime::from_nanos(100));
-        assert_eq!(log.borrow().len(), 2);
     }
 
     #[test]

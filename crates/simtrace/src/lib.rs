@@ -39,13 +39,11 @@ pub mod dash;
 mod query;
 mod recorder;
 mod registry;
-pub mod shardmerge;
 pub mod window;
 
 pub use query::TraceQuery;
 pub use recorder::{FlightDump, FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use registry::Registry;
-pub use shardmerge::merge_sharded;
 
 use simkernel::{SimDuration, SimTime};
 
@@ -404,12 +402,6 @@ impl Tracer {
     /// The metrics registry (read side; see [`Registry`]).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The metrics registry, writable — for merge paths (see
-    /// [`shardmerge::merge_sharded`]) that fold other registries in.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     /// Starts a query over the recorded spans and instants.

@@ -108,27 +108,6 @@ impl Registry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value (so applying parts in a canonical order makes "last
-    /// write wins" deterministic), histograms concatenate samples. Windowed
-    /// state is not merged — it never appears in [`Registry::render`], and
-    /// sliding windows are only meaningful live, inside the shard that
-    /// recorded them.
-    pub fn merge_from(&mut self, other: &Registry) {
-        for (name, v) in other.counters() {
-            self.counter_add(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.gauge_set(name, v);
-        }
-        for (name, h) in other.histograms() {
-            self.histograms
-                .entry(name.to_string())
-                .or_default()
-                .merge(h);
-        }
-    }
-
     /// Renders the registry as deterministic plain text: one line per
     /// metric, grouped by kind, sorted by name, fixed float formatting.
     pub fn render(&self) -> String {

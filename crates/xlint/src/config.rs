@@ -77,8 +77,8 @@ pub struct Config {
     /// Identifiers `thread-confinement` flags in library sources: OS
     /// threading and shared-state primitives.
     pub thread_idents: Vec<String>,
-    /// Files where those primitives are legal (the sharded-execution
-    /// module that owns the horizon protocol).
+    /// Files where those primitives are legal (`simkernel::par`, the one
+    /// module that runs independent simulations on worker threads).
     pub thread_allow: Vec<String>,
 }
 
@@ -180,7 +180,7 @@ impl Default for Config {
                 "Barrier".into(),
                 "Arc".into(),
             ],
-            thread_allow: vec!["crates/simkernel/src/shard.rs".into()],
+            thread_allow: vec!["crates/simkernel/src/par.rs".into()],
         }
     }
 }

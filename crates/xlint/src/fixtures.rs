@@ -497,15 +497,14 @@ pub struct Cache {
 "##,
     },
     Fixture {
-        name: "thread-confinement-clean-shard-module",
-        rel_path: "crates/simkernel/src/shard.rs",
+        name: "thread-confinement-clean-par-module",
+        rel_path: "crates/simkernel/src/par.rs",
         rule: "thread-confinement",
         expect: Expect::Clean,
         source: r##"
-use std::sync::mpsc;
 use std::thread;
-pub fn drivers() -> (mpsc::Sender<u64>, mpsc::Receiver<u64>) {
-    mpsc::channel()
+pub fn workers(n: usize) -> usize {
+    thread::scope(|s| (0..n).map(|_| s.spawn(|| 1)).map(|h| h.join().unwrap_or(0)).sum())
 }
 "##,
     },

@@ -312,11 +312,11 @@ fn layering(rel: &str, scope: &FileScope, lexed: &LexedFile, cfg: &Config, out: 
 }
 
 /// thread-confinement: OS threading and shared-state primitives (`thread`,
-/// `mpsc`, `Mutex`, …) in library sources outside the sharded-execution
-/// module. Determinism under the parallel driver rests on
-/// `simkernel::shard` owning every worker thread and every channel —
-/// concurrency smuggled in anywhere else (a stray spawn, a lock, a
-/// thread-local stash) can leak wall-clock interleaving into results.
+/// `mpsc`, `Mutex`, …) in library sources outside `simkernel::par`.
+/// Parallel runs stay deterministic because `par_map` owns every worker
+/// thread, runs only independent simulations, and returns results in
+/// input order — concurrency smuggled in anywhere else (a stray spawn, a
+/// lock, a thread-local stash) can leak wall-clock interleaving into results.
 /// Bins and test trees are exempt: they never produce pinned output
 /// through a simulator they share with other threads.
 fn thread_confinement(
@@ -344,7 +344,7 @@ fn thread_confinement(
                     t.line,
                     true,
                     format!(
-                        "`{w}` is a threading/shared-state primitive; concurrency is confined to `simkernel::shard` (the horizon protocol) so parallel runs stay byte-identical"
+                        "`{w}` is a threading/shared-state primitive; concurrency is confined to `simkernel::par_map`, which returns results in input order so parallel runs stay byte-identical"
                     ),
                 );
             }

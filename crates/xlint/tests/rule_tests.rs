@@ -234,13 +234,13 @@ fn committed_config_parses() {
     assert!(cfg.taint_sinks.iter().any(|s| s == "schedule_in"));
     assert!(cfg.span_crates.iter().any(|c| c == "areplica-core"));
     assert!(cfg.dropped_result_crates.iter().any(|c| c == "cloudsim"));
-    // PR 10's thread-confinement policy: primitives named, the shard
-    // module (and nothing else) allow-listed.
+    // thread-confinement policy: primitives named, the par module (and
+    // nothing else) allow-listed.
     assert!(cfg.thread_idents.iter().any(|i| i == "thread"));
     assert!(cfg.thread_idents.iter().any(|i| i == "mpsc"));
     assert_eq!(
         cfg.thread_allow,
-        vec!["crates/simkernel/src/shard.rs".to_string()]
+        vec!["crates/simkernel/src/par.rs".to_string()]
     );
 }
 

@@ -26,8 +26,7 @@ use std::rc::Rc;
 use cloudapi::RegionId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simkernel::SimDuration;
-use stats::{sum_as_normal, Dist, EULER_GAMMA, GUMBEL_THRESHOLD_N};
+use stats::{sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA, GUMBEL_THRESHOLD_N};
 
 /// Where the replicator functions run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -318,21 +317,11 @@ impl PerfModel {
             stats::gumbel_max_of_normals(per_instance.mean(), per_instance.std_dev(), n as usize)
         } else {
             let std_maxima = self.std_maxima(n, chunks_per_fn);
-            match stats::monte_carlo_max_from_std(&per_instance, &std_maxima) {
-                Some(emp) => Dist::Empirical(emp),
-                None => {
-                    // A derived, deterministic RNG per cache key keeps
-                    // bootstrap reproducible regardless of query order.
-                    let mut rng =
-                        StdRng::seed_from_u64(self.mc_seed ^ (n as u64) << 32 ^ chunks_per_fn);
-                    Dist::Empirical(stats::monte_carlo_max(
-                        &per_instance,
-                        n as usize,
-                        self.mc_trials,
-                        &mut rng,
-                    ))
-                }
-            }
+            Dist::Empirical(
+                stats::monte_carlo_max_from_std(&per_instance, &std_maxima)
+                    // xlint::allow(no-unwrap-in-lib, per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers)
+                    .expect("per-instance time is Normal or LogNormal"),
+            )
         };
         let dist = Rc::new(dist);
         self.max_cache.insert(key, Rc::clone(&dist));
@@ -347,22 +336,38 @@ impl PerfModel {
         n: u32,
         local: bool,
     ) -> Result<Dist, ModelError> {
-        let loc = path.side.region(path.src, path.dst);
-        let t_func = self.t_func(loc, n, local)?;
         if n <= 1 {
+            let loc = path.side.region(path.src, path.dst);
+            let t_func = self.t_func(loc, n, local)?;
             let t_transfer = self.t_transfer_single(path, size)?;
-            Ok(sum_as_normal(&[t_func, t_transfer]))
-        } else {
-            let t_transfer = self.t_transfer_parallel(path, size, n)?;
-            Ok(self.add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
+            return Ok(sum_as_normal(&[t_func, t_transfer]));
         }
+        let (t_transfer, mu, sigma) = self.parallel_terms(path, size, n, local)?;
+        Ok(self.add_normal(&t_transfer, mu, sigma))
+    }
+
+    /// `T_rep`'s two terms at `n >= 2`: the max-of-`n` `T_transfer`, and
+    /// the mean and standard deviation of the Normal `T_func`.
+    fn parallel_terms(
+        &mut self,
+        path: PathKey,
+        size: u64,
+        n: u32,
+        local: bool,
+    ) -> Result<(Rc<Dist>, f64, f64), ModelError> {
+        let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
+        let t_transfer = self.t_transfer_parallel(path, size, n)?;
+        Ok((t_transfer, t_func.mean(), t_func.std_dev()))
     }
 
     /// The planner's scalar query: `t` such that `P(T_rep <= t) >= p`,
     /// in seconds.
     ///
     /// Answers are memoised on `(path, n, local, chunk count, p)`, which
-    /// with the current parameters determines the answer exactly.
+    /// with the current parameters determines the answer exactly. A miss
+    /// answers `t_rep_dist(..).quantile(p).max(0.0)`, bit for bit, but for
+    /// an Empirical `T_transfer` it selects the quantile from the shifted
+    /// samples instead of sorting them.
     pub fn t_rep_quantile(
         &mut self,
         path: PathKey,
@@ -381,23 +386,22 @@ impl PerfModel {
         if let Some(&q) = self.quantile_memo.get(&key) {
             return Ok(q);
         }
-        let q = self.t_rep_dist(path, size, n, local)?.quantile(p).max(0.0);
+        let q = if n <= 1 {
+            self.t_rep_dist(path, size, n, local)?.quantile(p)
+        } else {
+            let (t_transfer, mu, sigma) = self.parallel_terms(path, size, n, local)?;
+            match &*t_transfer {
+                Dist::Empirical(e) => {
+                    stats::select_quantile(&mut self.shifted_samples(e, mu, sigma), p)
+                        // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
+                        .expect("finite samples")
+                }
+                other => self.add_normal(other, mu, sigma).quantile(p),
+            }
+        }
+        .max(0.0);
         self.quantile_memo.insert(key, q);
         Ok(q)
-    }
-
-    /// Convenience: the quantile as a [`SimDuration`].
-    pub fn t_rep_quantile_duration(
-        &mut self,
-        path: PathKey,
-        size: u64,
-        n: u32,
-        local: bool,
-        p: f64,
-    ) -> Result<SimDuration, ModelError> {
-        Ok(SimDuration::from_secs_f64(
-            self.t_rep_quantile(path, size, n, local, p)?,
-        ))
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
@@ -427,8 +431,9 @@ impl PerfModel {
     }
 
     /// Standardized per-trial maxima for `(n, chunks_per_fn)`, computed once
-    /// per key with the same derived RNG seed the full Monte Carlo would use,
-    /// so [`stats::monte_carlo_max_from_std`] reproduces it bit-for-bit.
+    /// per key from an RNG seeded by the key alone, so the bootstrap does not
+    /// depend on query order, and [`stats::monte_carlo_max_from_std`]
+    /// reproduces `stats::monte_carlo_max` under that seed bit-for-bit.
     ///
     /// The maxima are cached sorted: the maps `monte_carlo_max_from_std`
     /// applies are monotone, so its output is then already in the order
@@ -478,21 +483,24 @@ impl PerfModel {
                 }
             }
             Dist::Empirical(e) => {
-                // Shift every stored max sample by an independent normal
-                // draw. `mu + sigma * z` is the float expression
-                // `Dist::sample` uses for a Normal, so the result matches a
-                // per-call RNG drawing `Dist::normal(mu, sigma)` bit-for-bit.
-                let shifted: Vec<f64> = e
-                    .samples()
-                    .iter()
-                    .zip(self.shift_draws(e.len()))
-                    .map(|(x, z)| x + (mu + sigma * z))
-                    .collect();
+                let shifted = self.shifted_samples(e, mu, sigma);
                 // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
-                Dist::Empirical(stats::EmpiricalDist::new(shifted).expect("finite samples"))
+                Dist::Empirical(EmpiricalDist::new(shifted).expect("finite samples"))
             }
             other => other.shift(mu),
         }
+    }
+
+    /// `e`'s samples, each shifted by an independent Normal(`mu`, `sigma`)
+    /// draw. `mu + sigma * z` is the float expression `Dist::sample` uses
+    /// for a Normal, so the result matches a per-call RNG drawing
+    /// `Dist::normal(mu, sigma)` bit-for-bit.
+    fn shifted_samples(&mut self, e: &EmpiricalDist, mu: f64, sigma: f64) -> Vec<f64> {
+        e.samples()
+            .iter()
+            .zip(self.shift_draws(e.len()))
+            .map(|(x, z)| x + (mu + sigma * z))
+            .collect()
     }
 }
 

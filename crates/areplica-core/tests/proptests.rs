@@ -158,11 +158,12 @@ proptest! {
     #[test]
     fn memoised_model_answers_like_a_cold_model(
         edits in arb_model_edits(),
-        queries in proptest::collection::vec((arb_size(), 0u32..6, 0usize..3), 1..4),
+        queries in proptest::collection::vec((arb_size(), 1u32..128, 0usize..3), 1..4),
     ) {
         // The warm model is queried before every edit, so stale memo entries
         // would surface. Each answer must equal, bit for bit, the answer of
-        // a cold model that saw the same edits and was never queried.
+        // a cold model that saw the same edits and was never queried, and
+        // the quantile of the sorted `t_rep_dist` it selects from.
         let cfg = EngineConfig::default();
         let (mut warm, src, dst) = fixed_model();
         for step in 0..=edits.len() {
@@ -173,8 +174,7 @@ proptest! {
                 }
                 m
             };
-            for &(size, log_n, pi) in &queries {
-                let n = 1u32 << log_n;
+            for &(size, n, pi) in &queries {
                 let p = [0.5, 0.99, 0.9999][pi];
                 for side in ExecSide::BOTH {
                     let path = PathKey { src, dst, side };
@@ -182,9 +182,10 @@ proptest! {
                     let w = warm.t_rep_quantile(path, size, n, local, p).unwrap();
                     let c = cold().t_rep_quantile(path, size, n, local, p).unwrap();
                     prop_assert_eq!(w.to_bits(), c.to_bits());
-                    let w = warm.t_rep_dist(path, size, n, local).unwrap().mean();
+                    let dist = warm.t_rep_dist(path, size, n, local).unwrap();
+                    prop_assert_eq!(w.to_bits(), dist.quantile(p).max(0.0).to_bits());
                     let c = cold().t_rep_dist(path, size, n, local).unwrap().mean();
-                    prop_assert_eq!(w.to_bits(), c.to_bits());
+                    prop_assert_eq!(dist.mean().to_bits(), c.to_bits());
                 }
                 let w = generate_plan(&mut warm, &cfg, src, dst, size, None, p).unwrap();
                 let c = generate_plan(&mut cold(), &cfg, src, dst, size, None, p).unwrap();
@@ -250,10 +251,11 @@ fn arb_model_edits() -> impl Strategy<Value = Vec<ModelEdit>> {
     )
 }
 
-/// Sizes up to 32 chunks of 8 MiB, often a few bytes short of a chunk
-/// boundary, so that distinct sizes share chunk counts.
+/// Sizes up to 127 chunks of 8 MiB, so plans reach the capped levels
+/// 33..=127, often a few bytes short of a chunk boundary, so that distinct
+/// sizes share chunk counts.
 fn arb_size() -> impl Strategy<Value = u64> {
-    (1u64..33, 0u64..(8 << 20)).prop_map(|(chunks, short)| (chunks * (8 << 20) - short).max(1))
+    (1u64..128, 0u64..(8 << 20)).prop_map(|(chunks, short)| (chunks * (8 << 20) - short).max(1))
 }
 
 fn fixed_model() -> (PerfModel, cloudsim::RegionId, cloudsim::RegionId) {

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stats::{gumbel_max_of_normals, monte_carlo_max, Dist};
+use stats::{gumbel_max_of_normals, monte_carlo_max, std_normal_maxima, Dist};
 use std::hint::black_box;
 
 fn bench_max_of_n(c: &mut Criterion) {
@@ -18,6 +18,15 @@ fn bench_max_of_n(c: &mut Criterion) {
                 let d = monte_carlo_max(black_box(&parent), n, 3000, &mut rng);
                 black_box(d.quantile(0.99))
             })
+        });
+    }
+
+    // The model's bootstrap: the same maxima as `monte_carlo_max`, with the
+    // draws that cannot set a maximum left untransformed.
+    for n in [64usize, 127] {
+        c.bench_function(&format!("std_normal_maxima_n{n}_2500trials"), |b| {
+            let mut rng = StdRng::seed_from_u64(1);
+            b.iter(|| black_box(std_normal_maxima(black_box(n), 2500, &mut rng)))
         });
     }
 

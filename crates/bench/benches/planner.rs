@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of Algorithm 3's plan generation: the planner
 //! runs on the critical path of every replication, so it must be fast even
 //! when Monte-Carlo distributions are cold. The warm cases time the model's
-//! quantile memo; the drift case times re-planning after a rescale.
+//! quantile memo; the drift case times re-planning after a rescale; the cold
+//! cases time the max-of-n bootstrap.
 
 use areplica_core::model::{ExecSide, LocParams, PathKey, PathParams, PerfModel};
 use areplica_core::{generate_plan, EngineConfig};
@@ -83,6 +84,20 @@ fn bench_planner(c: &mut Criterion) {
             for &size in &sizes {
                 let plan =
                     generate_plan(&mut model, &cfg, src, dst, black_box(size), None, 0.99).unwrap();
+                black_box(plan);
+            }
+        })
+    });
+
+    c.bench_function("plan_unique_part_counts_cold", |b| {
+        // bulk-xcloud's shape: every object has a part count of its own, so
+        // the last level, n = part count, bootstraps a fresh max-of-n.
+        let part_size = cfg.part_size;
+        b.iter(|| {
+            let (mut model, src, dst) = build_model();
+            for parts in 33..=127u64 {
+                let size = black_box(parts * part_size);
+                let plan = generate_plan(&mut model, &cfg, src, dst, size, None, 0.99).unwrap();
                 black_box(plan);
             }
         })

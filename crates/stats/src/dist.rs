@@ -7,6 +7,8 @@
 //! enum form keeps distributions `Clone + Debug` and serializable-by-hand,
 //! which trait objects would not.
 
+use std::cmp::Ordering;
+
 use rand::Rng;
 
 use crate::special::{inv_std_normal_cdf, std_normal_cdf};
@@ -62,7 +64,7 @@ impl EmpiricalDist {
         if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
             return None;
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        samples.sort_by(ascending);
         Some(EmpiricalDist { sorted: samples })
     }
 
@@ -78,16 +80,9 @@ impl EmpiricalDist {
 
     /// Linear-interpolated quantile, `q` clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
+        interpolate_ranks(self.sorted.len(), q, |lo, hi| {
+            (self.sorted[lo], self.sorted[hi])
+        })
     }
 
     /// Empirical CDF at `x` (fraction of samples `<= x`).
@@ -116,6 +111,53 @@ impl EmpiricalDist {
     pub fn samples(&self) -> &[f64] {
         &self.sorted
     }
+}
+
+/// The order [`EmpiricalDist::new`] sorts its (finite) samples into.
+fn ascending(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).expect("finite")
+}
+
+/// [`EmpiricalDist::quantile`]'s interpolation over `len` sorted samples,
+/// `q` clamped to `[0, 1]`: `ranks(lo, hi)` returns the samples at the two
+/// ranks it reads.
+fn interpolate_ranks(len: usize, q: f64, ranks: impl FnOnce(usize, usize) -> (f64, f64)) -> f64 {
+    let q = q.clamp(0.0, 1.0);
+    if len == 1 {
+        return ranks(0, 0).0;
+    }
+    let pos = q * (len - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    let (x_lo, x_hi) = ranks(lo, hi);
+    x_lo * (1.0 - frac) + x_hi * frac
+}
+
+/// `EmpiricalDist::new(samples).quantile(q)`, bit for bit, in linear time:
+/// instead of sorting, selects the two ranks the interpolation reads, in the
+/// order `new` sorts by. Reorders `samples`.
+pub fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
+    // `new` refuses empty and non-finite samples. Its stable sort also keeps
+    // −0.0 and +0.0, which compare equal, in input order, and a selection
+    // cannot. Both cases go through `new` itself.
+    if samples.is_empty()
+        || samples
+            .iter()
+            .any(|x| !x.is_finite() || (*x == 0.0 && x.is_sign_negative()))
+    {
+        return EmpiricalDist::new(samples.to_vec()).map(|e| e.quantile(q));
+    }
+    Some(interpolate_ranks(samples.len(), q, |lo, hi| {
+        let (_, &mut x_lo, above) = samples.select_nth_unstable_by(lo, ascending);
+        // Rank `lo + 1` is the least sample above rank `lo`.
+        let x_hi = if hi > lo {
+            above.iter().copied().min_by(ascending)
+        } else {
+            None
+        };
+        (x_lo, x_hi.unwrap_or(x_lo))
+    }))
 }
 
 /// Euler–Mascheroni constant, used in Gumbel moments.
@@ -368,8 +410,20 @@ pub fn sum_as_normal(parts: &[Dist]) -> Dist {
 /// One of the pair is discarded for simplicity; the simulator is not
 /// RNG-throughput-bound.
 pub fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one Box–Muller sample consumes: `u1` in `[ε, 1)` (so
+/// its log is finite), then `u2` in `[0, 1)`.
+pub(crate) fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// The Box–Muller transform `sqrt(−2 ln u1) · cos(2π u2)`.
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -469,6 +523,8 @@ mod tests {
         assert_eq!(e.mean(), 2.0);
         assert_eq!(EmpiricalDist::new(vec![]), None);
         assert_eq!(EmpiricalDist::new(vec![f64::NAN]), None);
+        assert_eq!(select_quantile(&mut [], 0.5), None);
+        assert_eq!(select_quantile(&mut [1.0, f64::NAN], 0.5), None);
     }
 
     #[test]

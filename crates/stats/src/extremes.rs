@@ -14,7 +14,7 @@
 
 use rand::Rng;
 
-use crate::dist::{Dist, EmpiricalDist};
+use crate::dist::{box_muller, box_muller_uniforms, Dist, EmpiricalDist};
 
 /// Empirical distribution of `max(X_1..X_n)` via Monte Carlo.
 ///
@@ -42,12 +42,27 @@ pub fn monte_carlo_max<R: Rng + ?Sized>(
     EmpiricalDist::new(maxima).expect("maxima of finite samples are finite")
 }
 
+/// Slack in [`std_normal_maxima`]'s pruning guards. It keeps every skipped
+/// draw short of the running maximum by far more than libm's sub-ulp error
+/// in `exp`, `ln` and `cos`, so which draws are skipped, and hence the
+/// result, does not depend on the host's libm.
+const PRUNE_MARGIN: f64 = 1e-9;
+
 /// Per-trial maxima of `n` standard normal draws, in trial order.
 ///
 /// Consumes exactly the RNG stream that [`monte_carlo_max`] would over a
 /// [`Dist::Normal`] or [`Dist::LogNormal`] parent — both draw one standard
 /// normal per sample — so the result can stand in for a full Monte Carlo run
 /// via [`monte_carlo_max_from_std`].
+///
+/// Both uniforms of every Box–Muller draw `sqrt(−2 ln u1)·cos(2π u2)` are
+/// taken from the stream, but once the trial's maximum `m` is positive the
+/// transform is skipped for draws that provably stay below it:
+///
+/// * radius: `u1 > exp(−m²/2)·(1 + PRUNE_MARGIN)` gives `sqrt(−2 ln u1) < m`,
+///   and `|cos| <= 1`;
+/// * half-plane: `u2` in `(0.25 + PRUNE_MARGIN, 0.75 − PRUNE_MARGIN)` gives
+///   `cos(2π u2) < −6e-9`, so the draw is negative.
 ///
 /// # Panics
 ///
@@ -58,8 +73,18 @@ pub fn std_normal_maxima<R: Rng + ?Sized>(n: usize, trials: usize, rng: &mut R) 
     let mut maxima = Vec::with_capacity(trials);
     for _ in 0..trials {
         let mut m = f64::NEG_INFINITY;
+        // The radius guard's threshold for `m`, updated whenever `m` rises.
+        let mut u1_cut = f64::INFINITY;
         for _ in 0..n {
-            m = m.max(crate::dist::sample_std_normal(rng));
+            let (u1, u2) = box_muller_uniforms(rng);
+            if m > 0.0 && (u1 > u1_cut || (0.25 + PRUNE_MARGIN < u2 && u2 < 0.75 - PRUNE_MARGIN)) {
+                continue;
+            }
+            let z = box_muller(u1, u2);
+            if z > m {
+                m = z;
+                u1_cut = (-m * m / 2.0).exp() * (1.0 + PRUNE_MARGIN);
+            }
         }
         maxima.push(m);
     }
@@ -261,6 +286,32 @@ mod tests {
                     full.samples(),
                     fast.samples(),
                     "drift for parent #{pi} n={n} trials={trials}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_maxima_match_full_monte_carlo_at_every_monte_carlo_n() {
+        // Every n the model bootstraps below the Gumbel threshold, at the
+        // planner's trial budgets: the skipped transforms must change no
+        // maximum, and the stream must be left where the full run leaves it.
+        let parent = Dist::normal(0.0, 1.0);
+        for trials in [2_500, 3_000] {
+            for n in 2..GUMBEL_THRESHOLD_N {
+                let seed = (n as u64) << 32 ^ trials as u64;
+                let (mut full_rng, mut pruned_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let full = monte_carlo_max(&parent, n, trials, &mut full_rng);
+                let pruned = std_normal_maxima(n, trials, &mut pruned_rng);
+                let pruned = monte_carlo_max_from_std(&parent, &pruned).unwrap();
+                let bits = |e: EmpiricalDist| -> Vec<u64> {
+                    e.samples().iter().map(|x| x.to_bits()).collect()
+                };
+                assert!(bits(full) == bits(pruned), "n={n} trials={trials}");
+                assert!(
+                    full_rng == pruned_rng,
+                    "stream drift at n={n} trials={trials}"
                 );
             }
         }

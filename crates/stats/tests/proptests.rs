@@ -7,6 +7,13 @@ fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
     range.prop_filter("finite", |x| x.is_finite())
 }
 
+/// Few distinct values, so vectors drawn from them are full of duplicates.
+const FEW: [f64; 6] = [2.5, 0.0, -7.25, 0.1, 1e6, 3.0];
+
+fn from_few(indices: Vec<usize>) -> Vec<f64> {
+    indices.into_iter().map(|i| FEW[i]).collect()
+}
+
 proptest! {
     #[test]
     fn normal_quantiles_are_monotone(
@@ -76,6 +83,24 @@ proptest! {
         samples.sort_by(f64::total_cmp);
         let v = e.quantile(q);
         prop_assert!(v >= samples[0] - 1e-9 && v <= samples[samples.len() - 1] + 1e-9);
+    }
+
+    #[test]
+    fn select_quantile_matches_the_sorted_quantile(
+        // N = 1 and 2; duplicate-heavy; mostly distinct; both signed zeros.
+        samples in prop_oneof![
+            proptest::collection::vec(0usize..FEW.len(), 1..3).prop_map(from_few),
+            proptest::collection::vec(0usize..FEW.len(), 3..60).prop_map(from_few),
+            proptest::collection::vec(finite_f64(-1000.0..1000.0), 1..300),
+            proptest::collection::vec(prop_oneof![Just(-0.0), Just(0.0), Just(1.0)], 1..100),
+        ],
+        q_any in 0.0f64..1.0,
+    ) {
+        let sorted = EmpiricalDist::new(samples.clone()).unwrap();
+        for q in [0.0, 0.5, 0.99, 0.9999, 1.0, q_any] {
+            let selected = stats::select_quantile(&mut samples.clone(), q).unwrap();
+            prop_assert_eq!(selected.to_bits(), sorted.quantile(q).to_bits(), "q = {}", q);
+        }
     }
 
     #[test]

@@ -21,14 +21,22 @@
 //!   [`areplica_core::health::BreakerProbe`]; transitions land in the
 //!   fleet ledger next to burn-rate alerts.
 //!
-//! Layering rule (enforced by xlint): this crate reaches backends only
-//! through `areplica_core::backend` traits — it must never depend on
-//! `cloudsim`, and `areplica-core` must never depend on this crate. The
+//! Layering (a Cargo fact): this crate reaches backends only through
+//! `areplica_core::backend` traits. Its manifest lists no `cloudsim`
+//! dependency, so a `cloudsim::` path fails to compile here, and
+//! `areplica-core` cannot depend on this crate without a cycle. The
 //! seam between the two planes is [`areplica_core::tenant::TenantCtx`],
 //! which [`TenantRegistry::tenant_ctx`] manufactures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code runs mid-replication: it must not panic, and it must not
+// silently discard a `Result`. Tests may unwrap (see clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::let_underscore_must_use
+)]
 
 pub mod admission;
 pub mod breaker;

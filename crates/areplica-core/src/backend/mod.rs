@@ -158,7 +158,10 @@ pub trait ObjectStore: Clock {
     );
 
     /// Ranged GET with optional `If-Match` validation (§5.2).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors one provider API request: every parameter is a field of that request"
+    )]
     fn get_object_range(
         &mut self,
         exec: Exec,
@@ -193,7 +196,10 @@ pub trait ObjectStore: Clock {
     );
 
     /// Server-side COPY within `region` (no cross-region bytes).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors one provider API request: every parameter is a field of that request"
+    )]
     fn copy_object(
         &mut self,
         exec: Exec,
@@ -216,7 +222,6 @@ pub trait ObjectStore: Clock {
     );
 
     /// Uploads one part (1-based `part_number`; re-uploads replace).
-    #[allow(clippy::too_many_arguments)]
     fn upload_part(
         &mut self,
         exec: Exec,
@@ -254,7 +259,6 @@ pub trait KvStore: Sized {
     /// the conditional-update semantics Algorithms 1 and 2 require. The
     /// transaction commits even if the calling executor dies; only the
     /// callback delivery depends on its liveness.
-    #[allow(clippy::too_many_arguments)]
     fn db_transact<T: 'static>(
         &mut self,
         exec: Exec,

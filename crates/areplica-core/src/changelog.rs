@@ -163,7 +163,10 @@ pub fn user_copy<B: Backend>(
                 dst_key,
                 Some(stat.etag),
                 move |sim, applied| {
-                    // xlint::allow(no-unwrap-in-lib, source existence and ETag were validated by the stat above; nothing mutates the bucket in between)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "source existence and ETag were validated by the stat above; nothing mutates the bucket in between"
+                    )]
                     let applied = applied.expect("local copy");
                     cb(sim, applied.etag);
                 },
@@ -214,9 +217,12 @@ pub fn user_concat<B: Backend>(
             *slot = Some(encode(&op));
         },
         move |sim, ()| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the sources were readable above, so the bucket exists; a user PUT into an existing bucket cannot fail"
+            )]
             let applied = sim
                 .user_put_content(region, &bucket, &dst_key, assembled)
-                // xlint::allow(no-unwrap-in-lib, the sources were readable above, so the bucket exists; a user PUT into an existing bucket cannot fail)
                 .expect("concat put");
             cb(sim, applied.etag);
         },

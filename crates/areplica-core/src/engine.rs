@@ -220,7 +220,10 @@ pub fn execute<B: Backend>(
 /// and per-tenant RNG streams), and the tenant's fleet cadence governs the
 /// task's watchdog and janitor. With the default tenant this is exactly
 /// [`execute`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "engine entry point: the tenant, config, task, plan, orchestrator and both callbacks are independent inputs"
+)]
 pub fn execute_for<B: Backend>(
     sim: &mut B,
     tenant: TenantCtx,
@@ -358,7 +361,10 @@ fn replicate_streamed<B: Backend>(
             ctx.task.dst_bucket.clone(),
             ctx.task.key.clone(),
             move |sim, upload| {
-                // xlint::allow(no-unwrap-in-lib, destination buckets are created at install time and never deleted mid-simulation)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "destination buckets are created at install time and never deleted mid-simulation"
+                )]
                 let upload_id = upload.expect("destination bucket must exist");
                 stream_chunk_loop(sim, exec, ctx2, upload_id, 0, num_parts, exit);
             },
@@ -392,7 +398,10 @@ fn stream_single_chunk<B: Backend>(
                     ctx2.task.key.clone(),
                     content,
                     move |sim, put| {
-                        // xlint::allow(no-unwrap-in-lib, destination buckets are created at install time and never deleted mid-simulation)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "destination buckets are created at install time and never deleted mid-simulation"
+                        )]
                         put.expect("destination bucket must exist");
                         ctx3.finish_once(sim, TaskStatus::Replicated { etag: read_etag });
                         if let Some(exit) = exit {
@@ -423,7 +432,10 @@ fn stream_chunk_loop<B: Backend>(
     if chunk >= num_parts {
         let ctx2 = ctx.clone();
         sim.complete_multipart(exec, ctx.task.dst_region, upload_id, move |sim, done| {
-            // xlint::allow(no-unwrap-in-lib, sequential streaming is the sole completer of this upload and never races a peer)
+            #[expect(
+                clippy::expect_used,
+                reason = "sequential streaming is the sole completer of this upload and never races a peer"
+            )]
             let applied = done.expect("multipart completion");
             ctx2.finish_once(sim, TaskStatus::Replicated { etag: applied.etag });
             if let Some(exit) = exit {
@@ -454,7 +466,10 @@ fn stream_chunk_loop<B: Backend>(
                     chunk + 1,
                     content,
                     move |sim, up| {
-                        // xlint::allow(no-unwrap-in-lib, the streaming uploader owns this upload id; nobody aborts it concurrently)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the streaming uploader owns this upload id; nobody aborts it concurrently"
+                        )]
                         up.expect("upload part");
                         stream_chunk_loop(sim, exec, ctx3, upload_id, chunk + 1, num_parts, exit);
                     },
@@ -581,7 +596,10 @@ fn pool_item(num_parts: u32, scheduling: SchedulingMode, upload_id: u64) -> Item
 /// [`pool_item`] / the transactions below with a fixed key/type layout, so a
 /// shape miss is a bug in this module, never a recoverable runtime condition.
 fn shape<T>(v: Option<T>) -> T {
-    // xlint::allow(no-unwrap-in-lib, pool items are created by this module with a fixed schema; a shape miss is a bug, not a recoverable error)
+    #[expect(
+        clippy::expect_used,
+        reason = "pool items are created by this module with a fixed schema; a shape miss is a bug, not a recoverable error"
+    )]
     v.expect("pool shape")
 }
 
@@ -795,7 +813,10 @@ fn start_distributed<B: Backend>(
         ctx.task.dst_bucket.clone(),
         ctx.task.key.clone(),
         move |sim, upload| {
-            // xlint::allow(no-unwrap-in-lib, destination buckets are created at install time and never deleted mid-simulation)
+            #[expect(
+                clippy::expect_used,
+                reason = "destination buckets are created at install time and never deleted mid-simulation"
+            )]
             let upload_id = upload.expect("destination bucket must exist");
             // 2. Create the part pool in the cloud DB co-located with the
             //    replicators.
@@ -914,7 +935,6 @@ fn record_and_finish<B: Backend>(
 }
 
 /// The decentralized claim loop (Algorithm 1, REPLICATOR).
-#[allow(clippy::too_many_arguments)]
 fn claim_loop<B: Backend>(
     sim: &mut B,
     handle: FnHandle,
@@ -993,7 +1013,10 @@ fn finish_concluded<B: Backend>(
 }
 
 /// Fair-dispatch loop: fixed part list per replicator (ablation baseline).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn fair_loop<B: Backend>(
     sim: &mut B,
     handle: FnHandle,
@@ -1043,7 +1066,10 @@ fn replicate_part<B: Backend>(
 
 /// Downloads and uploads one part, updates the pool, and concludes the task
 /// when the last part lands (Algorithm 1 lines 10–13).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn replicate_part_inner<B: Backend>(
     sim: &mut B,
     handle: FnHandle,
@@ -1085,7 +1111,10 @@ fn replicate_part_inner<B: Backend>(
                             claim_loop(sim, handle, ctx3, upload_id, started, progress);
                             return;
                         }
-                        // xlint::allow(no-unwrap-in-lib, NoSuchUpload is handled above; any other part failure is a simulator bug)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "NoSuchUpload is handled above; any other part failure is a simulator bug"
+                        )]
                         up.expect("upload part");
                         let db_region = ctx3.exec_region;
                         let task_id = ctx3.task.task_id();
@@ -1180,7 +1209,6 @@ fn conclude_distributed<B: Backend>(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_part_error<B: Backend>(
     sim: &mut B,
     handle: FnHandle,
@@ -1376,9 +1404,12 @@ pub fn execute_relay<B: Backend>(
                 TaskStatus::Replicated { etag } => {
                     // Second hop: from the staged copy. Its write sequence in
                     // the relay bucket identifies the staged version.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the first hop just replicated the object into the relay bucket; nothing deletes it before the second hop"
+                    )]
                     let staged = sim
                         .stat_now(relay_region, &relay_bucket, &task.key)
-                        // xlint::allow(no-unwrap-in-lib, the first hop just replicated the object into the relay bucket; nothing deletes it before the second hop)
                         .expect("staged object exists");
                     debug_assert_eq!(staged.etag, etag);
                     let second = TaskSpec {

@@ -326,7 +326,10 @@ fn check_task<B: Backend>(
 /// delete is guarded by `guard` so it can never reap a live row; `reap`
 /// runs on the expired item to tear down anything it recorded (orphan
 /// uploads, for the engine).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "every parameter is an independent input to the deferred cleanup job"
+)]
 pub fn schedule_tombstone_cleanup<B: Backend>(
     sim: &mut B,
     cadence: FleetCadence,

@@ -25,6 +25,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code runs mid-replication: it must not panic, and it must not
+// silently discard a `Result`. Tests may unwrap (see clippy.toml).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::let_underscore_must_use
+)]
 
 pub mod backend;
 pub mod batching;

@@ -317,9 +317,12 @@ impl PerfModel {
             stats::gumbel_max_of_normals(per_instance.mean(), per_instance.std_dev(), n as usize)
         } else {
             let std_maxima = self.std_maxima(n, chunks_per_fn);
+            #[expect(
+                clippy::expect_used,
+                reason = "per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers"
+            )]
             Dist::Empirical(
                 stats::monte_carlo_max_from_std(&per_instance, &std_maxima)
-                    // xlint::allow(no-unwrap-in-lib, per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers)
                     .expect("per-instance time is Normal or LogNormal"),
             )
         };
@@ -392,8 +395,11 @@ impl PerfModel {
             let (t_transfer, mu, sigma) = self.parallel_terms(path, size, n, local)?;
             match &*t_transfer {
                 Dist::Empirical(e) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty"
+                    )]
                     stats::select_quantile(&mut self.shifted_samples(e, mu, sigma), p)
-                        // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
                         .expect("finite samples")
                 }
                 other => self.add_normal(other, mu, sigma).quantile(p),
@@ -484,7 +490,10 @@ impl PerfModel {
             }
             Dist::Empirical(e) => {
                 let shifted = self.shifted_samples(e, mu, sigma);
-                // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty"
+                )]
                 Dist::Empirical(EmpiricalDist::new(shifted).expect("finite samples"))
             }
             other => other.shift(mu),

@@ -64,7 +64,10 @@ pub const RELAY_ADVANTAGE: f64 = 1.5;
 /// unprofiled candidates are skipped. `caps` applies to the direct plan's
 /// sides; relay hops are planned unconstrained (the relay region's quota is
 /// assumed dedicated, which is how an overlay deployment provisions them).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "planner entry point: every parameter is an independent input to the plan search"
+)]
 pub fn generate_routed_plan(
     model: &mut PerfModel,
     cfg: &EngineConfig,

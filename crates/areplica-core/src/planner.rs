@@ -74,7 +74,10 @@ pub fn generate_plan(
 
 /// [`generate_plan`] with per-side concurrency ceilings: a side whose quota
 /// cannot host `n` instances is skipped at that parallelism level.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "planner entry point: every parameter is an independent input to the plan search"
+)]
 pub fn generate_plan_with_caps(
     model: &mut PerfModel,
     cfg: &EngineConfig,

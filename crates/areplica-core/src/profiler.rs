@@ -306,7 +306,10 @@ fn profile_invocations_job<B: Backend>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the probe loop's state to the next, so it travels as parameters"
+)]
 fn run_invocation_seq<B: Backend>(
     sim: &mut B,
     region: RegionId,
@@ -378,6 +381,10 @@ fn profile_notifications_job<B: Backend>(
         let remaining = Rc::new(RefCell::new(cfg.notif_samples));
         let done_cell = Rc::new(RefCell::new(Some(done)));
         let bucket2 = bucket.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+        )]
         sim.subscribe_bucket(
             region,
             &bucket,
@@ -393,22 +400,26 @@ fn profile_notifications_job<B: Backend>(
                 } else {
                     let key = format!("probe-{}", *rem);
                     drop(rem);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+                    )]
                     sim.user_put(_region, &bucket2, &key, 1024)
-                        // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
                         .expect("probe put");
                 }
             }),
         )
-        // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
         .expect("subscribe");
+        #[expect(
+            clippy::expect_used,
+            reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+        )]
         sim.user_put(region, &bucket, "probe-first", 1024)
-            // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
             .expect("probe put");
     })
 }
 
 /// Measures `S`, `C`, and `C′` for one path/side.
-#[allow(clippy::too_many_arguments)]
 fn profile_path_job<B: Backend>(
     src: RegionId,
     dst: RegionId,
@@ -425,8 +436,11 @@ fn profile_path_job<B: Backend>(
         sim.create_bucket(src, &src_bucket);
         sim.create_bucket(dst, &dst_bucket);
         let probe_size = cfg.chunk_size * cfg.chunks_per_invocation;
+        #[expect(
+            clippy::expect_used,
+            reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+        )]
         sim.user_put(src, &src_bucket, "probe-object", probe_size)
-            // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
             .expect("probe object");
 
         run_transfer_seq(
@@ -502,7 +516,10 @@ fn run_transfer_seq<B: Backend>(
                 job.dst_bucket.clone(),
                 probe_key,
                 move |sim, upload| {
-                    // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+                    )]
                     let upload_id = upload.expect("profile multipart");
                     measure_chunks(sim, handle, job2, upload_id, 0, false, done_cell);
                 },
@@ -517,7 +534,6 @@ fn run_transfer_seq<B: Backend>(
 /// to the `C′` phase and finally chains the next invocation.
 type TransferDone<B> = Rc<RefCell<Option<(Box<dyn FnOnce(&mut B)>, usize)>>>;
 
-#[allow(clippy::too_many_arguments)]
 fn measure_chunks<B: Backend>(
     sim: &mut B,
     handle: FnHandle,
@@ -567,7 +583,10 @@ fn measure_chunks<B: Backend>(
             job.cfg.chunk_size,
             None,
             move |sim, got| {
-                // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+                )]
                 let (content, _) = got.expect("probe read");
                 let job2 = job.clone();
                 sim.upload_part(
@@ -577,7 +596,10 @@ fn measure_chunks<B: Backend>(
                     chunk as u32 + 1,
                     content,
                     move |sim, up| {
-                        // xlint::allow(no-unwrap-in-lib, the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
+                        )]
                         up.expect("probe upload");
                         let job_db = job2.clone();
                         let finish = move |sim: &mut B| {

@@ -145,8 +145,11 @@ impl AReplicaBuilder {
                 .map(|r| (r.src_region, r.dst_region))
                 .collect();
             let mut sandbox = sim.profiling_sandbox(self.profiler_cfg.seed);
+            #[expect(
+                clippy::expect_used,
+                reason = "deploy-time boundary: a profiling failure here means a misconfigured ProfilerConfig, surfaced before any replication starts"
+            )]
             profiler::build_model(&mut sandbox, &pairs, &self.profiler_cfg)
-                // xlint::allow(no-unwrap-in-lib, deploy-time boundary: a profiling failure here means a misconfigured ProfilerConfig, surfaced before any replication starts)
                 .expect("offline profiling failed")
         });
         self.profiler_cfg.chunk_size = self.cfg.part_size;
@@ -187,6 +190,10 @@ impl AReplicaBuilder {
             sim.create_bucket(src_region, &src_bucket);
             sim.create_bucket(dst_region, &dst_bucket);
             let st = state.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "subscribing to the bucket created two statements above cannot miss"
+            )]
             sim.subscribe_bucket(
                 src_region,
                 &src_bucket,
@@ -194,7 +201,6 @@ impl AReplicaBuilder {
                     on_object_event(sim, st.clone(), rule_idx, ev);
                 }),
             )
-            // xlint::allow(no-unwrap-in-lib, subscribing to the bucket created two statements above cannot miss)
             .expect("bucket just created");
         }
 
@@ -463,7 +469,10 @@ fn on_batch_timer<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: String)
 }
 
 /// Invokes an orchestrator function at the source region for one version.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn trigger_replication<B: Backend>(
     sim: &mut B,
     st: St,
@@ -550,7 +559,10 @@ fn trigger_replication<B: Backend>(
 }
 
 /// The orchestrator function body.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn orchestrate<B: Backend>(
     sim: &mut B,
     st: St,
@@ -612,7 +624,10 @@ fn orchestrate<B: Backend>(
 }
 
 /// Checks for a changelog hint before falling back to full replication.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn maybe_apply_changelog<B: Backend>(
     sim: &mut B,
     st: St,
@@ -724,7 +739,10 @@ fn maybe_apply_changelog<B: Backend>(
 }
 
 /// Plans and dispatches the replication (Algorithm 3 → Algorithm 1).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn plan_and_execute<B: Backend>(
     sim: &mut B,
     st: St,
@@ -777,6 +795,10 @@ fn plan_and_execute<B: Backend>(
             sim.tracer().counter_add("service.slo_previolated", 1);
         }
         let cfg = s.cfg.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "install() profiles every rule path before subscribing, so the planner always finds parameters"
+        )]
         let plan = planner::generate_plan(
             &mut s.model,
             &cfg,
@@ -786,7 +808,6 @@ fn plan_and_execute<B: Backend>(
             slo_rep,
             percentile,
         )
-        // xlint::allow(no-unwrap-in-lib, install() profiles every rule path before subscribing, so the planner always finds parameters)
         .expect("rule paths are profiled at install time");
         // The logger compares like with like: the *mean* prediction, not the
         // SLO percentile (comparing a typical run against a p99.99 bound
@@ -865,7 +886,10 @@ fn outcome_key(_outcome: &TaskOutcome, key: &str) -> String {
 
 /// Terminal bookkeeping: metrics, the online logger, unlock, and pending /
 /// abort re-triggers.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
+)]
 fn conclude<B: Backend>(
     sim: &mut B,
     st: St,

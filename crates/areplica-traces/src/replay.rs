@@ -74,7 +74,10 @@ pub fn schedule(
             TraceOp::Delete => {
                 stats.deletes += 1;
                 sim.schedule_in(at, move |sim| {
-                    // xlint::allow(no-dropped-result, keys deleted before being written in this replay window are expected: the trace is a sliding cut of a longer history, so NotFound here is not an error)
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "keys deleted before being written in this replay window are expected: the trace is a sliding cut of a longer history, so NotFound here is not an error"
+                    )]
                     let _ = world::user_delete(sim, region, &bucket, &key);
                 });
             }

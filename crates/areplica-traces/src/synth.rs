@@ -343,7 +343,7 @@ mod tests {
             ..SynthConfig::ibm_cos_like()
         };
         let trace = generate(&cfg, 5);
-        let mut per_key = std::collections::HashMap::new();
+        let mut per_key = std::collections::BTreeMap::new();
         for r in &trace.records {
             if matches!(r.op, TraceOp::Put { .. }) {
                 *per_key.entry(&r.key).or_insert(0u64) += 1;

@@ -235,7 +235,10 @@ impl ManagedReplication {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "continuation step: each callback hands the version's fields to the next, so they travel as parameters"
+)]
 fn replicate_version(
     sim: &mut CloudSim,
     state: Rc<RefCell<ManagedState>>,

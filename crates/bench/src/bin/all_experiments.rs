@@ -12,21 +12,26 @@ fn main() {
         .iter()
         .filter(|(name, _)| name.contains(&only))
         .collect();
+    #[expect(
+        clippy::print_stderr,
+        reason = "designated sink: operator-facing usage error, never in results"
+    )]
     if chosen.is_empty() {
         let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing usage error, never in results)
         eprintln!(
             "AREPLICA_ONLY={only:?} matches no experiment; valid names:\n  {}",
             names.join("\n  ")
         );
         std::process::exit(2);
     }
+    #[expect(
+        clippy::print_stderr,
+        reason = "designated sink: operator-facing progress banner and wall-clock progress line, never in results"
+    )]
     let reports = simkernel::par_map(&chosen, |(name, run)| {
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing progress banner, never in results)
         eprintln!("===== running {name} =====");
         let timer = bench::WallTimer::start();
         let report = run();
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing wall-clock progress line, never in results)
         eprintln!("[{name} took {:.1} s]", timer.elapsed_secs());
         report
     });

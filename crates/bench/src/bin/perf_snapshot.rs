@@ -25,7 +25,7 @@ use bench::WallTimer;
 use simkernel::{Sim, SimDuration};
 
 /// The PR this snapshot belongs to (also names the output file).
-const PR: u32 = 15;
+const PR: u32 = 16;
 
 /// Events pushed through the bare kernel for the throughput figure.
 const KERNEL_EVENTS: u64 = 2_000_000;
@@ -191,15 +191,21 @@ fn best_prior(
 /// upward against the historical minimum.
 fn compare_against_best(rates: &[(&str, f64)], walls: &[(&str, f64)]) {
     let snapshots = prior_snapshots();
+    #[expect(
+        clippy::print_stderr,
+        reason = "designated sink: operator-facing soft-check notice, never in results"
+    )]
     if snapshots.is_empty() {
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing soft-check notice, never in results)
         eprintln!("[no prior BENCH_*.json to compare against]");
         return;
     }
     for &(key, eps) in rates {
         if let Some((pr, best_eps)) = best_prior(&snapshots, key, |a, b| a > b) {
+            #[expect(
+                clippy::print_stderr,
+                reason = "designated sink: operator-facing soft regression warning, never in results"
+            )]
             if eps < best_eps * 0.8 {
-                // xlint::allow(no-adhoc-stderr, designated sink: operator-facing soft regression warning, never in results)
                 eprintln!(
                     "WARNING: {key} regressed >20% vs best prior (BENCH_{pr}.json): \
                      {eps:.0} vs {best_eps:.0} events/s"
@@ -209,8 +215,11 @@ fn compare_against_best(rates: &[(&str, f64)], walls: &[(&str, f64)]) {
     }
     for &(key, secs) in walls {
         if let Some((pr, best_secs)) = best_prior(&snapshots, key, |a, b| a < b) {
+            #[expect(
+                clippy::print_stderr,
+                reason = "designated sink: operator-facing soft regression warning, never in results"
+            )]
             if secs > best_secs * 1.5 + 0.05 {
-                // xlint::allow(no-adhoc-stderr, designated sink: operator-facing soft regression warning, never in results)
                 eprintln!(
                     "WARNING: {key} regressed >50% vs best prior (BENCH_{pr}.json): \
                      {secs:.3}s vs {best_secs:.3}s"
@@ -220,6 +229,14 @@ fn compare_against_best(rates: &[(&str, f64)], walls: &[(&str, f64)]) {
     }
 }
 
+#[expect(
+    clippy::print_stdout,
+    reason = "designated sink: echoes the committed BENCH_<pr>.json, never in results"
+)]
+#[expect(
+    clippy::print_stderr,
+    reason = "designated sink: operator-facing progress line, never in results"
+)]
 fn main() {
     // Pin the experiment scale so successive snapshots time identical work
     // regardless of the caller's environment.
@@ -288,8 +305,6 @@ fn main() {
     );
     let out = std::env::var("AREPLICA_BENCH_OUT").unwrap_or_else(|_| format!("BENCH_{PR}.json"));
     std::fs::write(&out, &json).expect("write perf snapshot");
-    // xlint::allow(no-adhoc-stderr, designated sink: echoes the committed BENCH_<pr>.json, never in results)
     println!("{json}");
-    // xlint::allow(no-adhoc-stderr, designated sink: operator-facing progress line, never in results)
     eprintln!("[saved {out}]");
 }

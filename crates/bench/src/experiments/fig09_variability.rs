@@ -98,7 +98,6 @@ pub fn run() -> String {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn transfer_loop(
     sim: &mut CloudSim,
     handle: faas::FnHandle,

@@ -81,11 +81,13 @@ pub fn write_dash(dir: &Path, filename: &str, content: &str) {
         return;
     }
     let path = dir.join(filename);
+    #[expect(
+        clippy::print_stderr,
+        reason = "designated sink: operator-facing save diagnostics, never in results"
+    )]
     if let Err(e) = fs::write(&path, content) {
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
-        // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
         eprintln!("[saved {}]", path.display());
     }
 }
@@ -130,30 +132,37 @@ pub fn write_trace(dir: &Path, name: &str, artifacts: &(String, String)) {
     }
     for (suffix, content) in [("trace.json", &artifacts.0), ("metrics.txt", &artifacts.1)] {
         let path = dir.join(format!("{name}.{suffix}"));
+        #[expect(
+            clippy::print_stderr,
+            reason = "designated sink: operator-facing save diagnostics, never in results"
+        )]
         if let Err(e) = fs::write(&path, content) {
-            // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
-            // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
             eprintln!("[saved {}]", path.display());
         }
     }
 }
 
 /// Writes a report to stdout and `results/<name>.txt`.
+#[expect(
+    clippy::print_stdout,
+    reason = "designated sink: stdout IS the report channel for the experiment binaries"
+)]
 pub fn write_report(name: &str, content: &str) {
-    // xlint::allow(no-adhoc-stderr, designated sink: stdout IS the report channel for the experiment binaries)
     println!("{content}");
     let dir: PathBuf = std::env::var("AREPLICA_RESULTS_DIR")
         .unwrap_or_else(|_| "results".to_string())
         .into();
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}.txt"));
+        #[expect(
+            clippy::print_stderr,
+            reason = "designated sink: operator-facing save diagnostics, never in results"
+        )]
         if let Err(e) = fs::write(&path, content) {
-            // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
-            // xlint::allow(no-adhoc-stderr, designated sink: operator-facing save diagnostics, never in results)
             eprintln!("[saved {}]", path.display());
         }
     }

@@ -17,6 +17,8 @@
 //!   `<name>.metrics.txt` snapshots. Tracing never changes `results/*.txt`.
 
 #![forbid(unsafe_code)]
+// Library code must not silently discard a `Result`.
+#![warn(clippy::let_underscore_must_use)]
 
 pub mod experiments;
 pub mod harness;

@@ -5,13 +5,16 @@
 //! trajectory (see the `perf_snapshot` bin) and never reaches a report or a
 //! `results/*.txt` file, so it cannot perturb replay determinism. Every
 //! other crate must use the `Clock` backend trait / simkernel virtual time;
-//! `xlint`'s `no-wall-clock` rule enforces that, and this helper carries
-//! the one pragma'd exception.
+//! `clippy.toml` bans `Instant` and `SystemTime` everywhere, and this
+//! helper carries the one `#[expect]`ed exception.
 
 /// Measures real elapsed time for progress logs.
 #[derive(Debug)]
 pub struct WallTimer {
-    // xlint::allow(no-wall-clock, operator progress logging only; elapsed time goes to stderr and never into results)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "operator progress logging only; elapsed time goes to stderr and never into results"
+    )]
     started: std::time::Instant,
 }
 
@@ -19,7 +22,11 @@ impl WallTimer {
     /// Starts timing now.
     pub fn start() -> WallTimer {
         WallTimer {
-            // xlint::allow(no-wall-clock, operator progress logging only; elapsed time goes to stderr and never into results)
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::disallowed_types,
+                reason = "operator progress logging only; elapsed time goes to stderr and never into results"
+            )]
             started: std::time::Instant::now(),
         }
     }

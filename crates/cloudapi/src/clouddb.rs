@@ -168,6 +168,7 @@ impl KvDb {
     /// Read-only snapshot of a table, sorted by key (inspection/invariant
     /// checks; not metered as reads).
     pub fn table_items(&self, table: &str) -> Vec<(String, Item)> {
+        #[expect(clippy::disallowed_methods, reason = "sorted by key right below")]
         let mut items: Vec<(String, Item)> = self
             .tables
             .get(table)

@@ -557,6 +557,7 @@ impl ObjectStore {
     /// billing for the staged parts until an abort or a lifecycle rule
     /// reaps them. Quiescence oracles (`crates/simcheck`) assert emptiness.
     pub fn open_multipart_uploads(&self) -> Vec<u64> {
+        #[expect(clippy::disallowed_methods, reason = "sorted right below")]
         let mut ids: Vec<u64> = self.multiparts.keys().copied().collect();
         ids.sort_unstable();
         ids
@@ -566,6 +567,10 @@ impl ObjectStore {
     /// (the versioning storage overhead of §5.2).
     pub fn stored_bytes(&self, bucket: &str) -> Result<u64, StoreError> {
         let b = self.bucket(bucket)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an integer sum does not depend on order"
+        )]
         Ok(b.objects
             .values()
             .map(|e| {
@@ -577,6 +582,10 @@ impl ObjectStore {
 
     /// Number of live (current) objects in a bucket.
     pub fn object_count(&self, bucket: &str) -> Result<usize, StoreError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a count does not depend on order"
+        )]
         Ok(self
             .bucket(bucket)?
             .objects

@@ -21,6 +21,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code must not silently discard a `Result`.
+#![warn(clippy::let_underscore_must_use)]
 
 pub mod faas;
 pub mod net;

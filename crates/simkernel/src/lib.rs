@@ -33,6 +33,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code must not silently discard a `Result`.
+#![warn(clippy::let_underscore_must_use)]
 
 pub mod metrics;
 mod par;

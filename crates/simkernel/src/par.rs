@@ -1,10 +1,11 @@
 //! Runs independent simulations on all cores.
 //!
-//! This is the only module allowed to start threads (xlint's
-//! `thread-confinement` rule). Each item runs on whichever worker claims
-//! it, but its result is stored at the item's index, so the output never
-//! depends on thread scheduling. A [`crate::Sim`] is single-threaded: each
-//! item must build and run its own.
+//! This is the only module allowed to start threads: `clippy.toml` bans
+//! `std::thread::{spawn, scope}` and the shared-state types everywhere
+//! else. Each item runs on whichever worker claims it, but its result is
+//! stored at the item's index, so the output never depends on thread
+//! scheduling. A [`crate::Sim`] is single-threaded: each item must build
+//! and run its own.
 
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
@@ -21,6 +22,10 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         .min(items.len());
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned thread site: each result lands at its item's index"
+    )]
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {

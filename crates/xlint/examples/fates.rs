@@ -19,7 +19,7 @@ fn main() {
     collect(&root, &root, &cfg, &mut prepared);
     let files: Vec<_> = prepared
         .iter()
-        .map(|(rel, src)| xlint::rules::prepare(rel, src, &cfg))
+        .map(|(rel, src)| xlint::rules::prepare(rel, src))
         .collect();
     let summaries = xlint::rules::build_summaries(&files, &cfg);
     for name in std::env::args().skip(1) {

@@ -12,7 +12,7 @@
 //!
 //! Recovery: parsing is per-item. A function body the parser cannot make
 //! sense of is dropped (recorded in [`ParsedFile::errors`]) and the rest of
-//! the file still parses; callers degrade that file to token-level rules.
+//! the file still parses; the flow rules skip the dropped function.
 
 use crate::lexer::{Tok, Token};
 

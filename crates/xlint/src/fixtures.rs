@@ -1,8 +1,8 @@
 //! Embedded self-test fixtures: for every rule, a violating snippet, a
 //! clean snippet, and a pragma-suppressed snippet. `xlint --self-test` runs
-//! the real engine over these in memory (default config, no filesystem) and
-//! fails loudly if any rule stops firing — a tripwire against the linter
-//! itself rotting.
+//! the real engine over these in memory, under the committed `xlint.toml`
+//! embedded at build time, and fails loudly if any rule stops firing — a
+//! tripwire against the linter itself rotting.
 
 use crate::config::Config;
 use crate::rules::check_file;
@@ -28,524 +28,6 @@ pub struct Fixture {
 
 /// The full fixture corpus.
 pub const FIXTURES: &[Fixture] = &[
-    // ---- no-wall-clock -------------------------------------------------
-    Fixture {
-        name: "wall-clock-violating",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Fires,
-        source: r##"
-pub fn measure() -> u64 {
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_nanos() as u64
-}
-"##,
-    },
-    Fixture {
-        name: "wall-clock-systemtime-violating",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Fires,
-        source: r##"
-use std::time::SystemTime;
-pub fn stamp() -> SystemTime { SystemTime::now() }
-"##,
-    },
-    Fixture {
-        name: "wall-clock-clean-sim-time",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Clean,
-        source: r##"
-pub fn measure(now_ns: u64, later_ns: u64) -> u64 {
-    later_ns - now_ns // virtual time from the Clock trait
-}
-"##,
-    },
-    Fixture {
-        name: "wall-clock-test-region-clean",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Clean,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn timing_smoke() {
-        let t0 = std::time::Instant::now();
-        assert!(t0.elapsed().as_nanos() < u128::MAX);
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "wall-clock-pragma",
-        rel_path: "crates/bench/src/bin/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Clean,
-        source: r##"
-pub fn wall_elapsed_ns() -> u64 {
-    // xlint::allow(no-wall-clock, operator-facing progress logging only; never reaches results)
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_nanos() as u64
-}
-"##,
-    },
-    // ---- no-os-entropy -------------------------------------------------
-    Fixture {
-        name: "os-entropy-violating",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-os-entropy",
-        expect: Expect::Fires,
-        source: r##"
-pub fn jitter() -> f64 {
-    let mut rng = rand::thread_rng();
-    rng.gen()
-}
-"##,
-    },
-    Fixture {
-        name: "os-entropy-in-test-still-fires",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-os-entropy",
-        expect: Expect::Fires,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn seeded() {
-        let _rng = rand::rngs::StdRng::from_entropy();
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "os-entropy-clean-seeded",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-os-entropy",
-        expect: Expect::Clean,
-        source: r##"
-use rand::SeedableRng;
-pub fn rng(seed: u64) -> rand::rngs::StdRng {
-    rand::rngs::StdRng::seed_from_u64(seed)
-}
-"##,
-    },
-    Fixture {
-        name: "os-entropy-pragma",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-os-entropy",
-        expect: Expect::Clean,
-        source: r##"
-pub fn session_nonce() -> u64 {
-    // xlint::allow(no-os-entropy, nonce is for log correlation only and never feeds the simulation)
-    let mut rng = rand::rngs::OsRng;
-    rng.next_u64()
-}
-"##,
-    },
-    // ---- no-unordered-iteration ---------------------------------------
-    Fixture {
-        name: "unordered-iter-violating",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Fires,
-        source: r##"
-use std::collections::HashMap;
-pub fn total_latency(samples: HashMap<u64, f64>) -> f64 {
-    let mut acc = 0.0;
-    for (_id, s) in samples.iter() {
-        acc += s; // float sum: order-sensitive at the bit level
-    }
-    acc
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-for-loop-violating",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Fires,
-        source: r##"
-use std::collections::HashSet;
-pub fn emit(ready: &HashSet<u32>, out: &mut Vec<u32>) {
-    for id in ready {
-        out.push(*id);
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-clean-btree",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Clean,
-        source: r##"
-use std::collections::BTreeMap;
-pub fn total_latency(samples: BTreeMap<u64, f64>) -> f64 {
-    samples.values().sum()
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-clean-immediately-sorted",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Clean,
-        source: r##"
-use std::collections::HashMap;
-pub fn ordered_keys(samples: &HashMap<u64, f64>) -> Vec<u64> {
-    let mut keys: Vec<u64> = samples.keys().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
-    keys.sort_unstable();
-    keys
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-clean-count",
-        rel_path: "crates/baselines/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Clean,
-        source: r##"
-use std::collections::HashMap;
-pub fn live(pairs: &HashMap<(u32, u32), bool>) -> usize {
-    pairs.values().filter(|v| **v).count()
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-clean-unconfigured-crate",
-        rel_path: "crates/cloudapi/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Clean,
-        source: r##"
-use std::collections::HashMap;
-pub fn drain_all(m: &mut HashMap<String, u64>) -> Vec<(String, u64)> {
-    m.drain().collect()
-}
-"##,
-    },
-    Fixture {
-        name: "unordered-pragma",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unordered-iteration",
-        expect: Expect::Clean,
-        source: r##"
-use std::collections::HashMap;
-pub fn invalidate(cache: &mut HashMap<u64, Vec<u8>>) {
-    // xlint::allow(no-unordered-iteration, visit order cannot be observed: entries are dropped wholesale)
-    for (_k, v) in cache.iter_mut() {
-        v.clear();
-    }
-}
-"##,
-    },
-    // ---- layering ------------------------------------------------------
-    Fixture {
-        name: "layering-violating",
-        rel_path: "crates/areplica-core/src/engine_fixture.rs",
-        rule: "layering",
-        expect: Expect::Fires,
-        source: r##"
-pub fn shortcut(sim: &mut cloudsim::world::CloudSim) {
-    cloudsim::world::user_put(sim, todo!(), "b", "k", 1);
-}
-"##,
-    },
-    Fixture {
-        name: "layering-clean-in-adapter",
-        rel_path: "crates/areplica-core/src/backend/sim.rs",
-        rule: "layering",
-        expect: Expect::Clean,
-        source: r##"
-use cloudsim::world::CloudSim;
-pub struct SimBackend { pub sim: CloudSim }
-"##,
-    },
-    Fixture {
-        name: "layering-clean-other-crate",
-        rel_path: "crates/bench/src/runners_fixture.rs",
-        rule: "layering",
-        expect: Expect::Clean,
-        source: r##"
-pub fn world(seed: u64) -> cloudsim::world::CloudSim {
-    cloudsim::world::World::paper_sim(seed)
-}
-"##,
-    },
-    Fixture {
-        name: "layering-pragma",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "layering",
-        expect: Expect::Clean,
-        source: r##"
-// xlint::allow(layering, transitional shim scheduled for removal in the next PR)
-pub use cloudsim::WorldParams as SimWorldParams;
-"##,
-    },
-    Fixture {
-        name: "layering-control-into-cloudsim",
-        rel_path: "crates/areplica-control/src/fixture.rs",
-        rule: "layering",
-        expect: Expect::Fires,
-        source: r##"
-pub fn peek(sim: &cloudsim::world::CloudSim) -> u32 {
-    sim.world.faas.tenant_peak("acme")
-}
-"##,
-    },
-    Fixture {
-        name: "layering-core-into-control",
-        rel_path: "crates/areplica-core/src/engine_fixture.rs",
-        rule: "layering",
-        expect: Expect::Fires,
-        source: r##"
-pub fn call_up(reg: &areplica_control::TenantRegistry) -> bool {
-    areplica_control::TenantRegistry::contains(reg, "acme")
-}
-"##,
-    },
-    Fixture {
-        name: "layering-clean-control-uses-core",
-        rel_path: "crates/areplica-control/src/fixture.rs",
-        rule: "layering",
-        expect: Expect::Clean,
-        source: r##"
-pub fn grant() -> areplica_core::TenantCtx {
-    areplica_core::TenantCtx::named("acme")
-}
-"##,
-    },
-    Fixture {
-        name: "layering-clean-bench-uses-control",
-        rel_path: "crates/bench/src/runners_fixture.rs",
-        rule: "layering",
-        expect: Expect::Clean,
-        source: r##"
-pub fn registry() -> areplica_control::TenantRegistry {
-    areplica_control::TenantRegistry::new()
-}
-"##,
-    },
-    // ---- no-unwrap-in-lib ---------------------------------------------
-    Fixture {
-        name: "unwrap-violating",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Fires,
-        source: r##"
-pub fn head(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
-}
-"##,
-    },
-    Fixture {
-        name: "expect-violating",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Fires,
-        source: r##"
-pub fn head(xs: &[u64]) -> u64 {
-    *xs.first().expect("non-empty input")
-}
-"##,
-    },
-    Fixture {
-        name: "unwrap-clean-typed-error",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Clean,
-        source: r##"
-pub fn head(xs: &[u64]) -> Result<u64, crate::EngineError> {
-    xs.first().copied().ok_or(crate::EngineError::Empty)
-}
-"##,
-    },
-    Fixture {
-        name: "unwrap-clean-in-test-mod",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Clean,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn head() {
-        assert_eq!([1u64].first().copied().unwrap(), 1);
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "unwrap-clean-other-crate",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Clean,
-        source: r##"
-pub fn head(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
-}
-"##,
-    },
-    Fixture {
-        name: "expect-pragma",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-unwrap-in-lib",
-        expect: Expect::Clean,
-        source: r##"
-pub fn head(xs: &[u64]) -> u64 {
-    // xlint::allow(no-unwrap-in-lib, caller guarantees non-empty: checked by EngineConfig::validate)
-    *xs.first().expect("non-empty by construction")
-}
-"##,
-    },
-    // ---- no-adhoc-stderr -----------------------------------------------
-    Fixture {
-        name: "adhoc-stderr-violating",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Fires,
-        source: r##"
-pub fn on_cold_start(region: &str) {
-    eprintln!("cold start in {region}");
-}
-"##,
-    },
-    Fixture {
-        name: "adhoc-stderr-dbg-violating",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Fires,
-        source: r##"
-pub fn inspect(delay_s: f64) -> f64 {
-    dbg!(delay_s)
-}
-"##,
-    },
-    Fixture {
-        name: "adhoc-stderr-clean-trace-event",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Clean,
-        source: r##"
-pub fn on_cold_start(trace: &mut simtrace::Tracer, now: simkernel::SimTime, region: &str) {
-    trace.instant(now, "faas.cold_start", vec![("region", region.to_string())]);
-    trace.counter_add("faas.cold_starts", 1);
-}
-"##,
-    },
-    Fixture {
-        name: "adhoc-stderr-clean-in-test-mod",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Clean,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn debug_dump() {
-        println!("tests may narrate freely");
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "adhoc-stderr-clean-unconfigured-crate",
-        rel_path: "crates/xlint/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Clean,
-        source: r##"
-pub fn report(msg: &str) {
-    eprintln!("xlint: {msg}");
-}
-"##,
-    },
-    Fixture {
-        name: "adhoc-stderr-pragma",
-        rel_path: "crates/bench/src/fixture.rs",
-        rule: "no-adhoc-stderr",
-        expect: Expect::Clean,
-        source: r##"
-pub fn write_report(content: &str) {
-    // xlint::allow(no-adhoc-stderr, designated report sink: stdout is the operator-facing channel)
-    println!("{content}");
-}
-"##,
-    },
-    // ---- thread-confinement ---------------------------------------------
-    Fixture {
-        name: "thread-confinement-spawn-violating",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "thread-confinement",
-        expect: Expect::Fires,
-        source: r##"
-pub fn prefetch() {
-    std::thread::spawn(|| {});
-}
-"##,
-    },
-    Fixture {
-        name: "thread-confinement-mutex-violating",
-        rel_path: "crates/areplica-traces/src/fixture.rs",
-        rule: "thread-confinement",
-        expect: Expect::Fires,
-        source: r##"
-use std::sync::Mutex;
-pub struct Cache {
-    inner: Mutex<u64>,
-}
-"##,
-    },
-    Fixture {
-        name: "thread-confinement-clean-par-module",
-        rel_path: "crates/simkernel/src/par.rs",
-        rule: "thread-confinement",
-        expect: Expect::Clean,
-        source: r##"
-use std::thread;
-pub fn workers(n: usize) -> usize {
-    thread::scope(|s| (0..n).map(|_| s.spawn(|| 1)).map(|h| h.join().unwrap_or(0)).sum())
-}
-"##,
-    },
-    Fixture {
-        name: "thread-confinement-clean-bin",
-        rel_path: "crates/bench/src/bin/fixture.rs",
-        rule: "thread-confinement",
-        expect: Expect::Clean,
-        source: r##"
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-"##,
-    },
-    Fixture {
-        name: "thread-confinement-clean-in-test-mod",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "thread-confinement",
-        expect: Expect::Clean,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn stress() {
-        std::thread::spawn(|| {}).join().unwrap();
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "thread-confinement-pragma",
-        rel_path: "crates/cloudsim/src/fixture.rs",
-        rule: "thread-confinement",
-        expect: Expect::Clean,
-        source: r##"
-pub fn host_cores() -> usize {
-    // xlint::allow(thread-confinement, reads host parallelism only; spawns nothing)
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-"##,
-    },
     // ---- bad-pragma ----------------------------------------------------
     Fixture {
         name: "pragma-missing-reason",
@@ -553,9 +35,14 @@ pub fn host_cores() -> usize {
         rule: "bad-pragma",
         expect: Expect::Fires,
         source: r##"
-pub fn head(xs: &[u64]) -> u64 {
-    // xlint::allow(no-unwrap-in-lib)
-    *xs.first().unwrap()
+pub fn hold(sim: &mut Sim, key: u64) {
+    sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {
+        LockResult::Busy => {}
+        LockResult::Acquired => {
+            // xlint::allow(protocol-resource-balance)
+            sim.finish();
+        }
+    });
 }
 "##,
     },
@@ -1081,93 +568,15 @@ pub fn snapshot(sim: &mut Sim) {
 }
 "##,
     },
-    // ---- no-dropped-result ----------------------------------------------
-    Fixture {
-        name: "dropped-result-fires",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-dropped-result",
-        expect: Expect::Fires,
-        source: r##"
-pub fn cleanup(sim: &mut Sim, key: u64) {
-    let _ = sim.delete_row(key);
-}
-"##,
-    },
-    // Plain binding silencers (no call in the initializer) are idiomatic
-    // closure-capture hints, not discarded Results.
-    Fixture {
-        name: "dropped-result-silencer-clean",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-dropped-result",
-        expect: Expect::Clean,
-        source: r##"
-pub fn capture(tenant: u64, job: &Job) {
-    let _ = tenant;
-    let _ = &job;
-    let _ = (tenant, tenant);
-}
-"##,
-    },
-    // Binaries may discard results (their errors surface at the terminal).
-    Fixture {
-        name: "dropped-result-bin-clean",
-        rel_path: "crates/areplica-core/src/bin/fixture.rs",
-        rule: "no-dropped-result",
-        expect: Expect::Clean,
-        source: r##"
-pub fn cleanup(sim: &mut Sim, key: u64) {
-    let _ = sim.delete_row(key);
-}
-"##,
-    },
-    Fixture {
-        name: "dropped-result-test-clean",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-dropped-result",
-        expect: Expect::Clean,
-        source: r##"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn smoke() {
-        let _ = super::run();
-    }
-}
-"##,
-    },
-    Fixture {
-        name: "dropped-result-pragma-clean",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-dropped-result",
-        expect: Expect::Clean,
-        source: r##"
-pub fn cleanup(sim: &mut Sim, key: u64) {
-    // xlint::allow(no-dropped-result, best-effort cache eviction: a miss here is re-reaped by the janitor)
-    let _ = sim.delete_row(key);
-}
-"##,
-    },
-    // ---- parse-error recovery -------------------------------------------
-    // A file the parser cannot fully digest degrades to token-level rules
-    // instead of aborting: the wall-clock hit inside the broken fn still
-    // surfaces.
-    Fixture {
-        name: "parse-error-degrades-to-token-rules",
-        rel_path: "crates/areplica-core/src/fixture.rs",
-        rule: "no-wall-clock",
-        expect: Expect::Fires,
-        source: r##"
-pub fn broken( {
-    let t0 = std::time::Instant::now();
-}
-"##,
-    },
 ];
 
-/// Runs every fixture through the engine with the default config; returns a
-/// human-readable failure list (empty = pass).
+/// Runs every fixture through the engine under the committed config;
+/// returns a human-readable failure list (empty = pass).
 pub fn run_self_test() -> Vec<String> {
-    let cfg = Config::default();
+    let cfg = match Config::committed() {
+        Ok(cfg) => cfg,
+        Err(e) => return vec![format!("committed config: {e}")],
+    };
     let mut failures = Vec::new();
     for fx in FIXTURES {
         let findings = check_file(fx.rel_path, fx.source, &cfg);

@@ -1,6 +1,6 @@
 //! Flow-aware protocol-invariant analysis over the [`crate::ast`] tree.
 //!
-//! Four semantic rules run here:
+//! Three semantic rules run here:
 //!
 //! * **protocol-resource-balance** — a value obtained from a configured
 //!   acquire site (`try_lock_tx`, `create_multipart`, `adopt_tx`, …) must
@@ -12,8 +12,6 @@
 //! * **determinism-taint** — values derived from the pragma'd wall-clock
 //!   escape hatches (`bench::WallTimer`, `Instant`, …) must not flow into
 //!   sim-state or KV/object writes.
-//! * **no-dropped-result** — `let _ = <call>` in library crates discards a
-//!   (usually `#[must_use]`) result.
 //!
 //! The analysis walks each function body once, cloning path state at
 //! branches and joining afterwards — linear in AST size, not in path
@@ -128,7 +126,6 @@ pub struct SemInput<'a> {
     pub rel: &'a str,
     pub krate: &'a str,
     pub in_src: bool,
-    pub lib_src: bool,
     pub test_tree: bool,
     pub lexed: &'a LexedFile,
     pub parsed: &'a ParsedFile,
@@ -251,7 +248,7 @@ pub fn build_summaries(inputs: &[SemInput<'_>], cfg: &Config) -> Summaries {
                         if pname == "_" || pname == "self" {
                             continue;
                         }
-                        let fate = param_fate(f, spec_idx, param_idx, inp, &summaries, cfg);
+                        let fate = param_fate(f, spec_idx, param_idx, inp, &summaries);
                         let key = (f.name.clone(), spec_idx, param_idx);
                         let prev_leaks =
                             matches!(summaries.concludes.get(&key), Some(Fate::Leaks { .. }));
@@ -290,7 +287,6 @@ fn param_fate(
     param_idx: usize,
     inp: &SemInput<'_>,
     summaries: &Summaries,
-    cfg: &Config,
 ) -> Fate {
     let spec = &summaries.specs[spec_idx];
     if spec.bind == Bind::Reach {
@@ -304,7 +300,6 @@ fn param_fate(
         rel: inp.rel,
         leaks: Vec::new(),
         taint_findings: Vec::new(),
-        cfg,
         track_acquires: false,
     };
     let mut st = PathState::default();
@@ -356,105 +351,52 @@ pub fn check_semantic(
         .map(|(i, _)| i)
         .collect();
     let taint_active = cfg.taint_crates.iter().any(|c| c == inp.krate);
-    let dropped_active = inp.lib_src && cfg.dropped_result_crates.iter().any(|c| c == inp.krate);
-    if active.is_empty() && !taint_active && !dropped_active {
+    if active.is_empty() && !taint_active {
         return;
     }
 
     for f in &inp.parsed.fns {
-        if !active.is_empty() || taint_active {
-            let mut w = Walker {
-                specs: &summaries.specs,
-                active: active.clone(),
-                summaries: Some(summaries),
-                taint: taint_active.then_some((&cfg.taint_sources, &cfg.taint_sinks)),
-                rel: inp.rel,
-                leaks: Vec::new(),
-                taint_findings: Vec::new(),
-                cfg,
-                track_acquires: true,
-            };
-            let mut st = PathState::default();
-            let carry = w.walk_block(&f.body, &mut st);
-            for idx in carry.res {
-                st.res[idx].concluded = true;
-            }
-            if !st.diverged {
-                w.check_exit(&mut st, f.body.end_line, "function end");
-            }
-            let leaks = std::mem::take(&mut w.leaks);
-            let taints = std::mem::take(&mut w.taint_findings);
-            for leak in leaks {
-                let spec = &summaries.specs[leak.spec];
-                if inp.lexed.is_test_line(leak.acq_line)
-                    || inp.lexed.allowed(spec.rule, leak.exit_line)
-                    || inp.lexed.allowed(spec.rule, leak.acq_line)
-                {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: spec.rule,
-                    file: inp.rel.to_string(),
-                    line: leak.exit_line,
-                    message: leak.message,
-                });
-            }
-            for tf in taints {
-                if inp.lexed.is_test_line(tf.line)
-                    || inp.lexed.allowed("determinism-taint", tf.line)
-                {
-                    continue;
-                }
-                out.push(tf);
-            }
+        let mut w = Walker {
+            specs: &summaries.specs,
+            active: active.clone(),
+            summaries: Some(summaries),
+            taint: taint_active.then_some((&cfg.taint_sources, &cfg.taint_sinks)),
+            rel: inp.rel,
+            leaks: Vec::new(),
+            taint_findings: Vec::new(),
+            track_acquires: true,
+        };
+        let mut st = PathState::default();
+        let carry = w.walk_block(&f.body, &mut st);
+        for idx in carry.res {
+            st.res[idx].concluded = true;
         }
-        if dropped_active {
-            dropped_results(&f.body, inp, out);
+        if !st.diverged {
+            w.check_exit(&mut st, f.body.end_line, "function end");
         }
-    }
-}
-
-/// no-dropped-result: `let _ = <call-like expr>;` in library sources.
-fn dropped_results(block: &Block, inp: &SemInput<'_>, out: &mut Vec<Finding>) {
-    visit_blocks(block, &mut |b| {
-        for stmt in &b.stmts {
-            if let Stmt::Let {
-                pat: Pat::Wild,
-                init: Some(init),
-                line,
-                ..
-            } = stmt
+        let leaks = std::mem::take(&mut w.leaks);
+        let taints = std::mem::take(&mut w.taint_findings);
+        for leak in leaks {
+            let spec = &summaries.specs[leak.spec];
+            if inp.lexed.is_test_line(leak.acq_line)
+                || inp.lexed.allowed(spec.rule, leak.exit_line)
+                || inp.lexed.allowed(spec.rule, leak.acq_line)
             {
-                if !call_like(init) {
-                    continue;
-                }
-                if inp.lexed.is_test_line(*line) || inp.lexed.allowed("no-dropped-result", *line) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: "no-dropped-result",
-                    file: inp.rel.to_string(),
-                    line: *line,
-                    message: "`let _ = …` silently discards a call result; propagate it, handle it, or pragma with why dropping is sound".into(),
-                });
+                continue;
             }
+            out.push(Finding {
+                rule: spec.rule,
+                file: inp.rel.to_string(),
+                line: leak.exit_line,
+                message: leak.message,
+            });
         }
-    });
-}
-
-/// Whether an initializer contains a call whose result is being discarded.
-/// Plain silencers (`let _ = tenant;`, `let _ = (a, b);`, `let _ = &x;`)
-/// stay clean; branches and closure bodies are not descended into.
-fn call_like(e: &Expr) -> bool {
-    match e {
-        Expr::Call { .. } | Expr::MethodCall { .. } | Expr::Try { .. } => true,
-        Expr::Macro { name, .. } => name == "write" || name == "writeln",
-        Expr::Other { children, .. }
-        | Expr::Tuple {
-            items: children, ..
-        } => children.iter().any(call_like),
-        Expr::Field { base, .. } => call_like(base),
-        _ => false,
+        for tf in taints {
+            if inp.lexed.is_test_line(tf.line) || inp.lexed.allowed("determinism-taint", tf.line) {
+                continue;
+            }
+            out.push(tf);
+        }
     }
 }
 
@@ -732,8 +674,6 @@ struct Walker<'a> {
     rel: &'a str,
     leaks: Vec<Leak>,
     taint_findings: Vec<Finding>,
-    #[allow(dead_code)]
-    cfg: &'a Config,
     /// False during summary computation (only the seeded param matters).
     track_acquires: bool,
 }
@@ -1046,7 +986,6 @@ impl<'a> Walker<'a> {
     }
 
     /// Shared call handling for `Call` and `MethodCall`.
-    #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
         callee: &str,

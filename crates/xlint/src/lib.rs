@@ -1,12 +1,17 @@
-//! `xlint` — the workspace's offline determinism-and-layering linter.
+//! `xlint` — the workspace's offline, flow-aware protocol linter.
 //!
-//! Every figure and table this reproduction regenerates is validated by
-//! bit-identical replay of the discrete-event simulation. The invariants
-//! that make that possible (virtual time only, seeded randomness only,
-//! ordered iteration in result paths, the `backend::sim` layering boundary,
-//! no panics in library code) are enforced here as named, pragma-escapable
-//! rules over a lightweight Rust token stream — no `syn`, no registry, no
-//! dependencies.
+//! Every figure and table this reproduction regenerates depends on the
+//! replication protocol closing every lock, abort tombstone, multipart
+//! upload and trace span on every path, and on wall-clock values never
+//! reaching simulated state. Those are path properties no token scan or
+//! clippy lint sees, so xlint parses each function into a small AST and
+//! walks its paths (see [`flow`]): `protocol-resource-balance`,
+//! `span-balance` and `determinism-taint`, plus `bad-pragma` for its own
+//! suppression comments. No `syn`, no registry, no dependencies. The
+//! token-level determinism rules (wall clock, OS entropy, hash order,
+//! threads, unwraps, ad-hoc output, dropped results, layering) are clippy
+//! lints and Cargo facts; see DESIGN.md "Determinism invariants and how
+//! they're enforced".
 //!
 //! Entry points:
 //! * [`rules::check_file`] — lint one source text.
@@ -31,20 +36,10 @@ use std::path::{Path, PathBuf};
 const ALWAYS_SKIP_DIRS: [&str; 3] = ["target", ".git", ".github"];
 
 /// Walks `root` and lints every workspace `.rs` file, honouring
-/// `cfg.skip` path prefixes. Findings come back sorted by path, then line.
+/// `cfg.skip` path prefixes. Every file is parsed before any is checked, so
+/// cross-file call summaries see the whole workspace. Findings come back
+/// sorted by path, then line.
 pub fn lint_root(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
-    lint_root_filtered(root, cfg, None)
-}
-
-/// Like [`lint_root`], but when `only` is given, findings are reported just
-/// for the listed workspace-relative paths (`--changed-only`). The whole
-/// workspace is still lexed and parsed so cross-file call summaries stay
-/// accurate — an edited callee must re-surface leaks at its callers.
-pub fn lint_root_filtered(
-    root: &Path,
-    cfg: &Config,
-    only: Option<&[String]>,
-) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, cfg, &mut files)?;
     files.sort();
@@ -53,16 +48,11 @@ pub fn lint_root_filtered(
         let abs = root.join(&rel);
         let src = std::fs::read_to_string(&abs)?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        prepared.push(rules::prepare(&rel_str, &src, cfg));
+        prepared.push(rules::prepare(&rel_str, &src));
     }
     let summaries = rules::build_summaries(&prepared, cfg);
     let mut findings = Vec::new();
     for p in &prepared {
-        if let Some(list) = only {
-            if !list.iter().any(|f| f == &p.rel) {
-                continue;
-            }
-        }
         findings.extend(rules::check_prepared(p, cfg, &summaries));
     }
     findings

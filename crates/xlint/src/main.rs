@@ -1,14 +1,8 @@
 //! CLI for the workspace linter.
 //!
 //! ```text
-//! xlint [--root DIR] [--format human|json] [--self-test] [--list-rules]
-//!       [--changed-only FILE...]
+//! xlint [--root DIR] [--self-test] [--list-rules]
 //! ```
-//!
-//! `--changed-only` consumes the remaining arguments as workspace-relative
-//! paths (the shape `git diff --name-only` emits) and reports findings only
-//! for those files; the whole workspace is still parsed so interprocedural
-//! summaries stay accurate.
 //!
 //! Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO
 //! error. CI runs `cargo run -p xlint --release` as a hard gate.
@@ -17,25 +11,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xlint::config::Config;
-use xlint::report::{render, Format};
+use xlint::report::render;
 use xlint::rules::RULE_NAMES;
 
 fn main() -> ExitCode {
-    let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
     let mut self_test = false;
-    let mut changed_only: Option<Vec<String>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--changed-only" => {
-                let files: Vec<String> = args.by_ref().map(|f| f.replace('\\', "/")).collect();
-                changed_only = Some(files);
-            }
-            "--format" => match args.next().as_deref().and_then(Format::parse) {
-                Some(f) => format = f,
-                None => return usage("--format takes `human` or `json`"),
-            },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root takes a directory"),
@@ -48,7 +32,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("xlint [--root DIR] [--format human|json] [--self-test] [--list-rules]");
+                println!("xlint [--root DIR] [--self-test] [--list-rules]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -86,16 +70,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // An empty --changed-only list (no .rs files in the diff) is a no-op
-    // success, matching `git diff --name-only -- '*.rs'` piping.
-    if matches!(&changed_only, Some(list) if list.is_empty()) {
-        println!("xlint: no files to lint");
-        return ExitCode::SUCCESS;
-    }
-
-    match xlint::lint_root_filtered(&root, &cfg, changed_only.as_deref()) {
+    match xlint::lint_root(&root, &cfg) {
         Ok(findings) => {
-            print!("{}", render(&findings, format));
+            print!("{}", render(&findings));
             if findings.is_empty() {
                 ExitCode::SUCCESS
             } else {
@@ -111,8 +88,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("xlint: {msg}");
-    eprintln!(
-        "usage: xlint [--root DIR] [--format human|json] [--self-test] [--list-rules] [--changed-only FILE...]"
-    );
+    eprintln!("usage: xlint [--root DIR] [--self-test] [--list-rules]");
     ExitCode::from(2)
 }

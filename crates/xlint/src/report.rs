@@ -1,36 +1,10 @@
-//! Finding reporters: `human` (one `file:line: [rule] message` per line,
-//! grep/editor-friendly) and `json` (machine-readable, hand-rolled — no
-//! serde available offline).
+//! Finding reporter: one `file:line: [rule] message` per line (grep- and
+//! editor-friendly), then a summary line.
 
 use crate::rules::Finding;
 
-/// Output format selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    Human,
-    Json,
-}
-
-impl Format {
-    /// Parses a `--format` value.
-    pub fn parse(s: &str) -> Option<Format> {
-        match s {
-            "human" => Some(Format::Human),
-            "json" => Some(Format::Json),
-            _ => None,
-        }
-    }
-}
-
-/// Renders findings in the chosen format.
-pub fn render(findings: &[Finding], format: Format) -> String {
-    match format {
-        Format::Human => human(findings),
-        Format::Json => json(findings),
-    }
-}
-
-fn human(findings: &[Finding]) -> String {
+/// Renders findings, one per line, followed by a summary.
+pub fn render(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&format!(
@@ -47,42 +21,5 @@ fn human(findings: &[Finding]) -> String {
             if findings.len() == 1 { "" } else { "s" }
         ));
     }
-    out
-}
-
-fn json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"message\":{}}}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.message)
-        ));
-    }
-    out.push_str(&format!("],\"count\":{}}}\n", findings.len()));
-    out
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }

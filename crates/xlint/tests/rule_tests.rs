@@ -9,10 +9,14 @@ use xlint::fixtures::{run_self_test, Expect, FIXTURES};
 use xlint::rules::check_file;
 use xlint::{find_workspace_root, lint_root};
 
+fn committed() -> Config {
+    Config::committed().expect("committed xlint.toml parses")
+}
+
 /// Runs every fixture tagged with `rule` through the engine and checks its
 /// expectation, returning how many fixtures were exercised.
 fn check_rule_fixtures(rule: &str) -> usize {
-    let cfg = Config::default();
+    let cfg = committed();
     let mut n = 0;
     for fx in FIXTURES.iter().filter(|f| f.rule == rule) {
         n += 1;
@@ -37,41 +41,6 @@ fn check_rule_fixtures(rule: &str) -> usize {
 }
 
 #[test]
-fn no_wall_clock_fixtures() {
-    assert!(check_rule_fixtures("no-wall-clock") >= 3);
-}
-
-#[test]
-fn no_os_entropy_fixtures() {
-    assert!(check_rule_fixtures("no-os-entropy") >= 3);
-}
-
-#[test]
-fn no_unordered_iteration_fixtures() {
-    assert!(check_rule_fixtures("no-unordered-iteration") >= 3);
-}
-
-#[test]
-fn layering_fixtures() {
-    assert!(check_rule_fixtures("layering") >= 3);
-}
-
-#[test]
-fn no_unwrap_in_lib_fixtures() {
-    assert!(check_rule_fixtures("no-unwrap-in-lib") >= 3);
-}
-
-#[test]
-fn no_adhoc_stderr_fixtures() {
-    assert!(check_rule_fixtures("no-adhoc-stderr") >= 3);
-}
-
-#[test]
-fn thread_confinement_fixtures() {
-    assert!(check_rule_fixtures("thread-confinement") >= 5);
-}
-
-#[test]
 fn bad_pragma_fixtures() {
     assert!(check_rule_fixtures("bad-pragma") >= 2);
 }
@@ -91,17 +60,12 @@ fn determinism_taint_fixtures() {
     assert!(check_rule_fixtures("determinism-taint") >= 4);
 }
 
-#[test]
-fn no_dropped_result_fixtures() {
-    assert!(check_rule_fixtures("no-dropped-result") >= 4);
-}
-
 /// The three historical protocol bugs this analysis was built to re-catch
-/// (ROADMAP PRs 3–4) must each fire as a dedicated fixture, with the finding
-/// carrying the acquisition site in its message.
+/// must each fire as a dedicated fixture, with the finding carrying the
+/// acquisition site in its message.
 #[test]
 fn historical_bugs_are_reseeded() {
-    let cfg = Config::default();
+    let cfg = committed();
     for name in [
         "prb-lost-abort-historical",
         "prb-rival-upload-historical",
@@ -153,11 +117,10 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// Seeding a violating file into a scratch mini-workspace must be caught
-/// (i.e. the gate actually fails when someone introduces a hazard).
-#[test]
-fn seeded_violation_is_caught() {
-    let scratch = repo_root().join("target/xlint-seeded-violation-test");
+/// Writes `files` (name, source) into `crates/areplica-core/src/` of a
+/// scratch mini-workspace under `target/` and returns its root.
+fn scratch_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let scratch = repo_root().join("target").join(name);
     let src_dir = scratch.join("crates/areplica-core/src");
     fs::create_dir_all(&src_dir).expect("scratch dirs");
     fs::write(
@@ -165,16 +128,35 @@ fn seeded_violation_is_caught() {
         "[workspace]\nmembers = [\"crates/*\"]\n",
     )
     .expect("scratch manifest");
-    fs::write(
-        src_dir.join("seeded.rs"),
-        "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
-    )
-    .expect("seeded source");
+    for (file, src) in files {
+        fs::write(src_dir.join(file), src).expect("scratch source");
+    }
+    scratch
+}
 
-    let findings = lint_root(&scratch, &Config::default()).expect("scratch walk");
+/// Seeding a violating file into a scratch mini-workspace must be caught
+/// (i.e. the gate actually fails when someone introduces a hazard): a
+/// replication lock whose `Acquired` arm never unlocks.
+#[test]
+fn seeded_violation_is_caught() {
+    let scratch = scratch_workspace(
+        "xlint-seeded-violation-test",
+        &[(
+            "seeded.rs",
+            "pub fn hold(sim: &mut Sim, key: u64) {\n\
+             \x20   sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {\n\
+             \x20       LockResult::Busy => {}\n\
+             \x20       LockResult::Acquired => sim.finish(),\n\
+             \x20   });\n\
+             }\n",
+        )],
+    );
+    let findings = lint_root(&scratch, &committed()).expect("scratch walk");
     assert!(
-        findings.iter().any(|f| f.rule == "no-wall-clock"),
-        "seeded wall-clock violation not caught: {findings:?}"
+        findings
+            .iter()
+            .any(|f| f.rule == "protocol-resource-balance" && f.file.ends_with("seeded.rs")),
+        "seeded lock leak not caught: {findings:?}"
     );
 
     fs::remove_dir_all(&scratch).ok();
@@ -184,23 +166,51 @@ fn seeded_violation_is_caught() {
 /// non-suppressible bad-pragma finding (end-to-end through `check_file`).
 #[test]
 fn pragma_reason_is_mandatory() {
-    let cfg = Config::default();
+    let cfg = committed();
     let rel = "crates/areplica-core/src/pragma_e2e.rs";
-    let good = "pub fn f(m: &std::collections::HashMap<u32, u32>) -> Vec<u32> {\n\
-                \x20   // xlint::allow(no-unordered-iteration, order folded through a sort below)\n\
-                \x20   let mut v: Vec<u32> = m.keys().copied().collect();\n\
-                \x20   v.sort_unstable();\n\
-                \x20   v\n\
+    let good = "pub fn hold(sim: &mut Sim, key: u64) {\n\
+                \x20   sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {\n\
+                \x20       LockResult::Busy => {}\n\
+                \x20       LockResult::Acquired => {\n\
+                \x20           if sim.overloaded() {\n\
+                \x20               // xlint::allow(protocol-resource-balance, the lease-expiry reaper unlocks abandoned rows)\n\
+                \x20               return;\n\
+                \x20           }\n\
+                \x20           release(sim, key);\n\
+                \x20       }\n\
+                \x20   });\n\
+                }\n\
+                fn release(sim: &mut Sim, key: u64) {\n\
+                \x20   sim.db_transact(key, unlock_tx(key), move |_sim, _o| {});\n\
                 }\n";
     assert!(
         check_file(rel, good, &cfg).is_empty(),
-        "reasoned pragma should suppress"
+        "reasoned pragma should suppress: {:?}",
+        check_file(rel, good, &cfg)
     );
-    let bad = good.replace(", order folded through a sort below", "");
+    let bad = good.replace(", the lease-expiry reaper unlocks abandoned rows", "");
     let findings = check_file(rel, &bad, &cfg);
     assert!(
         findings.iter().any(|f| f.rule == "bad-pragma"),
         "reasonless pragma should be flagged: {findings:?}"
+    );
+}
+
+/// A pragma naming a rule xlint does not have, such as one of the
+/// determinism bans clippy enforces, suppresses nothing: it is an
+/// unknown-rule finding.
+#[test]
+fn pragma_naming_a_migrated_rule_is_unknown() {
+    let src = "pub fn now() -> u64 {\n\
+               \x20   // xlint::allow(no-wall-clock, progress logging only)\n\
+               \x20   0\n\
+               }\n";
+    let findings = check_file("crates/bench/src/timer.rs", src, &committed());
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "bad-pragma" && f.message.contains("unknown rule `no-wall-clock`")),
+        "migrated-rule pragma should be an unknown rule: {findings:?}"
     );
 }
 
@@ -209,13 +219,10 @@ fn pragma_reason_is_mandatory() {
 fn committed_config_parses() {
     let root = repo_root();
     let cfg = Config::load(&root).expect("xlint.toml parses");
-    assert!(cfg.unordered_crates.iter().any(|c| c == "areplica-core"));
-    assert!(cfg.unwrap_crates.iter().any(|c| c == "areplica-core"));
-    assert!(cfg.stderr_crates.iter().any(|c| c == "bench"));
-    assert!(!cfg.layering.is_empty());
     assert!(cfg.skip.iter().any(|s| Path::new(s) == Path::new("vendor")));
-    // The v2 semantic sections: all six protocol resources plus the taint
-    // and dropped-result policies must survive the round-trip.
+    assert!(cfg.skip.iter().any(|s| s == "replbench"));
+    // All six protocol resources plus the span and taint policies must
+    // survive the round-trip.
     assert_eq!(cfg.resources.len(), 6, "six [[resource]] blocks");
     for acquire in [
         "try_lock_tx",
@@ -233,94 +240,65 @@ fn committed_config_parses() {
     assert!(cfg.taint_sources.iter().any(|s| s == "WallTimer"));
     assert!(cfg.taint_sinks.iter().any(|s| s == "schedule_in"));
     assert!(cfg.span_crates.iter().any(|c| c == "areplica-core"));
-    assert!(cfg.dropped_result_crates.iter().any(|c| c == "cloudsim"));
-    // thread-confinement policy: primitives named, the par module (and
-    // nothing else) allow-listed.
-    assert!(cfg.thread_idents.iter().any(|i| i == "thread"));
-    assert!(cfg.thread_idents.iter().any(|i| i == "mpsc"));
-    assert_eq!(
-        cfg.thread_allow,
-        vec!["crates/simkernel/src/par.rs".to_string()]
-    );
 }
 
-/// `--changed-only` semantics: summaries come from the whole tree, findings
-/// only from the listed files. A leak whose conclusion lives in another file
-/// must still resolve interprocedurally when only the leaky file is listed.
+/// A missing `xlint.toml` is an error, not a silent fallback policy.
 #[test]
-fn changed_only_filters_findings_but_keeps_summaries() {
-    let scratch = repo_root().join("target/xlint-changed-only-test");
-    let src_dir = scratch.join("crates/areplica-core/src");
-    fs::create_dir_all(&src_dir).expect("scratch dirs");
-    fs::write(
-        scratch.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/*\"]\n",
-    )
-    .expect("scratch manifest");
-    // caller.rs holds the lock through a helper defined in helper.rs.
-    fs::write(
-        src_dir.join("caller.rs"),
-        "pub fn with_lock(sim: &mut Sim, key: u64) {\n\
-         \x20   sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {\n\
-         \x20       LockResult::Busy => {}\n\
-         \x20       LockResult::Acquired => helper_unlock(sim, key),\n\
-         \x20   });\n\
-         }\n\
-         pub fn wall() -> std::time::Instant {\n\
-         \x20   std::time::Instant::now()\n\
-         }\n",
-    )
-    .expect("caller source");
-    fs::write(
-        src_dir.join("helper.rs"),
-        "pub fn helper_unlock(sim: &mut Sim, key: u64) {\n\
-         \x20   sim.db_transact(key, unlock_tx(key), move |_sim, _o| {});\n\
-         }\n\
-         pub fn other_wall() -> std::time::Instant {\n\
-         \x20   std::time::Instant::now()\n\
-         }\n",
-    )
-    .expect("helper source");
+fn missing_config_is_an_error() {
+    let empty = repo_root().join("target/xlint-missing-config-test");
+    fs::create_dir_all(&empty).expect("scratch dir");
+    assert!(Config::load(&empty).is_err());
+    fs::remove_dir_all(&empty).ok();
+}
 
-    let only = ["crates/areplica-core/src/caller.rs".to_string()];
-    let findings =
-        xlint::lint_root_filtered(&scratch, &Config::default(), Some(&only)).expect("walk");
-    // helper.rs's wall-clock hit is filtered out; caller.rs's still fires.
-    assert!(
-        findings.iter().all(|f| f.file.contains("caller.rs")),
-        "findings leaked from unlisted files: {findings:?}"
+/// Summaries come from the whole tree: a lock acquired in `caller.rs` and
+/// concluded through a helper in `helper.rs` raises no finding.
+#[test]
+fn cross_file_summaries_conclude_in_other_files() {
+    let scratch = scratch_workspace(
+        "xlint-cross-file-test",
+        &[
+            (
+                "caller.rs",
+                "pub fn with_lock(sim: &mut Sim, key: u64) {\n\
+                 \x20   sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {\n\
+                 \x20       LockResult::Busy => {}\n\
+                 \x20       LockResult::Acquired => helper_unlock(sim, key),\n\
+                 \x20   });\n\
+                 }\n",
+            ),
+            (
+                "helper.rs",
+                "pub fn helper_unlock(sim: &mut Sim, key: u64) {\n\
+                 \x20   sim.db_transact(key, unlock_tx(key), move |_sim, _o| {});\n\
+                 }\n",
+            ),
+        ],
     );
+    let findings = lint_root(&scratch, &committed()).expect("walk");
     assert!(
-        findings.iter().any(|f| f.rule == "no-wall-clock"),
-        "caller.rs wall-clock not caught: {findings:?}"
-    );
-    // The lock is concluded through helper.rs — if summaries were built only
-    // from the listed file this would be a false leak.
-    assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == "protocol-resource-balance"),
-        "cross-file conclusion missed under --changed-only: {findings:?}"
+        findings.is_empty(),
+        "cross-file conclusion missed: {findings:?}"
     );
 
     fs::remove_dir_all(&scratch).ok();
 }
 
-/// A file with a syntax error degrades to token rules instead of dropping
-/// out of the lint entirely, and reports the parse error location.
+/// A file the parser cannot digest still reports where it gave up, and the
+/// pragma check, which needs no parse, still covers it.
 #[test]
 fn parse_errors_degrade_gracefully() {
-    let cfg = Config::default();
+    let cfg = committed();
     let rel = "crates/areplica-core/src/broken.rs";
-    let src = "pub fn broken( {\n    let t0 = std::time::Instant::now();\n}\n";
-    let prepared = xlint::rules::prepare(rel, src, &cfg);
+    let src = "pub fn broken( {\n    // xlint::allow(span-balance)\n    let t0 = 1;\n}\n";
+    let prepared = xlint::rules::prepare(rel, src);
     assert!(
         !prepared.parse_errors().is_empty(),
         "parser should report an error"
     );
     let findings = check_file(rel, src, &cfg);
     assert!(
-        findings.iter().any(|f| f.rule == "no-wall-clock"),
-        "token rules should survive parse errors: {findings:?}"
+        findings.iter().any(|f| f.rule == "bad-pragma"),
+        "bad-pragma should survive parse errors: {findings:?}"
     );
 }

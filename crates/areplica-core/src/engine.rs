@@ -133,11 +133,6 @@ pub struct TaskOutcome {
 /// Completion callback.
 pub type OnDone<B> = Rc<dyn Fn(&mut B, TaskOutcome)>;
 
-/// Called when the orchestrator's own work is finished and its invocation
-/// may complete (after the local transfer, or once remote replicators are
-/// dispatched).
-pub type OnDispatched<B> = Box<dyn FnOnce(&mut B)>;
-
 struct TaskCtx<B: Backend> {
     task: TaskSpec,
     cfg: EngineConfig,
@@ -191,9 +186,11 @@ fn trace_setup<B: Backend>(sim: &mut B, setup: SimDuration, cloud: cloudapi::Clo
 /// Executes a plan for a task.
 ///
 /// `orch` is the orchestrator's own function handle when the engine is called
-/// from inside an orchestrator invocation; local plans replicate through it.
-/// Without a handle (tests, baselines), local plans run on a platform
-/// executor at the source.
+/// from inside an orchestrator invocation; local plans replicate through it,
+/// and the engine finishes its invocation once the orchestrator's own work is
+/// done (after the local transfer, or once remote replicators are
+/// dispatched). Without a handle (tests, baselines), local plans run on a
+/// platform executor at the source.
 pub fn execute<B: Backend>(
     sim: &mut B,
     cfg: EngineConfig,
@@ -201,7 +198,6 @@ pub fn execute<B: Backend>(
     plan: Plan,
     orch: Option<FnHandle>,
     on_done: OnDone<B>,
-    on_dispatched: OnDispatched<B>,
 ) {
     execute_for(
         sim,
@@ -211,7 +207,6 @@ pub fn execute<B: Backend>(
         plan,
         orch,
         on_done,
-        on_dispatched,
     );
 }
 
@@ -220,10 +215,6 @@ pub fn execute<B: Backend>(
 /// and per-tenant RNG streams), and the tenant's fleet cadence governs the
 /// task's watchdog and janitor. With the default tenant this is exactly
 /// [`execute`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "engine entry point: the tenant, config, task, plan, orchestrator and both callbacks are independent inputs"
-)]
 pub fn execute_for<B: Backend>(
     sim: &mut B,
     tenant: TenantCtx,
@@ -232,7 +223,6 @@ pub fn execute_for<B: Backend>(
     plan: Plan,
     orch: Option<FnHandle>,
     on_done: OnDone<B>,
-    on_dispatched: OnDispatched<B>,
 ) {
     if !tenant.is_default() {
         sim.set_tenant_scope(tenant.tenant_id());
@@ -278,27 +268,23 @@ pub fn execute_for<B: Backend>(
         let src_cloud = sim.cloud_of(ctx.task.src_region);
         let setup = sim.sample_transfer_setup(src_cloud);
         trace_setup(sim, setup, src_cloud);
-        let ctx2 = ctx.clone();
         sim.schedule_in(setup, move |sim| {
             // The orchestrator is released once its own transfer loop exits.
-            replicate_streamed(
-                sim,
-                exec,
-                ctx2,
-                0,
-                Some(Box::new(move |sim: &mut B, _chunks| {
-                    on_dispatched(sim);
-                })),
-            );
+            let exit = orch.map(|h| -> StreamExit<B> {
+                Box::new(move |sim: &mut B, _chunks| sim.finish_function(h))
+            });
+            replicate_streamed(sim, exec, ctx, exit);
         });
         return;
     }
 
     if plan.n <= 1 {
         invoke_single_replicator(sim, ctx);
-        on_dispatched(sim);
+        if let Some(h) = orch {
+            sim.finish_function(h);
+        }
     } else {
-        start_distributed(sim, ctx, orch, on_dispatched);
+        start_distributed(sim, ctx, orch);
     }
 }
 
@@ -320,7 +306,6 @@ fn invoke_single_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>) {
                 sim,
                 Exec::Function(handle),
                 ctx2,
-                0,
                 Some(Box::new(move |sim: &mut B, chunks: u32| {
                     done_stats.borrow_mut().push(ReplicatorStat {
                         started,
@@ -339,13 +324,12 @@ type StreamExit<B> = Box<dyn FnOnce(&mut B, u32)>;
 
 /// Streamed replication: sequential chunk loop, multipart when multi-chunk.
 ///
-/// `chunk` is the next chunk index; `exit` runs when the loop ends (for
-/// function-hosted replicas: record stats and `finish`).
+/// `exit` runs when the loop ends (for function-hosted replicas: record stats
+/// and `finish`).
 fn replicate_streamed<B: Backend>(
     sim: &mut B,
     exec: Exec,
     ctx: Rc<TaskCtx<B>>,
-    chunk: u32,
     exit: Option<StreamExit<B>>,
 ) {
     let num_parts = ctx.cfg.num_parts(ctx.task.size);
@@ -354,7 +338,6 @@ fn replicate_streamed<B: Backend>(
     } else {
         // Multi-chunk: open a multipart upload first.
         let ctx2 = ctx.clone();
-        debug_assert_eq!(chunk, 0);
         sim.create_multipart(
             exec,
             ctx.task.dst_region,
@@ -792,12 +775,7 @@ fn recorded_orphans(item: &Item) -> Vec<u64> {
         .unwrap_or_default()
 }
 
-fn start_distributed<B: Backend>(
-    sim: &mut B,
-    ctx: Rc<TaskCtx<B>>,
-    orch: Option<FnHandle>,
-    on_dispatched: OnDispatched<B>,
-) {
+fn start_distributed<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, orch: Option<FnHandle>) {
     let prep_exec = match orch {
         Some(h) => Exec::Function(h),
         None => Exec::Platform {
@@ -860,7 +838,9 @@ fn start_distributed<B: Backend>(
                     if scheduling == SchedulingMode::PartGranularity {
                         register_fleet_watch(sim, ctx3, adopted);
                     }
-                    on_dispatched(sim);
+                    if let Some(h) = orch {
+                        sim.finish_function(h);
+                    }
                 },
             );
         },
@@ -884,81 +864,110 @@ fn invoke_replicators<B: Backend>(
             SchedulingMode::PartGranularity => None,
             SchedulingMode::FairDispatch => Some((0..num_parts).filter(|p| p % n == k).collect()),
         };
-        let ctx2 = ctx.clone();
-        let body: FnBody<B> = Rc::new(move |sim, handle| {
-            let ctx = ctx2.clone();
-            let fair = fair_parts.clone();
-            let started = sim.now();
-            let cloud = sim.cloud_of(handle.region);
-            let setup = sim.sample_transfer_setup(cloud);
-            trace_setup(sim, setup, cloud);
-            sim.schedule_in(setup, move |sim| {
-                let progress = Rc::new(Cell::new(0u32));
-                match fair {
-                    None => claim_loop(sim, handle, ctx, upload_id, started, progress),
-                    Some(parts) => {
-                        fair_loop(sim, handle, ctx, upload_id, started, progress, parts, 0)
-                    }
-                }
-            });
-        });
+        let body = replicator_body(ctx.clone(), upload_id, fair_parts);
         sim.invoke_after(stagger, region, spec, body, ctx.cfg.retry.invoke_policy());
     }
 }
 
-fn record_and_finish<B: Backend>(
-    sim: &mut B,
+/// What one replicator invocation carries from part to part. The upload id
+/// stays a parameter of every step, outside this struct, so that xlint's
+/// flow walk keeps following it to `complete_multipart` or an abort.
+struct Replicator<B: Backend> {
     handle: FnHandle,
-    ctx: &Rc<TaskCtx<B>>,
+    ctx: Rc<TaskCtx<B>>,
+    /// When the replicator body began executing.
     started: SimTime,
-    progress: &Rc<Cell<u32>>,
-) {
+    /// Parts this replicator has replicated.
+    chunks: Cell<u32>,
+    /// Fair dispatch only: the replicator's fixed share of parts and the
+    /// index of the next one.
+    fair: Option<(Vec<u32>, Cell<usize>)>,
+}
+
+/// The body of one replicator invocation: sample and trace the storage
+/// client's setup, then replicate parts, claimed from the pool or taken from
+/// the fair-dispatch share `fair`.
+fn replicator_body<B: Backend>(
+    ctx: Rc<TaskCtx<B>>,
+    upload_id: u64,
+    fair: Option<Vec<u32>>,
+) -> FnBody<B> {
+    Rc::new(move |sim, handle| {
+        let ctx = ctx.clone();
+        let fair = fair.clone().map(|parts| (parts, Cell::new(0)));
+        let started = sim.now();
+        let cloud = sim.cloud_of(handle.region);
+        let setup = sim.sample_transfer_setup(cloud);
+        trace_setup(sim, setup, cloud);
+        sim.schedule_in(setup, move |sim| {
+            let r = Rc::new(Replicator {
+                handle,
+                ctx,
+                started,
+                chunks: Cell::new(0),
+                fair,
+            });
+            next_part(sim, r, upload_id);
+        });
+    })
+}
+
+fn record_and_finish<B: Backend>(sim: &mut B, r: &Replicator<B>) {
     let finished = sim.now();
-    ctx.stats.borrow_mut().push(ReplicatorStat {
-        started,
+    let chunks = r.chunks.get();
+    r.ctx.stats.borrow_mut().push(ReplicatorStat {
+        started: r.started,
         finished,
-        chunks: progress.get(),
+        chunks,
     });
     if sim.tracer().enabled() {
         let tags = vec![
-            ("key", ctx.task.key.clone()),
-            ("chunks", progress.get().to_string()),
+            ("key", r.ctx.task.key.clone()),
+            ("chunks", chunks.to_string()),
         ];
         sim.tracer().span_complete(
-            started,
-            finished.saturating_since(started),
+            r.started,
+            finished.saturating_since(r.started),
             names::ENGINE_REPLICATOR,
             tags,
         );
     }
-    sim.finish_function(handle);
+    sim.finish_function(r.handle);
+}
+
+/// Replicates the replicator's next part: the next claim from the pool, or
+/// the next part of its fair-dispatch share (the ablation baseline).
+fn next_part<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64) {
+    let Some((parts, next)) = &r.fair else {
+        claim_loop(sim, r, upload_id);
+        return;
+    };
+    let Some(&part) = parts.get(next.get()) else {
+        record_and_finish(sim, &r);
+        // xlint::allow(protocol-resource-balance, this replicator's fixed share is exhausted; the last peer to upload concludes via conclude_distributed, so the upload outlives any single replicator by design)
+        return;
+    };
+    next.set(next.get() + 1);
+    replicate_part(sim, r, upload_id, part);
 }
 
 /// The decentralized claim loop (Algorithm 1, REPLICATOR).
-fn claim_loop<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-) {
+fn claim_loop<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64) {
     // Stop claiming when the execution limit looms: a platform retry (or a
     // peer, via the lease) takes over.
     let now = sim.now();
-    match sim.remaining_exec_time(handle) {
+    match sim.remaining_exec_time(r.handle) {
         Some(remaining) if remaining > CLAIM_HEADROOM => {}
         _ => {
-            record_and_finish(sim, handle, &ctx, started, &progress);
+            record_and_finish(sim, &r);
             // xlint::allow(protocol-resource-balance, out of exec headroom: the part lease hands outstanding work to a peer or a platform retry, and the fleet watchdog re-aborts any orphaned upload)
             return;
         }
     }
-    let db_region = ctx.exec_region;
-    let task_id = ctx.task.task_id();
-    let ctx2 = ctx.clone();
+    let db_region = r.ctx.exec_region;
+    let task_id = r.ctx.task.task_id();
     sim.db_transact(
-        Exec::Function(handle),
+        Exec::Function(r.handle),
         db_region,
         TASK_TABLE.into(),
         task_id,
@@ -971,24 +980,18 @@ fn claim_loop<B: Backend>(
                     let tags = vec![("part", part.to_string())];
                     sim.tracer().instant(now, names::ENGINE_CLAIM, tags);
                 }
-                replicate_part(sim, handle, ctx2, upload_id, part, started, progress)
+                replicate_part(sim, r, upload_id, part)
             }
-            ClaimResult::AllPartsDone => {
-                conclude_distributed(sim, handle, ctx2, upload_id, started, progress);
-            }
-            ClaimResult::Concluded => {
-                finish_concluded(sim, handle, ctx2, started, progress);
-            }
-            ClaimResult::NothingClaimable => {
-                record_and_finish(sim, handle, &ctx2, started, &progress);
-            }
+            ClaimResult::AllPartsDone => conclude_distributed(sim, r, upload_id),
+            ClaimResult::Concluded => finish_concluded(sim, &r),
+            ClaimResult::NothingClaimable => record_and_finish(sim, &r),
             ClaimResult::Aborted(recorded) => {
                 // Re-run the idempotent abort conclusion before retiring:
                 // if the first aborter crashed right after its transaction
                 // committed, this observer (a peer, a platform retry, or a
                 // watchdog rescuer) owns the teardown it left behind.
-                conclude_aborted(sim, &ctx2, upload_id, recorded);
-                record_and_finish(sim, handle, &ctx2, started, &progress);
+                conclude_aborted(sim, &r.ctx, upload_id, recorded);
+                record_and_finish(sim, &r);
             }
         },
     );
@@ -1000,105 +1003,34 @@ fn claim_loop<B: Backend>(
 /// context too, so its task span closes and the service releases the lock,
 /// then retire the replicator. `finish_once` makes the duplicate harmless for
 /// an incarnation whose own concluder already reported.
-fn finish_concluded<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-) {
-    let etag = ctx.task.etag;
-    ctx.finish_once(sim, TaskStatus::Replicated { etag });
-    record_and_finish(sim, handle, &ctx, started, &progress);
-}
-
-/// Fair-dispatch loop: fixed part list per replicator (ablation baseline).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
-fn fair_loop<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-    parts: Vec<u32>,
-    idx: usize,
-) {
-    if idx >= parts.len() {
-        record_and_finish(sim, handle, &ctx, started, &progress);
-        // xlint::allow(protocol-resource-balance, this replicator's fixed share is exhausted; the last peer to upload concludes via conclude_distributed, so the upload outlives any single replicator by design)
-        return;
-    }
-    let part = parts[idx];
-    let ctx2 = ctx.clone();
-    let after: AfterPart<B> = Box::new(move |sim, handle, ctx, upload_id, started, progress| {
-        fair_loop(
-            sim,
-            handle,
-            ctx,
-            upload_id,
-            started,
-            progress,
-            parts,
-            idx + 1,
-        )
-    });
-    replicate_part_inner(sim, handle, ctx2, upload_id, part, started, progress, after);
-}
-
-type AfterPart<B> = Box<dyn FnOnce(&mut B, FnHandle, Rc<TaskCtx<B>>, u64, SimTime, Rc<Cell<u32>>)>;
-
-fn replicate_part<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    part: u32,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-) {
-    let after: AfterPart<B> = Box::new(claim_loop);
-    replicate_part_inner(sim, handle, ctx, upload_id, part, started, progress, after);
+fn finish_concluded<B: Backend>(sim: &mut B, r: &Replicator<B>) {
+    let etag = r.ctx.task.etag;
+    r.ctx.finish_once(sim, TaskStatus::Replicated { etag });
+    record_and_finish(sim, r);
 }
 
 /// Downloads and uploads one part, updates the pool, and concludes the task
 /// when the last part lands (Algorithm 1 lines 10–13).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
-fn replicate_part_inner<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    part: u32,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-    after: AfterPart<B>,
-) {
-    let offset = part as u64 * ctx.cfg.part_size;
-    let len = ctx.cfg.part_size.min(ctx.task.size - offset);
-    let if_match = ctx.cfg.validate_etags.then_some(ctx.task.etag);
-    let exec = Exec::Function(handle);
-    let ctx2 = ctx.clone();
+fn replicate_part<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64, part: u32) {
+    let task = &r.ctx.task;
+    let part_size = r.ctx.cfg.part_size;
+    let offset = part as u64 * part_size;
+    let len = part_size.min(task.size - offset);
+    let if_match = r.ctx.cfg.validate_etags.then_some(task.etag);
+    let exec = Exec::Function(r.handle);
     sim.get_object_range(
         exec,
-        ctx.task.src_region,
-        ctx.task.src_bucket.clone(),
-        ctx.task.key.clone(),
+        task.src_region,
+        task.src_bucket.clone(),
+        task.key.clone(),
         offset,
         len,
         if_match,
         move |sim, got| match got {
             Ok((content, _etag)) => {
-                let ctx3 = ctx2.clone();
                 sim.upload_part(
                     exec,
-                    ctx2.task.dst_region,
+                    r.ctx.task.dst_region,
                     upload_id,
                     part + 1,
                     content,
@@ -1108,7 +1040,7 @@ fn replicate_part_inner<B: Backend>(
                             // the task, or an aborter discarded the upload.
                             // The claim loop reads the pool's terminal state
                             // and retires this replicator accordingly.
-                            claim_loop(sim, handle, ctx3, upload_id, started, progress);
+                            claim_loop(sim, r, upload_id);
                             return;
                         }
                         #[expect(
@@ -1116,9 +1048,8 @@ fn replicate_part_inner<B: Backend>(
                             reason = "NoSuchUpload is handled above; any other part failure is a simulator bug"
                         )]
                         up.expect("upload part");
-                        let db_region = ctx3.exec_region;
-                        let task_id = ctx3.task.task_id();
-                        let ctx4 = ctx3.clone();
+                        let db_region = r.ctx.exec_region;
+                        let task_id = r.ctx.task.task_id();
                         sim.db_transact(
                             exec,
                             db_region,
@@ -1127,53 +1058,39 @@ fn replicate_part_inner<B: Backend>(
                             complete_tx(part),
                             move |sim, outcome| match outcome {
                                 CompleteResult::Progress(completed, num_parts) => {
-                                    progress.set(progress.get() + 1);
+                                    r.chunks.set(r.chunks.get() + 1);
                                     if completed == num_parts {
-                                        conclude_distributed(
-                                            sim, handle, ctx4, upload_id, started, progress,
-                                        );
+                                        conclude_distributed(sim, r, upload_id);
                                     } else {
-                                        after(sim, handle, ctx4, upload_id, started, progress);
+                                        next_part(sim, r, upload_id);
                                     }
                                 }
-                                CompleteResult::AlreadyConcluded => {
-                                    finish_concluded(sim, handle, ctx4, started, progress);
-                                }
+                                CompleteResult::AlreadyConcluded => finish_concluded(sim, &r),
                             },
                         );
                     },
                 );
             }
-            Err(e) => {
-                handle_part_error(sim, handle, ctx2, upload_id, e, started, progress);
-            }
+            Err(e) => handle_part_error(sim, r, upload_id, e),
         },
     );
 }
 
 /// The replicator that delivers the last part completes the multipart upload
 /// and concludes the task.
-fn conclude_distributed<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-) {
-    let exec = Exec::Function(handle);
-    let ctx2 = ctx.clone();
-    sim.complete_multipart(exec, ctx.task.dst_region, upload_id, move |sim, done| {
+fn conclude_distributed<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64) {
+    let exec = Exec::Function(r.handle);
+    let dst_region = r.ctx.task.dst_region;
+    sim.complete_multipart(exec, dst_region, upload_id, move |sim, done| {
         match done {
             Ok(applied) => {
-                ctx2.finish_once(sim, TaskStatus::Replicated { etag: applied.etag });
+                let ctx = &r.ctx;
+                ctx.finish_once(sim, TaskStatus::Replicated { etag: applied.etag });
                 // Clean up the pool so stragglers and the watchdog see
                 // a terminal state. Deleting the row also assumes cleanup
                 // ownership of any orphan uploads losing adopters recorded
                 // (their own prompt aborts may have died with them).
-                let db_region = ctx2.exec_region;
-                let dst_region = ctx2.task.dst_region;
-                let task_id = ctx2.task.task_id();
+                let db_region = ctx.exec_region;
                 let exec_p = Exec::Platform {
                     region: db_region,
                     mbps: 1000.0,
@@ -1182,7 +1099,7 @@ fn conclude_distributed<B: Backend>(
                     exec_p,
                     db_region,
                     TASK_TABLE.into(),
-                    task_id,
+                    ctx.task.task_id(),
                     |slot| {
                         let orphans = slot.as_ref().map(recorded_orphans).unwrap_or_default();
                         *slot = None;
@@ -1200,24 +1117,16 @@ fn conclude_distributed<B: Backend>(
             // pool state distinguishes the two — re-enter the claim loop,
             // which maps pool-gone to `Concluded` and aborted to `Aborted`.
             Err(StoreError::NoSuchUpload) => {
-                claim_loop(sim, handle, ctx2, upload_id, started, progress);
+                claim_loop(sim, r, upload_id);
                 return;
             }
             Err(e) => panic!("unexpected multipart completion error: {e}"),
         }
-        record_and_finish(sim, handle, &ctx2, started, &progress);
+        record_and_finish(sim, &r);
     });
 }
 
-fn handle_part_error<B: Backend>(
-    sim: &mut B,
-    handle: FnHandle,
-    ctx: Rc<TaskCtx<B>>,
-    upload_id: u64,
-    e: StoreError,
-    started: SimTime,
-    progress: Rc<Cell<u32>>,
-) {
+fn handle_part_error<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64, e: StoreError) {
     let status = match e {
         StoreError::PreconditionFailed { current } => TaskStatus::AbortedEtagMismatch {
             current: Some(current),
@@ -1225,12 +1134,11 @@ fn handle_part_error<B: Backend>(
         StoreError::NoSuchKey => TaskStatus::SourceGone,
         other => panic!("unexpected storage error during part replication: {other}"),
     };
-    trace_abort(sim, &ctx, status);
-    let db_region = ctx.exec_region;
-    let task_id = ctx.task.task_id();
-    let ctx2 = ctx.clone();
+    trace_abort(sim, &r.ctx, status);
+    let db_region = r.ctx.exec_region;
+    let task_id = r.ctx.task.task_id();
     sim.db_transact(
-        Exec::Function(handle),
+        Exec::Function(r.handle),
         db_region,
         TASK_TABLE.into(),
         task_id,
@@ -1238,24 +1146,24 @@ fn handle_part_error<B: Backend>(
         move |sim, outcome| {
             match outcome {
                 AbortOutcome::First => {
-                    conclude_aborted(sim, &ctx2, upload_id, status);
+                    conclude_aborted(sim, &r.ctx, upload_id, status);
                 }
                 AbortOutcome::Repeat(recorded) => {
                     // Normally a no-op (the first aborter concluded and set
                     // the context done); if the first aborter crashed after
                     // its transaction committed, this observer finishes the
                     // teardown it left behind.
-                    conclude_aborted(sim, &ctx2, upload_id, recorded);
+                    conclude_aborted(sim, &r.ctx, upload_id, recorded);
                 }
                 AbortOutcome::Gone => {
                     // A peer concluded the task successfully before this
                     // abort landed; surface the completion on this context
                     // and retire.
-                    finish_concluded(sim, handle, ctx2, started, progress);
+                    finish_concluded(sim, &r);
                     return;
                 }
             }
-            record_and_finish(sim, handle, &ctx2, started, &progress);
+            record_and_finish(sim, &r);
         },
     );
 }
@@ -1351,17 +1259,7 @@ fn invoke_rescue_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload
     let region = ctx.exec_region;
     let spec = sim.default_fn_spec(region);
     let policy = ctx.cfg.retry.invoke_policy();
-    let body: FnBody<B> = Rc::new(move |sim, handle| {
-        let ctx = ctx.clone();
-        let started = sim.now();
-        let cloud = sim.cloud_of(handle.region);
-        let setup = sim.sample_transfer_setup(cloud);
-        trace_setup(sim, setup, cloud);
-        sim.schedule_in(setup, move |sim| {
-            let progress = Rc::new(Cell::new(0u32));
-            claim_loop(sim, handle, ctx, upload_id, started, progress);
-        });
-    });
+    let body = replicator_body(ctx, upload_id, None);
     sim.invoke(region, spec, body, policy);
 }
 
@@ -1430,14 +1328,12 @@ pub fn execute_relay<B: Backend>(
                         second_plan,
                         None,
                         on_done.clone(),
-                        Box::new(|_| {}),
                     );
                 }
                 // First-hop abort/gone: surface directly.
                 _ => on_done(sim, outcome),
             }
         }),
-        Box::new(|_| {}),
     );
 }
 

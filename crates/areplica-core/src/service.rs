@@ -301,9 +301,44 @@ fn read_object<B: Backend>(
 // Event pipeline.
 // ---------------------------------------------------------------------------
 
+/// The replication task for one version of a rule's object.
+fn task_of(
+    rule: &ReplicationRule,
+    key: String,
+    etag: ETag,
+    seq: u64,
+    size: u64,
+    event_time: SimTime,
+) -> TaskSpec {
+    TaskSpec {
+        src_region: rule.src_region,
+        src_bucket: rule.src_bucket.clone(),
+        dst_region: rule.dst_region,
+        dst_bucket: rule.dst_bucket.clone(),
+        key,
+        etag,
+        seq,
+        size,
+        event_time,
+    }
+}
+
+/// The row of the per-object replication lock a task contends for.
+fn lock_key(task: &TaskSpec) -> String {
+    format!("{}/{}", task.src_bucket, task.key)
+}
+
 fn on_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: ObjectEvent) {
     if ev.kind == EventKind::Delete {
-        trigger_delete(sim, st, rule_idx, ev.key, ev.etag, ev.seq);
+        let task = task_of(
+            &st.borrow().rules[rule_idx],
+            ev.key,
+            ev.etag,
+            ev.seq,
+            ev.size,
+            ev.event_time,
+        );
+        trigger_delete(sim, st, rule_idx, task);
         return;
     }
     // Tenant admission control: the control plane's token bucket decides
@@ -368,19 +403,8 @@ fn process_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: Ob
             _ => None,
         }
     };
-    match decision {
-        None => {
-            trigger_replication(
-                sim,
-                st,
-                rule_idx,
-                ev.key,
-                ev.etag,
-                ev.seq,
-                ev.size,
-                ev.event_time,
-            );
-        }
+    let event_time = match decision {
+        None => ev.event_time,
         Some(BatchDecision::ReplicateNow {
             absorbed,
             earliest_deadline,
@@ -406,26 +430,31 @@ fn process_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: Ob
                     sim.tracer().instant(now, names::TASK_BATCHED, tags);
                 }
             }
-            trigger_replication(
-                sim, st, rule_idx, ev.key, ev.etag, ev.seq, ev.size, event_time,
-            );
+            event_time
         }
         Some(BatchDecision::Buffered { fire_at, arm_timer }) => {
             if arm_timer {
-                let (src_region, key) = {
-                    let s = st.borrow();
-                    (s.rules[rule_idx].src_region, ev.key.clone())
-                };
+                let src_region = st.borrow().rules[rule_idx].src_region;
                 let st2 = st.clone();
-                let key2 = key.clone();
+                let key = ev.key.clone();
                 let delay = fire_at.saturating_since(sim.now());
                 let token = sim.workflow_delay(src_region, delay, move |sim| {
-                    on_batch_timer(sim, st2, rule_idx, key2);
+                    on_batch_timer(sim, st2, rule_idx, key);
                 });
-                st.borrow_mut().batchers[rule_idx].set_timer(&key, token);
+                st.borrow_mut().batchers[rule_idx].set_timer(&ev.key, token);
             }
+            return;
         }
-    }
+    };
+    let task = task_of(
+        &st.borrow().rules[rule_idx],
+        ev.key,
+        ev.etag,
+        ev.seq,
+        ev.size,
+        event_time,
+    );
+    trigger_replication(sim, st, rule_idx, task);
 }
 
 /// A batching timer fired: replicate the newest version of the key.
@@ -462,28 +491,20 @@ fn on_batch_timer<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: String)
         let event_time = earliest_event
             .unwrap_or(stat.created_at)
             .min(stat.created_at);
-        trigger_replication(
-            sim, st, rule_idx, key, stat.etag, stat.seq, stat.size, event_time,
+        let task = task_of(
+            &st.borrow().rules[rule_idx],
+            key,
+            stat.etag,
+            stat.seq,
+            stat.size,
+            event_time,
         );
+        trigger_replication(sim, st, rule_idx, task);
     }
 }
 
 /// Invokes an orchestrator function at the source region for one version.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
-fn trigger_replication<B: Backend>(
-    sim: &mut B,
-    st: St,
-    rule_idx: usize,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    size: u64,
-    event_time: SimTime,
-) {
-    let src_region = st.borrow().rules[rule_idx].src_region;
+fn trigger_replication<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSpec) {
     // Graceful degradation: when the tenant's breaker for the destination
     // is open, skip the replication attempt entirely — it would burn
     // function time against a dead region — and record the version in the
@@ -492,9 +513,9 @@ fn trigger_replication<B: Backend>(
     let health = st.borrow().tenant.health.clone();
     if let Some(health) = health {
         let now = sim.now();
-        let dst_region = st.borrow().rules[rule_idx].dst_region;
+        let dst_region = task.dst_region;
         if health.borrow_mut().write_route(now, dst_region) == WriteRoute::Divert {
-            divert_to_catchup(sim, st, rule_idx, key, etag, seq, size);
+            divert_to_catchup(sim, st, rule_idx, task);
             return;
         }
         // Deadline watchdog: the breaker can only learn about a black-holed
@@ -503,14 +524,14 @@ fn trigger_replication<B: Backend>(
         // breaker's error window and wakes the recheck loop.
         let slo = st.borrow().tenant.slo.or(st.borrow().rules[rule_idx].slo);
         if let Some(slo) = slo {
+            let (key, seq) = (task.key.clone(), task.seq);
             st.borrow_mut()
                 .inflight
                 .insert((rule_idx, key.clone(), seq));
             let st_watch = st.clone();
-            let key_watch = key.clone();
-            let delay = (event_time + slo).saturating_since(now);
+            let delay = (task.event_time + slo).saturating_since(now);
             sim.schedule_in(delay, move |sim| {
-                on_deadline_check(sim, st_watch, rule_idx, key_watch, seq, dst_region);
+                on_deadline_check(sim, st_watch, rule_idx, key, seq, dst_region);
             });
         }
     }
@@ -520,15 +541,15 @@ fn trigger_replication<B: Backend>(
     let span = if sim.tracer().enabled() {
         let mut tags = vec![
             ("rule", rule_idx.to_string()),
-            ("key", key.clone()),
-            ("etag", format!("{:016x}", etag.0)),
-            ("size", size.to_string()),
-            ("event_time_ns", event_time.as_nanos().to_string()),
+            ("key", task.key.clone()),
+            ("etag", format!("{:016x}", task.etag.0)),
+            ("size", task.size.to_string()),
+            ("event_time_ns", task.event_time.as_nanos().to_string()),
         ];
         if let Some(id) = st.borrow().tenant.id() {
             tags.push(("tenant", id.to_string()));
         }
-        sim.tracer().span_begin(event_time, names::TASK, tags)
+        sim.tracer().span_begin(task.event_time, names::TASK, tags)
     } else {
         SpanId::NULL
     };
@@ -539,63 +560,39 @@ fn trigger_replication<B: Backend>(
         let name = st.borrow().tenant.metric("service.tasks");
         sim.tracer().counter_add(&name, 1);
     }
+    let src_region = task.src_region;
     let spec = sim.default_fn_spec(src_region);
     let policy = st.borrow().cfg.retry.invoke_policy();
+    let task = Rc::new(task);
     let body: FnBody<B> = Rc::new(move |sim, handle| {
-        orchestrate(
-            sim,
-            st.clone(),
-            rule_idx,
-            handle,
-            key.clone(),
-            etag,
-            seq,
-            size,
-            event_time,
-            span,
-        );
+        orchestrate(sim, st.clone(), rule_idx, task.clone(), handle, span);
     });
     sim.invoke(src_region, spec, body, policy);
 }
 
 /// The orchestrator function body.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
 fn orchestrate<B: Backend>(
     sim: &mut B,
     st: St,
     rule_idx: usize,
+    task: Rc<TaskSpec>,
     handle: FnHandle,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    size: u64,
-    event_time: SimTime,
     span: SpanId,
 ) {
-    let (src_region, src_bucket) = {
-        let s = st.borrow();
-        let r = &s.rules[rule_idx];
-        (r.src_region, r.src_bucket.clone())
-    };
     let exec = Exec::Function(handle);
-    let lock_key = format!("{src_bucket}/{key}");
     let now = sim.now();
     let lock_span = if sim.tracer().enabled() {
         sim.tracer()
-            .span_begin(now, names::TASK_LOCK, vec![("key", key.clone())])
+            .span_begin(now, names::TASK_LOCK, vec![("key", task.key.clone())])
     } else {
         SpanId::NULL
     };
-    let st2 = st.clone();
     sim.db_transact(
         exec,
-        src_region,
+        task.src_region,
         lock::LOCK_TABLE.into(),
-        lock_key,
-        lock::try_lock_tx(etag, seq),
+        lock_key(&task),
+        lock::try_lock_tx(task.etag, task.seq),
         move |sim, outcome| match outcome {
             LockOutcome::Busy => {
                 // A concurrent task holds the lock; our version is pending:
@@ -615,75 +612,49 @@ fn orchestrate<B: Backend>(
                     let acq = vec![("outcome", "acquired".to_string())];
                     sim.tracer().span_end_tagged(now, lock_span, acq);
                 }
-                maybe_apply_changelog(
-                    sim, st2, rule_idx, handle, key, etag, seq, size, event_time, span,
-                );
+                maybe_apply_changelog(sim, st, rule_idx, task, handle, span);
             }
         },
     );
 }
 
 /// Checks for a changelog hint before falling back to full replication.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
 fn maybe_apply_changelog<B: Backend>(
     sim: &mut B,
     st: St,
     rule_idx: usize,
+    task: Rc<TaskSpec>,
     handle: FnHandle,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    size: u64,
-    event_time: SimTime,
     span: SpanId,
 ) {
-    let (enabled, src_region, src_bucket, dst_region, dst_bucket) = {
-        let s = st.borrow();
-        let r = &s.rules[rule_idx];
-        (
-            r.changelog,
-            r.src_region,
-            r.src_bucket.clone(),
-            r.dst_region,
-            r.dst_bucket.clone(),
-        )
-    };
-    if !enabled {
-        plan_and_execute(
-            sim, st, rule_idx, handle, key, etag, seq, size, event_time, span,
-        );
+    if !st.borrow().rules[rule_idx].changelog {
+        plan_and_execute(sim, st, rule_idx, task, handle, span);
         return;
     }
     let exec = Exec::Function(handle);
-    let hint_key = changelog::entry_key(&src_bucket, &key, etag);
+    let hint_key = changelog::entry_key(&task.src_bucket, &task.key, task.etag);
     let now = sim.now();
     let cl_span = if sim.tracer().enabled() {
         sim.tracer()
-            .span_begin(now, names::TASK_CHANGELOG, vec![("key", key.clone())])
+            .span_begin(now, names::TASK_CHANGELOG, vec![("key", task.key.clone())])
     } else {
         SpanId::NULL
     };
-    let st2 = st.clone();
     sim.db_get(
         exec,
-        src_region,
+        task.src_region,
         changelog::CHANGELOG_TABLE.into(),
         hint_key,
         move |sim, item| {
             let op = item.as_ref().and_then(changelog::decode);
             match op {
                 Some(op) => {
-                    let st3 = st2.clone();
-                    let key2 = key.clone();
                     changelog::apply_at_destination(
                         sim,
                         exec,
-                        dst_region,
-                        dst_bucket,
-                        key.clone(),
+                        task.dst_region,
+                        task.dst_bucket.clone(),
+                        task.key.clone(),
                         op,
                         move |sim, applied| match applied {
                             Ok(applied_etag) => {
@@ -693,19 +664,8 @@ fn maybe_apply_changelog<B: Backend>(
                                     sim.tracer().span_end_tagged(now, cl_span, tags);
                                 }
                                 sim.tracer().counter_add("service.changelog_applied", 1);
-                                conclude(
-                                    sim,
-                                    st3,
-                                    rule_idx,
-                                    key2,
-                                    seq,
-                                    size,
-                                    event_time,
-                                    TaskStatus::Replicated { etag: applied_etag },
-                                    None,
-                                    true,
-                                    span,
-                                );
+                                let status = TaskStatus::Replicated { etag: applied_etag };
+                                conclude(sim, st, rule_idx, task, status, None, span);
                                 sim.finish_function(handle);
                             }
                             Err(()) => {
@@ -715,10 +675,7 @@ fn maybe_apply_changelog<B: Backend>(
                                     let tags = vec![("applied", "false".to_string())];
                                     sim.tracer().span_end_tagged(now, cl_span, tags);
                                 }
-                                plan_and_execute(
-                                    sim, st3, rule_idx, handle, key2, etag, seq, size, event_time,
-                                    span,
-                                );
+                                plan_and_execute(sim, st, rule_idx, task, handle, span);
                             }
                         },
                     );
@@ -729,9 +686,7 @@ fn maybe_apply_changelog<B: Backend>(
                         let tags = vec![("hint", "false".to_string())];
                         sim.tracer().span_end_tagged(now, cl_span, tags);
                     }
-                    plan_and_execute(
-                        sim, st2, rule_idx, handle, key, etag, seq, size, event_time, span,
-                    );
+                    plan_and_execute(sim, st, rule_idx, task, handle, span);
                 }
             }
         },
@@ -739,54 +694,28 @@ fn maybe_apply_changelog<B: Backend>(
 }
 
 /// Plans and dispatches the replication (Algorithm 3 → Algorithm 1).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
 fn plan_and_execute<B: Backend>(
     sim: &mut B,
     st: St,
     rule_idx: usize,
+    task: Rc<TaskSpec>,
     handle: FnHandle,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    size: u64,
-    event_time: SimTime,
     span: SpanId,
 ) {
     let now = sim.now();
-    let (task, plan, predicted_mean) = {
+    let (src_region, dst_region, size) = (task.src_region, task.dst_region, task.size);
+    let (cfg, plan, predicted_mean) = {
         let mut s = st.borrow_mut();
-        let (src_region, dst_region, src_bucket, dst_bucket, rule_slo, percentile, margin) = {
+        let (rule_slo, percentile, margin) = {
             let rule = &s.rules[rule_idx];
-            (
-                rule.src_region,
-                rule.dst_region,
-                rule.src_bucket.clone(),
-                rule.dst_bucket.clone(),
-                rule.slo,
-                rule.percentile,
-                rule.safety_margin,
-            )
-        };
-        let task = TaskSpec {
-            src_region,
-            src_bucket,
-            dst_region,
-            dst_bucket,
-            key: key.clone(),
-            etag,
-            seq,
-            size,
-            event_time,
+            (rule.slo, rule.percentile, rule.safety_margin)
         };
         // A per-tenant SLO (control-plane registry) overrides the rule's.
         let rule_slo = s.tenant.slo.or(rule_slo);
         // Remaining SLO budget, net of the already-elapsed notification
         // stage: SLO_rep = SLO - (now - event_time).
         let slo_rep = rule_slo.map(|slo| {
-            let elapsed = now.saturating_since(event_time);
+            let elapsed = now.saturating_since(task.event_time);
             // The safety margin shrinks the budget plans must fit within.
             slo.saturating_sub(elapsed).mul_f64(1.0 / margin.max(1.0))
         });
@@ -826,11 +755,11 @@ fn plan_and_execute<B: Backend>(
             )
             .map(|d| d.mean())
             .unwrap_or(plan.predicted.as_secs_f64());
-        (task, plan, predicted_mean)
+        (cfg, plan, predicted_mean)
     };
     if sim.tracer().enabled() {
         let tags = vec![
-            ("key", key.clone()),
+            ("key", task.key.clone()),
             ("n", plan.n.to_string()),
             ("side", format!("{:?}", plan.side)),
             ("local", plan.local.to_string()),
@@ -842,68 +771,42 @@ fn plan_and_execute<B: Backend>(
         sim.tracer().instant(now, names::TASK_PLAN, tags);
     }
 
-    let st2 = st.clone();
-    let cfg = st.borrow().cfg.clone();
+    let tenant = st.borrow().tenant.clone();
+    let engine_task = TaskSpec::clone(&task);
     let plan_made_at = now;
     let on_done: engine::OnDone<B> = Rc::new(move |sim, outcome: TaskOutcome| {
-        let st3 = st2.clone();
-        let key2 = outcome_key(&outcome, &key);
         let actual = sim.now().saturating_since(plan_made_at);
+        let plan_info = Some((plan, predicted_mean, actual, outcome.n_funcs));
         conclude(
             sim,
-            st3,
+            st.clone(),
             rule_idx,
-            key2,
-            seq,
-            size,
-            event_time,
+            task.clone(),
             outcome.status,
-            Some((plan, predicted_mean, actual, outcome.n_funcs)),
-            false,
+            plan_info,
             span,
         );
     });
-    // The orchestrator's invocation completes when its own work is done: at
-    // the end of the transfer for local plans, or once the replicators are
-    // dispatched otherwise.
-    let release_handle = handle;
-    let tenant = st.borrow().tenant.clone();
-    engine::execute_for(
-        sim,
-        tenant,
-        cfg,
-        task,
-        plan,
-        Some(handle),
-        on_done,
-        Box::new(move |sim: &mut B| sim.finish_function(release_handle)),
-    );
-}
-
-fn outcome_key(_outcome: &TaskOutcome, key: &str) -> String {
-    key.to_string()
+    // The engine finishes the orchestrator's invocation when its own work is
+    // done: at the end of the transfer for local plans, or once the
+    // replicators are dispatched otherwise.
+    engine::execute_for(sim, tenant, cfg, engine_task, plan, Some(handle), on_done);
 }
 
 /// Terminal bookkeeping: metrics, the online logger, unlock, and pending /
-/// abort re-triggers.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the task's fields to the next, so they travel as parameters"
-)]
+/// abort re-triggers. `plan_info` is `None` when a changelog hint replicated
+/// the version without a plan.
 fn conclude<B: Backend>(
     sim: &mut B,
     st: St,
     rule_idx: usize,
-    key: String,
-    seq: u64,
-    size: u64,
-    event_time: SimTime,
+    task: Rc<TaskSpec>,
     status: TaskStatus,
     plan_info: Option<(Plan, f64, SimDuration, u32)>,
-    via_changelog: bool,
     span: SpanId,
 ) {
     let now = sim.now();
+    let via_changelog = plan_info.is_none();
     let replicated_etag = match status {
         TaskStatus::Replicated { etag } => Some(etag),
         _ => None,
@@ -925,7 +828,7 @@ fn conclude<B: Backend>(
     let mut recheck_needed = false;
     {
         let mut s = st.borrow_mut();
-        s.inflight.remove(&(rule_idx, key.clone(), seq));
+        s.inflight.remove(&(rule_idx, task.key.clone(), task.seq));
         match status {
             TaskStatus::Replicated { etag } => {
                 let (side, n_funcs) = plan_info
@@ -933,10 +836,10 @@ fn conclude<B: Backend>(
                     .unwrap_or((crate::model::ExecSide::Source, 0));
                 s.metrics.record_completion(CompletionRecord {
                     rule: rule_idx,
-                    key: key.clone(),
+                    key: task.key.clone(),
                     etag,
-                    size,
-                    event_time,
+                    size: task.size,
+                    event_time: task.event_time,
                     completed_at: now,
                     n_funcs,
                     side,
@@ -945,19 +848,20 @@ fn conclude<B: Backend>(
                 // Failback completions already counted their SLO miss at
                 // divert time; replaying them into the SLO counters or the
                 // breaker window would double-count the outage.
-                let exempt = s.slo_exempt.remove(&(rule_idx, key.clone()));
+                let exempt = s.slo_exempt.remove(&(rule_idx, task.key.clone()));
                 if exempt {
                     s.metrics.failbacks += 1;
                     sim.tracer().counter_add("service.failbacks", 1);
                 }
+                // The effective SLO: the tenant's override, else the rule's.
+                let slo = s.tenant.slo.or(s.rules[rule_idx].slo);
+                let delay = now.saturating_since(task.event_time);
                 // Live SLO accounting: classify the completion against the
-                // effective SLO (tenant override, else rule) and feed the
-                // windowed good/bad counters the burn-rate monitor watches.
-                // Pure registry memory, gated on enablement — untraced runs
-                // pay one branch.
+                // effective SLO and feed the windowed good/bad counters the
+                // burn-rate monitor watches. Pure registry memory, gated on
+                // enablement — untraced runs pay one branch.
                 if sim.tracer().enabled() && !exempt {
-                    if let Some(slo) = s.tenant.slo.or(s.rules[rule_idx].slo) {
-                        let delay = now.saturating_since(event_time);
+                    if let Some(slo) = slo {
                         let verdict = if delay <= slo { "slo.good" } else { "slo.bad" };
                         let name = s.tenant.metric(verdict);
                         sim.tracer().counter_add_at(now, &name, 1);
@@ -975,22 +879,19 @@ fn conclude<B: Backend>(
                 // otherwise-quiet tenant would stay tripped forever.
                 if !exempt {
                     if let Some(health) = s.tenant.health.clone() {
-                        let slo = s.tenant.slo.or(s.rules[rule_idx].slo);
-                        let ok = slo.is_none_or(|slo| now.saturating_since(event_time) <= slo);
-                        let dst_region = s.rules[rule_idx].dst_region;
+                        let ok = slo.is_none_or(|slo| delay <= slo);
                         let mut h = health.borrow_mut();
-                        h.record_outcome(now, dst_region, ok);
-                        if h.write_route(now, dst_region) == WriteRoute::Divert {
+                        h.record_outcome(now, task.dst_region, ok);
+                        if h.write_route(now, task.dst_region) == WriteRoute::Divert {
                             recheck_needed = true;
                         }
                     }
                 }
                 // Online logger: compare the mean prediction with reality.
                 if let Some((plan, predicted_mean, actual, _)) = plan_info {
-                    let r = &s.rules[rule_idx];
                     let path = PathKey {
-                        src: r.src_region,
-                        dst: r.dst_region,
+                        src: task.src_region,
+                        dst: task.dst_region,
                         side: plan.side,
                     };
                     let actual_s = actual.as_secs_f64();
@@ -1031,52 +932,48 @@ fn conclude<B: Backend>(
     if recheck_needed {
         ensure_recheck(sim, st.clone(), rule_idx);
     }
+    // Aborted on a newer version whose own notification may have been lost
+    // to batching timing: replicate it directly.
+    let retry_current = matches!(status, TaskStatus::AbortedEtagMismatch { current: Some(_) });
+    release_lock(sim, st, rule_idx, &task, replicated_etag, retry_current);
+}
 
-    // Release the lock; a pending newer version re-triggers replication.
-    let (src_region, src_bucket) = {
-        let s = st.borrow();
-        let r = &s.rules[rule_idx];
-        (r.src_region, r.src_bucket.clone())
-    };
-    let lock_key = format!("{src_bucket}/{key}");
+/// Releases a task's replication lock, recording `replicated` as the
+/// destination's version. A version that arrived while the lock was held
+/// re-triggers replication; failing that, `retry_current` re-triggers the
+/// source's current version.
+fn release_lock<B: Backend>(
+    sim: &mut B,
+    st: St,
+    rule_idx: usize,
+    task: &TaskSpec,
+    replicated: Option<ETag>,
+    retry_current: bool,
+) {
     let exec = Exec::Platform {
-        region: src_region,
+        region: task.src_region,
         mbps: 1000.0,
     };
-    let st2 = st.clone();
-    let aborted_current = match status {
-        TaskStatus::AbortedEtagMismatch { current } => current,
-        _ => None,
-    };
+    let (key, seq) = (task.key.clone(), task.seq);
     sim.db_transact(
         exec,
-        src_region,
+        task.src_region,
         lock::LOCK_TABLE.into(),
-        lock_key,
-        lock::unlock_tx(replicated_etag),
+        lock_key(task),
+        lock::unlock_tx(replicated),
         move |sim, pending| {
             if let Some(p) = pending {
-                // Replicate the pending newest version.
-                retrigger_for_version(sim, st2, rule_idx, key, p.etag, p.seq, event_time);
-            } else if let Some(current) = aborted_current {
-                // Aborted on a newer version whose own notification may have
-                // been lost to batching timing: replicate it directly.
-                retrigger_for_version(sim, st2, rule_idx, key, current, seq + 1, event_time);
+                retrigger_for_version(sim, st, rule_idx, key, p.seq);
+            } else if retry_current {
+                retrigger_for_version(sim, st, rule_idx, key, seq + 1);
             }
         },
     );
 }
 
-/// Stats the source for the version's size and re-triggers replication.
-fn retrigger_for_version<B: Backend>(
-    sim: &mut B,
-    st: St,
-    rule_idx: usize,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    _prev_event_time: SimTime,
-) {
+/// Stats the source and re-triggers replication of its current version, at
+/// a write sequence of at least `seq`.
+fn retrigger_for_version<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: String, seq: u64) {
     let (src_region, src_bucket) = {
         let s = st.borrow();
         let r = &s.rules[rule_idx];
@@ -1085,106 +982,56 @@ fn retrigger_for_version<B: Backend>(
     match sim.stat_now(src_region, &src_bucket, &key) {
         Ok(stat) => {
             // Replicate whatever is current; measure delay from its PUT.
-            trigger_replication(
-                sim,
-                st,
-                rule_idx,
+            let task = task_of(
+                &st.borrow().rules[rule_idx],
                 key,
                 stat.etag,
                 stat.seq.max(seq),
                 stat.size,
                 stat.created_at,
             );
+            trigger_replication(sim, st, rule_idx, task);
         }
         Err(StoreError::NoSuchKey) => { /* deleted meanwhile; DELETE event handles it */ }
         Err(e) => panic!("unexpected stat error: {e}"),
     }
-    let _ = etag;
 }
 
 /// DELETE propagation: serialize through the same lock, remove at the
 /// destination.
-fn trigger_delete<B: Backend>(
-    sim: &mut B,
-    st: St,
-    rule_idx: usize,
-    key: String,
-    etag: ETag,
-    seq: u64,
-) {
-    let (src_region, src_bucket, dst_region, dst_bucket) = {
-        let s = st.borrow();
-        let r = &s.rules[rule_idx];
-        (
-            r.src_region,
-            r.src_bucket.clone(),
-            r.dst_region,
-            r.dst_bucket.clone(),
-        )
-    };
+fn trigger_delete<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSpec) {
+    let src_region = task.src_region;
     let spec = sim.default_fn_spec(src_region);
     let policy = st.borrow().cfg.retry.invoke_policy();
-    let st2 = st.clone();
+    let task = Rc::new(task);
     let body: FnBody<B> = Rc::new(move |sim, handle| {
         let exec = Exec::Function(handle);
-        let lock_key = format!("{src_bucket}/{}", key);
-        let st3 = st2.clone();
-        let key2 = key.clone();
-        let dst_bucket2 = dst_bucket.clone();
-        let src_bucket2 = src_bucket.clone();
+        let (st, task) = (st.clone(), task.clone());
         sim.db_transact(
             exec,
             src_region,
             lock::LOCK_TABLE.into(),
-            lock_key.clone(),
-            lock::try_lock_tx(etag, seq),
+            lock_key(&task),
+            lock::try_lock_tx(task.etag, task.seq),
             move |sim, outcome| match outcome {
                 LockOutcome::Busy => sim.finish_function(handle),
                 LockOutcome::Acquired => {
-                    let st4 = st3.clone();
-                    let key3 = key2.clone();
-                    let src_bucket3 = src_bucket2.clone();
                     sim.delete_object(
                         exec,
-                        dst_region,
-                        dst_bucket2.clone(),
-                        key2.clone(),
+                        task.dst_region,
+                        task.dst_bucket.clone(),
+                        task.key.clone(),
                         move |sim, result| {
                             match result {
                                 Ok(_) | Err(StoreError::NoSuchKey) => {
-                                    st4.borrow_mut().metrics.deletes_propagated += 1;
+                                    st.borrow_mut().metrics.deletes_propagated += 1;
                                     sim.tracer().counter_add("service.deletes_propagated", 1);
                                 }
                                 Err(e) => panic!("unexpected delete error: {e}"),
                             }
                             // Unlock; a pending PUT that raced the delete
                             // re-triggers replication.
-                            let lock_key = format!("{src_bucket3}/{key3}");
-                            let exec_p = Exec::Platform {
-                                region: src_region,
-                                mbps: 1000.0,
-                            };
-                            let st5 = st4.clone();
-                            sim.db_transact(
-                                exec_p,
-                                src_region,
-                                lock::LOCK_TABLE.into(),
-                                lock_key,
-                                lock::unlock_tx(Some(etag)),
-                                move |sim, pending| {
-                                    if let Some(p) = pending {
-                                        retrigger_for_version(
-                                            sim,
-                                            st5,
-                                            rule_idx,
-                                            key3,
-                                            p.etag,
-                                            p.seq,
-                                            SimTime::ZERO,
-                                        );
-                                    }
-                                },
-                            );
+                            release_lock(sim, st, rule_idx, &task, Some(task.etag), false);
                             sim.finish_function(handle);
                         },
                     );
@@ -1207,23 +1054,13 @@ pub const PROBE_KEY: &str = ".areplica-probe";
 /// replicating it (destination breaker open). SLO accounting happens here —
 /// a diverted write has, by decision, missed its SLO — and the eventual
 /// failback completion is marked exempt so the miss is counted exactly once.
-fn divert_to_catchup<B: Backend>(
-    sim: &mut B,
-    st: St,
-    rule_idx: usize,
-    key: String,
-    etag: ETag,
-    seq: u64,
-    size: u64,
-) {
+fn divert_to_catchup<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSpec) {
     let now = sim.now();
-    let (src_region, src_bucket, dst_bucket) = {
+    {
         let mut s = st.borrow_mut();
         s.metrics.diverted += 1;
-        s.slo_exempt.insert((rule_idx, key.clone()));
-        let r = &s.rules[rule_idx];
-        (r.src_region, r.src_bucket.clone(), r.dst_bucket.clone())
-    };
+        s.slo_exempt.insert((rule_idx, task.key.clone()));
+    }
     sim.tracer().counter_add("service.diverted", 1);
     {
         let s = st.borrow();
@@ -1239,22 +1076,25 @@ fn divert_to_catchup<B: Backend>(
             }
         }
     }
-    let _ = size;
     let exec = Exec::Platform {
-        region: src_region,
+        region: task.src_region,
         mbps: 1000.0,
     };
-    let st2 = st.clone();
+    let entry = catchup::CatchupEntry {
+        key: task.key,
+        etag: task.etag,
+        seq: task.seq,
+    };
     sim.db_transact(
         exec,
-        src_region,
+        task.src_region,
         catchup::CATCHUP_TABLE.into(),
-        catchup::queue_key(&src_bucket, &dst_bucket),
-        catchup::enqueue_tx(catchup::CatchupEntry { key, etag, seq }),
+        catchup::queue_key(&task.src_bucket, &task.dst_bucket),
+        catchup::enqueue_tx(entry),
         move |sim, depth| {
             sim.tracer()
                 .gauge_set("service.catchup_depth", depth as f64);
-            ensure_recheck(sim, st2, rule_idx);
+            ensure_recheck(sim, st, rule_idx);
         },
     );
 }
@@ -1391,15 +1231,7 @@ fn drain_catchup<B: Backend>(sim: &mut B, st: St, rule_idx: usize) {
                 .counter_add("service.failback_drained", entries.len() as u64);
             sim.tracer().gauge_set("service.catchup_depth", 0.0);
             for e in entries {
-                retrigger_for_version(
-                    sim,
-                    st2.clone(),
-                    rule_idx,
-                    e.key,
-                    e.etag,
-                    e.seq,
-                    SimTime::ZERO,
-                );
+                retrigger_for_version(sim, st2.clone(), rule_idx, e.key, e.seq);
             }
         },
     );

@@ -433,7 +433,6 @@ fn fair_dispatch_is_slower_on_variable_clouds() {
                     assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
                     *done2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
                 }),
-                Box::new(|_| {}),
             );
             sim.run_to_completion(50_000_000);
             total += done.borrow().expect("task completed");

@@ -61,7 +61,6 @@ fn run_task(s: &mut Setup, task: TaskSpec, p: Plan, cfg: EngineConfig) -> TaskOu
         p,
         None,
         Rc::new(move |_, o| *out2.borrow_mut() = Some(o)),
-        Box::new(|_| {}),
     );
     s.sim.run_to_completion(50_000_000);
     let o = out.borrow().clone();
@@ -197,7 +196,6 @@ fn watchdog_rescues_task_after_total_replicator_loss() {
         plan(4, false),
         None,
         Rc::new(move |_, o| *out2.borrow_mut() = Some(o)),
-        Box::new(|_| {}),
     );
     // Stop crashing after the initial fleet dies so the rescue can work.
     s.sim

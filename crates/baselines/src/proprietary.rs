@@ -8,7 +8,7 @@
 //! per-GB surcharge, inter-region egress, replication PUT requests, and the
 //! versioning storage overhead both services require.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use cloudsim::objstore::Content;
@@ -96,6 +96,11 @@ pub type OnManagedDone = Rc<dyn Fn(&mut CloudSim, ManagedResult)>;
 
 struct ManagedState {
     cfg: ManagedConfig,
+    src_region: RegionId,
+    src_bucket: String,
+    dst_region: RegionId,
+    dst_bucket: String,
+    on_done: OnManagedDone,
     /// Virtual time the service's data backlog drains (for burst queueing).
     data_backlog_free: SimTime,
     /// Virtual time the request backlog drains.
@@ -107,10 +112,6 @@ struct ManagedState {
 /// A managed cross-region replication rule instance.
 pub struct ManagedReplication {
     state: Rc<RefCell<ManagedState>>,
-    src_region: RegionId,
-    src_bucket: String,
-    dst_region: RegionId,
-    dst_bucket: String,
 }
 
 impl ManagedReplication {
@@ -173,37 +174,24 @@ impl ManagedReplication {
 
         let state = Rc::new(RefCell::new(ManagedState {
             cfg,
+            src_region,
+            src_bucket: src_bucket.to_string(),
+            dst_region,
+            dst_bucket: dst_bucket.to_string(),
+            on_done,
             data_backlog_free: SimTime::ZERO,
             req_backlog_free: SimTime::ZERO,
             completed: 0,
         }));
         let me = ManagedReplication {
             state: state.clone(),
-            src_region,
-            src_bucket: src_bucket.to_string(),
-            dst_region,
-            dst_bucket: dst_bucket.to_string(),
         };
 
-        let src_bucket2 = src_bucket.to_string();
-        let dst_bucket2 = dst_bucket.to_string();
         let target = sim.world.register_handler(Rc::new(move |sim, _region, ev| {
             if ev.kind != cloudsim::objstore::EventKind::Put {
                 return;
             }
-            replicate_version(
-                sim,
-                state.clone(),
-                src_region,
-                src_bucket2.clone(),
-                dst_region,
-                dst_bucket2.clone(),
-                ev.key.clone(),
-                ev.etag,
-                ev.size,
-                ev.event_time,
-                on_done.clone(),
-            );
+            replicate_version(sim, state.clone(), ev.key.clone(), ev.size, ev.event_time);
         }));
         world::subscribe_bucket(&mut sim.world, src_region, src_bucket, target)
             .expect("bucket exists");
@@ -217,40 +205,32 @@ impl ManagedReplication {
 
     /// The destination's current content for a key (verification helper).
     pub fn dst_content(&self, sim: &CloudSim, key: &str) -> Option<Content> {
+        let s = self.state.borrow();
         sim.world
-            .objstore(self.dst_region)
-            .read_full(&self.dst_bucket, key)
+            .objstore(s.dst_region)
+            .read_full(&s.dst_bucket, key)
             .ok()
             .map(|(c, _)| c)
     }
 
     /// Source region of the rule.
     pub fn src_region(&self) -> RegionId {
-        self.src_region
+        self.state.borrow().src_region
     }
 
     /// Source bucket of the rule.
-    pub fn src_bucket(&self) -> &str {
-        &self.src_bucket
+    pub fn src_bucket(&self) -> Ref<'_, str> {
+        Ref::map(self.state.borrow(), |s| s.src_bucket.as_str())
     }
 }
 
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the version's fields to the next, so they travel as parameters"
-)]
+/// Replicates one PUT of `key` after the modelled service delay.
 fn replicate_version(
     sim: &mut CloudSim,
     state: Rc<RefCell<ManagedState>>,
-    src_region: RegionId,
-    src_bucket: String,
-    dst_region: RegionId,
-    dst_bucket: String,
     key: String,
-    etag: cloudsim::objstore::ETag,
     size: u64,
     event_time: SimTime,
-    on_done: OnManagedDone,
 ) {
     let now = sim.now();
     let delay = {
@@ -278,12 +258,17 @@ fn replicate_version(
     };
 
     sim.schedule_in(delay, move |sim| {
+        let s = state.borrow();
+        let (src_region, dst_region) = (s.src_region, s.dst_region);
         // Replicate the *specific* version if it is still current; the
         // services replicate every version (versioning is on), but for delay
         // accounting we follow the paper's definition (the version or a
         // newer one is retrievable).
-        let read = sim.world.objstore(src_region).read_full(&src_bucket, &key);
-        let Ok((content, current_etag)) = read else {
+        let read = sim
+            .world
+            .objstore(src_region)
+            .read_full(&s.src_bucket, &key);
+        let Ok((content, _)) = read else {
             return; // deleted meanwhile
         };
         let size_now = content.size();
@@ -291,10 +276,12 @@ fn replicate_version(
         let applied = sim
             .world
             .objstore_mut(dst_region)
-            .apply_put(&dst_bucket, &key, content, now)
+            .apply_put(&s.dst_bucket, &key, content, now)
             .expect("destination bucket exists");
+        let (kind, retention, on_done) =
+            (s.cfg.kind, s.cfg.versioning_retention, s.on_done.clone());
+        drop(s);
         world::fanout_notifications(sim, dst_region, &applied);
-        let _ = (etag, current_etag);
 
         // Metering.
         let (src_cloud, src_geo, dst_cloud, dst_geo) = {
@@ -306,8 +293,6 @@ fn replicate_version(
                 r.geo(dst_region),
             )
         };
-        let kind = state.borrow().cfg.kind;
-        let retention = state.borrow().cfg.versioning_retention;
         let egress = sim
             .world
             .catalog

@@ -340,35 +340,26 @@ fn run_job(sim: &mut CloudSim, st: St, src: RegionId, dst: RegionId, job: Job) {
             let remaining = remaining.clone();
             let content2 = content.clone();
             let job_slot = job_slot.clone();
-            relay_share(
-                sim,
-                src_vms[i],
-                dst_vms[i],
-                src,
-                dst,
-                offset,
-                len,
-                move |sim| {
-                    let mut rem = remaining.borrow_mut();
-                    *rem -= 1;
-                    if *rem == 0 {
-                        drop(rem);
-                        let job = job_slot
-                            .borrow_mut()
-                            .take()
-                            .expect("last share takes the job exactly once");
-                        // All shares landed: apply the destination write.
-                        let now = sim.now();
-                        let applied = sim
-                            .world
-                            .objstore_mut(dst)
-                            .apply_put(&job.dst_bucket, &job.key, content2.clone(), now)
-                            .expect("destination bucket exists");
-                        world::fanout_notifications(sim, dst, &applied);
-                        finish_job(sim, st2, src, dst, job, now);
-                    }
-                },
-            );
+            relay_share(sim, src_vms[i], dst_vms[i], src, dst, len, move |sim| {
+                let mut rem = remaining.borrow_mut();
+                *rem -= 1;
+                if *rem == 0 {
+                    drop(rem);
+                    let job = job_slot
+                        .borrow_mut()
+                        .take()
+                        .expect("last share takes the job exactly once");
+                    // All shares landed: apply the destination write.
+                    let now = sim.now();
+                    let applied = sim
+                        .world
+                        .objstore_mut(dst)
+                        .apply_put(&job.dst_bucket, &job.key, content2.clone(), now)
+                        .expect("destination bucket exists");
+                    world::fanout_notifications(sim, dst, &applied);
+                    finish_job(sim, st2, src, dst, job, now);
+                }
+            });
         }
     });
 }
@@ -399,17 +390,12 @@ fn finish_job(
 
 /// Relays one share: source gateway pulls from the bucket, pushes over the
 /// WAN to the destination gateway, which stages it for the bucket write.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "continuation step: each callback hands the share's fields to the next, so they travel as parameters"
-)]
 fn relay_share(
     sim: &mut CloudSim,
     src_vm: VmId,
     dst_vm: VmId,
     src: RegionId,
     dst: RegionId,
-    _offset: u64,
     len: u64,
     done: impl FnOnce(&mut CloudSim) + 'static,
 ) {

@@ -66,7 +66,6 @@ fn run_part_size(part_size: u64, trials: usize, seed_offset: u64) -> (f64, f64, 
                 assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
                 *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
             }),
-            Box::new(|_| {}),
         );
         sim.run_to_completion(100_000_000);
         times.push(done.borrow().expect("completed"));

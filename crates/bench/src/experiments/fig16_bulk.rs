@@ -97,7 +97,6 @@ fn areplica_bulk(
             assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
             *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
         }),
-        Box::new(|_| {}),
     );
     sim.run_to_completion(100_000_000);
     let t = done.borrow().expect("bulk completed");

@@ -88,7 +88,6 @@ fn run_mode(mode: SchedulingMode, trials: usize, seed_offset: u64, traced: bool)
                     outcome.replicator_stats.clone(),
                 ));
             }),
-            Box::new(|_| {}),
         );
         sim.run_to_completion(50_000_000);
         let (e2e, stats) = done.borrow().clone().expect("completed");

@@ -64,7 +64,6 @@ pub fn actual_times(
                 assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
                 *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
             }),
-            Box::new(|_| {}),
         );
         sim.run_to_completion(50_000_000);
         times.push(done.borrow().expect("completed"));

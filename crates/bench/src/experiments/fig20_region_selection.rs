@@ -65,7 +65,6 @@ fn measure_side(
                 assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
                 *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
             }),
-            Box::new(|_| {}),
         );
         sim.run_to_completion(10_000_000);
         times.push(done.borrow().expect("completed"));

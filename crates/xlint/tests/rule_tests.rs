@@ -121,6 +121,7 @@ fn workspace_is_lint_clean() {
 /// scratch mini-workspace under `target/` and returns its root.
 fn scratch_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let scratch = repo_root().join("target").join(name);
+    fs::remove_dir_all(&scratch).ok();
     let src_dir = scratch.join("crates/areplica-core/src");
     fs::create_dir_all(&src_dir).expect("scratch dirs");
     fs::write(
@@ -129,9 +130,99 @@ fn scratch_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     )
     .expect("scratch manifest");
     for (file, src) in files {
-        fs::write(src_dir.join(file), src).expect("scratch source");
+        let path = src_dir.join(file);
+        fs::create_dir_all(path.parent().expect("file has a parent")).expect("scratch dirs");
+        fs::write(path, src).expect("scratch source");
     }
     scratch
+}
+
+/// Every `.rs` file under `dir`, as (path relative to `root`, source).
+fn sources_under(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            sources_under(root, &path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(root).expect("under root");
+            let src = fs::read_to_string(&path).expect("readable source");
+            out.push((rel.to_string_lossy().replace('\\', "/"), src));
+        }
+    }
+}
+
+/// Lints a scratch copy of the committed `crates/areplica-core/src/`, with
+/// `anchor` replaced by `seeded` in `file` (which must hold the anchor
+/// exactly once, so a moved anchor fails loudly instead of passing
+/// vacuously).
+fn lint_core_copy(name: &str, edit: Option<(&str, &str, &str)>) -> Vec<xlint::rules::Finding> {
+    let core_src = repo_root().join("crates/areplica-core/src");
+    let mut files = Vec::new();
+    sources_under(&core_src, &core_src, &mut files);
+    if let Some((file, anchor, seeded)) = edit {
+        let (_, src) = files
+            .iter_mut()
+            .find(|(rel, _)| rel == file)
+            .unwrap_or_else(|| panic!("{file} missing from the core's sources"));
+        assert_eq!(
+            src.matches(anchor).count(),
+            1,
+            "seeded-edit anchor `{anchor}` must occur exactly once in {file}"
+        );
+        *src = src.replace(anchor, seeded);
+    }
+    let borrowed: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    let scratch = scratch_workspace(name, &borrowed);
+    let findings = lint_root(&scratch, &committed()).expect("scratch walk");
+    fs::remove_dir_all(&scratch).ok();
+    findings
+}
+
+/// xlint still sees the real replication pipeline: the committed core is
+/// clean on its own, and two seeded leaks in it are caught. Both checks
+/// depend on the TASK span and the adopted upload id travelling as
+/// parameters: the flow walk treats a value moved into a struct literal as
+/// concluded, so folding either into a record would silence them.
+#[test]
+fn real_pipeline_leaks_are_caught() {
+    let clean = lint_core_copy("xlint-core-clean", None);
+    assert!(clean.is_empty(), "committed core has findings: {clean:?}");
+
+    // The orchestrator's lock-busy arm forgets to end the TASK span.
+    let span = lint_core_copy(
+        "xlint-core-span-leak",
+        Some((
+            "service.rs",
+            "sim.tracer().span_end_tagged(now, span, status);",
+            "",
+        )),
+    );
+    assert!(
+        span.iter()
+            .any(|f| f.rule == "span-balance" && f.file.ends_with("service.rs")),
+        "TASK span leak not caught: {span:?}"
+    );
+
+    // A replicator that finds every part uploaded retires without
+    // completing the multipart upload.
+    let upload = lint_core_copy(
+        "xlint-core-upload-leak",
+        Some((
+            "engine.rs",
+            "ClaimResult::AllPartsDone => conclude_distributed(sim, r, upload_id),",
+            "ClaimResult::AllPartsDone => record_and_finish(sim, &r),",
+        )),
+    );
+    assert!(
+        upload.iter().any(|f| f.rule == "protocol-resource-balance"
+            && f.file.ends_with("engine.rs")
+            && f.message.contains("adopted upload")
+            && f.message.contains("`invoke_replicators`")),
+        "adopted-upload leak not caught: {upload:?}"
+    );
 }
 
 /// Seeding a violating file into a scratch mini-workspace must be caught

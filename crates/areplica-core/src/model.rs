@@ -11,14 +11,16 @@
 //! All parameters are distributions fitted by the profiler. Sums compose
 //! analytically (Normal); the max over `n` instances uses cached Monte-Carlo
 //! simulation for moderate `n` and the Gumbel extreme-value approximation for
-//! large `n`, exactly as the paper prescribes. The cache is populated
-//! on demand (bootstrap) and invalidated by the online logger on persistent
-//! prediction drift.
+//! large `n`, exactly as the paper prescribes. The Monte Carlo is
+//! bootstrapped on demand as standardized maxima, which no parameter change
+//! invalidates: every answer maps them through the path's current
+//! per-instance time.
 //!
 //! The planner's percentile queries are memoised exactly: a `T_rep` quantile
 //! depends on the object size only through one chunk count, so repeated
 //! queries for sizes that share that count are answered from a map, with
-//! the same bits a fresh computation would produce.
+//! the same bits a fresh computation would produce. The online logger's
+//! drift corrections invalidate the memo.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -26,7 +28,7 @@ use std::rc::Rc;
 use cloudapi::RegionId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stats::{sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA, GUMBEL_THRESHOLD_N};
+use stats::{sum_as_normal, Dist, EmpiricalDist, StdNormalMap, EULER_GAMMA, GUMBEL_THRESHOLD_N};
 
 /// Where the replicator functions run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,13 +127,6 @@ pub struct PathKey {
     pub side: ExecSide,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct MaxCacheKey {
-    path: PathKey,
-    n: u32,
-    chunks_per_fn: u64,
-}
-
 /// Everything a `t_rep_quantile` answer depends on, given the model's
 /// parameters: the size enters only through [`PerfModel::plan_chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -143,26 +138,84 @@ struct QuantileKey {
     p_bits: u64,
 }
 
+/// One length's shift draws, in draw order, and the largest of them.
+#[derive(Debug, Clone)]
+struct ShiftDraws {
+    z: Vec<f64>,
+    max: f64,
+}
+
+/// `T_rep`'s samples at `2 <= n < GUMBEL_THRESHOLD_N`, read straight from
+/// the cached standardized maxima and shift draws: sample `i` is the
+/// max-of-`n` transfer time `map(maxima[i])`, ascending in `i`, plus the
+/// independent Normal `T_func` draw `mu + sigma * draws.z[i]`. Those are
+/// [`Dist::sample`]'s float expressions, so the samples match a fresh Monte
+/// Carlo plus a per-call RNG shift, bit for bit.
+struct FusedSamples<'a> {
+    map: StdNormalMap,
+    maxima: Rc<Vec<f64>>,
+    draws: &'a ShiftDraws,
+    mu: f64,
+    sigma: f64,
+}
+
+impl FusedSamples<'_> {
+    fn transfer(&self, i: usize) -> f64 {
+        self.map.apply(self.maxima[i])
+    }
+
+    fn shift(&self, i: usize) -> f64 {
+        self.mu + self.sigma * self.draws.z[i]
+    }
+
+    /// The samples as a distribution, summed in index order.
+    fn dist(&self) -> Dist {
+        let samples = (0..self.maxima.len())
+            .map(|i| self.transfer(i) + self.shift(i))
+            .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "finite maxima through a Normal or LogNormal map plus a finite normal shift stay finite, and mc_trials > 0"
+        )]
+        Dist::Empirical(EmpiricalDist::new(samples).expect("finite samples"))
+    }
+
+    /// `self.dist().quantile(p)`, bit for bit, without building it: one
+    /// descending pass that stops once `s_max`, the shift of the largest
+    /// draw, proves no lower sample reaches the ranks `p` reads.
+    fn quantile(&self, p: f64) -> f64 {
+        let s_max = self.mu + self.sigma * self.draws.max;
+        let len = self.maxima.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "finite maxima through a Normal or LogNormal map plus a finite normal shift stay finite, and mc_trials > 0"
+        )]
+        stats::quantile_of_sums(len, p, |i| self.transfer(i), |i| self.shift(i), s_max)
+            .expect("finite samples")
+    }
+}
+
 /// The fitted performance model.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
     loc: BTreeMap<RegionId, LocParams>,
     path: BTreeMap<PathKey, PathParams>,
     notif: BTreeMap<RegionId, Dist>,
-    max_cache: BTreeMap<MaxCacheKey, Rc<Dist>>,
-    /// Memoised `t_rep_quantile` answers. Invalidated with `max_cache` per
-    /// path, and entirely by `set_loc` (`T_func` reads the location).
+    /// Memoised `t_rep_quantile` answers. Invalidated per path by `set_path`
+    /// and `rescale_path_chunks`, and entirely by `set_loc` (`T_func` reads
+    /// the location).
     quantile_memo: BTreeMap<QuantileKey, f64>,
     /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`, sorted
-    /// ascending. The derived MC seed depends only on that pair — never on
-    /// path parameters — so these survive `set_path` / `rescale_path_chunks`
-    /// invalidation and make drift-triggered re-fits an affine remap instead
-    /// of a fresh Monte Carlo (the fig23 replay hot path).
+    /// ascending: the model's only max-of-n cache. The derived MC seed
+    /// depends only on that pair — never on path parameters — so these
+    /// survive `set_path` / `rescale_path_chunks`, and an answer after a
+    /// drift correction maps them instead of running a fresh Monte Carlo
+    /// (the fig23 replay hot path).
     std_max_cache: BTreeMap<(u32, u64), Rc<Vec<f64>>>,
-    /// The standard-normal draws [`PerfModel::add_normal`] shifts a
-    /// `len`-sample empirical distribution by, keyed by `len`. Their seed
-    /// depends on `len` alone, so they never need invalidating.
-    shift_draws: BTreeMap<usize, Vec<f64>>,
+    /// The standard-normal draws that add `T_func` to a `len`-sample
+    /// max-of-n, keyed by `len`. Their seed depends on `len` alone, so they
+    /// never need invalidating.
+    shift_draws: BTreeMap<usize, ShiftDraws>,
     /// Chunk size `c` in bytes the parameters were profiled at.
     chunk_size: u64,
     /// Monte-Carlo trial budget per cached distribution.
@@ -208,15 +261,14 @@ impl PerfModel {
         self.loc.insert(region, params);
     }
 
-    /// Installs (or replaces) a path's `S/C/C′` parameters, invalidating any
-    /// cached max-of-n distributions and quantiles for it.
+    /// Installs (or replaces) a path's `S/C/C′` parameters, invalidating its
+    /// memoised quantiles.
     pub fn set_path(&mut self, key: PathKey, params: PathParams) {
         self.invalidate_path(key);
         self.path.insert(key, params);
     }
 
     fn invalidate_path(&mut self, key: PathKey) {
-        self.max_cache.retain(|k, _| k.path != key);
         self.quantile_memo.retain(|k, _| k.path != key);
     }
 
@@ -291,44 +343,44 @@ impl PerfModel {
     }
 
     /// `T_transfer` for `n` parallel replicators: the max over instances of
-    /// `S + Σ_{⌈size/(c·n)⌉} C′`, via cached Monte Carlo or Gumbel EVT.
+    /// `S + Σ_{⌈size/(c·n)⌉} C′`, via the cached Monte-Carlo maxima or
+    /// Gumbel EVT.
     pub fn t_transfer_parallel(
         &mut self,
         path: PathKey,
         size: u64,
         n: u32,
-    ) -> Result<Rc<Dist>, ModelError> {
+    ) -> Result<Dist, ModelError> {
         assert!(n >= 2, "use t_transfer_single for n = 1");
         let chunks_per_fn = self.plan_chunks(size, n);
-        let key = MaxCacheKey {
-            path,
-            n,
-            chunks_per_fn,
-        };
-        if let Some(cached) = self.max_cache.get(&key) {
-            return Ok(Rc::clone(cached));
+        let per_instance = self.per_instance(path, chunks_per_fn)?;
+        if (n as usize) >= GUMBEL_THRESHOLD_N {
+            return Ok(stats::gumbel_max_of_normals(
+                per_instance.mean(),
+                per_instance.std_dev(),
+                n as usize,
+            ));
         }
+        let std_maxima = self.std_maxima(n, chunks_per_fn);
+        #[expect(
+            clippy::expect_used,
+            reason = "per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers"
+        )]
+        Ok(Dist::Empirical(
+            stats::monte_carlo_max_from_std(&per_instance, &std_maxima)
+                .expect("per-instance time is Normal or LogNormal"),
+        ))
+    }
+
+    /// One instance's share of a parallel transfer, `S + Σ_{chunks} C′`,
+    /// widened by the path's between-instance CV: a Normal, or a LogNormal
+    /// when that CV is positive.
+    fn per_instance(&self, path: PathKey, chunks_per_fn: u64) -> Result<Dist, ModelError> {
         let p = self.path.get(&path).ok_or(ModelError::UnknownPath(path))?;
-        let per_instance = inflate_instance_cv(
+        Ok(inflate_instance_cv(
             sum_as_normal(&[p.setup.clone(), p.chunk_distributed.iid_sum(chunks_per_fn)]),
             p.instance_cv,
-        );
-        let dist = if (n as usize) >= GUMBEL_THRESHOLD_N {
-            stats::gumbel_max_of_normals(per_instance.mean(), per_instance.std_dev(), n as usize)
-        } else {
-            let std_maxima = self.std_maxima(n, chunks_per_fn);
-            #[expect(
-                clippy::expect_used,
-                reason = "per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers"
-            )]
-            Dist::Empirical(
-                stats::monte_carlo_max_from_std(&per_instance, &std_maxima)
-                    .expect("per-instance time is Normal or LogNormal"),
-            )
-        };
-        let dist = Rc::new(dist);
-        self.max_cache.insert(key, Rc::clone(&dist));
-        Ok(dist)
+        ))
     }
 
     /// Full `T_rep` distribution for a plan.
@@ -339,28 +391,48 @@ impl PerfModel {
         n: u32,
         local: bool,
     ) -> Result<Dist, ModelError> {
+        let loc = path.side.region(path.src, path.dst);
         if n <= 1 {
-            let loc = path.side.region(path.src, path.dst);
             let t_func = self.t_func(loc, n, local)?;
             let t_transfer = self.t_transfer_single(path, size)?;
             return Ok(sum_as_normal(&[t_func, t_transfer]));
         }
-        let (t_transfer, mu, sigma) = self.parallel_terms(path, size, n, local)?;
-        Ok(self.add_normal(&t_transfer, mu, sigma))
+        if (n as usize) < GUMBEL_THRESHOLD_N {
+            return Ok(self.fused_samples(path, size, n, local)?.dist());
+        }
+        let t_func = self.t_func(loc, n, local)?;
+        let t_transfer = self.t_transfer_parallel(path, size, n)?;
+        Ok(add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
     }
 
-    /// `T_rep`'s two terms at `n >= 2`: the max-of-`n` `T_transfer`, and
+    /// What a `T_rep` answer at `2 <= n < GUMBEL_THRESHOLD_N` reads: the
+    /// per-instance map, the cached standardized maxima and shift draws, and
     /// the mean and standard deviation of the Normal `T_func`.
-    fn parallel_terms(
+    fn fused_samples(
         &mut self,
         path: PathKey,
         size: u64,
         n: u32,
         local: bool,
-    ) -> Result<(Rc<Dist>, f64, f64), ModelError> {
+    ) -> Result<FusedSamples<'_>, ModelError> {
         let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
-        let t_transfer = self.t_transfer_parallel(path, size, n)?;
-        Ok((t_transfer, t_func.mean(), t_func.std_dev()))
+        let chunks_per_fn = self.plan_chunks(size, n);
+        let per_instance = self.per_instance(path, chunks_per_fn)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal"
+        )]
+        let map =
+            StdNormalMap::of(&per_instance).expect("per-instance time is Normal or LogNormal");
+        let maxima = self.std_maxima(n, chunks_per_fn);
+        let draws = self.shift_draws(maxima.len());
+        Ok(FusedSamples {
+            map,
+            maxima,
+            draws,
+            mu: t_func.mean(),
+            sigma: t_func.std_dev(),
+        })
     }
 
     /// The planner's scalar query: `t` such that `P(T_rep <= t) >= p`,
@@ -368,9 +440,9 @@ impl PerfModel {
     ///
     /// Answers are memoised on `(path, n, local, chunk count, p)`, which
     /// with the current parameters determines the answer exactly. A miss
-    /// answers `t_rep_dist(..).quantile(p).max(0.0)`, bit for bit, but for
-    /// an Empirical `T_transfer` it selects the quantile from the shifted
-    /// samples instead of sorting them.
+    /// answers `t_rep_dist(..).quantile(p).max(0.0)`, bit for bit, but below
+    /// the Gumbel threshold it reads the quantile from the cached maxima and
+    /// shift draws instead of building and sorting the samples.
     pub fn t_rep_quantile(
         &mut self,
         path: PathKey,
@@ -389,21 +461,10 @@ impl PerfModel {
         if let Some(&q) = self.quantile_memo.get(&key) {
             return Ok(q);
         }
-        let q = if n <= 1 {
-            self.t_rep_dist(path, size, n, local)?.quantile(p)
+        let q = if n >= 2 && (n as usize) < GUMBEL_THRESHOLD_N {
+            self.fused_samples(path, size, n, local)?.quantile(p)
         } else {
-            let (t_transfer, mu, sigma) = self.parallel_terms(path, size, n, local)?;
-            match &*t_transfer {
-                Dist::Empirical(e) => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty"
-                    )]
-                    stats::select_quantile(&mut self.shifted_samples(e, mu, sigma), p)
-                        .expect("finite samples")
-                }
-                other => self.add_normal(other, mu, sigma).quantile(p),
-            }
+            self.t_rep_dist(path, size, n, local)?.quantile(p)
         }
         .max(0.0);
         self.quantile_memo.insert(key, q);
@@ -411,7 +472,7 @@ impl PerfModel {
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
-    /// correction) and invalidates the affected cache entries.
+    /// correction) and invalidates the path's memoised quantiles.
     pub fn rescale_path_chunks(&mut self, key: PathKey, factor: f64) {
         assert!(factor > 0.0 && factor.is_finite());
         if let Some(p) = self.path.get_mut(&key) {
@@ -421,19 +482,16 @@ impl PerfModel {
         self.invalidate_path(key);
     }
 
-    /// Number of cached max-of-n distributions (test/inspection hook).
+    /// Number of cached max-of-n Monte-Carlo runs, each a vector of
+    /// standardized maxima for one `(n, chunks per instance)`
+    /// (test/inspection hook).
     pub fn cached_max_dists(&self) -> usize {
-        self.max_cache.len()
+        self.std_max_cache.len()
     }
 
     /// Number of memoised `t_rep_quantile` answers (test/inspection hook).
     pub fn cached_quantiles(&self) -> usize {
         self.quantile_memo.len()
-    }
-
-    /// Number of cached standardized-maxima vectors (test/inspection hook).
-    pub fn cached_std_maxima(&self) -> usize {
-        self.std_max_cache.len()
     }
 
     /// Standardized per-trial maxima for `(n, chunks_per_fn)`, computed once
@@ -456,60 +514,42 @@ impl PerfModel {
         v
     }
 
-    /// The standard-normal draws that shift a `len`-sample empirical
-    /// distribution in [`PerfModel::add_normal`]: the fixed stream of a
-    /// `StdRng` seeded by `len`, drawn once per length.
-    fn shift_draws(&mut self, len: usize) -> &[f64] {
+    /// The standard-normal draws that add `T_func` to a `len`-sample
+    /// max-of-n: the fixed stream of a `StdRng` seeded by `len`, drawn once
+    /// per length, with their maximum.
+    fn shift_draws(&mut self, len: usize) -> &ShiftDraws {
         self.shift_draws.entry(len).or_insert_with(|| {
             let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
-            (0..len)
+            let z: Vec<f64> = (0..len)
                 .map(|_| stats::sample_std_normal(&mut rng))
-                .collect()
+                .collect();
+            let max = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            ShiftDraws { z, max }
         })
     }
+}
 
-    /// Adds an independent Normal(`mu`, `sigma`) to a distribution:
-    /// exact for Normal, moment-matched Gumbel for Gumbel (preserving the
-    /// tail shape of the max), sample-shifted for Empirical.
-    fn add_normal(&mut self, base: &Dist, mu: f64, sigma: f64) -> Dist {
-        match base {
-            Dist::Normal { mu: m, sigma: s } => Dist::Normal {
-                mu: m + mu,
-                sigma: (s * s + sigma * sigma).sqrt(),
-            },
-            Dist::Gumbel { mu: m, beta } => {
-                // Match the combined variance on a Gumbel, keeping the mean
-                // exact: Var(Gumbel) = pi^2 beta^2 / 6.
-                let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
-                let beta2 = (beta * beta + sigma * sigma / pi2_6).sqrt();
-                let mean_total = m + EULER_GAMMA * beta + mu;
-                Dist::Gumbel {
-                    mu: mean_total - EULER_GAMMA * beta2,
-                    beta: beta2,
-                }
+/// Adds an independent Normal(`mu`, `sigma`) to a closed-form distribution:
+/// exact for Normal, moment-matched Gumbel for Gumbel (preserving the tail
+/// shape of the max), a plain shift by `mu` otherwise.
+fn add_normal(base: &Dist, mu: f64, sigma: f64) -> Dist {
+    match base {
+        Dist::Normal { mu: m, sigma: s } => Dist::Normal {
+            mu: m + mu,
+            sigma: (s * s + sigma * sigma).sqrt(),
+        },
+        Dist::Gumbel { mu: m, beta } => {
+            // Match the combined variance on a Gumbel, keeping the mean
+            // exact: Var(Gumbel) = pi^2 beta^2 / 6.
+            let pi2_6 = std::f64::consts::PI.powi(2) / 6.0;
+            let beta2 = (beta * beta + sigma * sigma / pi2_6).sqrt();
+            let mean_total = m + EULER_GAMMA * beta + mu;
+            Dist::Gumbel {
+                mu: mean_total - EULER_GAMMA * beta2,
+                beta: beta2,
             }
-            Dist::Empirical(e) => {
-                let shifted = self.shifted_samples(e, mu, sigma);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty"
-                )]
-                Dist::Empirical(EmpiricalDist::new(shifted).expect("finite samples"))
-            }
-            other => other.shift(mu),
         }
-    }
-
-    /// `e`'s samples, each shifted by an independent Normal(`mu`, `sigma`)
-    /// draw. `mu + sigma * z` is the float expression `Dist::sample` uses
-    /// for a Normal, so the result matches a per-call RNG drawing
-    /// `Dist::normal(mu, sigma)` bit-for-bit.
-    fn shifted_samples(&mut self, e: &EmpiricalDist, mu: f64, sigma: f64) -> Vec<f64> {
-        e.samples()
-            .iter()
-            .zip(self.shift_draws(e.len()))
-            .map(|(x, z)| x + (mu + sigma * z))
-            .collect()
+        other => other.shift(mu),
     }
 }
 
@@ -517,15 +557,24 @@ impl PerfModel {
 mod tests {
     use super::*;
     use cloudapi::{Cloud, RegionRegistry};
+    use proptest::prelude::*;
 
     fn regions() -> RegionRegistry {
         RegionRegistry::paper_regions()
     }
 
     fn test_model(regions: &RegionRegistry) -> (PerfModel, PathKey) {
+        model_with(regions, 2000, 0.0)
+    }
+
+    fn model_with(
+        regions: &RegionRegistry,
+        mc_trials: usize,
+        instance_cv: f64,
+    ) -> (PerfModel, PathKey) {
         let src = regions.lookup(Cloud::Aws, "us-east-1").unwrap();
         let dst = regions.lookup(Cloud::Azure, "eastus").unwrap();
-        let mut m = PerfModel::new(8 << 20, 2000, 99);
+        let mut m = PerfModel::new(8 << 20, mc_trials, 99);
         m.set_loc(
             src,
             LocParams {
@@ -549,11 +598,14 @@ mod tests {
         };
         m.set_path(
             path,
-            PathParams::new(
-                Dist::normal(0.25, 0.05),
-                Dist::normal(0.20, 0.04),
-                Dist::normal(0.22, 0.05),
-            ),
+            PathParams {
+                instance_cv,
+                ..PathParams::new(
+                    Dist::normal(0.25, 0.05),
+                    Dist::normal(0.20, 0.04),
+                    Dist::normal(0.22, 0.05),
+                )
+            },
         );
         (m, path)
     }
@@ -625,15 +677,31 @@ mod tests {
     fn monte_carlo_cache_hits() {
         let r = regions();
         let (mut m, path) = test_model(&r);
+        let other_side = PathKey {
+            side: ExecSide::Destination,
+            ..path
+        };
+        m.set_path(other_side, m.path_params(path).unwrap().clone());
         assert_eq!(m.cached_max_dists(), 0);
         let a = m.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(m.cached_max_dists(), 1);
+        let maxima = m.std_maxima(16, 8);
+        // Every answer at 8 chunks per instance over 16 instances, on either
+        // path, reads the one bootstrap.
+        m.t_rep_quantile(path, 1 << 30, 16, false, 0.99).unwrap();
+        m.t_rep_dist(path, (1 << 30) - 5, 16, false).unwrap();
+        m.t_rep_quantile(other_side, 121 * (8 << 20), 16, false, 0.5)
+            .unwrap();
         let b = m.t_transfer_parallel(path, 1 << 30, 16).unwrap();
+        assert_eq!(a, b);
         assert_eq!(m.cached_max_dists(), 1);
         assert!(
-            Rc::ptr_eq(&a, &b),
-            "a hit must share the cached distribution, not copy it"
+            Rc::ptr_eq(&maxima, &m.std_maxima(16, 8)),
+            "a hit must share the cached maxima, not copy them"
         );
+        // Another chunk count per instance bootstraps its own.
+        m.t_transfer_parallel(path, 1 << 29, 16).unwrap();
+        assert_eq!(m.cached_max_dists(), 2);
     }
 
     #[test]
@@ -641,7 +709,8 @@ mod tests {
         let r = regions();
         let (mut m, path) = test_model(&r);
         let d = m.t_transfer_parallel(path, 100 << 30, 256).unwrap();
-        assert!(matches!(*d, Dist::Gumbel { .. }));
+        assert!(matches!(d, Dist::Gumbel { .. }));
+        assert_eq!(m.cached_max_dists(), 0, "the closed form caches nothing");
         // And it must still be a sane, finite prediction.
         let q = d.quantile(0.99);
         assert!(q.is_finite() && q > 0.0);
@@ -671,9 +740,11 @@ mod tests {
         let r = regions();
         let (mut warm, path) = test_model(&r);
         let _ = warm.t_transfer_parallel(path, 1 << 30, 16).unwrap(); // warm the std cache
-        assert_eq!(warm.cached_std_maxima(), 1);
+        let maxima = warm.std_maxima(16, 8);
         warm.rescale_path_chunks(path, 1.7);
         let reused = warm.t_transfer_parallel(path, 1 << 30, 16).unwrap();
+        assert_eq!(warm.cached_max_dists(), 1);
+        assert!(Rc::ptr_eq(&maxima, &warm.std_maxima(16, 8)));
 
         let (mut cold, _) = test_model(&r);
         cold.rescale_path_chunks(path, 1.7);
@@ -691,7 +762,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(99 ^ 16u64 << 32 ^ 8);
         let full = stats::monte_carlo_max(&per_instance, 16, 2000, &mut rng);
-        assert_eq!(*fresh, Dist::Empirical(full));
+        assert_eq!(fresh, Dist::Empirical(full));
         let std_max = cold.std_maxima(16, 8);
         assert!(std_max.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -711,21 +782,187 @@ mod tests {
     #[test]
     fn cached_shift_draws_match_per_call_rng() {
         let mut m = PerfModel::default();
-        let mut rng = StdRng::seed_from_u64(3);
+        let parent = Dist::normal(4.0, 1.3);
         for len in [1, 7, 3000] {
-            let e = stats::monte_carlo_max(&Dist::normal(4.0, 1.3), 8, len, &mut rng);
+            let seed = 3 ^ len as u64;
+            let e = stats::monte_carlo_max(&parent, 8, len, &mut StdRng::seed_from_u64(seed));
+            let mut maxima = stats::std_normal_maxima(8, len, &mut StdRng::seed_from_u64(seed));
+            maxima.sort_by(f64::total_cmp);
+            let maxima = Rc::new(maxima);
             for (mu, sigma) in [(0.78, 0.21), (0.0, 0.0), (12.5, 3.25), (0.1, 1e-9)] {
+                let reference = add_normal_per_call_rng(&e, mu, sigma);
                 // Twice: once drawing, once from the cache.
                 for _ in 0..2 {
-                    assert_eq!(
-                        m.add_normal(&Dist::Empirical(e.clone()), mu, sigma),
-                        add_normal_per_call_rng(&e, mu, sigma),
-                        "len {len} mu {mu} sigma {sigma}"
-                    );
+                    let fused = FusedSamples {
+                        map: StdNormalMap::of(&parent).unwrap(),
+                        maxima: Rc::clone(&maxima),
+                        draws: m.shift_draws(len),
+                        mu,
+                        sigma,
+                    };
+                    assert_eq!(fused.dist(), reference, "len {len} mu {mu} sigma {sigma}");
+                    for p in [0.0, 0.5, 0.99, 0.9999, 1.0] {
+                        assert_eq!(
+                            fused.quantile(p).to_bits(),
+                            reference.quantile(p).to_bits(),
+                            "len {len} mu {mu} sigma {sigma} p {p}"
+                        );
+                    }
+                }
+            }
+            let draws = m.shift_draws(len);
+            assert_eq!(draws.max, draws.z.iter().copied().fold(f64::MIN, f64::max));
+        }
+        assert_eq!(m.shift_draws.len(), 3);
+    }
+
+    /// `T_rep` at `n >= 2` rebuilt with no cache: the unpruned Monte Carlo
+    /// under the model's seed, shifted by a per-call RNG, and in the Gumbel
+    /// regime the closed form.
+    fn uncached_t_rep(m: &PerfModel, path: PathKey, size: u64, n: u32) -> Dist {
+        let loc = path.side.region(path.src, path.dst);
+        let t_func = m.t_func(loc, n, false).unwrap();
+        let chunks = m.plan_chunks(size, n);
+        let p = m.path_params(path).unwrap();
+        let per_instance = inflate_instance_cv(
+            sum_as_normal(&[p.setup.clone(), p.chunk_distributed.iid_sum(chunks)]),
+            p.instance_cv,
+        );
+        if n as usize >= GUMBEL_THRESHOLD_N {
+            let (mean, sd) = (per_instance.mean(), per_instance.std_dev());
+            let max = stats::gumbel_max_of_normals(mean, sd, n as usize);
+            return add_normal(&max, t_func.mean(), t_func.std_dev());
+        }
+        let mut rng = StdRng::seed_from_u64(m.mc_seed ^ (n as u64) << 32 ^ chunks);
+        let max = stats::monte_carlo_max(&per_instance, n as usize, m.mc_trials, &mut rng);
+        add_normal_per_call_rng(&max, t_func.mean(), t_func.std_dev())
+    }
+
+    /// A change to the model, as the profiler and the online logger make
+    /// them.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Rescale(f64),
+        SetPath { chunk_s: f64, instance_cv: f64 },
+        SetLoc { cold_s: f64 },
+    }
+
+    impl Edit {
+        fn apply(&self, m: &mut PerfModel, path: PathKey) {
+            match *self {
+                Edit::Rescale(factor) => m.rescale_path_chunks(path, factor),
+                Edit::SetPath {
+                    chunk_s,
+                    instance_cv,
+                } => m.set_path(
+                    path,
+                    PathParams {
+                        instance_cv,
+                        ..PathParams::new(
+                            Dist::normal(0.25, 0.05),
+                            Dist::normal(chunk_s, chunk_s * 0.2),
+                            Dist::normal(chunk_s * 1.1, chunk_s * 0.25),
+                        )
+                    },
+                ),
+                Edit::SetLoc { cold_s } => m.set_loc(
+                    path.src,
+                    LocParams {
+                        invoke: Dist::normal(0.03, 0.01),
+                        cold: Dist::normal(cold_s, cold_s * 0.4),
+                        postpone: Dist::Constant(0.0),
+                    },
+                ),
+            }
+        }
+    }
+
+    /// No instance CV (a Normal per-instance time), or a profiled-like one
+    /// (LogNormal).
+    fn arb_instance_cv() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.05f64..0.4]
+    }
+
+    fn arb_edit() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            (0.3f64..3.0).prop_map(Edit::Rescale),
+            (0.05f64..0.5, arb_instance_cv()).prop_map(|(chunk_s, instance_cv)| Edit::SetPath {
+                chunk_s,
+                instance_cv
+            }),
+            (0.1f64..2.0).prop_map(|cold_s| Edit::SetLoc { cold_s }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn fused_answers_match_an_uncached_reference(
+            instance_cv in arb_instance_cv(),
+            edits in proptest::collection::vec(arb_edit(), 0..4),
+            // Every Monte-Carlo n, and one Gumbel n; sizes of 1..=400 chunks.
+            queries in proptest::collection::vec(
+                (prop_oneof![2u32..128, Just(200u32)], 1u64..401),
+                1..3,
+            ),
+            p_any in 0.0f64..1.0,
+        ) {
+            let r = regions();
+            let (mut m, path) = model_with(&r, 400, instance_cv);
+            for step in 0..=edits.len() {
+                for &(n, chunks) in &queries {
+                    let size = chunks * (8 << 20);
+                    let reference = uncached_t_rep(&m, path, size, n);
+                    let dist = m.t_rep_dist(path, size, n, false).unwrap();
+                    prop_assert_eq!(format!("{dist:?}"), format!("{reference:?}"), "n {}", n);
+                    prop_assert_eq!(dist.mean().to_bits(), reference.mean().to_bits());
+                    for p in [0.5, 0.9, 0.99, 0.995, 0.999, 0.9999, 1.0, p_any] {
+                        let q = m.t_rep_quantile(path, size, n, false, p).unwrap();
+                        let want = reference.quantile(p).max(0.0);
+                        prop_assert_eq!(q.to_bits(), want.to_bits(), "n {} p {}", n, p);
+                    }
+                }
+                if let Some(e) = edits.get(step) {
+                    e.apply(&mut m, path);
                 }
             }
         }
-        assert_eq!(m.shift_draws.len(), 3);
+    }
+
+    #[test]
+    fn a_non_positive_kth_largest_sum_takes_the_full_path() {
+        // A setup time far below zero puts every T_rep sample below zero, so
+        // every rank the interpolation reads holds a negative sum.
+        let r = regions();
+        let (mut m, path) = model_with(&r, 400, 0.0);
+        let setup = Dist::normal(-60.0, 0.5);
+        let chunk = Dist::normal(0.2, 0.04);
+        m.set_path(path, PathParams::new(setup, chunk.clone(), chunk));
+        let reference = uncached_t_rep(&m, path, 1 << 30, 16);
+        for p in [0.0, 0.5, 0.99, 0.9999, 1.0] {
+            let fused = m.fused_samples(path, 1 << 30, 16, false).unwrap();
+            let q = fused.quantile(p);
+            assert!(q < 0.0, "p {p}: {q}");
+            assert_eq!(q.to_bits(), reference.quantile(p).to_bits(), "p {p}");
+            let clamped = m.t_rep_quantile(path, 1 << 30, 16, false, p).unwrap();
+            assert_eq!(clamped.to_bits(), 0.0f64.to_bits());
+        }
+        // Both signed zeros at the ranks read: a `-0.0` shift leaves each
+        // sum equal to its maximum, and `new`'s stable sort orders the zeros.
+        let draws = ShiftDraws {
+            z: vec![-1.0; 6],
+            max: -1.0,
+        };
+        let fused = FusedSamples {
+            map: StdNormalMap::of(&Dist::normal(-0.0, 1.0)).unwrap(),
+            maxima: Rc::new(vec![-2.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+            draws: &draws,
+            mu: -0.0,
+            sigma: 0.0,
+        };
+        for p in [0.0, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0] {
+            let want = fused.dist().quantile(p);
+            assert_eq!(fused.quantile(p).to_bits(), want.to_bits(), "p {p}");
+        }
     }
 
     #[test]
@@ -762,9 +999,11 @@ mod tests {
         assert_eq!(m.cached_quantiles(), 2);
         let mut slower = m.loc_params(path.src).unwrap().clone();
         slower.cold = Dist::normal(2.0, 0.5);
+        let maxima = m.std_maxima(16, 8);
         m.set_loc(path.src, slower);
         assert_eq!(m.cached_quantiles(), 0);
-        assert_eq!(m.cached_max_dists(), 1, "max-of-n does not read I/D/P");
+        assert_eq!(m.cached_max_dists(), 1, "the maxima do not read I/D/P");
+        assert!(Rc::ptr_eq(&maxima, &m.std_maxima(16, 8)));
         let after = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
         assert!(after > before + 1.0, "{before} -> {after}");
     }
@@ -791,9 +1030,11 @@ mod tests {
             }
         }
         assert_eq!(m.cached_quantiles(), 6);
+        // One bootstrap per (n, chunks per instance), shared by both sides.
+        assert_eq!(m.cached_max_dists(), 2);
         m.rescale_path_chunks(src_side, 1.3);
         assert_eq!(m.cached_quantiles(), 3);
-        assert_eq!(m.cached_max_dists(), 2, "only the dst side's n = 4, 16");
+        assert_eq!(m.cached_max_dists(), 2, "the maxima survive a rescale");
         m.set_path(dst_side, m.path_params(dst_side).unwrap().clone());
         assert_eq!(m.cached_quantiles(), 0);
     }
@@ -804,7 +1045,7 @@ mod tests {
             mu: 10.0,
             beta: 2.0,
         };
-        let combined = PerfModel::default().add_normal(&g, 3.0, 1.5);
+        let combined = add_normal(&g, 3.0, 1.5);
         assert!((combined.mean() - (g.mean() + 3.0)).abs() < 1e-9);
         let var_expected = g.std_dev().powi(2) + 1.5f64.powi(2);
         assert!((combined.std_dev().powi(2) - var_expected).abs() < 1e-9);
@@ -816,7 +1057,8 @@ mod tests {
         let (mut m, path) = test_model(&r);
         let before = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
         m.rescale_path_chunks(path, 2.0);
-        assert_eq!(m.cached_max_dists(), 0);
+        assert_eq!(m.cached_quantiles(), 0);
+        assert_eq!(m.cached_max_dists(), 1, "the maxima survive a rescale");
         let after = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
         assert!(
             after > before * 1.4,

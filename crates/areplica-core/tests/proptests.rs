@@ -202,9 +202,19 @@ proptest! {
 /// logger make them.
 #[derive(Debug, Clone)]
 enum ModelEdit {
-    Rescale { side: usize, factor: f64 },
-    SetPath { side: usize, chunk_s: f64 },
-    SetLoc { at_dst: bool, cold_s: f64 },
+    Rescale {
+        side: usize,
+        factor: f64,
+    },
+    SetPath {
+        side: usize,
+        chunk_s: f64,
+        instance_cv: f64,
+    },
+    SetLoc {
+        at_dst: bool,
+        cold_s: f64,
+    },
 }
 
 impl ModelEdit {
@@ -216,13 +226,20 @@ impl ModelEdit {
         };
         match *self {
             ModelEdit::Rescale { side, factor } => m.rescale_path_chunks(path(side), factor),
-            ModelEdit::SetPath { side, chunk_s } => m.set_path(
+            ModelEdit::SetPath {
+                side,
+                chunk_s,
+                instance_cv,
+            } => m.set_path(
                 path(side),
-                PathParams::new(
-                    Dist::normal(0.25, 0.04),
-                    Dist::normal(chunk_s, chunk_s * 0.15),
-                    Dist::normal(chunk_s * 1.1, chunk_s * 0.2),
-                ),
+                PathParams {
+                    instance_cv,
+                    ..PathParams::new(
+                        Dist::normal(0.25, 0.04),
+                        Dist::normal(chunk_s, chunk_s * 0.15),
+                        Dist::normal(chunk_s * 1.1, chunk_s * 0.2),
+                    )
+                },
             ),
             ModelEdit::SetLoc { at_dst, cold_s } => m.set_loc(
                 if at_dst { dst } else { src },
@@ -240,8 +257,18 @@ fn arb_model_edits() -> impl Strategy<Value = Vec<ModelEdit>> {
     proptest::collection::vec(
         prop_oneof![
             (0usize..2, 0.5f64..2.0).prop_map(|(side, factor)| ModelEdit::Rescale { side, factor }),
-            (0usize..2, 0.05f64..0.5)
-                .prop_map(|(side, chunk_s)| ModelEdit::SetPath { side, chunk_s }),
+            // No instance CV (a Normal per-instance time) or a profiled-like
+            // one (LogNormal).
+            (
+                0usize..2,
+                0.05f64..0.5,
+                prop_oneof![Just(0.0), 0.05f64..0.4]
+            )
+                .prop_map(|(side, chunk_s, instance_cv)| ModelEdit::SetPath {
+                    side,
+                    chunk_s,
+                    instance_cv
+                }),
             (0u8..2, 0.1f64..2.0).prop_map(|(d, cold_s)| ModelEdit::SetLoc {
                 at_dst: d == 1,
                 cold_s

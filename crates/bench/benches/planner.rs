@@ -12,6 +12,13 @@ use stats::Dist;
 use std::hint::black_box;
 
 fn build_model() -> (PerfModel, cloudsim::RegionId, cloudsim::RegionId) {
+    build_model_with(0.0)
+}
+
+/// [`build_model`] with a between-instance CV on both sides: a positive one
+/// makes each instance's transfer time a LogNormal, as the profiler's fits
+/// do.
+fn build_model_with(instance_cv: f64) -> (PerfModel, cloudsim::RegionId, cloudsim::RegionId) {
     let regions = RegionRegistry::paper_regions();
     let src = regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = regions.lookup(Cloud::Azure, "eastus").unwrap();
@@ -29,11 +36,14 @@ fn build_model() -> (PerfModel, cloudsim::RegionId, cloudsim::RegionId) {
     for side in ExecSide::BOTH {
         m.set_path(
             PathKey { src, dst, side },
-            PathParams::new(
-                Dist::normal(0.25, 0.05),
-                Dist::normal(0.2, 0.04),
-                Dist::normal(0.22, 0.05),
-            ),
+            PathParams {
+                instance_cv,
+                ..PathParams::new(
+                    Dist::normal(0.25, 0.05),
+                    Dist::normal(0.2, 0.04),
+                    Dist::normal(0.22, 0.05),
+                )
+            },
         );
     }
     (m, src, dst)
@@ -63,31 +73,37 @@ fn bench_planner(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("plan_mixed_sizes_after_drift_rescale", |b| {
-        // The online logger's drift correction rescales a path, which drops
-        // its memoised quantiles and max-of-n distributions; the next plans
-        // rebuild them from the cached standardized maxima and shift draws.
-        let (mut model, src, dst) = build_model();
-        let sizes: Vec<u64> = (0..16).map(|i| (3u64 << 20) << (i % 10)).collect();
-        for &size in &sizes {
-            generate_plan(&mut model, &cfg, src, dst, size, None, 0.99).unwrap();
-        }
-        let path = PathKey {
-            src,
-            dst,
-            side: ExecSide::Source,
-        };
-        let mut factor = 1.01;
-        b.iter(|| {
-            model.rescale_path_chunks(path, factor);
-            factor = 1.0 / factor;
+    // The online logger's drift correction rescales a path, which drops its
+    // memoised quantiles; the next plans answer from the cached standardized
+    // maxima and shift draws. The second case has fig23's model shape: a
+    // profiled-like instance CV (LogNormal per-instance times) at p99.99.
+    for (name, instance_cv, p) in [
+        ("plan_mixed_sizes_after_drift_rescale", 0.0, 0.99),
+        ("plan_after_drift_rescale_lognormal_p9999", 0.15, 0.9999),
+    ] {
+        c.bench_function(name, |b| {
+            let (mut model, src, dst) = build_model_with(instance_cv);
+            let sizes: Vec<u64> = (0..16).map(|i| (3u64 << 20) << (i % 10)).collect();
             for &size in &sizes {
-                let plan =
-                    generate_plan(&mut model, &cfg, src, dst, black_box(size), None, 0.99).unwrap();
-                black_box(plan);
+                generate_plan(&mut model, &cfg, src, dst, size, None, p).unwrap();
             }
-        })
-    });
+            let path = PathKey {
+                src,
+                dst,
+                side: ExecSide::Source,
+            };
+            let mut factor = 1.01;
+            b.iter(|| {
+                model.rescale_path_chunks(path, factor);
+                factor = 1.0 / factor;
+                for &size in &sizes {
+                    let plan = generate_plan(&mut model, &cfg, src, dst, black_box(size), None, p)
+                        .unwrap();
+                    black_box(plan);
+                }
+            })
+        });
+    }
 
     c.bench_function("plan_unique_part_counts_cold", |b| {
         // bulk-xcloud's shape: every object has a part count of its own, so

@@ -401,8 +401,8 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
         world.faas.next_instance += 1;
         let instance = InstanceId(world.faas.next_instance);
         let speed_factor = {
-            let params = world.params.clone();
-            sample_instance_factor(&params, cloud, world.faas_rng_mut())
+            let (params, rng) = world.faas_rng_and_params();
+            sample_instance_factor(params, cloud, rng)
         };
         world.faas.instances.insert(
             instance,

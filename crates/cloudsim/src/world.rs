@@ -115,6 +115,18 @@ pub struct World {
     tenant_rngs: BTreeMap<(Rc<str>, &'static str), StdRng>,
 }
 
+/// `tenant`'s own `stream` (`"faas"`, `"net"` or `"db"`), derived from the
+/// master seed on first use.
+fn tenant_rng<'a>(
+    rngs: &'a mut BTreeMap<(Rc<str>, &'static str), StdRng>,
+    seed: u64,
+    tenant: &Rc<str>,
+    stream: &'static str,
+) -> &'a mut StdRng {
+    rngs.entry((Rc::clone(tenant), stream))
+        .or_insert_with(|| derive_rng(seed, &format!("tenant:{tenant}:{stream}")))
+}
+
 impl World {
     /// Builds a world over the given regions with explicit parameters.
     pub fn new(
@@ -236,33 +248,40 @@ impl World {
 
     /// RNG stream for FaaS timing draws (per-tenant under a tenant scope).
     pub fn faas_rng_mut(&mut self) -> &mut StdRng {
-        match self.tenant_scope.clone() {
+        self.faas_rng_and_params().1
+    }
+
+    /// [`World::faas_rng_mut`] next to the ground truth, borrowed apart so
+    /// a sampler can read the one while it draws from the other.
+    pub(crate) fn faas_rng_and_params(&mut self) -> (&WorldParams, &mut StdRng) {
+        let rng = match &self.tenant_scope {
             None => &mut self.faas_rng,
-            Some(t) => self.tenant_rng(t, "faas"),
-        }
+            Some(t) => tenant_rng(&mut self.tenant_rngs, self.seed, t, "faas"),
+        };
+        (&self.params, rng)
     }
 
     /// RNG stream for network/VM draws (per-tenant under a tenant scope).
     pub fn net_rng_mut(&mut self) -> &mut StdRng {
-        match self.tenant_scope.clone() {
+        self.net_rng_and_truth().2
+    }
+
+    /// [`World::net_rng_mut`] next to the ground truth and the region
+    /// registry, borrowed apart so a sampler can read them while it draws.
+    fn net_rng_and_truth(&mut self) -> (&WorldParams, &RegionRegistry, &mut StdRng) {
+        let rng = match &self.tenant_scope {
             None => &mut self.net_rng,
-            Some(t) => self.tenant_rng(t, "net"),
-        }
+            Some(t) => tenant_rng(&mut self.tenant_rngs, self.seed, t, "net"),
+        };
+        (&self.params, &self.regions, rng)
     }
 
     /// RNG stream for DB latency draws (per-tenant under a tenant scope).
     pub fn db_rng_mut(&mut self) -> &mut StdRng {
-        match self.tenant_scope.clone() {
+        match &self.tenant_scope {
             None => &mut self.db_rng,
-            Some(t) => self.tenant_rng(t, "db"),
+            Some(t) => tenant_rng(&mut self.tenant_rngs, self.seed, t, "db"),
         }
-    }
-
-    fn tenant_rng(&mut self, tenant: Rc<str>, stream: &'static str) -> &mut StdRng {
-        let seed = self.seed;
-        self.tenant_rngs
-            .entry((tenant.clone(), stream))
-            .or_insert_with(|| derive_rng(seed, &format!("tenant:{tenant}:{stream}")))
     }
 
     /// Resolves an executor to its profile, or `None` if it is dead.
@@ -389,35 +408,9 @@ pub fn run_leg(
         Direction::Upload => (profile.region, remote),
     };
     let n_active = sim.world.net.begin_leg(from, to);
-    let dur = if sim.world.tenant_scope.is_some() {
-        // Tenant-scoped legs draw from the tenant's own stream; the ground
-        // truth is cloned to split the borrow (off the default path).
-        let params = sim.world.params.clone();
-        let regions = sim.world.regions.clone();
-        sample_leg_duration(
-            &params,
-            &regions,
-            &profile,
-            remote,
-            dir,
-            bytes,
-            n_active,
-            sim.world.net_rng_mut(),
-        )
-    } else {
-        // Direct field access splits the borrows (params/regions shared,
-        // RNG exclusive) without cloning per leg.
-        let world = &mut sim.world;
-        sample_leg_duration(
-            &world.params,
-            &world.regions,
-            &profile,
-            remote,
-            dir,
-            bytes,
-            n_active,
-            &mut world.net_rng,
-        )
+    let dur = {
+        let (params, regions, rng) = sim.world.net_rng_and_truth();
+        sample_leg_duration(params, regions, &profile, remote, dir, bytes, n_active, rng)
     };
     // A partitioned (or browned-out) WAN link shapes the leg: transfers on a
     // dead link hang until the window closes rather than erroring — a WAN

@@ -134,30 +134,59 @@ fn interpolate_ranks(len: usize, q: f64, ranks: impl FnOnce(usize, usize) -> (f6
     x_lo * (1.0 - frac) + x_hi * frac
 }
 
-/// `EmpiricalDist::new(samples).quantile(q)`, bit for bit, in linear time:
-/// instead of sorting, selects the two ranks the interpolation reads, in the
-/// order `new` sorts by. Reorders `samples`.
-pub fn select_quantile(samples: &mut [f64], q: f64) -> Option<f64> {
-    // `new` refuses empty and non-finite samples. Its stable sort also keeps
-    // −0.0 and +0.0, which compare equal, in input order, and a selection
-    // cannot. Both cases go through `new` itself.
-    if samples.is_empty()
-        || samples
-            .iter()
-            .any(|x| !x.is_finite() || (*x == 0.0 && x.is_sign_negative()))
-    {
-        return EmpiricalDist::new(samples.to_vec()).map(|e| e.quantile(q));
+/// `EmpiricalDist::new(v).quantile(q)` for `v_i = base(i) + shift(i)`,
+/// `i < len`, bit for bit, computing only the sums the answer can depend on.
+///
+/// `base` must be non-decreasing in `i`, and `shift_max` must bound every
+/// `shift(i)`. The interpolation reads the `k = len − ⌊q(len − 1)⌋` largest
+/// sums. One pass down from `i = len − 1` keeps them, and stops at the first
+/// `i` whose bound `base(i) + shift_max` is no greater than the `k`-th
+/// largest so far: rounded addition is monotone in both operands, so no sum
+/// at or below `i` exceeds that bound, and none can change the values the
+/// `k` largest hold, ties included. Values that compare equal have the same
+/// bits except `−0.0` and `+0.0`, whose order `new`'s stable sort takes from
+/// the input. So a `k`-th largest sum `<= 0`, a non-finite sum and
+/// `len < 2` go through `new` itself.
+pub fn quantile_of_sums(
+    len: usize,
+    q: f64,
+    base: impl Fn(usize) -> f64,
+    shift: impl Fn(usize) -> f64,
+    shift_max: f64,
+) -> Option<f64> {
+    if len >= 2 {
+        let mut exact = false;
+        let x = interpolate_ranks(len, q, |lo, hi| {
+            let k = len - lo;
+            // The largest sums so far, descending.
+            let mut top: Vec<f64> = Vec::with_capacity(k + 1);
+            let mut prev = f64::INFINITY;
+            for i in (0..len).rev() {
+                let b = base(i);
+                debug_assert!(b <= prev, "base must be non-decreasing");
+                prev = b;
+                if top.len() == k && b + shift_max <= top[k - 1] {
+                    break;
+                }
+                let d = shift(i);
+                debug_assert!(d <= shift_max, "shift {d} above its bound {shift_max}");
+                let v = b + d;
+                if !v.is_finite() {
+                    return (v, v);
+                }
+                if top.len() < k || v > top[k - 1] {
+                    top.insert(top.partition_point(|&t| t >= v), v);
+                    top.truncate(k);
+                }
+            }
+            exact = top[k - 1] > 0.0;
+            (top[k - 1], top[len - 1 - hi])
+        });
+        if exact {
+            return Some(x);
+        }
     }
-    Some(interpolate_ranks(samples.len(), q, |lo, hi| {
-        let (_, &mut x_lo, above) = samples.select_nth_unstable_by(lo, ascending);
-        // Rank `lo + 1` is the least sample above rank `lo`.
-        let x_hi = if hi > lo {
-            above.iter().copied().min_by(ascending)
-        } else {
-            None
-        };
-        (x_lo, x_hi.unwrap_or(x_lo))
-    }))
+    EmpiricalDist::new((0..len).map(|i| base(i) + shift(i)).collect()).map(|e| e.quantile(q))
 }
 
 /// Euler–Mascheroni constant, used in Gumbel moments.
@@ -523,8 +552,9 @@ mod tests {
         assert_eq!(e.mean(), 2.0);
         assert_eq!(EmpiricalDist::new(vec![]), None);
         assert_eq!(EmpiricalDist::new(vec![f64::NAN]), None);
-        assert_eq!(select_quantile(&mut [], 0.5), None);
-        assert_eq!(select_quantile(&mut [1.0, f64::NAN], 0.5), None);
+        let inf = f64::INFINITY;
+        assert_eq!(quantile_of_sums(0, 0.5, |_| 1.0, |_| 0.0, 0.0), None);
+        assert_eq!(quantile_of_sums(2, 0.5, |i| i as f64, |_| inf, inf), None);
     }
 
     #[test]

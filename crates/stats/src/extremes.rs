@@ -99,18 +99,50 @@ pub fn std_normal_maxima<R: Rng + ?Sized>(n: usize, trials: usize, rng: &mut R) 
 /// in `z` operation by operation (`sigma >= 0`; IEEE rounding preserves
 /// monotonicity per operation), so the max of the transformed draws equals
 /// the transform of the max draw: `max_i fl(T(z_i)) == fl(T(max_i z_i))`.
-/// The expressions below mirror [`Dist::sample`] exactly to keep the
-/// float-for-float guarantee. Returns `None` for parents outside that
+/// [`StdNormalMap`] mirrors [`Dist::sample`]'s expressions exactly to keep
+/// the float-for-float guarantee. Returns `None` for parents outside that
 /// family, in which case callers must fall back to the full Monte Carlo.
 pub fn monte_carlo_max_from_std(parent: &Dist, std_maxima: &[f64]) -> Option<EmpiricalDist> {
-    let maxima: Vec<f64> = match parent {
-        Dist::Normal { mu, sigma } => std_maxima.iter().map(|z| mu + sigma * z).collect(),
-        Dist::LogNormal { mu, sigma } => {
-            std_maxima.iter().map(|z| (mu + sigma * z).exp()).collect()
-        }
-        _ => return None,
-    };
+    let map = StdNormalMap::of(parent)?;
+    let maxima = std_maxima.iter().map(|&z| map.apply(z)).collect();
     Some(EmpiricalDist::new(maxima).expect("maxima of finite samples are finite"))
+}
+
+/// A Normal or LogNormal parent as the map from one standard normal draw `z`
+/// to the sample [`Dist::sample`] makes of it: `mu + sigma * z`, then `exp`
+/// for a LogNormal. With `sigma >= 0` it is monotone non-decreasing in `z`,
+/// operation by operation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StdNormalMap {
+    mu: f64,
+    sigma: f64,
+    log_normal: bool,
+}
+
+impl StdNormalMap {
+    /// The map of `parent`, or `None` outside the Normal/LogNormal family.
+    pub fn of(parent: &Dist) -> Option<StdNormalMap> {
+        let (mu, sigma, log_normal) = match *parent {
+            Dist::Normal { mu, sigma } => (mu, sigma, false),
+            Dist::LogNormal { mu, sigma } => (mu, sigma, true),
+            _ => return None,
+        };
+        Some(StdNormalMap {
+            mu,
+            sigma,
+            log_normal,
+        })
+    }
+
+    /// The parent's sample for the standard normal draw `z`.
+    pub fn apply(&self, z: f64) -> f64 {
+        let y = self.mu + self.sigma * z;
+        if self.log_normal {
+            y.exp()
+        } else {
+            y
+        }
+    }
 }
 
 /// Classical normalizing constants `(a_n, b_n)` for the maximum of `n`

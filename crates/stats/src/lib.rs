@@ -24,10 +24,10 @@ pub mod fit;
 pub mod special;
 
 pub use dist::{
-    sample_std_normal, select_quantile, sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA,
+    quantile_of_sums, sample_std_normal, sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA,
 };
 pub use extremes::{
     gumbel_max_of_normals, max_of_n, monte_carlo_max, monte_carlo_max_from_std, std_normal_maxima,
-    GUMBEL_THRESHOLD_N,
+    StdNormalMap, GUMBEL_THRESHOLD_N,
 };
 pub use fit::{fit_auto, fit_empirical, fit_lognormal, fit_normal, FitError};

@@ -86,20 +86,35 @@ proptest! {
     }
 
     #[test]
-    fn select_quantile_matches_the_sorted_quantile(
+    fn quantile_of_sums_matches_the_sorted_quantile(
         // N = 1 and 2; duplicate-heavy; mostly distinct; both signed zeros.
-        samples in prop_oneof![
+        mut base in prop_oneof![
             proptest::collection::vec(0usize..FEW.len(), 1..3).prop_map(from_few),
             proptest::collection::vec(0usize..FEW.len(), 3..60).prop_map(from_few),
             proptest::collection::vec(finite_f64(-1000.0..1000.0), 1..300),
             proptest::collection::vec(prop_oneof![Just(-0.0), Just(0.0), Just(1.0)], 1..100),
         ],
+        // A −0.0 shift leaves every base value as it is, signed zeros
+        // included, so the sums keep the base's ties; zero shifts of either
+        // sign interleave the signed zeros.
+        shifts in prop_oneof![
+            Just(vec![-0.0; 300]),
+            proptest::collection::vec(prop_oneof![Just(-0.0), Just(0.0)], 300..301),
+            proptest::collection::vec(finite_f64(-50.0..50.0), 300..301),
+        ],
+        // The bound may be loose.
+        slack in prop_oneof![Just(0.0), finite_f64(0.0..10.0)],
         q_any in 0.0f64..1.0,
     ) {
-        let sorted = EmpiricalDist::new(samples.clone()).unwrap();
+        base.sort_by(f64::total_cmp);
+        let len = base.len();
+        let shift_max = shifts[..len].iter().copied().fold(f64::NEG_INFINITY, f64::max) + slack;
+        let sums = (0..len).map(|i| base[i] + shifts[i]).collect();
+        let sorted = EmpiricalDist::new(sums).unwrap();
         for q in [0.0, 0.5, 0.99, 0.9999, 1.0, q_any] {
-            let selected = stats::select_quantile(&mut samples.clone(), q).unwrap();
-            prop_assert_eq!(selected.to_bits(), sorted.quantile(q).to_bits(), "q = {}", q);
+            let fused =
+                stats::quantile_of_sums(len, q, |i| base[i], |i| shifts[i], shift_max).unwrap();
+            prop_assert_eq!(fused.to_bits(), sorted.quantile(q).to_bits(), "q = {}", q);
         }
     }
 

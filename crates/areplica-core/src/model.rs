@@ -501,14 +501,15 @@ impl PerfModel {
     ///
     /// The maxima are cached sorted: the maps `monte_carlo_max_from_std`
     /// applies are monotone, so its output is then already in the order
-    /// `EmpiricalDist::new` sorts into, and that sort finds nothing to move.
+    /// `EmpiricalDist::new` sorts into, and that sort returns after its
+    /// check pass.
     fn std_maxima(&mut self, n: u32, chunks_per_fn: u64) -> Rc<Vec<f64>> {
         if let Some(v) = self.std_max_cache.get(&(n, chunks_per_fn)) {
             return v.clone();
         }
         let mut rng = StdRng::seed_from_u64(self.mc_seed ^ (n as u64) << 32 ^ chunks_per_fn);
         let mut v = stats::std_normal_maxima(n as usize, self.mc_trials, &mut rng);
-        v.sort_by(f64::total_cmp);
+        stats::sort_ascending(&mut v);
         let v = Rc::new(v);
         self.std_max_cache.insert((n, chunks_per_fn), v.clone());
         v
@@ -787,7 +788,7 @@ mod tests {
             let seed = 3 ^ len as u64;
             let e = stats::monte_carlo_max(&parent, 8, len, &mut StdRng::seed_from_u64(seed));
             let mut maxima = stats::std_normal_maxima(8, len, &mut StdRng::seed_from_u64(seed));
-            maxima.sort_by(f64::total_cmp);
+            stats::sort_ascending(&mut maxima);
             let maxima = Rc::new(maxima);
             for (mu, sigma) in [(0.78, 0.21), (0.0, 0.0), (12.5, 3.25), (0.1, 1e-9)] {
                 let reference = add_normal_per_call_rng(&e, mu, sigma);

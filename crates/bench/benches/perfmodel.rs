@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use stats::{gumbel_max_of_normals, monte_carlo_max, std_normal_maxima, Dist};
+use rand::{Rng, SeedableRng};
+use stats::{gumbel_max_of_normals, monte_carlo_max, std_normal_maxima, Dist, EmpiricalDist};
 use std::hint::black_box;
 
 fn bench_max_of_n(c: &mut Criterion) {
@@ -21,14 +21,22 @@ fn bench_max_of_n(c: &mut Criterion) {
         });
     }
 
-    // The model's bootstrap: the same maxima as `monte_carlo_max`, with the
-    // draws that cannot set a maximum left untransformed.
-    for n in [64usize, 127] {
-        c.bench_function(&format!("std_normal_maxima_n{n}_2500trials"), |b| {
+    // The model's bootstrap at its 3,000 trials: the same maxima as
+    // `monte_carlo_max`, with only the draws that can be a trial's maximum
+    // transformed.
+    for n in [8usize, 16, 64, 127] {
+        c.bench_function(&format!("std_normal_maxima_n{n}_3000trials"), |b| {
             let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| black_box(std_normal_maxima(black_box(n), 2500, &mut rng)))
+            b.iter(|| black_box(std_normal_maxima(black_box(n), 3000, &mut rng)))
         });
     }
+
+    // Sorting a model-sized sample, as `t_rep_dist` does for its shifted sums.
+    c.bench_function("empirical_new_3000", |b| {
+        let mut rng = StdRng::seed_from_u64(2);
+        let samples: Vec<f64> = (0..3000).map(|_| rng.gen_range(0.5..40.0)).collect();
+        b.iter(|| black_box(EmpiricalDist::new(black_box(samples.clone()))))
+    });
 
     c.bench_function("gumbel_max_n512", |b| {
         b.iter(|| {

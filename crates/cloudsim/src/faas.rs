@@ -316,18 +316,16 @@ fn accept(sim: &mut CloudSim, region: RegionId, pending: Pending) {
     world.set_tenant_scope(pending.tenant.clone());
     world.faas.stats.attempts += 1;
 
-    // Prune expired warm instances.
-    let rf = world.faas.regions.entry(region).or_default();
-    let expired: Vec<InstanceId> = rf
-        .warm
-        .iter()
-        .filter(|(_, exp)| *exp <= now)
-        .map(|(id, _)| *id)
-        .collect();
-    rf.warm.retain(|(_, exp)| *exp > now);
-    for id in expired {
-        world.faas.instances.remove(&id);
-    }
+    // Prune expired warm instances, in one pass over the region's list.
+    let faas = &mut world.faas;
+    let rf = faas.regions.entry(region).or_default();
+    rf.warm.retain(|&(id, exp)| {
+        let live = exp > now;
+        if !live {
+            faas.instances.remove(&id);
+        }
+        live
+    });
 
     try_start(sim, region, pending);
 }

@@ -7,8 +7,6 @@
 //! enum form keeps distributions `Clone + Debug` and serializable-by-hand,
 //! which trait objects would not.
 
-use std::cmp::Ordering;
-
 use rand::Rng;
 
 use crate::special::{inv_std_normal_cdf, std_normal_cdf};
@@ -64,7 +62,7 @@ impl EmpiricalDist {
         if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
             return None;
         }
-        samples.sort_by(ascending);
+        sort_ascending(&mut samples);
         Some(EmpiricalDist { sorted: samples })
     }
 
@@ -113,9 +111,75 @@ impl EmpiricalDist {
     }
 }
 
-/// The order [`EmpiricalDist::new`] sorts its (finite) samples into.
-fn ascending(a: &f64, b: &f64) -> Ordering {
-    a.partial_cmp(b).expect("finite")
+/// Sorts NaN-free `values` ascending, exactly as the stable
+/// `values.sort_by(|a, b| a.partial_cmp(b).unwrap())` does: by value, with
+/// equal values in input order.
+///
+/// Input already in order returns after one check pass. Otherwise this is a
+/// stable LSD radix sort, on 8-bit digits, of keys whose unsigned order is
+/// the floats' total order; digits on which every key agrees are skipped.
+/// Equal values share their bits except `−0.0` and `+0.0`, which the key
+/// orders `−0.0` first, so the zeros are then rewritten in input order.
+pub fn sort_ascending(values: &mut [f64]) {
+    if values.windows(2).all(|w| w[0] <= w[1]) {
+        return;
+    }
+    let len = values.len();
+    let mut keys: Vec<u64> = values.iter().map(|&x| order_key(x)).collect();
+    let mut counts = [[0usize; 256]; 8];
+    for &key in &keys {
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[digit(key, d)] += 1;
+        }
+    }
+    let mut sorted = vec![0; len];
+    for (d, c) in counts.iter().enumerate() {
+        if c.contains(&len) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (n, &count) in next.iter_mut().zip(c) {
+            *n = start;
+            start += count;
+        }
+        for &key in &keys {
+            let b = digit(key, d);
+            sorted[next[b]] = key;
+            next[b] += 1;
+        }
+        std::mem::swap(&mut keys, &mut sorted);
+    }
+    let zeros = keys.partition_point(|&k| k < order_key(-0.0))
+        ..keys.partition_point(|&k| k <= order_key(0.0));
+    let input_zeros: Vec<f64> = if zeros.is_empty() {
+        Vec::new()
+    } else {
+        values.iter().copied().filter(|&x| x == 0.0).collect()
+    };
+    for (x, &key) in values.iter_mut().zip(&keys) {
+        *x = f64::from_bits(key ^ sign_mask(!key));
+    }
+    values[zeros].copy_from_slice(&input_zeros);
+}
+
+/// A key whose unsigned order is `x`'s total order: the sign bit set for
+/// positives, every bit flipped for negatives.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ sign_mask(bits)
+}
+
+/// Every bit if `bits`'s top bit is set, else the top bit alone. A float's
+/// bits XOR the mask of themselves give its key, and a key XOR the mask of
+/// its complement gives the bits back.
+fn sign_mask(bits: u64) -> u64 {
+    ((bits as i64 >> 63) as u64) | 1 << 63
+}
+
+/// Byte `d` of `key`, counted from the least significant.
+fn digit(key: u64, d: usize) -> usize {
+    (key >> (8 * d)) as u8 as usize
 }
 
 /// [`EmpiricalDist::quantile`]'s interpolation over `len` sorted samples,
@@ -439,16 +503,21 @@ pub fn sum_as_normal(parts: &[Dist]) -> Dist {
 /// One of the pair is discarded for simplicity; the simulator is not
 /// RNG-throughput-bound.
 pub fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let (u1, u2) = box_muller_uniforms(rng);
+    let (u1, u2) = box_muller_uniforms(rng.next_u64(), rng.next_u64());
     box_muller(u1, u2)
 }
 
-/// The two uniforms one Box–Muller sample consumes: `u1` in `[ε, 1)` (so
-/// its log is finite), then `u2` in `[0, 1)`.
-pub(crate) fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (u1, u2)
+/// The two uniforms one Box–Muller sample makes of two consecutive stream
+/// words, exactly as `gen_range(f64::EPSILON..1.0)` and `gen_range(0.0..1.0)`
+/// map them: `u1` in `[ε, 1)` (so its log is finite), then `u2` in `[0, 1)`.
+/// Each word's top 53 bits `k` give the unit float `k · 2^−53`.
+pub(crate) fn box_muller_uniforms(w1: u64, w2: u64) -> (f64, f64) {
+    let unit = |w: u64| (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let u1 = f64::EPSILON + (1.0 - f64::EPSILON) * unit(w1);
+    // `gen_range`'s guard against rounding up onto the excluded endpoint.
+    let u1 = if u1 < 1.0 { u1 } else { 1.0f64.next_down() };
+    // `0.0 + (1.0 − 0.0) · x` is `x` exactly.
+    (u1, unit(w2))
 }
 
 /// The Box–Muller transform `sqrt(−2 ln u1) · cos(2π u2)`.
@@ -457,7 +526,7 @@ pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -621,6 +690,49 @@ mod tests {
         let total = sum_as_normal(&parts);
         assert!((total.mean() - 6.0).abs() < 1e-12);
         assert!((total.std_dev() - 0.5).abs() < 1e-12);
+    }
+
+    /// Replays fixed stream words.
+    pub(crate) struct Words(pub(crate) std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the test supplies every word")
+        }
+    }
+
+    #[test]
+    fn box_muller_uniforms_map_words_as_gen_range_does() {
+        let mut r = rng();
+        let mut words: Vec<u64> = (0..10_000).map(|_| r.gen()).collect();
+        // The ends of the range and their neighbours.
+        words.extend([0, u64::MAX, 1 << 11, u64::MAX - (1 << 11), u64::MAX << 2]);
+        for &w1 in &words {
+            let w2 = w1.rotate_left(17);
+            let mut replay = Words(vec![w1, w2].into_iter());
+            let u1: f64 = replay.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = replay.gen_range(0.0..1.0);
+            let (v1, v2) = box_muller_uniforms(w1, w2);
+            assert_eq!(
+                (v1.to_bits(), v2.to_bits()),
+                (u1.to_bits(), u2.to_bits()),
+                "{w1:#x}"
+            );
+        }
+        assert_eq!(box_muller_uniforms(0, 0), (f64::EPSILON, 0.0));
+        assert_eq!(
+            box_muller_uniforms(u64::MAX, u64::MAX).0,
+            1.0f64.next_down()
+        );
+    }
+
+    #[test]
+    fn sort_ascending_keeps_signed_zeros_in_input_order() {
+        let mut v = vec![1.0, -0.0, 0.0, -2.0, -0.0, f64::MIN_POSITIVE, 0.0];
+        sort_ascending(&mut v);
+        let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+        let expected = [-2.0, -0.0, 0.0, -0.0, 0.0, f64::MIN_POSITIVE, 1.0];
+        assert_eq!(bits, expected.map(f64::to_bits));
     }
 
     #[test]

@@ -14,6 +14,59 @@ fn from_few(indices: Vec<usize>) -> Vec<f64> {
     indices.into_iter().map(|i| FEW[i]).collect()
 }
 
+/// Values at the edges of the float line: signed zeros, subnormals, the
+/// extreme magnitudes and the infinities.
+const EDGES: [f64; 12] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    f64::MAX,
+    f64::MIN,
+    1e-300,
+    -1e300,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// One NaN-free value for `sort_ascending`: an edge value, a duplicate-prone
+/// one, a signed zero, any float bit pattern, or an ordinary float.
+fn sort_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+        (0usize..FEW.len()).prop_map(|i| FEW[i]),
+        prop_oneof![Just(-0.0), Just(0.0)],
+        (0u64..=u64::MAX)
+            .prop_map(f64::from_bits)
+            .prop_filter("not NaN", |x| !x.is_nan()),
+        finite_f64(-1e3..1e3),
+    ]
+}
+
+/// Inputs for `sort_ascending` of up to 5,000 values, as drawn, sorted or
+/// reversed.
+fn sort_inputs() -> impl Strategy<Value = Vec<f64>> {
+    let len = prop_oneof![0usize..8, 0usize..5_001];
+    (len, 0u8..3).prop_flat_map(|(len, order)| {
+        proptest::collection::vec(sort_value(), len).prop_map(move |mut v| {
+            if order > 0 {
+                v.sort_by(ascending);
+            }
+            if order > 1 {
+                v.reverse();
+            }
+            v
+        })
+    })
+}
+
+/// The order `EmpiricalDist::new` promises: a stable sort by `partial_cmp`.
+fn ascending(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("NaN-free")
+}
+
 proptest! {
     #[test]
     fn normal_quantiles_are_monotone(
@@ -116,6 +169,34 @@ proptest! {
                 stats::quantile_of_sums(len, q, |i| base[i], |i| shifts[i], shift_max).unwrap();
             prop_assert_eq!(fused.to_bits(), sorted.quantile(q).to_bits(), "q = {}", q);
         }
+    }
+
+    #[test]
+    fn sort_ascending_is_the_stable_comparison_sort(values in sort_inputs()) {
+        let mut expected = values.clone();
+        expected.sort_by(ascending);
+        let mut radix = values;
+        stats::sort_ascending(&mut radix);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&radix), bits(&expected));
+    }
+
+    #[test]
+    fn std_normal_maxima_match_monte_carlo_bit_for_bit(
+        seed in 0u64..=u64::MAX,
+        n in 1usize..=127,
+        trials in 1usize..=64,
+    ) {
+        use rand::SeedableRng;
+        let parent = Dist::normal(0.0, 1.0);
+        let mut full_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = full_rng.clone();
+        let full = stats::monte_carlo_max(&parent, n, trials, &mut full_rng);
+        let maxima = stats::std_normal_maxima(n, trials, &mut rng);
+        let pruned = stats::monte_carlo_max_from_std(&parent, &maxima).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(pruned.samples()), bits(full.samples()));
+        prop_assert!(rng == full_rng, "stream drift at n={} trials={}", n, trials);
     }
 
     #[test]

@@ -29,12 +29,10 @@
 //! the jittered backoff stream derived from the config seed — identical
 //! runs see identical transitions.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use areplica_core::fleet::{BreakerEvent, BreakerState, FleetHandle};
-use areplica_core::health::{BreakerProbe, HealthHandle, RecheckAdvice, WriteRoute};
+use areplica_core::health::{BreakerProbe, RecheckAdvice, WriteRoute};
 use areplica_core::retry::{BackoffSchedule, RetryPolicy};
 use cloudapi::RegionId;
 use simkernel::{SimDuration, SimTime};
@@ -87,7 +85,7 @@ struct Breaker {
 }
 
 /// The per-tenant breaker set the data plane holds as its
-/// [`HealthHandle`].
+/// [`HealthHandle`](areplica_core::health::HealthHandle).
 #[derive(Debug)]
 pub struct BreakerSet {
     tenant: String,
@@ -129,11 +127,6 @@ impl BreakerSet {
         self.breakers
             .get(&region)
             .map_or(BreakerState::Closed, |b| b.state)
-    }
-
-    /// Wraps the set into the handle [`areplica_core::tenant::TenantCtx::with_health`] takes.
-    pub fn into_handle(self) -> HealthHandle {
-        Rc::new(RefCell::new(self))
     }
 
     fn fresh_breaker(

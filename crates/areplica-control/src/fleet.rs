@@ -2,48 +2,26 @@
 //! fleet services (watchdog + tombstone janitor).
 //!
 //! The mechanism lives in [`areplica_core::fleet`] — the engine registers
-//! a watch per distributed task and a tombstone cleanup per abort. The
-//! supervisor owns the *policy*: which cadence each tenant's tasks are
-//! scanned on, and the shared [`FleetLedger`] all tenants' fleet activity
-//! is recorded into (BTreeMap-ordered, so reports are deterministic).
+//! a watch per distributed task and a tombstone cleanup per abort, on the
+//! fixed cadence of [`areplica_core::fleet::WATCHDOG_INTERVAL`],
+//! [`areplica_core::fleet::WATCHDOG_MAX_CHECKS`] and
+//! [`areplica_core::fleet::ABORTED_POOL_TTL`]. The supervisor owns the
+//! shared [`FleetLedger`] all tenants' fleet activity is recorded into
+//! (BTreeMap-ordered, so reports are deterministic), and renders it.
 
-use std::collections::BTreeMap;
-
-use areplica_core::fleet::{FleetCadence, FleetHandle, FleetLedger};
+use areplica_core::fleet::{FleetHandle, FleetLedger};
 use simtrace::alert::AlertEvent;
 
-/// Per-tenant fleet cadences plus the shared activity ledger.
+/// The shared fleet activity ledger, spanning tenants.
 #[derive(Debug, Default)]
 pub struct FleetSupervisor {
-    default_cadence: FleetCadence,
-    overrides: BTreeMap<String, FleetCadence>,
     ledger: FleetHandle,
 }
 
 impl FleetSupervisor {
-    /// A supervisor running every tenant on the historical default cadence
-    /// (90 s watchdog interval, 40 checks, 5400 s tombstone TTL).
+    /// A supervisor with an empty ledger.
     pub fn new() -> Self {
         FleetSupervisor::default()
-    }
-
-    /// Replaces the cadence applied to tenants without an override.
-    pub fn with_default_cadence(mut self, cadence: FleetCadence) -> Self {
-        self.default_cadence = cadence;
-        self
-    }
-
-    /// Overrides one tenant's cadence.
-    pub fn set_cadence(&mut self, tenant: &str, cadence: FleetCadence) {
-        self.overrides.insert(tenant.to_string(), cadence);
-    }
-
-    /// The cadence governing one tenant's fleet services.
-    pub fn cadence_for(&self, tenant: &str) -> FleetCadence {
-        self.overrides
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.default_cadence)
     }
 
     /// The shared activity ledger handle (cloned into every
@@ -89,19 +67,6 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use simkernel::SimDuration;
-
-    #[test]
-    fn cadence_overrides_apply_per_tenant() {
-        let mut sup = FleetSupervisor::new();
-        let fast = FleetCadence {
-            watchdog_interval: SimDuration::from_secs(30),
-            ..FleetCadence::default()
-        };
-        sup.set_cadence("noisy", fast);
-        assert_eq!(sup.cadence_for("noisy"), fast);
-        assert_eq!(sup.cadence_for("quiet"), FleetCadence::default());
-    }
 
     #[test]
     fn ledger_handle_is_shared() {

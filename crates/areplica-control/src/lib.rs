@@ -3,16 +3,15 @@
 //! The data plane ([`areplica_core`]) moves bytes for one tenant at a
 //! time; this crate owns everything *about* tenants:
 //!
-//! * [`registry`] — the deterministic tenant registry: identity, SLO,
-//!   region set, FaaS-concurrency quota, pricing account. Stored in a
+//! * [`registry`] — the deterministic tenant registry: identity, SLO and
+//!   attainment target, FaaS-concurrency quota, admission. Stored in a
 //!   `BTreeMap`, so iteration (and thus any provisioning loop driven off
 //!   it) is ordered and independent of registration order.
 //! * [`admission`] — per-tenant token-bucket admission control over
 //!   *simulated* time, producing deterministic admit/queue/reject
 //!   decisions with no randomness.
-//! * [`fleet`] — the fleet supervisor: per-tenant watchdog/janitor
-//!   cadences and the activity ledger the core's fleet services record
-//!   into.
+//! * [`fleet`] — the fleet supervisor: the activity ledger the core's
+//!   watchdog/janitor services record into.
 //! * [`slo`] — the SLO monitor: burn-rate alert rules built from tenant
 //!   specs, evaluated on sim-time ticks against `simtrace`'s sliding
 //!   windows, with fire/resolve transitions recorded in the fleet ledger.

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use areplica_core::tenant::TenantCtx;
-use cloudapi::RegionId;
 use simkernel::SimDuration;
 
 use crate::admission::AdmissionConfig;
@@ -27,28 +26,21 @@ pub struct TenantSpec {
     /// SLO attainment target in (0, 1) for burn-rate monitoring (`None` =
     /// the monitor's default policy target).
     pub slo_target: Option<f64>,
-    /// Regions this tenant replicates between.
-    pub regions: Vec<RegionId>,
     /// FaaS-concurrency quota across the tenant's replication tasks.
     pub faas_concurrency: Option<u32>,
     /// Admission-control parameters (no admission gate when `None`).
     pub admission: Option<AdmissionConfig>,
-    /// Billing account the tenant's per-tenant cost ledger rolls up to.
-    pub pricing_account: String,
 }
 
 impl TenantSpec {
-    /// A minimal spec: no SLO override, no quota, no admission gate,
-    /// billed to an account named after the tenant.
+    /// A minimal spec: no SLO override, no quota, no admission gate.
     pub fn new(id: &str) -> Self {
         TenantSpec {
             id: id.to_string(),
             slo: None,
             slo_target: None,
-            regions: Vec::new(),
             faas_concurrency: None,
             admission: None,
-            pricing_account: id.to_string(),
         }
     }
 
@@ -64,12 +56,6 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the tenant's region set.
-    pub fn with_regions(mut self, regions: Vec<RegionId>) -> Self {
-        self.regions = regions;
-        self
-    }
-
     /// Sets the FaaS-concurrency quota.
     pub fn with_faas_concurrency(mut self, limit: u32) -> Self {
         self.faas_concurrency = Some(limit);
@@ -79,12 +65,6 @@ impl TenantSpec {
     /// Sets the admission-control parameters.
     pub fn with_admission(mut self, cfg: AdmissionConfig) -> Self {
         self.admission = Some(cfg);
-        self
-    }
-
-    /// Sets the billing account.
-    pub fn with_pricing_account(mut self, account: &str) -> Self {
-        self.pricing_account = account.to_string();
         self
     }
 }
@@ -105,11 +85,6 @@ impl TenantRegistry {
     /// the id was already registered.
     pub fn register(&mut self, spec: TenantSpec) -> Option<TenantSpec> {
         self.tenants.insert(spec.id.clone(), spec)
-    }
-
-    /// Removes a tenant.
-    pub fn deregister(&mut self, id: &str) -> Option<TenantSpec> {
-        self.tenants.remove(id)
     }
 
     /// Looks up a tenant.
@@ -136,13 +111,11 @@ impl TenantRegistry {
     /// Manufactures the data-plane context for one tenant: the seam
     /// between control plane and data plane. Fresh admission state is
     /// built per call (each deployed service instance gets its own
-    /// bucket); the fleet supervisor contributes the cadence and the
-    /// shared activity ledger.
+    /// bucket); the fleet supervisor contributes the shared activity
+    /// ledger.
     pub fn tenant_ctx(&self, id: &str, fleet: &FleetSupervisor) -> Option<TenantCtx> {
         let spec = self.tenants.get(id)?;
-        let mut ctx = TenantCtx::named(&spec.id)
-            .with_fleet_cadence(fleet.cadence_for(&spec.id))
-            .with_fleet_ledger(fleet.ledger());
+        let mut ctx = TenantCtx::named(&spec.id).with_fleet_ledger(fleet.ledger());
         if let Some(slo) = spec.slo {
             ctx = ctx.with_slo(slo);
         }

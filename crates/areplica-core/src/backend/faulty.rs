@@ -1,7 +1,7 @@
 //! A fault-injecting [`Backend`] wrapper.
 //!
-//! [`Faulty`] decorates any backend with deterministic, seeded injection of
-//! the failure classes the engine's recovery machinery exists for:
+//! [`Faulty`] decorates any backend with deterministic, scripted injection
+//! of the failure classes the engine's recovery machinery exists for:
 //!
 //! * **transient GET failures** — the ranged read never reaches the store
 //!   and the caller retries after a fixed backoff;
@@ -11,23 +11,21 @@
 //!   idempotent replace-on-re-upload part semantics;
 //! * **invocation drops** — the invoke request is swallowed and a fake
 //!   [`InvocationId`] returned, as a lost async invocation;
-//! * **lease-holder death** — after the n-th successful part upload the
+//! * **lease-holder death** — right after a successful part upload the
 //!   uploading function is crashed and its continuation dropped, leaving
 //!   the part's lease in-flight so peers (stale-lease re-claim) or the
-//!   watchdog (rescue replicator) must finish the task.
+//!   watchdog (rescue replicator) must finish the task;
+//! * **post-transaction death** — a function is crashed right after one of
+//!   its DB transactions commits ([`FaultSite::PostTransactKill`]), the
+//!   classic "orchestrator died between persisting and acting" serverless
+//!   failure.
 //!
-//! Every fault decision is drawn from a single RNG seeded by
-//! [`FaultPlan::seed`] at the operation call site, so a given plan yields
-//! the same fault sequence on every run.
-//!
-//! For schedule exploration (`crates/simcheck`), an installed
-//! [`FaultDecider`] replaces the rate-based draws entirely: the wrapper
-//! consults it at every [`FaultSite`], in deterministic call order, and the
-//! decider scripts exactly which occurrences fault. The decider also unlocks
-//! a fault point the probabilistic plan does not model: crashing a function
-//! right after one of its DB transactions commits
-//! ([`FaultSite::PostTransactKill`]), the classic "orchestrator died between
-//! persisting and acting" serverless failure.
+//! Every fault decision is made by the installed [`FaultDecider`]: the
+//! wrapper consults it at every [`FaultSite`], in deterministic call order,
+//! and the decider scripts exactly which occurrences fault (schedule
+//! exploration in `crates/simcheck` records and replays these decisions).
+//! Without a decider nothing faults, which is what the profiling sandbox
+//! needs.
 //!
 //! Continuations are marshalled through a due-queue: callbacks handed to
 //! the inner backend only enqueue, and [`Clock::step`] drains the queue
@@ -44,31 +42,18 @@ use cloudapi::faas::{FailureReason, FnHandle, FnSpec, InvocationId, RetryPolicy}
 use cloudapi::objstore::{Content, ETag, ObjectStat, PutApplied, StoreError};
 use cloudapi::{Cloud, RegionId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use simkernel::{CancelToken, SimDuration, SimTime};
 
 use super::{
     Backend, Clock, Exec, FnBody, FunctionRuntime, KvStore, NotifHandler, ObjectStore, RngSource,
 };
 
-/// Which faults to inject, with what probability, and when.
+/// How injected faults play out: the retry backoff, and which region's
+/// outage sites the decider is consulted at.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    /// Seed for the fault-decision RNG.
-    pub seed: u64,
-    /// Probability that a data-plane PUT (`put_object`, `upload_part`)
-    /// lands but reports failure.
-    pub put_failure_rate: f64,
-    /// Probability that a data-plane ranged GET fails transiently.
-    pub get_failure_rate: f64,
-    /// Probability that an `invoke` request is silently lost.
-    pub invocation_drop_rate: f64,
     /// Client-side backoff before retrying a faulted GET or PUT.
     pub retry_backoff: SimDuration,
-    /// Crash the uploading function right after its n-th successful
-    /// `upload_part` (counted across the whole run), dropping its
-    /// continuation.
-    pub kill_lease_holder_after_parts: Option<u32>,
     /// When set, the decider is additionally consulted at
     /// [`FaultSite::OutageOpen`] / [`FaultSite::OutageClose`] around
     /// data-plane writes toward this region, so a schedule can open and
@@ -94,12 +79,7 @@ pub const FORCED_OUTAGE_CLOSE: u32 = 12;
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
-            seed: 0xFA_17,
-            put_failure_rate: 0.0,
-            get_failure_rate: 0.0,
-            invocation_drop_rate: 0.0,
             retry_backoff: SimDuration::from_millis(250),
-            kill_lease_holder_after_parts: None,
             outage_region: None,
         }
     }
@@ -116,8 +96,7 @@ pub struct FaultStats {
     pub dropped_invocations: u64,
     /// Functions crashed mid-upload.
     pub lease_holder_kills: u64,
-    /// Functions crashed right after a committed DB transaction
-    /// (decider-only fault point).
+    /// Functions crashed right after a committed DB transaction.
     pub post_transact_kills: u64,
     /// Outage windows opened (see [`FaultPlan::outage_region`]).
     pub outages_opened: u64,
@@ -154,9 +133,8 @@ pub enum FaultSite {
 }
 
 /// Schedule-controlled fault injection: when installed via
-/// [`Faulty::set_fault_decider`], every fault decision is delegated here
-/// (the [`FaultPlan`] rates are ignored) and the decider returns whether the
-/// fault fires at this occurrence of `site`.
+/// [`Faulty::set_fault_decider`], every fault decision is delegated here and
+/// the decider returns whether the fault fires at this occurrence of `site`.
 pub trait FaultDecider {
     /// Decides whether the fault at this site occurrence is injected.
     fn decide(&mut self, site: FaultSite) -> bool;
@@ -166,8 +144,6 @@ type SharedDecider = Rc<RefCell<dyn FaultDecider>>;
 
 struct FaultState {
     plan: FaultPlan,
-    rng: StdRng,
-    completed_uploads: u32,
     fake_invocations: u64,
     outage_active: bool,
     outage_denials: u32,
@@ -177,9 +153,7 @@ struct FaultState {
 impl FaultState {
     fn new(plan: FaultPlan) -> Self {
         FaultState {
-            rng: StdRng::seed_from_u64(plan.seed),
             plan,
-            completed_uploads: 0,
             fake_invocations: 0,
             outage_active: false,
             outage_denials: 0,
@@ -190,7 +164,7 @@ impl FaultState {
 
 type Due<B> = Rc<RefCell<VecDeque<Box<dyn FnOnce(&mut Faulty<B>)>>>>;
 
-/// A backend that injects the faults described by a [`FaultPlan`] into the
+/// A backend that injects the faults its [`FaultDecider`] scripts into the
 /// backend it wraps. See the module docs for the injection semantics.
 pub struct Faulty<B: Backend> {
     inner: B,
@@ -200,7 +174,7 @@ pub struct Faulty<B: Backend> {
 }
 
 impl<B: Backend> Faulty<B> {
-    /// Wraps `inner`, injecting faults per `plan`.
+    /// Wraps `inner`; nothing faults until a decider is installed.
     pub fn new(inner: B, plan: FaultPlan) -> Self {
         Faulty {
             inner,
@@ -211,14 +185,9 @@ impl<B: Backend> Faulty<B> {
     }
 
     /// Installs a [`FaultDecider`]; from now on every fault decision is
-    /// scripted by it and the plan's rates are ignored.
+    /// scripted by it.
     pub fn set_fault_decider(&mut self, decider: SharedDecider) {
         self.decider = Some(decider);
-    }
-
-    /// Removes the installed decider, restoring plan-rate faults.
-    pub fn clear_fault_decider(&mut self) -> Option<SharedDecider> {
-        self.decider.take()
     }
 
     /// The faults injected so far.
@@ -236,19 +205,10 @@ impl<B: Backend> Faulty<B> {
         &mut self.inner
     }
 
-    fn draw(&self, rate_of: impl FnOnce(&FaultPlan) -> f64) -> bool {
-        let mut st = self.state.borrow_mut();
-        let rate = rate_of(&st.plan);
-        // Guard so a zero-rate plan performs no draws at all and therefore
-        // cannot perturb the fault-RNG stream of the rates that are set.
-        rate > 0.0 && st.rng.gen_bool(rate)
-    }
-
-    fn should_fault(&self, site: FaultSite, rate_of: impl FnOnce(&FaultPlan) -> f64) -> bool {
-        match &self.decider {
-            Some(d) => d.borrow_mut().decide(site),
-            None => self.draw(rate_of),
-        }
+    fn should_fault(&self, site: FaultSite) -> bool {
+        self.decider
+            .as_ref()
+            .is_some_and(|d| d.borrow_mut().decide(site))
     }
 
     /// Consults the outage decision sites for a data-plane write toward
@@ -271,7 +231,7 @@ impl<B: Backend> Faulty<B> {
                 st.outage_denials = 0;
                 return None;
             }
-            if self.should_fault(FaultSite::OutageClose, |_| 0.0) {
+            if self.should_fault(FaultSite::OutageClose) {
                 let mut st = self.state.borrow_mut();
                 st.outage_active = false;
                 st.outage_denials = 0;
@@ -286,7 +246,7 @@ impl<B: Backend> Faulty<B> {
             // budget check is deterministic state, so record and replay
             // consult the same sites in the same order.
             if self.state.borrow().stats.outages_opened >= MAX_OUTAGES as u64
-                || !self.should_fault(FaultSite::OutageOpen, |_| 0.0)
+                || !self.should_fault(FaultSite::OutageOpen)
             {
                 return None;
             }
@@ -435,7 +395,7 @@ impl<B: Backend> ObjectStore for Faulty<B> {
         if_match: Option<ETag>,
         cb: impl FnOnce(&mut Self, Result<(Content, ETag), StoreError>) + 'static,
     ) {
-        if self.should_fault(FaultSite::TransientGet, |p| p.get_failure_rate) {
+        if self.should_fault(FaultSite::TransientGet) {
             let backoff = {
                 let mut st = self.state.borrow_mut();
                 st.stats.injected_get_faults += 1;
@@ -478,7 +438,7 @@ impl<B: Backend> ObjectStore for Faulty<B> {
             });
             return;
         }
-        if self.should_fault(FaultSite::TransientPut, |p| p.put_failure_rate) {
+        if self.should_fault(FaultSite::TransientPut) {
             let backoff = {
                 let mut st = self.state.borrow_mut();
                 st.stats.injected_put_faults += 1;
@@ -575,7 +535,7 @@ impl<B: Backend> ObjectStore for Faulty<B> {
             });
             return;
         }
-        if self.should_fault(FaultSite::TransientPut, |p| p.put_failure_rate) {
+        if self.should_fault(FaultSite::TransientPut) {
             let backoff = {
                 let mut st = self.state.borrow_mut();
                 st.stats.injected_put_faults += 1;
@@ -607,31 +567,15 @@ impl<B: Backend> ObjectStore for Faulty<B> {
             content,
             move |_inner, res| {
                 due.clone().borrow_mut().push_back(Box::new(move |this| {
-                    if res.is_ok() {
-                        let kill = if !matches!(exec, Exec::Function(_)) {
-                            false
-                        } else if let Some(d) = &decider {
-                            d.borrow_mut().decide(FaultSite::KillAfterUpload)
-                        } else {
-                            let mut st = state.borrow_mut();
-                            match st.plan.kill_lease_holder_after_parts {
-                                Some(n) => {
-                                    st.completed_uploads += 1;
-                                    st.completed_uploads == n
-                                }
-                                None => false,
-                            }
-                        };
-                        if kill {
-                            if let Exec::Function(handle) = exec {
-                                state.borrow_mut().stats.lease_holder_kills += 1;
-                                this.fail_function(handle, FailureReason::Crash);
-                                // The continuation dies with its function:
-                                // the part's lease stays in-flight until a
-                                // peer re-claims it stale or the watchdog
-                                // dispatches a rescue replicator.
-                                return;
-                            }
+                    if let (Ok(()), Some(d), Exec::Function(handle)) = (&res, &decider, exec) {
+                        if d.borrow_mut().decide(FaultSite::KillAfterUpload) {
+                            state.borrow_mut().stats.lease_holder_kills += 1;
+                            this.fail_function(handle, FailureReason::Crash);
+                            // The continuation dies with its function: the
+                            // part's lease stays in-flight until a peer
+                            // re-claims it stale or the watchdog dispatches
+                            // a rescue replicator.
+                            return;
                         }
                     }
                     cb(this, res);
@@ -727,7 +671,7 @@ impl<B: Backend> FunctionRuntime for Faulty<B> {
         body: FnBody<Self>,
         policy: RetryPolicy,
     ) -> InvocationId {
-        if self.should_fault(FaultSite::InvocationDrop, |p| p.invocation_drop_rate) {
+        if self.should_fault(FaultSite::InvocationDrop) {
             let mut st = self.state.borrow_mut();
             st.stats.dropped_invocations += 1;
             st.fake_invocations += 1;
@@ -788,15 +732,9 @@ impl<B: Backend> Backend for Faulty<B> {
     }
 
     fn profiling_sandbox(&self, seed: u64) -> Self {
-        // Profiling measures the healthy backend: the sandbox injects no
-        // faults, whatever the production plan says.
-        Faulty::new(
-            self.inner.profiling_sandbox(seed),
-            FaultPlan {
-                seed,
-                ..FaultPlan::default()
-            },
-        )
+        // Profiling measures the healthy backend: the sandbox gets no
+        // decider, so it injects no faults.
+        Faulty::new(self.inner.profiling_sandbox(seed), FaultPlan::default())
     }
 
     fn tracer(&mut self) -> &mut simtrace::Tracer {

@@ -29,9 +29,10 @@
 //!
 //! * [`sim`] (feature `cloudsim`, on by default) — the deterministic
 //!   multi-cloud simulator the paper reproduction runs on;
-//! * [`faulty`] — a wrapper over any backend that deterministically
-//!   injects transient storage failures, invocation drops, and
-//!   lease-holder death to exercise the engine's recovery paths.
+//! * [`faulty`] — a wrapper over any backend that injects the transient
+//!   storage failures, invocation drops, and function deaths a scripted
+//!   [`faulty::FaultDecider`] asks for, to exercise the engine's recovery
+//!   paths.
 //!
 //! All vocabulary types (regions, ETags, KV items, function handles) come
 //! from the provider-neutral `cloudapi` crate.

@@ -278,16 +278,29 @@ pub fn apply_at_destination<B: Backend>(
                             }
                         }
                     }
+                    // The assembly itself runs inside the destination region
+                    // (server-side, like S3 UploadPartCopy), so no byte
+                    // crosses the WAN. It lands even if the orchestrator
+                    // dies meanwhile; a dead orchestrator never sees the
+                    // reply, and its platform retry re-applies the hint.
+                    let local = Exec::Platform {
+                        region: dst_region,
+                        mbps: 1000.0,
+                    };
                     let assembled = Content::concat(contents.iter());
                     sim.put_object(
-                        exec,
+                        local,
                         dst_region,
                         dst_bucket,
                         dst_key,
                         assembled,
-                        move |sim, applied| match applied {
-                            Ok(a) => cb(sim, Ok(a.etag)),
-                            Err(_) => cb(sim, Err(())),
+                        move |sim, applied| {
+                            if let Exec::Function(h) = exec {
+                                if sim.remaining_exec_time(h).is_none() {
+                                    return;
+                                }
+                            }
+                            cb(sim, applied.map(|a| a.etag).map_err(|_| ()));
                         },
                     );
                 },

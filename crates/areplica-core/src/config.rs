@@ -12,13 +12,15 @@ pub const DEFAULT_PART_SIZE: u64 = 8 << 20;
 /// replication locally. In that case, T_func is zero.").
 pub const DEFAULT_LOCAL_THRESHOLD: u64 = 16 << 20;
 
-/// Objects above this size switch from a single replicator to distributed
-/// multipart replication (§5.1: "replication of a relatively large object
-/// (e.g., > 64 MB) can be significantly accelerated").
-pub const DEFAULT_DISTRIBUTED_THRESHOLD: u64 = 64 << 20;
-
 /// The maximum parallelism the planner will consider.
 pub const DEFAULT_MAX_PARALLELISM: u32 = 512;
+
+/// Safety margin applied to SLO budgets (plan selection and batch-timer
+/// scheduling divide the remaining budget by this factor). The model's
+/// Normal tail approximation under-covers extreme quantiles of the
+/// lognormal instance factors; the margin converts that residual error into
+/// earlier starts / more parallelism instead of SLO misses.
+pub const SLO_SAFETY_MARGIN: f64 = 1.25;
 
 /// One bucket-pair replication rule.
 #[derive(Debug, Clone)]
@@ -43,12 +45,6 @@ pub struct ReplicationRule {
     /// Whether changelog propagation is consulted before full replication
     /// (§5.4).
     pub changelog: bool,
-    /// Safety margin applied to SLO budgets (plan selection and batch-timer
-    /// scheduling divide the remaining budget by this factor). The model's
-    /// Normal tail approximation under-covers extreme quantiles of the
-    /// lognormal instance factors; the margin converts that residual error
-    /// into earlier starts / more parallelism instead of SLO misses.
-    pub safety_margin: f64,
 }
 
 impl ReplicationRule {
@@ -69,7 +65,6 @@ impl ReplicationRule {
             percentile: 0.99,
             batching: true,
             changelog: true,
-            safety_margin: 1.25,
         }
     }
 
@@ -97,13 +92,6 @@ impl ReplicationRule {
         self.changelog = on;
         self
     }
-
-    /// Sets the SLO safety margin (>= 1.0).
-    pub fn with_safety_margin(mut self, margin: f64) -> Self {
-        assert!(margin >= 1.0, "safety margin must be >= 1.0");
-        self.safety_margin = margin;
-        self
-    }
 }
 
 /// Engine tunables (all paper defaults).
@@ -113,12 +101,8 @@ pub struct EngineConfig {
     pub part_size: u64,
     /// Largest object the orchestrator replicates in-process.
     pub local_threshold: u64,
-    /// Smallest object that uses distributed multipart replication.
-    pub distributed_threshold: u64,
     /// Maximum parallelism considered by the planner.
     pub max_parallelism: u32,
-    /// Monte-Carlo trials per cached max-of-n distribution.
-    pub mc_trials: usize,
     /// Whether replicators validate the source ETag on every part
     /// (optimistic replication with validation, §5.2). Disabled only by the
     /// consistency ablation tests.
@@ -154,9 +138,7 @@ impl Default for EngineConfig {
         EngineConfig {
             part_size: DEFAULT_PART_SIZE,
             local_threshold: DEFAULT_LOCAL_THRESHOLD,
-            distributed_threshold: DEFAULT_DISTRIBUTED_THRESHOLD,
             max_parallelism: DEFAULT_MAX_PARALLELISM,
-            mc_trials: 3000,
             validate_etags: true,
             scheduling: SchedulingMode::PartGranularity,
             retry: crate::retry::RetryPolicy::default(),
@@ -217,7 +199,6 @@ mod tests {
     fn default_constants_match_paper() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.part_size, 8 << 20);
-        assert_eq!(cfg.distributed_threshold, 64 << 20);
         assert_eq!(cfg.scheduling, SchedulingMode::PartGranularity);
         assert!(cfg.validate_etags);
     }

@@ -212,9 +212,9 @@ pub fn execute<B: Backend>(
 
 /// [`execute`] on behalf of a specific tenant: the backend's ambient tenant
 /// scope is established for the task (attributing FaaS concurrency, cost,
-/// and per-tenant RNG streams), and the tenant's fleet cadence governs the
-/// task's watchdog and janitor. With the default tenant this is exactly
-/// [`execute`].
+/// and per-tenant RNG streams), and the tenant's fleet ledger records the
+/// task's watchdog and janitor activity. With the default tenant this is
+/// exactly [`execute`].
 pub fn execute_for<B: Backend>(
     sim: &mut B,
     tenant: TenantCtx,
@@ -1201,7 +1201,7 @@ fn conclude_aborted<B: Backend>(
     }
     sim.abort_multipart_now(ctx.task.dst_region, upload_id).ok();
     ctx.finish_once(sim, status);
-    // The fleet janitor deletes the tombstone after the tenant's TTL.
+    // The fleet janitor deletes the tombstone after `fleet::ABORTED_POOL_TTL`.
     //
     // Found by simcheck (see EXPERIMENTS.md): aborted pools were terminal
     // but never deleted — `{aborted: true}` rows accumulated in
@@ -1212,7 +1212,6 @@ fn conclude_aborted<B: Backend>(
     let dst_region = ctx.task.dst_region;
     fleet::schedule_tombstone_cleanup(
         sim,
-        ctx.tenant.fleet_cadence,
         ctx.tenant.fleet.clone(),
         ctx.tenant.tenant_id(),
         ctx.exec_region,
@@ -1232,13 +1231,11 @@ fn conclude_aborted<B: Backend>(
 /// task's rescue — one extra replicator whose claim loop drains stale
 /// leases and re-runs the idempotent conclusion.
 fn register_fleet_watch<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload_id: u64) {
-    let cadence = ctx.tenant.fleet_cadence;
     let ledger = ctx.tenant.fleet.clone();
     let done = ctx.clone();
     let rescuer = ctx.clone();
     fleet::watch_task(
         sim,
-        cadence,
         ledger,
         TaskWatch {
             tenant: ctx.tenant.tenant_id(),
@@ -1261,80 +1258,6 @@ fn invoke_rescue_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload
     let policy = ctx.cfg.retry.invoke_policy();
     let body = replicator_body(ctx, upload_id, None);
     sim.invoke(region, spec, body, policy);
-}
-
-/// Executes a two-hop relay plan (§6's overlay extension): the object is
-/// staged in `relay_bucket` at the relay region, then re-replicated to the
-/// destination. Pays egress twice; used only when the overlay planner found
-/// a sufficiently faster route.
-pub fn execute_relay<B: Backend>(
-    sim: &mut B,
-    cfg: EngineConfig,
-    task: TaskSpec,
-    plan: crate::overlay::RelayPlan,
-    on_done: OnDone<B>,
-) {
-    let relay_region = plan.relay;
-    let relay_bucket = "areplica-relay-staging".to_string();
-    sim.create_bucket(relay_region, &relay_bucket);
-
-    let first = TaskSpec {
-        src_region: task.src_region,
-        src_bucket: task.src_bucket.clone(),
-        dst_region: relay_region,
-        dst_bucket: relay_bucket.clone(),
-        key: task.key.clone(),
-        etag: task.etag,
-        seq: task.seq,
-        size: task.size,
-        event_time: task.event_time,
-    };
-    let cfg2 = cfg.clone();
-    let second_plan = plan.second_hop;
-    execute(
-        sim,
-        cfg,
-        first,
-        plan.first_hop,
-        None,
-        Rc::new(move |sim: &mut B, outcome: TaskOutcome| {
-            match outcome.status {
-                TaskStatus::Replicated { etag } => {
-                    // Second hop: from the staged copy. Its write sequence in
-                    // the relay bucket identifies the staged version.
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the first hop just replicated the object into the relay bucket; nothing deletes it before the second hop"
-                    )]
-                    let staged = sim
-                        .stat_now(relay_region, &relay_bucket, &task.key)
-                        .expect("staged object exists");
-                    debug_assert_eq!(staged.etag, etag);
-                    let second = TaskSpec {
-                        src_region: relay_region,
-                        src_bucket: relay_bucket.clone(),
-                        dst_region: task.dst_region,
-                        dst_bucket: task.dst_bucket.clone(),
-                        key: task.key.clone(),
-                        etag: staged.etag,
-                        seq: staged.seq,
-                        size: task.size,
-                        event_time: task.event_time,
-                    };
-                    execute(
-                        sim,
-                        cfg2.clone(),
-                        second,
-                        second_plan,
-                        None,
-                        on_done.clone(),
-                    );
-                }
-                // First-hop abort/gone: surface directly.
-                _ => on_done(sim, outcome),
-            }
-        }),
-    );
 }
 
 #[cfg(test)]

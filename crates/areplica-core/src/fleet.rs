@@ -6,18 +6,16 @@
 //! a deterministic cadence — not as ad-hoc logic inside each task. This
 //! module owns that mechanism; the engine registers a [`TaskWatch`] per
 //! distributed task and a tombstone cleanup per abort, and the control
-//! plane (`areplica-control`) supervises cadences and per-tenant activity
-//! ledgers on top.
+//! plane (`areplica-control`) supervises the per-tenant activity ledger on
+//! top.
 //!
 //! **Determinism rules** (see DESIGN.md "Control plane / data plane"):
 //!
-//! * Cadences are fixed [`SimDuration`]s of simulated time; fleet services
-//!   never consult wall clock or RNG.
+//! * The cadence is three fixed constants of simulated time
+//!   ([`WATCHDOG_INTERVAL`], [`WATCHDOG_MAX_CHECKS`], [`ABORTED_POOL_TTL`]);
+//!   fleet services never consult wall clock or RNG.
 //! * Checks are scheduled relative to the registering event, so the event
-//!   sequence is a pure function of the workload and the cadence.
-//! * With [`FleetCadence::default`] the op sequence is exactly the
-//!   historical engine behavior (90 s interval, 40 checks, 3×1800 s
-//!   tombstone TTL) — default-tenant runs stay bit-identical.
+//!   sequence is a pure function of the workload.
 //! * Ledger updates ([`FleetLedger`]) are pure memory: they never schedule
 //!   events, issue cloud ops, or draw randomness.
 
@@ -33,34 +31,19 @@ use simtrace::alert::AlertEvent;
 use crate::backend::{Backend, Exec};
 use crate::tenant::TenantId;
 
-/// Cadence parameters for the fleet services watching one tenant's tasks.
-///
-/// The `Default` values are the constants the engine historically inlined;
-/// using them reproduces the pre-fleet event sequence exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetCadence {
-    /// How often the watchdog inspects a distributed task.
-    pub watchdog_interval: SimDuration,
-    /// Maximum watchdog inspections before giving up (bounds runaway
-    /// tasks).
-    pub watchdog_max_checks: u32,
-    /// How long an aborted task's tombstone outlives the abort before the
-    /// janitor deletes it. Comfortably beyond any straggler replicator's
-    /// lifetime (the longest per-cloud function timeout is 1800 s, plus
-    /// retry backoffs), so every late claim still observes the terminal
-    /// state before the row disappears.
-    pub aborted_pool_ttl: SimDuration,
-}
+/// How often the watchdog inspects a distributed task.
+pub const WATCHDOG_INTERVAL: SimDuration = SimDuration::from_secs(90);
 
-impl Default for FleetCadence {
-    fn default() -> Self {
-        FleetCadence {
-            watchdog_interval: SimDuration::from_secs(90),
-            watchdog_max_checks: 40,
-            aborted_pool_ttl: SimDuration::from_secs(3 * 1800),
-        }
-    }
-}
+/// Maximum watchdog inspections of one task before giving up (bounds
+/// runaway tasks).
+pub const WATCHDOG_MAX_CHECKS: u32 = 40;
+
+/// How long an aborted task's tombstone outlives the abort before the
+/// janitor deletes it. Comfortably beyond any straggler replicator's
+/// lifetime (the longest per-cloud function timeout is 1800 s, plus retry
+/// backoffs), so every late claim still observes the terminal state before
+/// the row disappears.
+pub const ABORTED_POOL_TTL: SimDuration = SimDuration::from_secs(3 * 1800);
 
 /// Per-tenant fleet activity counters (pure memory; diagnostic only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -252,41 +235,34 @@ pub struct TaskWatch<B> {
 /// retries) died while holding part leases, the pool stalls with
 /// live-looking leases that nobody will ever re-claim. The watchdog notices
 /// a pool row that still exists after a full lease window, runs the
-/// watch's `rescue`, and re-inspects on the cadence until the task
-/// concludes or `watchdog_max_checks` is exhausted.
-pub fn watch_task<B: Backend>(
-    sim: &mut B,
-    cadence: FleetCadence,
-    ledger: Option<FleetHandle>,
-    watch: TaskWatch<B>,
-) {
+/// watch's `rescue`, and re-inspects every [`WATCHDOG_INTERVAL`] until the
+/// task concludes or [`WATCHDOG_MAX_CHECKS`] is exhausted.
+pub fn watch_task<B: Backend>(sim: &mut B, ledger: Option<FleetHandle>, watch: TaskWatch<B>) {
     if let Some(l) = &ledger {
         l.borrow_mut()
             .bump(watch.tenant.as_deref(), |s| s.watches += 1);
     }
-    schedule_check(sim, cadence, ledger, Rc::new(watch), 0);
+    schedule_check(sim, ledger, Rc::new(watch), 0);
 }
 
 fn schedule_check<B: Backend>(
     sim: &mut B,
-    cadence: FleetCadence,
     ledger: Option<FleetHandle>,
     watch: Rc<TaskWatch<B>>,
     checks: u32,
 ) {
-    sim.schedule_in(cadence.watchdog_interval, move |sim| {
-        check_task(sim, cadence, ledger, watch, checks);
+    sim.schedule_in(WATCHDOG_INTERVAL, move |sim| {
+        check_task(sim, ledger, watch, checks);
     });
 }
 
 fn check_task<B: Backend>(
     sim: &mut B,
-    cadence: FleetCadence,
     ledger: Option<FleetHandle>,
     watch: Rc<TaskWatch<B>>,
     checks: u32,
 ) {
-    if (watch.concluded)() || checks >= cadence.watchdog_max_checks {
+    if (watch.concluded)() || checks >= WATCHDOG_MAX_CHECKS {
         return;
     }
     if let Some(l) = &ledger {
@@ -312,17 +288,18 @@ fn check_task<B: Backend>(
                 l.borrow_mut().bump(w.tenant.as_deref(), |s| s.rescues += 1);
             }
             (w.rescue)(sim);
-            schedule_check(sim, cadence, ledger, w, checks + 1);
+            schedule_check(sim, ledger, w, checks + 1);
         }
     });
 }
 
 /// Schedules the janitor delete of a concluded task's tombstone after
-/// `cadence.aborted_pool_ttl`.
+/// [`ABORTED_POOL_TTL`].
 ///
 /// Mirrors the TTL-based cleanup a production deployment configures on the
 /// task table (TTL reaping is a free background process, so it goes through
-/// [`Backend::db_ttl_expire`] rather than the metered request path). The
+/// [`KvStore::db_ttl_expire`](crate::backend::KvStore::db_ttl_expire) rather
+/// than the metered request path). The
 /// delete is guarded by `guard` so it can never reap a live row; `reap`
 /// runs on the expired item to tear down anything it recorded (orphan
 /// uploads, for the engine).
@@ -332,7 +309,6 @@ fn check_task<B: Backend>(
 )]
 pub fn schedule_tombstone_cleanup<B: Backend>(
     sim: &mut B,
-    cadence: FleetCadence,
     ledger: Option<FleetHandle>,
     tenant: Option<TenantId>,
     db_region: RegionId,
@@ -341,7 +317,7 @@ pub fn schedule_tombstone_cleanup<B: Backend>(
     guard: impl FnOnce(&Item) -> bool + 'static,
     reap: impl FnOnce(&mut B, Item) + 'static,
 ) {
-    sim.schedule_in(cadence.aborted_pool_ttl, move |sim| {
+    sim.schedule_in(ABORTED_POOL_TTL, move |sim| {
         let expired = sim.db_ttl_expire(db_region, table, &task_id, guard);
         if let Some(item) = expired {
             if let Some(l) = &ledger {
@@ -355,14 +331,6 @@ pub fn schedule_tombstone_cleanup<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_cadence_matches_historical_engine_constants() {
-        let c = FleetCadence::default();
-        assert_eq!(c.watchdog_interval, SimDuration::from_secs(90));
-        assert_eq!(c.watchdog_max_checks, 40);
-        assert_eq!(c.aborted_pool_ttl, SimDuration::from_secs(5400));
-    }
 
     #[test]
     fn alert_log_groups_by_tenant_in_sorted_order() {

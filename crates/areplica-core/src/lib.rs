@@ -45,7 +45,6 @@ pub mod lock;
 pub mod logger;
 pub mod metrics;
 pub mod model;
-pub mod overlay;
 pub mod planner;
 pub mod profiler;
 pub mod retry;
@@ -56,13 +55,12 @@ pub mod tenant;
 pub use backend::sim::build_model_for;
 pub use backend::{Backend, Clock, Exec, FunctionRuntime, KvStore, ObjectStore, RngSource};
 pub use config::{EngineConfig, ReplicationRule, SchedulingMode};
-pub use fleet::{BreakerEvent, BreakerState, FleetCadence, FleetHandle, FleetLedger, FleetStats};
+pub use fleet::{BreakerEvent, BreakerState, FleetHandle, FleetLedger, FleetStats};
 pub use health::{BreakerProbe, HealthHandle, RecheckAdvice, WriteRoute};
 pub use logger::{ObserveOutcome, OnlineLogger};
 pub use metrics::{CompletionRecord, Metrics};
 pub use model::{ExecSide, PathKey, PerfModel};
-pub use overlay::{generate_routed_plan, RelayPlan, RoutedPlan};
-pub use planner::{generate_plan, generate_plan_with_caps, Plan, SideCaps};
+pub use planner::{generate_plan, Plan};
 pub use profiler::{ProfileError, ProfilerConfig};
 pub use retry::{BackoffSchedule, OpClass, RetryPolicy};
 pub use service::{AReplica, AReplicaBuilder};

@@ -28,32 +28,6 @@ pub struct Plan {
     pub slo_met: bool,
 }
 
-/// Per-side parallelism ceilings, for quota-aware planning (§6 "Resource
-/// limitations": an account's concurrent-instance quota is finite; a planner
-/// that ignored it would queue on the platform instead of meeting its SLO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SideCaps {
-    /// Available concurrency at the source region.
-    pub src: u32,
-    /// Available concurrency at the destination region.
-    pub dst: u32,
-}
-
-impl SideCaps {
-    /// No quota pressure on either side.
-    pub const UNLIMITED: SideCaps = SideCaps {
-        src: u32::MAX,
-        dst: u32::MAX,
-    };
-
-    fn for_side(&self, side: ExecSide) -> u32 {
-        match side {
-            ExecSide::Source => self.src,
-            ExecSide::Destination => self.dst,
-        }
-    }
-}
-
 /// Generates a plan for replicating `size` bytes from `src` to `dst` with a
 /// remaining budget of `slo_rep` (already net of the notification delay) at
 /// percentile `p`.
@@ -69,39 +43,13 @@ pub fn generate_plan(
     slo_rep: Option<SimDuration>,
     p: f64,
 ) -> Result<Plan, ModelError> {
-    generate_plan_with_caps(model, cfg, src, dst, size, slo_rep, p, SideCaps::UNLIMITED)
-}
-
-/// [`generate_plan`] with per-side concurrency ceilings: a side whose quota
-/// cannot host `n` instances is skipped at that parallelism level.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "planner entry point: every parameter is an independent input to the plan search"
-)]
-pub fn generate_plan_with_caps(
-    model: &mut PerfModel,
-    cfg: &EngineConfig,
-    src: RegionId,
-    dst: RegionId,
-    size: u64,
-    slo_rep: Option<SimDuration>,
-    p: f64,
-    caps: SideCaps,
-) -> Result<Plan, ModelError> {
     let num_parts = cfg.num_parts(size);
-    let max_n = cfg
-        .max_parallelism
-        .min(num_parts)
-        .min(caps.src.max(caps.dst).max(1))
-        .max(1);
+    let max_n = cfg.max_parallelism.min(num_parts).max(1);
 
     let mut best: Option<Plan> = None;
     let mut n = 1u32;
     loop {
         for side in ExecSide::BOTH {
-            if caps.for_side(side) < n {
-                continue;
-            }
             let path = PathKey { src, dst, side };
             if !model.has_path(path) {
                 continue;
@@ -316,83 +264,5 @@ mod tests {
         let mut m = PerfModel::new(8 << 20, 100, 1);
         let cfg = EngineConfig::default();
         assert!(generate_plan(&mut m, &cfg, src, dst, 1 << 20, None, 0.99).is_err());
-    }
-}
-
-#[cfg(test)]
-mod cap_tests {
-    use super::*;
-    use crate::model::{LocParams, PathParams};
-    use cloudapi::{Cloud, RegionRegistry};
-    use stats::Dist;
-
-    fn setup() -> (PerfModel, RegionId, RegionId) {
-        let regions = RegionRegistry::paper_regions();
-        let src = regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-        let dst = regions.lookup(Cloud::Azure, "eastus").unwrap();
-        let mut m = PerfModel::new(8 << 20, 800, 17);
-        for r in [src, dst] {
-            m.set_loc(
-                r,
-                LocParams {
-                    invoke: Dist::normal(0.03, 0.01),
-                    cold: Dist::normal(0.3, 0.1),
-                    postpone: Dist::Constant(0.0),
-                },
-            );
-        }
-        for side in ExecSide::BOTH {
-            m.set_path(
-                PathKey { src, dst, side },
-                PathParams::new(
-                    Dist::normal(0.25, 0.05),
-                    Dist::normal(0.2, 0.04),
-                    Dist::normal(0.22, 0.05),
-                ),
-            );
-        }
-        (m, src, dst)
-    }
-
-    #[test]
-    fn caps_bound_parallelism() {
-        let (mut m, src, dst) = setup();
-        let cfg = EngineConfig::default();
-        let caps = SideCaps { src: 4, dst: 4 };
-        let plan =
-            generate_plan_with_caps(&mut m, &cfg, src, dst, 1 << 30, None, 0.99, caps).unwrap();
-        assert!(plan.n <= 4, "quota must cap parallelism, got {}", plan.n);
-    }
-
-    #[test]
-    fn exhausted_side_is_skipped() {
-        let (mut m, src, dst) = setup();
-        let cfg = EngineConfig::default();
-        // The source account has no concurrency left at all: every plan must
-        // run at the destination.
-        let caps = SideCaps { src: 0, dst: 64 };
-        let plan =
-            generate_plan_with_caps(&mut m, &cfg, src, dst, 256 << 20, None, 0.99, caps).unwrap();
-        assert_eq!(plan.side, ExecSide::Destination);
-        assert!(!plan.local);
-    }
-
-    #[test]
-    fn unlimited_caps_match_default_planner() {
-        let (mut m, src, dst) = setup();
-        let cfg = EngineConfig::default();
-        let a = generate_plan(&mut m, &cfg, src, dst, 1 << 30, None, 0.9).unwrap();
-        let b = generate_plan_with_caps(
-            &mut m,
-            &cfg,
-            src,
-            dst,
-            1 << 30,
-            None,
-            0.9,
-            SideCaps::UNLIMITED,
-        )
-        .unwrap();
-        assert_eq!(a, b);
     }
 }

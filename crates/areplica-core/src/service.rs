@@ -34,7 +34,7 @@ use crate::backend::{Backend, Exec, FnBody};
 use crate::batching::{BatchDecision, Batcher};
 use crate::catchup;
 use crate::changelog;
-use crate::config::{EngineConfig, ReplicationRule};
+use crate::config::{EngineConfig, ReplicationRule, SLO_SAFETY_MARGIN};
 use crate::engine::{self, TaskOutcome, TaskSpec, TaskStatus};
 use crate::health::{RecheckAdvice, WriteRoute};
 use crate::lock::{self, LockOutcome};
@@ -125,8 +125,8 @@ impl AReplicaBuilder {
     /// Deploys the service for a specific tenant (control-plane path): the
     /// tenant's quota caps engine parallelism and backend FaaS concurrency,
     /// its SLO overrides rule SLOs for planning, its admission policy gates
-    /// incoming events, and its fleet cadence governs watchdog/janitor
-    /// services. Without this the service runs as the implicit default
+    /// incoming events, and its fleet ledger records watchdog/janitor
+    /// activity. Without this the service runs as the implicit default
     /// tenant and behaves exactly as before tenancy existed.
     pub fn tenant(mut self, tenant: TenantCtx) -> Self {
         self.tenant = tenant;
@@ -137,7 +137,9 @@ impl AReplicaBuilder {
     /// returns the running service.
     pub fn install<B: Backend>(mut self, sim: &mut B) -> AReplica {
         assert!(!self.rules.is_empty(), "at least one rule required");
-        // Offline profiling in a sandbox backend with the same ground truth.
+        // Offline profiling in a sandbox backend with the same ground truth,
+        // at the chunk size the engine will replicate with.
+        self.profiler_cfg.chunk_size = self.cfg.part_size;
         let model = self.model.take().unwrap_or_else(|| {
             let pairs: Vec<(RegionId, RegionId)> = self
                 .rules
@@ -152,7 +154,6 @@ impl AReplicaBuilder {
             profiler::build_model(&mut sandbox, &pairs, &self.profiler_cfg)
                 .expect("offline profiling failed")
         });
-        self.profiler_cfg.chunk_size = self.cfg.part_size;
 
         // Tenant quota caps the engine's parallelism and registers the
         // backend-side FaaS concurrency limit. No-ops for the default
@@ -390,11 +391,10 @@ fn process_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: Ob
                 let deadline = ev.event_time + slo;
                 let (src, dst, percentile) = (rule.src_region, rule.dst_region, rule.percentile);
                 let cfg = s.cfg.clone();
-                let margin = rule.safety_margin;
                 let t_rep = {
                     let model = &mut s.model;
                     planner::generate_plan(model, &cfg, src, dst, ev.size, None, percentile)
-                        .map(|p| p.predicted.mul_f64(margin))
+                        .map(|p| p.predicted.mul_f64(SLO_SAFETY_MARGIN))
                         .unwrap_or(SimDuration::from_secs(3600))
                 };
                 let now = sim.now();
@@ -706,9 +706,9 @@ fn plan_and_execute<B: Backend>(
     let (src_region, dst_region, size) = (task.src_region, task.dst_region, task.size);
     let (cfg, plan, predicted_mean) = {
         let mut s = st.borrow_mut();
-        let (rule_slo, percentile, margin) = {
+        let (rule_slo, percentile) = {
             let rule = &s.rules[rule_idx];
-            (rule.slo, rule.percentile, rule.safety_margin)
+            (rule.slo, rule.percentile)
         };
         // A per-tenant SLO (control-plane registry) overrides the rule's.
         let rule_slo = s.tenant.slo.or(rule_slo);
@@ -717,7 +717,7 @@ fn plan_and_execute<B: Backend>(
         let slo_rep = rule_slo.map(|slo| {
             let elapsed = now.saturating_since(task.event_time);
             // The safety margin shrinks the budget plans must fit within.
-            slo.saturating_sub(elapsed).mul_f64(1.0 / margin.max(1.0))
+            slo.saturating_sub(elapsed).mul_f64(1.0 / SLO_SAFETY_MARGIN)
         });
         if rule_slo.is_some() && slo_rep == Some(SimDuration::ZERO) {
             s.metrics.slo_previolated += 1;

@@ -2,7 +2,7 @@
 //!
 //! The data plane (this crate) never owns tenant policy — it receives a
 //! [`TenantCtx`] describing one tenant's SLO, FaaS-concurrency quota,
-//! admission policy, and fleet cadence, and threads it through the
+//! admission policy, and fleet ledger, and threads it through the
 //! replication service and engine. The control plane
 //! (`areplica-control`) constructs these contexts from its registry.
 //!
@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use simkernel::{SimDuration, SimTime};
 
-use crate::fleet::{FleetCadence, FleetHandle};
+use crate::fleet::FleetHandle;
 use crate::health::HealthHandle;
 
 /// Shared tenant identifier. `Rc<str>` because the id is cloned into
@@ -67,9 +67,6 @@ pub struct TenantCtx {
     pub faas_concurrency: Option<u32>,
     /// Admission policy consulted before each replication event.
     pub admission: Option<AdmissionHandle>,
-    /// Cadence of the fleet watchdog/janitor services for this tenant's
-    /// tasks. Defaults to the engine's historical constants.
-    pub fleet_cadence: FleetCadence,
     /// Optional fleet ledger recording watchdog/janitor activity per
     /// tenant (pure memory; never affects the event sequence).
     pub fleet: Option<FleetHandle>,
@@ -80,15 +77,14 @@ pub struct TenantCtx {
 }
 
 impl TenantCtx {
-    /// The implicit default tenant: unlimited quota, no admission policy,
-    /// historical fleet cadence. All tenancy hooks are no-ops.
+    /// The implicit default tenant: unlimited quota, no admission policy.
+    /// All tenancy hooks are no-ops.
     pub fn default_tenant() -> Self {
         TenantCtx {
             id: None,
             slo: None,
             faas_concurrency: None,
             admission: None,
-            fleet_cadence: FleetCadence::default(),
             fleet: None,
             health: None,
         }
@@ -117,12 +113,6 @@ impl TenantCtx {
     /// Attaches an admission policy.
     pub fn with_admission(mut self, policy: AdmissionHandle) -> Self {
         self.admission = Some(policy);
-        self
-    }
-
-    /// Overrides the fleet cadence.
-    pub fn with_fleet_cadence(mut self, cadence: FleetCadence) -> Self {
-        self.fleet_cadence = cadence;
         self
     }
 
@@ -177,7 +167,6 @@ impl std::fmt::Debug for TenantCtx {
             .field("slo", &self.slo)
             .field("faas_concurrency", &self.faas_concurrency)
             .field("admission", &self.admission.as_ref().map(|_| "<policy>"))
-            .field("fleet_cadence", &self.fleet_cadence)
             .field("health", &self.health.as_ref().map(|_| "<breakers>"))
             .finish()
     }

@@ -2,10 +2,10 @@
 //! fault-injecting wrapper driving the engine's recovery paths end to end,
 //! and determinism regression guards.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use areplica_core::backend::faulty::{FaultPlan, FaultStats, Faulty};
+use areplica_core::backend::faulty::{FaultDecider, FaultPlan, FaultSite, FaultStats, Faulty};
 use areplica_core::backend::{
     Backend, Clock, Exec, FunctionRuntime, KvStore, ObjectStore, RngSource,
 };
@@ -16,7 +16,8 @@ use cloudapi::faas::RetryPolicy;
 use cloudsim::world::CloudSim;
 use cloudsim::{Cloud, RegionId, World};
 use pricing::CostSnapshot;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simkernel::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
@@ -154,6 +155,50 @@ fn assert_tables_quiesced(world: &cloudsim::World, regions: &[RegionId]) {
     }
 }
 
+/// A seeded fault script: each transient site faults with its own rate,
+/// drawn from one RNG in site-consultation order; a zero rate draws nothing,
+/// so an unset rate cannot perturb the others' stream. The uploading
+/// function is crashed on the n-th lease-holder site (`kill_after_uploads`).
+#[derive(Clone, Copy, Default)]
+struct RateScript {
+    put_failure_rate: f64,
+    get_failure_rate: f64,
+    invocation_drop_rate: f64,
+    kill_after_uploads: Option<u32>,
+}
+
+struct RateDecider {
+    script: RateScript,
+    rng: StdRng,
+    uploads: u32,
+}
+
+impl RateDecider {
+    fn install<B: Backend>(sim: &mut Faulty<B>, script: RateScript) {
+        sim.set_fault_decider(Rc::new(RefCell::new(RateDecider {
+            script,
+            rng: StdRng::seed_from_u64(0xFA_17),
+            uploads: 0,
+        })));
+    }
+}
+
+impl FaultDecider for RateDecider {
+    fn decide(&mut self, site: FaultSite) -> bool {
+        let rate = match site {
+            FaultSite::TransientPut => self.script.put_failure_rate,
+            FaultSite::TransientGet => self.script.get_failure_rate,
+            FaultSite::InvocationDrop => self.script.invocation_drop_rate,
+            FaultSite::KillAfterUpload => {
+                self.uploads += 1;
+                return self.script.kill_after_uploads == Some(self.uploads);
+            }
+            FaultSite::PostTransactKill | FaultSite::OutageOpen | FaultSite::OutageClose => 0.0,
+        };
+        rate > 0.0 && self.rng.gen_bool(rate)
+    }
+}
+
 struct FaultyRun {
     completions: Vec<CompletionRecord>,
     stats: FaultStats,
@@ -161,10 +206,11 @@ struct FaultyRun {
 }
 
 /// Replicates one 256 MB object AWS->Azure through `Faulty<CloudSim>` under
-/// `plan`, asserting the replica converges bit-correct, and returns what the
-/// run produced for determinism comparisons.
-fn run_faulty(seed: u64, plan: FaultPlan) -> FaultyRun {
-    let mut sim = Faulty::new(World::paper_sim(seed), plan);
+/// `script`, asserting the replica converges bit-correct, and returns what
+/// the run produced for determinism comparisons.
+fn run_faulty(seed: u64, script: RateScript) -> FaultyRun {
+    let mut sim = Faulty::new(World::paper_sim(seed), FaultPlan::default());
+    RateDecider::install(&mut sim, script);
     let src = sim
         .inner()
         .world
@@ -217,10 +263,10 @@ fn run_faulty(seed: u64, plan: FaultPlan) -> FaultyRun {
 fn replication_completes_under_transient_put_and_get_faults() {
     let run = run_faulty(
         21,
-        FaultPlan {
+        RateScript {
             put_failure_rate: 0.15,
             get_failure_rate: 0.1,
-            ..FaultPlan::default()
+            ..RateScript::default()
         },
     );
     assert!(
@@ -241,9 +287,9 @@ fn replication_completes_under_transient_put_and_get_faults() {
 fn replication_survives_lease_holder_death() {
     let run = run_faulty(
         22,
-        FaultPlan {
-            kill_lease_holder_after_parts: Some(3),
-            ..FaultPlan::default()
+        RateScript {
+            kill_after_uploads: Some(3),
+            ..RateScript::default()
         },
     );
     assert_eq!(
@@ -260,11 +306,12 @@ fn replication_survives_lease_holder_death() {
 fn dropped_invocations_are_counted_and_never_run() {
     let sim = World::paper_sim(23);
     let region = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    let mut faulty = Faulty::new(
-        sim,
-        FaultPlan {
+    let mut faulty = Faulty::new(sim, FaultPlan::default());
+    RateDecider::install(
+        &mut faulty,
+        RateScript {
             invocation_drop_rate: 1.0,
-            ..FaultPlan::default()
+            ..RateScript::default()
         },
     );
     let spec = faulty.default_fn_spec(region);
@@ -280,14 +327,14 @@ fn dropped_invocations_are_counted_and_never_run() {
 
 #[test]
 fn fault_injection_is_deterministic() {
-    let plan = FaultPlan {
+    let script = RateScript {
         put_failure_rate: 0.15,
         get_failure_rate: 0.1,
-        kill_lease_holder_after_parts: Some(4),
-        ..FaultPlan::default()
+        kill_after_uploads: Some(4),
+        ..RateScript::default()
     };
-    let a = run_faulty(24, plan.clone());
-    let b = run_faulty(24, plan);
+    let a = run_faulty(24, script);
+    let b = run_faulty(24, script);
     assert_eq!(a.stats, b.stats, "fault sequences diverged between runs");
     assert_eq!(
         a.completions, b.completions,

@@ -3,8 +3,8 @@
 //! destination bucket.
 
 use areplica_core::{
-    changelog, AReplica, AReplicaBuilder, EngineConfig, ProfilerConfig, ReplicationRule,
-    SchedulingMode,
+    changelog, AReplica, AReplicaBuilder, EngineConfig, ExecSide, PathKey, PerfModel,
+    ProfilerConfig, ReplicationRule, SchedulingMode,
 };
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, RegionId, World};
@@ -227,6 +227,37 @@ fn delete_propagates() {
 }
 
 #[test]
+fn install_profiles_at_the_engine_part_size() {
+    let (_sim, service, src, dst) = setup(
+        3,
+        (Cloud::Aws, "us-east-1"),
+        (Cloud::Azure, "eastus"),
+        |r| r,
+        EngineConfig {
+            part_size: 16 << 20,
+            ..EngineConfig::default()
+        },
+    );
+    // With 16 MB chunks, 8 MB and 16 MB objects are each one chunk, so a
+    // single replicator's prediction must not tell them apart.
+    let mut model = service.model().clone();
+    for side in ExecSide::BOTH {
+        let path = PathKey { src, dst, side };
+        let one = |model: &mut PerfModel, size: u64| {
+            model
+                .t_rep_quantile(path, size, 1, false, 0.99)
+                .unwrap()
+                .to_bits()
+        };
+        assert_eq!(
+            one(&mut model, 8 << 20),
+            one(&mut model, 16 << 20),
+            "{side:?}"
+        );
+    }
+}
+
+#[test]
 fn changelog_copy_avoids_wan_egress() {
     let (mut sim, service, src, dst) = setup(
         7,
@@ -260,6 +291,59 @@ fn changelog_copy_avoids_wan_egress() {
         "changelog copy leaked egress: {egress}"
     );
     assert_eq!(service.metrics().changelog_applied, 1);
+}
+
+#[test]
+fn changelog_concat_avoids_wan_egress() {
+    let (mut sim, service, src, dst) = setup(
+        7,
+        (Cloud::Aws, "us-east-1"),
+        (Cloud::Azure, "eastus"),
+        |r| r,
+        EngineConfig::default(),
+    );
+    for key in ["a.bin", "b.bin"] {
+        world::user_put(&mut sim, src, "src-bucket", key, 32 << 20).unwrap();
+    }
+    sim.run_to_completion(3_000_000);
+    assert_replica_matches(&sim, src, dst, "a.bin");
+    assert_replica_matches(&sim, src, dst, "b.bin");
+
+    let before = sim.world.ledger.snapshot();
+    changelog::user_concat(
+        &mut sim,
+        src,
+        "src-bucket".into(),
+        vec!["a.bin".into(), "b.bin".into()],
+        "ab.bin".into(),
+        |_, _| {},
+    )
+    .unwrap();
+    sim.run_to_completion(3_000_000);
+    // A concatenation is never single-source, so compare bytes and ETag.
+    let (src_content, src_etag) = sim
+        .world
+        .objstore(src)
+        .read_full("src-bucket", "ab.bin")
+        .unwrap();
+    let (dst_content, dst_etag) = sim
+        .world
+        .objstore(dst)
+        .read_full("dst-bucket", "ab.bin")
+        .expect("concatenation never reached the destination");
+    assert!(src_content.same_bytes(&dst_content));
+    assert_eq!(src_etag, dst_etag);
+    assert_eq!(service.metrics().changelog_applied, 1);
+    // The assembly runs at the destination: the 64 MB result crosses no WAN.
+    let egress = sim
+        .world
+        .ledger
+        .since(&before)
+        .category_total(CostCategory::Egress);
+    assert!(
+        egress.as_dollars() < 1e-4,
+        "changelog concat leaked egress: {egress}"
+    );
 }
 
 #[test]

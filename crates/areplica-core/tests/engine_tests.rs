@@ -258,99 +258,3 @@ fn zero_byte_object_replicates() {
         0
     );
 }
-
-#[test]
-fn relay_execution_routes_through_intermediate_region() {
-    use areplica_core::overlay::RelayPlan;
-
-    let mut sim = World::paper_sim(77);
-    let src = sim
-        .world
-        .regions
-        .lookup(Cloud::Azure, "southeastasia")
-        .unwrap();
-    let dst = sim
-        .world
-        .regions
-        .lookup(Cloud::Gcp, "europe-west6")
-        .unwrap();
-    let relay = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    sim.world.objstore_mut(src).create_bucket("src");
-    sim.world.objstore_mut(dst).create_bucket("dst");
-    let put = world::user_put(&mut sim, src, "src", "model.bin", 256 << 20).unwrap();
-    let start = sim.now();
-
-    let relay_plan = RelayPlan {
-        relay,
-        first_hop: Plan {
-            n: 8,
-            side: ExecSide::Source,
-            local: false,
-            predicted: SimDuration::from_secs(10),
-            slo_met: false,
-        },
-        second_hop: Plan {
-            n: 8,
-            side: ExecSide::Source,
-            local: false,
-            predicted: SimDuration::from_secs(10),
-            slo_met: false,
-        },
-        predicted: SimDuration::from_secs(20),
-    };
-    let out: Rc<RefCell<Option<TaskOutcome>>> = Rc::default();
-    let out2 = out.clone();
-    engine::execute_relay(
-        &mut sim,
-        EngineConfig::default(),
-        TaskSpec {
-            src_region: src,
-            src_bucket: "src".into(),
-            dst_region: dst,
-            dst_bucket: "dst".into(),
-            key: "model.bin".into(),
-            etag: put.etag,
-            seq: put.event.seq,
-            size: 256 << 20,
-            event_time: start,
-        },
-        relay_plan,
-        Rc::new(move |_, o| *out2.borrow_mut() = Some(o)),
-    );
-    sim.run_to_completion(50_000_000);
-    let o = out.borrow().clone().expect("relay task concluded");
-    assert!(matches!(o.status, TaskStatus::Replicated { .. }));
-
-    // Destination matches the source byte-for-byte.
-    let (a, ae) = sim
-        .world
-        .objstore(src)
-        .read_full("src", "model.bin")
-        .unwrap();
-    let (b, be) = sim
-        .world
-        .objstore(dst)
-        .read_full("dst", "model.bin")
-        .unwrap();
-    assert!(a.same_bytes(&b));
-    assert_eq!(ae, be);
-    // The staged copy exists at the relay.
-    assert!(sim
-        .world
-        .objstore(relay)
-        .stat("areplica-relay-staging", "model.bin")
-        .is_ok());
-    // Egress was billed twice: once out of Azure, once out of AWS.
-    use pricing::CostCategory;
-    let azure_egress = sim.world.ledger.cloud_total(Cloud::Azure);
-    let aws_egress = sim.world.ledger.cloud_total(Cloud::Aws);
-    assert!(azure_egress > pricing::Money::ZERO);
-    assert!(aws_egress > pricing::Money::ZERO);
-    let total_egress = sim.world.ledger.category_total(CostCategory::Egress);
-    // ~256 MB leaves Azure at $0.087/GB and AWS at $0.09/GB.
-    let expected = (0.087 + 0.09) * 256.0 / 1024.0;
-    assert!(
-        (total_egress.as_dollars() - expected).abs() / expected < 0.05,
-        "double egress: {total_egress} vs ~{expected}"
-    );
-}

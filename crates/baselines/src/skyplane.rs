@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use cloudsim::net::Direction;
-use cloudsim::objstore::Content;
 use cloudsim::vm::{self, VmId};
 use cloudsim::world::{self, CloudSim, Executor};
 use cloudsim::RegionId;
@@ -434,14 +433,4 @@ fn relay_share(
             );
         },
     );
-}
-
-/// Convenience used by experiments: replicate and wait for completion in a
-/// driving loop, returning the measured delay and content identity check.
-pub fn content_of(sim: &CloudSim, region: RegionId, bucket: &str, key: &str) -> Option<Content> {
-    sim.world
-        .objstore(region)
-        .read_full(bucket, key)
-        .ok()
-        .map(|(c, _)| c)
 }

@@ -25,7 +25,7 @@ use bench::WallTimer;
 use simkernel::{Sim, SimDuration};
 
 /// The PR this snapshot belongs to (also names the output file).
-const PR: u32 = 20;
+const PR: u32 = 23;
 
 /// Events pushed through the bare kernel for the throughput figure.
 const KERNEL_EVENTS: u64 = 2_000_000;

@@ -9,7 +9,7 @@
 //! source versions) exactly.
 //!
 //! This module is pure state (no simulator dependency): timing, notification
-//! scheduling, and cost metering live in [`crate::world`].
+//! scheduling, and cost metering live in the simulator's `cloudsim::world`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

@@ -38,7 +38,6 @@ struct ExecState {
 
 #[derive(Debug)]
 struct Instance {
-    region: RegionId,
     spec: FnSpec,
     speed_factor: f64,
     exec: Option<ExecState>,
@@ -149,11 +148,6 @@ impl FaasRuntime {
         self.instances.get(&instance).map(|i| i.spec)
     }
 
-    /// Region of an instance, if alive.
-    pub fn instance_region(&self, instance: InstanceId) -> Option<RegionId> {
-        self.instances.get(&instance).map(|i| i.region)
-    }
-
     /// Number of currently active (reserved or executing) instances.
     pub fn active_in(&self, region: RegionId) -> u32 {
         self.regions.get(&region).map_or(0, |r| r.active)
@@ -180,11 +174,6 @@ impl FaasRuntime {
         } else {
             self.slowdowns.insert(Rc::from(tenant), factor.max(1e-9));
         }
-    }
-
-    /// The tenant's currently injected slowdown (1.0 = none).
-    pub fn tenant_slowdown(&self, tenant: &str) -> f64 {
-        self.slowdowns.get(tenant).copied().unwrap_or(1.0)
     }
 
     /// A tenant's currently active instance count.
@@ -405,7 +394,6 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
         world.faas.instances.insert(
             instance,
             Instance {
-                region,
                 spec: pending.spec,
                 speed_factor,
                 exec: None,

@@ -20,14 +20,10 @@
 //! Determinism: a schedule is pure data consulted with pure functions — the
 //! default (empty) schedule draws no RNG and schedules no events, so runs
 //! without outages stay byte-identical to runs built before this module
-//! existed. The optional [`OutageSchedule::randomized`] constructor draws
-//! every window bound from one RNG derived off the master seed with the
-//! `"outage"` label, an independent stream that cannot perturb latency or
-//! fault streams.
+//! existed.
 
 use cloudapi::RegionId;
-use rand::Rng;
-use simkernel::{rng::derive_rng, SimDuration, SimTime};
+use simkernel::{SimDuration, SimTime};
 
 /// Which cloud service a regional outage window covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,41 +254,6 @@ impl OutageSchedule {
             Gate::Stall(d) => d + dur,
         }
     }
-
-    /// A schedule of `count` windows over the given domains with bounds
-    /// drawn from the `"outage"` stream derived off `seed`: each window
-    /// picks a domain uniformly, an open time in `[0, horizon)`, and a
-    /// duration in `[min_dur, max_dur]`. Identical seeds yield identical
-    /// schedules, and the derived stream is independent of every other
-    /// stream hung off the same master seed.
-    pub fn randomized(
-        seed: u64,
-        domains: &[Domain],
-        mode: FailureMode,
-        count: usize,
-        horizon: SimDuration,
-        min_dur: SimDuration,
-        max_dur: SimDuration,
-    ) -> Self {
-        assert!(!domains.is_empty(), "need at least one domain");
-        assert!(min_dur <= max_dur, "min_dur must be <= max_dur");
-        let mut rng = derive_rng(seed, "outage");
-        let mut sched = OutageSchedule::new();
-        for _ in 0..count {
-            let domain = domains[rng.gen_range(0..domains.len())];
-            let from = SimTime::from_nanos(rng.gen_range(0..horizon.as_nanos().max(1)));
-            let dur = SimDuration::from_nanos(
-                rng.gen_range(min_dur.as_nanos()..max_dur.as_nanos().max(min_dur.as_nanos()) + 1),
-            );
-            sched.add(OutageWindow {
-                domain,
-                from,
-                until: from + dur,
-                mode,
-            });
-        }
-        sched
-    }
 }
 
 #[cfg(test)]
@@ -432,48 +393,5 @@ mod tests {
             ),
             SimDuration::from_secs(8)
         );
-    }
-
-    #[test]
-    fn randomized_is_seed_deterministic() {
-        let domains = [
-            Domain::Region {
-                region: r(0),
-                service: Service::ObjStore,
-            },
-            Domain::Link { a: r(0), b: r(1) },
-        ];
-        let a = OutageSchedule::randomized(
-            42,
-            &domains,
-            FailureMode::Timeout,
-            5,
-            SimDuration::from_secs(3600),
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(300),
-        );
-        let b = OutageSchedule::randomized(
-            42,
-            &domains,
-            FailureMode::Timeout,
-            5,
-            SimDuration::from_secs(3600),
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(300),
-        );
-        assert_eq!(a.windows(), b.windows());
-        let c = OutageSchedule::randomized(
-            43,
-            &domains,
-            FailureMode::Timeout,
-            5,
-            SimDuration::from_secs(3600),
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(300),
-        );
-        assert_ne!(a.windows(), c.windows());
-        for w in a.windows() {
-            assert!(w.until > w.from);
-        }
     }
 }

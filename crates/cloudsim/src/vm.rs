@@ -62,14 +62,6 @@ impl VmService {
     pub fn region(&self, vm: VmId) -> Option<RegionId> {
         self.vms.get(&vm).map(|v| v.region)
     }
-
-    /// Number of VMs currently running in a region.
-    pub fn running_in(&self, region: RegionId) -> usize {
-        self.vms
-            .values()
-            .filter(|v| v.region == region && v.state == VmState::Running)
-            .count()
-    }
 }
 
 /// Provisions a VM; `on_ready` fires when the OS is running (billing starts

@@ -18,7 +18,6 @@ use pricing::{Cloud, CostCategory, CostLedger, Money, PriceCatalog};
 use rand::rngs::StdRng;
 use rand::Rng;
 use simkernel::{rng::derive_rng, Sim, SimDuration};
-use stats::Dist;
 
 use crate::clouddb::{Item, KvDb};
 use crate::faas::{FaasRuntime, FnBody, FnHandle, FnSpec, InvocationId, RetryPolicy};
@@ -1200,11 +1199,4 @@ pub fn sample_invoke_latency(world: &mut World, region: RegionId) -> SimDuration
 pub fn sample_transfer_setup(world: &mut World, cloud: Cloud) -> SimDuration {
     let d = world.params.cloud(cloud).transfer_setup.clone();
     SimDuration::from_secs_f64(d.sample_nonneg(world.net_rng_mut()))
-}
-
-/// Returns a `Dist` snapshot of a ground-truth parameter for assertions in
-/// characterization experiments (not used by AReplica itself, which must
-/// learn parameters through profiling).
-pub fn ground_truth_notif_delay(world: &World, cloud: Cloud) -> Dist {
-    world.params.cloud(cloud).notif_delay.clone()
 }

@@ -110,11 +110,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

@@ -234,16 +234,6 @@ impl AlertEngine {
     pub fn log(&self) -> &[AlertEvent] {
         &self.log
     }
-
-    /// Renders the full transition log, one fixed-format line per event.
-    pub fn render_log(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.log {
-            out.push_str(&ev.render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// (burn, bad, total) for one rule over one lookback. An empty window burns

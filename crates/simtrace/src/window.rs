@@ -294,13 +294,6 @@ impl WindowStore {
             .get(name)
             .and_then(|h| h.percentile(now, lookback, q))
     }
-
-    /// Windowed sample count of a histogram.
-    pub fn histogram_count(&self, name: &str, now: SimTime, lookback: SimDuration) -> usize {
-        self.histograms
-            .get(name)
-            .map_or(0, |h| h.count(now, lookback))
-    }
 }
 
 #[cfg(test)]

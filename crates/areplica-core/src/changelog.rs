@@ -28,6 +28,8 @@ pub enum ChangelogError {
         /// The underlying store error.
         cause: StoreError,
     },
+    /// A concatenation was asked for with no source objects.
+    NoSources,
 }
 
 impl std::fmt::Display for ChangelogError {
@@ -36,6 +38,7 @@ impl std::fmt::Display for ChangelogError {
             ChangelogError::SourceUnavailable { key, cause } => {
                 write!(f, "changelog source {key:?} unavailable: {cause}")
             }
+            ChangelogError::NoSources => write!(f, "a concatenation needs at least one source"),
         }
     }
 }
@@ -178,7 +181,7 @@ pub fn user_copy<B: Backend>(
 
 /// User-side helper: concatenates existing objects into `dst_key`,
 /// registering the changelog hint first. Fails up front (before any hint is
-/// registered) when a source object cannot be read.
+/// registered) when `src_keys` is empty or a source object cannot be read.
 pub fn user_concat<B: Backend>(
     sim: &mut B,
     region: RegionId,
@@ -187,7 +190,9 @@ pub fn user_concat<B: Backend>(
     dst_key: String,
     cb: impl FnOnce(&mut B, ETag) + 'static,
 ) -> Result<(), ChangelogError> {
-    assert!(!src_keys.is_empty());
+    if src_keys.is_empty() {
+        return Err(ChangelogError::NoSources);
+    }
     let mut sources = Vec::with_capacity(src_keys.len());
     let mut contents: Vec<Content> = Vec::with_capacity(src_keys.len());
     for k in &src_keys {
@@ -260,53 +265,88 @@ pub fn apply_at_destination<B: Backend>(
             );
         }
         ChangeOp::Concat { sources } => {
-            // Server-side validation + assembly, modelled as one control-
-            // plane operation per source (like S3 UploadPartCopy).
-            sim.stat_object(
+            let job = ConcatAt {
                 exec,
-                dst_region,
-                dst_bucket.clone(),
-                sources[0].0.clone(),
-                move |sim, _| {
-                    let mut contents = Vec::with_capacity(sources.len());
-                    for (key, expect) in &sources {
-                        match sim.read_full_now(dst_region, &dst_bucket, key) {
-                            Ok((content, etag)) if etag == *expect => contents.push(content),
-                            _ => {
-                                cb(sim, Err(()));
-                                return;
-                            }
-                        }
-                    }
-                    // The assembly itself runs inside the destination region
-                    // (server-side, like S3 UploadPartCopy), so no byte
-                    // crosses the WAN. It lands even if the orchestrator
-                    // dies meanwhile; a dead orchestrator never sees the
-                    // reply, and its platform retry re-applies the hint.
-                    let local = Exec::Platform {
-                        region: dst_region,
-                        mbps: 1000.0,
-                    };
-                    let assembled = Content::concat(contents.iter());
-                    sim.put_object(
-                        local,
-                        dst_region,
-                        dst_bucket,
-                        dst_key,
-                        assembled,
-                        move |sim, applied| {
-                            if let Exec::Function(h) = exec {
-                                if sim.remaining_exec_time(h).is_none() {
-                                    return;
-                                }
-                            }
-                            cb(sim, applied.map(|a| a.etag).map_err(|_| ()));
-                        },
-                    );
-                },
-            );
+                region: dst_region,
+                bucket: dst_bucket,
+                key: dst_key,
+                sources,
+            };
+            concat_at_destination(sim, job, 0, cb);
         }
     }
+}
+
+/// A concatenation applied at the destination: who validates it, where,
+/// what it writes and the source versions it reads.
+struct ConcatAt {
+    exec: Exec,
+    region: RegionId,
+    bucket: String,
+    key: String,
+    sources: Vec<(String, ETag)>,
+}
+
+/// Validates `job.sources[validated..]` one after another, each with its
+/// own metered stat (one control-plane operation per source, like S3
+/// UploadPartCopy) whose ETag must match, then assembles the object.
+fn concat_at_destination<B: Backend>(
+    sim: &mut B,
+    job: ConcatAt,
+    validated: usize,
+    cb: impl FnOnce(&mut B, Result<ETag, ()>) + 'static,
+) {
+    if let Some((key, expect)) = job.sources.get(validated).cloned() {
+        sim.stat_object(
+            job.exec,
+            job.region,
+            job.bucket.clone(),
+            key,
+            move |sim, stat| match stat {
+                Ok(stat) if stat.etag == expect => {
+                    concat_at_destination(sim, job, validated + 1, cb);
+                }
+                _ => cb(sim, Err(())),
+            },
+        );
+        return;
+    }
+    // The assembly reads each source's recipe server-side, guarded by its
+    // ETag again: a source may change between its stat and the assembly.
+    let mut contents = Vec::with_capacity(job.sources.len());
+    for (key, expect) in &job.sources {
+        match sim.read_full_now(job.region, &job.bucket, key) {
+            Ok((content, etag)) if etag == *expect => contents.push(content),
+            _ => {
+                cb(sim, Err(()));
+                return;
+            }
+        }
+    }
+    // The assembly itself runs inside the destination region (server-side,
+    // like S3 UploadPartCopy), so no byte crosses the WAN. It lands even if
+    // the orchestrator dies meanwhile; a dead orchestrator never sees the
+    // reply, and its platform retry re-applies the hint.
+    let local = Exec::Platform {
+        region: job.region,
+        mbps: 1000.0,
+    };
+    let exec = job.exec;
+    sim.put_object(
+        local,
+        job.region,
+        job.bucket,
+        job.key,
+        Content::concat(contents.iter()),
+        move |sim, applied| {
+            if let Exec::Function(h) = exec {
+                if sim.remaining_exec_time(h).is_none() {
+                    return;
+                }
+            }
+            cb(sim, applied.map(|a| a.etag).map_err(|_| ()));
+        },
+    );
 }
 
 #[cfg(test)]

@@ -138,11 +138,13 @@ struct QuantileKey {
     p_bits: u64,
 }
 
-/// One length's shift draws, in draw order, and the largest of them.
+/// One length's shift draws, in draw order, and their indices sorted by
+/// draw, largest first. A shift `mu + sigma * z` with `sigma >= 0` is
+/// non-decreasing in `z`, so `by_z` is every shift's descending order too.
 #[derive(Debug, Clone)]
 struct ShiftDraws {
     z: Vec<f64>,
-    max: f64,
+    by_z: Vec<u32>,
 }
 
 /// `T_rep`'s samples at `2 <= n < GUMBEL_THRESHOLD_N`, read straight from
@@ -180,18 +182,24 @@ impl FusedSamples<'_> {
         Dist::Empirical(EmpiricalDist::new(samples).expect("finite samples"))
     }
 
-    /// `self.dist().quantile(p)`, bit for bit, without building it: one
-    /// descending pass that stops once `s_max`, the shift of the largest
-    /// draw, proves no lower sample reaches the ranks `p` reads.
+    /// `self.dist().quantile(p)`, bit for bit, without building it: a
+    /// two-cursor pass down the ascending maxima and the descending draws,
+    /// which stops once the next maximum plus the next shift proves no
+    /// unread sample reaches the ranks `p` reads.
     fn quantile(&self, p: f64) -> f64 {
-        let s_max = self.mu + self.sigma * self.draws.max;
         let len = self.maxima.len();
         #[expect(
             clippy::expect_used,
             reason = "finite maxima through a Normal or LogNormal map plus a finite normal shift stay finite, and mc_trials > 0"
         )]
-        stats::quantile_of_sums(len, p, |i| self.transfer(i), |i| self.shift(i), s_max)
-            .expect("finite samples")
+        stats::quantile_of_sums(
+            len,
+            p,
+            |i| self.transfer(i),
+            |i| self.shift(i),
+            &self.draws.by_z,
+        )
+        .expect("finite samples")
     }
 }
 
@@ -517,15 +525,21 @@ impl PerfModel {
 
     /// The standard-normal draws that add `T_func` to a `len`-sample
     /// max-of-n: the fixed stream of a `StdRng` seeded by `len`, drawn once
-    /// per length, with their maximum.
+    /// per length, with their descending order.
     fn shift_draws(&mut self, len: usize) -> &ShiftDraws {
         self.shift_draws.entry(len).or_insert_with(|| {
             let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
             let z: Vec<f64> = (0..len)
                 .map(|_| stats::sample_std_normal(&mut rng))
                 .collect();
-            let max = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            ShiftDraws { z, max }
+            #[expect(
+                clippy::expect_used,
+                reason = "the length is the model's mc_trials, a trial count far below 2^32"
+            )]
+            let mut by_z: Vec<u32> =
+                (0..u32::try_from(len).expect("fewer than 2^32 draws")).collect();
+            by_z.sort_by(|&i, &j| z[j as usize].total_cmp(&z[i as usize]));
+            ShiftDraws { z, by_z }
         })
     }
 }
@@ -559,6 +573,7 @@ mod tests {
     use super::*;
     use cloudapi::{Cloud, RegionRegistry};
     use proptest::prelude::*;
+    use rand::Rng;
 
     fn regions() -> RegionRegistry {
         RegionRegistry::paper_regions()
@@ -811,8 +826,13 @@ mod tests {
                     }
                 }
             }
+            // `by_z` lists every draw once, largest first.
             let draws = m.shift_draws(len);
-            assert_eq!(draws.max, draws.z.iter().copied().fold(f64::MIN, f64::max));
+            let mut listed = draws.by_z.clone();
+            listed.sort_unstable();
+            assert!(listed.into_iter().eq(0..len as u32));
+            let z = |&i: &u32| draws.z[i as usize];
+            assert!(draws.by_z.windows(2).all(|w| z(&w[0]) >= z(&w[1])));
         }
         assert_eq!(m.shift_draws.len(), 3);
     }
@@ -951,7 +971,7 @@ mod tests {
         // sum equal to its maximum, and `new`'s stable sort orders the zeros.
         let draws = ShiftDraws {
             z: vec![-1.0; 6],
-            max: -1.0,
+            by_z: (0..6).collect(),
         };
         let fused = FusedSamples {
             map: StdNormalMap::of(&Dist::normal(-0.0, 1.0)).unwrap(),
@@ -964,6 +984,117 @@ mod tests {
             let want = fused.dist().quantile(p);
             assert_eq!(fused.quantile(p).to_bits(), want.to_bits(), "p {p}");
         }
+    }
+
+    /// `fused.quantile(p)` through the two-list pass, with the number of
+    /// maxima it maps (`base` evaluations, each an `exp` under a LogNormal).
+    fn counted_quantile(fused: &FusedSamples, p: f64) -> (f64, usize) {
+        let reads = std::cell::Cell::new(0);
+        let base = |i| {
+            reads.set(reads.get() + 1);
+            fused.transfer(i)
+        };
+        let len = fused.maxima.len();
+        let shift = |i| fused.shift(i);
+        let q = stats::quantile_of_sums(len, p, base, shift, &fused.draws.by_z).unwrap();
+        (q, reads.get())
+    }
+
+    /// How many maxima the single descending pass that the two-list pass
+    /// replaced mapped for the same answer: it bounded every shift by the
+    /// largest, and stopped at the first `i` with `transfer(i) + s_max` no
+    /// greater than the `k`-th largest sum so far.
+    fn single_pass_reads(fused: &FusedSamples, p: f64) -> usize {
+        let len = fused.maxima.len();
+        let s_max = fused.shift(fused.draws.by_z[0] as usize);
+        let k = len - (p.clamp(0.0, 1.0) * (len - 1) as f64).floor() as usize;
+        let mut top: Vec<f64> = Vec::with_capacity(k + 1);
+        for i in (0..len).rev() {
+            let b = fused.transfer(i);
+            if top.len() == k && b + s_max <= top[k - 1] {
+                return len - i;
+            }
+            let v = b + fused.shift(i);
+            top.insert(top.partition_point(|&t| t >= v), v);
+            top.truncate(k);
+        }
+        len
+    }
+
+    #[test]
+    fn a_miss_at_fig23s_shape_maps_few_maxima() {
+        // fig23's shape: a LogNormal per-instance time (instance CV 0.15)
+        // planned at p99.99 over 3,000 trials, after a drift correction
+        // flushed the memo. The interpolation reads the two largest sums.
+        let r = regions();
+        let (mut m, path) = model_with(&r, 3000, 0.15);
+        m.rescale_path_chunks(path, 1.3);
+        for (n, chunks) in [(2, 2), (4, 16), (16, 64), (64, 200), (127, 400)] {
+            let fused = m.fused_samples(path, chunks * (8 << 20), n, false).unwrap();
+            let (q, reads) = counted_quantile(&fused, 0.9999);
+            let want = fused.dist().quantile(0.9999);
+            assert_eq!(q.to_bits(), want.to_bits(), "n {n}");
+            assert!(reads <= 50, "n {n}: {reads} of 3,000 maxima mapped");
+        }
+    }
+
+    #[test]
+    #[ignore = "release-mode sweep, about 15 s: cargo test --release -p areplica-core -- --ignored"]
+    fn two_list_misses_match_the_sorted_reference_within_the_work_bound() {
+        let r = regions();
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut misses, mut reads, mut single_pass) = (0, 0, 0);
+        for _ in 0..40 {
+            let instance_cv = [0.0, rng.gen_range(0.05..0.4)][rng.gen_range(0..2)];
+            let (mut m, path) = model_with(&r, 3000, instance_cv);
+            for step in 0..4 {
+                if step > 0 {
+                    let edit = match rng.gen_range(0..3) {
+                        0 => Edit::Rescale(rng.gen_range(0.3..3.0)),
+                        1 => Edit::SetPath {
+                            chunk_s: rng.gen_range(0.05..0.5),
+                            instance_cv,
+                        },
+                        _ => Edit::SetLoc {
+                            cold_s: rng.gen_range(0.1..2.0),
+                        },
+                    };
+                    edit.apply(&mut m, path);
+                }
+                for _ in 0..30 {
+                    let n = rng.gen_range(2..GUMBEL_THRESHOLD_N as u32);
+                    let size = rng.gen_range(1..401u64) * (8 << 20) - rng.gen_range(0..8 << 20);
+                    let p = [
+                        0.0,
+                        0.5,
+                        0.9,
+                        0.99,
+                        0.999,
+                        0.9999,
+                        1.0,
+                        rng.gen_range(0.0..1.0),
+                    ][rng.gen_range(0..8)];
+                    let fused = m.fused_samples(path, size, n, false).unwrap();
+                    let (q, new_reads) = counted_quantile(&fused, p);
+                    let want = fused.dist().quantile(p);
+                    assert_eq!(q.to_bits(), want.to_bits(), "n {n} size {size} p {p}");
+                    assert!(q > 0.0, "the exact path, not the fallback");
+                    // Each step of the two-list pass maps at most two maxima,
+                    // and it stops no later in base steps than the single pass.
+                    let old_reads = single_pass_reads(&fused, p);
+                    assert!(
+                        new_reads <= 2 * old_reads,
+                        "n {n} p {p}: {new_reads} against {old_reads}"
+                    );
+                    misses += 1;
+                    reads += new_reads;
+                    single_pass += old_reads;
+                }
+            }
+        }
+        println!(
+            "{misses} misses: {reads} maxima mapped, against {single_pass} by the single pass"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use areplica_core::{
 };
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, RegionId, World};
-use pricing::CostCategory;
+use pricing::{CostCategory, Money};
 use simkernel::{SimDuration, SimTime};
 
 fn small_profiler() -> ProfilerConfig {
@@ -293,8 +293,11 @@ fn changelog_copy_avoids_wan_egress() {
     assert_eq!(service.metrics().changelog_applied, 1);
 }
 
-#[test]
-fn changelog_concat_avoids_wan_egress() {
+/// Replicates `k` 32 MiB objects from AWS us-east-1 to Azure eastus, then
+/// concatenates them with `user_concat`, and checks that the result reached
+/// the destination through the changelog. Returns what the concatenation
+/// cost: Azure's storage-request fees and the egress.
+fn changelog_concat(k: usize) -> (Money, Money) {
     let (mut sim, service, src, dst) = setup(
         7,
         (Cloud::Aws, "us-east-1"),
@@ -302,20 +305,22 @@ fn changelog_concat_avoids_wan_egress() {
         |r| r,
         EngineConfig::default(),
     );
-    for key in ["a.bin", "b.bin"] {
+    let keys: Vec<String> = (0..k).map(|i| format!("part-{i}.bin")).collect();
+    for key in &keys {
         world::user_put(&mut sim, src, "src-bucket", key, 32 << 20).unwrap();
     }
     sim.run_to_completion(3_000_000);
-    assert_replica_matches(&sim, src, dst, "a.bin");
-    assert_replica_matches(&sim, src, dst, "b.bin");
+    for key in &keys {
+        assert_replica_matches(&sim, src, dst, key);
+    }
 
     let before = sim.world.ledger.snapshot();
     changelog::user_concat(
         &mut sim,
         src,
         "src-bucket".into(),
-        vec!["a.bin".into(), "b.bin".into()],
-        "ab.bin".into(),
+        keys,
+        "concat.bin".into(),
         |_, _| {},
     )
     .unwrap();
@@ -324,26 +329,74 @@ fn changelog_concat_avoids_wan_egress() {
     let (src_content, src_etag) = sim
         .world
         .objstore(src)
-        .read_full("src-bucket", "ab.bin")
+        .read_full("src-bucket", "concat.bin")
         .unwrap();
     let (dst_content, dst_etag) = sim
         .world
         .objstore(dst)
-        .read_full("dst-bucket", "ab.bin")
+        .read_full("dst-bucket", "concat.bin")
         .expect("concatenation never reached the destination");
     assert!(src_content.same_bytes(&dst_content));
     assert_eq!(src_etag, dst_etag);
     assert_eq!(service.metrics().changelog_applied, 1);
+    let delta = sim.world.ledger.since(&before);
+    let requests = delta
+        .entries()
+        .filter(|&(cloud, category, _)| {
+            cloud == Cloud::Azure && category == CostCategory::StorageRequests
+        })
+        .map(|(_, _, fee)| fee)
+        .sum();
+    (requests, delta.category_total(CostCategory::Egress))
+}
+
+#[test]
+fn changelog_concat_avoids_wan_egress() {
+    let (two_sources, egress) = changelog_concat(2);
     // The assembly runs at the destination: the 64 MB result crosses no WAN.
-    let egress = sim
-        .world
-        .ledger
-        .since(&before)
-        .category_total(CostCategory::Egress);
     assert!(
         egress.as_dollars() < 1e-4,
         "changelog concat leaked egress: {egress}"
     );
+    let (three_sources, egress) = changelog_concat(3);
+    assert!(
+        egress.as_dollars() < 1e-4,
+        "changelog concat leaked egress: {egress}"
+    );
+    // The destination validates each source with its own metered stat, so
+    // a third source costs exactly one more GET request.
+    let catalog = World::paper_sim(7).world.catalog;
+    let get_fee = Money::from_dollars(catalog.cloud(Cloud::Azure).storage.per_10k_get / 10_000.0);
+    assert!(get_fee > Money::ZERO);
+    assert_eq!(three_sources - two_sources, get_fee);
+}
+
+#[test]
+fn user_concat_rejects_an_empty_source_list() {
+    let (mut sim, service, src, _dst) = setup(
+        7,
+        (Cloud::Aws, "us-east-1"),
+        (Cloud::Azure, "eastus"),
+        |r| r,
+        EngineConfig::default(),
+    );
+    let result = changelog::user_concat(
+        &mut sim,
+        src,
+        "src-bucket".into(),
+        Vec::new(),
+        "empty.bin".into(),
+        |_, _| panic!("nothing is written"),
+    );
+    assert_eq!(result, Err(changelog::ChangelogError::NoSources));
+    sim.run_to_completion(3_000_000);
+    assert_eq!(sim.world.db(src).table_len(changelog::CHANGELOG_TABLE), 0);
+    assert!(sim
+        .world
+        .objstore(src)
+        .read_full("src-bucket", "empty.bin")
+        .is_err());
+    assert_eq!(service.metrics().changelog_applied, 0);
 }
 
 #[test]
@@ -559,32 +612,6 @@ fn model_predictions_are_sane() {
         mean_delay > 0.3 && mean_delay < 15.0,
         "mean delay {mean_delay}"
     );
-}
-
-#[test]
-#[ignore]
-fn debug_crash_injection() {
-    let (mut sim, service, src, _dst) = setup(
-        11,
-        (Cloud::Aws, "us-east-1"),
-        (Cloud::Aws, "eu-west-1"),
-        |r| r,
-        EngineConfig::default(),
-    );
-    sim.world.params.crash_probability = 0.02;
-    world::user_put(&mut sim, src, "src-bucket", "fragile.bin", 128 << 20).unwrap();
-    sim.run_to_completion(20_000_000);
-    println!("faas stats: {:?}", sim.world.faas.stats);
-    println!("dlq: {:?}", sim.world.faas.dlq);
-    println!("completions: {}", service.metrics().completions.len());
-    println!("aborted: {}", service.metrics().aborted_retries);
-    let exec_region = src;
-    println!(
-        "task table at src: {}",
-        sim.world.db(exec_region).table_len("areplica_tasks")
-    );
-    println!("now: {}", sim.now());
-    println!("pending events: {}", sim.pending_events());
 }
 
 #[test]

@@ -201,13 +201,18 @@ fn interpolate_ranks(len: usize, q: f64, ranks: impl FnOnce(usize, usize) -> (f6
 /// `EmpiricalDist::new(v).quantile(q)` for `v_i = base(i) + shift(i)`,
 /// `i < len`, bit for bit, computing only the sums the answer can depend on.
 ///
-/// `base` must be non-decreasing in `i`, and `shift_max` must bound every
-/// `shift(i)`. The interpolation reads the `k = len − ⌊q(len − 1)⌋` largest
-/// sums. One pass down from `i = len − 1` keeps them, and stops at the first
-/// `i` whose bound `base(i) + shift_max` is no greater than the `k`-th
-/// largest so far: rounded addition is monotone in both operands, so no sum
-/// at or below `i` exceeds that bound, and none can change the values the
-/// `k` largest hold, ties included. Values that compare equal have the same
+/// Preconditions: `base` is non-decreasing in `i`, and `by_shift` lists
+/// `0..len` with `shift` non-increasing along it. The interpolation reads
+/// the `k = len − ⌊q(len − 1)⌋` largest sums. Two cursors find them, as in
+/// Fagin, Lotem and Naor's threshold algorithm: `a` walks down the indices
+/// from `len`, `b` walks up `by_shift` from 0, and each step sums the index
+/// under each cursor unless it is already summed. The pass stops once `k`
+/// sums are held and `base(a − 1) + shift(by_shift[b])` is no greater than
+/// the `k`-th largest. An unsummed index lies below `a`, so its base is at
+/// most `base(a − 1)`, and past `b` in `by_shift`, so its shift is at most
+/// `shift(by_shift[b])`; rounded addition is monotone in both operands, so
+/// its sum is at most that bound, and it cannot change the values the `k`
+/// largest hold, ties included. Values that compare equal have the same
 /// bits except `−0.0` and `+0.0`, whose order `new`'s stable sort takes from
 /// the input. So a `k`-th largest sum `<= 0`, a non-finite sum and
 /// `len < 2` go through `new` itself.
@@ -216,32 +221,45 @@ pub fn quantile_of_sums(
     q: f64,
     base: impl Fn(usize) -> f64,
     shift: impl Fn(usize) -> f64,
-    shift_max: f64,
+    by_shift: &[u32],
 ) -> Option<f64> {
+    debug_assert!(
+        lists_in_shift_order(len, &shift, by_shift),
+        "by_shift must list 0..len with shift non-increasing along it"
+    );
     if len >= 2 {
         let mut exact = false;
         let x = interpolate_ranks(len, q, |lo, hi| {
             let k = len - lo;
             // The largest sums so far, descending.
             let mut top: Vec<f64> = Vec::with_capacity(k + 1);
+            let mut seen = vec![0u64; len.div_ceil(64)];
             let mut prev = f64::INFINITY;
-            for i in (0..len).rev() {
-                let b = base(i);
-                debug_assert!(b <= prev, "base must be non-decreasing");
-                prev = b;
-                if top.len() == k && b + shift_max <= top[k - 1] {
+            let (mut a, mut b) = (len, 0);
+            while a > 0 && b < len {
+                let base_a = base(a - 1);
+                debug_assert!(base_a <= prev, "base must be non-decreasing");
+                prev = base_a;
+                let j = by_shift[b] as usize;
+                if top.len() == k && base_a + shift(j) <= top[k - 1] {
                     break;
                 }
-                let d = shift(i);
-                debug_assert!(d <= shift_max, "shift {d} above its bound {shift_max}");
-                let v = b + d;
-                if !v.is_finite() {
-                    return (v, v);
+                for (i, base_i) in [(a - 1, Some(base_a)), (j, None)] {
+                    if seen[i / 64] >> (i % 64) & 1 == 1 {
+                        continue;
+                    }
+                    seen[i / 64] |= 1 << (i % 64);
+                    let v = base_i.unwrap_or_else(|| base(i)) + shift(i);
+                    if !v.is_finite() {
+                        return (v, v);
+                    }
+                    if top.len() < k || v > top[k - 1] {
+                        top.insert(top.partition_point(|&t| t >= v), v);
+                        top.truncate(k);
+                    }
                 }
-                if top.len() < k || v > top[k - 1] {
-                    top.insert(top.partition_point(|&t| t >= v), v);
-                    top.truncate(k);
-                }
+                a -= 1;
+                b += 1;
             }
             exact = top[k - 1] > 0.0;
             (top[k - 1], top[len - 1 - hi])
@@ -251,6 +269,21 @@ pub fn quantile_of_sums(
         }
     }
     EmpiricalDist::new((0..len).map(|i| base(i) + shift(i)).collect()).map(|e| e.quantile(q))
+}
+
+/// [`quantile_of_sums`]' precondition on `by_shift`: it lists `0..len`,
+/// each index once, with `shift` non-increasing along it.
+fn lists_in_shift_order(len: usize, shift: impl Fn(usize) -> f64, by_shift: &[u32]) -> bool {
+    let mut listed = vec![false; len];
+    by_shift.len() == len
+        && by_shift.iter().all(|&i| {
+            listed
+                .get_mut(i as usize)
+                .is_some_and(|l| !std::mem::replace(l, true))
+        })
+        && by_shift
+            .windows(2)
+            .all(|w| shift(w[0] as usize) >= shift(w[1] as usize))
 }
 
 /// Euler–Mascheroni constant, used in Gumbel moments.
@@ -622,8 +655,11 @@ pub(crate) mod tests {
         assert_eq!(EmpiricalDist::new(vec![]), None);
         assert_eq!(EmpiricalDist::new(vec![f64::NAN]), None);
         let inf = f64::INFINITY;
-        assert_eq!(quantile_of_sums(0, 0.5, |_| 1.0, |_| 0.0, 0.0), None);
-        assert_eq!(quantile_of_sums(2, 0.5, |i| i as f64, |_| inf, inf), None);
+        assert_eq!(quantile_of_sums(0, 0.5, |_| 1.0, |_| 0.0, &[]), None);
+        assert_eq!(
+            quantile_of_sums(2, 0.5, |i| i as f64, |_| inf, &[0, 1]),
+            None
+        );
     }
 
     #[test]

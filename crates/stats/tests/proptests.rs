@@ -149,24 +149,40 @@ proptest! {
         ],
         // A −0.0 shift leaves every base value as it is, signed zeros
         // included, so the sums keep the base's ties; zero shifts of either
-        // sign interleave the signed zeros.
-        shifts in prop_oneof![
+        // sign interleave the signed zeros; one repeated shift, or a few
+        // distinct ones, tie the cursor's order.
+        mut shifts in prop_oneof![
             Just(vec![-0.0; 300]),
             proptest::collection::vec(prop_oneof![Just(-0.0), Just(0.0)], 300..301),
+            finite_f64(-50.0..50.0).prop_map(|s| vec![s; 300]),
+            proptest::collection::vec(0usize..FEW.len(), 300..301).prop_map(from_few),
             proptest::collection::vec(finite_f64(-50.0..50.0), 300..301),
         ],
-        // The bound may be loose.
-        slack in prop_oneof![Just(0.0), finite_f64(0.0..10.0)],
+        // Shifts as drawn, rising with the base, or falling with it.
+        trend in 0u8..3,
+        // Tied shifts in ascending or descending index order.
+        ties_descending in prop_oneof![Just(false), Just(true)],
         q_any in 0.0f64..1.0,
     ) {
         base.sort_by(f64::total_cmp);
         let len = base.len();
-        let shift_max = shifts[..len].iter().copied().fold(f64::NEG_INFINITY, f64::max) + slack;
+        let shifts = &mut shifts[..len];
+        match trend {
+            1 => shifts.sort_by(f64::total_cmp),
+            2 => shifts.sort_by(|a, b| b.total_cmp(a)),
+            _ => {}
+        }
+        let mut by_shift: Vec<u32> = (0..len as u32).collect();
+        by_shift.sort_by(|&i, &j| {
+            let by_index = if ties_descending { j.cmp(&i) } else { i.cmp(&j) };
+            shifts[j as usize].partial_cmp(&shifts[i as usize]).unwrap().then(by_index)
+        });
         let sums = (0..len).map(|i| base[i] + shifts[i]).collect();
         let sorted = EmpiricalDist::new(sums).unwrap();
+        // q = 0 reads all len sums, q = 1 the largest alone.
         for q in [0.0, 0.5, 0.99, 0.9999, 1.0, q_any] {
             let fused =
-                stats::quantile_of_sums(len, q, |i| base[i], |i| shifts[i], shift_max).unwrap();
+                stats::quantile_of_sums(len, q, |i| base[i], |i| shifts[i], &by_shift).unwrap();
             prop_assert_eq!(fused.to_bits(), sorted.quantile(q).to_bits(), "q = {}", q);
         }
     }

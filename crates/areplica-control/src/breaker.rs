@@ -16,7 +16,7 @@
 //!   [`BreakerConfig::min_events`] outcomes (`reason=error-ratio`).
 //! * **Open → HalfOpen** when the data plane's recheck loop acquires the
 //!   single probe ticket after the cooldown. Consecutive failed probes
-//!   stretch the cooldown by the unified retry policy's backoff schedule
+//!   stretch the cooldown by a client-side backoff schedule
 //!   ([`areplica_core::retry::RetryPolicy`]) — decorrelated jitter from a
 //!   derived RNG stream, so breakers for different (tenant, region) pairs
 //!   retest at uncorrelated times without sharing any latency RNG.

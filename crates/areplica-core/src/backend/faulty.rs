@@ -48,20 +48,21 @@ use super::{
     Backend, Clock, Exec, FnBody, FunctionRuntime, KvStore, NotifHandler, ObjectStore, RngSource,
 };
 
-/// How injected faults play out: the retry backoff, and which region's
-/// outage sites the decider is consulted at.
-#[derive(Clone, Debug)]
+/// Client-side backoff before retrying a faulted GET or PUT, or a write
+/// black-holed by an outage window.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(250);
+
+/// Which region's outage sites the decider is consulted at.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Client-side backoff before retrying a faulted GET or PUT.
-    pub retry_backoff: SimDuration,
     /// When set, the decider is additionally consulted at
     /// [`FaultSite::OutageOpen`] / [`FaultSite::OutageClose`] around
     /// data-plane writes toward this region, so a schedule can open and
     /// close a regional object-store outage at adversarial points. While a
     /// window is open, writes toward the region are black-holed and retried
-    /// after `retry_backoff` (each retry re-consults the close site), so the
-    /// platform's retry budget is never consumed and liveness is preserved;
-    /// a window that refuses to close is forced shut after
+    /// after a fixed 250 ms back-off (each retry re-consults the close
+    /// site), so the platform's retry budget is never consumed and liveness
+    /// is preserved; a window that refuses to close is forced shut after
     /// [`FORCED_OUTAGE_CLOSE`] consecutive denials. `None` (the default)
     /// consults neither site, leaving existing decision streams untouched.
     pub outage_region: Option<RegionId>,
@@ -75,15 +76,6 @@ pub const MAX_OUTAGES: u32 = 2;
 /// window is forced shut, bounding how long a schedule can black-hole a
 /// region (a script that ends mid-window would otherwise never close it).
 pub const FORCED_OUTAGE_CLOSE: u32 = 12;
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            retry_backoff: SimDuration::from_millis(250),
-            outage_region: None,
-        }
-    }
-}
 
 /// Counts of the faults actually injected so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -212,14 +204,14 @@ impl<B: Backend> Faulty<B> {
     }
 
     /// Consults the outage decision sites for a data-plane write toward
-    /// `region`. Returns the backoff to retry after when the write is
-    /// black-holed by an active (or just-opened) outage window, `None`
-    /// when it may proceed. Off-target regions and plans without
-    /// [`FaultPlan::outage_region`] never reach a decision site, so
-    /// pre-outage decision streams replay unchanged.
-    fn outage_gate(&mut self, region: RegionId) -> Option<SimDuration> {
+    /// `region`. Returns whether the write is black-holed by an active (or
+    /// just-opened) outage window, to be retried after `RETRY_BACKOFF`.
+    /// Off-target regions and plans without [`FaultPlan::outage_region`]
+    /// never reach a decision site, so pre-outage decision streams replay
+    /// unchanged.
+    fn outage_blocks(&mut self, region: RegionId) -> bool {
         if self.state.borrow().plan.outage_region != Some(region) {
-            return None;
+            return false;
         }
         if self.state.borrow().outage_active {
             // Liveness backstop: a window denied closure too many times is
@@ -229,18 +221,18 @@ impl<B: Backend> Faulty<B> {
                 let mut st = self.state.borrow_mut();
                 st.outage_active = false;
                 st.outage_denials = 0;
-                return None;
+                return false;
             }
             if self.should_fault(FaultSite::OutageClose) {
                 let mut st = self.state.borrow_mut();
                 st.outage_active = false;
                 st.outage_denials = 0;
-                return None;
+                return false;
             }
             let mut st = self.state.borrow_mut();
             st.outage_denials += 1;
             st.stats.outage_blocked_ops += 1;
-            Some(st.plan.retry_backoff)
+            true
         } else {
             // The open site is only consulted while budget remains — the
             // budget check is deterministic state, so record and replay
@@ -248,14 +240,14 @@ impl<B: Backend> Faulty<B> {
             if self.state.borrow().stats.outages_opened >= MAX_OUTAGES as u64
                 || !self.should_fault(FaultSite::OutageOpen)
             {
-                return None;
+                return false;
             }
             let mut st = self.state.borrow_mut();
             st.outage_active = true;
             st.outage_denials = 0;
             st.stats.outages_opened += 1;
             st.stats.outage_blocked_ops += 1;
-            Some(st.plan.retry_backoff)
+            true
         }
     }
 
@@ -396,12 +388,8 @@ impl<B: Backend> ObjectStore for Faulty<B> {
         cb: impl FnOnce(&mut Self, Result<(Content, ETag), StoreError>) + 'static,
     ) {
         if self.should_fault(FaultSite::TransientGet) {
-            let backoff = {
-                let mut st = self.state.borrow_mut();
-                st.stats.injected_get_faults += 1;
-                st.plan.retry_backoff
-            };
-            self.schedule_in(backoff, move |this| {
+            self.state.borrow_mut().stats.injected_get_faults += 1;
+            self.schedule_in(RETRY_BACKOFF, move |this| {
                 this.get_object_range(exec, region, bucket, key, offset, len, if_match, cb);
             });
             return;
@@ -432,18 +420,14 @@ impl<B: Backend> ObjectStore for Faulty<B> {
     ) {
         // An op toward a downed region never reaches the store (and gets no
         // transient-fault decision): black-hole and retry after backoff.
-        if let Some(backoff) = self.outage_gate(region) {
-            self.schedule_in(backoff, move |this| {
+        if self.outage_blocks(region) {
+            self.schedule_in(RETRY_BACKOFF, move |this| {
                 this.put_object(exec, region, bucket, key, content, cb);
             });
             return;
         }
         if self.should_fault(FaultSite::TransientPut) {
-            let backoff = {
-                let mut st = self.state.borrow_mut();
-                st.stats.injected_put_faults += 1;
-                st.plan.retry_backoff
-            };
+            self.state.borrow_mut().stats.injected_put_faults += 1;
             // Ambiguous PUT: the store applies the write, the client sees an
             // error and retries the full operation.
             self.inner.put_object(
@@ -454,7 +438,7 @@ impl<B: Backend> ObjectStore for Faulty<B> {
                 content.clone(),
                 |_inner, _res| {},
             );
-            self.schedule_in(backoff, move |this| {
+            self.schedule_in(RETRY_BACKOFF, move |this| {
                 this.put_object(exec, region, bucket, key, content, cb);
             });
             return;
@@ -529,18 +513,14 @@ impl<B: Backend> ObjectStore for Faulty<B> {
         content: Content,
         cb: impl FnOnce(&mut Self, Result<(), StoreError>) + 'static,
     ) {
-        if let Some(backoff) = self.outage_gate(region) {
-            self.schedule_in(backoff, move |this| {
+        if self.outage_blocks(region) {
+            self.schedule_in(RETRY_BACKOFF, move |this| {
                 this.upload_part(exec, region, upload_id, part_number, content, cb);
             });
             return;
         }
         if self.should_fault(FaultSite::TransientPut) {
-            let backoff = {
-                let mut st = self.state.borrow_mut();
-                st.stats.injected_put_faults += 1;
-                st.plan.retry_backoff
-            };
+            self.state.borrow_mut().stats.injected_put_faults += 1;
             // Ambiguous PUT: the part lands, the client sees an error and
             // re-uploads — part re-upload must replace, not duplicate.
             self.inner.upload_part(
@@ -551,7 +531,7 @@ impl<B: Backend> ObjectStore for Faulty<B> {
                 content.clone(),
                 |_inner, _res| {},
             );
-            self.schedule_in(backoff, move |this| {
+            self.schedule_in(RETRY_BACKOFF, move |this| {
                 this.upload_part(exec, region, upload_id, part_number, content, cb);
             });
             return;

@@ -74,9 +74,9 @@ impl ReplicationRule {
         self
     }
 
-    /// Sets the plan percentile.
+    /// Sets the plan percentile, which must lie in (0, 1).
     pub fn with_percentile(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "percentile must be in (0, 1)");
+        assert!(p > 0.0 && p < 1.0, "percentile must be in (0, 1)");
         self.percentile = p;
         self
     }
@@ -111,10 +111,6 @@ pub struct EngineConfig {
     /// part-granularity scheduling, or the fair fixed assignment baseline
     /// (Figure 17's ablation).
     pub scheduling: SchedulingMode,
-    /// The unified retry/backoff policy (platform invoke retries, client
-    /// backoff, per-op-class timeout budgets). The default reproduces the
-    /// historical per-call-site constants bit-for-bit.
-    pub retry: crate::retry::RetryPolicy,
     /// Testing backdoor reproducing the pre-fix split-brain bug: a second
     /// live incarnation of a task ignores the upload id recorded in the part
     /// pool and works its own rival multipart upload. Exists solely so
@@ -141,7 +137,6 @@ impl Default for EngineConfig {
             max_parallelism: DEFAULT_MAX_PARALLELISM,
             validate_etags: true,
             scheduling: SchedulingMode::PartGranularity,
-            retry: crate::retry::RetryPolicy::default(),
             unsafe_disable_upload_adoption: false,
         }
     }
@@ -183,6 +178,14 @@ mod tests {
         let regions = RegionRegistry::paper_regions();
         let src = regions.lookup(Cloud::Aws, "us-east-1").unwrap();
         ReplicationRule::new(src, "a", src, "b").with_percentile(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile")]
+    fn zero_percentile_rejected() {
+        let regions = RegionRegistry::paper_regions();
+        let src = regions.lookup(Cloud::Aws, "us-east-1").unwrap();
+        ReplicationRule::new(src, "a", src, "b").with_percentile(0.0);
     }
 
     #[test]

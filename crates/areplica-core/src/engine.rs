@@ -30,7 +30,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use cloudapi::clouddb::{Item, Value};
-use cloudapi::faas::FnHandle;
+use cloudapi::faas::{FnHandle, RetryPolicy};
 use cloudapi::objstore::{ETag, StoreError};
 use cloudapi::RegionId;
 use simkernel::{SimDuration, SimTime};
@@ -292,7 +292,6 @@ pub fn execute_for<B: Backend>(
 fn invoke_single_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>) {
     let region = ctx.exec_region;
     let spec = sim.default_fn_spec(region);
-    let policy = ctx.cfg.retry.invoke_policy();
     let body: FnBody<B> = Rc::new(move |sim, handle| {
         let ctx = ctx.clone();
         let started = sim.now();
@@ -317,7 +316,7 @@ fn invoke_single_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>) {
             );
         });
     });
-    sim.invoke(region, spec, body, policy);
+    sim.invoke(region, spec, body, RetryPolicy::PLATFORM_DEFAULT);
 }
 
 type StreamExit<B> = Box<dyn FnOnce(&mut B, u32)>;
@@ -865,7 +864,7 @@ fn invoke_replicators<B: Backend>(
             SchedulingMode::FairDispatch => Some((0..num_parts).filter(|p| p % n == k).collect()),
         };
         let body = replicator_body(ctx.clone(), upload_id, fair_parts);
-        sim.invoke_after(stagger, region, spec, body, ctx.cfg.retry.invoke_policy());
+        sim.invoke_after(stagger, region, spec, body, RetryPolicy::PLATFORM_DEFAULT);
     }
 }
 
@@ -1255,9 +1254,8 @@ fn invoke_rescue_replicator<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload
     sim.tracer().counter_add("engine.rescues", 1);
     let region = ctx.exec_region;
     let spec = sim.default_fn_spec(region);
-    let policy = ctx.cfg.retry.invoke_policy();
     let body = replicator_body(ctx, upload_id, None);
-    sim.invoke(region, spec, body, policy);
+    sim.invoke(region, spec, body, RetryPolicy::PLATFORM_DEFAULT);
 }
 
 #[cfg(test)]

@@ -62,6 +62,6 @@ pub use metrics::{CompletionRecord, Metrics};
 pub use model::{ExecSide, PathKey, PerfModel};
 pub use planner::{generate_plan, Plan};
 pub use profiler::{ProfileError, ProfilerConfig};
-pub use retry::{BackoffSchedule, OpClass, RetryPolicy};
+pub use retry::{BackoffSchedule, RetryPolicy};
 pub use service::{AReplica, AReplicaBuilder};
 pub use tenant::{AdmissionDecision, AdmissionHandle, AdmissionPolicy, TenantCtx, TenantId};

@@ -5,7 +5,7 @@
 //! its subsequent versions in the destination region" (§8 Metrics).
 
 use cloudapi::objstore::ETag;
-use simkernel::{Histogram, SimDuration, SimTime, TimeSeries};
+use simkernel::{SimDuration, SimTime};
 
 use crate::model::ExecSide;
 
@@ -43,12 +43,8 @@ impl CompletionRecord {
 /// Aggregated metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Replication delay samples, in seconds.
-    pub delays: Histogram,
-    /// Delay time series (completion time, delay seconds) for windowed
-    /// percentiles (Figure 23).
-    pub delay_series: TimeSeries,
-    /// Full per-completion records.
+    /// Full per-completion records; each carries its replication delay
+    /// ([`CompletionRecord::delay`]).
     pub completions: Vec<CompletionRecord>,
     /// DELETE propagations applied.
     pub deletes_propagated: u64,
@@ -84,10 +80,6 @@ pub struct Metrics {
 impl Metrics {
     /// Records a completed replication.
     pub fn record_completion(&mut self, rec: CompletionRecord) {
-        let delay = rec.delay();
-        self.delays.record_duration(delay);
-        self.delay_series
-            .push(rec.completed_at, delay.as_secs_f64());
         if rec.via_changelog {
             self.changelog_applied += 1;
         }
@@ -138,8 +130,6 @@ mod tests {
         m.record_completion(rec(0, 3_000_000_000));
         assert_eq!(m.completions.len(), 3);
         assert_eq!(m.changelog_applied, 1);
-        assert!((m.delays.mean().unwrap() - 2.0).abs() < 1e-9);
-        assert_eq!(m.delay_series.len(), 3);
     }
 
     #[test]

@@ -1,51 +1,26 @@
-//! The unified retry/backoff policy for the whole data plane.
+//! The client-side back-off schedule.
 //!
-//! Before this module, retry behaviour was scattered constants: the platform
-//! invoke policy was re-stated as `RetryPolicy::default()` at every
-//! `invoke` call site, the fault-injection wrapper carried its own 250 ms
-//! client backoff, and the crash-injection test hand-tuned a 24-retry
-//! budget. [`RetryPolicy`] gathers all of it in one place:
+//! Data-plane invocations leave retries to the platform: every `invoke`
+//! passes [`cloudapi::faas::RetryPolicy::PLATFORM_DEFAULT`]. What remains
+//! here is the one client-side schedule, which the circuit breaker uses to
+//! stretch its cooldown across failed probes: a capped exponential with
+//! optional *deterministic decorrelated jitter*. Jitter draws come from an
+//! RNG derived off a policy seed and a per-schedule label
+//! ([`RetryPolicy::schedule`]), an independent stream that by construction
+//! cannot perturb the shared latency RNGs — identically-seeded runs see
+//! identical delays.
 //!
-//! * the **platform invoke budget** ([`RetryPolicy::invoke_max_retries`]),
-//!   converted to the provider-level policy via
-//!   [`RetryPolicy::invoke_policy`];
-//! * **client-side backoff** as a capped exponential with optional
-//!   *deterministic decorrelated jitter*: jitter draws come from an RNG
-//!   derived off a policy seed and a per-schedule label
-//!   ([`RetryPolicy::schedule`]), an independent stream that by construction
-//!   cannot perturb the shared latency RNGs — identically-seeded runs see
-//!   identical delays;
-//! * **per-op-class timeout budgets** ([`OpClass`]) so callers that need a
-//!   deadline (health probes, catch-up drains) take it from policy instead
-//!   of inventing a constant.
-//!
-//! The [`Default`] policy reproduces the historical behaviour bit-for-bit:
-//! two platform retries (the AWS async default every call site passed), a
-//! fixed 250 ms client backoff (the fault wrapper's constant), and no
-//! jitter — so every committed `results/*.txt` is untouched. New recovery
-//! paths opt into [`RetryPolicy::resilient`], which enables the capped
-//! exponential with decorrelated jitter.
+//! The [`Default`] policy is a fixed 250 ms back-off without jitter;
+//! [`RetryPolicy::resilient`] enables the capped exponential with
+//! decorrelated jitter.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use simkernel::{rng::derive_rng, SimDuration};
 
-/// Which kind of operation a timeout budget applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Control-plane round trips (stat/copy/multipart bookkeeping, KV ops).
-    ControlPlane,
-    /// Data-plane transfers (ranged GETs, part uploads).
-    Transfer,
-    /// Function invocations end-to-end.
-    Invoke,
-}
-
-/// The unified retry/backoff policy (see the module docs).
+/// A client-side back-off policy (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// Platform-level retries after the first invocation attempt.
-    pub invoke_max_retries: u32,
     /// Maximum client-side retry delays a [`BackoffSchedule`] yields before
     /// reporting exhaustion.
     pub max_attempts: u32,
@@ -59,28 +34,17 @@ pub struct RetryPolicy {
     /// from `[base, min(cap, 3 × previous)]` using an RNG derived from
     /// `(seed, label)`; `None` yields the deterministic exponential.
     pub jitter_seed: Option<u64>,
-    /// Timeout budget for control-plane round trips.
-    pub control_plane_budget: SimDuration,
-    /// Timeout budget for data-plane transfers.
-    pub transfer_budget: SimDuration,
-    /// Timeout budget for one invocation end-to-end.
-    pub invoke_budget: SimDuration,
 }
 
 impl Default for RetryPolicy {
-    /// The historical constants, verbatim: 2 platform retries, fixed 250 ms
-    /// client backoff, no jitter.
+    /// A fixed 250 ms back-off, four times, without jitter.
     fn default() -> Self {
         RetryPolicy {
-            invoke_max_retries: 2,
             max_attempts: 4,
             base_backoff: SimDuration::from_millis(250),
             multiplier: 1.0,
             max_backoff: SimDuration::from_millis(250),
             jitter_seed: None,
-            control_plane_budget: SimDuration::from_secs(10),
-            transfer_budget: SimDuration::from_secs(120),
-            invoke_budget: SimDuration::from_secs(30),
         }
     }
 }
@@ -92,29 +56,11 @@ impl RetryPolicy {
     /// perturbing) any latency RNG stream.
     pub fn resilient(seed: u64) -> Self {
         RetryPolicy {
-            invoke_max_retries: 2,
             max_attempts: 8,
             base_backoff: SimDuration::from_millis(250),
             multiplier: 2.0,
             max_backoff: SimDuration::from_secs(8),
             jitter_seed: Some(seed),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The provider-level async-invoke policy this client policy maps to.
-    pub fn invoke_policy(&self) -> cloudapi::faas::RetryPolicy {
-        cloudapi::faas::RetryPolicy {
-            max_retries: self.invoke_max_retries,
-        }
-    }
-
-    /// The timeout budget for an op class.
-    pub fn budget(&self, class: OpClass) -> SimDuration {
-        match class {
-            OpClass::ControlPlane => self.control_plane_budget,
-            OpClass::Transfer => self.transfer_budget,
-            OpClass::Invoke => self.invoke_budget,
         }
     }
 
@@ -186,9 +132,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_reproduces_historical_constants() {
+    fn default_is_a_fixed_250ms_backoff() {
         let p = RetryPolicy::default();
-        assert_eq!(p.invoke_policy(), cloudapi::faas::RetryPolicy::default());
         let mut s = p.schedule("x");
         // Fixed 250 ms, exactly `max_attempts` times, then exhaustion.
         for _ in 0..p.max_attempts {
@@ -205,7 +150,6 @@ mod tests {
             multiplier: 2.0,
             max_backoff: SimDuration::from_secs(1),
             jitter_seed: None,
-            ..RetryPolicy::default()
         };
         let delays: Vec<_> = {
             let mut s = p.schedule("x");
@@ -266,14 +210,5 @@ mod tests {
         while s.next_delay().is_some() {}
         let after: u64 = derive_rng(1234, "world:net").gen();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn budgets_by_op_class() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.budget(OpClass::ControlPlane), p.control_plane_budget);
-        assert_eq!(p.budget(OpClass::Transfer), p.transfer_budget);
-        assert_eq!(p.budget(OpClass::Invoke), p.invoke_budget);
-        assert!(p.budget(OpClass::Transfer) > p.budget(OpClass::ControlPlane));
     }
 }

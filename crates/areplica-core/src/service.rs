@@ -23,7 +23,7 @@ use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use cloudapi::faas::FnHandle;
+use cloudapi::faas::{FnHandle, RetryPolicy};
 use cloudapi::objstore::{BlobId, Content, ETag, EventKind, ObjectEvent, StoreError};
 use cloudapi::RegionId;
 use simkernel::{SimDuration, SimTime};
@@ -562,12 +562,11 @@ fn trigger_replication<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: T
     }
     let src_region = task.src_region;
     let spec = sim.default_fn_spec(src_region);
-    let policy = st.borrow().cfg.retry.invoke_policy();
     let task = Rc::new(task);
     let body: FnBody<B> = Rc::new(move |sim, handle| {
         orchestrate(sim, st.clone(), rule_idx, task.clone(), handle, span);
     });
-    sim.invoke(src_region, spec, body, policy);
+    sim.invoke(src_region, spec, body, RetryPolicy::PLATFORM_DEFAULT);
 }
 
 /// The orchestrator function body.
@@ -1002,7 +1001,6 @@ fn retrigger_for_version<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: 
 fn trigger_delete<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSpec) {
     let src_region = task.src_region;
     let spec = sim.default_fn_spec(src_region);
-    let policy = st.borrow().cfg.retry.invoke_policy();
     let task = Rc::new(task);
     let body: FnBody<B> = Rc::new(move |sim, handle| {
         let exec = Exec::Function(handle);
@@ -1039,7 +1037,7 @@ fn trigger_delete<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSp
             },
         );
     });
-    sim.invoke(src_region, spec, body, policy);
+    sim.invoke(src_region, spec, body, RetryPolicy::PLATFORM_DEFAULT);
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,6 +1047,10 @@ fn trigger_delete<B: Backend>(sim: &mut B, st: St, rule_idx: usize, task: TaskSp
 /// Key of the tiny probe object written to the destination bucket when the
 /// breaker half-opens (never replicated; not part of any rule's source).
 pub const PROBE_KEY: &str = ".areplica-probe";
+
+/// How long a recheck waits before trying again when another probe toward
+/// the same destination is already in flight.
+const PROBE_BUSY_BACKOFF: SimDuration = SimDuration::from_millis(250);
 
 /// Records a version in the rule's durable catch-up queue instead of
 /// replicating it (destination breaker open). SLO accounting happens here —
@@ -1164,10 +1166,11 @@ fn health_recheck<B: Backend>(sim: &mut B, st: St, rule_idx: usize) {
         RecheckAdvice::Probe => {
             if !health.borrow_mut().probe_open(now, dst_region) {
                 // Another probe is in flight (e.g. a second rule toward the
-                // same destination): back off one base-backoff beat.
-                let d = st.borrow().cfg.retry.base_backoff;
+                // same destination): back off and recheck.
                 let st2 = st.clone();
-                sim.schedule_in(d, move |sim| health_recheck(sim, st2, rule_idx));
+                sim.schedule_in(PROBE_BUSY_BACKOFF, move |sim| {
+                    health_recheck(sim, st2, rule_idx)
+                });
                 return;
             }
             sim.tracer().counter_add("service.probes", 1);

@@ -115,9 +115,10 @@ pub struct ManagedReplication {
 }
 
 impl ManagedReplication {
-    /// Installs the managed baseline on a bucket pair: versioning is enabled
-    /// on both sides (a prerequisite of both services) and every PUT event
-    /// replicates after the modelled service delay.
+    /// Installs the managed baseline on a bucket pair: every PUT event
+    /// replicates after the modelled service delay. Both services require
+    /// versioning on both sides; its storage overhead is billed per
+    /// replication ([`ManagedConfig::versioning_retention`]), not stored.
     ///
     /// # Panics
     ///
@@ -162,15 +163,6 @@ impl ManagedReplication {
         }
         sim.world.objstore_mut(src_region).create_bucket(src_bucket);
         sim.world.objstore_mut(dst_region).create_bucket(dst_bucket);
-        // Versioning is a prerequisite on both sides.
-        sim.world
-            .objstore_mut(src_region)
-            .set_versioning(src_bucket, true)
-            .expect("bucket just created");
-        sim.world
-            .objstore_mut(dst_region)
-            .set_versioning(dst_bucket, true)
-            .expect("bucket just created");
 
         let state = Rc::new(RefCell::new(ManagedState {
             cfg,

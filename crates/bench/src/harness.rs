@@ -5,6 +5,8 @@ use std::path::{Path, PathBuf};
 
 use simtrace::{names, Tracer};
 
+pub use stats::fit::{mean, std_dev};
+
 /// The experiment scale factor from `AREPLICA_SCALE` (default 1.0).
 pub fn scale() -> f64 {
     std::env::var("AREPLICA_SCALE")
@@ -31,38 +33,29 @@ pub fn seed() -> u64 {
 /// `AREPLICA_TRACE_OUT` env var as a fallback). `None` means tracing stays
 /// off. A bare `--trace-out` (or empty env var) uses the results directory.
 pub fn trace_out_dir() -> Option<PathBuf> {
-    let mut dir: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--trace-out" {
-            dir = Some(String::new());
-        } else if let Some(d) = arg.strip_prefix("--trace-out=") {
-            dir = Some(d.to_string());
-        }
-    }
-    let dir = dir.or_else(|| std::env::var("AREPLICA_TRACE_OUT").ok())?;
-    Some(if dir.is_empty() {
-        std::env::var("AREPLICA_RESULTS_DIR")
-            .unwrap_or_else(|_| "results".to_string())
-            .into()
-    } else {
-        dir.into()
-    })
+    out_dir("--trace-out", "AREPLICA_TRACE_OUT")
 }
 
 /// Dashboard output directory from a `--dash-out[=DIR]` CLI flag (or the
 /// `AREPLICA_DASH_OUT` env var as a fallback). `None` means dashboard
 /// artifacts are not written. A bare `--dash-out` (or empty env var) uses
-/// the results directory. Mirrors [`trace_out_dir`].
+/// the results directory.
 pub fn dash_out_dir() -> Option<PathBuf> {
+    out_dir("--dash-out", "AREPLICA_DASH_OUT")
+}
+
+/// An output directory from a `{flag}[=DIR]` CLI flag, or else the `env`
+/// var; a bare flag or an empty var means the results directory.
+fn out_dir(flag: &str, env: &str) -> Option<PathBuf> {
     let mut dir: Option<String> = None;
     for arg in std::env::args().skip(1) {
-        if arg == "--dash-out" {
+        if arg == flag {
             dir = Some(String::new());
-        } else if let Some(d) = arg.strip_prefix("--dash-out=") {
+        } else if let Some(d) = arg.strip_prefix(flag).and_then(|d| d.strip_prefix('=')) {
             dir = Some(d.to_string());
         }
     }
-    let dir = dir.or_else(|| std::env::var("AREPLICA_DASH_OUT").ok())?;
+    let dir = dir.or_else(|| std::env::var(env).ok())?;
     Some(if dir.is_empty() {
         std::env::var("AREPLICA_RESULTS_DIR")
             .unwrap_or_else(|_| "results".to_string())
@@ -237,23 +230,6 @@ pub fn human_bytes(b: u64) -> String {
     } else {
         format!("{b}B")
     }
-}
-
-/// Mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// Exact percentile (linear interpolation) of an unsorted slice.

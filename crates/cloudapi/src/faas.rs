@@ -72,8 +72,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The platform default: 2 retries after the first attempt (the AWS
-    /// async-invoke default, also what the engine's unified client policy
-    /// maps to).
+    /// async-invoke default, and what every data-plane invocation passes).
     pub const PLATFORM_DEFAULT: RetryPolicy = RetryPolicy { max_retries: 2 };
 
     /// A deep retry budget for crash-heavy environments: with several crash

@@ -182,13 +182,6 @@ pub struct ObjectVersion {
     pub seq: u64,
 }
 
-/// A stored object: a current version plus (with versioning) non-current ones.
-#[derive(Debug, Clone, Default)]
-struct ObjectEntry {
-    current: Option<ObjectVersion>,
-    noncurrent: Vec<ObjectVersion>,
-}
-
 /// The kind of change a notification reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -224,9 +217,8 @@ pub struct NotificationTarget(pub u64);
 /// A bucket.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
-    objects: HashMap<String, ObjectEntry>,
-    /// Whether versioning is enabled (required by the proprietary baselines).
-    pub versioning: bool,
+    /// Each live key's current version.
+    objects: HashMap<String, ObjectVersion>,
     /// Notification subscriptions.
     pub notification_targets: Vec<NotificationTarget>,
     next_seq: u64,
@@ -321,12 +313,6 @@ impl ObjectStore {
         self.buckets.entry(name.to_string()).or_default();
     }
 
-    /// Enables or disables versioning on a bucket.
-    pub fn set_versioning(&mut self, bucket: &str, enabled: bool) -> Result<(), StoreError> {
-        self.bucket_mut(bucket)?.versioning = enabled;
-        Ok(())
-    }
-
     /// Subscribes a notification target to a bucket's write events.
     pub fn subscribe(
         &mut self,
@@ -367,13 +353,7 @@ impl ObjectStore {
             created_at: now,
             seq,
         };
-        let entry = b.objects.entry(key.to_string()).or_default();
-        if b.versioning {
-            if let Some(prev) = entry.current.take() {
-                entry.noncurrent.push(prev);
-            }
-        }
-        entry.current = Some(version);
+        b.objects.insert(key.to_string(), version);
         let targets = b.notification_targets.clone();
         Ok(PutApplied {
             etag,
@@ -398,11 +378,7 @@ impl ObjectStore {
         now: SimTime,
     ) -> Result<PutApplied, StoreError> {
         let b = self.bucket_mut(bucket)?;
-        let entry = b.objects.get_mut(key).ok_or(StoreError::NoSuchKey)?;
-        let current = entry.current.take().ok_or(StoreError::NoSuchKey)?;
-        if b.versioning {
-            entry.noncurrent.push(current.clone());
-        }
+        let current = b.objects.remove(key).ok_or(StoreError::NoSuchKey)?;
         b.next_seq += 1;
         let seq = b.next_seq;
         let targets = b.notification_targets.clone();
@@ -423,12 +399,11 @@ impl ObjectStore {
 
     /// Stats the current version of an object.
     pub fn stat(&self, bucket: &str, key: &str) -> Result<ObjectStat, StoreError> {
-        let entry = self
+        let cur = self
             .bucket(bucket)?
             .objects
             .get(key)
             .ok_or(StoreError::NoSuchKey)?;
-        let cur = entry.current.as_ref().ok_or(StoreError::NoSuchKey)?;
         Ok(ObjectStat {
             etag: cur.etag,
             size: cur.content.size(),
@@ -447,12 +422,11 @@ impl ObjectStore {
         len: u64,
         if_match: Option<ETag>,
     ) -> Result<(Content, ETag), StoreError> {
-        let entry = self
+        let cur = self
             .bucket(bucket)?
             .objects
             .get(key)
             .ok_or(StoreError::NoSuchKey)?;
-        let cur = entry.current.as_ref().ok_or(StoreError::NoSuchKey)?;
         if let Some(expect) = if_match {
             if expect != cur.etag {
                 return Err(StoreError::PreconditionFailed { current: cur.etag });
@@ -561,37 +535,6 @@ impl ObjectStore {
         let mut ids: Vec<u64> = self.multiparts.keys().copied().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Total bytes stored in a bucket, including non-current versions
-    /// (the versioning storage overhead of §5.2).
-    pub fn stored_bytes(&self, bucket: &str) -> Result<u64, StoreError> {
-        let b = self.bucket(bucket)?;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "an integer sum does not depend on order"
-        )]
-        Ok(b.objects
-            .values()
-            .map(|e| {
-                e.current.as_ref().map_or(0, |v| v.content.size())
-                    + e.noncurrent.iter().map(|v| v.content.size()).sum::<u64>()
-            })
-            .sum())
-    }
-
-    /// Number of live (current) objects in a bucket.
-    pub fn object_count(&self, bucket: &str) -> Result<usize, StoreError> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a count does not depend on order"
-        )]
-        Ok(self
-            .bucket(bucket)?
-            .objects
-            .values()
-            .filter(|e| e.current.is_some())
-            .count())
     }
 }
 
@@ -724,31 +667,6 @@ mod tests {
         let del = s.apply_delete("b", "k", t(2)).unwrap();
         assert_eq!(del.event.kind, EventKind::Delete);
         assert_eq!(s.stat("b", "k"), Err(StoreError::NoSuchKey));
-        assert_eq!(s.object_count("b").unwrap(), 0);
-    }
-
-    #[test]
-    fn versioning_retains_noncurrent_bytes() {
-        let mut s = ObjectStore::new();
-        s.create_bucket("b");
-        s.set_versioning("b", true).unwrap();
-        s.apply_put("b", "k", Content::fresh(BlobId(1), 100), t(1))
-            .unwrap();
-        s.apply_put("b", "k", Content::fresh(BlobId(2), 50), t(2))
-            .unwrap();
-        assert_eq!(s.stored_bytes("b").unwrap(), 150);
-        s.apply_delete("b", "k", t(3)).unwrap();
-        // Both versions still consume storage after the delete marker.
-        assert_eq!(s.stored_bytes("b").unwrap(), 150);
-
-        // Without versioning, storage holds only the current version.
-        let mut s2 = ObjectStore::new();
-        s2.create_bucket("b");
-        s2.apply_put("b", "k", Content::fresh(BlobId(1), 100), t(1))
-            .unwrap();
-        s2.apply_put("b", "k", Content::fresh(BlobId(2), 50), t(2))
-            .unwrap();
-        assert_eq!(s2.stored_bytes("b").unwrap(), 50);
     }
 
     #[test]

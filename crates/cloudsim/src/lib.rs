@@ -4,8 +4,7 @@
 //! and GCP with
 //!
 //! * [`objstore`] — object storage with recipe-based content (consistency is
-//!   checkable), multipart uploads, ETags, versioning, and event
-//!   notifications;
+//!   checkable), multipart uploads, ETags, and event notifications;
 //! * [`clouddb`] — serverless KV databases with atomic transactions;
 //! * [`faas`] — cloud-function runtimes with cold starts, warm pools,
 //!   scheduler batching, timeouts, retries, a DLQ, and per-ms billing;

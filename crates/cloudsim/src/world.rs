@@ -328,6 +328,22 @@ impl World {
         }
     }
 
+    /// The executor's region, or `None` if it is dead: all a request needs
+    /// of its caller (a transfer leg takes the whole
+    /// [`World::exec_profile`]).
+    pub(crate) fn exec_region(&self, exec: Executor) -> Option<RegionId> {
+        match exec {
+            Executor::Function(h) => self.faas.is_live(h).then_some(h.region),
+            Executor::Vm(id) => {
+                if self.vms.state(id) != Some(VmState::Running) {
+                    return None;
+                }
+                self.vms.region(id)
+            }
+            Executor::Platform { region, .. } => Some(region),
+        }
+    }
+
     /// True if the executor can still observe operation completions.
     pub fn exec_alive(&self, exec: Executor) -> bool {
         match exec {
@@ -460,27 +476,15 @@ pub fn run_leg(
     });
 }
 
-/// Applies the objstore outage gate to a control-plane round trip issued at
-/// the current instant: `Ok` carries the (possibly browned-out or stalled)
-/// RTT to proceed with, `Err` carries the RTT after which the operation must
-/// fail with [`StoreError::Unavailable`]. On the no-outage path this is one
-/// emptiness check.
-fn objstore_gate(
-    sim: &mut CloudSim,
-    region: RegionId,
-    rtt: SimDuration,
-) -> Result<SimDuration, SimDuration> {
+/// The object-store outage gate of `region` at the current instant. On the
+/// no-outage path this is one emptiness check.
+fn objstore_gate(sim: &CloudSim, region: RegionId) -> Gate {
     if sim.world.outage.is_empty() {
-        return Ok(rtt);
+        return Gate::Clear;
     }
-    match sim
-        .world
+    sim.world
         .outage
         .gate(sim.now(), region, OutageService::ObjStore)
-    {
-        Gate::Fail => Err(rtt),
-        g => Ok(OutageSchedule::shape(g, rtt)),
-    }
 }
 
 /// Samples a storage-API round trip from `exec`'s region to `region`.
@@ -624,6 +628,103 @@ fn trace_api_call(
     }
 }
 
+/// Answers `cb` with [`StoreError::Unavailable`] after `rtt`, if the caller
+/// still lives then. Nothing is metered: the request never reached the
+/// store.
+fn answer_unavailable<T, C>(sim: &mut CloudSim, exec: Executor, rtt: SimDuration, cb: C)
+where
+    C: FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static,
+{
+    schedule_scoped(sim, rtt, move |sim| {
+        if sim.world.exec_alive(exec) {
+            cb(sim, Err(StoreError::Unavailable));
+        }
+    });
+}
+
+/// One control-plane request from `exec` to `region`'s object store: the
+/// crash check, the storage round trip, the ObjStore outage gate (a hard
+/// error answers `Unavailable` after one round trip) and the `span`. On
+/// arrival, if the caller still lives, the request `fee` is charged and
+/// `arrive` applies the operation and answers `cb`.
+fn store_request<T, C>(
+    sim: &mut CloudSim,
+    exec: Executor,
+    region: RegionId,
+    span: impl FnOnce(&mut CloudSim, SimDuration),
+    fee: fn(&mut World, RegionId),
+    arrive: impl FnOnce(&mut CloudSim, C) + 'static,
+    cb: C,
+) where
+    C: FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static,
+{
+    if maybe_crash(sim, exec) {
+        return;
+    }
+    let Some(exec_region) = sim.world.exec_region(exec) else {
+        return;
+    };
+    let rtt = storage_api_rtt(&mut sim.world, exec_region, region);
+    let rtt = match objstore_gate(sim, region) {
+        Gate::Fail => return answer_unavailable(sim, exec, rtt, cb),
+        g => OutageSchedule::shape(g, rtt),
+    };
+    span(sim, rtt);
+    schedule_scoped(sim, rtt, move |sim| {
+        if sim.world.exec_alive(exec) {
+            fee(&mut sim.world, region);
+            arrive(sim, cb);
+        }
+    });
+}
+
+/// The ObjStore outage gate for a write whose bytes travel on a leg: hands
+/// `req` and `cb` back when the write may go. A store brownout lets it go
+/// (only a link window browns out the upload wire). A black-holed store
+/// makes the client hang, then `retry` re-enters the write with them once
+/// the window closes, re-checking the gate so overlapping windows chain; a
+/// hard error answers `Unavailable` after one round trip.
+fn write_gate<R, T, C>(
+    sim: &mut CloudSim,
+    exec: Executor,
+    region: RegionId,
+    req: R,
+    cb: C,
+    retry: impl FnOnce(&mut CloudSim, R, C) + 'static,
+) -> Option<(R, C)>
+where
+    R: 'static,
+    C: FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static,
+{
+    match objstore_gate(sim, region) {
+        Gate::Clear | Gate::Slow(_) => Some((req, cb)),
+        Gate::Stall(d) => {
+            schedule_scoped(sim, d, move |sim| retry(sim, req, cb));
+            None
+        }
+        Gate::Fail => {
+            if let Some(exec_region) = sim.world.exec_region(exec) {
+                let rtt = storage_api_rtt(&mut sim.world, exec_region, region);
+                answer_unavailable(sim, exec, rtt, cb);
+            }
+            None
+        }
+    }
+}
+
+/// Fans out the notifications of a write that applied, then answers `cb`.
+fn notify_and_answer(
+    sim: &mut CloudSim,
+    region: RegionId,
+    result: Result<PutApplied, StoreError>,
+    cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>),
+) {
+    if let Ok(applied) = &result {
+        fanout_notifications(sim, region, applied);
+    }
+    cb(sim, result);
+}
+
 /// Stats an object from `exec` (HEAD request).
 pub fn stat_object(
     sim: &mut CloudSim,
@@ -633,33 +734,18 @@ pub fn stat_object(
     key: String,
     cb: impl FnOnce(&mut CloudSim, Result<ObjectStat, StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
-    };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
-                }
-            });
-            return;
-        }
-    };
-    trace_api_call(sim, region, rtt, "store.stat", "store.ops.stat");
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_get_request(&mut sim.world, region);
-        let result = sim.world.objstore(region).stat(&bucket, &key);
-        cb(sim, result);
-    });
+    store_request(
+        sim,
+        exec,
+        region,
+        |sim, rtt| trace_api_call(sim, region, rtt, "store.stat", "store.ops.stat"),
+        charge_get_request,
+        move |sim, cb| {
+            let result = sim.world.objstore(region).stat(&bucket, &key);
+            cb(sim, result);
+        },
+        cb,
+    );
 }
 
 /// Ranged GET: resolves the range against the version current at request
@@ -679,54 +765,44 @@ pub fn get_object_range(
     if_match: Option<ETag>,
     cb: impl FnOnce(&mut CloudSim, Result<(Content, ETag), StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
+    // The span is tagged with the key (and no tenant).
+    let span_key = sim.world.trace.enabled().then(|| key.clone());
+    let span = move |sim: &mut CloudSim, rtt| {
+        if let Some(key) = span_key {
+            let now = sim.now();
+            let label = sim.world.regions.label(region);
+            sim.world.trace.span_complete(
+                now,
+                rtt,
+                simtrace::names::STORE_GET_RANGE,
+                vec![("region", label), ("key", key)],
+            );
+            sim.world.trace.counter_add("store.ops.get_range", 1);
+        }
     };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
+    store_request(
+        sim,
+        exec,
+        region,
+        span,
+        charge_get_request,
+        move |sim, cb| {
+            let resolved = sim
+                .world
+                .objstore(region)
+                .read_range(&bucket, &key, offset, len, if_match);
+            match resolved {
+                Ok((content, etag)) => {
+                    let bytes = content.size();
+                    run_leg(sim, exec, region, Direction::Download, bytes, move |sim| {
+                        cb(sim, Ok((content, etag)));
+                    });
                 }
-            });
-            return;
-        }
-    };
-    if sim.world.trace.enabled() {
-        let now = sim.now();
-        let label = sim.world.regions.label(region);
-        sim.world.trace.span_complete(
-            now,
-            rtt,
-            simtrace::names::STORE_GET_RANGE,
-            vec![("region", label), ("key", key.clone())],
-        );
-        sim.world.trace.counter_add("store.ops.get_range", 1);
-    }
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_get_request(&mut sim.world, region);
-        let resolved = sim
-            .world
-            .objstore(region)
-            .read_range(&bucket, &key, offset, len, if_match);
-        match resolved {
-            Ok((content, etag)) => {
-                let bytes = content.size();
-                run_leg(sim, exec, region, Direction::Download, bytes, move |sim| {
-                    cb(sim, Ok((content, etag)));
-                });
+                Err(e) => cb(sim, Err(e)),
             }
-            Err(e) => cb(sim, Err(e)),
-        }
-    });
+        },
+        cb,
+    );
 }
 
 /// Simple PUT of fully-assembled content: transfers the bytes, then applies
@@ -740,38 +816,13 @@ pub fn put_object(
     content: Content,
     cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
 ) {
-    if !sim.world.outage.is_empty() {
-        match sim
-            .world
-            .outage
-            .gate(sim.now(), region, OutageService::ObjStore)
-        {
-            // Brownout shapes control-plane RTTs and link legs; the upload
-            // wire itself is browned out via a link window.
-            Gate::Clear | Gate::Slow(_) => {}
-            Gate::Stall(d) => {
-                // Black-holed store: the client hangs, then the request goes
-                // through after the window closes. Re-entering re-checks the
-                // gate, so overlapping windows chain.
-                schedule_scoped(sim, d, move |sim| {
-                    put_object(sim, exec, region, bucket, key, content, cb);
-                });
-                return;
-            }
-            Gate::Fail => {
-                let Some(profile) = sim.world.exec_profile(exec) else {
-                    return;
-                };
-                let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-                schedule_scoped(sim, rtt, move |sim| {
-                    if sim.world.exec_alive(exec) {
-                        cb(sim, Err(StoreError::Unavailable));
-                    }
-                });
-                return;
-            }
-        }
-    }
+    let req = (bucket, key, content);
+    let retry = move |sim: &mut CloudSim, (bucket, key, content), cb| {
+        put_object(sim, exec, region, bucket, key, content, cb);
+    };
+    let Some(((bucket, key, content), cb)) = write_gate(sim, exec, region, req, cb, retry) else {
+        return;
+    };
     let bytes = content.size();
     if sim.world.trace.enabled() {
         let now = sim.now();
@@ -794,10 +845,7 @@ pub fn put_object(
             .world
             .objstore_mut(region)
             .apply_put(&bucket, &key, content, now);
-        if let Ok(applied) = &result {
-            fanout_notifications(sim, region, applied);
-        }
-        cb(sim, result);
+        notify_and_answer(sim, region, result, cb);
     });
 }
 
@@ -810,40 +858,22 @@ pub fn delete_object(
     key: String,
     cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
-    };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
-                }
-            });
-            return;
-        }
-    };
-    trace_api_call(sim, region, rtt, "store.delete", "store.ops.delete");
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_put_request(&mut sim.world, region);
-        let now = sim.now();
-        let result = sim
-            .world
-            .objstore_mut(region)
-            .apply_delete(&bucket, &key, now);
-        if let Ok(applied) = &result {
-            fanout_notifications(sim, region, applied);
-        }
-        cb(sim, result);
-    });
+    store_request(
+        sim,
+        exec,
+        region,
+        |sim, rtt| trace_api_call(sim, region, rtt, "store.delete", "store.ops.delete"),
+        charge_put_request,
+        move |sim, cb| {
+            let now = sim.now();
+            let result = sim
+                .world
+                .objstore_mut(region)
+                .apply_delete(&bucket, &key, now);
+            notify_and_answer(sim, region, result, cb);
+        },
+        cb,
+    );
 }
 
 /// Server-side COPY within `region` (control-plane round trip, no WAN
@@ -862,40 +892,22 @@ pub fn copy_object(
     if_match: Option<ETag>,
     cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
-    };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
-                }
-            });
-            return;
-        }
-    };
-    trace_api_call(sim, region, rtt, "store.copy", "store.ops.copy");
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_put_request(&mut sim.world, region);
-        let now = sim.now();
-        let result = sim
-            .world
-            .objstore_mut(region)
-            .copy_object(&bucket, &src_key, &dst_key, if_match, now);
-        if let Ok(applied) = &result {
-            fanout_notifications(sim, region, applied);
-        }
-        cb(sim, result);
-    });
+    store_request(
+        sim,
+        exec,
+        region,
+        |sim, rtt| trace_api_call(sim, region, rtt, "store.copy", "store.ops.copy"),
+        charge_put_request,
+        move |sim, cb| {
+            let now = sim.now();
+            let result = sim
+                .world
+                .objstore_mut(region)
+                .copy_object(&bucket, &src_key, &dst_key, if_match, now);
+            notify_and_answer(sim, region, result, cb);
+        },
+        cb,
+    );
 }
 
 /// Starts a multipart upload (control-plane round trip).
@@ -907,42 +919,29 @@ pub fn create_multipart(
     key: String,
     cb: impl FnOnce(&mut CloudSim, Result<u64, StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
-    };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
-                }
-            });
-            return;
-        }
-    };
-    trace_api_call(
+    store_request(
         sim,
+        exec,
         region,
-        rtt,
-        "store.create_multipart",
-        "store.ops.create_multipart",
+        |sim, rtt| {
+            trace_api_call(
+                sim,
+                region,
+                rtt,
+                "store.create_multipart",
+                "store.ops.create_multipart",
+            )
+        },
+        charge_put_request,
+        move |sim, cb| {
+            let result = sim
+                .world
+                .objstore_mut(region)
+                .create_multipart(&bucket, &key);
+            cb(sim, result);
+        },
+        cb,
     );
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_put_request(&mut sim.world, region);
-        let result = sim
-            .world
-            .objstore_mut(region)
-            .create_multipart(&bucket, &key);
-        cb(sim, result);
-    });
 }
 
 /// Uploads one part: transfers the bytes, then records the part.
@@ -955,33 +954,12 @@ pub fn upload_part(
     content: Content,
     cb: impl FnOnce(&mut CloudSim, Result<(), StoreError>) + 'static,
 ) {
-    if !sim.world.outage.is_empty() {
-        match sim
-            .world
-            .outage
-            .gate(sim.now(), region, OutageService::ObjStore)
-        {
-            Gate::Clear | Gate::Slow(_) => {}
-            Gate::Stall(d) => {
-                schedule_scoped(sim, d, move |sim| {
-                    upload_part(sim, exec, region, upload_id, part_number, content, cb);
-                });
-                return;
-            }
-            Gate::Fail => {
-                let Some(profile) = sim.world.exec_profile(exec) else {
-                    return;
-                };
-                let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-                schedule_scoped(sim, rtt, move |sim| {
-                    if sim.world.exec_alive(exec) {
-                        cb(sim, Err(StoreError::Unavailable));
-                    }
-                });
-                return;
-            }
-        }
-    }
+    let retry = move |sim: &mut CloudSim, content, cb| {
+        upload_part(sim, exec, region, upload_id, part_number, content, cb);
+    };
+    let Some((content, cb)) = write_gate(sim, exec, region, content, cb, retry) else {
+        return;
+    };
     let bytes = content.size();
     if sim.world.trace.enabled() {
         sim.world.trace.counter_add("store.ops.upload_part", 1);
@@ -1005,46 +983,61 @@ pub fn complete_multipart(
     upload_id: u64,
     cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
-        return;
-    };
-    let rtt = storage_api_rtt(&mut sim.world, profile.region, region);
-    let rtt = match objstore_gate(sim, region, rtt) {
-        Ok(rtt) => rtt,
-        Err(rtt) => {
-            schedule_scoped(sim, rtt, move |sim| {
-                if sim.world.exec_alive(exec) {
-                    cb(sim, Err(StoreError::Unavailable));
-                }
-            });
-            return;
-        }
-    };
-    trace_api_call(
+    store_request(
         sim,
+        exec,
         region,
-        rtt,
-        simtrace::names::STORE_COMMIT,
-        "store.ops.complete_multipart",
+        |sim, rtt| {
+            trace_api_call(
+                sim,
+                region,
+                rtt,
+                simtrace::names::STORE_COMMIT,
+                "store.ops.complete_multipart",
+            )
+        },
+        charge_put_request,
+        move |sim, cb| {
+            let now = sim.now();
+            let result = sim
+                .world
+                .objstore_mut(region)
+                .complete_multipart(upload_id, now);
+            notify_and_answer(sim, region, result, cb);
+        },
+        cb,
     );
-    schedule_scoped(sim, rtt, move |sim| {
-        if !sim.world.exec_alive(exec) {
-            return;
-        }
-        charge_put_request(&mut sim.world, region);
-        let now = sim.now();
-        let result = sim
+}
+
+/// One request from `exec` to `region`'s KV database: the crash check, the
+/// latency, outage shaping and the span. Returns the latency, or `None`
+/// when the caller crashed or is dead. The KV API has no error channel
+/// here: a hard-errored or black-holed DB region stalls the operation to
+/// window close (a timed-out connection), a brownout multiplies its
+/// latency.
+fn db_request(
+    sim: &mut CloudSim,
+    exec: Executor,
+    region: RegionId,
+    name: &'static str,
+    counter: &str,
+) -> Option<SimDuration> {
+    if maybe_crash(sim, exec) {
+        return None;
+    }
+    let exec_region = sim.world.exec_region(exec)?;
+    let latency = db_op_latency(&mut sim.world, exec_region, region);
+    let latency = if sim.world.outage.is_empty() {
+        latency
+    } else {
+        let g = sim
             .world
-            .objstore_mut(region)
-            .complete_multipart(upload_id, now);
-        if let Ok(applied) = &result {
-            fanout_notifications(sim, region, applied);
-        }
-        cb(sim, result);
-    });
+            .outage
+            .shaping(sim.now(), region, OutageService::CloudDb);
+        OutageSchedule::shape(g, latency)
+    };
+    trace_api_call(sim, region, latency, name, counter);
+    Some(latency)
 }
 
 /// Reads an item from a region's KV database.
@@ -1056,26 +1049,9 @@ pub fn db_get(
     key: String,
     cb: impl FnOnce(&mut CloudSim, Option<Item>) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
+    let Some(latency) = db_request(sim, exec, region, "db.get", "db.ops.get") else {
         return;
     };
-    let latency = db_op_latency(&mut sim.world, profile.region, region);
-    // The KV API has no error channel here; a hard-errored or black-holed
-    // DB region stalls the operation to window close (a timed-out
-    // connection), a brownout multiplies its latency.
-    let latency = if sim.world.outage.is_empty() {
-        latency
-    } else {
-        let g = sim
-            .world
-            .outage
-            .shaping(sim.now(), region, OutageService::CloudDb);
-        OutageSchedule::shape(g, latency)
-    };
-    trace_api_call(sim, region, latency, "db.get", "db.ops.get");
     schedule_scoped(sim, latency, move |sim| {
         if !sim.world.exec_alive(exec) {
             return;
@@ -1100,23 +1076,9 @@ pub fn db_transact<T: 'static>(
     f: impl FnOnce(&mut Option<Item>) -> T + 'static,
     cb: impl FnOnce(&mut CloudSim, T) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
-    let Some(profile) = sim.world.exec_profile(exec) else {
+    let Some(latency) = db_request(sim, exec, region, "db.transact", "db.ops.transact") else {
         return;
     };
-    let latency = db_op_latency(&mut sim.world, profile.region, region);
-    let latency = if sim.world.outage.is_empty() {
-        latency
-    } else {
-        let g = sim
-            .world
-            .outage
-            .shaping(sim.now(), region, OutageService::CloudDb);
-        OutageSchedule::shape(g, latency)
-    };
-    trace_api_call(sim, region, latency, "db.transact", "db.ops.transact");
     schedule_scoped(sim, latency, move |sim| {
         // The transaction commits server-side even if the caller died; only
         // the callback delivery depends on liveness (matching DynamoDB).

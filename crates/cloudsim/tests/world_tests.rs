@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cloudsim::faas::{self, FailureReason, FnHandle, RetryPolicy};
-use cloudsim::objstore::EventKind;
+use cloudsim::objstore::{Content, EventKind, StoreError};
 use cloudsim::vm;
 use cloudsim::world::{self, CloudSim, Executor};
 use cloudsim::{Cloud, RegionId, World};
@@ -661,90 +661,211 @@ fn notification_delays_differ_by_cloud() {
 
 // ---- fault-domain outage windows -------------------------------------------
 
-#[test]
-fn hard_error_outage_fails_store_ops_with_unavailable() {
+/// The eight object-store requests `world` issues for an executor.
+#[derive(Clone, Copy, Debug)]
+enum StoreOp {
+    Stat,
+    GetRange,
+    Put,
+    Delete,
+    Copy,
+    CreateMultipart,
+    UploadPart,
+    CompleteMultipart,
+}
+
+const STORE_OPS: [StoreOp; 8] = [
+    StoreOp::Stat,
+    StoreOp::GetRange,
+    StoreOp::Put,
+    StoreOp::Delete,
+    StoreOp::Copy,
+    StoreOp::CreateMultipart,
+    StoreOp::UploadPart,
+    StoreOp::CompleteMultipart,
+];
+
+/// When a store request called back, and with which error, if any.
+type Answer = Rc<RefCell<Option<(SimTime, Option<StoreError>)>>>;
+
+fn answer<T>(slot: &Answer) -> impl FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static {
+    let slot = slot.clone();
+    move |sim, r| *slot.borrow_mut() = Some((sim.now(), r.err()))
+}
+
+/// A world whose us-east-1 bucket "b" holds key "k" and has one open
+/// multipart upload for key "m". Returns the region and the upload id.
+fn store_fixture() -> (CloudSim, RegionId, u64) {
     let mut sim = sim();
     let use1 = region(&sim, Cloud::Aws, "us-east-1");
     sim.world.objstore_mut(use1).create_bucket("b");
     world::user_put(&mut sim, use1, "b", "k", 1 << 10).unwrap();
-    sim.world.outage.region_window(
-        use1,
-        cloudsim::outage::Service::ObjStore,
-        SimTime::from_nanos(0),
-        SimTime::from_nanos(3_600_000_000_000),
-        cloudsim::outage::FailureMode::HardError,
-    );
-    use cloudsim::objstore::{ObjectStat, StoreError};
-    let stat: Rc<RefCell<Option<Result<ObjectStat, StoreError>>>> = Rc::default();
-    let s2 = stat.clone();
-    world::stat_object(
-        &mut sim,
-        platform(use1),
-        use1,
-        "b".into(),
-        "k".into(),
-        move |_sim, r| *s2.borrow_mut() = Some(r),
-    );
-    let put: Rc<RefCell<Option<StoreError>>> = Rc::default();
-    let p2 = put.clone();
-    let blob = sim.world.alloc_blob();
-    world::put_object(
-        &mut sim,
-        platform(use1),
-        use1,
-        "b".into(),
-        "k2".into(),
-        cloudsim::objstore::Content::fresh(blob, 1 << 10),
-        move |_sim, r| *p2.borrow_mut() = Some(r.unwrap_err()),
-    );
-    sim.run_to_completion(10_000);
-    assert_eq!(
-        stat.borrow().clone().unwrap(),
-        Err(StoreError::Unavailable),
-        "stat during a hard-error window must fail unavailable"
-    );
-    assert_eq!(put.borrow().clone().unwrap(), StoreError::Unavailable);
-    // The failed PUT never landed.
-    assert!(sim.world.objstore(use1).stat("b", "k2").is_err());
+    let upload = sim
+        .world
+        .objstore_mut(use1)
+        .create_multipart("b", "m")
+        .unwrap();
+    (sim, use1, upload)
+}
+
+/// Issues `op` against the fixture's bucket in `r` from the platform.
+fn issue(sim: &mut CloudSim, op: StoreOp, r: RegionId, upload: u64, slot: &Answer) {
+    let exec = platform(r);
+    let (b, k) = (String::from("b"), String::from("k"));
+    match op {
+        StoreOp::Stat => world::stat_object(sim, exec, r, b, k, answer(slot)),
+        StoreOp::GetRange => {
+            world::get_object_range(sim, exec, r, b, k, 0, 1 << 10, None, answer(slot))
+        }
+        StoreOp::Put => {
+            let blob = sim.world.alloc_blob();
+            let content = Content::fresh(blob, 1 << 10);
+            world::put_object(sim, exec, r, b, "k2".into(), content, answer(slot));
+        }
+        StoreOp::Delete => world::delete_object(sim, exec, r, b, k, answer(slot)),
+        StoreOp::Copy => world::copy_object(sim, exec, r, b, k, "k2".into(), None, answer(slot)),
+        StoreOp::CreateMultipart => world::create_multipart(sim, exec, r, b, k, answer(slot)),
+        StoreOp::UploadPart => {
+            let blob = sim.world.alloc_blob();
+            let content = Content::fresh(blob, 1 << 10);
+            world::upload_part(sim, exec, r, upload, 1, content, answer(slot));
+        }
+        StoreOp::CompleteMultipart => world::complete_multipart(sim, exec, r, upload, answer(slot)),
+    }
 }
 
 #[test]
-fn timeout_outage_black_holes_puts_until_window_close() {
-    let mut sim = sim();
-    let use1 = region(&sim, Cloud::Aws, "us-east-1");
-    sim.world.objstore_mut(use1).create_bucket("b");
-    sim.world.outage.region_window(
-        use1,
-        cloudsim::outage::Service::ObjStore,
-        SimTime::from_nanos(10_000_000_000),
-        SimTime::from_nanos(100_000_000_000),
-        cloudsim::outage::FailureMode::Timeout,
-    );
-    let done: Rc<RefCell<Option<SimTime>>> = Rc::default();
-    let d2 = done.clone();
-    let blob = sim.world.alloc_blob();
-    let content = cloudsim::objstore::Content::fresh(blob, 1 << 20);
-    sim.schedule_in(SimDuration::from_secs(20), move |sim| {
-        world::put_object(
-            sim,
-            platform(use1),
+fn hard_error_outage_fails_store_ops_with_unavailable() {
+    // One storage round trip: a fresh fixture's first latency draw, which a
+    // healthy stat waits out before it answers.
+    let one_rtt = {
+        let (mut sim, use1, upload) = store_fixture();
+        let slot = Answer::default();
+        issue(&mut sim, StoreOp::Stat, use1, upload, &slot);
+        sim.run_to_completion(10_000);
+        let (at, err) = slot.borrow().clone().unwrap();
+        assert_eq!(err, None);
+        at
+    };
+    assert!(one_rtt > SimTime::ZERO);
+    for op in STORE_OPS {
+        let (mut sim, use1, upload) = store_fixture();
+        sim.world.outage.region_window(
             use1,
-            "b".into(),
-            "k".into(),
-            content,
-            move |sim, r| {
-                r.unwrap();
-                *d2.borrow_mut() = Some(sim.now());
-            },
+            cloudsim::outage::Service::ObjStore,
+            SimTime::from_nanos(0),
+            SimTime::from_nanos(3_600_000_000_000),
+            cloudsim::outage::FailureMode::HardError,
         );
-    });
-    sim.run_to_completion(10_000);
-    let at = done.borrow().expect("put must complete after failback");
-    assert!(
-        at >= SimTime::from_nanos(100_000_000_000),
-        "a black-holed PUT must not complete inside the window (completed at {at})"
+        let fees = sim
+            .world
+            .ledger
+            .category_total(CostCategory::StorageRequests);
+        // The same store instance prints the same iff none of its objects,
+        // uploads or parts changed.
+        let store = format!("{:?}", sim.world.objstore(use1));
+        let slot = Answer::default();
+        issue(&mut sim, op, use1, upload, &slot);
+        sim.run_to_completion(10_000);
+        assert_eq!(
+            slot.borrow().clone(),
+            Some((one_rtt, Some(StoreError::Unavailable))),
+            "{op:?} during a hard-error window must fail unavailable after one round trip"
+        );
+        assert_eq!(
+            sim.world
+                .ledger
+                .category_total(CostCategory::StorageRequests),
+            fees,
+            "{op:?} never reached the store, so it is not billed"
+        );
+        assert_eq!(
+            format!("{:?}", sim.world.objstore(use1)),
+            store,
+            "{op:?} must not change the store"
+        );
+    }
+}
+
+#[test]
+fn a_finished_functions_requests_never_call_back_but_its_transaction_commits() {
+    // Returns the callbacks that ran and whether the transaction committed.
+    let run = |finish_at_once: bool| -> (Vec<&'static str>, bool) {
+        let (mut sim, use1, _) = store_fixture();
+        let calls: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let c = calls.clone();
+        let body: faas::FnBody = Rc::new(move |sim, handle| {
+            let exec = Executor::Function(handle);
+            let record = |name: &'static str| {
+                let c = c.clone();
+                move || c.borrow_mut().push(name)
+            };
+            let (stat, get, transact) = (record("stat"), record("db_get"), record("db_transact"));
+            world::stat_object(sim, exec, use1, "b".into(), "k".into(), move |_, _| stat());
+            world::db_get(sim, exec, use1, "t".into(), "x".into(), move |_, _| get());
+            world::db_transact(
+                sim,
+                exec,
+                use1,
+                "t".into(),
+                "y".into(),
+                |slot| *slot = Some(Default::default()),
+                move |_, ()| transact(),
+            );
+            // Unless finished here, the function lives until its timeout.
+            if finish_at_once {
+                faas::finish(sim, handle);
+            }
+        });
+        let spec = faas::default_spec(&sim.world, use1);
+        faas::invoke(&mut sim, use1, spec, body, RetryPolicy { max_retries: 0 });
+        sim.run_to_completion(10_000);
+        let committed = sim.world.db_mut(use1).get("t", "y").is_some();
+        let calls = calls.borrow().clone();
+        (calls, committed)
+    };
+    let (calls, committed) = run(false);
+    assert_eq!(
+        calls.len(),
+        3,
+        "a live caller hears every answer: {calls:?}"
     );
-    assert!(sim.world.objstore(use1).stat("b", "k").is_ok());
+    assert!(committed);
+    let (calls, committed) = run(true);
+    assert!(calls.is_empty(), "a finished caller heard {calls:?}");
+    assert!(committed, "the transaction commits server-side anyway");
+}
+
+#[test]
+fn timeout_outage_stalls_store_requests_until_window_close() {
+    let close = SimTime::from_nanos(100_000_000_000);
+    for op in [
+        StoreOp::Put,
+        StoreOp::CreateMultipart,
+        StoreOp::Delete,
+        StoreOp::CompleteMultipart,
+    ] {
+        let (mut sim, use1, upload) = store_fixture();
+        sim.world.outage.region_window(
+            use1,
+            cloudsim::outage::Service::ObjStore,
+            SimTime::from_nanos(10_000_000_000),
+            close,
+            cloudsim::outage::FailureMode::Timeout,
+        );
+        let slot = Answer::default();
+        let s2 = slot.clone();
+        sim.schedule_in(SimDuration::from_secs(20), move |sim| {
+            issue(sim, op, use1, upload, &s2);
+        });
+        sim.run_to_completion(10_000);
+        let (at, err) = slot.borrow().clone().expect("answered after failback");
+        assert_eq!(err, None, "{op:?} goes through once the window closes");
+        assert!(
+            at > close,
+            "a black-holed {op:?} must not complete inside the window (completed at {at})"
+        );
+    }
 }
 
 #[test]

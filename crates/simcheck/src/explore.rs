@@ -89,7 +89,6 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
         .expect("paper region set");
     let plan = FaultPlan {
         outage_region: sc.outage.then_some(dst),
-        ..FaultPlan::default()
     };
     let mut sim = Faulty::new(inner, plan);
     sim.inner_mut().world.trace.set_enabled(true);

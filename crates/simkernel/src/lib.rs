@@ -13,8 +13,8 @@
 //!   schedule order and every run replays bit-identically for a given seed.
 //! * [`rng::derive_rng`] — label-derived RNG streams decouple components'
 //!   randomness from one another.
-//! * [`metrics`] — exact histograms / time series for experiment output
-//!   (p99.99 queries must not be estimator-approximate).
+//! * [`metrics`] — an exact histogram for the trace registry (p99.99
+//!   queries must not be estimator-approximate).
 //! * [`par_map`] — runs independent simulations on worker threads and
 //!   returns their results in input order.
 //!
@@ -42,7 +42,7 @@ pub mod rng;
 mod sim;
 mod time;
 
-pub use metrics::{Histogram, Summary, TimeSeries};
+pub use metrics::Histogram;
 pub use par::par_map;
 pub use sim::{CancelToken, EventInfo, PopPolicy, RunStats, Sim};
 pub use time::{SimDuration, SimTime};

@@ -11,8 +11,8 @@
 //!
 //! State machine:
 //!
-//! * **Closed → Open** when the windowed error ratio reaches
-//!   [`BreakerConfig::error_threshold`] over at least
+//! * **Closed → Open** when the error ratio over the last [`LOOKBACK`]
+//!   reaches [`ERROR_THRESHOLD`] over at least
 //!   [`BreakerConfig::min_events`] outcomes (`reason=error-ratio`).
 //! * **Open → HalfOpen** when the data plane's recheck loop acquires the
 //!   single probe ticket after the cooldown. Consecutive failed probes
@@ -36,21 +36,20 @@ use areplica_core::health::{BreakerProbe, RecheckAdvice, WriteRoute};
 use areplica_core::retry::{BackoffSchedule, RetryPolicy};
 use cloudapi::RegionId;
 use simkernel::{SimDuration, SimTime};
-use simtrace::window::{WindowSpec, WindowStore};
+use simtrace::window::WindowStore;
+
+/// Trip when the windowed error ratio reaches this.
+pub const ERROR_THRESHOLD: f64 = 0.5;
+/// Error-window lookback.
+pub const LOOKBACK: SimDuration = SimDuration::from_secs(300);
 
 /// Breaker policy knobs (defaults sized for replication SLO scales).
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Trip when the windowed error ratio reaches this (0..=1).
-    pub error_threshold: f64,
     /// Minimum outcomes in the window before the ratio is trusted.
     pub min_events: u64,
-    /// Error-window lookback.
-    pub lookback: SimDuration,
     /// Base cooldown before the first probe of an open episode.
     pub cooldown: SimDuration,
-    /// Ring geometry of the outcome windows.
-    pub window: WindowSpec,
     /// Backoff policy stretching the cooldown across consecutive failed
     /// probes (jitter seed drives the decorrelated retest times).
     pub probe_backoff: RetryPolicy,
@@ -59,11 +58,8 @@ pub struct BreakerConfig {
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            error_threshold: 0.5,
             min_events: 5,
-            lookback: SimDuration::from_secs(300),
             cooldown: SimDuration::from_secs(60),
-            window: WindowSpec::DEFAULT,
             probe_backoff: RetryPolicy::resilient(0xB_4EA_CE4),
         }
     }
@@ -98,11 +94,10 @@ pub struct BreakerSet {
 impl BreakerSet {
     /// A breaker set for one tenant.
     pub fn new(tenant: &str, cfg: BreakerConfig) -> Self {
-        let window = cfg.window;
         BreakerSet {
             tenant: tenant.to_string(),
             cfg,
-            windows: WindowStore::new(window),
+            windows: WindowStore::default(),
             breakers: BTreeMap::new(),
             ledger: None,
         }
@@ -220,12 +215,10 @@ impl BreakerProbe for BreakerSet {
         }
         let bad = self.counter(region, episode, "bad");
         let good = self.counter(region, episode, "good");
-        let total = self.windows.counter_sum(&bad, now, self.cfg.lookback)
-            + self.windows.counter_sum(&good, now, self.cfg.lookback);
-        let ratio = self
-            .windows
-            .error_ratio(&bad, &good, now, self.cfg.lookback);
-        if total >= self.cfg.min_events && ratio.is_some_and(|r| r >= self.cfg.error_threshold) {
+        let total = self.windows.counter_sum(&bad, now, LOOKBACK)
+            + self.windows.counter_sum(&good, now, LOOKBACK);
+        let ratio = self.windows.error_ratio(&bad, &good, now, LOOKBACK);
+        if total >= self.cfg.min_events && ratio.is_some_and(|r| r >= ERROR_THRESHOLD) {
             self.transition(now, region, BreakerState::Open, "error-ratio");
             self.arm_retest(now, region);
         }

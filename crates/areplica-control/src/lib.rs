@@ -4,12 +4,9 @@
 //! time; this crate owns everything *about* tenants:
 //!
 //! * [`registry`] — the deterministic tenant registry: identity, SLO and
-//!   attainment target, FaaS-concurrency quota, admission. Stored in a
-//!   `BTreeMap`, so iteration (and thus any provisioning loop driven off
-//!   it) is ordered and independent of registration order.
-//! * [`admission`] — per-tenant token-bucket admission control over
-//!   *simulated* time, producing deterministic admit/queue/reject
-//!   decisions with no randomness.
+//!   FaaS-concurrency quota. Stored in a `BTreeMap`, so iteration (and
+//!   thus any provisioning loop driven off it) is ordered and independent
+//!   of registration order.
 //! * [`fleet`] — the fleet supervisor: the activity ledger the core's
 //!   watchdog/janitor services record into.
 //! * [`slo`] — the SLO monitor: burn-rate alert rules built from tenant
@@ -37,13 +34,11 @@
     clippy::let_underscore_must_use
 )]
 
-pub mod admission;
 pub mod breaker;
 pub mod fleet;
 pub mod registry;
 pub mod slo;
 
-pub use admission::{AdmissionConfig, TokenBucket};
 pub use breaker::{BreakerConfig, BreakerSet};
 pub use fleet::FleetSupervisor;
 pub use registry::{TenantRegistry, TenantSpec};

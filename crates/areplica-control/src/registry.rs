@@ -6,14 +6,11 @@
 //! `A, B` or `B, A` produce the same registry state and the same
 //! provisioning sequence.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use areplica_core::tenant::TenantCtx;
 use simkernel::SimDuration;
 
-use crate::admission::AdmissionConfig;
 use crate::fleet::FleetSupervisor;
 
 /// Everything the control plane records about one tenant.
@@ -23,24 +20,17 @@ pub struct TenantSpec {
     pub id: String,
     /// Per-tenant replication SLO; overrides rule SLOs in the data plane.
     pub slo: Option<SimDuration>,
-    /// SLO attainment target in (0, 1) for burn-rate monitoring (`None` =
-    /// the monitor's default policy target).
-    pub slo_target: Option<f64>,
     /// FaaS-concurrency quota across the tenant's replication tasks.
     pub faas_concurrency: Option<u32>,
-    /// Admission-control parameters (no admission gate when `None`).
-    pub admission: Option<AdmissionConfig>,
 }
 
 impl TenantSpec {
-    /// A minimal spec: no SLO override, no quota, no admission gate.
+    /// A minimal spec: no SLO override, no quota.
     pub fn new(id: &str) -> Self {
         TenantSpec {
             id: id.to_string(),
             slo: None,
-            slo_target: None,
             faas_concurrency: None,
-            admission: None,
         }
     }
 
@@ -50,21 +40,9 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the SLO attainment target for burn-rate monitoring.
-    pub fn with_slo_target(mut self, target: f64) -> Self {
-        self.slo_target = Some(target);
-        self
-    }
-
     /// Sets the FaaS-concurrency quota.
     pub fn with_faas_concurrency(mut self, limit: u32) -> Self {
         self.faas_concurrency = Some(limit);
-        self
-    }
-
-    /// Sets the admission-control parameters.
-    pub fn with_admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(cfg);
         self
     }
 }
@@ -109,10 +87,8 @@ impl TenantRegistry {
     }
 
     /// Manufactures the data-plane context for one tenant: the seam
-    /// between control plane and data plane. Fresh admission state is
-    /// built per call (each deployed service instance gets its own
-    /// bucket); the fleet supervisor contributes the shared activity
-    /// ledger.
+    /// between control plane and data plane. The fleet supervisor
+    /// contributes the shared activity ledger.
     pub fn tenant_ctx(&self, id: &str, fleet: &FleetSupervisor) -> Option<TenantCtx> {
         let spec = self.tenants.get(id)?;
         let mut ctx = TenantCtx::named(&spec.id).with_fleet_ledger(fleet.ledger());
@@ -121,9 +97,6 @@ impl TenantRegistry {
         }
         if let Some(limit) = spec.faas_concurrency {
             ctx = ctx.with_faas_concurrency(limit);
-        }
-        if let Some(cfg) = spec.admission {
-            ctx = ctx.with_admission(Rc::new(RefCell::new(cfg.build())));
         }
         Some(ctx)
     }
@@ -160,7 +133,6 @@ mod tests {
         assert_eq!(ctx.id(), Some("acme"));
         assert_eq!(ctx.slo, Some(SimDuration::from_secs(60)));
         assert_eq!(ctx.faas_concurrency, Some(8));
-        assert!(ctx.admission.is_none());
         assert!(reg.tenant_ctx("missing", &fleet).is_none());
     }
 }

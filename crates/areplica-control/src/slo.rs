@@ -16,7 +16,7 @@
 //! results — the same passivity contract as the tracer itself.
 
 use simkernel::SimTime;
-use simtrace::alert::{AlertEngine, AlertEvent, BurnRatePolicy, BurnRateRule, BurnSnapshot};
+use simtrace::alert::{AlertEngine, AlertEvent, BurnRateRule, BurnSnapshot};
 use simtrace::window::WindowStore;
 
 use crate::fleet::FleetSupervisor;
@@ -33,21 +33,15 @@ pub struct SloMonitor {
 
 impl SloMonitor {
     /// Builds one burn-rate rule per SLO-carrying tenant in `reg`, in id
-    /// order. `policy` supplies windows and thresholds; a tenant's
-    /// `slo_target` (when set) overrides the policy's attainment target.
-    pub fn from_registry(reg: &TenantRegistry, policy: BurnRatePolicy) -> Self {
+    /// order, under [`simtrace::alert`]'s windows and thresholds.
+    pub fn from_registry(reg: &TenantRegistry) -> Self {
         let mut engine = AlertEngine::new();
         for spec in reg.iter().filter(|s| s.slo.is_some()) {
-            let mut p = policy;
-            if let Some(target) = spec.slo_target {
-                p.target = target;
-            }
             engine.register(BurnRateRule {
                 name: SLO_BURN_RULE.to_string(),
                 tenant: spec.id.clone(),
                 good: simtrace::scoped(&spec.id, "slo.good"),
                 bad: simtrace::scoped(&spec.id, "slo.bad"),
-                policy: p,
             });
         }
         SloMonitor { engine }
@@ -124,7 +118,7 @@ mod tests {
 
     #[test]
     fn rules_come_from_slo_specs_in_id_order() {
-        let mon = SloMonitor::from_registry(&registry(), BurnRatePolicy::default());
+        let mon = SloMonitor::from_registry(&registry());
         assert_eq!(mon.rule_count(), 2);
         let tenants: Vec<&str> = mon
             .engine()
@@ -137,22 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn tenant_target_overrides_policy_target() {
-        let mut reg = TenantRegistry::new();
-        reg.register(
-            TenantSpec::new("gold")
-                .with_slo(SimDuration::from_secs(30))
-                .with_slo_target(0.999),
-        );
-        let mon = SloMonitor::from_registry(&reg, BurnRatePolicy::default());
-        assert_eq!(mon.engine().rules()[0].policy.target, 0.999);
-    }
-
-    #[test]
     fn transitions_land_in_the_fleet_ledger_for_the_right_tenant_only() {
         let mut w = WindowStore::new(WindowSpec::DEFAULT);
         let fleet = FleetSupervisor::new();
-        let mut mon = SloMonitor::from_registry(&registry(), BurnRatePolicy::default());
+        let mut mon = SloMonitor::from_registry(&registry());
 
         // Both tenants complete work; only noisy's completions violate.
         for m in 0..10u64 {

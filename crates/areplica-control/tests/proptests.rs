@@ -1,108 +1,10 @@
-//! Property-based tests of the control plane: the token bucket never
-//! over-admits, decisions are deterministic, and the registry iterates in
-//! id order regardless of registration order.
+//! Property-based tests of the control plane: the registry iterates in id
+//! order regardless of registration order.
 
-use areplica_control::{AdmissionConfig, FleetSupervisor, TenantRegistry, TenantSpec, TokenBucket};
-use areplica_core::tenant::{AdmissionDecision, AdmissionPolicy};
+use areplica_control::{TenantRegistry, TenantSpec};
 use proptest::prelude::*;
-use simkernel::{SimDuration, SimTime};
-
-fn arb_bucket_params() -> impl Strategy<Value = (f64, f64, u64)> {
-    // rate 0.5..20 events/s, burst 1..16 events, max queue delay 0..30 s.
-    (1u32..40, 1u32..16, 0u64..30).prop_map(|(r, b, q)| (r as f64 / 2.0, b as f64, q))
-}
-
-/// Offsets in milliseconds between consecutive admission calls.
-fn arb_offsets() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..5_000, 1..120)
-}
-
-fn run_bucket(
-    (rate, burst, queue_s): (f64, f64, u64),
-    offsets: &[u64],
-) -> Vec<(SimTime, AdmissionDecision)> {
-    let mut bucket = TokenBucket::new(rate, burst, SimDuration::from_secs(queue_s));
-    let mut now = SimTime::ZERO;
-    let mut out = Vec::with_capacity(offsets.len());
-    for &ms in offsets {
-        now += SimDuration::from_secs_f64(ms as f64 / 1000.0);
-        out.push((now, bucket.admit(now, 1)));
-    }
-    out
-}
 
 proptest! {
-    #[test]
-    fn token_bucket_never_over_admits(
-        params in arb_bucket_params(),
-        offsets in arb_offsets(),
-    ) {
-        let (rate, burst, _) = params;
-        let decisions = run_bucket(params, &offsets);
-        // In every prefix window [0, t], the number of events granted
-        // capacity (admitted now or queued-with-reservation) can never
-        // exceed the initial burst plus the refill over the window, + 1
-        // for f64 boundary rounding.
-        let mut granted = 0u64;
-        for (t, d) in &decisions {
-            if !matches!(d, AdmissionDecision::Reject) {
-                granted += 1;
-            }
-            let cap = burst + rate * t.as_secs_f64()
-                + rate * params.2 as f64 // queued reservations borrow up to max_queue_delay of future refill
-                + 1.0;
-            prop_assert!(
-                (granted as f64) <= cap,
-                "granted {granted} > cap {cap} at t={}s",
-                t.as_secs_f64()
-            );
-        }
-        // Strict (non-borrowing) bound on immediate admissions alone.
-        let mut admitted = 0u64;
-        for (t, d) in &decisions {
-            if matches!(d, AdmissionDecision::Admit) {
-                admitted += 1;
-            }
-            let cap = burst + rate * t.as_secs_f64() + 1.0;
-            prop_assert!((admitted as f64) <= cap);
-        }
-    }
-
-    #[test]
-    fn token_bucket_is_deterministic(
-        params in arb_bucket_params(),
-        offsets in arb_offsets(),
-    ) {
-        let a = run_bucket(params, &offsets);
-        let b = run_bucket(params, &offsets);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn queue_delays_are_bounded_and_rejects_free(
-        params in arb_bucket_params(),
-        offsets in arb_offsets(),
-    ) {
-        let (rate, burst, queue_s) = params;
-        let mut bucket = TokenBucket::new(rate, burst, SimDuration::from_secs(queue_s));
-        let mut now = SimTime::ZERO;
-        for ms in offsets {
-            now += SimDuration::from_secs_f64(ms as f64 / 1000.0);
-            let before = bucket.balance();
-            match bucket.admit(now, 1) {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Queue(d) => {
-                    prop_assert!(d <= SimDuration::from_secs(queue_s));
-                }
-                AdmissionDecision::Reject => {
-                    // A rejection consumes no capacity (refill aside, the
-                    // balance cannot have decreased).
-                    prop_assert!(bucket.balance() >= before - 1e-9);
-                }
-            }
-        }
-    }
-
     #[test]
     fn registry_iteration_is_registration_order_independent(
         ids in proptest::collection::vec("[a-z]{1,8}", 1..20),
@@ -122,32 +24,5 @@ proptest! {
         sorted.sort();
         sorted.dedup();
         prop_assert_eq!(a, sorted);
-    }
-
-    #[test]
-    fn tenant_ctx_respects_admission_config(
-        rate in 1u32..10,
-        burst in 1u32..8,
-    ) {
-        let mut reg = TenantRegistry::new();
-        reg.register(TenantSpec::new("t").with_admission(AdmissionConfig {
-            rate_per_s: rate as f64,
-            burst: burst as f64,
-            max_queue_delay: SimDuration::from_secs(1),
-        }));
-        let fleet = FleetSupervisor::new();
-        let ctx = reg.tenant_ctx("t", &fleet).unwrap();
-        let policy = ctx.admission.clone().unwrap();
-        // Exactly `burst` immediate admissions at t=0.
-        let mut admitted = 0;
-        for _ in 0..(burst + 4) {
-            if matches!(
-                policy.borrow_mut().admit(SimTime::ZERO, 1),
-                AdmissionDecision::Admit
-            ) {
-                admitted += 1;
-            }
-        }
-        prop_assert_eq!(admitted, burst);
     }
 }

@@ -57,10 +57,10 @@ impl Clock for CloudSim {
     }
 
     fn schedule_in(&mut self, delay: SimDuration, cb: impl FnOnce(&mut Self) + 'static) {
-        // Core-scheduled continuations (watchdog checks, admission
-        // re-queues, setup delays) run on behalf of the tenant that
-        // scheduled them: capture the ambient scope and re-establish it
-        // when the event fires. A no-op for the default tenant.
+        // Core-scheduled continuations (watchdog checks, setup delays)
+        // run on behalf of the tenant that scheduled them: capture the
+        // ambient scope and re-establish it when the event fires. A no-op
+        // for the default tenant.
         world::schedule_scoped(self, delay, cb);
     }
 

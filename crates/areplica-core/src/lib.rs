@@ -64,4 +64,4 @@ pub use planner::{generate_plan, Plan};
 pub use profiler::{ProfileError, ProfilerConfig};
 pub use retry::{BackoffSchedule, RetryPolicy};
 pub use service::{AReplica, AReplicaBuilder};
-pub use tenant::{AdmissionDecision, AdmissionHandle, AdmissionPolicy, TenantCtx, TenantId};
+pub use tenant::{TenantCtx, TenantId};

@@ -57,12 +57,6 @@ pub struct Metrics {
     pub batched_skips: u64,
     /// Replications that found the SLO already violated at notification time.
     pub slo_previolated: u64,
-    /// Events delayed by the tenant's admission policy (token-bucket
-    /// queueing). Always 0 for the default tenant (no policy).
-    pub admission_queued: u64,
-    /// Events dropped by the tenant's admission policy. Always 0 for the
-    /// default tenant (no policy).
-    pub admission_rejected: u64,
     /// Writes diverted to the durable catch-up log because the
     /// destination's circuit breaker was open. Always 0 without a health
     /// handle.

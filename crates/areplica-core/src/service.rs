@@ -43,7 +43,7 @@ use crate::metrics::{CompletionRecord, Metrics};
 use crate::model::{PathKey, PerfModel};
 use crate::planner::{self, Plan};
 use crate::profiler::{self, ProfilerConfig};
-use crate::tenant::{AdmissionDecision, TenantCtx};
+use crate::tenant::TenantCtx;
 
 /// Mutable service state shared by every event closure.
 pub struct ServiceState {
@@ -124,10 +124,10 @@ impl AReplicaBuilder {
 
     /// Deploys the service for a specific tenant (control-plane path): the
     /// tenant's quota caps engine parallelism and backend FaaS concurrency,
-    /// its SLO overrides rule SLOs for planning, its admission policy gates
-    /// incoming events, and its fleet ledger records watchdog/janitor
-    /// activity. Without this the service runs as the implicit default
-    /// tenant and behaves exactly as before tenancy existed.
+    /// its SLO overrides rule SLOs for planning, and its fleet ledger
+    /// records watchdog/janitor activity. Without this the service runs as
+    /// the implicit default tenant and behaves exactly as before tenancy
+    /// existed.
     pub fn tenant(mut self, tenant: TenantCtx) -> Self {
         self.tenant = tenant;
         self
@@ -342,46 +342,6 @@ fn on_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: ObjectE
         trigger_delete(sim, st, rule_idx, task);
         return;
     }
-    // Tenant admission control: the control plane's token bucket decides
-    // whether this event is processed now, after a deterministic queueing
-    // delay (capacity already reserved — no re-check on fire), or dropped.
-    // The default tenant has no policy and goes straight through.
-    let decision = {
-        let s = st.borrow();
-        s.tenant.admission.as_ref().map(|p| (p.clone(), sim.now()))
-    };
-    if let Some((policy, now)) = decision {
-        match policy.borrow_mut().admit(now, ev.size) {
-            AdmissionDecision::Admit => {}
-            AdmissionDecision::Queue(delay) => {
-                {
-                    let mut s = st.borrow_mut();
-                    s.metrics.admission_queued += 1;
-                    let name = s.tenant.metric("service.admission_queued");
-                    // Timestamped so admission pressure is queryable over
-                    // sliding windows (dashboards); the cumulative counter
-                    // is unchanged.
-                    sim.tracer().counter_add_at(now, &name, 1);
-                }
-                let st2 = st.clone();
-                sim.schedule_in(delay, move |sim| {
-                    process_object_event(sim, st2, rule_idx, ev);
-                });
-                return;
-            }
-            AdmissionDecision::Reject => {
-                let mut s = st.borrow_mut();
-                s.metrics.admission_rejected += 1;
-                let name = s.tenant.metric("service.admission_rejected");
-                sim.tracer().counter_add_at(now, &name, 1);
-                return;
-            }
-        }
-    }
-    process_object_event(sim, st, rule_idx, ev);
-}
-
-fn process_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: ObjectEvent) {
     // SLO-bounded batching (Algorithm 4).
     let decision = {
         let mut s = st.borrow_mut();

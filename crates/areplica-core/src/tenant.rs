@@ -2,21 +2,20 @@
 //!
 //! The data plane (this crate) never owns tenant policy — it receives a
 //! [`TenantCtx`] describing one tenant's SLO, FaaS-concurrency quota,
-//! admission policy, and fleet ledger, and threads it through the
-//! replication service and engine. The control plane
-//! (`areplica-control`) constructs these contexts from its registry.
+//! fleet ledger and breakers, and threads it through the replication
+//! service and engine. The control plane (`areplica-control`) constructs
+//! these contexts from its registry.
 //!
 //! **Default-tenant invariant:** [`TenantCtx::default_tenant`] (also the
-//! `Default` impl) carries no id, no SLO override, no quota, and no
-//! admission policy. Every tenancy hook in the service, engine, and
+//! `Default` impl) carries no id, no SLO override, no quota, no fleet
+//! ledger and no breakers. Every tenancy hook in the service, engine, and
 //! backends is a no-op for the default tenant, so single-tenant runs
 //! produce bit-identical event sequences, traces, and ledgers to the
 //! pre-tenancy code.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use simkernel::{SimDuration, SimTime};
+use simkernel::SimDuration;
 
 use crate::fleet::FleetHandle;
 use crate::health::HealthHandle;
@@ -25,37 +24,9 @@ use crate::health::HealthHandle;
 /// every scoped continuation the backend schedules.
 pub type TenantId = Rc<str>;
 
-/// Outcome of consulting a tenant's admission policy for one incoming
-/// replication event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionDecision {
-    /// Process the event now.
-    Admit,
-    /// Capacity was reserved but is not available yet: process the event
-    /// after this delay without re-consulting the policy.
-    Queue(SimDuration),
-    /// Drop the event; the tenant is over quota beyond the queueing bound.
-    Reject,
-}
-
-/// Per-tenant admission control over simulated time.
-///
-/// Implementations must be deterministic: the decision may depend only on
-/// `now`, `size`, and prior calls — never on wall clock or unseeded
-/// randomness. The control plane's token bucket is the canonical
-/// implementation.
-pub trait AdmissionPolicy {
-    /// Decides whether to admit a replication event of `size` bytes at
-    /// simulated time `now`.
-    fn admit(&mut self, now: SimTime, size: u64) -> AdmissionDecision;
-}
-
-/// Shared handle to a tenant's admission policy.
-pub type AdmissionHandle = Rc<RefCell<dyn AdmissionPolicy>>;
-
 /// Everything the data plane needs to know about the tenant it is serving.
 ///
-/// Cheap to clone (ids and policies are behind `Rc`).
+/// Cheap to clone (ids and handles are behind `Rc`).
 #[derive(Clone)]
 pub struct TenantCtx {
     /// Tenant identity; `None` is the implicit default tenant.
@@ -65,8 +36,6 @@ pub struct TenantCtx {
     /// FaaS-concurrency quota: cap on simultaneously running function
     /// instances across this tenant's replication tasks.
     pub faas_concurrency: Option<u32>,
-    /// Admission policy consulted before each replication event.
-    pub admission: Option<AdmissionHandle>,
     /// Optional fleet ledger recording watchdog/janitor activity per
     /// tenant (pure memory; never affects the event sequence).
     pub fleet: Option<FleetHandle>,
@@ -77,14 +46,13 @@ pub struct TenantCtx {
 }
 
 impl TenantCtx {
-    /// The implicit default tenant: unlimited quota, no admission policy.
+    /// The implicit default tenant: unlimited quota, no breakers.
     /// All tenancy hooks are no-ops.
     pub fn default_tenant() -> Self {
         TenantCtx {
             id: None,
             slo: None,
             faas_concurrency: None,
-            admission: None,
             fleet: None,
             health: None,
         }
@@ -107,12 +75,6 @@ impl TenantCtx {
     /// Sets the FaaS-concurrency quota.
     pub fn with_faas_concurrency(mut self, limit: u32) -> Self {
         self.faas_concurrency = Some(limit);
-        self
-    }
-
-    /// Attaches an admission policy.
-    pub fn with_admission(mut self, policy: AdmissionHandle) -> Self {
-        self.admission = Some(policy);
         self
     }
 
@@ -166,7 +128,6 @@ impl std::fmt::Debug for TenantCtx {
             .field("id", &self.id)
             .field("slo", &self.slo)
             .field("faas_concurrency", &self.faas_concurrency)
-            .field("admission", &self.admission.as_ref().map(|_| "<policy>"))
             .field("health", &self.health.as_ref().map(|_| "<breakers>"))
             .finish()
     }
@@ -183,7 +144,6 @@ mod tests {
         assert!(t.id().is_none());
         assert!(t.slo.is_none());
         assert!(t.faas_concurrency.is_none());
-        assert!(t.admission.is_none());
         assert!(t.health.is_none());
         assert_eq!(t.metric("service.tasks"), "service.tasks");
     }

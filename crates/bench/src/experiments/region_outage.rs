@@ -32,7 +32,7 @@ use cloudsim::outage::{FailureMode, Service as OutageService};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::{Cloud, RegionId};
 use simkernel::SimDuration;
-use simtrace::alert::{AlertKind, BurnRatePolicy};
+use simtrace::alert::AlertKind;
 use simtrace::dash::DashFrame;
 
 use super::slo_burn::{bench_profiler, dash_row};
@@ -89,12 +89,6 @@ fn put_at(l: &Load, i: usize) -> u64 {
     l.start_secs + i as u64 * l.spacing_secs
 }
 
-/// Flight-recorder dump of the victim tenant's trace ring.
-fn dump_victim(sim: &CloudSim) -> String {
-    let dump = sim.world.trace.flight_dump_open(Some("victim"));
-    dump.flight_dump_close()
-}
-
 /// Everything one run produces. Each field is seed-deterministic.
 pub struct Artifacts {
     /// The experiment report (goes to `results/region_outage.txt`).
@@ -105,7 +99,7 @@ pub struct Artifacts {
     pub alert_log: String,
     /// The fleet ledger's rendered circuit-breaker transition log.
     pub breaker_log: String,
-    /// Flight-recorder dump of the victim tenant, captured at first FIRE.
+    /// Flight dump of the victim tenant, captured at first FIRE.
     pub flight_dump: String,
 }
 
@@ -129,7 +123,7 @@ pub fn run_full() -> Artifacts {
         );
     }
     let fleet = FleetSupervisor::new();
-    let mut mon = SloMonitor::from_registry(&reg, BurnRatePolicy::default());
+    let mut mon = SloMonitor::from_registry(&reg);
 
     // One circuit breaker per tenant, watching its destination region and
     // landing transitions in the fleet ledger. The typed handles are kept
@@ -217,7 +211,7 @@ pub fn run_full() -> Artifacts {
                 .iter()
                 .any(|e| e.tenant == "victim" && e.kind == AlertKind::Fired)
         {
-            flight_dump = dump_victim(&sim);
+            flight_dump = sim.world.trace.flight_dump(Some("victim"));
         }
         let rows = loads
             .iter()

@@ -7,7 +7,7 @@
 //! The experiment is also the reference driver for the observability
 //! plane: it steps the simulation on a fixed sim-time cadence and, between
 //! steps, evaluates the [`SloMonitor`], emits a deterministic dashboard
-//! frame, and (on the first FIRE) dumps the tenant's flight-recorder ring.
+//! frame, and (on the first FIRE) dumps the tenant's recent trace events.
 //! Everything it writes — report, dashboard stream, alert log, flight
 //! dump — is a pure function of the seed: two identically-seeded runs are
 //! byte-identical, which CI enforces with `cmp`.
@@ -19,7 +19,7 @@ use areplica_core::{AReplica, AReplicaBuilder, ProfilerConfig, ReplicationRule};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::Cloud;
 use simkernel::SimDuration;
-use simtrace::alert::{AlertKind, BurnRatePolicy};
+use simtrace::alert::{AlertKind, SLOW_WINDOW};
 use simtrace::dash::{DashFrame, DashRow};
 
 use crate::harness::{scaled, Table};
@@ -84,36 +84,24 @@ pub struct Artifacts {
     pub dashboards: String,
     /// The fleet ledger's rendered alert log.
     pub alert_log: String,
-    /// Flight-recorder dump of the noisy tenant, captured at first FIRE.
+    /// Flight dump of the noisy tenant, captured at first FIRE.
     pub flight_dump: String,
 }
 
 pub(crate) fn dash_row(sim: &CloudSim, mon: &SloMonitor, id: &str, quota: u32) -> DashRow {
     let now = sim.now();
     let windows = sim.world.trace.windows();
-    let slow = mon
-        .engine()
-        .rules()
-        .iter()
-        .find(|r| r.tenant == id)
-        .map(|r| r.policy.slow)
-        .unwrap_or(SimDuration::from_secs(3600));
-    let fast = SimDuration::from_secs(300);
     let snap = mon.snapshot_for(id, now, windows);
     let good = simtrace::scoped(id, "slo.good");
     let bad = simtrace::scoped(id, "slo.bad");
     DashRow {
         tenant: id.to_string(),
-        slo_attainment: windows.error_ratio(&bad, &good, now, slow).map(|r| 1.0 - r),
+        slo_attainment: windows
+            .error_ratio(&bad, &good, now, SLOW_WINDOW)
+            .map(|r| 1.0 - r),
         fast_burn: snap.as_ref().map(|s| s.fast_burn).unwrap_or(0.0),
         slow_burn: snap.as_ref().map(|s| s.slow_burn).unwrap_or(0.0),
         firing: snap.as_ref().map(|s| s.firing).unwrap_or(false),
-        queued: windows.counter_sum(&simtrace::scoped(id, "service.admission_queued"), now, fast),
-        rejected: windows.counter_sum(
-            &simtrace::scoped(id, "service.admission_rejected"),
-            now,
-            fast,
-        ),
         faas_active: sim.world.faas.tenant_active(id),
         faas_limit: Some(quota),
         cost_cents: sim
@@ -147,7 +135,7 @@ pub fn run_full() -> Artifacts {
         );
     }
     let fleet = FleetSupervisor::new();
-    let mut mon = SloMonitor::from_registry(&reg, BurnRatePolicy::default());
+    let mut mon = SloMonitor::from_registry(&reg);
 
     let mut services: Vec<(&Load, AReplica)> = Vec::new();
     for l in &loads {
@@ -213,11 +201,7 @@ pub fn run_full() -> Artifacts {
                 .iter()
                 .any(|e| e.tenant == "noisy" && e.kind == AlertKind::Fired)
         {
-            flight_dump = sim
-                .world
-                .trace
-                .flight_dump_open(Some("noisy"))
-                .flight_dump_close();
+            flight_dump = sim.world.trace.flight_dump(Some("noisy"));
         }
         let rows = loads
             .iter()

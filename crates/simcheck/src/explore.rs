@@ -36,7 +36,7 @@ pub struct RunReport {
     /// (multi-tenant scenarios only): (tenant id, peak concurrent
     /// instances, starts the quota deferred).
     pub tenant_faas: Vec<(String, u32, u64)>,
-    /// Flight-recorder dump captured at the moment an oracle failed
+    /// Flight dump captured at the moment an oracle failed
     /// (`None` when every oracle passed). Deterministic: replaying the
     /// same schedule reproduces the dump byte for byte.
     pub flight_dump: Option<String>,
@@ -104,7 +104,6 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
                 min_events: 1,
                 cooldown: SimDuration::from_millis(500),
                 probe_backoff: RetryPolicy::default(),
-                ..BreakerConfig::default()
             },
         );
         set.add_destination(dst, "azure/eastus");
@@ -219,13 +218,12 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
             )
         })
         .collect();
-    // On oracle failure, capture the flight recorder's last-events ring so
-    // the shrunken repro ships with the trace tail that led up to it.
+    // On oracle failure, capture every tenant's last trace events so the
+    // shrunken repro ships with the trace tail that led up to it.
     let flight_dump = if violations.is_empty() {
         None
     } else {
-        let trace = &sim.inner().world.trace;
-        Some(trace.flight_dump_open(None).flight_dump_close())
+        Some(sim.inner().world.trace.flight_dump(None))
     };
     let taken = state.borrow().taken.clone();
     RunReport {

@@ -69,7 +69,7 @@ pub enum Violation {
         key: String,
     },
     /// A tenant's peak concurrent FaaS instances exceeded its quota
-    /// (quota conformance — the admission/quota gate was bypassed).
+    /// (quota conformance — the quota gate was bypassed).
     QuotaExceeded {
         /// Tenant that overdrew its quota.
         tenant: String,

@@ -21,48 +21,25 @@ use simkernel::{SimDuration, SimTime};
 
 use crate::window::WindowStore;
 
-/// Thresholds and windows for one burn-rate rule.
-///
-/// Defaults follow the classic page-severity construction: a 99 % target,
-/// 5 m fast / 1 h slow windows, and a 14.4×/6× threshold pair (14.4× burns
-/// 2 % of a 30-day budget in an hour; 6× sustained for the slow window
-/// distinguishes a real incident from a blip).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnRatePolicy {
-    /// SLO attainment target in (0, 1), e.g. `0.99`.
-    pub target: f64,
-    /// Fast ("is it burning now?") window.
-    pub fast: SimDuration,
-    /// Slow ("has it burned long enough?") window.
-    pub slow: SimDuration,
-    /// Minimum fast-window burn rate to fire (and to stay firing).
-    pub fast_threshold: f64,
-    /// Minimum slow-window burn rate to fire.
-    pub slow_threshold: f64,
-}
+// The classic page-severity construction: a 99 % target, 5 m fast / 1 h
+// slow windows, and a 14.4×/6× threshold pair (14.4× burns 2 % of a
+// 30-day budget in an hour; 6× sustained for the slow window
+// distinguishes a real incident from a blip).
 
-impl Default for BurnRatePolicy {
-    fn default() -> Self {
-        BurnRatePolicy {
-            target: 0.99,
-            fast: SimDuration::from_mins(5),
-            slow: SimDuration::from_mins(60),
-            fast_threshold: 14.4,
-            slow_threshold: 6.0,
-        }
-    }
-}
-
-impl BurnRatePolicy {
-    /// The error budget `1 − target`, floored at a tiny epsilon so a 100 %
-    /// target cannot divide by zero.
-    pub fn budget(&self) -> f64 {
-        (1.0 - self.target).max(1e-9)
-    }
-}
+/// The error budget `1 − target` of the 99 % attainment target.
+pub const ERROR_BUDGET: f64 = 1.0 - 0.99;
+/// Fast ("is it burning now?") window.
+pub const FAST_WINDOW: SimDuration = SimDuration::from_mins(5);
+/// Slow ("has it burned long enough?") window.
+pub const SLOW_WINDOW: SimDuration = SimDuration::from_mins(60);
+/// Minimum fast-window burn rate to fire (and to stay firing).
+pub const FAST_THRESHOLD: f64 = 14.4;
+/// Minimum slow-window burn rate to fire.
+pub const SLOW_THRESHOLD: f64 = 6.0;
 
 /// One declarative alert rule: a good/bad counter pair (already
-/// tenant-[`crate::scoped`] by the registrar) judged under a policy.
+/// tenant-[`crate::scoped`] by the registrar) judged against the
+/// [`ERROR_BUDGET`] over the fast and slow windows.
 #[derive(Debug, Clone)]
 pub struct BurnRateRule {
     /// Rule name, e.g. `"slo-burn"`.
@@ -74,8 +51,6 @@ pub struct BurnRateRule {
     pub good: String,
     /// Windowed counter counting SLO violations.
     pub bad: String,
-    /// Thresholds and windows.
-    pub policy: BurnRatePolicy,
 }
 
 /// Fire/resolve transition.
@@ -175,8 +150,8 @@ impl AlertEngine {
     /// Burn rates for one rule right now (no state change).
     pub fn snapshot(&self, idx: usize, now: SimTime, windows: &WindowStore) -> BurnSnapshot {
         let r = &self.rules[idx];
-        let (fast_burn, fast_bad, fast_total) = burn(r, now, r.policy.fast, windows);
-        let (slow_burn, _, _) = burn(r, now, r.policy.slow, windows);
+        let (fast_burn, fast_bad, fast_total) = burn(r, now, FAST_WINDOW, windows);
+        let (slow_burn, _, _) = burn(r, now, SLOW_WINDOW, windows);
         BurnSnapshot {
             fast_burn,
             slow_burn,
@@ -199,14 +174,14 @@ impl AlertEngine {
     pub fn evaluate(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
         let mut out = Vec::new();
         for (idx, rule) in self.rules.iter().enumerate() {
-            let (fast_burn, fast_bad, fast_total) = burn(rule, now, rule.policy.fast, windows);
-            let (slow_burn, _, _) = burn(rule, now, rule.policy.slow, windows);
+            let (fast_burn, fast_bad, fast_total) = burn(rule, now, FAST_WINDOW, windows);
+            let (slow_burn, _, _) = burn(rule, now, SLOW_WINDOW, windows);
             let was = self.firing[idx];
             let is = if was {
                 // Hysteresis: stay firing until the fast window recovers.
-                fast_burn >= rule.policy.fast_threshold
+                fast_burn >= FAST_THRESHOLD
             } else {
-                fast_burn >= rule.policy.fast_threshold && slow_burn >= rule.policy.slow_threshold
+                fast_burn >= FAST_THRESHOLD && slow_burn >= SLOW_THRESHOLD
             };
             if is != was {
                 self.firing[idx] = is;
@@ -251,7 +226,7 @@ fn burn(
         return (0.0, 0, 0);
     }
     let ratio = bad as f64 / total as f64;
-    (ratio / rule.policy.budget(), bad, total)
+    (ratio / ERROR_BUDGET, bad, total)
 }
 
 #[cfg(test)]
@@ -269,7 +244,6 @@ mod tests {
             tenant: tenant.into(),
             good: format!("tenant.{tenant}.slo.good"),
             bad: format!("tenant.{tenant}.slo.bad"),
-            policy: BurnRatePolicy::default(),
         }
     }
 

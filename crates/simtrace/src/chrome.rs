@@ -72,7 +72,7 @@ pub(crate) fn export(tracer: &Tracer) -> String {
 }
 
 /// Microsecond timestamp with exactly three decimals, e.g. `1500000.250`.
-/// Shared with the flight-recorder dump so both artifacts format time
+/// Shared with the flight dump so both artifacts format time
 /// identically.
 pub(crate) fn ts(at: SimTime) -> String {
     micros(at.as_nanos())

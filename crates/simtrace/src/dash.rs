@@ -1,6 +1,6 @@
 //! Deterministic per-tenant dashboards: a plain-text renderer for the live
-//! SLO picture (attainment, burn rates, alert state, admission pressure,
-//! FaaS quota utilization, cost burn), emitted at a sim-time cadence by
+//! SLO picture (attainment, burn rates, alert state, FaaS quota
+//! utilization, cost burn), emitted at a sim-time cadence by
 //! bench drivers via `--dash-out`.
 //!
 //! The renderer is a pure formatter: drivers assemble [`DashRow`]s from
@@ -26,10 +26,6 @@ pub struct DashRow {
     pub slow_burn: f64,
     /// Whether a burn-rate alert is currently firing for the tenant.
     pub firing: bool,
-    /// Admissions queued in the fast window.
-    pub queued: u64,
-    /// Admissions rejected in the fast window.
-    pub rejected: u64,
     /// FaaS instances currently active for the tenant.
     pub faas_active: u32,
     /// The tenant's FaaS concurrency quota (`None` = unlimited, rendered
@@ -55,15 +51,13 @@ impl DashFrame {
     /// artifacts, compared with `cmp` in CI.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "# dash t={:.3}s\n{:<10} {:>8} {:>10} {:>10} {:>7} {:>6} {:>7} {:>7} {:>11}\n",
+            "# dash t={:.3}s\n{:<10} {:>8} {:>10} {:>10} {:>7} {:>7} {:>11}\n",
             self.at.as_nanos() as f64 / 1e9,
             "tenant",
             "slo_att",
             "fast_burn",
             "slow_burn",
             "alert",
-            "adm_q",
-            "adm_rej",
             "faas",
             "cost_cents",
         );
@@ -77,14 +71,12 @@ impl DashFrame {
                 None => format!("{}/-", r.faas_active),
             };
             out.push_str(&format!(
-                "{:<10} {:>8} {:>10.2} {:>10.2} {:>7} {:>6} {:>7} {:>7} {:>11.4}\n",
+                "{:<10} {:>8} {:>10.2} {:>10.2} {:>7} {:>7} {:>11.4}\n",
                 r.tenant,
                 att,
                 r.fast_burn,
                 r.slow_burn,
                 if r.firing { "FIRING" } else { "ok" },
-                r.queued,
-                r.rejected,
                 faas,
                 r.cost_cents,
             ));
@@ -107,8 +99,6 @@ mod tests {
                     fast_burn: 100.0,
                     slow_burn: 8.333,
                     firing: true,
-                    queued: 3,
-                    rejected: 0,
                     faas_active: 4,
                     faas_limit: Some(4),
                     cost_cents: 12.34567,
@@ -119,8 +109,6 @@ mod tests {
                     fast_burn: 0.0,
                     slow_burn: 0.0,
                     firing: false,
-                    queued: 0,
-                    rejected: 0,
                     faas_active: 1,
                     faas_limit: None,
                     cost_cents: 3.1,

@@ -44,7 +44,7 @@ mod registry;
 pub mod window;
 
 pub use query::TraceQuery;
-pub use recorder::{FlightDump, FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use recorder::FLIGHT_CAPACITY;
 pub use registry::Registry;
 
 use simkernel::{SimDuration, SimTime};
@@ -197,7 +197,6 @@ pub struct Tracer {
     open: std::collections::BTreeMap<u64, usize>,
     next_id: u64,
     registry: Registry,
-    flight: FlightRecorder,
 }
 
 impl Tracer {
@@ -263,13 +262,6 @@ impl Tracer {
                 span: idx,
                 first_extra_tag,
             });
-            let span = &self.spans[idx];
-            self.flight.record(FlightEntry {
-                at: span.start,
-                dur: span.duration(),
-                name: span.name,
-                tags: span.tags.clone(),
-            });
         }
     }
 
@@ -287,12 +279,6 @@ impl Tracer {
         }
         self.next_id += 1;
         let idx = self.spans.len();
-        self.flight.record(FlightEntry {
-            at: start,
-            dur: Some(duration),
-            name,
-            tags: tags.clone(),
-        });
         self.spans.push(Span {
             id: self.next_id,
             name,
@@ -309,12 +295,6 @@ impl Tracer {
             return;
         }
         let idx = self.instants.len();
-        self.flight.record(FlightEntry {
-            at,
-            dur: None,
-            name,
-            tags: tags.clone(),
-        });
         self.instants.push(InstantEvent { at, name, tags });
         self.recs.push(Rec::Mark(idx));
     }
@@ -362,33 +342,13 @@ impl Tracer {
         self.registry.windows()
     }
 
-    /// The flight recorder's per-tenant rings (read side).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// Opens a flight-recorder dump over one tenant's ring (`Some`) or
-    /// every tenant's ring in sorted-tenant order (`None`). The returned
-    /// [`FlightDump`] is truncated JSON until
-    /// [`FlightDump::flight_dump_close`] seals it — the open/close pair is
-    /// enforced by xlint's resource-balance rule.
-    pub fn flight_dump_open(&self, tenant: Option<&str>) -> FlightDump {
-        let mut dump = FlightDump::begin();
-        match tenant {
-            Some(t) => {
-                for e in self.flight.entries(t) {
-                    dump.push(t, e);
-                }
-            }
-            None => {
-                for t in self.flight.tenants() {
-                    for e in self.flight.entries(t) {
-                        dump.push(t, e);
-                    }
-                }
-            }
-        }
-        dump
+    /// Serializes a flight dump as Chrome trace-event JSON: the newest
+    /// [`FLIGHT_CAPACITY`] closed spans and instants of one tenant
+    /// (`Some`), or of every tenant in sorted-tenant order (`None`), oldest
+    /// first. An event belongs to its first `"tenant"` tag, else to
+    /// `"default"`; spans still open are left out.
+    pub fn flight_dump(&self, tenant: Option<&str>) -> String {
+        recorder::dump(self, tenant)
     }
 
     /// All recorded spans, in creation order.
@@ -542,52 +502,76 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_closed_events_per_tenant() {
+    fn flight_dump_keeps_the_newest_closed_events_per_tenant() {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        // One tenant-tagged complete span, one tenant-tagged instant, one
-        // begin/end span for the default tenant.
-        tr.span_complete(
-            t(1),
-            SimDuration::from_secs(2),
-            names::TASK,
-            vec![("tenant", "acme".into()), ("key", "a".into())],
-        );
-        tr.instant(t(2), names::ENGINE_ABORT, vec![("tenant", "acme".into())]);
-        let id = tr.span_begin(t(3), names::NET_LEG, vec![]);
+        // Still open at dump time: never dumped.
+        let open = tr.span_begin(t(0), names::TASK, vec![("tenant", "acme".into())]);
+        tr.instant(t(0), names::ENGINE_ABORT, vec![("tenant", "zeta".into())]);
+        for i in 0..FLIGHT_CAPACITY + 6 {
+            tr.span_complete(
+                t(i as u64),
+                SimDuration::from_secs(2),
+                names::NET_LEG,
+                vec![("tenant", "acme".into()), ("seq", i.to_string())],
+            );
+        }
+        // An untagged begin/end span and an untagged instant inside it:
+        // the span is dumped where it closed, with its full duration.
+        let id = tr.span_begin(t(3), names::TASK, vec![]);
+        tr.instant(t(4), names::LOGGER_WINDOW, vec![]);
         tr.span_end(t(5), id);
-        assert_eq!(
-            tr.flight().tenants().collect::<Vec<_>>(),
-            vec!["acme", "default"]
-        );
-        assert_eq!(tr.flight().entries("acme").count(), 2);
-        // The begin/end span lands in the ring only once it closes, with
-        // its full duration.
-        let default: Vec<_> = tr.flight().entries("default").collect();
-        assert_eq!(default.len(), 1);
-        assert_eq!(default[0].dur, Some(SimDuration::from_secs(2)));
 
-        let a = tr.flight_dump_open(Some("acme")).flight_dump_close();
-        let b = tr.flight_dump_open(Some("acme")).flight_dump_close();
-        assert_eq!(a, b, "flight dump must be byte-deterministic");
-        assert!(a.contains("\"tenant\":\"acme\""));
-        assert!(!a.contains("net.leg"), "tenant dump leaked another tenant");
-        let all = tr.flight_dump_open(None).flight_dump_close();
-        assert!(all.contains("net.leg") && all.contains("engine.abort"));
+        // One serialized event per line, and one string field of an event.
+        fn events(dump: &str) -> Vec<&str> {
+            dump.lines()
+                .filter(|l| l.starts_with("{\"ph\""))
+                .map(|l| l.trim_end_matches(','))
+                .collect()
+        }
+        fn field<'a>(event: &'a str, key: &str) -> &'a str {
+            let (_, rest) = event.split_once(&format!("\"{key}\":\"")).unwrap();
+            rest.split('"').next().unwrap()
+        }
+
+        let acme = tr.flight_dump(Some("acme"));
+        assert!(acme.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
+        assert!(acme.ends_with("\n]}\n"));
+        assert_eq!(acme, tr.flight_dump(Some("acme")), "not byte-deterministic");
+        // Only the newest FLIGHT_CAPACITY survive, oldest first.
+        let seqs: Vec<&str> = events(&acme).iter().map(|e| field(e, "seq")).collect();
+        let newest: Vec<String> = (6..FLIGHT_CAPACITY + 6).map(|i| i.to_string()).collect();
+        assert_eq!(seqs, newest);
+        assert!(!acme.contains("\"name\":\"task\""), "open span dumped");
+
+        assert_eq!(
+            events(&tr.flight_dump(Some("default"))),
+            vec![
+                "{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"flight\",\"name\":\"logger.window\",\"pid\":1,\"tid\":1,\"ts\":4000000.000,\"args\":{\"tenant\":\"default\"}}",
+                "{\"ph\":\"X\",\"cat\":\"flight\",\"name\":\"task\",\"pid\":1,\"tid\":1,\"ts\":3000000.000,\"dur\":2000000.000,\"args\":{\"tenant\":\"default\"}}",
+            ]
+        );
+
+        // `None` dumps every tenant in sorted order, whatever the
+        // recording order.
+        let all = tr.flight_dump(None);
+        let mut owners: Vec<&str> = events(&all).iter().map(|e| field(e, "tenant")).collect();
+        assert_eq!(owners.len(), FLIGHT_CAPACITY + 3);
+        owners.dedup();
+        assert_eq!(owners, vec!["acme", "default", "zeta"]);
+
+        tr.span_end(t(200), open);
+        assert!(tr.flight_dump(Some("acme")).contains("\"name\":\"task\""));
     }
 
     #[test]
-    fn disabled_tracer_keeps_flight_ring_empty() {
+    fn disabled_tracer_dumps_no_flight_events() {
         let mut tr = Tracer::new();
         tr.span_complete(t(1), SimDuration::from_secs(1), names::TASK, vec![]);
         tr.instant(t(2), names::ENGINE_ABORT, vec![]);
-        assert_eq!(tr.flight().tenants().count(), 0);
         assert_eq!(
-            tr.flight_dump_open(None)
-                .flight_dump_close()
-                .matches("\"ph\"")
-                .count(),
-            0
+            tr.flight_dump(None),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\n]}\n"
         );
     }
 

@@ -1,217 +1,94 @@
-//! The flight recorder: a bounded ring of the last N closed spans and
-//! instants *per tenant*, kept alongside the full trace so that when an
-//! alert fires or a simcheck oracle fails, the recent history of exactly
-//! the affected tenant can be dumped as a small, byte-deterministic Chrome
-//! trace — evidence that travels with a shrunken failing schedule instead
-//! of a multi-megabyte full export.
+//! Flight dumps: the last [`FLIGHT_CAPACITY`] closed spans and instants
+//! *per tenant*, read from the tracer's own recording-order record so that
+//! when an alert fires or a simcheck oracle fails, the recent history of
+//! exactly the affected tenant can be dumped as a small, byte-deterministic
+//! Chrome trace — evidence that travels with a shrunken failing schedule
+//! instead of a multi-megabyte full export.
 //!
-//! Entries are appended in-line by the tracer's recording calls (so the
-//! ring sees events in the same deterministic order as the trace) and
-//! attributed to the tenant named by the event's `"tenant"` tag, falling
-//! back to `"default"`. The ring is pure memory: recording never schedules
-//! events or draws randomness, and dumping reads only ring state, so the
-//! recorder inherits simtrace's passivity invariant wholesale.
-//!
-//! Dumps use an open/close pair — [`crate::Tracer::flight_dump_open`]
-//! returns a [`FlightDump`] whose JSON is incomplete until
-//! [`FlightDump::flight_dump_close`] seals it. The pair is registered as a
-//! protocol resource in `xlint.toml`, so a path that opens a dump and
-//! forgets to close it (shipping truncated JSON) is a lint error, not a
-//! runtime surprise.
+//! An event belongs to the tenant named by its first `"tenant"` tag,
+//! falling back to `"default"`. A span counts once it closes, at its
+//! recording position; a span's tags cannot change after close, so a dump
+//! is a pure function of the trace and inherits simtrace's passivity
+//! invariant wholesale.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use simkernel::{SimDuration, SimTime};
 
-use crate::chrome;
+use crate::{chrome, Rec, Tracer};
 
-/// Default ring capacity per tenant: enough to hold several whole-task
-/// event sequences without letting dumps grow past a screenful.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
+/// Events kept per tenant: enough to hold several whole-task event
+/// sequences without letting dumps grow past a screenful.
+pub const FLIGHT_CAPACITY: usize = 64;
 
-/// One ring entry: a closed span (`dur = Some`) or an instant (`dur =
-/// None`), with the tags it carried at close time.
-#[derive(Debug, Clone)]
-pub struct FlightEntry {
-    /// Start (spans) or occurrence (instants) time.
-    pub at: SimTime,
-    /// Span duration; `None` marks an instant.
-    pub dur: Option<SimDuration>,
-    /// Event name from the shared [`crate::names`] taxonomy.
-    pub name: &'static str,
-    /// Tags at close time (spans include close-time extras).
-    pub tags: Vec<(&'static str, String)>,
-}
+/// A closed span (`dur = Some`) or an instant (`dur = None`).
+type Entry<'a> = (
+    SimTime,
+    Option<SimDuration>,
+    &'static str,
+    &'a [(&'static str, String)],
+);
 
-/// Per-tenant bounded rings of recent [`FlightEntry`]s.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    rings: BTreeMap<String, VecDeque<FlightEntry>>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)
-    }
-}
-
-impl FlightRecorder {
-    /// Recorder with `capacity` entries per tenant ring (min 1).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            rings: BTreeMap::new(),
-        }
-    }
-
-    /// Ring capacity per tenant.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Appends an entry to its tenant's ring, evicting the oldest entry
-    /// once the ring is full. Tenant comes from the `"tenant"` tag.
-    pub(crate) fn record(&mut self, entry: FlightEntry) {
-        let tenant = entry
-            .tags
+/// Serializes one tenant's (`Some`) or every tenant's (`None`, in sorted
+/// tenant order) newest [`FLIGHT_CAPACITY`] events, oldest first.
+pub(crate) fn dump(tr: &Tracer, tenant: Option<&str>) -> String {
+    let mut rings: BTreeMap<&str, VecDeque<Entry<'_>>> = BTreeMap::new();
+    for rec in tr.recs() {
+        let (at, dur, name, tags): Entry<'_> = match *rec {
+            Rec::Begin(_) => continue,
+            Rec::End { span, .. } | Rec::Complete(span) => {
+                let s = &tr.spans()[span];
+                (s.start, s.duration(), s.name, &s.tags)
+            }
+            Rec::Mark(i) => {
+                let e = &tr.instants()[i];
+                (e.at, None, e.name, &e.tags)
+            }
+        };
+        let owner = tags
             .iter()
             .find(|(k, _)| *k == "tenant")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| "default".to_string());
-        let ring = self.rings.entry(tenant).or_default();
-        if ring.len() == self.capacity {
+            .map_or("default", |(_, v)| v.as_str());
+        if tenant.is_some_and(|t| t != owner) {
+            continue;
+        }
+        let ring = rings.entry(owner).or_default();
+        if ring.len() == FLIGHT_CAPACITY {
             ring.pop_front();
         }
-        ring.push_back(entry);
+        ring.push_back((at, dur, name, tags));
     }
 
-    /// Tenants with recorded history, in deterministic (sorted) order.
-    pub fn tenants(&self) -> impl Iterator<Item = &str> {
-        self.rings.keys().map(|k| k.as_str())
-    }
-
-    /// One tenant's ring, oldest first (empty for unknown tenants).
-    pub fn entries(&self, tenant: &str) -> impl Iterator<Item = &FlightEntry> {
-        self.rings.get(tenant).into_iter().flat_map(|r| r.iter())
-    }
+    let events: Vec<String> = rings
+        .iter()
+        .flat_map(|(owner, ring)| ring.iter().map(move |e| event(owner, e)))
+        .collect();
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        events.join(",\n")
+    )
 }
 
-/// An in-progress flight-recorder dump: the JSON header and events are
-/// serialized; the closing bracket is not. Call
-/// [`FlightDump::flight_dump_close`] to obtain the finished document —
-/// dropping the value without closing it loses the dump, which is exactly
-/// the leak `xlint`'s resource-balance rule flags.
-#[derive(Debug)]
-#[must_use = "a flight dump is truncated JSON until flight_dump_close seals it"]
-pub struct FlightDump {
-    out: String,
-    events: usize,
-}
-
-impl FlightDump {
-    pub(crate) fn begin() -> Self {
-        FlightDump {
-            out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"),
-            events: 0,
-        }
+/// One Chrome trace event, tagged with its owner when it carries no
+/// `"tenant"` tag of its own.
+fn event(owner: &str, &(at, dur, name, tags): &Entry<'_>) -> String {
+    let mut tags = tags.to_vec();
+    if !tags.iter().any(|(k, _)| *k == "tenant") {
+        tags.push(("tenant", owner.to_string()));
     }
-
-    pub(crate) fn push(&mut self, tenant: &str, e: &FlightEntry) {
-        let mut tags = e.tags.clone();
-        if !tags.iter().any(|(k, _)| *k == "tenant") {
-            tags.push(("tenant", tenant.to_string()));
-        }
-        let ev = match e.dur {
-            Some(d) => format!(
-                "{{\"ph\":\"X\",\"cat\":\"flight\",\"name\":{},\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-                chrome::json_str(e.name),
-                chrome::ts(e.at),
-                chrome::micros(d.as_nanos()),
-                chrome::args(&tags),
-            ),
-            None => format!(
-                "{{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"flight\",\"name\":{},\"pid\":1,\"tid\":1,\"ts\":{},\"args\":{{{}}}}}",
-                chrome::json_str(e.name),
-                chrome::ts(e.at),
-                chrome::args(&tags),
-            ),
-        };
-        if self.events > 0 {
-            self.out.push_str(",\n");
-        }
-        self.out.push_str(&ev);
-        self.events += 1;
-    }
-
-    /// Number of events serialized so far.
-    pub fn events(&self) -> usize {
-        self.events
-    }
-
-    /// Seals the dump and returns the complete Chrome-trace JSON document.
-    pub fn flight_dump_close(mut self) -> String {
-        self.out.push_str("\n]}\n");
-        self.out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::from_nanos(secs * 1_000_000_000)
-    }
-
-    fn entry(at_s: u64, name: &'static str, tenant: Option<&str>) -> FlightEntry {
-        let mut tags = vec![("key", "obj".to_string())];
-        if let Some(tn) = tenant {
-            tags.push(("tenant", tn.to_string()));
-        }
-        FlightEntry {
-            at: t(at_s),
-            dur: Some(SimDuration::from_secs(1)),
-            name,
-            tags,
-        }
-    }
-
-    #[test]
-    fn rings_are_per_tenant_and_bounded() {
-        let mut fr = FlightRecorder::new(3);
-        for i in 0..5 {
-            fr.record(entry(i, "task", Some("acme")));
-        }
-        fr.record(entry(9, "task", None));
-        assert_eq!(fr.tenants().collect::<Vec<_>>(), vec!["acme", "default"]);
-        let acme: Vec<_> = fr.entries("acme").map(|e| e.at).collect();
-        // Capacity 3: only the newest three survive, oldest first.
-        assert_eq!(acme, vec![t(2), t(3), t(4)]);
-        assert_eq!(fr.entries("default").count(), 1);
-        assert_eq!(fr.entries("missing").count(), 0);
-    }
-
-    #[test]
-    fn dump_is_valid_and_closes() {
-        let mut fr = FlightRecorder::new(4);
-        fr.record(entry(1, "task", Some("acme")));
-        fr.record(FlightEntry {
-            at: t(2),
-            dur: None,
-            name: "engine.abort",
-            tags: vec![("tenant", "acme".to_string())],
-        });
-        let mut dump = FlightDump::begin();
-        for e in fr.entries("acme") {
-            dump.push("acme", e);
-        }
-        assert_eq!(dump.events(), 2);
-        let json = dump.flight_dump_close();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
-        assert!(json.trim_end().ends_with("]}"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"tenant\":\"acme\""));
+    match dur {
+        Some(d) => format!(
+            "{{\"ph\":\"X\",\"cat\":\"flight\",\"name\":{},\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
+            chrome::json_str(name),
+            chrome::ts(at),
+            chrome::micros(d.as_nanos()),
+            chrome::args(&tags),
+        ),
+        None => format!(
+            "{{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"flight\",\"name\":{},\"pid\":1,\"tid\":1,\"ts\":{},\"args\":{{{}}}}}",
+            chrome::json_str(name),
+            chrome::ts(at),
+            chrome::args(&tags),
+        ),
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use simkernel::{Histogram, SimTime};
 
-use crate::window::{WindowSpec, WindowStore};
+use crate::window::WindowStore;
 
 /// Counters, gauges, and histograms under sorted string names.
 ///
@@ -72,12 +72,6 @@ impl Registry {
         &self.windows
     }
 
-    /// Replaces the window geometry. Call before recording: existing
-    /// windowed state is discarded (cumulative metrics are unaffected).
-    pub fn set_window_spec(&mut self, spec: WindowSpec) {
-        self.windows = WindowStore::new(spec);
-    }
-
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -101,11 +95,6 @@ impl Registry {
     /// All gauges in sorted-name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms in sorted-name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Renders the registry as deterministic plain text: one line per

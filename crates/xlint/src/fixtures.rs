@@ -275,36 +275,6 @@ fn do_work(sim: &mut Sim, key: u64) {
 }
 "##,
     },
-    // Flight-recorder dumps (return-mode): an opened dump is truncated
-    // JSON until `flight_dump_close` consumes it.
-    Fixture {
-        name: "prb-flight-dump-leak-fires",
-        rel_path: "crates/bench/src/fixture.rs",
-        rule: "protocol-resource-balance",
-        expect: Expect::Fires,
-        source: r##"
-pub fn dump_on_failure(tracer: &Tracer, failed: bool) -> String {
-    let dump = tracer.flight_dump_open(None);
-    if failed {
-        // BUG: bail out while the dump is still open — truncated JSON.
-        return String::new();
-    }
-    dump.flight_dump_close()
-}
-"##,
-    },
-    Fixture {
-        name: "prb-flight-dump-closed-clean",
-        rel_path: "crates/bench/src/fixture.rs",
-        rule: "protocol-resource-balance",
-        expect: Expect::Clean,
-        source: r##"
-pub fn dump(tracer: &Tracer) -> String {
-    let dump = tracer.flight_dump_open(None);
-    dump.flight_dump_close()
-}
-"##,
-    },
     // Breaker probe tickets (reach-mode): `probe_open` moves the breaker to
     // HalfOpen with a single probe ticket outstanding; every path must
     // reach `probe_resolve`, or the breaker is stuck half-open forever and

@@ -312,15 +312,14 @@ fn committed_config_parses() {
     let cfg = Config::load(&root).expect("xlint.toml parses");
     assert!(cfg.skip.iter().any(|s| Path::new(s) == Path::new("vendor")));
     assert!(cfg.skip.iter().any(|s| s == "replbench"));
-    // All six protocol resources plus the span and taint policies must
+    // All five protocol resources plus the span and taint policies must
     // survive the round-trip.
-    assert_eq!(cfg.resources.len(), 6, "six [[resource]] blocks");
+    assert_eq!(cfg.resources.len(), 5, "five [[resource]] blocks");
     for acquire in [
         "try_lock_tx",
         "abort_tx",
         "create_multipart",
         "adopt_tx",
-        "flight_dump_open",
         "probe_open",
     ] {
         assert!(

@@ -122,41 +122,3 @@ fn faas_quota_caps_tenant_concurrency() {
         "peak {peak} must respect the quota of 2"
     );
 }
-
-#[test]
-fn admission_rejects_are_counted_and_drop_events() {
-    let mut sim = World::paper_sim(11);
-    let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let mut reg = TenantRegistry::new();
-    reg.register(TenantSpec::new("gated").with_admission(AdmissionConfig {
-        rate_per_s: 0.1,
-        burst: 2.0,
-        max_queue_delay: SimDuration::from_secs(5),
-    }));
-    let fleet = FleetSupervisor::new();
-    let service = AReplicaBuilder::new()
-        .rule(ReplicationRule::new(src, "src-gated", dst, "dst-gated").with_batching(false))
-        .profiler_config(quick_profiler())
-        .tenant(reg.tenant_ctx("gated", &fleet).unwrap())
-        .install(&mut sim);
-    sim.set_tenant_scope(Some(Rc::from("gated")));
-    for k in 0..8 {
-        user_put(&mut sim, src, "src-gated", &format!("obj-{k}"), 1 << 20).unwrap();
-    }
-    sim.set_tenant_scope(None);
-    sim.run_to_completion(u64::MAX);
-    let m = service.metrics();
-    // Burst of 2 admitted immediately; a sixth-of-a-token refill covers at
-    // most one queued event within the 5 s bound; the rest are rejected.
-    assert!(
-        m.admission_rejected >= 5,
-        "rejected {}",
-        m.admission_rejected
-    );
-    assert_eq!(
-        m.completions.len() as u64 + m.admission_rejected,
-        8,
-        "every event either replicates or is rejected"
-    );
-}

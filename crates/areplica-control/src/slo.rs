@@ -47,11 +47,6 @@ impl SloMonitor {
         SloMonitor { engine }
     }
 
-    /// Number of registered rules.
-    pub fn rule_count(&self) -> usize {
-        self.engine.rules().len()
-    }
-
     /// Evaluates every rule at `now` against `windows`, records each
     /// transition in the supervisor's activity ledger, and returns the
     /// transitions this tick produced.
@@ -88,11 +83,6 @@ impl SloMonitor {
             .position(|r| r.tenant == tenant)?;
         Some(self.engine.snapshot(idx, now, windows))
     }
-
-    /// The underlying engine (read side: rules and full transition log).
-    pub fn engine(&self) -> &AlertEngine {
-        &self.engine
-    }
 }
 
 #[cfg(test)]
@@ -118,16 +108,31 @@ mod tests {
 
     #[test]
     fn rules_come_from_slo_specs_in_id_order() {
-        let mon = SloMonitor::from_registry(&registry());
-        assert_eq!(mon.rule_count(), 2);
-        let tenants: Vec<&str> = mon
-            .engine()
-            .rules()
-            .iter()
-            .map(|r| r.tenant.as_str())
+        let mut w = WindowStore::new(WindowSpec::DEFAULT);
+        let fleet = FleetSupervisor::new();
+        // Registered out of id order: rules follow the ids.
+        let mut reg = TenantRegistry::new();
+        reg.register(TenantSpec::new("quiet").with_slo(SimDuration::from_secs(30)));
+        reg.register(TenantSpec::new("noisy").with_slo(SimDuration::from_secs(30)));
+        reg.register(TenantSpec::new("unmonitored"));
+        let mut mon = SloMonitor::from_registry(&reg);
+        for tenant in ["noisy", "quiet", "unmonitored"] {
+            w.counter_add(t(0), &format!("tenant.{tenant}.slo.bad"), 3);
+            w.counter_add(t(0), &format!("tenant.{tenant}.slo.good"), 1);
+        }
+        // Each rule reads its own tenant's scoped counters.
+        for tenant in ["noisy", "quiet"] {
+            let snap = mon.snapshot_for(tenant, t(30), &w).unwrap();
+            assert_eq!((snap.fast_bad, snap.fast_total), (3, 4));
+        }
+        assert!(mon.snapshot_for("unmonitored", t(30), &w).is_none());
+        // Both fire on one tick, in id order.
+        let fired: Vec<String> = mon
+            .observe(t(30), &w, &fleet)
+            .into_iter()
+            .map(|e| e.tenant)
             .collect();
-        assert_eq!(tenants, vec!["noisy", "quiet"]);
-        assert_eq!(mon.engine().rules()[0].good, "tenant.noisy.slo.good");
+        assert_eq!(fired, vec!["noisy", "quiet"]);
     }
 
     #[test]

@@ -21,8 +21,8 @@ fn bench_event_throughput(c: &mut Criterion) {
         })
     });
 
-    // The same chain with 100 k far timers pending, the way replbench's FaaS
-    // hard-timeout and warm-expiry guards sit 10–60 min ahead of the clock.
+    // The same chain with 100 k far events pending 10–60 min ahead of the
+    // clock, standing in for the later records of a trace scheduled up front.
     c.bench_function("des_chain_with_100k_far_timers", |b| {
         b.iter(|| {
             let mut sim = Sim::new(1, 0u64);

@@ -41,8 +41,6 @@ struct Instance {
     spec: FnSpec,
     speed_factor: f64,
     exec: Option<ExecState>,
-    /// Bumped on every reuse; guards warm-expiry races.
-    use_count: u64,
     /// Tenant the instance belongs to (`None` = the implicit default
     /// tenant). Warm reuse never crosses tenants, so one tenant's warm pool
     /// cannot change another tenant's cold/warm pattern.
@@ -61,6 +59,9 @@ struct Pending {
 
 #[derive(Default)]
 struct RegionFaas {
+    /// Idle instances and their expiry times. Expiry is lazy: warm reuse
+    /// skips expired entries and `accept` prunes them, so an idle instance
+    /// queues no reclaim event.
     warm: Vec<(InstanceId, SimTime)>,
     active: u32,
     queued: VecDeque<Pending>,
@@ -94,6 +95,12 @@ pub struct FaasRuntime {
     /// exercise SLO burn-rate monitoring. Empty (all 1.0) in every
     /// result-producing run, so default behavior is untouched.
     slowdowns: BTreeMap<Rc<str>, f64>,
+    /// Live invocations by execution deadline. One watchdog event, armed at
+    /// the earliest deadline, fails the due ones, so an invocation queues no
+    /// timeout event of its own.
+    deadlines: BTreeMap<(SimTime, InvocationId), FnHandle>,
+    /// Due time of the armed watchdog event, if one is queued.
+    watchdog: Option<SimTime>,
     next_instance: u64,
     next_invocation: u64,
     /// Dead-letter queue (inspectable by tests and experiments).
@@ -153,9 +160,11 @@ impl FaasRuntime {
         self.regions.get(&region).map_or(0, |r| r.active)
     }
 
-    /// Number of idle warm instances.
-    pub fn warm_in(&self, region: RegionId) -> usize {
-        self.regions.get(&region).map_or(0, |r| r.warm.len())
+    /// Number of idle warm instances that are unexpired at `now`.
+    pub fn warm_in(&self, region: RegionId, now: SimTime) -> usize {
+        self.regions
+            .get(&region)
+            .map_or(0, |r| r.warm.iter().filter(|&&(_, exp)| exp > now).count())
     }
 
     /// Sets (or clears) a tenant's cross-region FaaS concurrency quota.
@@ -358,14 +367,17 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
     let rf = world.faas.regions.entry(region).or_default();
 
     // Warm reuse: LIFO keeps recently used instances hot, matching real
-    // platforms' placement preference. Reuse never crosses tenants.
-    if let Some(pos) = rf.warm.iter().rposition(|(id, _)| {
-        world
-            .faas
-            .instances
-            .get(id)
-            .is_some_and(|i| i.spec.config == pending.spec.config && i.tenant == pending.tenant)
-    }) {
+    // platforms' placement preference. Reuse never crosses tenants. The
+    // dequeue paths arrive here without `accept`'s prune, so an expired
+    // entry is skipped here.
+    let instances = &world.faas.instances;
+    let reusable = |&(id, exp): &(InstanceId, SimTime)| {
+        exp > now
+            && instances
+                .get(&id)
+                .is_some_and(|i| i.spec.config == pending.spec.config && i.tenant == pending.tenant)
+    };
+    if let Some(pos) = rf.warm.iter().rposition(reusable) {
         let (instance, _) = rf.warm.remove(pos);
         rf.active += 1;
         world.faas.acquire(&pending.tenant);
@@ -397,7 +409,6 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
                 spec: pending.spec,
                 speed_factor,
                 exec: None,
-                use_count: 0,
                 tenant: pending.tenant.clone(),
             },
         );
@@ -468,7 +479,6 @@ fn exec_begin(sim: &mut CloudSim, region: RegionId, instance: InstanceId, pendin
             .instances
             .get_mut(&instance)
             .expect("exec_begin on destroyed instance");
-        inst.use_count += 1;
         inst.exec = Some(ExecState {
             invocation,
             started: now,
@@ -492,23 +502,59 @@ fn exec_begin(sim: &mut CloudSim, region: RegionId, instance: InstanceId, pendin
         ),
     );
 
-    // Hard timeout guard.
-    sim.schedule_at(deadline, move |sim| {
+    // Hard execution limit, enforced by the watchdog. A drained run still
+    // ends no earlier than the deadline (the clock hold): experiments that
+    // run several phases in one world start each phase at that instant.
+    sim.world
+        .faas
+        .deadlines
+        .insert((deadline, invocation), handle);
+    sim.hold_until(deadline);
+    arm_watchdog(sim, deadline);
+
+    (pending.body)(sim, handle);
+}
+
+/// Queues a watchdog event at `at`, unless one is armed no later.
+fn arm_watchdog(sim: &mut CloudSim, at: SimTime) {
+    if sim.world.faas.watchdog.is_some_and(|armed| armed <= at) {
+        return;
+    }
+    sim.world.faas.watchdog = Some(at);
+    sim.schedule_at(at, move |sim| watchdog(sim, at));
+}
+
+/// Times out every live invocation whose deadline has passed, in deadline
+/// order, then re-arms at the next deadline. A watchdog that an earlier one
+/// superseded does nothing.
+fn watchdog(sim: &mut CloudSim, armed: SimTime) {
+    if sim.world.faas.watchdog != Some(armed) {
+        return;
+    }
+    let now = sim.now();
+    // Still armed while failing, so an invocation that a failure dequeues,
+    // whose deadline is later, arms nothing.
+    while let Some(entry) = sim.world.faas.deadlines.first_entry() {
+        if entry.key().0 > now {
+            break;
+        }
+        let handle = entry.remove();
         if sim.world.faas.is_live(handle) {
             sim.world.faas.stats.timeouts += 1;
             if sim.world.trace.enabled() {
-                let at = sim.now();
                 let label = sim.world.regions.label(handle.region);
                 sim.world
                     .trace
-                    .instant(at, "faas.timeout", vec![("region", label)]);
+                    .instant(now, "faas.timeout", vec![("region", label)]);
                 sim.world.trace.counter_add("faas.timeouts", 1);
             }
             fail(sim, handle, FailureReason::Timeout);
         }
-    });
-
-    (pending.body)(sim, handle);
+    }
+    sim.world.faas.watchdog = None;
+    if let Some(&(next, _)) = sim.world.faas.deadlines.keys().next() {
+        arm_watchdog(sim, next);
+    }
 }
 
 fn bill_execution(sim: &mut CloudSim, handle: FnHandle) -> SimDuration {
@@ -558,39 +604,20 @@ pub fn finish(sim: &mut CloudSim, handle: FnHandle) {
     let cloud = sim.world.regions.cloud(handle.region);
     let expiry = sim.world.params.cloud(cloud).warm_idle_expiry;
     let expires_at = now + expiry;
-    let use_count = {
-        let inst = sim
-            .world
-            .faas
-            .instances
-            .get_mut(&handle.instance)
-            .expect("finish on destroyed instance");
-        inst.exec = None;
-        inst.use_count
-    };
-    {
-        let rf = sim.world.faas.regions.entry(handle.region).or_default();
-        rf.active -= 1;
-        rf.warm.push((handle.instance, expires_at));
-    }
+    let faas = &mut sim.world.faas;
+    let exec = faas
+        .instances
+        .get_mut(&handle.instance)
+        .and_then(|i| i.exec.take())
+        .expect("finish on an idle instance");
+    faas.deadlines.remove(&(exec.deadline, handle.invocation));
+    let rf = faas.regions.entry(handle.region).or_default();
+    rf.active -= 1;
+    // The slot expires lazily (see `RegionFaas::warm`); as with deadlines,
+    // a drained run still ends no earlier than the expiry.
+    rf.warm.push((handle.instance, expires_at));
+    sim.hold_until(expires_at);
     sim.world.faas.release(&tenant);
-    // Reclaim the warm slot when it expires unused.
-    let instance = handle.instance;
-    let region = handle.region;
-    sim.schedule_at(expires_at, move |sim| {
-        let still_unused = sim
-            .world
-            .faas
-            .instances
-            .get(&instance)
-            .is_some_and(|i| i.use_count == use_count && i.exec.is_none());
-        if still_unused {
-            sim.world.faas.instances.remove(&instance);
-            if let Some(rf) = sim.world.faas.regions.get_mut(&region) {
-                rf.warm.retain(|(id, _)| *id != instance);
-            }
-        }
-    });
     dequeue_tenant(sim, &tenant);
     dequeue_next(sim, handle.region);
 }
@@ -613,8 +640,11 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
         sim.world.faas.stats.crashes += 1;
         sim.world.trace.counter_add("faas.crashes", 1);
     }
-    sim.world.faas.instances.remove(&handle.instance);
-    if let Some(rf) = sim.world.faas.regions.get_mut(&handle.region) {
+    let faas = &mut sim.world.faas;
+    if let Some(exec) = faas.instances.remove(&handle.instance).and_then(|i| i.exec) {
+        faas.deadlines.remove(&(exec.deadline, handle.invocation));
+    }
+    if let Some(rf) = faas.regions.get_mut(&handle.region) {
         rf.active -= 1;
     }
     sim.world.faas.release(&tenant);

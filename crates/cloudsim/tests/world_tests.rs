@@ -77,7 +77,7 @@ fn warm_instances_are_reused() {
     });
     faas::invoke(&mut sim, use1, spec, body.clone(), RetryPolicy::default());
     sim.run_until(SimTime::from_nanos(5_000_000_000));
-    assert_eq!(sim.world.faas.warm_in(use1), 1);
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 1);
     faas::invoke(&mut sim, use1, spec, body, RetryPolicy::default());
     sim.run_until(SimTime::from_nanos(10_000_000_000));
     assert_eq!(sim.world.faas.stats.cold_starts, 1);
@@ -98,7 +98,7 @@ fn warm_instances_expire() {
     sim.run_to_completion(10_000);
     // After the idle expiry (10 min) the warm pool is empty.
     assert!(sim.now() >= SimTime::from_nanos(600_000_000_000));
-    assert_eq!(sim.world.faas.warm_in(use1), 0);
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 0);
 }
 
 #[test]
@@ -116,6 +116,143 @@ fn timeout_fails_and_retries_to_dlq() {
     assert_eq!(sim.world.faas.dlq.len(), 1);
     assert_eq!(sim.world.faas.dlq[0].reason, FailureReason::Timeout);
     assert_eq!(sim.world.faas.active_in(use1), 0);
+}
+
+#[test]
+fn unfinished_bodies_time_out_exactly_at_their_deadlines() {
+    let mut sim = sim();
+    let use1 = region(&sim, Cloud::Aws, "us-east-1");
+    let spec = faas::default_spec(&sim.world, use1);
+    let began: Rc<RefCell<Vec<SimTime>>> = Rc::default();
+    let hang: faas::FnBody = {
+        let began = began.clone();
+        Rc::new(move |sim, _handle| began.borrow_mut().push(sim.now()))
+    };
+    let quick: faas::FnBody = Rc::new(|sim, handle| {
+        sim.schedule_in(SimDuration::from_secs(1), move |sim| {
+            faas::finish(sim, handle)
+        });
+    });
+    let once = RetryPolicy { max_retries: 0 };
+    // Two hung invocations with a finished one between them: the watchdog
+    // re-arms past the finished one's deadline to the second hang's.
+    faas::invoke(&mut sim, use1, spec, hang.clone(), once);
+    let after = |s| SimDuration::from_secs(s);
+    faas::invoke_after(&mut sim, after(5), use1, spec, quick, once);
+    faas::invoke_after(&mut sim, after(30), use1, spec, hang, once);
+    sim.run_to_completion(10_000);
+    let timeout = sim.world.params.cloud(Cloud::Aws).fn_timeout;
+    let dlq = &sim.world.faas.dlq;
+    assert_eq!(dlq.len(), 2);
+    for (entry, &began) in dlq.iter().zip(began.borrow().iter()) {
+        assert_eq!(entry.reason, FailureReason::Timeout);
+        assert_eq!(entry.at, began + timeout);
+    }
+    assert_eq!(sim.world.faas.stats.timeouts, 2);
+    assert_eq!(sim.world.faas.active_in(use1), 0);
+}
+
+#[test]
+fn finished_invocations_leave_no_timers_queued() {
+    let mut sim = sim();
+    let use1 = region(&sim, Cloud::Aws, "us-east-1");
+    let spec = faas::default_spec(&sim.world, use1);
+    let began: Rc<RefCell<Vec<SimTime>>> = Rc::default();
+    let done: Rc<RefCell<u32>> = Rc::default();
+    let body: faas::FnBody = {
+        let (began, done) = (began.clone(), done.clone());
+        Rc::new(move |sim, handle| {
+            began.borrow_mut().push(sim.now());
+            let done = done.clone();
+            sim.schedule_in(SimDuration::from_millis(50), move |sim| {
+                *done.borrow_mut() += 1;
+                faas::finish(sim, handle);
+            });
+        })
+    };
+    for i in 0..1_000 {
+        let delay = SimDuration::from_millis(i);
+        faas::invoke_after(
+            &mut sim,
+            delay,
+            use1,
+            spec,
+            body.clone(),
+            RetryPolicy::default(),
+        );
+    }
+    assert!(sim.run_while_pending(|_| *done.borrow() == 1_000));
+    // Only the watchdog armed at the first deadline is left, and it finds
+    // nothing due.
+    assert_eq!(sim.pending_events(), 1);
+    assert_eq!(sim.run_to_completion(10), 1);
+    // The clock hold ends the drained run at the latest deadline, which is
+    // later than the latest warm expiry.
+    let last_deadline = *began.borrow().last().unwrap() + spec.timeout;
+    assert_eq!(sim.now(), last_deadline);
+    assert_eq!(sim.world.faas.stats.timeouts, 0);
+}
+
+#[test]
+fn a_dequeued_invocation_does_not_reuse_an_expired_instance() {
+    let mut sim = sim();
+    let use1 = region(&sim, Cloud::Aws, "us-east-1");
+    sim.world.params.cloud_mut(Cloud::Aws).concurrency_limit = 1;
+    let small = faas::default_spec(&sim.world, use1);
+    let mut large = small;
+    large.config.memory_mb *= 2;
+    let runs_for = |secs: u64| -> faas::FnBody {
+        Rc::new(move |sim, handle| {
+            sim.schedule_in(SimDuration::from_secs(secs), move |sim| {
+                faas::finish(sim, handle);
+            });
+        })
+    };
+    let started: Rc<RefCell<Vec<SimTime>>> = Rc::default();
+    let probe: faas::FnBody = {
+        let started = started.clone();
+        Rc::new(move |sim, handle| {
+            started.borrow_mut().push(sim.now());
+            faas::finish(sim, handle);
+        })
+    };
+    let policy = RetryPolicy::default();
+    // `small` runs 100 s and saturates the region; `large` and the probe
+    // queue behind it. When `small` finishes, its instance goes warm (until
+    // about 700 s) and `large` starts cold. When `large` finishes, at about
+    // 800 s, `dequeue_next` starts the probe: the only `small`-config
+    // instance it could reuse has expired, and no `accept` has pruned it.
+    faas::invoke(&mut sim, use1, small, runs_for(100), policy);
+    let after = |s| SimDuration::from_secs(s);
+    faas::invoke_after(&mut sim, after(1), use1, large, runs_for(700), policy);
+    faas::invoke_after(&mut sim, after(2), use1, small, probe, policy);
+    sim.run_to_completion(10_000);
+    let expiry = sim.world.params.cloud(Cloud::Aws).warm_idle_expiry;
+    assert!(started.borrow()[0] > SimTime::ZERO + expiry + after(100));
+    assert_eq!(sim.world.faas.stats.throttled, 2);
+    assert_eq!(sim.world.faas.stats.warm_starts, 0);
+    assert_eq!(sim.world.faas.stats.cold_starts, 3);
+}
+
+#[test]
+fn warm_in_ignores_expired_instances() {
+    let mut sim = sim();
+    let use1 = region(&sim, Cloud::Aws, "us-east-1");
+    let spec = faas::default_spec(&sim.world, use1);
+    let body: faas::FnBody = Rc::new(|sim, handle| {
+        sim.schedule_in(SimDuration::from_millis(50), move |sim| {
+            faas::finish(sim, handle);
+        });
+    });
+    faas::invoke(&mut sim, use1, spec, body, RetryPolicy::default());
+    let at = |secs: u64| SimTime::ZERO + SimDuration::from_secs(secs);
+    sim.run_until(at(5));
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 1);
+    // Past the 10-minute idle expiry, with no invocation since to prune it:
+    // the entry is still listed, and it is not counted.
+    sim.run_until(at(3_600));
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 0);
+    assert_eq!(sim.world.faas.warm_in(use1, at(5)), 1);
 }
 
 #[test]

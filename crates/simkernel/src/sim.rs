@@ -287,6 +287,8 @@ pub struct Sim<W> {
     /// Cancelled-but-still-queued event count, shared with every
     /// [`CancelToken`] this simulator has handed out.
     tombstones: Rc<Cell<u64>>,
+    /// The latest time passed to [`Sim::hold_until`].
+    hold: SimTime,
     /// The simulated world state, freely accessible to events.
     pub world: W,
 }
@@ -308,6 +310,7 @@ impl<W> Sim<W> {
             stats: RunStats::default(),
             pop_policy: None,
             tombstones: Rc::new(Cell::new(0)),
+            hold: SimTime::ZERO,
             world,
         }
     }
@@ -461,11 +464,29 @@ impl<W> Sim<W> {
         self.schedule_cancellable_at(self.now + delay, action)
     }
 
+    /// Holds the clock: a run whose queue drains ends no earlier than `at`.
+    ///
+    /// A component that checks a deadline lazily, instead of queueing an
+    /// event for it, holds the deadline, so the drained run ends where that
+    /// event would have carried the clock. A hold earlier than one already
+    /// made changes nothing, and [`Sim::run_until`] still stops at its
+    /// horizon.
+    pub fn hold_until(&mut self, at: SimTime) {
+        self.hold = self.hold.max(at);
+    }
+
+    /// Advances the clock to the hold once the queue has drained.
+    fn drained(&mut self) -> bool {
+        self.now = self.now.max(self.hold);
+        false
+    }
+
     /// Executes the next event, advancing the clock to its timestamp.
     ///
-    /// Returns `false` if the queue was empty. Cancelled events are skipped
-    /// (the clock still advances past them) and the method keeps popping until
-    /// a live event runs or the queue drains.
+    /// Returns `false` if the queue was empty, after advancing the clock to
+    /// the [`Sim::hold_until`] time if that is later. Cancelled events are
+    /// skipped (the clock still advances past them) and the method keeps
+    /// popping until a live event runs or the queue drains.
     pub fn step(&mut self) -> bool {
         if self.pop_policy.is_some() {
             return self.step_explored();
@@ -487,7 +508,7 @@ impl<W> Sim<W> {
             (ev.action)(self);
             return true;
         }
-        false
+        self.drained()
     }
 
     /// [`Sim::step`] under an installed [`PopPolicy`]: gathers the live
@@ -518,7 +539,7 @@ impl<W> Sim<W> {
         }
         if candidates.is_empty() {
             self.pop_policy = Some(policy);
-            return false;
+            return self.drained();
         }
         let infos: Vec<EventInfo> = candidates
             .iter()
@@ -715,6 +736,44 @@ mod tests {
         sim.run_until(SimTime::from_nanos(200));
         assert_eq!(sim.world, 2);
         assert_eq!(sim.now(), SimTime::from_nanos(200));
+    }
+
+    #[test]
+    fn drained_run_ends_at_the_held_time() {
+        let mut sim = Sim::new(1, 0u32);
+        sim.schedule_at(SimTime::from_nanos(10), |sim| {
+            sim.world += 1;
+            sim.hold_until(SimTime::from_nanos(100));
+        });
+        assert_eq!(sim.run_to_completion(10), 1);
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
+        assert!(!sim.step());
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
+    }
+
+    #[test]
+    fn run_until_below_the_hold_stops_at_its_horizon() {
+        let mut sim = Sim::new(1, 0u32);
+        sim.hold_until(SimTime::from_nanos(100));
+        sim.schedule_at(SimTime::from_nanos(10), |sim| sim.world += 1);
+        assert_eq!(sim.run_until(SimTime::from_nanos(50)), 1);
+        assert_eq!(sim.now(), SimTime::from_nanos(50));
+        sim.run_to_completion(10);
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
+    }
+
+    #[test]
+    fn an_earlier_hold_is_a_no_op() {
+        let mut sim = Sim::new(1, ());
+        sim.hold_until(SimTime::from_nanos(100));
+        sim.hold_until(SimTime::from_nanos(40));
+        sim.run_to_completion(10);
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
+        // A hold before the last event leaves the clock at that event.
+        sim.schedule_at(SimTime::from_nanos(300), |_| {});
+        sim.hold_until(SimTime::from_nanos(200));
+        sim.run_to_completion(10);
+        assert_eq!(sim.now(), SimTime::from_nanos(300));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Order-equivalence property test for the two-tier event queue.
 //!
 //! A reference model — a plain `Vec` popped at its `(at, seq)` minimum, with
-//! the simulator's tombstone, compaction and pop-policy rules — runs the same
-//! random operation sequence as a real [`Sim`]. After every operation the
-//! executed `(label, time)` log, the clock, both pending counts and every
-//! [`RunStats`] field must agree.
+//! the simulator's tombstone, compaction, pop-policy and clock-hold rules —
+//! runs the same random operation sequence as a real [`Sim`]. After every
+//! operation the executed `(label, time)` log, the clock, both pending counts
+//! and every [`RunStats`] field must agree.
 //!
 //! Due times are drawn to collide: at the clock, at an earlier event's time,
 //! on a bucket boundary and one nanosecond either side, seconds to hours
@@ -67,6 +67,8 @@ enum Op {
     CancelEvery(usize),
     Step,
     RunUntil(When),
+    /// [`Sim::hold_until`].
+    Hold(When),
     SetPolicy {
         seed: u64,
         window: u64,
@@ -131,6 +133,7 @@ trait Harness {
     fn step(&mut self) -> bool;
     fn run_until(&mut self, horizon: SimTime) -> u64;
     fn run_to_completion(&mut self) -> u64;
+    fn hold(&mut self, at: SimTime);
     fn set_policy(&mut self, policy: Option<Seeded>);
     fn state(&self) -> State;
 }
@@ -203,6 +206,10 @@ fn apply<H: Harness>(h: &mut H, op: &Op) -> u64 {
             let horizon = resolve(when, h.now(), &h.book().times);
             return h.run_until(horizon);
         }
+        Op::Hold(when) => {
+            let at = resolve(when, h.now(), &h.book().times);
+            h.hold(at);
+        }
         Op::SetPolicy { seed, window, max } => h.set_policy(Some(Seeded {
             state: seed,
             window: SimDuration::from_nanos(window),
@@ -250,6 +257,9 @@ impl Harness for Sim<World> {
     fn run_to_completion(&mut self) -> u64 {
         Sim::run_to_completion(self, u64::MAX)
     }
+    fn hold(&mut self, at: SimTime) {
+        self.hold_until(at);
+    }
     fn set_policy(&mut self, policy: Option<Seeded>) {
         match policy {
             Some(p) => self.set_pop_policy(Box::new(p)),
@@ -290,6 +300,7 @@ struct Model {
     tokens: Vec<ModelToken>,
     tombstones: u64,
     stats: RunStats,
+    hold: SimTime,
     policy: Option<Seeded>,
     book: Book,
 }
@@ -359,6 +370,7 @@ impl Model {
         }
         if candidates.is_empty() {
             self.policy = Some(policy);
+            self.now = self.now.max(self.hold);
             return false;
         }
         let infos: Vec<EventInfo> = candidates
@@ -430,6 +442,7 @@ impl Harness for Model {
             self.execute(ev);
             return true;
         }
+        self.now = self.now.max(self.hold);
         false
     }
     fn run_until(&mut self, horizon: SimTime) -> u64 {
@@ -444,6 +457,9 @@ impl Harness for Model {
         let start = self.stats.executed;
         while self.step() {}
         self.stats.executed - start
+    }
+    fn hold(&mut self, at: SimTime) {
+        self.hold = self.hold.max(at);
     }
     fn set_policy(&mut self, policy: Option<Seeded>) {
         self.policy = policy;
@@ -495,6 +511,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Step),
         Just(Op::Step),
         when().prop_map(Op::RunUntil),
+        when().prop_map(Op::Hold),
         (0u64..u64::MAX, window(), 0usize..10).prop_map(|(seed, window, max)| Op::SetPolicy {
             seed,
             window,

@@ -121,13 +121,12 @@ pub struct BurnSnapshot {
 }
 
 /// Evaluates a set of [`BurnRateRule`]s against a [`WindowStore`] on
-/// sim-time ticks, tracking firing state and accumulating a deterministic
-/// transition log.
+/// sim-time ticks, tracking firing state and returning each tick's
+/// transitions.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
     rules: Vec<BurnRateRule>,
     firing: Vec<bool>,
-    log: Vec<AlertEvent>,
 }
 
 impl AlertEngine {
@@ -170,7 +169,7 @@ impl AlertEngine {
     }
 
     /// Evaluates every rule at `now` and returns the transitions this tick
-    /// produced (also appended to [`AlertEngine::log`]).
+    /// produced.
     pub fn evaluate(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
         let mut out = Vec::new();
         for (idx, rule) in self.rules.iter().enumerate() {
@@ -201,13 +200,7 @@ impl AlertEngine {
                 });
             }
         }
-        self.log.extend(out.iter().cloned());
         out
-    }
-
-    /// Every transition ever emitted, in emission order.
-    pub fn log(&self) -> &[AlertEvent] {
-        &self.log
     }
 }
 

@@ -87,16 +87,6 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// All counters in sorted-name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All gauges in sorted-name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Renders the registry as deterministic plain text: one line per
     /// metric, grouped by kind, sorted by name, fixed float formatting.
     pub fn render(&self) -> String {
@@ -144,7 +134,7 @@ mod tests {
         r.counter_add("x", 2);
         r.counter_add("x", 3);
         assert_eq!(r.counter("x"), 5);
-        assert_eq!(r.counters().collect::<Vec<_>>(), vec![("x", 5)]);
+        assert_eq!(r.counter("y"), 0);
     }
 
     #[test]

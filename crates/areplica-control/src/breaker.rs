@@ -5,9 +5,8 @@
 //! Closed → Open → HalfOpen state machine driven by the error ratio of a
 //! sliding window ([`simtrace::window`]) of replication outcomes. The
 //! policy knobs live in [`BreakerConfig`]; every transition is recorded as
-//! a typed [`BreakerEvent`] in the fleet supervisor's ledger (pure memory),
-//! so breaker history sits beside burn-rate alerts in the per-tenant
-//! activity record.
+//! a typed [`BreakerEvent`] in the set's own log (pure memory), which
+//! [`BreakerSet::render_log`] prints.
 //!
 //! State machine:
 //!
@@ -31,7 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use areplica_core::fleet::{BreakerEvent, BreakerState, FleetHandle};
 use areplica_core::health::{BreakerProbe, RecheckAdvice, WriteRoute};
 use areplica_core::retry::{BackoffSchedule, RetryPolicy};
 use cloudapi::RegionId;
@@ -42,6 +40,44 @@ use simtrace::window::WindowStore;
 pub const ERROR_THRESHOLD: f64 = 0.5;
 /// Error-window lookback.
 pub const LOOKBACK: SimDuration = SimDuration::from_secs(300);
+
+/// Circuit-breaker state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerState {
+    /// Healthy: writes route normally.
+    Closed,
+    /// Tripped: writes divert to the catch-up log.
+    Open,
+    /// Probe in flight: one test write decides close vs re-open.
+    HalfOpen,
+}
+
+impl std::fmt::Display for BreakerState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BreakerState::Closed => "CLOSED",
+            BreakerState::Open => "OPEN",
+            BreakerState::HalfOpen => "HALF_OPEN",
+        })
+    }
+}
+
+/// One circuit-breaker transition, recorded by the tenant's breaker set
+/// (pure memory).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BreakerEvent {
+    /// Destination label (e.g. `azure/eastus`).
+    pub region: String,
+    /// Transition time.
+    pub at: SimTime,
+    /// State before.
+    pub from: BreakerState,
+    /// State after.
+    pub to: BreakerState,
+    /// Why (fixed vocabulary: `error-ratio`, `probe-open`, `probe-ok`,
+    /// `probe-failed`).
+    pub reason: &'static str,
+}
 
 /// Breaker policy knobs (defaults sized for replication SLO scales).
 #[derive(Debug, Clone)]
@@ -88,7 +124,7 @@ pub struct BreakerSet {
     cfg: BreakerConfig,
     windows: WindowStore,
     breakers: BTreeMap<RegionId, Breaker>,
-    ledger: Option<FleetHandle>,
+    events: Vec<BreakerEvent>,
 }
 
 impl BreakerSet {
@@ -99,22 +135,43 @@ impl BreakerSet {
             cfg,
             windows: WindowStore::default(),
             breakers: BTreeMap::new(),
-            ledger: None,
+            events: Vec::new(),
         }
     }
 
-    /// Records transitions into this fleet ledger.
-    pub fn with_ledger(mut self, ledger: FleetHandle) -> Self {
-        self.ledger = Some(ledger);
-        self
-    }
-
-    /// Registers a destination with a human-readable label for the ledger
+    /// Registers a destination with a human-readable label for the log
     /// (unregistered destinations are auto-labelled `region-<index>`).
     pub fn add_destination(&mut self, region: RegionId, label: &str) {
         let (tenant, cfg) = (self.tenant.clone(), &self.cfg);
         let b = Self::fresh_breaker(cfg, &tenant, region, Some(label));
         self.breakers.insert(region, b);
+    }
+
+    /// Every transition so far, in recording order.
+    pub fn events(&self) -> &[BreakerEvent] {
+        &self.events
+    }
+
+    /// Renders the transitions as fixed-format lines under a
+    /// `# breakers tenant=<id>` header (byte-deterministic); empty when the
+    /// set never transitioned.
+    pub fn render_log(&self) -> String {
+        if self.events.is_empty() {
+            return String::new();
+        }
+        let tenant = &self.tenant;
+        let mut out = format!("# breakers tenant={tenant}\n");
+        for ev in &self.events {
+            out.push_str(&format!(
+                "{:>10.3}s BRK  tenant={tenant} region={} {}->{} reason={}\n",
+                ev.at.as_secs_f64(),
+                ev.region,
+                ev.from,
+                ev.to,
+                ev.reason
+            ));
+        }
+        out
     }
 
     /// Current state of a destination's breaker.
@@ -165,7 +222,6 @@ impl BreakerSet {
         to: BreakerState,
         reason: &'static str,
     ) {
-        let tenant = self.tenant.clone();
         let b = self.breaker(region);
         let from = b.state;
         if from == to {
@@ -173,16 +229,13 @@ impl BreakerSet {
         }
         b.state = to;
         let ev = BreakerEvent {
-            tenant,
             region: b.label.clone(),
             at: now,
             from,
             to,
             reason,
         };
-        if let Some(ledger) = &self.ledger {
-            ledger.borrow_mut().record_breaker(ev);
-        }
+        self.events.push(ev);
     }
 
     /// Arms the retest time for a (re-)opened breaker: base cooldown plus
@@ -384,32 +437,33 @@ mod tests {
     }
 
     #[test]
-    fn transitions_land_in_the_fleet_ledger() {
-        let fleet = crate::fleet::FleetSupervisor::new();
-        let r = region();
-        let mut s = BreakerSet::new("noisy", BreakerConfig::default()).with_ledger(fleet.ledger());
-        s.add_destination(r, "azure/eastus");
-        trip(&mut s, t(30));
-        let again = t(30) + SimDuration::from_secs(120);
-        assert!(s.probe_open(again, r));
-        s.probe_resolve(again, r, true);
-        fleet.with_ledger(|l| {
-            let evs = l.breaker_events("noisy");
-            let arc: Vec<(BreakerState, BreakerState)> =
-                evs.iter().map(|e| (e.from, e.to)).collect();
-            assert_eq!(
-                arc,
-                vec![
-                    (BreakerState::Closed, BreakerState::Open),
-                    (BreakerState::Open, BreakerState::HalfOpen),
-                    (BreakerState::HalfOpen, BreakerState::Closed),
-                ]
-            );
-            assert!(evs[0].render().contains("region=azure/eastus"));
-            assert!(l
-                .render_breaker_log()
-                .starts_with("# breakers tenant=noisy"));
-        });
+    fn each_set_logs_its_own_transitions() {
+        // Trip, probe and close one destination of `tenant`'s set.
+        let arc = |tenant: &str| {
+            let mut s = BreakerSet::new(tenant, BreakerConfig::default());
+            s.add_destination(region(), "azure/eastus");
+            trip(&mut s, t(30));
+            assert!(s.probe_open(t(150), region()));
+            s.probe_resolve(t(150), region(), true);
+            s.render_log()
+        };
+        // The `region_outage` experiment concatenates the sets' logs in
+        // tenant-id order; a set that never transitioned adds nothing.
+        let quiet = BreakerSet::new("quiet", BreakerConfig::default());
+        assert!(quiet.events().is_empty());
+        assert_eq!(
+            arc("alpha") + &quiet.render_log() + &arc("zeta"),
+            concat!(
+                "# breakers tenant=alpha\n",
+                "    30.000s BRK  tenant=alpha region=azure/eastus CLOSED->OPEN reason=error-ratio\n",
+                "   150.000s BRK  tenant=alpha region=azure/eastus OPEN->HALF_OPEN reason=probe-open\n",
+                "   150.000s BRK  tenant=alpha region=azure/eastus HALF_OPEN->CLOSED reason=probe-ok\n",
+                "# breakers tenant=zeta\n",
+                "    30.000s BRK  tenant=zeta region=azure/eastus CLOSED->OPEN reason=error-ratio\n",
+                "   150.000s BRK  tenant=zeta region=azure/eastus OPEN->HALF_OPEN reason=probe-open\n",
+                "   150.000s BRK  tenant=zeta region=azure/eastus HALF_OPEN->CLOSED reason=probe-ok\n",
+            )
+        );
     }
 
     #[test]

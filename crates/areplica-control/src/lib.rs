@@ -7,15 +7,13 @@
 //!   FaaS-concurrency quota. Stored in a `BTreeMap`, so iteration (and
 //!   thus any provisioning loop driven off it) is ordered and independent
 //!   of registration order.
-//! * [`fleet`] — the fleet supervisor: the activity ledger the core's
-//!   watchdog/janitor services record into.
 //! * [`slo`] — the SLO monitor: burn-rate alert rules built from tenant
 //!   specs, evaluated on sim-time ticks against `simtrace`'s sliding
-//!   windows, with fire/resolve transitions recorded in the fleet ledger.
+//!   windows; it keeps each tenant's fire/resolve transitions.
 //! * [`breaker`] — per-(tenant, destination) circuit breakers over
 //!   windowed error ratios, consulted by the data plane through
-//!   [`areplica_core::health::BreakerProbe`]; transitions land in the
-//!   fleet ledger next to burn-rate alerts.
+//!   [`areplica_core::health::BreakerProbe`]; each tenant's breaker set
+//!   keeps its own transitions.
 //!
 //! Layering (a Cargo fact): this crate reaches backends only through
 //! `areplica_core::backend` traits. Its manifest lists no `cloudsim`
@@ -35,11 +33,9 @@
 )]
 
 pub mod breaker;
-pub mod fleet;
 pub mod registry;
 pub mod slo;
 
 pub use breaker::{BreakerConfig, BreakerSet};
-pub use fleet::FleetSupervisor;
 pub use registry::{TenantRegistry, TenantSpec};
 pub use slo::SloMonitor;

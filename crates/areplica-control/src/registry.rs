@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 use areplica_core::tenant::TenantCtx;
 use simkernel::SimDuration;
 
-use crate::fleet::FleetSupervisor;
-
 /// Everything the control plane records about one tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
@@ -87,11 +85,10 @@ impl TenantRegistry {
     }
 
     /// Manufactures the data-plane context for one tenant: the seam
-    /// between control plane and data plane. The fleet supervisor
-    /// contributes the shared activity ledger.
-    pub fn tenant_ctx(&self, id: &str, fleet: &FleetSupervisor) -> Option<TenantCtx> {
+    /// between control plane and data plane.
+    pub fn tenant_ctx(&self, id: &str) -> Option<TenantCtx> {
         let spec = self.tenants.get(id)?;
-        let mut ctx = TenantCtx::named(&spec.id).with_fleet_ledger(fleet.ledger());
+        let mut ctx = TenantCtx::named(&spec.id);
         if let Some(slo) = spec.slo {
             ctx = ctx.with_slo(slo);
         }
@@ -128,11 +125,10 @@ mod tests {
                 .with_slo(SimDuration::from_secs(60))
                 .with_faas_concurrency(8),
         );
-        let fleet = FleetSupervisor::new();
-        let ctx = reg.tenant_ctx("acme", &fleet).unwrap();
+        let ctx = reg.tenant_ctx("acme").unwrap();
         assert_eq!(ctx.id(), Some("acme"));
         assert_eq!(ctx.slo, Some(SimDuration::from_secs(60)));
         assert_eq!(ctx.faas_concurrency, Some(8));
-        assert!(reg.tenant_ctx("missing", &fleet).is_none());
+        assert!(reg.tenant_ctx("missing").is_none());
     }
 }

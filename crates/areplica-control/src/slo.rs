@@ -4,63 +4,74 @@
 //!
 //! The *mechanism* (windows, burn math, fire/resolve state) lives in
 //! [`simtrace::alert`]; this module owns the *policy*: which tenants get a
-//! rule (every registered tenant with an SLO spec), which metric names the
-//! rule watches (the tenant-scoped `slo.good`/`slo.bad` counters the data
-//! plane records at task conclusion), and where transitions are deposited
-//! (the [`FleetSupervisor`]'s per-tenant activity ledger, beside the fleet
-//! counters — the record ROADMAP item 5's adaptive planner will consume).
+//! rule (every registered tenant with an SLO spec, each watching its
+//! tenant-scoped `slo.good`/`slo.bad` counters, which the data plane
+//! records at task conclusion), and the per-tenant log of the transitions.
 //!
 //! The monitor is driver-clocked: bench binaries and simcheck call
 //! [`SloMonitor::observe`] *between* `run_until` steps. Nothing inside the
 //! simulation observes the monitor, so registering it cannot perturb
 //! results — the same passivity contract as the tracer itself.
 
+use std::collections::BTreeMap;
+
 use simkernel::SimTime;
-use simtrace::alert::{AlertEngine, AlertEvent, BurnRateRule, BurnSnapshot};
+use simtrace::alert::{AlertEngine, AlertEvent, BurnSnapshot};
 use simtrace::window::WindowStore;
 
-use crate::fleet::FleetSupervisor;
 use crate::registry::TenantRegistry;
-
-/// Name shared by every tenant's burn-rate rule.
-pub const SLO_BURN_RULE: &str = "slo-burn";
 
 /// Burn-rate monitoring over every tenant with an SLO spec.
 #[derive(Debug, Default)]
 pub struct SloMonitor {
     engine: AlertEngine,
+    /// Every transition so far, per tenant in id order.
+    log: BTreeMap<String, Vec<AlertEvent>>,
 }
 
 impl SloMonitor {
     /// Builds one burn-rate rule per SLO-carrying tenant in `reg`, in id
     /// order, under [`simtrace::alert`]'s windows and thresholds.
     pub fn from_registry(reg: &TenantRegistry) -> Self {
-        let mut engine = AlertEngine::new();
+        let mut mon = SloMonitor::default();
         for spec in reg.iter().filter(|s| s.slo.is_some()) {
-            engine.register(BurnRateRule {
-                name: SLO_BURN_RULE.to_string(),
-                tenant: spec.id.clone(),
-                good: simtrace::scoped(&spec.id, "slo.good"),
-                bad: simtrace::scoped(&spec.id, "slo.bad"),
-            });
+            mon.engine.register(&spec.id);
         }
-        SloMonitor { engine }
+        mon
     }
 
-    /// Evaluates every rule at `now` against `windows`, records each
-    /// transition in the supervisor's activity ledger, and returns the
-    /// transitions this tick produced.
-    pub fn observe(
-        &mut self,
-        now: SimTime,
-        windows: &WindowStore,
-        fleet: &FleetSupervisor,
-    ) -> Vec<AlertEvent> {
+    /// Evaluates every rule at `now` against `windows`, logs each
+    /// transition under its tenant, and returns the transitions this tick
+    /// produced.
+    pub fn observe(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
         let evs = self.engine.evaluate(now, windows);
         for ev in &evs {
-            fleet.record_alert(ev.clone());
+            self.log
+                .entry(ev.tenant.clone())
+                .or_default()
+                .push(ev.clone());
         }
         evs
+    }
+
+    /// One tenant's transitions, in recording order.
+    pub fn alerts(&self, tenant: &str) -> &[AlertEvent] {
+        self.log.get(tenant).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every transition as fixed-format lines (see [`AlertEvent::render`]),
+    /// grouped under a `# alerts tenant=<id>` header per tenant in id order;
+    /// empty when nothing fired (byte-deterministic).
+    pub fn alert_log(&self) -> String {
+        let mut out = String::new();
+        for (tenant, evs) in &self.log {
+            out.push_str(&format!("# alerts tenant={tenant}\n"));
+            for ev in evs {
+                out.push_str(&ev.render());
+                out.push('\n');
+            }
+        }
+        out
     }
 
     /// True while the named tenant's rule is firing.
@@ -76,12 +87,7 @@ impl SloMonitor {
         now: SimTime,
         windows: &WindowStore,
     ) -> Option<BurnSnapshot> {
-        let idx = self
-            .engine
-            .rules()
-            .iter()
-            .position(|r| r.tenant == tenant)?;
-        Some(self.engine.snapshot(idx, now, windows))
+        self.engine.snapshot(tenant, now, windows)
     }
 }
 
@@ -89,7 +95,6 @@ impl SloMonitor {
 mod tests {
     use simkernel::SimDuration;
     use simtrace::alert::AlertKind;
-    use simtrace::window::{WindowSpec, WindowStore};
 
     use super::*;
     use crate::registry::TenantSpec;
@@ -108,8 +113,7 @@ mod tests {
 
     #[test]
     fn rules_come_from_slo_specs_in_id_order() {
-        let mut w = WindowStore::new(WindowSpec::DEFAULT);
-        let fleet = FleetSupervisor::new();
+        let mut w = WindowStore::default();
         // Registered out of id order: rules follow the ids.
         let mut reg = TenantRegistry::new();
         reg.register(TenantSpec::new("quiet").with_slo(SimDuration::from_secs(30)));
@@ -128,7 +132,7 @@ mod tests {
         assert!(mon.snapshot_for("unmonitored", t(30), &w).is_none());
         // Both fire on one tick, in id order.
         let fired: Vec<String> = mon
-            .observe(t(30), &w, &fleet)
+            .observe(t(30), &w)
             .into_iter()
             .map(|e| e.tenant)
             .collect();
@@ -136,29 +140,54 @@ mod tests {
     }
 
     #[test]
-    fn transitions_land_in_the_fleet_ledger_for_the_right_tenant_only() {
-        let mut w = WindowStore::new(WindowSpec::DEFAULT);
-        let fleet = FleetSupervisor::new();
+    fn transitions_are_logged_for_the_right_tenant_only() {
+        let mut w = WindowStore::default();
         let mut mon = SloMonitor::from_registry(&registry());
 
         // Both tenants complete work; only noisy's completions violate.
         for m in 0..10u64 {
             w.counter_add(t(m * 60), "tenant.noisy.slo.bad", 5);
             w.counter_add(t(m * 60), "tenant.quiet.slo.good", 5);
-            let evs = mon.observe(t(m * 60 + 30), &w, &fleet);
+            let evs = mon.observe(t(m * 60 + 30), &w);
             assert!(evs.iter().all(|e| e.tenant == "noisy"));
         }
         assert!(mon.tenant_firing("noisy"));
         assert!(!mon.tenant_firing("quiet"));
-        fleet.with_ledger(|l| {
-            assert_eq!(l.alerts("noisy").len(), 1);
-            assert_eq!(l.alerts("noisy")[0].kind, AlertKind::Fired);
-            assert!(l.alerts("quiet").is_empty());
-        });
-        assert!(fleet.alert_log().contains("FIRE slo-burn tenant=noisy"));
+        assert_eq!(mon.alerts("noisy").len(), 1);
+        assert_eq!(mon.alerts("noisy")[0].kind, AlertKind::Fired);
+        assert!(mon.alerts("quiet").is_empty());
+        assert!(mon.alert_log().contains("FIRE slo-burn tenant=noisy"));
 
         let snap = mon.snapshot_for("noisy", t(600), &w).unwrap();
         assert!(snap.firing && snap.fast_burn > 14.4);
         assert!(mon.snapshot_for("unmonitored", t(600), &w).is_none());
+    }
+
+    #[test]
+    fn alert_log_groups_by_tenant_in_sorted_order() {
+        let mut w = WindowStore::default();
+        let mut mon = SloMonitor::from_registry(&registry());
+        assert_eq!(mon.alert_log(), "");
+        // quiet fires first, noisy a tick later; both resolve at t=630.
+        w.counter_add(t(0), "tenant.quiet.slo.bad", 3);
+        w.counter_add(t(0), "tenant.quiet.slo.good", 1);
+        mon.observe(t(30), &w);
+        w.counter_add(t(60), "tenant.noisy.slo.bad", 2);
+        mon.observe(t(90), &w);
+        w.counter_add(t(600), "tenant.quiet.slo.good", 4);
+        mon.observe(t(630), &w);
+        assert_eq!(mon.alerts("quiet").len(), 2);
+        assert!(mon.alerts("unmonitored").is_empty());
+        assert_eq!(
+            mon.alert_log(),
+            concat!(
+                "# alerts tenant=noisy\n",
+                "90.000 FIRE slo-burn tenant=noisy fast_burn=100.00 slow_burn=100.00 fast_bad=2/2\n",
+                "630.000 RESOLVE slo-burn tenant=noisy fast_burn=0.00 slow_burn=100.00 fast_bad=0/0\n",
+                "# alerts tenant=quiet\n",
+                "30.000 FIRE slo-burn tenant=quiet fast_burn=75.00 slow_burn=75.00 fast_bad=3/4\n",
+                "630.000 RESOLVE slo-burn tenant=quiet fast_burn=0.00 slow_burn=37.50 fast_bad=0/4\n",
+            )
+        );
     }
 }

@@ -142,7 +142,6 @@ struct TaskCtx<B: Backend> {
     done: Cell<bool>,
     stats: Rc<RefCell<Vec<ReplicatorStat>>>,
     span: SpanId,
-    tenant: TenantCtx,
 }
 
 impl<B: Backend> TaskCtx<B> {
@@ -212,9 +211,8 @@ pub fn execute<B: Backend>(
 
 /// [`execute`] on behalf of a specific tenant: the backend's ambient tenant
 /// scope is established for the task (attributing FaaS concurrency, cost,
-/// and per-tenant RNG streams), and the tenant's fleet ledger records the
-/// task's watchdog and janitor activity. With the default tenant this is
-/// exactly [`execute`].
+/// and per-tenant RNG streams). With the default tenant this is exactly
+/// [`execute`].
 pub fn execute_for<B: Backend>(
     sim: &mut B,
     tenant: TenantCtx,
@@ -252,7 +250,6 @@ pub fn execute_for<B: Backend>(
         done: Cell::new(false),
         stats: Rc::new(RefCell::new(Vec::new())),
         span,
-        tenant,
     });
 
     if plan.local {
@@ -1211,8 +1208,6 @@ fn conclude_aborted<B: Backend>(
     let dst_region = ctx.task.dst_region;
     fleet::schedule_tombstone_cleanup(
         sim,
-        ctx.tenant.fleet.clone(),
-        ctx.tenant.tenant_id(),
         ctx.exec_region,
         TASK_TABLE,
         ctx.task.task_id(),
@@ -1230,14 +1225,11 @@ fn conclude_aborted<B: Backend>(
 /// task's rescue — one extra replicator whose claim loop drains stale
 /// leases and re-runs the idempotent conclusion.
 fn register_fleet_watch<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload_id: u64) {
-    let ledger = ctx.tenant.fleet.clone();
     let done = ctx.clone();
     let rescuer = ctx.clone();
     fleet::watch_task(
         sim,
-        ledger,
         TaskWatch {
-            tenant: ctx.tenant.tenant_id(),
             db_region: ctx.exec_region,
             table: TASK_TABLE,
             task_id: ctx.task.task_id(),

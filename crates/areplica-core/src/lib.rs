@@ -55,7 +55,6 @@ pub mod tenant;
 pub use backend::sim::build_model_for;
 pub use backend::{Backend, Clock, Exec, FunctionRuntime, KvStore, ObjectStore, RngSource};
 pub use config::{EngineConfig, ReplicationRule, SchedulingMode};
-pub use fleet::{BreakerEvent, BreakerState, FleetHandle, FleetLedger, FleetStats};
 pub use health::{BreakerProbe, HealthHandle, RecheckAdvice, WriteRoute};
 pub use logger::{ObserveOutcome, OnlineLogger};
 pub use metrics::{CompletionRecord, Metrics};

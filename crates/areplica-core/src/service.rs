@@ -124,10 +124,9 @@ impl AReplicaBuilder {
 
     /// Deploys the service for a specific tenant (control-plane path): the
     /// tenant's quota caps engine parallelism and backend FaaS concurrency,
-    /// its SLO overrides rule SLOs for planning, and its fleet ledger
-    /// records watchdog/janitor activity. Without this the service runs as
-    /// the implicit default tenant and behaves exactly as before tenancy
-    /// existed.
+    /// and its SLO overrides rule SLOs for planning. Without this the
+    /// service runs as the implicit default tenant and behaves exactly as
+    /// before tenancy existed.
     pub fn tenant(mut self, tenant: TenantCtx) -> Self {
         self.tenant = tenant;
         self
@@ -825,8 +824,7 @@ fn conclude<B: Backend>(
                         let name = s.tenant.metric(verdict);
                         sim.tracer().counter_add_at(now, &name, 1);
                         let dname = s.tenant.metric("slo.delay_secs");
-                        sim.tracer()
-                            .histogram_record_at(now, &dname, delay.as_secs_f64());
+                        sim.tracer().histogram_record(&dname, delay.as_secs_f64());
                     }
                 }
                 // Breaker feedback: a timely completion is a success; a

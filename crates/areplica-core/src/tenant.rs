@@ -1,14 +1,13 @@
 //! Tenant context: the data plane's view of control-plane tenancy.
 //!
 //! The data plane (this crate) never owns tenant policy — it receives a
-//! [`TenantCtx`] describing one tenant's SLO, FaaS-concurrency quota,
-//! fleet ledger and breakers, and threads it through the replication
-//! service and engine. The control plane (`areplica-control`) constructs
+//! [`TenantCtx`] describing one tenant's SLO, FaaS-concurrency quota and
+//! breakers, and threads it through the replication service and engine. The control plane (`areplica-control`) constructs
 //! these contexts from its registry.
 //!
 //! **Default-tenant invariant:** [`TenantCtx::default_tenant`] (also the
-//! `Default` impl) carries no id, no SLO override, no quota, no fleet
-//! ledger and no breakers. Every tenancy hook in the service, engine, and
+//! `Default` impl) carries no id, no SLO override, no quota and no
+//! breakers. Every tenancy hook in the service, engine, and
 //! backends is a no-op for the default tenant, so single-tenant runs
 //! produce bit-identical event sequences, traces, and ledgers to the
 //! pre-tenancy code.
@@ -17,7 +16,6 @@ use std::rc::Rc;
 
 use simkernel::SimDuration;
 
-use crate::fleet::FleetHandle;
 use crate::health::HealthHandle;
 
 /// Shared tenant identifier. `Rc<str>` because the id is cloned into
@@ -36,9 +34,6 @@ pub struct TenantCtx {
     /// FaaS-concurrency quota: cap on simultaneously running function
     /// instances across this tenant's replication tasks.
     pub faas_concurrency: Option<u32>,
-    /// Optional fleet ledger recording watchdog/janitor activity per
-    /// tenant (pure memory; never affects the event sequence).
-    pub fleet: Option<FleetHandle>,
     /// Optional breaker set consulted before replication writes
     /// ([`crate::health`]). `None` (the default) skips every health hook,
     /// keeping breaker-less runs byte-identical.
@@ -53,7 +48,6 @@ impl TenantCtx {
             id: None,
             slo: None,
             faas_concurrency: None,
-            fleet: None,
             health: None,
         }
     }
@@ -75,12 +69,6 @@ impl TenantCtx {
     /// Sets the FaaS-concurrency quota.
     pub fn with_faas_concurrency(mut self, limit: u32) -> Self {
         self.faas_concurrency = Some(limit);
-        self
-    }
-
-    /// Attaches a fleet ledger.
-    pub fn with_fleet_ledger(mut self, ledger: FleetHandle) -> Self {
-        self.fleet = Some(ledger);
         self
     }
 

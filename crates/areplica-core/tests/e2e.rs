@@ -704,7 +704,7 @@ fn profiler_fits_parameters_near_ground_truth() {
 
 use areplica_core::health::{BreakerProbe, HealthHandle, RecheckAdvice, WriteRoute};
 use areplica_core::{catchup, TenantCtx};
-use cloudsim::outage::{FailureMode, Service as OutageService};
+use cloudsim::outage::FailureMode;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -803,13 +803,9 @@ fn outage_diverts_writes_and_failback_converges() {
     cloudsim::world::user_put(&mut sim, src, "src-bucket", "warm.bin", 4 << 20).unwrap();
 
     // The destination object store black-holes requests for 600..900s.
-    sim.world.outage.region_window(
-        dst,
-        OutageService::ObjStore,
-        at(600),
-        at(900),
-        FailureMode::Timeout,
-    );
+    sim.world
+        .outage
+        .region_window(dst, at(600), at(900), FailureMode::Timeout);
 
     // First write in the window stalls; its SLO watchdog (30s) reports the
     // miss and trips the breaker. Later writes divert into the catch-up
@@ -851,20 +847,12 @@ fn second_outage_mid_failback_still_converges() {
     // replicator is still replaying the first window's catch-up log, so
     // drained work is interrupted mid-flight and must survive a second
     // divert/drain episode without losing or duplicating versions.
-    sim.world.outage.region_window(
-        dst,
-        OutageService::ObjStore,
-        at(600),
-        at(700),
-        FailureMode::Timeout,
-    );
-    sim.world.outage.region_window(
-        dst,
-        OutageService::ObjStore,
-        at(703),
-        at(900),
-        FailureMode::Timeout,
-    );
+    sim.world
+        .outage
+        .region_window(dst, at(600), at(700), FailureMode::Timeout);
+    sim.world
+        .outage
+        .region_window(dst, at(703), at(900), FailureMode::Timeout);
 
     for (t, key) in [(610, "a.bin"), (650, "b.bin"), (660, "c.bin")] {
         sim.schedule_at(at(t), move |sim| {
@@ -900,7 +888,6 @@ fn reads_fall_back_to_source_during_replica_outage() {
     let t0 = sim.now();
     sim.world.outage.region_window(
         dst,
-        OutageService::ObjStore,
         t0,
         t0 + SimDuration::from_secs(600),
         FailureMode::HardError,

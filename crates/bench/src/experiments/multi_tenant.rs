@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use areplica_control::{FleetSupervisor, TenantRegistry, TenantSpec};
+use areplica_control::{TenantRegistry, TenantSpec};
 use areplica_core::{AReplicaBuilder, ProfilerConfig, ReplicationRule};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::Cloud;
@@ -94,8 +94,6 @@ fn run_world(loads: &[Load]) -> BTreeMap<&'static str, Outcome> {
                 .with_slo(SimDuration::from_secs(l.slo_secs)),
         );
     }
-    let fleet = FleetSupervisor::new();
-
     let mut services = Vec::new();
     for l in loads {
         let service = AReplicaBuilder::new()
@@ -104,7 +102,7 @@ fn run_world(loads: &[Load]) -> BTreeMap<&'static str, Outcome> {
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id, &fleet).unwrap())
+            .tenant(reg.tenant_ctx(l.id).unwrap())
             .install(&mut sim);
         services.push((l, service));
     }

@@ -21,14 +21,14 @@
 //! pure function of the seed, which CI enforces with a double-run `cmp`.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use areplica_control::{
-    BreakerConfig, BreakerSet, FleetSupervisor, SloMonitor, TenantRegistry, TenantSpec,
-};
+use areplica_control::breaker::BreakerState;
+use areplica_control::{BreakerConfig, BreakerSet, SloMonitor, TenantRegistry, TenantSpec};
 use areplica_core::health::HealthHandle;
-use areplica_core::{catchup, AReplica, AReplicaBuilder, BreakerState, ReplicationRule};
-use cloudsim::outage::{FailureMode, Service as OutageService};
+use areplica_core::{catchup, AReplica, AReplicaBuilder, ReplicationRule};
+use cloudsim::outage::FailureMode;
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::{Cloud, RegionId};
 use simkernel::SimDuration;
@@ -95,9 +95,9 @@ pub struct Artifacts {
     pub report: String,
     /// The dashboard stream: one [`DashFrame`] per driver tick.
     pub dashboards: String,
-    /// The fleet ledger's rendered alert log.
+    /// The SLO monitor's rendered alert log.
     pub alert_log: String,
-    /// The fleet ledger's rendered circuit-breaker transition log.
+    /// The breaker sets' transition logs, in tenant-id order.
     pub breaker_log: String,
     /// Flight dump of the victim tenant, captured at first FIRE.
     pub flight_dump: String,
@@ -122,27 +122,26 @@ pub fn run_full() -> Artifacts {
                 .with_slo(SimDuration::from_secs(SLO_SECS)),
         );
     }
-    let fleet = FleetSupervisor::new();
     let mut mon = SloMonitor::from_registry(&reg);
 
     // One circuit breaker per tenant, watching its destination region and
-    // landing transitions in the fleet ledger. The typed handles are kept
-    // so the end-of-run assertions can read the final states directly.
-    let mut breakers: Vec<Rc<RefCell<BreakerSet>>> = Vec::new();
+    // logging its own transitions. The typed handles are kept, by tenant
+    // id, so the end-of-run assertions and logs can read them directly.
+    let mut breakers: BTreeMap<&str, Rc<RefCell<BreakerSet>>> = BTreeMap::new();
     let mut services: Vec<(&Load, AReplica)> = Vec::new();
     for (l, &dst) in loads.iter().zip(&dsts) {
-        let mut set = BreakerSet::new(l.id, BreakerConfig::default()).with_ledger(fleet.ledger());
+        let mut set = BreakerSet::new(l.id, BreakerConfig::default());
         set.add_destination(dst, l.dst_label);
         let set = Rc::new(RefCell::new(set));
         let handle: HealthHandle = set.clone();
-        breakers.push(set);
+        breakers.insert(l.id, set);
         let service = AReplicaBuilder::new()
             .rule(
                 ReplicationRule::new(src, format!("src-{}", l.id), dst, format!("dst-{}", l.id))
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id, &fleet).unwrap().with_health(handle))
+            .tenant(reg.tenant_ctx(l.id).unwrap().with_health(handle))
             .install(&mut sim);
         services.push((l, service));
     }
@@ -170,7 +169,6 @@ pub fn run_full() -> Artifacts {
     let outage_until_secs = put_at(&victim, 2 * victim.puts / 3);
     sim.world.outage.region_window(
         dsts[0],
-        OutageService::ObjStore,
         simkernel::SimTime::from_nanos(outage_from_secs * 1_000_000_000),
         simkernel::SimTime::from_nanos(outage_until_secs * 1_000_000_000),
         FailureMode::Timeout,
@@ -205,7 +203,7 @@ pub fn run_full() -> Artifacts {
     while tick <= horizon_secs {
         sim.run_until(simkernel::SimTime::from_nanos(tick * 1_000_000_000));
         let now = sim.now();
-        let evs = mon.observe(now, sim.world.trace.windows(), &fleet);
+        let evs = mon.observe(now, sim.world.trace.windows());
         if flight_dump.is_empty()
             && evs
                 .iter()
@@ -221,15 +219,15 @@ pub fn run_full() -> Artifacts {
         tick += TICK_SECS;
     }
     sim.run_to_completion(u64::MAX);
-    let final_evs = mon.observe(sim.now(), sim.world.trace.windows(), &fleet);
+    let final_evs = mon.observe(sim.now(), sim.world.trace.windows());
     assert!(
         final_evs.iter().all(|e| e.tenant != "quiet"),
         "quiet tenant must never transition"
     );
 
     // The headline contract, stage by stage.
-    let victim_alerts = fleet.with_ledger(|l| l.alerts("victim").to_vec());
-    let quiet_alerts = fleet.with_ledger(|l| l.alerts("quiet").to_vec());
+    let victim_alerts = mon.alerts("victim");
+    let quiet_alerts = mon.alerts("quiet");
     assert!(
         victim_alerts.iter().any(|e| e.kind == AlertKind::Fired),
         "the victim's burn-rate alert must fire during the outage"
@@ -247,12 +245,12 @@ pub fn run_full() -> Artifacts {
         "the first FIRE must capture a flight-recorder dump"
     );
 
-    let victim_transitions = fleet.with_ledger(|l| {
-        l.breaker_events("victim")
-            .iter()
-            .map(|e| (e.from, e.to))
-            .collect::<Vec<_>>()
-    });
+    let victim_transitions: Vec<_> = breakers["victim"]
+        .borrow()
+        .events()
+        .iter()
+        .map(|e| (e.from, e.to))
+        .collect();
     for arc in [
         (BreakerState::Closed, BreakerState::Open),
         (BreakerState::Open, BreakerState::HalfOpen),
@@ -264,15 +262,18 @@ pub fn run_full() -> Artifacts {
         );
     }
     assert!(
-        fleet.with_ledger(|l| l.breaker_events("quiet").is_empty()),
+        breakers["quiet"].borrow().events().is_empty(),
         "quiet tenant's breaker must never transition"
     );
     assert_eq!(
-        breakers[0].borrow().state(dsts[0]),
+        breakers["victim"].borrow().state(dsts[0]),
         BreakerState::Closed,
         "victim breaker must end Closed"
     );
-    assert_eq!(breakers[1].borrow().state(dsts[1]), BreakerState::Closed);
+    assert_eq!(
+        breakers["quiet"].borrow().state(dsts[1]),
+        BreakerState::Closed
+    );
 
     assert_eq!(
         sim.world.db(src).table_len(catchup::CATCHUP_TABLE),
@@ -320,8 +321,8 @@ pub fn run_full() -> Artifacts {
             .iter()
             .filter(|r| r.delay() <= SimDuration::from_secs(SLO_SECS))
             .count();
-        let alerts = fleet.with_ledger(|led| led.alerts(l.id).to_vec());
-        let transitions = fleet.with_ledger(|led| led.breaker_events(l.id).len());
+        let alerts = mon.alerts(l.id);
+        let transitions = breakers[l.id].borrow().events().len();
         table.row([
             l.id.to_string(),
             l.puts.to_string(),
@@ -348,8 +349,8 @@ pub fn run_full() -> Artifacts {
         ]);
     }
 
-    let alert_log = fleet.alert_log();
-    let breaker_log = fleet.with_ledger(|l| l.render_breaker_log());
+    let alert_log = mon.alert_log();
+    let breaker_log: String = breakers.values().map(|b| b.borrow().render_log()).collect();
     let report = format!(
         "Fault-domain outage — regional object-store blackout with breaker + failback\n\n{}\n\
          timeline: `{}` (tenant `victim`'s destination) black-holes object-store\n\

@@ -14,7 +14,7 @@
 
 use std::rc::Rc;
 
-use areplica_control::{FleetSupervisor, SloMonitor, TenantRegistry, TenantSpec};
+use areplica_control::{SloMonitor, TenantRegistry, TenantSpec};
 use areplica_core::{AReplica, AReplicaBuilder, ProfilerConfig, ReplicationRule};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::Cloud;
@@ -82,7 +82,7 @@ pub struct Artifacts {
     pub report: String,
     /// The dashboard stream: one [`DashFrame`] per driver tick.
     pub dashboards: String,
-    /// The fleet ledger's rendered alert log.
+    /// The SLO monitor's rendered alert log.
     pub alert_log: String,
     /// Flight dump of the noisy tenant, captured at first FIRE.
     pub flight_dump: String,
@@ -134,7 +134,6 @@ pub fn run_full() -> Artifacts {
                 .with_slo(SimDuration::from_secs(SLO_SECS)),
         );
     }
-    let fleet = FleetSupervisor::new();
     let mut mon = SloMonitor::from_registry(&reg);
 
     let mut services: Vec<(&Load, AReplica)> = Vec::new();
@@ -145,7 +144,7 @@ pub fn run_full() -> Artifacts {
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id, &fleet).unwrap())
+            .tenant(reg.tenant_ctx(l.id).unwrap())
             .install(&mut sim);
         services.push((l, service));
     }
@@ -195,7 +194,7 @@ pub fn run_full() -> Artifacts {
         }
         // Driver-side observability: evaluate alerts, then render one
         // dashboard frame. Neither touches the event queue or the RNG.
-        let evs = mon.observe(now, sim.world.trace.windows(), &fleet);
+        let evs = mon.observe(now, sim.world.trace.windows());
         if flight_dump.is_empty()
             && evs
                 .iter()
@@ -212,7 +211,7 @@ pub fn run_full() -> Artifacts {
     }
     sim.run_to_completion(u64::MAX);
     // One final tick after the queue drains so late completions are seen.
-    let final_evs = mon.observe(sim.now(), sim.world.trace.windows(), &fleet);
+    let final_evs = mon.observe(sim.now(), sim.world.trace.windows());
     assert!(
         final_evs.iter().all(|e| e.tenant != "quiet"),
         "quiet tenant must never transition"
@@ -220,8 +219,8 @@ pub fn run_full() -> Artifacts {
 
     // The headline contract: the degraded tenant's alert fired and then
     // resolved; the healthy tenant never alerted at all.
-    let noisy_alerts = fleet.with_ledger(|l| l.alerts("noisy").to_vec());
-    let quiet_alerts = fleet.with_ledger(|l| l.alerts("quiet").to_vec());
+    let noisy_alerts = mon.alerts("noisy");
+    let quiet_alerts = mon.alerts("quiet");
     assert!(
         noisy_alerts.iter().any(|e| e.kind == AlertKind::Fired),
         "the degraded tenant's burn-rate alert must fire"
@@ -261,7 +260,7 @@ pub fn run_full() -> Artifacts {
             .iter()
             .filter(|r| r.delay() <= SimDuration::from_secs(SLO_SECS))
             .count();
-        let alerts = fleet.with_ledger(|led| led.alerts(l.id).to_vec());
+        let alerts = mon.alerts(l.id);
         table.row([
             l.id.to_string(),
             l.puts.to_string(),
@@ -294,7 +293,7 @@ pub fn run_full() -> Artifacts {
         ]);
     }
 
-    let alert_log = fleet.alert_log();
+    let alert_log = mon.alert_log();
     let report = format!(
         "SLO burn-rate alerting — mid-run FaaS degradation of one tenant\n\n{}\n\
          timeline: slowdown x{SLOWDOWN:.0} injected into tenant `noisy` at t={degrade_secs}s,\n\

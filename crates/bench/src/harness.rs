@@ -7,13 +7,10 @@ use simtrace::{names, Tracer};
 
 pub use stats::fit::{mean, std_dev};
 
-/// The experiment scale factor from `AREPLICA_SCALE` (default 1.0).
+/// The experiment scale factor from `AREPLICA_SCALE` (default 1.0). A set
+/// value that is not a number in (0, 10] stops the binary with exit code 2.
 pub fn scale() -> f64 {
-    std::env::var("AREPLICA_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0 && *s <= 10.0)
-        .unwrap_or(1.0)
+    from_env("AREPLICA_SCALE", parse_scale)
 }
 
 /// Scales a count, never below `min`.
@@ -21,12 +18,53 @@ pub fn scaled(base: usize, min: usize) -> usize {
     ((base as f64 * scale()).round() as usize).max(min)
 }
 
-/// The master seed from `AREPLICA_SEED` (default 2026).
+/// The master seed from `AREPLICA_SEED` (default 2026). A set value that
+/// is not an unsigned 64-bit integer stops the binary with exit code 2.
 pub fn seed() -> u64 {
-    std::env::var("AREPLICA_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2026)
+    from_env("AREPLICA_SEED", parse_seed)
+}
+
+/// Parses an `AREPLICA_SCALE` value: unset or empty means 1.0; anything
+/// else must be a number in (0, 10]. The error names the accepted range.
+fn parse_scale(value: Option<&str>) -> Result<f64, &'static str> {
+    match value {
+        None | Some("") => Ok(1.0),
+        Some(v) => v
+            .parse::<f64>()
+            .ok()
+            .filter(|s| *s > 0.0 && *s <= 10.0)
+            .ok_or("a number in (0, 10]"),
+    }
+}
+
+/// Parses an `AREPLICA_SEED` value: unset or empty means 2026; anything
+/// else must be an unsigned 64-bit integer.
+fn parse_seed(value: Option<&str>) -> Result<u64, &'static str> {
+    match value {
+        None | Some("") => Ok(2026),
+        Some(v) => v
+            .parse()
+            .map_err(|_| "an integer in 0..=18446744073709551615"),
+    }
+}
+
+/// Reads `var` through `parse`. A set value that does not parse stops the
+/// binary with exit code 2 and an error naming the variable, the value and
+/// the accepted range — as `AREPLICA_ONLY` does for an unknown name — so a
+/// typo such as `AREPLICA_SCALE=0,2` cannot silently run at full scale.
+#[expect(
+    clippy::print_stderr,
+    reason = "designated sink: operator-facing usage error, never in results"
+)]
+fn from_env<T>(var: &str, parse: fn(Option<&str>) -> Result<T, &'static str>) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse(value.as_deref()).unwrap_or_else(|accepted| {
+        eprintln!(
+            "{var}={:?} is invalid: expected {accepted}",
+            value.unwrap_or_default()
+        );
+        std::process::exit(2)
+    })
 }
 
 /// Trace output directory from a `--trace-out[=DIR]` CLI flag (or the
@@ -261,6 +299,32 @@ mod tests {
         assert!(lines[3].contains("218.9"));
         // Columns align: all rows same length.
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn scale_accepts_numbers_in_range_and_defaults_when_unset_or_empty() {
+        assert_eq!(parse_scale(Some("0.2")), Ok(0.2));
+        assert_eq!(parse_scale(Some("10")), Ok(10.0));
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("")), Ok(1.0));
+    }
+
+    #[test]
+    fn scale_rejects_non_numbers_and_values_out_of_range() {
+        for bad in ["0,2", "abc", "NaN", "0", "-1", "11"] {
+            assert_eq!(parse_scale(Some(bad)), Err("a number in (0, 10]"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn seed_accepts_u64_and_defaults_when_unset_or_empty() {
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+        assert_eq!(parse_seed(Some("18446744073709551615")), Ok(u64::MAX));
+        assert_eq!(parse_seed(None), Ok(2026));
+        assert_eq!(parse_seed(Some("")), Ok(2026));
+        for bad in ["seven", "-1", "2.5", "18446744073709551616"] {
+            assert!(parse_seed(Some(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! Environment knobs:
 //!
 //! * `AREPLICA_SCALE` — scales trial counts / workload sizes (default 1.0;
-//!   set e.g. `0.2` for a quick pass).
+//!   set e.g. `0.2` for a quick pass). A value that is not a number in
+//!   (0, 10] stops the binary with exit code 2.
 //! * `AREPLICA_RESULTS_DIR` — output directory (default `results`).
-//! * `AREPLICA_SEED` — master seed (default 2026).
+//! * `AREPLICA_SEED` — master seed (default 2026). A value that is not an
+//!   unsigned 64-bit integer stops the binary with exit code 2.
 //! * `AREPLICA_TRACE_OUT` (or the `--trace-out[=DIR]` flag) — enables
 //!   deterministic tracing in the experiments that support it and writes
 //!   `<name>.trace.json` (Chrome trace-event format) plus

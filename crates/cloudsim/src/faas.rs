@@ -29,14 +29,13 @@ pub use cloudapi::faas::{
 /// A function body, re-runnable on platform retry.
 pub type FnBody = Rc<dyn Fn(&mut CloudSim, FnHandle)>;
 
-#[derive(Debug)]
 struct ExecState {
-    invocation: InvocationId,
     started: SimTime,
     deadline: SimTime,
+    /// The executing attempt, kept so `fail` can re-invoke its body.
+    pending: Pending,
 }
 
-#[derive(Debug)]
 struct Instance {
     spec: FnSpec,
     speed_factor: f64,
@@ -121,7 +120,7 @@ impl FaasRuntime {
         self.instances
             .get(&handle.instance)
             .and_then(|i| i.exec.as_ref())
-            .is_some_and(|e| e.invocation == handle.invocation)
+            .is_some_and(|e| e.pending.invocation == handle.invocation)
     }
 
     /// Time left before `handle`'s invocation hits its execution limit, or
@@ -129,7 +128,7 @@ impl FaasRuntime {
     /// stop claiming parts they cannot finish.
     pub fn remaining_time(&self, handle: FnHandle, now: SimTime) -> Option<SimDuration> {
         let exec = self.instances.get(&handle.instance)?.exec.as_ref()?;
-        if exec.invocation != handle.invocation {
+        if exec.pending.invocation != handle.invocation {
             return None;
         }
         Some(exec.deadline.saturating_since(now))
@@ -266,18 +265,6 @@ pub fn invoke_after(
     let api_latency = {
         let d = world.params.cloud(cloud).invoke_latency.clone();
         SimDuration::from_secs_f64(d.sample_nonneg(world.faas_rng_mut()))
-    };
-    // A FaaS outage window postpones acceptance: a dead or black-holed
-    // regional scheduler holds the invoke until the window closes (the
-    // paper's scheduler-postponement shape); a brownout multiplies the API
-    // latency. The no-outage path is one emptiness check.
-    let api_latency = if world.outage.is_empty() {
-        api_latency
-    } else {
-        let gate = world
-            .outage
-            .shaping(now + delay, region, crate::outage::Service::Faas);
-        crate::outage::OutageSchedule::shape(gate, api_latency)
     };
     let tenant = world.tenant_scope();
     if world.trace.enabled() {
@@ -470,37 +457,25 @@ fn exec_begin(sim: &mut CloudSim, region: RegionId, instance: InstanceId, pendin
     let now = sim.now();
     let deadline = now + pending.spec.timeout;
     let invocation = pending.invocation;
+    let body = pending.body.clone();
     // The body's operations are attributed to the invocation's tenant.
     sim.world.set_tenant_scope(pending.tenant.clone());
-    {
-        let inst = sim
-            .world
-            .faas
-            .instances
-            .get_mut(&instance)
-            .expect("exec_begin on destroyed instance");
-        inst.exec = Some(ExecState {
-            invocation,
-            started: now,
-            deadline,
-        });
-    }
+    let inst = sim
+        .world
+        .faas
+        .instances
+        .get_mut(&instance)
+        .expect("exec_begin on destroyed instance");
+    inst.exec = Some(ExecState {
+        started: now,
+        deadline,
+        pending,
+    });
     let handle = FnHandle {
         instance,
         invocation,
         region,
     };
-    // Park the retry context so fail() can re-invoke the same body.
-    sim.world.faas_retry_contexts.insert(
-        invocation,
-        (
-            pending.body.clone(),
-            pending.attempt,
-            pending.policy,
-            pending.spec,
-            pending.tenant.clone(),
-        ),
-    );
 
     // Hard execution limit, enforced by the watchdog. A drained run still
     // ends no earlier than the deadline (the clock hold): experiments that
@@ -512,7 +487,7 @@ fn exec_begin(sim: &mut CloudSim, region: RegionId, instance: InstanceId, pendin
     sim.hold_until(deadline);
     arm_watchdog(sim, deadline);
 
-    (pending.body)(sim, handle);
+    body(sim, handle);
 }
 
 /// Queues a watchdog event at `at`, unless one is armed no later.
@@ -599,7 +574,6 @@ pub fn finish(sim: &mut CloudSim, handle: FnHandle) {
     // causal chain.
     sim.world.set_tenant_scope(tenant.clone());
     bill_execution(sim, handle);
-    sim.world.faas_retry_contexts.remove(&handle.invocation);
     let now = sim.now();
     let cloud = sim.world.regions.cloud(handle.region);
     let expiry = sim.world.params.cloud(cloud).warm_idle_expiry;
@@ -641,7 +615,8 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
         sim.world.trace.counter_add("faas.crashes", 1);
     }
     let faas = &mut sim.world.faas;
-    if let Some(exec) = faas.instances.remove(&handle.instance).and_then(|i| i.exec) {
+    let exec = faas.instances.remove(&handle.instance).and_then(|i| i.exec);
+    if let Some(exec) = &exec {
         faas.deadlines.remove(&(exec.deadline, handle.invocation));
     }
     if let Some(rf) = faas.regions.get_mut(&handle.region) {
@@ -649,9 +624,9 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
     }
     sim.world.faas.release(&tenant);
 
-    let ctx = sim.world.faas_retry_contexts.remove(&handle.invocation);
-    if let Some((body, attempt, policy, spec, ctx_tenant)) = ctx {
-        if attempt < policy.max_retries {
+    if let Some(ExecState { pending, .. }) = exec {
+        let attempt = pending.attempt;
+        if attempt < pending.policy.max_retries {
             sim.world.faas.stats.retries += 1;
             if sim.world.trace.enabled() {
                 let at = sim.now();
@@ -664,22 +639,15 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
                 sim.world.trace.counter_add("faas.retries", 1);
             }
             let region = handle.region;
-            let invocation = handle.invocation;
             // Platform retry back-off (compressed relative to Lambda's
             // minute-scale async retry to keep simulations tractable; the
             // paper's experiments never exercise retries on the happy path).
             let backoff = SimDuration::from_millis(500) * (attempt as u64 + 1);
-            sim.schedule_in(backoff, move |sim| {
-                let pending = Pending {
-                    invocation,
-                    spec,
-                    body,
-                    attempt: attempt + 1,
-                    policy,
-                    tenant: ctx_tenant,
-                };
-                accept(sim, region, pending);
-            });
+            let retry = Pending {
+                attempt: attempt + 1,
+                ..pending
+            };
+            sim.schedule_in(backoff, move |sim| accept(sim, region, retry));
         } else {
             sim.world.faas.stats.dlq += 1;
             if sim.world.trace.enabled() {

@@ -10,8 +10,8 @@
 //!   scheduler batching, timeouts, retries, a DLQ, and per-ms billing;
 //! * [`vm`] — VM provisioning for the Skyplane-style baseline;
 //! * [`net`] — the asymmetric, per-instance-variable WAN model;
-//! * [`outage`] — deterministic fault-domain outage windows (regional
-//!   service blackouts, WAN partitions, brownouts);
+//! * [`outage`] — deterministic regional object-store outage windows
+//!   (hard errors or black-holed requests);
 //! * [`world`] — the [`World`] aggregate and the timed,
 //!   cost-metered operation wrappers everything above is driven through.
 //!

@@ -20,13 +20,13 @@ use rand::Rng;
 use simkernel::{rng::derive_rng, Sim, SimDuration};
 
 use crate::clouddb::{Item, KvDb};
-use crate::faas::{FaasRuntime, FnBody, FnHandle, FnSpec, InvocationId, RetryPolicy};
+use crate::faas::{FaasRuntime, FnHandle};
 use crate::net::{sample_leg_duration, Direction, ExecProfile, NetState};
 use crate::objstore::{
     BlobId, Content, ETag, NotificationTarget, ObjectEvent, ObjectStat, ObjectStore, PutApplied,
     StoreError,
 };
-use crate::outage::{Gate, OutageSchedule, Service as OutageService};
+use crate::outage::{Gate, OutageSchedule};
 use crate::params::WorldParams;
 use crate::region::{RegionId, RegionRegistry};
 use crate::vm::{VmService, VmState};
@@ -55,10 +55,6 @@ pub enum Executor {
     },
 }
 
-/// Parked state needed to re-invoke a failed function: `(body, attempt,
-/// retry policy, spec, owning tenant)`.
-pub(crate) type RetryContext = (FnBody, u32, RetryPolicy, FnSpec, Option<Rc<str>>);
-
 /// The complete simulated world.
 pub struct World {
     /// Ground-truth performance parameters.
@@ -75,9 +71,9 @@ pub struct World {
     pub vms: VmService,
     /// Network state (concurrent legs).
     pub net: NetState,
-    /// Fault-domain outage windows the operation wrappers consult. Empty by
-    /// default: the no-outage path performs one emptiness check per
-    /// operation, draws no extra randomness, and schedules no extra events,
+    /// Regional object-store outage windows the store wrappers consult.
+    /// Empty by default: the no-outage path performs one emptiness check per
+    /// request, draws no extra randomness, and schedules no extra events,
     /// so pre-outage runs stay byte-identical.
     pub outage: OutageSchedule,
     /// Deterministic trace/metrics collector. Disabled by default; the
@@ -93,7 +89,6 @@ pub struct World {
     faas_rng: StdRng,
     net_rng: StdRng,
     db_rng: StdRng,
-    pub(crate) faas_retry_contexts: BTreeMap<InvocationId, RetryContext>,
     /// Master seed, kept so per-tenant RNG streams can be derived lazily.
     seed: u64,
     /// The ambient tenant scope: which tenant the operation currently being
@@ -153,7 +148,6 @@ impl World {
             faas_rng: derive_rng(seed, "world:faas"),
             net_rng: derive_rng(seed, "world:net"),
             db_rng: derive_rng(seed, "world:db"),
-            faas_retry_contexts: BTreeMap::new(),
             seed,
             tenant_scope: None,
             tenant_ledgers: BTreeMap::new(),
@@ -427,14 +421,6 @@ pub fn run_leg(
         let (params, regions, rng) = sim.world.net_rng_and_truth();
         sample_leg_duration(params, regions, &profile, remote, dir, bytes, n_active, rng)
     };
-    // A partitioned (or browned-out) WAN link shapes the leg: transfers on a
-    // dead link hang until the window closes rather than erroring — a WAN
-    // path that dies mid-transfer looks like a hung connection, not an RST.
-    let dur = if sim.world.outage.is_empty() {
-        dur
-    } else {
-        OutageSchedule::shape(sim.world.outage.link_shaping(sim.now(), from, to), dur)
-    };
     if sim.world.trace.enabled() {
         let now = sim.now();
         let from_label = sim.world.regions.label(from);
@@ -482,9 +468,7 @@ fn objstore_gate(sim: &CloudSim, region: RegionId) -> Gate {
     if sim.world.outage.is_empty() {
         return Gate::Clear;
     }
-    sim.world
-        .outage
-        .gate(sim.now(), region, OutageService::ObjStore)
+    sim.world.outage.gate(sim.now(), region)
 }
 
 /// Samples a storage-API round trip from `exec`'s region to `region`.
@@ -666,8 +650,9 @@ fn store_request<T, C>(
     };
     let rtt = storage_api_rtt(&mut sim.world, exec_region, region);
     let rtt = match objstore_gate(sim, region) {
+        Gate::Clear => rtt,
+        Gate::Stall(d) => d + rtt,
         Gate::Fail => return answer_unavailable(sim, exec, rtt, cb),
-        g => OutageSchedule::shape(g, rtt),
     };
     span(sim, rtt);
     schedule_scoped(sim, rtt, move |sim| {
@@ -679,11 +664,10 @@ fn store_request<T, C>(
 }
 
 /// The ObjStore outage gate for a write whose bytes travel on a leg: hands
-/// `req` and `cb` back when the write may go. A store brownout lets it go
-/// (only a link window browns out the upload wire). A black-holed store
-/// makes the client hang, then `retry` re-enters the write with them once
-/// the window closes, re-checking the gate so overlapping windows chain; a
-/// hard error answers `Unavailable` after one round trip.
+/// `req` and `cb` back when the write may go. A black-holed store makes the
+/// client hang, then `retry` re-enters the write with them once the window
+/// closes, re-checking the gate so overlapping windows chain; a hard error
+/// answers `Unavailable` after one round trip.
 fn write_gate<R, T, C>(
     sim: &mut CloudSim,
     exec: Executor,
@@ -697,7 +681,7 @@ where
     C: FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static,
 {
     match objstore_gate(sim, region) {
-        Gate::Clear | Gate::Slow(_) => Some((req, cb)),
+        Gate::Clear => Some((req, cb)),
         Gate::Stall(d) => {
             schedule_scoped(sim, d, move |sim| retry(sim, req, cb));
             None
@@ -1010,11 +994,8 @@ pub fn complete_multipart(
 }
 
 /// One request from `exec` to `region`'s KV database: the crash check, the
-/// latency, outage shaping and the span. Returns the latency, or `None`
-/// when the caller crashed or is dead. The KV API has no error channel
-/// here: a hard-errored or black-holed DB region stalls the operation to
-/// window close (a timed-out connection), a brownout multiplies its
-/// latency.
+/// latency and the span. Returns the latency, or `None` when the caller
+/// crashed or is dead.
 fn db_request(
     sim: &mut CloudSim,
     exec: Executor,
@@ -1027,15 +1008,6 @@ fn db_request(
     }
     let exec_region = sim.world.exec_region(exec)?;
     let latency = db_op_latency(&mut sim.world, exec_region, region);
-    let latency = if sim.world.outage.is_empty() {
-        latency
-    } else {
-        let g = sim
-            .world
-            .outage
-            .shaping(sim.now(), region, OutageService::CloudDb);
-        OutageSchedule::shape(g, latency)
-    };
     trace_api_call(sim, region, latency, name, counter);
     Some(latency)
 }

@@ -796,7 +796,7 @@ fn notification_delays_differ_by_cloud() {
     }
 }
 
-// ---- fault-domain outage windows -------------------------------------------
+// ---- regional object-store outage windows ----------------------------------
 
 /// The eight object-store requests `world` issues for an executor.
 #[derive(Clone, Copy, Debug)]
@@ -889,7 +889,6 @@ fn hard_error_outage_fails_store_ops_with_unavailable() {
         let (mut sim, use1, upload) = store_fixture();
         sim.world.outage.region_window(
             use1,
-            cloudsim::outage::Service::ObjStore,
             SimTime::from_nanos(0),
             SimTime::from_nanos(3_600_000_000_000),
             cloudsim::outage::FailureMode::HardError,
@@ -985,7 +984,6 @@ fn timeout_outage_stalls_store_requests_until_window_close() {
         let (mut sim, use1, upload) = store_fixture();
         sim.world.outage.region_window(
             use1,
-            cloudsim::outage::Service::ObjStore,
             SimTime::from_nanos(10_000_000_000),
             close,
             cloudsim::outage::FailureMode::Timeout,
@@ -1015,17 +1013,9 @@ fn outage_on_unrelated_domain_leaves_runs_byte_identical() {
             let far = region(&sim, Cloud::Gcp, "europe-west6");
             sim.world.outage.region_window(
                 far,
-                cloudsim::outage::Service::ObjStore,
                 SimTime::from_nanos(0),
                 SimTime::from_nanos(3_600_000_000_000),
                 cloudsim::outage::FailureMode::HardError,
-            );
-            sim.world.outage.link_window(
-                far,
-                use1,
-                SimTime::from_nanos(0),
-                SimTime::from_nanos(3_600_000_000_000),
-                cloudsim::outage::FailureMode::Timeout,
             );
         }
         sim.world.objstore_mut(use1).create_bucket("src");
@@ -1067,6 +1057,6 @@ fn outage_on_unrelated_domain_leaves_runs_byte_identical() {
     assert_eq!(
         run(false),
         run(true),
-        "windows over untouched domains must not perturb timing or cost"
+        "a window over an untouched region must not perturb timing or cost"
     );
 }

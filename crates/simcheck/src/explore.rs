@@ -4,12 +4,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use areplica_control::breaker::{BreakerConfig, BreakerSet};
+use areplica_control::breaker::{BreakerConfig, BreakerSet, BreakerState};
 use areplica_core::backend::faulty::{FaultPlan, FaultSite, FaultStats, Faulty};
 use areplica_core::backend::{Backend, Clock, ObjectStore as _};
 use areplica_core::health::HealthHandle;
 use areplica_core::{
-    catchup, AReplicaBuilder, BreakerState, ProfilerConfig, ReplicationRule, RetryPolicy, TenantCtx,
+    catchup, AReplicaBuilder, ProfilerConfig, ReplicationRule, RetryPolicy, TenantCtx,
 };
 use cloudsim::{Cloud, World};
 use simkernel::SimDuration;

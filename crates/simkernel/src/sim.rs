@@ -29,10 +29,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Cancellation is cooperative: the event stays in the queue as a tombstone
 /// and becomes a no-op when popped. This is O(1) and keeps the queue simple;
-/// cancelled events are not counted as executed. Under cancel-heavy
-/// workloads the simulator compacts tombstones out of both queue tiers once
-/// they exceed [`Sim::COMPACT_FRACTION`] of the queue (see
-/// [`RunStats::compacted`]).
+/// cancelled events are not counted as executed.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Rc<CancelInner>,
@@ -44,8 +41,8 @@ pub struct CancelToken {
 struct CancelInner {
     cancelled: Cell<bool>,
     /// True while the event is still in the queue. Cleared when the entry is
-    /// consumed (executed, skipped, or compacted away) so a later `cancel()`
-    /// does not count a tombstone that no longer exists.
+    /// consumed (executed or skipped) so a later `cancel()` does not count a
+    /// tombstone that no longer exists.
     queued: Cell<bool>,
 }
 
@@ -162,7 +159,7 @@ impl<W> EventQueue<W> {
         }
     }
 
-    // Out of line, like `refill` and `retain`, so that the near-tier path
+    // Out of line, like `refill`, so that the near-tier path
     // inlines into `schedule_at` and `step`: inlined, the map code slowed a
     // depth-1 event chain by about 15 %.
     #[inline(never)]
@@ -204,17 +201,6 @@ impl<W> EventQueue<W> {
         }
         self.near.peek()
     }
-
-    /// Keeps the events `keep` accepts, in both tiers.
-    #[inline(never)]
-    fn retain(&mut self, mut keep: impl FnMut(&QueuedEvent<W>) -> bool) {
-        self.near.retain(&mut keep);
-        self.far.retain(|_, events| {
-            events.retain(&mut keep);
-            !events.is_empty()
-        });
-        self.far_len = self.far.values().map(Vec::len).sum();
-    }
 }
 
 /// Statistics about an executed simulation run.
@@ -224,10 +210,6 @@ pub struct RunStats {
     pub executed: u64,
     /// Events popped but skipped because their token was cancelled.
     pub cancelled: u64,
-    /// Cancelled events removed by tombstone compaction before being popped.
-    pub compacted: u64,
-    /// Number of tombstone-compaction passes over the queue.
-    pub compactions: u64,
     /// Peak number of live (non-cancelled) events pending at once.
     pub peak_live_depth: u64,
 }
@@ -294,11 +276,6 @@ pub struct Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// Minimum queue length before tombstone compaction is considered.
-    const COMPACT_MIN_LEN: usize = 64;
-    /// Compaction triggers when tombstones reach half the queue.
-    pub const COMPACT_FRACTION: f64 = 0.5;
-
     /// Creates a simulator at time zero with the given master seed and world.
     pub fn new(master_seed: u64, world: W) -> Self {
         Sim {
@@ -374,30 +351,6 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Drops the tombstones from both queue tiers once they dominate the
-    /// queue. Pop order of live events is unaffected (it is fixed by their
-    /// `(at, seq)` keys alone), so results cannot drift; only memory and pop
-    /// cost change.
-    fn maybe_compact(&mut self) {
-        let len = self.queue.len();
-        if len < Self::COMPACT_MIN_LEN
-            || (self.tombstones.get() as f64) < len as f64 * Self::COMPACT_FRACTION
-        {
-            return;
-        }
-        let mut compacted = 0;
-        self.queue.retain(|ev| match &ev.cancel {
-            Some(token) if token.is_cancelled() => {
-                token.consume();
-                compacted += 1;
-                false
-            }
-            _ => true,
-        });
-        self.stats.compacted += compacted;
-        self.stats.compactions += 1;
-    }
-
     /// Schedules `action` to run at absolute time `at`.
     ///
     /// # Panics
@@ -421,7 +374,6 @@ impl<W> Sim<W> {
             action: Box::new(action),
         });
         self.note_live_depth();
-        self.maybe_compact();
     }
 
     /// Schedules `action` to run `delay` after the current time.
@@ -451,7 +403,6 @@ impl<W> Sim<W> {
             action: Box::new(action),
         });
         self.note_live_depth();
-        self.maybe_compact();
         token
     }
 
@@ -681,35 +632,6 @@ mod tests {
         assert_eq!(sim.world, 10);
         assert_eq!(sim.stats().cancelled, 1);
         assert_eq!(sim.stats().executed, 1);
-    }
-
-    #[test]
-    fn tombstone_compaction_fires_and_preserves_results() {
-        let mut sim = Sim::new(1, 0u64);
-        let mut tokens = Vec::new();
-        for i in 0..200u64 {
-            tokens.push(
-                sim.schedule_cancellable_at(SimTime::from_nanos(1000 + i), |sim| sim.world += 1),
-            );
-        }
-        for t in &tokens[..150] {
-            t.cancel();
-        }
-        assert_eq!(sim.live_pending_events(), 50);
-        // The next push sees 150 tombstones in a 201-entry queue and compacts.
-        sim.schedule_at(SimTime::from_nanos(5000), |sim| sim.world += 100);
-        let mid = sim.stats();
-        assert_eq!(mid.compactions, 1);
-        assert_eq!(mid.compacted, 150);
-        assert_eq!(sim.pending_events(), 51);
-        sim.run_to_completion(u64::MAX);
-        // 50 live increments plus the final event; compacted events never
-        // count as cancelled *pops*.
-        assert_eq!(sim.world, 150);
-        let end = sim.stats();
-        assert_eq!(end.executed, 51);
-        assert_eq!(end.cancelled, 0);
-        assert_eq!(end.peak_live_depth, 200);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Order-equivalence property test for the two-tier event queue.
 //!
 //! A reference model — a plain `Vec` popped at its `(at, seq)` minimum, with
-//! the simulator's tombstone, compaction, pop-policy and clock-hold rules —
-//! runs the same random operation sequence as a real [`Sim`]. After every
-//! operation the executed `(label, time)` log, the clock, both pending counts
-//! and every [`RunStats`] field must agree.
+//! the simulator's tombstone, pop-policy and clock-hold rules — runs the
+//! same random operation sequence as a real [`Sim`]. After every operation
+//! the executed `(label, time)` log, the clock, both pending counts and
+//! every [`RunStats`] field must agree.
 //!
 //! Due times are drawn to collide: at the clock, at an earlier event's time,
 //! on a bucket boundary and one nanosecond either side, seconds to hours
@@ -56,7 +56,7 @@ enum Op {
         spawn: u8,
     },
     /// `count` cancellable events `gap` ns apart: with `CancelEvery` they
-    /// push the tombstones past the compaction threshold.
+    /// leave a queue that is mostly tombstones.
     Burst {
         when: When,
         count: u64,
@@ -325,24 +325,6 @@ impl Model {
         self.tokens[t].cancelled
     }
 
-    fn maybe_compact(&mut self) {
-        let len = self.queue.len();
-        if len < Sim::<World>::COMPACT_MIN_LEN
-            || (self.tombstones as f64) < len as f64 * Sim::<World>::COMPACT_FRACTION
-        {
-            return;
-        }
-        let dead: Vec<ModelEvent>;
-        (dead, self.queue) = std::mem::take(&mut self.queue)
-            .into_iter()
-            .partition(|ev| self.is_dead(ev));
-        for ev in &dead {
-            self.consume(ev);
-        }
-        self.stats.compacted += dead.len() as u64;
-        self.stats.compactions += 1;
-    }
-
     fn execute(&mut self, ev: ModelEvent) {
         self.now = self.now.max(ev.at);
         self.stats.executed += 1;
@@ -427,7 +409,6 @@ impl Harness for Model {
         self.seq += 1;
         let live = (self.queue.len() as u64).saturating_sub(self.tombstones);
         self.stats.peak_live_depth = self.stats.peak_live_depth.max(live);
-        self.maybe_compact();
     }
     fn step(&mut self) -> bool {
         if self.policy.is_some() {

@@ -36,22 +36,8 @@ pub const SLOW_WINDOW: SimDuration = SimDuration::from_mins(60);
 pub const FAST_THRESHOLD: f64 = 14.4;
 /// Minimum slow-window burn rate to fire.
 pub const SLOW_THRESHOLD: f64 = 6.0;
-
-/// One declarative alert rule: a good/bad counter pair (already
-/// tenant-[`crate::scoped`] by the registrar) judged against the
-/// [`ERROR_BUDGET`] over the fast and slow windows.
-#[derive(Debug, Clone)]
-pub struct BurnRateRule {
-    /// Rule name, e.g. `"slo-burn"`.
-    pub name: String,
-    /// Owning tenant label (`"default"` for the default tenant); carried
-    /// into events so ledgers and dashboards can attribute them.
-    pub tenant: String,
-    /// Windowed counter counting SLO-conformant completions.
-    pub good: String,
-    /// Windowed counter counting SLO violations.
-    pub bad: String,
-}
+/// Name every alert line carries: each tenant has one burn-rate rule.
+pub const SLO_BURN_RULE: &str = "slo-burn";
 
 /// Fire/resolve transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +54,7 @@ pub enum AlertKind {
 pub struct AlertEvent {
     /// Evaluation instant (sim time).
     pub at: SimTime,
-    /// Rule name.
-    pub rule: String,
-    /// Tenant label (`"default"` for the default tenant).
+    /// Tenant whose rule transitioned.
     pub tenant: String,
     /// Transition direction.
     pub kind: AlertKind,
@@ -93,9 +77,8 @@ impl AlertEvent {
             AlertKind::Resolved => "RESOLVE",
         };
         format!(
-            "{:.3} {kind} {} tenant={} fast_burn={:.2} slow_burn={:.2} fast_bad={}/{}",
+            "{:.3} {kind} {SLO_BURN_RULE} tenant={} fast_burn={:.2} slow_burn={:.2} fast_bad={}/{}",
             self.at.as_nanos() as f64 / 1e9,
-            self.rule,
             self.tenant,
             self.fast_burn,
             self.slow_burn,
@@ -120,62 +103,60 @@ pub struct BurnSnapshot {
     pub firing: bool,
 }
 
-/// Evaluates a set of [`BurnRateRule`]s against a [`WindowStore`] on
-/// sim-time ticks, tracking firing state and returning each tick's
-/// transitions.
+/// Evaluates one burn-rate rule per registered tenant against a
+/// [`WindowStore`] on sim-time ticks, tracking firing state and returning
+/// each tick's transitions. A tenant's rule judges its
+/// tenant-[`crate::scoped`] `slo.good`/`slo.bad` counters against the
+/// [`ERROR_BUDGET`] over the fast and slow windows.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
-    rules: Vec<BurnRateRule>,
+    tenants: Vec<String>,
     firing: Vec<bool>,
 }
 
 impl AlertEngine {
-    /// Empty engine.
-    pub fn new() -> Self {
-        AlertEngine::default()
-    }
-
-    /// Registers a rule; evaluation order is registration order.
-    pub fn register(&mut self, rule: BurnRateRule) {
-        self.rules.push(rule);
+    /// Registers `tenant`'s rule; evaluation order is registration order.
+    pub fn register(&mut self, tenant: &str) {
+        self.tenants.push(tenant.to_string());
         self.firing.push(false);
     }
 
-    /// Registered rules, in evaluation order.
-    pub fn rules(&self) -> &[BurnRateRule] {
-        &self.rules
-    }
-
-    /// Burn rates for one rule right now (no state change).
-    pub fn snapshot(&self, idx: usize, now: SimTime, windows: &WindowStore) -> BurnSnapshot {
-        let r = &self.rules[idx];
-        let (fast_burn, fast_bad, fast_total) = burn(r, now, FAST_WINDOW, windows);
-        let (slow_burn, _, _) = burn(r, now, SLOW_WINDOW, windows);
-        BurnSnapshot {
+    /// Burn rates for `tenant`'s rule right now (no state change); `None`
+    /// for a tenant without a rule.
+    pub fn snapshot(
+        &self,
+        tenant: &str,
+        now: SimTime,
+        windows: &WindowStore,
+    ) -> Option<BurnSnapshot> {
+        let idx = self.tenants.iter().position(|t| t == tenant)?;
+        let (fast_burn, fast_bad, fast_total) = burn(tenant, now, FAST_WINDOW, windows);
+        let (slow_burn, _, _) = burn(tenant, now, SLOW_WINDOW, windows);
+        Some(BurnSnapshot {
             fast_burn,
             slow_burn,
             fast_bad,
             fast_total,
             firing: self.firing[idx],
-        }
+        })
     }
 
-    /// True if the named tenant has any rule currently firing.
+    /// True if the named tenant's rule is currently firing.
     pub fn tenant_firing(&self, tenant: &str) -> bool {
-        self.rules
+        self.tenants
             .iter()
             .zip(&self.firing)
-            .any(|(r, f)| *f && r.tenant == tenant)
+            .any(|(t, f)| *f && t == tenant)
     }
 
     /// Evaluates every rule at `now` and returns the transitions this tick
     /// produced.
     pub fn evaluate(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
         let mut out = Vec::new();
-        for (idx, rule) in self.rules.iter().enumerate() {
-            let (fast_burn, fast_bad, fast_total) = burn(rule, now, FAST_WINDOW, windows);
-            let (slow_burn, _, _) = burn(rule, now, SLOW_WINDOW, windows);
-            let was = self.firing[idx];
+        for (tenant, firing) in self.tenants.iter().zip(&mut self.firing) {
+            let (fast_burn, fast_bad, fast_total) = burn(tenant, now, FAST_WINDOW, windows);
+            let (slow_burn, _, _) = burn(tenant, now, SLOW_WINDOW, windows);
+            let was = *firing;
             let is = if was {
                 // Hysteresis: stay firing until the fast window recovers.
                 fast_burn >= FAST_THRESHOLD
@@ -183,11 +164,10 @@ impl AlertEngine {
                 fast_burn >= FAST_THRESHOLD && slow_burn >= SLOW_THRESHOLD
             };
             if is != was {
-                self.firing[idx] = is;
+                *firing = is;
                 out.push(AlertEvent {
                     at: now,
-                    rule: rule.name.clone(),
-                    tenant: rule.tenant.clone(),
+                    tenant: tenant.clone(),
                     kind: if is {
                         AlertKind::Fired
                     } else {
@@ -204,16 +184,16 @@ impl AlertEngine {
     }
 }
 
-/// (burn, bad, total) for one rule over one lookback. An empty window burns
-/// nothing.
+/// (burn, bad, total) for `tenant`'s rule over one lookback. An empty
+/// window burns nothing.
 fn burn(
-    rule: &BurnRateRule,
+    tenant: &str,
     now: SimTime,
     lookback: SimDuration,
     windows: &WindowStore,
 ) -> (f64, u64, u64) {
-    let bad = windows.counter_sum(&rule.bad, now, lookback);
-    let good = windows.counter_sum(&rule.good, now, lookback);
+    let bad = windows.counter_sum(&crate::scoped(tenant, "slo.bad"), now, lookback);
+    let good = windows.counter_sum(&crate::scoped(tenant, "slo.good"), now, lookback);
     let total = bad + good;
     if total == 0 {
         return (0.0, 0, 0);
@@ -225,26 +205,16 @@ fn burn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{WindowSpec, WindowStore};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_nanos(secs * 1_000_000_000)
     }
 
-    fn rule(tenant: &str) -> BurnRateRule {
-        BurnRateRule {
-            name: "slo-burn".into(),
-            tenant: tenant.into(),
-            good: format!("tenant.{tenant}.slo.good"),
-            bad: format!("tenant.{tenant}.slo.bad"),
-        }
-    }
-
     #[test]
     fn fires_on_fast_and_slow_then_resolves_on_fast_recovery() {
-        let mut w = WindowStore::new(WindowSpec::DEFAULT);
-        let mut eng = AlertEngine::new();
-        eng.register(rule("noisy"));
+        let mut w = WindowStore::default();
+        let mut eng = AlertEngine::default();
+        eng.register("noisy");
 
         // Healthy traffic: plenty of good, no bad → no alert.
         for m in 0..10u64 {
@@ -280,9 +250,9 @@ mod tests {
 
     #[test]
     fn fast_spike_without_slow_burn_does_not_fire() {
-        let mut w = WindowStore::new(WindowSpec::DEFAULT);
-        let mut eng = AlertEngine::new();
-        eng.register(rule("t1"));
+        let mut w = WindowStore::default();
+        let mut eng = AlertEngine::default();
+        eng.register("t1");
         // A long healthy history…
         for m in 0..55u64 {
             w.counter_add(t(m * 60), "tenant.t1.slo.good", 100);
@@ -291,7 +261,7 @@ mod tests {
         w.counter_add(t(55 * 60), "tenant.t1.slo.bad", 100);
         let snap_time = t(56 * 60);
         assert!(eng.evaluate(snap_time, &w).is_empty());
-        let snap = eng.snapshot(0, snap_time, &w);
+        let snap = eng.snapshot("t1", snap_time, &w).unwrap();
         assert!(snap.fast_burn >= 14.4, "fast={}", snap.fast_burn);
         assert!(snap.slow_burn < 6.0, "slow={}", snap.slow_burn);
         assert!(!snap.firing);
@@ -299,9 +269,9 @@ mod tests {
 
     #[test]
     fn idle_tenant_never_fires() {
-        let w = WindowStore::new(WindowSpec::DEFAULT);
-        let mut eng = AlertEngine::new();
-        eng.register(rule("idle"));
+        let w = WindowStore::default();
+        let mut eng = AlertEngine::default();
+        eng.register("idle");
         for m in 0..120u64 {
             assert!(eng.evaluate(t(m * 60), &w).is_empty());
         }
@@ -311,7 +281,6 @@ mod tests {
     fn render_is_fixed_format() {
         let ev = AlertEvent {
             at: t(930),
-            rule: "slo-burn".into(),
             tenant: "noisy".into(),
             kind: AlertKind::Fired,
             fast_burn: 100.0,

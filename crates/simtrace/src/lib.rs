@@ -328,14 +328,6 @@ impl Tracer {
         }
     }
 
-    /// Records a sample into a named histogram *and* its sliding window at
-    /// sim time `at`. No-op while disabled.
-    pub fn histogram_record_at(&mut self, at: SimTime, name: &str, value: f64) {
-        if self.enabled {
-            self.registry.histogram_record_at(at, name, value);
-        }
-    }
-
     /// The sliding-window store (read side; shorthand for
     /// `registry().windows()`).
     pub fn windows(&self) -> &window::WindowStore {

@@ -14,8 +14,8 @@ use crate::window::WindowStore;
 /// `<subsystem>.<event>[.<qualifier>]`, e.g. `faas.cold_starts`,
 /// `logger.window_evictions`, `store.ops.put`.
 ///
-/// Metrics recorded through the `_at` variants additionally feed a
-/// [`WindowStore`] of sliding time windows — the live-query side consumed
+/// Counters recorded through [`Registry::counter_add_at`] additionally feed
+/// a [`WindowStore`] of sliding time windows — the live-query side consumed
 /// by burn-rate alerting and dashboards. Windowed state never appears in
 /// [`Registry::render`], so snapshot output is independent of window
 /// geometry.
@@ -57,13 +57,6 @@ impl Registry {
     pub fn counter_add_at(&mut self, at: SimTime, name: &str, delta: u64) {
         self.counter_add(name, delta);
         self.windows.counter_add(at, name, delta);
-    }
-
-    /// Records one sample into the named histogram *and* its sliding
-    /// window at sim time `at`.
-    pub fn histogram_record_at(&mut self, at: SimTime, name: &str, value: f64) {
-        self.histogram_record(name, value);
-        self.windows.histogram_record(at, name, value);
     }
 
     /// The sliding-window store (read side, for alert engines and
@@ -156,27 +149,20 @@ mod tests {
     }
 
     #[test]
-    fn timestamped_variants_feed_both_sides_and_never_render() {
+    fn timestamped_counter_feeds_both_sides_and_never_renders() {
         use simkernel::SimDuration;
         let mut r = Registry::new();
         let at = SimTime::from_nanos(90_000_000_000);
         r.counter_add_at(at, "slo.bad", 2);
-        r.histogram_record_at(at, "slo.delay_secs", 4.5);
         // Cumulative side sees the event…
         assert_eq!(r.counter("slo.bad"), 2);
-        assert_eq!(r.histogram("slo.delay_secs").unwrap().len(), 1);
         // …and so does the windowed side…
         let w = r.windows();
         assert_eq!(w.counter_sum("slo.bad", at, SimDuration::from_secs(60)), 2);
-        assert_eq!(
-            w.percentile("slo.delay_secs", at, SimDuration::from_secs(60), 50.0),
-            Some(4.5)
-        );
-        // …but render output is exactly what the plain variants produce:
+        // …but render output is exactly what the plain variant produces:
         // window geometry never leaks into snapshots.
         let mut plain = Registry::new();
         plain.counter_add("slo.bad", 2);
-        plain.histogram_record("slo.delay_secs", 4.5);
         assert_eq!(r.render(), plain.render());
     }
 

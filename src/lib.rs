@@ -11,7 +11,7 @@
 //! * [`core`] ([`areplica_core`]) — the data plane: engine, lock,
 //!   performance model, planner, profiler, changelog, batching.
 //! * [`control`] ([`areplica_control`]) — the control plane: tenant
-//!   registry, fleet supervision, SLO monitoring, circuit breakers.
+//!   registry, SLO monitoring, circuit breakers.
 //! * [`sim`] ([`cloudsim`]) — the simulated AWS/Azure/GCP world.
 //! * [`stats`] — distributions and extreme-value machinery.
 //! * [`kernel`] ([`simkernel`]) — the deterministic event simulator.
@@ -67,7 +67,7 @@ pub use stats;
 
 /// Everything needed for typical use, in one import.
 pub mod prelude {
-    pub use areplica_control::{FleetSupervisor, TenantRegistry, TenantSpec};
+    pub use areplica_control::{TenantRegistry, TenantSpec};
     pub use areplica_core::{
         AReplica, AReplicaBuilder, CompletionRecord, EngineConfig, ExecSide, Metrics, PerfModel,
         Plan, ProfilerConfig, ReplicationRule, SchedulingMode, TenantCtx,

@@ -25,11 +25,11 @@ fn quick_profiler() -> ProfilerConfig {
     }
 }
 
-fn registry() -> (TenantRegistry, FleetSupervisor) {
+fn registry() -> TenantRegistry {
     let mut reg = TenantRegistry::new();
     reg.register(TenantSpec::new("aqua").with_faas_concurrency(8));
     reg.register(TenantSpec::new("zeph").with_faas_concurrency(8));
-    (reg, FleetSupervisor::new())
+    reg
 }
 
 /// One full run: both tenants' services installed in `order`, then one
@@ -39,11 +39,11 @@ fn run_with_install_order(order: [&'static str; 2]) -> Vec<(String, Vec<f64>, i6
     let mut sim = World::paper_sim(2026);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let (reg, fleet) = registry();
+    let reg = registry();
 
     let mut services = Vec::new();
     for id in order {
-        let tenant = reg.tenant_ctx(id, &fleet).unwrap();
+        let tenant = reg.tenant_ctx(id).unwrap();
         let service = AReplicaBuilder::new()
             .rule(
                 ReplicationRule::new(src, format!("src-{id}"), dst, format!("dst-{id}"))
@@ -103,11 +103,10 @@ fn faas_quota_caps_tenant_concurrency() {
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
     let mut reg = TenantRegistry::new();
     reg.register(TenantSpec::new("capped").with_faas_concurrency(2));
-    let fleet = FleetSupervisor::new();
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-capped", dst, "dst-capped").with_batching(false))
         .profiler_config(quick_profiler())
-        .tenant(reg.tenant_ctx("capped", &fleet).unwrap())
+        .tenant(reg.tenant_ctx("capped").unwrap())
         .install(&mut sim);
     sim.set_tenant_scope(Some(Rc::from("capped")));
     for k in 0..6 {

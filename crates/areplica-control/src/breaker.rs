@@ -205,13 +205,13 @@ impl BreakerSet {
     }
 
     fn breaker(&mut self, region: RegionId) -> &mut Breaker {
-        let (tenant, cfg) = (self.tenant.clone(), &self.cfg);
+        let (tenant, cfg) = (&self.tenant, &self.cfg);
         self.breakers
             .entry(region)
-            .or_insert_with(|| Self::fresh_breaker(cfg, &tenant, region, None))
+            .or_insert_with(|| Self::fresh_breaker(cfg, tenant, region, None))
     }
 
-    fn counter(&self, region: RegionId, episode: u64, kind: &str) -> String {
+    fn counter(region: RegionId, episode: u64, kind: &str) -> String {
         format!("breaker.{}.{}.{}", region.index(), episode, kind)
     }
 
@@ -260,14 +260,13 @@ impl BreakerProbe for BreakerSet {
 
     fn record_outcome(&mut self, now: SimTime, region: RegionId, ok: bool) {
         let episode = self.breaker(region).episode;
-        let kind = if ok { "good" } else { "bad" };
-        let name = self.counter(region, episode, kind);
-        self.windows.counter_add(now, &name, 1);
+        let bad = Self::counter(region, episode, "bad");
+        let good = Self::counter(region, episode, "good");
+        self.windows
+            .counter_add(now, if ok { &good } else { &bad }, 1);
         if self.breaker(region).state != BreakerState::Closed {
             return;
         }
-        let bad = self.counter(region, episode, "bad");
-        let good = self.counter(region, episode, "good");
         let total = self.windows.counter_sum(&bad, now, LOOKBACK)
             + self.windows.counter_sum(&good, now, LOOKBACK);
         let ratio = self.windows.error_ratio(&bad, &good, now, LOOKBACK);

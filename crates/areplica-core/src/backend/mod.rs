@@ -13,7 +13,7 @@
 //! * [`FunctionRuntime`] — asynchronous function invocation with the
 //!   paper's `I`/`D`/`P` semantics, execution time limits, platform
 //!   retries, and a DLQ;
-//! * [`Clock`] — virtual time: scheduling, stepping, and timers;
+//! * [`Clock`] — virtual time: scheduling and running to completion;
 //! * [`RngSource`] — labelled deterministic RNG streams;
 //! * [`Backend`] — the umbrella trait adding region metadata, workflow
 //!   timers, and sandbox construction for offline profiling.
@@ -25,14 +25,12 @@
 //! [`KvStore::db_transact`] is generic in its transaction result), so
 //! engine code is written as `fn f<B: Backend>(sim: &mut B, ...)`.
 //!
-//! Two backends ship with the crate:
-//!
-//! * [`sim`] (feature `cloudsim`, on by default) — the deterministic
-//!   multi-cloud simulator the paper reproduction runs on;
-//! * [`faulty`] — a wrapper over any backend that injects the transient
-//!   storage failures, invocation drops, and function deaths a scripted
-//!   [`faulty::FaultDecider`] asks for, to exercise the engine's recovery
-//!   paths.
+//! One backend ships with the crate: `sim` (feature `cloudsim`, on by
+//! default), the deterministic multi-cloud simulator the paper reproduction
+//! runs on. Scripted faults (transient storage failures, invocation drops,
+//! function deaths, outage windows) are a property of the simulated world:
+//! a `cloudsim::fault::FaultDecider` installed on the world decides each one
+//! where the simulator answers the request.
 //!
 //! All vocabulary types (regions, ETags, KV items, function handles) come
 //! from the provider-neutral `cloudapi` crate.
@@ -46,7 +44,6 @@ use cloudapi::{Cloud, RegionId};
 use rand::rngs::StdRng;
 use simkernel::{CancelToken, SimDuration, SimTime};
 
-pub mod faulty;
 #[cfg(feature = "cloudsim")]
 pub mod sim;
 
@@ -82,9 +79,6 @@ pub trait Clock: Sized {
 
     /// Schedules `cb` to run after `delay`.
     fn schedule_in(&mut self, delay: SimDuration, cb: impl FnOnce(&mut Self) + 'static);
-
-    /// Executes the next pending event; returns `false` when idle.
-    fn step(&mut self) -> bool;
 
     /// Runs until idle or `max_events` events have executed; returns the
     /// number of events executed.
@@ -363,23 +357,11 @@ pub trait Backend: Clock + RngSource + ObjectStore + KvStore + FunctionRuntime +
     /// continuations they schedule) are attributed to this tenant — cost
     /// ledger entries, per-tenant RNG streams, FaaS concurrency accounting,
     /// and trace tags. `None` is the implicit default tenant, for which
-    /// every tenancy mechanism is a no-op. Backends without multi-tenant
-    /// accounting ignore this.
-    fn set_tenant_scope(&mut self, tenant: Option<Rc<str>>) {
-        let _ = tenant;
-    }
-
-    /// The current ambient tenant scope (`None` on backends without
-    /// multi-tenant accounting, and for the default tenant).
-    fn tenant_scope(&self) -> Option<Rc<str>> {
-        None
-    }
+    /// every tenancy mechanism is a no-op.
+    fn set_tenant_scope(&mut self, tenant: Option<Rc<str>>);
 
     /// Caps a tenant's simultaneously running function instances across all
     /// regions, beneath the shared per-region platform limits. `None`
-    /// removes the cap. Backends without multi-tenant accounting ignore
-    /// this.
-    fn set_tenant_concurrency_limit(&mut self, tenant: &str, limit: Option<u32>) {
-        let _ = (tenant, limit);
-    }
+    /// removes the cap.
+    fn set_tenant_concurrency_limit(&mut self, tenant: &str, limit: Option<u32>);
 }

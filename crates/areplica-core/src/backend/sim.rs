@@ -64,10 +64,6 @@ impl Clock for CloudSim {
         world::schedule_scoped(self, delay, cb);
     }
 
-    fn step(&mut self) -> bool {
-        Sim::step(self)
-    }
-
     fn run_to_completion(&mut self, max_events: u64) -> u64 {
         Sim::run_to_completion(self, max_events)
     }
@@ -362,10 +358,6 @@ impl Backend for CloudSim {
 
     fn set_tenant_scope(&mut self, tenant: Option<Rc<str>>) {
         self.world.set_tenant_scope(tenant);
-    }
-
-    fn tenant_scope(&self) -> Option<Rc<str>> {
-        self.world.tenant_scope()
     }
 
     fn set_tenant_concurrency_limit(&mut self, tenant: &str, limit: Option<u32>) {

@@ -20,8 +20,8 @@
 //! adapter backing those traits with the discrete-event cloud simulator; a
 //! real deployment would back them with the providers' SDKs instead.
 //! [`AReplica`] wires everything into a deployable service over any backend.
-//! See [`backend::sim`] for a runnable end-to-end example and
-//! [`backend::faulty`] for deterministic fault injection.
+//! See [`backend::sim`] for a runnable end-to-end example; deterministic
+//! fault injection is installed on the simulated world (`cloudsim::fault`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

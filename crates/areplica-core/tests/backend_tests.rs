@@ -1,11 +1,10 @@
 //! Backend trait-layer tests: generic instantiation of each trait, the
-//! fault-injecting wrapper driving the engine's recovery paths end to end,
+//! world's scripted faults driving the engine's recovery paths end to end,
 //! and determinism regression guards.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
-use areplica_core::backend::faulty::{FaultDecider, FaultPlan, FaultSite, FaultStats, Faulty};
 use areplica_core::backend::{
     Backend, Clock, Exec, FunctionRuntime, KvStore, ObjectStore, RngSource,
 };
@@ -13,6 +12,7 @@ use areplica_core::{
     AReplicaBuilder, CompletionRecord, EngineConfig, ProfilerConfig, ReplicationRule,
 };
 use cloudapi::faas::RetryPolicy;
+use cloudsim::fault::{FaultDecider, FaultSite, FaultStats};
 use cloudsim::world::CloudSim;
 use cloudsim::{Cloud, RegionId, World};
 use pricing::CostSnapshot;
@@ -22,7 +22,7 @@ use simkernel::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
 // Generic-instantiation tests: one generic function per backend trait,
-// monomorphized against both shipped backends. The traits are deliberately
+// monomorphized against the shipped backend. The traits are deliberately
 // not object-safe (`KvStore::db_transact` is generic in its transaction
 // result), so generics — not trait objects — are the supported way to be
 // backend-polymorphic, and these functions are the compile-time proof.
@@ -30,7 +30,7 @@ use simkernel::{SimDuration, SimTime};
 
 fn generic_clock<C: Clock>(c: &mut C) -> SimTime {
     c.schedule_in(SimDuration::from_secs(1), |_| {});
-    c.step();
+    c.run_to_completion(1);
     c.now()
 }
 
@@ -113,16 +113,9 @@ fn every_trait_is_usable_generically_over_cloudsim() {
     exercise_generically(sim, region);
 }
 
-#[test]
-fn every_trait_is_usable_generically_over_faulty() {
-    let sim = World::paper_sim(12);
-    let region = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    exercise_generically(Faulty::new(sim, FaultPlan::default()), region);
-}
-
 // ---------------------------------------------------------------------------
 // Fault-injection end-to-end: the engine must complete replication, exactly
-// once and bit-correct, while the wrapper fails PUTs/GETs transiently and
+// once and bit-correct, while the world fails PUTs/GETs transiently and
 // crashes a lease-holding replicator mid-task.
 // ---------------------------------------------------------------------------
 
@@ -174,12 +167,13 @@ struct RateDecider {
 }
 
 impl RateDecider {
-    fn install<B: Backend>(sim: &mut Faulty<B>, script: RateScript) {
-        sim.set_fault_decider(Rc::new(RefCell::new(RateDecider {
+    fn install(sim: &mut CloudSim, script: RateScript) {
+        let decider = RateDecider {
             script,
             rng: StdRng::seed_from_u64(0xFA_17),
             uploads: 0,
-        })));
+        };
+        sim.world.set_fault_decider(Box::new(decider), None);
     }
 }
 
@@ -199,30 +193,20 @@ impl FaultDecider for RateDecider {
     }
 }
 
-struct FaultyRun {
+struct FaultRun {
     completions: Vec<CompletionRecord>,
     stats: FaultStats,
     ledger: CostSnapshot,
 }
 
-/// Replicates one 256 MB object AWS->Azure through `Faulty<CloudSim>` under
-/// `script`, asserting the replica converges bit-correct, and returns what
-/// the run produced for determinism comparisons.
-fn run_faulty(seed: u64, script: RateScript) -> FaultyRun {
-    let mut sim = Faulty::new(World::paper_sim(seed), FaultPlan::default());
+/// Replicates one 256 MB object AWS->Azure under `script`, asserting the
+/// replica converges bit-correct, and returns what the run produced for
+/// determinism comparisons.
+fn run_faulty(seed: u64, script: RateScript) -> FaultRun {
+    let mut sim = World::paper_sim(seed);
     RateDecider::install(&mut sim, script);
-    let src = sim
-        .inner()
-        .world
-        .regions
-        .lookup(Cloud::Aws, "us-east-1")
-        .unwrap();
-    let dst = sim
-        .inner()
-        .world
-        .regions
-        .lookup(Cloud::Azure, "eastus")
-        .unwrap();
+    let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
+    let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-bucket", dst, "dst-bucket"))
         .engine_config(EngineConfig::default())
@@ -251,11 +235,11 @@ fn run_faulty(seed: u64, script: RateScript) -> FaultyRun {
     // Idempotent part-set semantics: retries and rescues must not double-
     // count the task.
     assert_eq!(completions.len(), 1, "task completed more than once");
-    assert_tables_quiesced(&sim.inner().world, &[src, dst]);
-    FaultyRun {
+    assert_tables_quiesced(&sim.world, &[src, dst]);
+    FaultRun {
         completions,
-        stats: sim.fault_stats(),
-        ledger: sim.inner().world.ledger.snapshot(),
+        stats: sim.world.fault_stats(),
+        ledger: sim.world.ledger.snapshot(),
     }
 }
 
@@ -304,25 +288,24 @@ fn replication_survives_lease_holder_death() {
 
 #[test]
 fn dropped_invocations_are_counted_and_never_run() {
-    let sim = World::paper_sim(23);
+    let mut sim = World::paper_sim(23);
     let region = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    let mut faulty = Faulty::new(sim, FaultPlan::default());
     RateDecider::install(
-        &mut faulty,
+        &mut sim,
         RateScript {
             invocation_drop_rate: 1.0,
             ..RateScript::default()
         },
     );
-    let spec = faulty.default_fn_spec(region);
-    faulty.invoke(
+    let spec = sim.default_fn_spec(region);
+    sim.invoke(
         region,
         spec,
-        Rc::new(|_: &mut Faulty<CloudSim>, _| panic!("dropped invocation must never run")),
+        Rc::new(|_: &mut CloudSim, _| panic!("dropped invocation must never run")),
         RetryPolicy::default(),
     );
-    faulty.run_to_completion(10_000);
-    assert_eq!(faulty.fault_stats().dropped_invocations, 1);
+    sim.run_to_completion(10_000);
+    assert_eq!(sim.world.fault_stats().dropped_invocations, 1);
 }
 
 #[test]

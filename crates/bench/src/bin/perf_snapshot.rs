@@ -12,15 +12,16 @@
 //! kernel figure is the median of [`KERNEL_RUNS`] runs: single runs of about
 //! 0.1 s spread by a third on a shared 2-core host.
 //!
-//! The regression check reads every committed `BENCH_*.json`, not just the
-//! latest, so a regression can't hide behind an intervening slow snapshot
-//! resetting the baseline. Each wall-clock figure is compared against the
-//! best prior value, because optimisations have moved it. Each kernel rate
-//! is compared against the **median** of the prior values: snapshots taken
-//! of one unchanged event loop read 22.9–30.6 M events/s, and eight runs of
-//! unchanged code on one 2-core host read 21.4–31.8 M, so the best value
-//! ever recorded is mostly host luck. The check stays *soft* (warn-only):
-//! absolute wall-clock varies across machines.
+//! The regression check compares every figure with the **median** of the
+//! [`PRIOR_WINDOW`] most recent committed snapshots that recorded it, not
+//! just the latest, so one slow snapshot neither resets the baseline nor
+//! hides a regression. The best value ever recorded is mostly host luck:
+//! snapshots taken of one unchanged event loop read 22.9–30.6 M events/s,
+//! eight runs of unchanged code on one 2-core host read 21.4–31.8 M, and
+//! two runs of one unchanged suite read 2.99 and 3.03 s against a best of
+//! 1.84 s. The recent window follows optimisations that moved a figure. The
+//! check stays *soft* (warn-only): absolute wall-clock varies across
+//! machines.
 
 use std::path::Path;
 
@@ -29,13 +30,16 @@ use bench::WallTimer;
 use simkernel::{Sim, SimDuration};
 
 /// The PR this snapshot belongs to (also names the output file).
-const PR: u32 = 29;
+const PR: u32 = 30;
 
 /// Events pushed through the bare kernel for the throughput figure.
 const KERNEL_EVENTS: u64 = 2_000_000;
 
 /// Runs per kernel figure; the figure is their median.
 const KERNEL_RUNS: usize = 5;
+
+/// Most recent prior snapshots each figure is compared with.
+const PRIOR_WINDOW: usize = 5;
 
 /// Far-future timers pending during the deep-queue kernel figure.
 const FAR_TIMERS: u64 = 100_000;
@@ -171,26 +175,23 @@ fn prior_snapshots() -> Vec<(u32, String)> {
     out
 }
 
-/// Every prior value of `key`, with the number of the snapshot that
-/// recorded it, in snapshot order.
-fn prior_values(snapshots: &[(u32, String)], key: &str) -> Vec<(u32, f64)> {
-    snapshots
+/// The median of `key` over the [`PRIOR_WINDOW`] most recent prior
+/// snapshots that recorded it (the mean of the middle two for an even
+/// count), with how many there were; `None` when none did.
+fn prior_median(snapshots: &[(u32, String)], key: &str) -> Option<(f64, usize)> {
+    let mut values: Vec<f64> = snapshots
         .iter()
-        .filter_map(|(pr, body)| Some((*pr, json_number(body, key)?)))
-        .collect()
-}
-
-/// The median of `values` (the mean of the middle two for an even count).
-fn median(mut values: Vec<f64>) -> Option<f64> {
-    values.sort_by(f64::total_cmp);
-    let n = values.len();
-    (n > 0).then(|| (values[(n - 1) / 2] + values[n / 2]) / 2.0)
+        .filter_map(|(_, body)| json_number(body, key))
+        .collect();
+    let mut recent = values.split_off(values.len().saturating_sub(PRIOR_WINDOW));
+    recent.sort_by(f64::total_cmp);
+    let n = recent.len();
+    (n > 0).then(|| ((recent[(n - 1) / 2] + recent[n / 2]) / 2.0, n))
 }
 
 /// Soft regression check against the prior snapshots: warn-only, since
-/// wall-clock is machine-dependent. Each kernel rate is compared downward
-/// against the median prior rate, each wall-clock figure upward against the
-/// historical minimum.
+/// wall-clock is machine-dependent. Each kernel rate is compared downward,
+/// and each wall-clock figure upward, against its [`prior_median`].
 fn compare_against_prior(rates: &[(&str, f64)], walls: &[(&str, f64)]) {
     let snapshots = prior_snapshots();
     #[expect(
@@ -202,36 +203,33 @@ fn compare_against_prior(rates: &[(&str, f64)], walls: &[(&str, f64)]) {
         return;
     }
     for &(key, eps) in rates {
-        let prior = prior_values(&snapshots, key);
-        let n = prior.len();
-        if let Some(median_eps) = median(prior.into_iter().map(|(_, v)| v).collect()) {
-            #[expect(
-                clippy::print_stderr,
-                reason = "designated sink: operator-facing soft regression warning, never in results"
-            )]
-            if eps < median_eps * 0.8 {
-                eprintln!(
-                    "WARNING: {key} regressed >20% vs the median of {n} prior snapshots: \
-                     {eps:.0} vs {median_eps:.0} events/s"
-                );
-            }
+        let Some((median_eps, n)) = prior_median(&snapshots, key) else {
+            continue;
+        };
+        #[expect(
+            clippy::print_stderr,
+            reason = "designated sink: operator-facing soft regression warning, never in results"
+        )]
+        if eps < median_eps * 0.8 {
+            eprintln!(
+                "WARNING: {key} regressed >20% vs the median of {n} recent snapshots: \
+                 {eps:.0} vs {median_eps:.0} events/s"
+            );
         }
     }
     for &(key, secs) in walls {
-        let best = prior_values(&snapshots, key)
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((pr, best_secs)) = best {
-            #[expect(
-                clippy::print_stderr,
-                reason = "designated sink: operator-facing soft regression warning, never in results"
-            )]
-            if secs > best_secs * 1.5 + 0.05 {
-                eprintln!(
-                    "WARNING: {key} regressed >50% vs best prior (BENCH_{pr}.json): \
-                     {secs:.3}s vs {best_secs:.3}s"
-                );
-            }
+        let Some((median_secs, n)) = prior_median(&snapshots, key) else {
+            continue;
+        };
+        #[expect(
+            clippy::print_stderr,
+            reason = "designated sink: operator-facing soft regression warning, never in results"
+        )]
+        if secs > median_secs * 1.5 + 0.05 {
+            eprintln!(
+                "WARNING: {key} regressed >50% vs the median of {n} recent snapshots: \
+                 {secs:.3}s vs {median_secs:.3}s"
+            );
         }
     }
 }

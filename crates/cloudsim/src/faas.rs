@@ -18,6 +18,7 @@ use std::rc::Rc;
 use pricing::CostCategory;
 use simkernel::{SimDuration, SimTime};
 
+use crate::fault::Faults;
 use crate::net::sample_instance_factor;
 use crate::region::RegionId;
 use crate::world::{CloudSim, World};
@@ -245,6 +246,11 @@ pub fn invoke(
 
 /// Like [`invoke`], but the API call is issued after `delay` — used to model
 /// the orchestrator's pipelined `I × n` invocation loop.
+///
+/// An installed fault decider may swallow the request
+/// ([`FaultSite::InvocationDrop`](crate::fault::FaultSite::InvocationDrop)):
+/// the caller gets an id that never runs. Platform retries re-enter past
+/// this check, so they are never dropped.
 pub fn invoke_after(
     sim: &mut CloudSim,
     delay: SimDuration,
@@ -253,6 +259,9 @@ pub fn invoke_after(
     body: FnBody,
     policy: RetryPolicy,
 ) -> InvocationId {
+    if let Some(dropped) = sim.world.faults.as_mut().and_then(Faults::drop_invocation) {
+        return dropped;
+    }
     let now = sim.now();
     let world = &mut sim.world;
     world.faas.next_invocation += 1;

@@ -12,6 +12,9 @@
 //! * [`net`] — the asymmetric, per-instance-variable WAN model;
 //! * [`outage`] — deterministic regional object-store outage windows
 //!   (hard errors or black-holed requests);
+//! * [`fault`] — scripted fault injection: an installed [`fault::FaultDecider`]
+//!   decides transient storage failures, invocation drops, function deaths
+//!   and outage windows where the world answers each request;
 //! * [`world`] — the [`World`] aggregate and the timed,
 //!   cost-metered operation wrappers everything above is driven through.
 //!
@@ -24,6 +27,7 @@
 #![warn(clippy::let_underscore_must_use)]
 
 pub mod faas;
+pub mod fault;
 pub mod net;
 pub mod outage;
 pub mod params;

@@ -1,9 +1,10 @@
 //! Deterministic regional object-store outage windows.
 //!
 //! Point faults (a single PUT erroring, one invocation dropped) are the
-//! province of `areplica-core`'s `Faulty` wrapper; this module models the
-//! failure shape real multi-vendor clouds actually exhibit: one region's
-//! object store going dark for a *window* of time and then coming back. An
+//! province of an installed [`FaultDecider`](crate::fault::FaultDecider);
+//! this module models the failure shape real multi-vendor clouds actually
+//! exhibit: one region's object store going dark for a *window* of time and
+//! then coming back. An
 //! [`OutageSchedule`] is a plain list of timed [`OutageWindow`]s the world
 //! consults at each object-store request; while a window covering the
 //! request's region is open, the request is shaped by the window's

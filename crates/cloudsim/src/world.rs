@@ -10,6 +10,10 @@
 //! Continuations passed by function bodies are automatically dropped when the
 //! executing instance has died (timeout/crash) before completion, so bodies
 //! never observe operations from a previous life.
+//!
+//! An installed [`FaultDecider`] is consulted where these wrappers answer the
+//! requests it can fault (see [`crate::fault`]), ahead of each request's own
+//! random draws, fees and spans.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -20,7 +24,8 @@ use rand::Rng;
 use simkernel::{rng::derive_rng, Sim, SimDuration};
 
 use crate::clouddb::{Item, KvDb};
-use crate::faas::{FaasRuntime, FnHandle};
+use crate::faas::{FaasRuntime, FailureReason, FnHandle};
+use crate::fault::{FaultDecider, FaultSite, FaultStats, Faults, WriteFault, RETRY_BACKOFF};
 use crate::net::{sample_leg_duration, Direction, ExecProfile, NetState};
 use crate::objstore::{
     BlobId, Content, ETag, NotificationTarget, ObjectEvent, ObjectStat, ObjectStore, PutApplied,
@@ -81,6 +86,9 @@ pub struct World {
     /// Recording draws no randomness and schedules no events, so enabling
     /// it cannot perturb simulation results.
     pub trace: simtrace::Tracer,
+    /// The installed fault decider and its state (see [`crate::fault`]).
+    /// `None` by default: each fault site then costs one `None` check.
+    pub(crate) faults: Option<Faults>,
     objstores: Vec<ObjectStore>,
     dbs: Vec<KvDb>,
     notif_handlers: BTreeMap<u64, NotifHandler>,
@@ -140,6 +148,7 @@ impl World {
             net: NetState::new(),
             outage: OutageSchedule::new(),
             trace: simtrace::Tracer::new(),
+            faults: None,
             objstores: (0..n).map(|_| ObjectStore::new()).collect(),
             dbs: (0..n).map(|_| KvDb::new()).collect(),
             notif_handlers: BTreeMap::new(),
@@ -193,6 +202,32 @@ impl World {
     /// propagate it along causal chains from there.
     pub fn set_tenant_scope(&mut self, scope: Option<Rc<str>>) {
         self.tenant_scope = scope;
+    }
+
+    /// Installs `decider`, which from now on decides every fault site (see
+    /// [`crate::fault`]). Writes toward `outage_region`, if set, also
+    /// consult [`FaultSite::OutageOpen`] and [`FaultSite::OutageClose`], so
+    /// a schedule can open and close a regional object-store outage at
+    /// adversarial points.
+    pub fn set_fault_decider(
+        &mut self,
+        decider: Box<dyn FaultDecider>,
+        outage_region: Option<RegionId>,
+    ) {
+        self.faults = Some(Faults::new(decider, outage_region));
+    }
+
+    /// The faults injected so far (all zero without a decider).
+    pub fn fault_stats(&self) -> FaultStats {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultStats::default, |f| f.stats)
+    }
+
+    /// Consults the installed decider at a point-fault site; `false`
+    /// without one.
+    pub(crate) fn fault_fires(&mut self, site: FaultSite) -> bool {
+        self.faults.as_mut().is_some_and(|f| f.fires(site))
     }
 
     /// A tenant's attributed cost ledger, if it has been charged at all.
@@ -387,7 +422,7 @@ fn maybe_crash(sim: &mut CloudSim, exec: Executor) -> bool {
     if let Executor::Function(handle) = exec {
         let roll: f64 = sim.world.net_rng_mut().gen();
         if roll < p {
-            crate::faas::fail(sim, handle, crate::faas::FailureReason::Crash);
+            crate::faas::fail(sim, handle, FailureReason::Crash);
             return true;
         }
     }
@@ -749,6 +784,12 @@ pub fn get_object_range(
     if_match: Option<ETag>,
     cb: impl FnOnce(&mut CloudSim, Result<(Content, ETag), StoreError>) + 'static,
 ) {
+    if sim.world.fault_fires(FaultSite::TransientGet) {
+        schedule_scoped(sim, RETRY_BACKOFF, move |sim| {
+            get_object_range(sim, exec, region, bucket, key, offset, len, if_match, cb);
+        });
+        return;
+    }
     // The span is tagged with the key (and no tenant).
     let span_key = sim.world.trace.enabled().then(|| key.clone());
     let span = move |sim: &mut CloudSim, rtt| {
@@ -800,9 +841,35 @@ pub fn put_object(
     content: Content,
     cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
 ) {
+    let fault = sim.world.faults.as_mut().map(|f| f.write(region));
+    match fault {
+        None | Some(WriteFault::Clear) => write_object(sim, exec, region, bucket, key, content, cb),
+        Some(fault) => {
+            if fault == WriteFault::Ambiguous {
+                // The store applies the write; the client sees an error.
+                let (b, k, c) = (bucket.clone(), key.clone(), content.clone());
+                write_object(sim, exec, region, b, k, c, |_, _| {});
+            }
+            schedule_scoped(sim, RETRY_BACKOFF, move |sim| {
+                put_object(sim, exec, region, bucket, key, content, cb);
+            });
+        }
+    }
+}
+
+/// [`put_object`] past its fault sites.
+fn write_object(
+    sim: &mut CloudSim,
+    exec: Executor,
+    region: RegionId,
+    bucket: String,
+    key: String,
+    content: Content,
+    cb: impl FnOnce(&mut CloudSim, Result<PutApplied, StoreError>) + 'static,
+) {
     let req = (bucket, key, content);
     let retry = move |sim: &mut CloudSim, (bucket, key, content), cb| {
-        put_object(sim, exec, region, bucket, key, content, cb);
+        write_object(sim, exec, region, bucket, key, content, cb);
     };
     let Some(((bucket, key, content), cb)) = write_gate(sim, exec, region, req, cb, retry) else {
         return;
@@ -938,8 +1005,49 @@ pub fn upload_part(
     content: Content,
     cb: impl FnOnce(&mut CloudSim, Result<(), StoreError>) + 'static,
 ) {
+    let fault = sim.world.faults.as_mut().map(|f| f.write(region));
+    match fault {
+        None => write_part(sim, exec, region, upload_id, part_number, content, cb),
+        Some(WriteFault::Clear) => {
+            // A killed uploader's continuation dies with it: the part's
+            // lease stays in-flight until a peer re-claims it stale or the
+            // watchdog dispatches a rescue replicator.
+            let cb = move |sim: &mut CloudSim, res: Result<(), StoreError>| {
+                if let (Ok(()), Executor::Function(handle)) = (&res, exec) {
+                    if sim.world.fault_fires(FaultSite::KillAfterUpload) {
+                        crate::faas::fail(sim, handle, FailureReason::Crash);
+                        return;
+                    }
+                }
+                cb(sim, res);
+            };
+            write_part(sim, exec, region, upload_id, part_number, content, cb);
+        }
+        Some(fault) => {
+            if fault == WriteFault::Ambiguous {
+                // Part re-upload must replace, not duplicate.
+                let c = content.clone();
+                write_part(sim, exec, region, upload_id, part_number, c, |_, _| {});
+            }
+            schedule_scoped(sim, RETRY_BACKOFF, move |sim| {
+                upload_part(sim, exec, region, upload_id, part_number, content, cb);
+            });
+        }
+    }
+}
+
+/// [`upload_part`] past its fault sites.
+fn write_part(
+    sim: &mut CloudSim,
+    exec: Executor,
+    region: RegionId,
+    upload_id: u64,
+    part_number: u32,
+    content: Content,
+    cb: impl FnOnce(&mut CloudSim, Result<(), StoreError>) + 'static,
+) {
     let retry = move |sim: &mut CloudSim, content, cb| {
-        upload_part(sim, exec, region, upload_id, part_number, content, cb);
+        write_part(sim, exec, region, upload_id, part_number, content, cb);
     };
     let Some((content, cb)) = write_gate(sim, exec, region, content, cb, retry) else {
         return;
@@ -1056,9 +1164,19 @@ pub fn db_transact<T: 'static>(
         // the callback delivery depends on liveness (matching DynamoDB).
         charge_db(&mut sim.world, region, 1, 1);
         let result = sim.world.db_mut(region).transact(&table, &key, f);
-        if sim.world.exec_alive(exec) {
-            cb(sim, result);
+        if !sim.world.exec_alive(exec) {
+            return;
         }
+        if let Executor::Function(handle) = exec {
+            if sim.world.fault_fires(FaultSite::PostTransactKill) {
+                // The caller's incarnation dies without observing the
+                // result, and the platform retries the whole function body
+                // against the already-updated row.
+                crate::faas::fail(sim, handle, FailureReason::Crash);
+                return;
+            }
+        }
+        cb(sim, result);
     });
 }
 

@@ -5,12 +5,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use areplica_control::breaker::{BreakerConfig, BreakerSet, BreakerState};
-use areplica_core::backend::faulty::{FaultPlan, FaultSite, FaultStats, Faulty};
 use areplica_core::backend::{Backend, Clock, ObjectStore as _};
 use areplica_core::health::HealthHandle;
 use areplica_core::{
     catchup, AReplicaBuilder, ProfilerConfig, ReplicationRule, RetryPolicy, TenantCtx,
 };
+use cloudsim::fault::{FaultSite, FaultStats};
 use cloudsim::{Cloud, World};
 use simkernel::SimDuration;
 
@@ -28,7 +28,7 @@ pub struct RunReport {
     /// Every decision made, in consult order. Replaying
     /// `Mode::Scripted(decisions of taken)` reproduces this run exactly.
     pub taken: Vec<Taken>,
-    /// Faults the wrapper injected.
+    /// Faults the world injected.
     pub fault_stats: FaultStats,
     /// Events the simulator executed.
     pub executed: u64,
@@ -76,22 +76,18 @@ fn small_profiler() -> ProfilerConfig {
 /// the same [`RunReport`], byte for byte — the world seed fixes the
 /// simulator's draws and the mode fixes every pop/fault decision.
 pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
-    let inner = World::paper_sim(sc.sim_seed);
-    let src = inner
+    let mut sim = World::paper_sim(sc.sim_seed);
+    let src = sim
         .world
         .regions
         .lookup(Cloud::Aws, "us-east-1")
         .expect("paper region set");
-    let dst = inner
+    let dst = sim
         .world
         .regions
         .lookup(Cloud::Azure, "eastus")
         .expect("paper region set");
-    let plan = FaultPlan {
-        outage_region: sc.outage.then_some(dst),
-    };
-    let mut sim = Faulty::new(inner, plan);
-    sim.inner_mut().world.trace.set_enabled(true);
+    sim.world.trace.set_enabled(true);
 
     // Outage scenarios run under a tenant with a tight SLO and a circuit
     // breaker, so held-open windows trip the breaker and exercise the
@@ -154,23 +150,28 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
 
     // Install the hooks after service setup so decision 0 lands on protocol
     // traffic. Default mode leaves the simulator untouched — the byte-
-    // identical baseline.
+    // identical baseline. Outage scenarios arm the destination region's
+    // outage sites.
     let state = ScheduleState::shared(mode.clone());
     if !matches!(mode, Mode::Default) {
-        sim.inner_mut()
-            .set_pop_policy(Box::new(PolicyHandle(state.clone())));
-        sim.set_fault_decider(Rc::new(RefCell::new(DeciderHandle(state.clone()))));
+        sim.set_pop_policy(Box::new(PolicyHandle(state.clone())));
+        sim.world.set_fault_decider(
+            Box::new(DeciderHandle(state.clone())),
+            sc.outage.then_some(dst),
+        );
     }
 
+    // The scenario's PUTs go through the backend's scoped `schedule_in`, not
+    // the kernel's, so each fires under the scope it was scheduled in.
     if sc.tenants.is_empty() {
         for (offset, size) in sc.puts.clone() {
-            sim.schedule_in(offset, move |sim| {
+            Clock::schedule_in(&mut sim, offset, move |sim| {
                 sim.user_put(src, SRC_BUCKET, KEY, size)
                     .expect("scenario PUT");
             });
         }
     } else {
-        // Schedule each tenant's PUTs under its scope: the inner simulator
+        // Schedule each tenant's PUTs under its scope: the simulator
         // captures the ambient scope at schedule time, so the event (and
         // every continuation it spawns) is attributed to the tenant.
         for t in &sc.tenants {
@@ -178,7 +179,7 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
             let bucket: Rc<str> = Rc::from(format!("src-{}", t.id));
             for (i, &(offset, size)) in t.puts.iter().enumerate() {
                 let bucket = bucket.clone();
-                sim.schedule_in(offset, move |sim| {
+                Clock::schedule_in(&mut sim, offset, move |sim| {
                     sim.user_put(src, &bucket, &format!("obj-{i}"), size)
                         .expect("scenario PUT");
                 });
@@ -189,15 +190,15 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
     let executed = sim.run_to_completion(sc.max_events);
 
     let mut violations = if sc.tenants.is_empty() {
-        oracle::check(sim.inner(), sc, src, dst, executed)
+        oracle::check(&sim, sc, src, dst, executed)
     } else {
-        oracle::check_tenants(sim.inner(), sc, src, dst, executed)
+        oracle::check_tenants(&sim, sc, src, dst, executed)
     };
     // Outage oracles (skipped on a NotDrained run — a mid-flight world
     // legitimately has queued catch-up entries and an open breaker).
     if let Some(b) = &breaker {
         if executed < sc.max_events {
-            let rows = sim.inner().world.db(src).table_len(catchup::CATCHUP_TABLE);
+            let rows = sim.world.db(src).table_len(catchup::CATCHUP_TABLE);
             if rows != 0 {
                 violations.push(Violation::CatchupLeaked { rows });
             }
@@ -210,7 +211,7 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
         .tenants
         .iter()
         .map(|t| {
-            let faas = &sim.inner().world.faas;
+            let faas = &sim.world.faas;
             (
                 t.id.to_string(),
                 faas.tenant_peak(t.id),
@@ -223,13 +224,13 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
     let flight_dump = if violations.is_empty() {
         None
     } else {
-        Some(sim.inner().world.trace.flight_dump(None))
+        Some(sim.world.trace.flight_dump(None))
     };
     let taken = state.borrow().taken.clone();
     RunReport {
         violations,
         taken,
-        fault_stats: sim.fault_stats(),
+        fault_stats: sim.world.fault_stats(),
         executed,
         tenant_faas,
         flight_dump,
@@ -296,7 +297,7 @@ pub fn explore_exhaustive(sc: &Scenario, max_depth: usize, max_runs: u64) -> Exh
                     .collect(),
                 Decision::Fault(fired) => {
                     // Outage sites are safe to force too: opening is bounded
-                    // by the wrapper's window budget and a held-open window
+                    // by the world's window budget and a held-open window
                     // is forced shut after a bounded number of denials.
                     let safe = matches!(
                         t.site,

@@ -5,8 +5,8 @@
 //! small replication scenarios (one key, a few concurrent PUT versions, a
 //! few replicators) run under an *explored* scheduler — a seeded random walk
 //! over event-queue pop order (via [`simkernel::PopPolicy`]) plus
-//! schedule-controlled fault injection (via
-//! [`areplica_core::backend::faulty::FaultDecider`]) — and a set of
+//! schedule-controlled fault injection (via [`cloudsim::fault::FaultDecider`],
+//! installed on the simulated world) — and a set of
 //! safety/liveness oracles inspects the quiesced world after every schedule:
 //!
 //! * every replica converges to the newest written version, byte for byte;

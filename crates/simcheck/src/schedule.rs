@@ -1,9 +1,9 @@
 //! The unified decision stream: pop-order choices and fault injections.
 //!
 //! One [`ScheduleState`] serves as both the simulator's
-//! [`simkernel::PopPolicy`] and the fault wrapper's
-//! [`FaultDecider`], so a whole schedule is a single ordered list of
-//! decisions. Three modes share the recording machinery:
+//! [`simkernel::PopPolicy`] and the world's [`FaultDecider`], so a whole
+//! schedule is a single ordered list of decisions. Three modes share the
+//! recording machinery:
 //!
 //! * **Walk**: decisions are drawn from an RNG seeded by
 //!   [`WalkConfig::seed`] — the seeded random walk. Deterministic: the same
@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use areplica_core::backend::faulty::{FaultDecider, FaultSite};
+use cloudsim::fault::{FaultDecider, FaultSite};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simkernel::{EventInfo, PopPolicy, SimDuration, SimTime};
@@ -75,7 +75,7 @@ pub struct WalkConfig {
     pub p_kill: f64,
     /// Probability of opening a regional outage window per
     /// [`FaultSite::OutageOpen`] occurrence (consulted only by scenarios
-    /// that arm `FaultPlan::outage_region`).
+    /// that arm an outage region).
     pub p_outage: f64,
     /// Probability of closing the open window per blocked-write retry.
     /// Low enough that some walks hold the window past the scenario's SLO
@@ -236,7 +236,7 @@ impl ScheduleState {
         };
         // Budget caps apply in every mode so neither the walk nor a shrink
         // candidate can exceed the platform's retry budget. Outage sites are
-        // exempt: opening is budgeted by the wrapper itself (`MAX_OUTAGES`)
+        // exempt: opening is budgeted by the world itself (`MAX_OUTAGES`)
         // and closing a window must never be blocked.
         let budgeted = !matches!(site, FaultSite::OutageOpen | FaultSite::OutageClose);
         let fire = wanted

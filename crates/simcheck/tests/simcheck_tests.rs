@@ -5,7 +5,7 @@
 //! property of the harness itself (byte-identical replay, the seeded-in
 //! canary being caught and shrunk small).
 
-use areplica_core::backend::faulty::FaultSite;
+use cloudsim::fault::{FaultSite, FaultStats};
 use simcheck::{explore_exhaustive, run_schedule, shrink, Decision, Mode, Scenario, WalkConfig};
 
 /// The unexplored simulator order must satisfy every oracle on every
@@ -290,4 +290,47 @@ fn held_open_outage_windows_still_converge() {
     assert_eq!(report.taken, again.taken);
     assert_eq!(report.fault_stats, again.fault_stats);
     assert_eq!(report.executed, again.executed);
+}
+
+/// `FaultStats` with the given transient PUT and GET faults and
+/// post-transaction kills, and nothing else.
+fn faults(puts: u64, gets: u64, kills: u64) -> FaultStats {
+    FaultStats {
+        injected_put_faults: puts,
+        injected_get_faults: gets,
+        post_transact_kills: kills,
+        ..FaultStats::default()
+    }
+}
+
+/// What `simcheck replay --seed 3` reports for each scenario, and the
+/// canary's report at seed 29, pinned to fixed values: the decision count,
+/// the kernel events executed, the faults fired and the violations. The
+/// other tests compare runs with each other, so a fault check that moved
+/// to a different point of a request would pass them unnoticed.
+#[test]
+fn replay_reports_are_pinned() {
+    let canary_leak = "[OpenMultipartUploads { region: RegionId(5), uploads: [1] }]";
+    let pins = [
+        ("distributed", 3, 96, 96, faults(1, 0, 2), "[]"),
+        ("overwrite-race", 3, 30, 52, faults(0, 0, 2), "[]"),
+        ("small-race", 3, 17, 28, faults(0, 0, 1), "[]"),
+        ("noisy-neighbor", 3, 167, 174, faults(1, 1, 2), "[]"),
+        ("region-outage", 3, 20, 35, faults(0, 0, 2), "[]"),
+        ("canary", 29, 96, 94, faults(2, 0, 2), canary_leak),
+    ];
+    for (name, seed, decisions, executed, stats, violations) in pins {
+        let sc = Scenario::by_name(name).expect("pinned scenario exists");
+        let report = run_schedule(&sc, Mode::Walk(WalkConfig::seeded(seed)));
+        assert_eq!(
+            (
+                report.taken.len(),
+                report.executed,
+                report.fault_stats,
+                format!("{:?}", report.violations)
+            ),
+            (decisions, executed, stats, violations.to_string()),
+            "scenario={name} seed={seed}"
+        );
+    }
 }

@@ -20,7 +20,10 @@
 //! depends on the object size only through one chunk count, so repeated
 //! queries for sizes that share that count are answered from a map, with
 //! the same bits a fresh computation would produce. The online logger's
-//! drift corrections invalidate the memo.
+//! drift corrections invalidate the memo. A memo miss can first be settled
+//! by a floor on the answer that needs no Monte Carlo
+//! ([`PerfModel::t_rep_quantile_unless`]): the planner skips a level whose
+//! floor already loses to its best plan.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -105,15 +108,18 @@ impl PathParams {
 /// unusually long tail" — a per-instance total is such a case). Planning at
 /// p99.99 with a Normal here produced systematic tail misses.
 fn inflate_instance_cv(base: Dist, cv: f64) -> Dist {
-    if cv <= 0.0 {
+    if !widens(&base, cv) {
         return base;
     }
     let mu = base.mean();
-    if mu <= 0.0 {
-        return base;
-    }
     let sigma = (base.std_dev().powi(2) + (mu * cv).powi(2)).sqrt();
     Dist::lognormal_mean_cv(mu, sigma / mu)
+}
+
+/// Whether [`inflate_instance_cv`] turns `base` into a LogNormal: a
+/// positive CV on a positive mean.
+fn widens(base: &Dist, cv: f64) -> bool {
+    !(cv <= 0.0 || base.mean() <= 0.0)
 }
 
 /// A path between two regions with a chosen execution side.
@@ -147,6 +153,22 @@ struct ShiftDraws {
     by_z: Vec<u32>,
 }
 
+impl ShiftDraws {
+    /// Shift `i`: the Normal(`mu`, `sigma`) `T_func` draw `mu + sigma * z[i]`.
+    fn shift(&self, mu: f64, sigma: f64, i: usize) -> f64 {
+        mu + sigma * self.z[i]
+    }
+
+    /// The shifts' `p`-quantile, as [`EmpiricalDist::quantile`] reads it
+    /// over them, from two shifts: the `r`-th smallest is shift
+    /// `by_z[len − 1 − r]`. `None` for no draws.
+    fn quantile(&self, mu: f64, sigma: f64, p: f64) -> Option<f64> {
+        let len = self.by_z.len();
+        let ascending = |r: usize| self.shift(mu, sigma, self.by_z[len - 1 - r] as usize);
+        (len > 0).then(|| stats::interpolate_ranks(len, p, |lo, hi| (ascending(lo), ascending(hi))))
+    }
+}
+
 /// `T_rep`'s samples at `2 <= n < GUMBEL_THRESHOLD_N`, read straight from
 /// the cached standardized maxima and shift draws: sample `i` is the
 /// max-of-`n` transfer time `map(maxima[i])`, ascending in `i`, plus the
@@ -167,7 +189,7 @@ impl FusedSamples<'_> {
     }
 
     fn shift(&self, i: usize) -> f64 {
-        self.mu + self.sigma * self.draws.z[i]
+        self.draws.shift(self.mu, self.sigma, i)
     }
 
     /// The samples as a distribution, summed in index order.
@@ -384,11 +406,20 @@ impl PerfModel {
     /// widened by the path's between-instance CV: a Normal, or a LogNormal
     /// when that CV is positive.
     fn per_instance(&self, path: PathKey, chunks_per_fn: u64) -> Result<Dist, ModelError> {
+        let (base, cv) = self.per_instance_base(path, chunks_per_fn)?;
+        Ok(inflate_instance_cv(base, cv))
+    }
+
+    /// [`per_instance`](Self::per_instance) before the widening, and the
+    /// path's instance CV.
+    fn per_instance_base(
+        &self,
+        path: PathKey,
+        chunks_per_fn: u64,
+    ) -> Result<(Dist, f64), ModelError> {
         let p = self.path.get(&path).ok_or(ModelError::UnknownPath(path))?;
-        Ok(inflate_instance_cv(
-            sum_as_normal(&[p.setup.clone(), p.chunk_distributed.iid_sum(chunks_per_fn)]),
-            p.instance_cv,
-        ))
+        let base = sum_as_normal(&[p.setup.clone(), p.chunk_distributed.iid_sum(chunks_per_fn)]);
+        Ok((base, p.instance_cv))
     }
 
     /// Full `T_rep` distribution for a plan.
@@ -459,16 +490,54 @@ impl PerfModel {
         local: bool,
         p: f64,
     ) -> Result<f64, ModelError> {
-        let key = QuantileKey {
+        let key = self.quantile_key(path, size, n, local, p);
+        match self.quantile_memo.get(&key) {
+            Some(&q) => Ok(q),
+            None => self.answer(key, size),
+        }
+    }
+
+    /// [`t_rep_quantile`](Self::t_rep_quantile)'s answer, unless it is not
+    /// memoised and a floor on it satisfies `loses`: then `None`, with
+    /// nothing bootstrapped or memoised.
+    ///
+    /// The floor is `T_func`'s `p`-quantile over the cached shift draws,
+    /// which reads no maxima, so a planner level it rules out costs no
+    /// Monte Carlo. Where no floor applies, `loses` is not called.
+    pub fn t_rep_quantile_unless(
+        &mut self,
+        path: PathKey,
+        size: u64,
+        n: u32,
+        local: bool,
+        p: f64,
+        loses: impl FnOnce(f64) -> bool,
+    ) -> Result<Option<f64>, ModelError> {
+        let key = self.quantile_key(path, size, n, local, p);
+        if let Some(&q) = self.quantile_memo.get(&key) {
+            return Ok(Some(q));
+        }
+        let floor = self.t_rep_floor(path, size, n, local, p)?;
+        if floor.is_some_and(loses) {
+            return Ok(None);
+        }
+        self.answer(key, size).map(Some)
+    }
+
+    fn quantile_key(&self, path: PathKey, size: u64, n: u32, local: bool, p: f64) -> QuantileKey {
+        QuantileKey {
             path,
             n,
             local,
             chunks: self.plan_chunks(size, n),
             p_bits: p.to_bits(),
-        };
-        if let Some(&q) = self.quantile_memo.get(&key) {
-            return Ok(q);
         }
+    }
+
+    /// Computes and memoises the answer at `key` for an object of `size`.
+    fn answer(&mut self, key: QuantileKey, size: u64) -> Result<f64, ModelError> {
+        let QuantileKey { path, n, local, .. } = key;
+        let p = f64::from_bits(key.p_bits);
         let q = if n >= 2 && (n as usize) < GUMBEL_THRESHOLD_N {
             self.fused_samples(path, size, n, local)?.quantile(p)
         } else {
@@ -477,6 +546,44 @@ impl PerfModel {
         .max(0.0);
         self.quantile_memo.insert(key, q);
         Ok(q)
+    }
+
+    /// A floor on `t_rep_quantile(path, size, n, local, p)` that reads no
+    /// maxima: `T_func`'s `p`-quantile over the cached shift draws, clamped
+    /// at zero. `None` where no floor applies: at `n = 1`, at `n` at or past
+    /// the Gumbel threshold, and under a Normal per-instance time.
+    ///
+    /// Below the Gumbel threshold sample `i` of `T_rep` is
+    /// `transfer_i + shift_i`. Under a LogNormal per-instance time (the
+    /// profiler's fits, any positive instance CV) each `transfer_i` ends in
+    /// `exp`, so it is `>= 0`, and the rounded sum is `>= shift_i`. Each
+    /// order statistic of the samples is then at least the same order
+    /// statistic of the shifts. The quantile interpolates two order
+    /// statistics with non-negative weights through monotone roundings, so
+    /// the shifts' quantile is at most the samples' quantile, bit for bit,
+    /// and stays so once both are clamped at zero. It reads two shifts and
+    /// allocates nothing.
+    fn t_rep_floor(
+        &mut self,
+        path: PathKey,
+        size: u64,
+        n: u32,
+        local: bool,
+        p: f64,
+    ) -> Result<Option<f64>, ModelError> {
+        if n < 2 || (n as usize) >= GUMBEL_THRESHOLD_N {
+            return Ok(None);
+        }
+        // The answer's reads, in its order, so a floor errors as it would.
+        let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
+        let (base, cv) = self.per_instance_base(path, self.plan_chunks(size, n))?;
+        if !widens(&base, cv) {
+            return Ok(None);
+        }
+        // One shift per Monte-Carlo trial, as in every fused answer.
+        let draws = self.shift_draws(self.mc_trials);
+        let floor = draws.quantile(t_func.mean(), t_func.std_dev(), p);
+        Ok(floor.map(|q| q.max(0.0)))
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
@@ -1043,7 +1150,7 @@ mod tests {
     fn two_list_misses_match_the_sorted_reference_within_the_work_bound() {
         let r = regions();
         let mut rng = StdRng::seed_from_u64(24);
-        let (mut misses, mut reads, mut single_pass) = (0, 0, 0);
+        let (mut misses, mut reads, mut single_pass, mut floors) = (0, 0, 0, 0);
         for _ in 0..40 {
             let instance_cv = [0.0, rng.gen_range(0.05..0.4)][rng.gen_range(0..2)];
             let (mut m, path) = model_with(&r, 3000, instance_cv);
@@ -1074,11 +1181,17 @@ mod tests {
                         1.0,
                         rng.gen_range(0.0..1.0),
                     ][rng.gen_range(0..8)];
+                    let floor = m.t_rep_floor(path, size, n, false, p).unwrap();
+                    assert_eq!(floor.is_some(), instance_cv > 0.0);
                     let fused = m.fused_samples(path, size, n, false).unwrap();
                     let (q, new_reads) = counted_quantile(&fused, p);
                     let want = fused.dist().quantile(p);
                     assert_eq!(q.to_bits(), want.to_bits(), "n {n} size {size} p {p}");
                     assert!(q > 0.0, "the exact path, not the fallback");
+                    if let Some(floor) = floor {
+                        assert!(floor <= q, "n {n} size {size} p {p}: floor {floor} > {q}");
+                        floors += 1;
+                    }
                     // Each step of the two-list pass maps at most two maxima,
                     // and it stops no later in base steps than the single pass.
                     let old_reads = single_pass_reads(&fused, p);
@@ -1093,8 +1206,90 @@ mod tests {
             }
         }
         println!(
-            "{misses} misses: {reads} maxima mapped, against {single_pass} by the single pass"
+            "{misses} misses: {reads} maxima mapped, against {single_pass} by the single pass; \
+             {floors} floors at most their answers"
         );
+    }
+
+    #[test]
+    fn the_floor_is_at_most_the_answer_at_every_monte_carlo_n() {
+        let r = regions();
+        for (instance_cv, rescale) in [(0.05, 1.0), (0.15, 0.6), (0.4, 2.5)] {
+            let (mut m, path) = model_with(&r, 400, instance_cv);
+            m.rescale_path_chunks(path, rescale);
+            let mut floors = 0;
+            for n in 2..GUMBEL_THRESHOLD_N as u32 {
+                for size in [1, 33 * (8 << 20) - 5, 5 << 30] {
+                    for p in [0.0, 0.5, 0.9, 0.99, 0.9999, 1.0] {
+                        let floor = m.t_rep_floor(path, size, n, false, p).unwrap();
+                        let floor = floor.expect("a LogNormal map at 2 <= n < 128 has a floor");
+                        let q = m.t_rep_quantile(path, size, n, false, p).unwrap();
+                        assert!(floor <= q, "n {n} size {size} p {p}: {floor} > {q}");
+                        floors += 1;
+                    }
+                }
+            }
+            assert_eq!(floors, 126 * 3 * 6);
+        }
+    }
+
+    #[test]
+    fn no_floor_without_a_lognormal_map_below_the_gumbel_threshold() {
+        let r = regions();
+        let (mut normal, path) = model_with(&r, 400, 0.0);
+        let (mut lognormal, _) = model_with(&r, 400, 0.15);
+        for n in [2, 16, 127] {
+            let floor = normal.t_rep_floor(path, 1 << 30, n, false, 0.99).unwrap();
+            assert_eq!(floor, None, "a Normal map can go below zero, n {n}");
+        }
+        for n in [1, 128, 200] {
+            let floor = lognormal
+                .t_rep_floor(path, 1 << 30, n, false, 0.99)
+                .unwrap();
+            assert_eq!(floor, None, "no shift draws at n {n}");
+        }
+        // A floor reads neither the maxima nor the memo.
+        assert!(lognormal
+            .t_rep_floor(path, 1 << 30, 16, false, 0.99)
+            .unwrap()
+            .is_some());
+        assert_eq!(lognormal.cached_max_dists(), 0);
+        assert_eq!(lognormal.cached_quantiles(), 0);
+        // An unknown location or path errors as the answer would.
+        let elsewhere = PathKey {
+            side: ExecSide::Destination,
+            ..path
+        };
+        assert_eq!(
+            lognormal.t_rep_floor(elsewhere, 1 << 30, 16, false, 0.99),
+            Err(ModelError::UnknownPath(elsewhere))
+        );
+    }
+
+    #[test]
+    fn a_floor_that_loses_leaves_the_model_as_it_was() {
+        let r = regions();
+        let (mut m, path) = model_with(&r, 400, 0.15);
+        let (size, n, p) = (1 << 30, 16, 0.9999);
+        let floor = m.t_rep_floor(path, size, n, false, p).unwrap().unwrap();
+        let seen = std::cell::Cell::new(None);
+        let skipped = m.t_rep_quantile_unless(path, size, n, false, p, |f| {
+            seen.set(Some(f));
+            true
+        });
+        assert_eq!(skipped, Ok(None));
+        assert_eq!(seen.get().map(f64::to_bits), Some(floor.to_bits()));
+        assert_eq!((m.cached_max_dists(), m.cached_quantiles()), (0, 0));
+        // A floor that does not lose gives the answer, and memoises it; a
+        // memoised answer no longer consults the floor.
+        let q = m.t_rep_quantile_unless(path, size, n, false, p, |_| false);
+        let q = q.unwrap().unwrap();
+        assert_eq!((m.cached_max_dists(), m.cached_quantiles()), (1, 1));
+        let again = m.t_rep_quantile_unless(path, size, n, false, p, |_| unreachable!());
+        assert_eq!(again.unwrap().map(f64::to_bits), Some(q.to_bits()));
+        let (mut cold, _) = model_with(&r, 400, 0.15);
+        let fresh = cold.t_rep_quantile(path, size, n, false, p).unwrap();
+        assert_eq!(q.to_bits(), fresh.to_bits());
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! returns the *first* (cheapest) SLO-compliant plan. If no plan can meet the
 //! SLO, it returns the fastest one — with an SLO of zero this degenerates to
 //! "always fastest", the configuration the paper's delay tables use.
+//!
+//! A level-side whose prediction is not memoised is skipped when a floor on
+//! it that needs no Monte Carlo ([`PerfModel::t_rep_quantile_unless`])
+//! already loses to the best plan so far: it could neither replace that
+//! plan nor meet the SLO. The search returns the plan the full walk would,
+//! at less bootstrap work.
 
 use simkernel::SimDuration;
 
@@ -57,7 +63,17 @@ pub fn generate_plan(
             // Local handling is only possible for a single "function" on the
             // source side (the orchestrator itself) and small objects.
             let local = n == 1 && side == ExecSide::Source && size <= cfg.local_threshold;
-            let predicted_s = model.t_rep_quantile(path, size, n, local, p)?;
+            // A candidate no faster than `best` cannot replace it (the `<`
+            // below is strict), nor meet the SLO: `best` does not, or the
+            // search would have returned. `from_secs_f64` is monotone, so a
+            // converted floor stays at or below the converted prediction.
+            let so_far = best;
+            let loses =
+                |floor| so_far.is_some_and(|b| SimDuration::from_secs_f64(floor) >= b.predicted);
+            let Some(predicted_s) = model.t_rep_quantile_unless(path, size, n, local, p, loses)?
+            else {
+                continue;
+            };
             let predicted = SimDuration::from_secs_f64(predicted_s);
             let slo_met = slo_rep.is_some_and(|slo| predicted <= slo);
             let candidate = Plan {
@@ -254,6 +270,50 @@ mod tests {
         );
         let plan = generate_plan(&mut m, &cfg, src, dst, 256 << 20, None, 0.99).unwrap();
         assert_eq!(plan.side, ExecSide::Destination);
+    }
+
+    #[test]
+    fn levels_whose_floor_loses_are_skipped_unmemoised() {
+        let (mut m, src, dst) = setup();
+        // LogNormal per-instance times on both sides, and destination cold
+        // starts so slow that every parallel level there loses to the
+        // source's single function on `T_func` alone.
+        for side in ExecSide::BOTH {
+            let path = PathKey { src, dst, side };
+            let mut params = m.path_params(path).unwrap().clone();
+            params.instance_cv = 0.15;
+            m.set_path(path, params);
+        }
+        m.set_loc(
+            dst,
+            LocParams {
+                invoke: Dist::normal(0.03, 0.01),
+                cold: Dist::normal(60.0, 1.0),
+                postpone: Dist::Constant(0.5),
+            },
+        );
+        let cfg = EngineConfig::default();
+        let plan = generate_plan(&mut m, &cfg, src, dst, 1 << 30, None, 0.9999).unwrap();
+        assert_eq!(plan.side, ExecSide::Source);
+        // 1 GiB is 128 parts: levels 1, 2, 4, …, 128 on each side. The
+        // destination's levels 2..=64 were skipped; its n = 1 and its
+        // Gumbel-regime n = 128 have no floor.
+        assert_eq!(m.cached_quantiles(), 8 + 2);
+        let dst_side = PathKey {
+            src,
+            dst,
+            side: ExecSide::Destination,
+        };
+        for n in [2, 4, 8, 16, 32, 64] {
+            let q = m
+                .t_rep_quantile(dst_side, 1 << 30, n, false, 0.9999)
+                .unwrap();
+            assert!(SimDuration::from_secs_f64(q) >= plan.predicted, "n {n}");
+        }
+        // With every level memoised, the search is the exhaustive one.
+        assert_eq!(m.cached_quantiles(), 16);
+        let exhaustive = generate_plan(&mut m, &cfg, src, dst, 1 << 30, None, 0.9999).unwrap();
+        assert_eq!(plan, exhaustive);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests of AReplica's protocol building blocks: the
-//! replication lock, the batcher, the planner's monotonicity, and the
-//! exactness of the performance model's quantile memo.
+//! replication lock, the batcher, the planner's monotonicity, the
+//! exactness of the performance model's quantile memo, and the planner's
+//! level pruning against the exhaustive search.
 
 use areplica_core::batching::{BatchDecision, Batcher};
 use areplica_core::lock::{self, LockOutcome};
 use areplica_core::model::{ExecSide, LocParams, PathKey, PathParams, PerfModel};
-use areplica_core::{generate_plan, EngineConfig};
+use areplica_core::{generate_plan, EngineConfig, Plan};
 use cloudsim::clouddb::KvDb;
 use cloudsim::objstore::ETag;
 use cloudsim::{Cloud, RegionRegistry};
@@ -196,6 +197,161 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #[test]
+    fn pruned_plans_match_the_exhaustive_search(
+        setup in arb_planner_setup(),
+        queries in proptest::collection::vec(
+            (arb_plan_size(), 0.0f64..1.0, arb_slo_budget(), 0.5f64..2.0),
+            1..4,
+        ),
+    ) {
+        // Two copies of one model: the planner's pruned search on one, the
+        // search with every level computed on the other, and the logger's
+        // drift correction applied to both between queries. Each query
+        // plans at the rules' percentiles and at a uniform one.
+        let cfg = EngineConfig::default();
+        let (mut pruned, src, dst) = fixed_model();
+        let (mut exhaustive, _, _) = fixed_model();
+        for e in &setup {
+            e.apply(&mut pruned, src, dst);
+            e.apply(&mut exhaustive, src, dst);
+        }
+        for (i, &(size, p_any, slo, factor)) in queries.iter().enumerate() {
+            for p in [0.5, 0.9, 0.99, 0.9999, p_any] {
+                let want = exhaustive_plan(&mut exhaustive, &cfg, src, dst, size, slo, p);
+                let got = generate_plan(&mut pruned, &cfg, src, dst, size, slo, p).unwrap();
+                prop_assert_eq!(got, want, "size {} p {} slo {:?}", size, p, slo);
+            }
+            let rescale = ModelEdit::Rescale { side: i % 2, factor };
+            rescale.apply(&mut pruned, src, dst);
+            rescale.apply(&mut exhaustive, src, dst);
+        }
+    }
+}
+
+/// Algorithm 3's search with every level-side's prediction computed: the
+/// planner's loop before it skipped levels, in the same order and with the
+/// same comparisons.
+fn exhaustive_plan(
+    model: &mut PerfModel,
+    cfg: &EngineConfig,
+    src: cloudsim::RegionId,
+    dst: cloudsim::RegionId,
+    size: u64,
+    slo_rep: Option<SimDuration>,
+    p: f64,
+) -> Plan {
+    let max_n = cfg.max_parallelism.min(cfg.num_parts(size)).max(1);
+    let mut best: Option<Plan> = None;
+    let mut n = 1u32;
+    loop {
+        for side in ExecSide::BOTH {
+            let path = PathKey { src, dst, side };
+            if !model.has_path(path) {
+                continue;
+            }
+            let local = n == 1 && side == ExecSide::Source && size <= cfg.local_threshold;
+            let predicted_s = model.t_rep_quantile(path, size, n, local, p).unwrap();
+            let predicted = SimDuration::from_secs_f64(predicted_s);
+            let slo_met = slo_rep.is_some_and(|slo| predicted <= slo);
+            let candidate = Plan {
+                n,
+                side,
+                local,
+                predicted,
+                slo_met,
+            };
+            if best.is_none_or(|b| candidate.predicted < b.predicted) {
+                best = Some(candidate);
+            }
+            if slo_met {
+                return candidate;
+            }
+        }
+        if n >= max_n {
+            break;
+        }
+        n = (n * 2).min(max_n);
+    }
+    best.unwrap()
+}
+
+#[test]
+fn pruning_at_fig23s_shape_bootstraps_less_for_the_same_plans() {
+    // fig23's shape: LogNormal per-instance times (instance CV 0.15) on
+    // both sides, planned at p99.99 with no SLO budget, over bulk-xcloud's
+    // part counts 33..=127 and 1 GiB.
+    let cfg = EngineConfig::default();
+    let (mut pruned, src, dst) = fixed_model();
+    let (mut exhaustive, _, _) = fixed_model();
+    for side in 0..2 {
+        let lognormal = ModelEdit::SetPath {
+            side,
+            chunk_s: 0.2,
+            instance_cv: 0.15,
+        };
+        lognormal.apply(&mut pruned, src, dst);
+        lognormal.apply(&mut exhaustive, src, dst);
+    }
+    let sizes = (33..=127).map(|parts| parts * cfg.part_size);
+    for size in sizes.chain([1 << 30]) {
+        let want = exhaustive_plan(&mut exhaustive, &cfg, src, dst, size, None, 0.9999);
+        let got = generate_plan(&mut pruned, &cfg, src, dst, size, None, 0.9999).unwrap();
+        assert_eq!(got, want, "size {size}");
+    }
+    let (bootstrapped, exhaustive_keys) =
+        (pruned.cached_max_dists(), exhaustive.cached_max_dists());
+    assert!(
+        bootstrapped < exhaustive_keys,
+        "{bootstrapped} (n, chunks) keys bootstrapped against {exhaustive_keys}"
+    );
+}
+
+/// A profiled model as the planner meets it: each side's chunk time and
+/// instance CV (0 for a Normal per-instance time, 0.05–0.4 for a
+/// LogNormal), a drift correction on each side, and each location's cold
+/// start.
+fn arb_planner_setup() -> impl Strategy<Value = Vec<ModelEdit>> {
+    let side = |side: usize| {
+        (
+            0.05f64..0.5,
+            prop_oneof![Just(0.0), 0.05f64..0.4],
+            0.5f64..2.0,
+        )
+            .prop_map(move |(chunk_s, instance_cv, factor)| {
+                [
+                    ModelEdit::SetPath {
+                        side,
+                        chunk_s,
+                        instance_cv,
+                    },
+                    ModelEdit::Rescale { side, factor },
+                ]
+            })
+    };
+    (side(0), side(1), 0.1f64..2.0, 0.1f64..2.0).prop_map(|(s, d, src_cold, dst_cold)| {
+        let cold = |at_dst, cold_s| ModelEdit::SetLoc { at_dst, cold_s };
+        let mut edits = s.to_vec();
+        edits.extend(d);
+        edits.extend([cold(false, src_cold), cold(true, dst_cold)]);
+        edits
+    })
+}
+
+/// Sizes from 1 B to 8 GiB, a third of them under 64 MiB.
+fn arb_plan_size() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..(64 << 20), 1u64..(8 << 30) + 1, 1u64..(8 << 30) + 1]
+}
+
+/// No budget (the fastest plan wins), or one from 1 ms to 2 minutes.
+fn arb_slo_budget() -> impl Strategy<Value = Option<SimDuration>> {
+    prop_oneof![
+        Just(None),
+        (1u64..120_000).prop_map(|ms| Some(SimDuration::from_millis(ms)))
+    ]
 }
 
 /// One change to a model's parameters, as the profiler and the online

@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks of Algorithm 3's plan generation: the planner
 //! runs on the critical path of every replication, so it must be fast even
 //! when Monte-Carlo distributions are cold. The warm cases time the model's
-//! quantile memo; the drift case times re-planning after a rescale; the cold
-//! cases time the max-of-n bootstrap.
+//! quantile memo; the drift cases time re-planning after a rescale; the cold
+//! cases time the max-of-n bootstrap. Each cold case runs twice: under
+//! Normal per-instance times, where every level is bootstrapped, and under
+//! the profiler's LogNormal ones at p99.99 (fig23's shape), where the
+//! search skips the levels whose `T_func` floor already loses.
 
 use areplica_core::model::{ExecSide, LocParams, PathKey, PathParams, PerfModel};
 use areplica_core::{generate_plan, EngineConfig};
@@ -105,30 +108,32 @@ fn bench_planner(c: &mut Criterion) {
         });
     }
 
-    c.bench_function("plan_unique_part_counts_cold", |b| {
-        // bulk-xcloud's shape: every object has a part count of its own, so
-        // the last level, n = part count, bootstraps a fresh max-of-n.
-        let part_size = cfg.part_size;
-        b.iter(|| {
-            let (mut model, src, dst) = build_model();
-            for parts in 33..=127u64 {
-                let size = black_box(parts * part_size);
-                let plan = generate_plan(&mut model, &cfg, src, dst, size, None, 0.99).unwrap();
-                black_box(plan);
-            }
-        })
-    });
+    for (suffix, instance_cv, p) in [("", 0.0, 0.99), ("_lognormal_p9999", 0.15, 0.9999)] {
+        c.bench_function(&format!("plan_unique_part_counts_cold{suffix}"), |b| {
+            // bulk-xcloud's shape: every object has a part count of its own,
+            // so the last level, n = part count, bootstraps a fresh max-of-n.
+            let part_size = cfg.part_size;
+            b.iter(|| {
+                let (mut model, src, dst) = build_model_with(instance_cv);
+                for parts in 33..=127u64 {
+                    let size = black_box(parts * part_size);
+                    let plan = generate_plan(&mut model, &cfg, src, dst, size, None, p).unwrap();
+                    black_box(plan);
+                }
+            })
+        });
 
-    c.bench_function("plan_1gb_cold_monte_carlo", |b| {
-        // Cold cache every iteration: measures the bootstrap cost the paper
-        // bounds with the on-demand simulation budget.
-        b.iter(|| {
-            let (mut model, src, dst) = build_model();
-            let plan =
-                generate_plan(&mut model, &cfg, src, dst, black_box(1 << 30), None, 0.99).unwrap();
-            black_box(plan)
-        })
-    });
+        c.bench_function(&format!("plan_1gb_cold_monte_carlo{suffix}"), |b| {
+            // Cold cache every iteration: measures the bootstrap cost the
+            // paper bounds with the on-demand simulation budget.
+            b.iter(|| {
+                let (mut model, src, dst) = build_model_with(instance_cv);
+                let plan =
+                    generate_plan(&mut model, &cfg, src, dst, black_box(1 << 30), None, p).unwrap();
+                black_box(plan)
+            })
+        });
+    }
 }
 
 fn quick() -> Criterion {

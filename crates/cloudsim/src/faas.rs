@@ -11,6 +11,10 @@
 //! continuation-passing style: each step schedules its follow-up through the
 //! world's storage/DB/transfer wrappers, which automatically drop
 //! continuations of dead invocations.
+//!
+//! Instances live in a dense table indexed by id: ids are issued in order
+//! from 1 and never reused, so a liveness check, the world's per-request
+//! executor profile and a warm-pool candidate each cost one slot read.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -57,6 +61,39 @@ struct Pending {
     tenant: Option<Rc<str>>,
 }
 
+/// Every instance ever started, by id: slot `id − 1` holds instance `id`
+/// until it is reclaimed or fails, then stays empty. Ids are issued only by
+/// [`InstanceTable::push`], in order from 1, and never reused, so an id that
+/// was never issued (0, or past the end) reads as absent.
+#[derive(Default)]
+struct InstanceTable {
+    slots: Vec<Option<Instance>>,
+}
+
+impl InstanceTable {
+    fn slot(id: InstanceId) -> Option<usize> {
+        usize::try_from(id.0).ok()?.checked_sub(1)
+    }
+
+    fn get(&self, id: InstanceId) -> Option<&Instance> {
+        self.slots.get(Self::slot(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
+        self.slots.get_mut(Self::slot(id)?)?.as_mut()
+    }
+
+    fn remove(&mut self, id: InstanceId) -> Option<Instance> {
+        self.slots.get_mut(Self::slot(id)?)?.take()
+    }
+
+    /// Stores a new instance under the next id.
+    fn push(&mut self, instance: Instance) -> InstanceId {
+        self.slots.push(Some(instance));
+        InstanceId(self.slots.len() as u64)
+    }
+}
+
 #[derive(Default)]
 struct RegionFaas {
     /// Idle instances and their expiry times. Expiry is lazy: warm reuse
@@ -87,7 +124,7 @@ struct TenantFaas {
 #[derive(Default)]
 pub struct FaasRuntime {
     regions: BTreeMap<RegionId, RegionFaas>,
-    instances: BTreeMap<InstanceId, Instance>,
+    instances: InstanceTable,
     tenants: BTreeMap<Rc<str>, TenantFaas>,
     /// Per-tenant performance degradation (≥ 1.0 = that many times
     /// slower). Models the instance-level performance drift serverless
@@ -101,7 +138,6 @@ pub struct FaasRuntime {
     deadlines: BTreeMap<(SimTime, InvocationId), FnHandle>,
     /// Due time of the armed watchdog event, if one is queued.
     watchdog: Option<SimTime>,
-    next_instance: u64,
     next_invocation: u64,
     /// Dead-letter queue (inspectable by tests and experiments).
     pub dlq: Vec<DlqEntry>,
@@ -115,44 +151,41 @@ impl FaasRuntime {
         FaasRuntime::default()
     }
 
+    /// `handle`'s instance and its execution, while `handle`'s invocation is
+    /// still the one executing there.
+    fn live(&self, handle: FnHandle) -> Option<(&Instance, &ExecState)> {
+        let instance = self.instances.get(handle.instance)?;
+        let exec = instance.exec.as_ref()?;
+        (exec.pending.invocation == handle.invocation).then_some((instance, exec))
+    }
+
     /// True while `handle`'s invocation is still the one executing on its
     /// instance (continuations must check this, and the world wrappers do).
     pub fn is_live(&self, handle: FnHandle) -> bool {
-        self.instances
-            .get(&handle.instance)
-            .and_then(|i| i.exec.as_ref())
-            .is_some_and(|e| e.pending.invocation == handle.invocation)
+        self.live(handle).is_some()
     }
 
     /// Time left before `handle`'s invocation hits its execution limit, or
     /// `None` if the invocation is not live. Replicator bodies use this to
     /// stop claiming parts they cannot finish.
     pub fn remaining_time(&self, handle: FnHandle, now: SimTime) -> Option<SimDuration> {
-        let exec = self.instances.get(&handle.instance)?.exec.as_ref()?;
-        if exec.pending.invocation != handle.invocation {
-            return None;
-        }
-        Some(exec.deadline.saturating_since(now))
+        self.live(handle)
+            .map(|(_, exec)| exec.deadline.saturating_since(now))
     }
 
-    /// The persistent speed factor of an instance (1.0 if unknown — only
-    /// possible for a dead instance whose transfers are being dropped),
-    /// divided by the owning tenant's injected slowdown, if any.
-    pub fn speed_factor(&self, instance: InstanceId) -> f64 {
-        self.instances.get(&instance).map_or(1.0, |i| {
-            let slow = i
-                .tenant
-                .as_ref()
-                .and_then(|t| self.slowdowns.get(t))
-                .copied()
-                .unwrap_or(1.0);
-            i.speed_factor / slow.max(1e-9)
-        })
-    }
-
-    /// The spec of an instance, if alive.
-    pub fn instance_spec(&self, instance: InstanceId) -> Option<FnSpec> {
-        self.instances.get(&instance).map(|i| i.spec)
+    /// The spec and speed factor of `handle`'s instance, or `None` if the
+    /// invocation is not live, from one lookup. The speed factor is the
+    /// instance's persistent one divided by the owning tenant's injected
+    /// slowdown, if any.
+    pub fn live_spec(&self, handle: FnHandle) -> Option<(FnSpec, f64)> {
+        let (instance, _) = self.live(handle)?;
+        let slow = instance
+            .tenant
+            .as_ref()
+            .and_then(|t| self.slowdowns.get(t))
+            .copied()
+            .unwrap_or(1.0);
+        Some((instance.spec, instance.speed_factor / slow.max(1e-9)))
     }
 
     /// Number of currently active (reserved or executing) instances.
@@ -316,7 +349,7 @@ fn accept(sim: &mut CloudSim, region: RegionId, pending: Pending) {
     rf.warm.retain(|&(id, exp)| {
         let live = exp > now;
         if !live {
-            faas.instances.remove(&id);
+            faas.instances.remove(id);
         }
         live
     });
@@ -370,7 +403,7 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
     let reusable = |&(id, exp): &(InstanceId, SimTime)| {
         exp > now
             && instances
-                .get(&id)
+                .get(id)
                 .is_some_and(|i| i.spec.config == pending.spec.config && i.tenant == pending.tenant)
     };
     if let Some(pos) = rf.warm.iter().rposition(reusable) {
@@ -393,21 +426,16 @@ fn try_start(sim: &mut CloudSim, region: RegionId, pending: Pending) {
         rf.active += 1;
         world.faas.acquire(&pending.tenant);
         world.faas.stats.cold_starts += 1;
-        world.faas.next_instance += 1;
-        let instance = InstanceId(world.faas.next_instance);
         let speed_factor = {
             let (params, rng) = world.faas_rng_and_params();
             sample_instance_factor(params, cloud, rng)
         };
-        world.faas.instances.insert(
-            instance,
-            Instance {
-                spec: pending.spec,
-                speed_factor,
-                exec: None,
-                tenant: pending.tenant.clone(),
-            },
-        );
+        let instance = world.faas.instances.push(Instance {
+            spec: pending.spec,
+            speed_factor,
+            exec: None,
+            tenant: pending.tenant.clone(),
+        });
         // Scale-out batching: new instances only materialize on the
         // platform scheduler's next tick (GCP documents 5 s; Azure behaves
         // similarly; AWS scales immediately).
@@ -473,7 +501,7 @@ fn exec_begin(sim: &mut CloudSim, region: RegionId, instance: InstanceId, pendin
         .world
         .faas
         .instances
-        .get_mut(&instance)
+        .get_mut(instance)
         .expect("exec_begin on destroyed instance");
     inst.exec = Some(ExecState {
         started: now,
@@ -547,7 +575,7 @@ fn bill_execution(sim: &mut CloudSim, handle: FnHandle) -> SimDuration {
     let inst = world
         .faas
         .instances
-        .get(&handle.instance)
+        .get(handle.instance)
         .expect("billing a destroyed instance");
     let exec = inst.exec.as_ref().expect("billing an idle instance");
     let dur = now - exec.started;
@@ -576,7 +604,7 @@ pub fn finish(sim: &mut CloudSim, handle: FnHandle) {
         .world
         .faas
         .instances
-        .get(&handle.instance)
+        .get(handle.instance)
         .and_then(|i| i.tenant.clone());
     // Billing (and any follow-on work) is attributed to the instance's
     // tenant — this covers completions delivered outside the body's own
@@ -590,7 +618,7 @@ pub fn finish(sim: &mut CloudSim, handle: FnHandle) {
     let faas = &mut sim.world.faas;
     let exec = faas
         .instances
-        .get_mut(&handle.instance)
+        .get_mut(handle.instance)
         .and_then(|i| i.exec.take())
         .expect("finish on an idle instance");
     faas.deadlines.remove(&(exec.deadline, handle.invocation));
@@ -615,7 +643,7 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
         .world
         .faas
         .instances
-        .get(&handle.instance)
+        .get(handle.instance)
         .and_then(|i| i.tenant.clone());
     sim.world.set_tenant_scope(tenant.clone());
     bill_execution(sim, handle);
@@ -624,7 +652,7 @@ pub fn fail(sim: &mut CloudSim, handle: FnHandle, reason: FailureReason) {
         sim.world.trace.counter_add("faas.crashes", 1);
     }
     let faas = &mut sim.world.faas;
-    let exec = faas.instances.remove(&handle.instance).and_then(|i| i.exec);
+    let exec = faas.instances.remove(handle.instance).and_then(|i| i.exec);
     if let Some(exec) = &exec {
         faas.deadlines.remove(&(exec.deadline, handle.invocation));
     }

@@ -316,19 +316,16 @@ impl World {
     pub fn exec_profile(&self, exec: Executor) -> Option<ExecProfile> {
         match exec {
             Executor::Function(h) => {
-                if !self.faas.is_live(h) {
-                    return None;
-                }
+                let (spec, speed_factor) = self.faas.live_spec(h)?;
                 let region = h.region;
                 let cloud = self.regions.cloud(region);
-                let spec = self.faas.instance_spec(h.instance)?;
                 let (down, up) = self.params.cloud(cloud).nic_mbps(cloud, spec.config);
                 Some(ExecProfile {
                     region,
                     cloud,
                     down_mbps: down,
                     up_mbps: up,
-                    speed_factor: self.faas.speed_factor(h.instance),
+                    speed_factor,
                 })
             }
             Executor::Vm(id) => {

@@ -256,6 +256,66 @@ fn warm_in_ignores_expired_instances() {
 }
 
 #[test]
+fn dead_and_unissued_instances_read_as_absent_and_ids_are_never_reused() {
+    let mut sim = sim();
+    let use1 = region(&sim, Cloud::Aws, "us-east-1");
+    let spec = faas::default_spec(&sim.world, use1);
+    let handles: Rc<RefCell<Vec<FnHandle>>> = Rc::default();
+    let finishes: faas::FnBody = {
+        let handles = handles.clone();
+        Rc::new(move |sim, handle| {
+            handles.borrow_mut().push(handle);
+            sim.schedule_in(SimDuration::from_millis(50), move |sim| {
+                faas::finish(sim, handle);
+            });
+        })
+    };
+    let crashes: faas::FnBody = {
+        let handles = handles.clone();
+        Rc::new(move |sim, handle| {
+            handles.borrow_mut().push(handle);
+            faas::fail(sim, handle, FailureReason::Crash);
+        })
+    };
+    let once = RetryPolicy { max_retries: 0 };
+    let at = |secs: u64| SimTime::ZERO + SimDuration::from_secs(secs);
+    faas::invoke(&mut sim, use1, spec, finishes.clone(), once);
+    sim.run_until(at(5));
+    // Idle and warm: its invocation is over, its instance is not.
+    assert!(!sim.world.faas.is_live(handles.borrow()[0]));
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 1);
+    // Past the idle expiry, the next invocation's accept prunes that
+    // instance and starts a cold one, which crashes; a third starts cold too.
+    let delay = at(700) - sim.now();
+    faas::invoke_after(&mut sim, delay, use1, spec, crashes, once);
+    sim.run_until(at(705));
+    faas::invoke(&mut sim, use1, spec, finishes, once);
+    sim.run_until(at(710));
+    let (pruned, failed, fresh) = {
+        let h = handles.borrow();
+        (h[0], h[1], h[2])
+    };
+    assert_eq!(sim.world.faas.stats.cold_starts, 3);
+    assert_eq!(sim.world.faas.stats.crashes, 1);
+    // Ids are issued in order and never reused: the freed ids stay dead.
+    let ids = [pruned, failed, fresh].map(|h| h.instance.0);
+    assert_eq!(ids, [1, 2, 3]);
+    let unissued = |id| FnHandle {
+        instance: faas::InstanceId(id),
+        ..fresh
+    };
+    for dead in [pruned, failed, unissued(0), unissued(4), unissued(u64::MAX)] {
+        let faas = &sim.world.faas;
+        assert!(!faas.is_live(dead), "{dead:?}");
+        assert_eq!(faas.remaining_time(dead, sim.now()), None);
+        assert_eq!(faas.live_spec(dead), None);
+        assert!(sim.world.exec_profile(Executor::Function(dead)).is_none());
+    }
+    // The third instance finished and is the one warm instance.
+    assert_eq!(sim.world.faas.warm_in(use1, sim.now()), 1);
+}
+
+#[test]
 fn concurrency_limit_queues_and_drains() {
     let mut sim = sim();
     let use1 = region(&sim, Cloud::Aws, "us-east-1");

@@ -182,10 +182,15 @@ fn digit(key: u64, d: usize) -> usize {
     (key >> (8 * d)) as u8 as usize
 }
 
-/// [`EmpiricalDist::quantile`]'s interpolation over `len` sorted samples,
-/// `q` clamped to `[0, 1]`: `ranks(lo, hi)` returns the samples at the two
-/// ranks it reads.
-fn interpolate_ranks(len: usize, q: f64, ranks: impl FnOnce(usize, usize) -> (f64, f64)) -> f64 {
+/// [`EmpiricalDist::quantile`]'s interpolation over `len >= 1` sorted
+/// samples, `q` clamped to `[0, 1]`: `ranks(lo, hi)` returns the samples at
+/// the two ranks it reads (0 is the smallest), and the answer weighs them by
+/// `1 − frac` and `frac`, both `>= 0`.
+pub fn interpolate_ranks(
+    len: usize,
+    q: f64,
+    ranks: impl FnOnce(usize, usize) -> (f64, f64),
+) -> f64 {
     let q = q.clamp(0.0, 1.0);
     if len == 1 {
         return ranks(0, 0).0;

@@ -20,13 +20,14 @@
 //! depends on the object size only through one chunk count, so repeated
 //! queries for sizes that share that count are answered from a map, with
 //! the same bits a fresh computation would produce. The online logger's
-//! drift corrections invalidate the memo. A memo miss can first be settled
-//! by a floor on the answer that needs no Monte Carlo
-//! ([`PerfModel::t_rep_quantile_unless`]): the planner skips a level whose
-//! floor already loses to its best plan.
+//! drift corrections invalidate the memo. Under a LogNormal per-instance
+//! time, a memo miss below the Gumbel threshold bootstraps in stages
+//! ([`PerfModel::t_rep_quantile_unless`]): after each batch of trials a
+//! floor on the answer is exact, so the planner stops a level as soon as
+//! its floor loses. The memo keeps that floor in the answer's place, and a
+//! later miss on the same bootstrap resumes it.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use cloudapi::RegionId;
 use rand::rngs::StdRng;
@@ -154,6 +155,26 @@ struct ShiftDraws {
 }
 
 impl ShiftDraws {
+    /// The draws for `len` samples from `cache`: the fixed stream of a
+    /// `StdRng` seeded by `len`, drawn once per length, with their
+    /// descending order.
+    fn cached(cache: &mut BTreeMap<usize, ShiftDraws>, len: usize) -> &ShiftDraws {
+        cache.entry(len).or_insert_with(|| {
+            let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
+            let z: Vec<f64> = (0..len)
+                .map(|_| stats::sample_std_normal(&mut rng))
+                .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "the length is the model's mc_trials, a trial count far below 2^32"
+            )]
+            let mut by_z: Vec<u32> =
+                (0..u32::try_from(len).expect("fewer than 2^32 draws")).collect();
+            by_z.sort_by(|&i, &j| z[j as usize].total_cmp(&z[i as usize]));
+            ShiftDraws { z, by_z }
+        })
+    }
+
     /// Shift `i`: the Normal(`mu`, `sigma`) `T_func` draw `mu + sigma * z[i]`.
     fn shift(&self, mu: f64, sigma: f64, i: usize) -> f64 {
         mu + sigma * self.z[i]
@@ -175,17 +196,32 @@ impl ShiftDraws {
 /// independent Normal `T_func` draw `mu + sigma * draws.z[i]`. Those are
 /// [`Dist::sample`]'s float expressions, so the samples match a fresh Monte
 /// Carlo plus a per-call RNG shift, bit for bit.
+///
+/// A stage of the bootstrap holds fewer maxima than draws: the `m` drawn
+/// trials' maxima fill the highest indices, and every lower index's
+/// transfer reads 0. The `j`-th largest of `m` trials' maxima is at most
+/// the `j`-th largest of all of them, and a LogNormal map is monotone and
+/// `>= 0`, so every such transfer is at most the complete bootstrap's at
+/// its index, and every quantile of the sums at most the answer's.
 struct FusedSamples<'a> {
     map: StdNormalMap,
-    maxima: Rc<Vec<f64>>,
+    maxima: &'a [f64],
     draws: &'a ShiftDraws,
     mu: f64,
     sigma: f64,
 }
 
 impl FusedSamples<'_> {
+    /// The number of samples: one per trial of the complete bootstrap.
+    fn len(&self) -> usize {
+        self.draws.z.len()
+    }
+
     fn transfer(&self, i: usize) -> f64 {
-        self.map.apply(self.maxima[i])
+        match i.checked_sub(self.len() - self.maxima.len()) {
+            Some(drawn) => self.map.apply(self.maxima[drawn]),
+            None => 0.0,
+        }
     }
 
     fn shift(&self, i: usize) -> f64 {
@@ -194,7 +230,7 @@ impl FusedSamples<'_> {
 
     /// The samples as a distribution, summed in index order.
     fn dist(&self) -> Dist {
-        let samples = (0..self.maxima.len())
+        let samples = (0..self.len())
             .map(|i| self.transfer(i) + self.shift(i))
             .collect();
         #[expect(
@@ -209,7 +245,7 @@ impl FusedSamples<'_> {
     /// which stops once the next maximum plus the next shift proves no
     /// unread sample reaches the ranks `p` reads.
     fn quantile(&self, p: f64) -> f64 {
-        let len = self.maxima.len();
+        let len = self.len();
         #[expect(
             clippy::expect_used,
             reason = "finite maxima through a Normal or LogNormal map plus a finite normal shift stay finite, and mc_trials > 0"
@@ -231,17 +267,19 @@ pub struct PerfModel {
     loc: BTreeMap<RegionId, LocParams>,
     path: BTreeMap<PathKey, PathParams>,
     notif: BTreeMap<RegionId, Dist>,
-    /// Memoised `t_rep_quantile` answers. Invalidated per path by `set_path`
-    /// and `rescale_path_chunks`, and entirely by `set_loc` (`T_func` reads
-    /// the location).
-    quantile_memo: BTreeMap<QuantileKey, f64>,
-    /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`, sorted
-    /// ascending: the model's only max-of-n cache. The derived MC seed
+    /// Memoised `t_rep_quantile` answers, and the floors staged misses
+    /// stopped at. Invalidated per path by `set_path` and
+    /// `rescale_path_chunks`, and entirely by `set_loc` (`T_func` reads the
+    /// location).
+    quantile_memo: BTreeMap<QuantileKey, Memo>,
+    /// Each `(n, chunks_per_fn)` key's bootstrap of standardized per-trial
+    /// maxima: the model's only max-of-n cache. The derived MC seed
     /// depends only on that pair — never on path parameters — so these
     /// survive `set_path` / `rescale_path_chunks`, and an answer after a
     /// drift correction maps them instead of running a fresh Monte Carlo
-    /// (the fig23 replay hot path).
-    std_max_cache: BTreeMap<(u32, u64), Rc<Vec<f64>>>,
+    /// (the fig23 replay hot path). A bootstrap stopped at a stage resumes
+    /// where it stopped.
+    bootstraps: BTreeMap<(u32, u64), Bootstrap>,
     /// The standard-normal draws that add `T_func` to a `len`-sample
     /// max-of-n, keyed by `len`. Their seed depends on `len` alone, so they
     /// never need invalidating.
@@ -252,6 +290,67 @@ pub struct PerfModel {
     mc_trials: usize,
     mc_seed: u64,
 }
+
+/// A memoised quantile: the answer, or the floor on it at which a staged
+/// miss stopped, which the next miss tries before any stage.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    Answer(f64),
+    Floor(f64),
+}
+
+/// One `(n, chunks_per_fn)` key's bootstrap so far: the standardized maxima
+/// of its first trials, sorted ascending, and the RNG that draws the rest.
+/// It is complete once it holds the model's `mc_trials` maxima.
+#[derive(Debug, Clone)]
+struct Bootstrap {
+    maxima: Vec<f64>,
+    rng: StdRng,
+}
+
+impl Bootstrap {
+    /// `(n, chunks_per_fn)`'s standardized maxima in `cache`, sorted
+    /// ascending, after drawing trials until it holds at least `trials`.
+    /// Trials come in order from one RNG seeded by `mc_seed` and the key
+    /// alone, so the bootstrap depends neither on query order nor on how it
+    /// was staged: [`stats::std_normal_maxima`] carries nothing from one
+    /// trial to the next but the RNG, and complete, it reproduces
+    /// [`stats::monte_carlo_max`] under that seed bit for bit through
+    /// [`stats::monte_carlo_max_from_std`].
+    ///
+    /// The maxima are kept sorted: the maps `monte_carlo_max_from_std`
+    /// applies are monotone, so its output is then already in the order
+    /// `EmpiricalDist::new` sorts into, and that sort returns after its
+    /// check pass. Each batch is appended and the whole re-sorted; the sort
+    /// is stable, so the complete vector is the one-shot maxima's sort.
+    fn drawn(
+        cache: &mut BTreeMap<(u32, u64), Bootstrap>,
+        mc_seed: u64,
+        n: u32,
+        chunks_per_fn: u64,
+        trials: usize,
+    ) -> &[f64] {
+        let b = cache
+            .entry((n, chunks_per_fn))
+            .or_insert_with(|| Bootstrap {
+                maxima: Vec::new(),
+                rng: StdRng::seed_from_u64(mc_seed ^ (n as u64) << 32 ^ chunks_per_fn),
+            });
+        let more = trials.saturating_sub(b.maxima.len());
+        if more > 0 {
+            b.maxima.reserve_exact(more);
+            b.maxima
+                .extend(stats::std_normal_maxima(n as usize, more, &mut b.rng));
+            stats::sort_ascending(&mut b.maxima);
+        }
+        &b.maxima
+    }
+}
+
+/// The trials a staged bootstrap holds at its first stage that reads any
+/// maxima. Each later stage doubles them, and the last holds the model's
+/// whole trial budget.
+const FIRST_STAGE_TRIALS: usize = 32;
 
 /// Errors from model queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -397,7 +496,7 @@ impl PerfModel {
             reason = "per_instance is sum_as_normal's Normal or inflate_instance_cv's LogNormal, the family the shortcut covers"
         )]
         Ok(Dist::Empirical(
-            stats::monte_carlo_max_from_std(&per_instance, &std_maxima)
+            stats::monte_carlo_max_from_std(&per_instance, std_maxima)
                 .expect("per-instance time is Normal or LogNormal"),
         ))
     }
@@ -437,22 +536,26 @@ impl PerfModel {
             return Ok(sum_as_normal(&[t_func, t_transfer]));
         }
         if (n as usize) < GUMBEL_THRESHOLD_N {
-            return Ok(self.fused_samples(path, size, n, local)?.dist());
+            let trials = self.mc_trials;
+            return Ok(self.fused_samples(path, size, n, local, trials)?.dist());
         }
         let t_func = self.t_func(loc, n, local)?;
         let t_transfer = self.t_transfer_parallel(path, size, n)?;
         Ok(add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
     }
 
-    /// What a `T_rep` answer at `2 <= n < GUMBEL_THRESHOLD_N` reads: the
-    /// per-instance map, the cached standardized maxima and shift draws, and
-    /// the mean and standard deviation of the Normal `T_func`.
+    /// What a `T_rep` answer or stage at `2 <= n < GUMBEL_THRESHOLD_N`
+    /// reads: the per-instance map, the cached shift draws, the mean and
+    /// standard deviation of the Normal `T_func`, and the key's standardized
+    /// maxima once its bootstrap holds at least `trials` (at most
+    /// `mc_trials`, which completes it).
     fn fused_samples(
         &mut self,
         path: PathKey,
         size: u64,
         n: u32,
         local: bool,
+        trials: usize,
     ) -> Result<FusedSamples<'_>, ModelError> {
         let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
         let chunks_per_fn = self.plan_chunks(size, n);
@@ -463,12 +566,10 @@ impl PerfModel {
         )]
         let map =
             StdNormalMap::of(&per_instance).expect("per-instance time is Normal or LogNormal");
-        let maxima = self.std_maxima(n, chunks_per_fn);
-        let draws = self.shift_draws(maxima.len());
         Ok(FusedSamples {
             map,
-            maxima,
-            draws,
+            maxima: Bootstrap::drawn(&mut self.bootstraps, self.mc_seed, n, chunks_per_fn, trials),
+            draws: ShiftDraws::cached(&mut self.shift_draws, self.mc_trials),
             mu: t_func.mean(),
             sigma: t_func.std_dev(),
         })
@@ -492,18 +593,29 @@ impl PerfModel {
     ) -> Result<f64, ModelError> {
         let key = self.quantile_key(path, size, n, local, p);
         match self.quantile_memo.get(&key) {
-            Some(&q) => Ok(q),
-            None => self.answer(key, size),
+            Some(&Memo::Answer(q)) => Ok(q),
+            _ => self.answer(key, size),
         }
     }
 
     /// [`t_rep_quantile`](Self::t_rep_quantile)'s answer, unless it is not
-    /// memoised and a floor on it satisfies `loses`: then `None`, with
-    /// nothing bootstrapped or memoised.
+    /// memoised and a floor on it satisfies `loses`: then `None`, with that
+    /// floor memoised in the answer's place.
     ///
-    /// The floor is `T_func`'s `p`-quantile over the cached shift draws,
-    /// which reads no maxima, so a planner level it rules out costs no
-    /// Monte Carlo. Where no floor applies, `loses` is not called.
+    /// Below the Gumbel threshold, under a LogNormal per-instance time (any
+    /// positive instance CV), a miss bootstraps in stages. Each stage reads
+    /// the answer's `p`-quantile over the trials drawn so far, every undrawn
+    /// trial's transfer counted as 0: a floor on the answer, bit for bit,
+    /// that never falls from one stage to the next. Stage 0 reads no
+    /// maxima: it is `T_func`'s quantile over the shift draws, read from two
+    /// of them. The next stage reads the trials the key's bootstrap already
+    /// holds: all of them, and then it is the answer, or those a stopped
+    /// miss drew. A new key instead draws 32 trials. Each later stage
+    /// doubles the trials, up to the whole budget. The first stage value
+    /// short of the answer that satisfies `loses` returns `None`; the drawn
+    /// trials stay cached for the next miss to resume from, and the floor is
+    /// memoised, so the next miss on the same key tries it in place of
+    /// stage 0. Elsewhere `loses` is not called.
     pub fn t_rep_quantile_unless(
         &mut self,
         path: PathKey,
@@ -511,17 +623,62 @@ impl PerfModel {
         n: u32,
         local: bool,
         p: f64,
-        loses: impl FnOnce(f64) -> bool,
+        loses: impl Fn(f64) -> bool,
     ) -> Result<Option<f64>, ModelError> {
         let key = self.quantile_key(path, size, n, local, p);
-        if let Some(&q) = self.quantile_memo.get(&key) {
-            return Ok(Some(q));
+        let stopped = match self.quantile_memo.get(&key) {
+            Some(&Memo::Answer(q)) => return Ok(Some(q)),
+            Some(&Memo::Floor(floor)) => Some(floor),
+            None => None,
+        };
+        let staged = n >= 2
+            && (n as usize) < GUMBEL_THRESHOLD_N
+            && self
+                .per_instance_base(path, key.chunks)
+                .is_ok_and(|(base, cv)| widens(&base, cv));
+        if !staged {
+            return self.answer(key, size).map(Some);
         }
-        let floor = self.t_rep_floor(path, size, n, local, p)?;
-        if floor.is_some_and(loses) {
-            return Ok(None);
+        let mut floor = match stopped {
+            Some(floor) => Some(floor),
+            None => self.stage_zero(path, n, local, p)?,
+        };
+        let held = self
+            .bootstraps
+            .get(&(n, key.chunks))
+            .map_or(0, |b| b.maxima.len());
+        let mut trials = held.max(FIRST_STAGE_TRIALS).min(self.mc_trials);
+        loop {
+            if let Some(floor) = floor.filter(|&floor| loses(floor)) {
+                self.quantile_memo.insert(key, Memo::Floor(floor));
+                return Ok(None);
+            }
+            let q = self.fused_samples(path, size, n, local, trials)?;
+            let q = q.quantile(p).max(0.0);
+            if trials == self.mc_trials {
+                self.quantile_memo.insert(key, Memo::Answer(q));
+                return Ok(Some(q));
+            }
+            floor = Some(q);
+            trials = (trials * 2).min(self.mc_trials);
         }
-        self.answer(key, size).map(Some)
+    }
+
+    /// Stage 0 of a staged miss: `T_func`'s `p`-quantile over the cached
+    /// shift draws, clamped at zero, from two shifts and no maxima. It is
+    /// the stage with every trial undrawn, each sample its shift alone.
+    /// `None` for no draws.
+    fn stage_zero(
+        &mut self,
+        path: PathKey,
+        n: u32,
+        local: bool,
+        p: f64,
+    ) -> Result<Option<f64>, ModelError> {
+        let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
+        let draws = ShiftDraws::cached(&mut self.shift_draws, self.mc_trials);
+        let floor = draws.quantile(t_func.mean(), t_func.std_dev(), p);
+        Ok(floor.map(|q| q.max(0.0)))
     }
 
     fn quantile_key(&self, path: PathKey, size: u64, n: u32, local: bool, p: f64) -> QuantileKey {
@@ -539,51 +696,15 @@ impl PerfModel {
         let QuantileKey { path, n, local, .. } = key;
         let p = f64::from_bits(key.p_bits);
         let q = if n >= 2 && (n as usize) < GUMBEL_THRESHOLD_N {
-            self.fused_samples(path, size, n, local)?.quantile(p)
+            let trials = self.mc_trials;
+            self.fused_samples(path, size, n, local, trials)?
+                .quantile(p)
         } else {
             self.t_rep_dist(path, size, n, local)?.quantile(p)
         }
         .max(0.0);
-        self.quantile_memo.insert(key, q);
+        self.quantile_memo.insert(key, Memo::Answer(q));
         Ok(q)
-    }
-
-    /// A floor on `t_rep_quantile(path, size, n, local, p)` that reads no
-    /// maxima: `T_func`'s `p`-quantile over the cached shift draws, clamped
-    /// at zero. `None` where no floor applies: at `n = 1`, at `n` at or past
-    /// the Gumbel threshold, and under a Normal per-instance time.
-    ///
-    /// Below the Gumbel threshold sample `i` of `T_rep` is
-    /// `transfer_i + shift_i`. Under a LogNormal per-instance time (the
-    /// profiler's fits, any positive instance CV) each `transfer_i` ends in
-    /// `exp`, so it is `>= 0`, and the rounded sum is `>= shift_i`. Each
-    /// order statistic of the samples is then at least the same order
-    /// statistic of the shifts. The quantile interpolates two order
-    /// statistics with non-negative weights through monotone roundings, so
-    /// the shifts' quantile is at most the samples' quantile, bit for bit,
-    /// and stays so once both are clamped at zero. It reads two shifts and
-    /// allocates nothing.
-    fn t_rep_floor(
-        &mut self,
-        path: PathKey,
-        size: u64,
-        n: u32,
-        local: bool,
-        p: f64,
-    ) -> Result<Option<f64>, ModelError> {
-        if n < 2 || (n as usize) >= GUMBEL_THRESHOLD_N {
-            return Ok(None);
-        }
-        // The answer's reads, in its order, so a floor errors as it would.
-        let t_func = self.t_func(path.side.region(path.src, path.dst), n, local)?;
-        let (base, cv) = self.per_instance_base(path, self.plan_chunks(size, n))?;
-        if !widens(&base, cv) {
-            return Ok(None);
-        }
-        // One shift per Monte-Carlo trial, as in every fused answer.
-        let draws = self.shift_draws(self.mc_trials);
-        let floor = draws.quantile(t_func.mean(), t_func.std_dev(), p);
-        Ok(floor.map(|q| q.max(0.0)))
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
@@ -597,57 +718,31 @@ impl PerfModel {
         self.invalidate_path(key);
     }
 
-    /// Number of cached max-of-n Monte-Carlo runs, each a vector of
-    /// standardized maxima for one `(n, chunks per instance)`
-    /// (test/inspection hook).
+    /// Number of complete max-of-n Monte-Carlo runs, each a vector of the
+    /// model's `mc_trials` standardized maxima for one
+    /// `(n, chunks per instance)`. A bootstrap stopped at a stage does not
+    /// count (test/inspection hook).
     pub fn cached_max_dists(&self) -> usize {
-        self.std_max_cache.len()
+        self.bootstraps
+            .values()
+            .filter(|b| b.maxima.len() == self.mc_trials)
+            .count()
     }
 
-    /// Number of memoised `t_rep_quantile` answers (test/inspection hook).
+    /// Number of memoised `t_rep_quantile` answers; a memoised floor does
+    /// not count (test/inspection hook).
     pub fn cached_quantiles(&self) -> usize {
-        self.quantile_memo.len()
+        self.quantile_memo
+            .values()
+            .filter(|m| matches!(m, Memo::Answer(_)))
+            .count()
     }
 
-    /// Standardized per-trial maxima for `(n, chunks_per_fn)`, computed once
-    /// per key from an RNG seeded by the key alone, so the bootstrap does not
-    /// depend on query order, and [`stats::monte_carlo_max_from_std`]
-    /// reproduces `stats::monte_carlo_max` under that seed bit-for-bit.
-    ///
-    /// The maxima are cached sorted: the maps `monte_carlo_max_from_std`
-    /// applies are monotone, so its output is then already in the order
-    /// `EmpiricalDist::new` sorts into, and that sort returns after its
-    /// check pass.
-    fn std_maxima(&mut self, n: u32, chunks_per_fn: u64) -> Rc<Vec<f64>> {
-        if let Some(v) = self.std_max_cache.get(&(n, chunks_per_fn)) {
-            return v.clone();
-        }
-        let mut rng = StdRng::seed_from_u64(self.mc_seed ^ (n as u64) << 32 ^ chunks_per_fn);
-        let mut v = stats::std_normal_maxima(n as usize, self.mc_trials, &mut rng);
-        stats::sort_ascending(&mut v);
-        let v = Rc::new(v);
-        self.std_max_cache.insert((n, chunks_per_fn), v.clone());
-        v
-    }
-
-    /// The standard-normal draws that add `T_func` to a `len`-sample
-    /// max-of-n: the fixed stream of a `StdRng` seeded by `len`, drawn once
-    /// per length, with their descending order.
-    fn shift_draws(&mut self, len: usize) -> &ShiftDraws {
-        self.shift_draws.entry(len).or_insert_with(|| {
-            let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
-            let z: Vec<f64> = (0..len)
-                .map(|_| stats::sample_std_normal(&mut rng))
-                .collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "the length is the model's mc_trials, a trial count far below 2^32"
-            )]
-            let mut by_z: Vec<u32> =
-                (0..u32::try_from(len).expect("fewer than 2^32 draws")).collect();
-            by_z.sort_by(|&i, &j| z[j as usize].total_cmp(&z[i as usize]));
-            ShiftDraws { z, by_z }
-        })
+    /// The complete bootstrap's standardized per-trial maxima for
+    /// `(n, chunks_per_fn)`, sorted ascending.
+    fn std_maxima(&mut self, n: u32, chunks_per_fn: u64) -> &[f64] {
+        let trials = self.mc_trials;
+        Bootstrap::drawn(&mut self.bootstraps, self.mc_seed, n, chunks_per_fn, trials)
     }
 }
 
@@ -808,7 +903,7 @@ mod tests {
         assert_eq!(m.cached_max_dists(), 0);
         let a = m.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(m.cached_max_dists(), 1);
-        let maxima = m.std_maxima(16, 8);
+        let maxima = m.std_maxima(16, 8).as_ptr();
         // Every answer at 8 chunks per instance over 16 instances, on either
         // path, reads the one bootstrap.
         m.t_rep_quantile(path, 1 << 30, 16, false, 0.99).unwrap();
@@ -818,9 +913,10 @@ mod tests {
         let b = m.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(a, b);
         assert_eq!(m.cached_max_dists(), 1);
-        assert!(
-            Rc::ptr_eq(&maxima, &m.std_maxima(16, 8)),
-            "a hit must share the cached maxima, not copy them"
+        assert_eq!(
+            maxima,
+            m.std_maxima(16, 8).as_ptr(),
+            "a hit must read the cached maxima, not redraw them"
         );
         // Another chunk count per instance bootstraps its own.
         m.t_transfer_parallel(path, 1 << 29, 16).unwrap();
@@ -863,11 +959,11 @@ mod tests {
         let r = regions();
         let (mut warm, path) = test_model(&r);
         let _ = warm.t_transfer_parallel(path, 1 << 30, 16).unwrap(); // warm the std cache
-        let maxima = warm.std_maxima(16, 8);
+        let maxima = warm.std_maxima(16, 8).as_ptr();
         warm.rescale_path_chunks(path, 1.7);
         let reused = warm.t_transfer_parallel(path, 1 << 30, 16).unwrap();
         assert_eq!(warm.cached_max_dists(), 1);
-        assert!(Rc::ptr_eq(&maxima, &warm.std_maxima(16, 8)));
+        assert_eq!(maxima, warm.std_maxima(16, 8).as_ptr());
 
         let (mut cold, _) = test_model(&r);
         cold.rescale_path_chunks(path, 1.7);
@@ -911,15 +1007,14 @@ mod tests {
             let e = stats::monte_carlo_max(&parent, 8, len, &mut StdRng::seed_from_u64(seed));
             let mut maxima = stats::std_normal_maxima(8, len, &mut StdRng::seed_from_u64(seed));
             stats::sort_ascending(&mut maxima);
-            let maxima = Rc::new(maxima);
             for (mu, sigma) in [(0.78, 0.21), (0.0, 0.0), (12.5, 3.25), (0.1, 1e-9)] {
                 let reference = add_normal_per_call_rng(&e, mu, sigma);
                 // Twice: once drawing, once from the cache.
                 for _ in 0..2 {
                     let fused = FusedSamples {
                         map: StdNormalMap::of(&parent).unwrap(),
-                        maxima: Rc::clone(&maxima),
-                        draws: m.shift_draws(len),
+                        maxima: &maxima,
+                        draws: ShiftDraws::cached(&mut m.shift_draws, len),
                         mu,
                         sigma,
                     };
@@ -934,7 +1029,7 @@ mod tests {
                 }
             }
             // `by_z` lists every draw once, largest first.
-            let draws = m.shift_draws(len);
+            let draws = ShiftDraws::cached(&mut m.shift_draws, len);
             let mut listed = draws.by_z.clone();
             listed.sort_unstable();
             assert!(listed.into_iter().eq(0..len as u32));
@@ -1067,7 +1162,7 @@ mod tests {
         m.set_path(path, PathParams::new(setup, chunk.clone(), chunk));
         let reference = uncached_t_rep(&m, path, 1 << 30, 16);
         for p in [0.0, 0.5, 0.99, 0.9999, 1.0] {
-            let fused = m.fused_samples(path, 1 << 30, 16, false).unwrap();
+            let fused = m.fused_samples(path, 1 << 30, 16, false, 400).unwrap();
             let q = fused.quantile(p);
             assert!(q < 0.0, "p {p}: {q}");
             assert_eq!(q.to_bits(), reference.quantile(p).to_bits(), "p {p}");
@@ -1082,7 +1177,7 @@ mod tests {
         };
         let fused = FusedSamples {
             map: StdNormalMap::of(&Dist::normal(-0.0, 1.0)).unwrap(),
-            maxima: Rc::new(vec![-2.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+            maxima: &[-2.0, -0.0, 0.0, -0.0, 0.0, -0.0],
             draws: &draws,
             mu: -0.0,
             sigma: 0.0,
@@ -1101,7 +1196,7 @@ mod tests {
             reads.set(reads.get() + 1);
             fused.transfer(i)
         };
-        let len = fused.maxima.len();
+        let len = fused.len();
         let shift = |i| fused.shift(i);
         let q = stats::quantile_of_sums(len, p, base, shift, &fused.draws.by_z).unwrap();
         (q, reads.get())
@@ -1112,7 +1207,7 @@ mod tests {
     /// largest, and stopped at the first `i` with `transfer(i) + s_max` no
     /// greater than the `k`-th largest sum so far.
     fn single_pass_reads(fused: &FusedSamples, p: f64) -> usize {
-        let len = fused.maxima.len();
+        let len = fused.len();
         let s_max = fused.shift(fused.draws.by_z[0] as usize);
         let k = len - (p.clamp(0.0, 1.0) * (len - 1) as f64).floor() as usize;
         let mut top: Vec<f64> = Vec::with_capacity(k + 1);
@@ -1137,7 +1232,8 @@ mod tests {
         let (mut m, path) = model_with(&r, 3000, 0.15);
         m.rescale_path_chunks(path, 1.3);
         for (n, chunks) in [(2, 2), (4, 16), (16, 64), (64, 200), (127, 400)] {
-            let fused = m.fused_samples(path, chunks * (8 << 20), n, false).unwrap();
+            let size = chunks * (8 << 20);
+            let fused = m.fused_samples(path, size, n, false, 3000).unwrap();
             let (q, reads) = counted_quantile(&fused, 0.9999);
             let want = fused.dist().quantile(0.9999);
             assert_eq!(q.to_bits(), want.to_bits(), "n {n}");
@@ -1150,7 +1246,7 @@ mod tests {
     fn two_list_misses_match_the_sorted_reference_within_the_work_bound() {
         let r = regions();
         let mut rng = StdRng::seed_from_u64(24);
-        let (mut misses, mut reads, mut single_pass, mut floors) = (0, 0, 0, 0);
+        let (mut misses, mut reads, mut single_pass, mut stages) = (0, 0, 0, 0);
         for _ in 0..40 {
             let instance_cv = [0.0, rng.gen_range(0.05..0.4)][rng.gen_range(0..2)];
             let (mut m, path) = model_with(&r, 3000, instance_cv);
@@ -1181,16 +1277,34 @@ mod tests {
                         1.0,
                         rng.gen_range(0.0..1.0),
                     ][rng.gen_range(0..8)];
-                    let floor = m.t_rep_floor(path, size, n, false, p).unwrap();
-                    assert_eq!(floor.is_some(), instance_cv > 0.0);
-                    let fused = m.fused_samples(path, size, n, false).unwrap();
+                    // The staged miss, stopped at a random stage and resumed.
+                    let stop = rng.gen_range(0..8);
+                    let seen = &std::cell::RefCell::new(Vec::new());
+                    let record = |stops: bool| {
+                        move |v: f64| {
+                            seen.borrow_mut().push(v);
+                            stops && seen.borrow().len() > stop
+                        }
+                    };
+                    let stopped = m.t_rep_quantile_unless(path, size, n, false, p, record(true));
+                    let first = seen.take();
+                    let staged = m.t_rep_quantile_unless(path, size, n, false, p, record(false));
+                    let staged = stopped.unwrap().or(staged.unwrap()).unwrap();
+                    // A Normal map has no stages; a memoised key needs none.
+                    assert!(first.is_empty() || instance_cv > 0.0);
+                    let fused = m.fused_samples(path, size, n, false, 3000).unwrap();
                     let (q, new_reads) = counted_quantile(&fused, p);
                     let want = fused.dist().quantile(p);
                     assert_eq!(q.to_bits(), want.to_bits(), "n {n} size {size} p {p}");
                     assert!(q > 0.0, "the exact path, not the fallback");
-                    if let Some(floor) = floor {
-                        assert!(floor <= q, "n {n} size {size} p {p}: floor {floor} > {q}");
-                        floors += 1;
+                    assert_eq!(staged.to_bits(), q.to_bits(), "n {n} size {size} p {p}");
+                    for seen in [first, seen.take()] {
+                        assert!(
+                            seen.windows(2).all(|w| w[0] <= w[1]),
+                            "n {n} p {p}: {seen:?}"
+                        );
+                        assert!(seen.iter().all(|&v| v <= q), "n {n} p {p}: {seen:?} > {q}");
+                        stages += seen.len();
                     }
                     // Each step of the two-list pass maps at most two maxima,
                     // and it stops no later in base steps than the single pass.
@@ -1207,79 +1321,177 @@ mod tests {
         }
         println!(
             "{misses} misses: {reads} maxima mapped, against {single_pass} by the single pass; \
-             {floors} floors at most their answers"
+             {stages} stage values at most their answers"
         );
     }
 
+    /// The trials each stage after stage 0 of a staged miss reads, for a
+    /// new key under a budget of `total`: 32, 64, … below `total`, then
+    /// `total`.
+    fn stage_trials(total: usize) -> Vec<usize> {
+        let doubling = std::iter::successors(Some(FIRST_STAGE_TRIALS), |t| Some(t * 2));
+        let mut trials: Vec<usize> = doubling.take_while(|&t| t < total).collect();
+        trials.push(total);
+        trials
+    }
+
     #[test]
-    fn the_floor_is_at_most_the_answer_at_every_monte_carlo_n() {
+    fn every_stage_is_at_most_the_answer_and_never_falls() {
         let r = regions();
+        let ps = [0.0, 0.5, 0.9, 0.99, 0.9999, 1.0];
         for (instance_cv, rescale) in [(0.05, 1.0), (0.15, 0.6), (0.4, 2.5)] {
             let (mut m, path) = model_with(&r, 400, instance_cv);
+            let (mut cold, _) = model_with(&r, 400, instance_cv);
             m.rescale_path_chunks(path, rescale);
-            let mut floors = 0;
+            cold.rescale_path_chunks(path, rescale);
+            let mut stages = 0;
             for n in 2..GUMBEL_THRESHOLD_N as u32 {
                 for size in [1, 33 * (8 << 20) - 5, 5 << 30] {
-                    for p in [0.0, 0.5, 0.9, 0.99, 0.9999, 1.0] {
-                        let floor = m.t_rep_floor(path, size, n, false, p).unwrap();
-                        let floor = floor.expect("a LogNormal map at 2 <= n < 128 has a floor");
-                        let q = m.t_rep_quantile(path, size, n, false, p).unwrap();
-                        assert!(floor <= q, "n {n} size {size} p {p}: {floor} > {q}");
-                        floors += 1;
+                    // Sizes can share a key: stage each from scratch.
+                    m.bootstraps.remove(&(n, m.plan_chunks(size, n)));
+                    let mut last = ps.map(|p| m.stage_zero(path, n, false, p).unwrap().unwrap());
+                    for trials in stage_trials(400) {
+                        let fused = m.fused_samples(path, size, n, false, trials).unwrap();
+                        assert_eq!(fused.maxima.len(), trials);
+                        for (&p, last) in ps.iter().zip(&mut last) {
+                            let v = fused.quantile(p).max(0.0);
+                            assert!(*last <= v, "n {n} size {size} p {p} at {trials}: fell");
+                            *last = v;
+                            stages += 1;
+                        }
+                    }
+                    // The last stage is the answer of a cold model, which
+                    // draws its trials in one batch.
+                    for (&p, last) in ps.iter().zip(&last) {
+                        let q = cold.t_rep_quantile(path, size, n, false, p).unwrap();
+                        assert_eq!(last.to_bits(), q.to_bits(), "n {n} size {size} p {p}");
                     }
                 }
             }
-            assert_eq!(floors, 126 * 3 * 6);
+            assert_eq!(stages, 126 * 3 * 6 * stage_trials(400).len());
+            assert_eq!(stage_trials(400), [32, 64, 128, 256, 400]);
         }
     }
 
     #[test]
-    fn no_floor_without_a_lognormal_map_below_the_gumbel_threshold() {
+    fn a_stopped_bootstrap_resumes_and_completes_like_a_cold_one() {
+        let r = regions();
+        let (size, n, p) = (1 << 30, 16, 0.9999);
+        let mut schedule = vec![0];
+        schedule.extend(stage_trials(3000));
+        for (stop, &drawn) in schedule[..schedule.len() - 1].iter().enumerate() {
+            for through_dist in [false, true] {
+                let (mut m, path) = model_with(&r, 3000, 0.15);
+                let seen = &std::cell::RefCell::new(Vec::new());
+                let stops_at = |stop: usize| {
+                    move |v: f64| {
+                        seen.borrow_mut().push(v);
+                        seen.borrow().len() > stop
+                    }
+                };
+                let stopped = m.t_rep_quantile_unless(path, size, n, false, p, stops_at(stop));
+                assert_eq!(stopped, Ok(None));
+                let held = |m: &PerfModel| m.bootstraps.get(&(n, 8)).map_or(0, |b| b.maxima.len());
+                assert_eq!(held(&m), drawn, "stopped at stage {stop}");
+                assert_eq!((m.cached_max_dists(), m.cached_quantiles()), (0, 0));
+                // A second miss tries the memoised floor in place of stage
+                // 0, then resumes at the trials held, whose stage is that
+                // floor again, and stops there.
+                let first = seen.take();
+                let resumes = usize::from(stop > 0);
+                let resumed = m.t_rep_quantile_unless(path, size, n, false, p, stops_at(resumes));
+                assert_eq!(resumed, Ok(None));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&seen.take()), bits(&[first[stop]; 2][..=resumes]));
+                assert_eq!(held(&m), drawn);
+                // A drift correction drops the memoised floor with the
+                // answers: the next miss starts at stage 0 again.
+                m.rescale_path_chunks(path, 1.0);
+                let dropped = m.t_rep_quantile_unless(path, size, n, false, p, stops_at(0));
+                assert_eq!(dropped, Ok(None));
+                assert_eq!(bits(&seen.take()), bits(&first[..1]));
+                let (mut cold, _) = model_with(&r, 3000, 0.15);
+                if through_dist {
+                    let dist = m.t_rep_dist(path, size, n, false).unwrap();
+                    assert_eq!(dist, cold.t_rep_dist(path, size, n, false).unwrap());
+                } else {
+                    let q = m.t_rep_quantile(path, size, n, false, p).unwrap();
+                    let fresh = cold.t_rep_quantile(path, size, n, false, p).unwrap();
+                    assert_eq!(q.to_bits(), fresh.to_bits());
+                }
+                assert_eq!(m.cached_max_dists(), 1);
+                assert_eq!(m.std_maxima(n, 8), cold.std_maxima(n, 8));
+            }
+        }
+        // Two stopped keys and one complete one: only the complete one counts.
+        let (mut m, path) = model_with(&r, 3000, 0.15);
+        for n in [4, 8] {
+            let stopped = m.t_rep_quantile_unless(path, size, n, false, p, |v| v > 0.0);
+            assert_eq!(stopped, Ok(None));
+            m.fused_samples(path, size, n, false, 64).unwrap();
+        }
+        m.t_rep_quantile(path, size, 16, false, p).unwrap();
+        assert_eq!((m.bootstraps.len(), m.cached_max_dists()), (3, 1));
+    }
+
+    #[test]
+    fn no_stages_without_a_lognormal_map_below_the_gumbel_threshold() {
         let r = regions();
         let (mut normal, path) = model_with(&r, 400, 0.0);
         let (mut lognormal, _) = model_with(&r, 400, 0.15);
+        let never = |_: f64| -> bool { unreachable!("no stage to lose") };
         for n in [2, 16, 127] {
-            let floor = normal.t_rep_floor(path, 1 << 30, n, false, 0.99).unwrap();
-            assert_eq!(floor, None, "a Normal map can go below zero, n {n}");
+            // A Normal map can go below zero: no floor, the answer at once.
+            let q = normal.t_rep_quantile_unless(path, 1 << 30, n, false, 0.99, never);
+            let fresh = normal.t_rep_quantile(path, 1 << 30, n, false, 0.99);
+            assert_eq!(q, fresh.map(Some), "n {n}");
         }
+        assert_eq!(normal.cached_max_dists(), 3);
         for n in [1, 128, 200] {
-            let floor = lognormal
-                .t_rep_floor(path, 1 << 30, n, false, 0.99)
-                .unwrap();
-            assert_eq!(floor, None, "no shift draws at n {n}");
+            let q = lognormal.t_rep_quantile_unless(path, 1 << 30, n, false, 0.99, never);
+            assert!(q.unwrap().is_some(), "no maxima at n {n}");
         }
-        // A floor reads neither the maxima nor the memo.
-        assert!(lognormal
-            .t_rep_floor(path, 1 << 30, 16, false, 0.99)
-            .unwrap()
-            .is_some());
         assert_eq!(lognormal.cached_max_dists(), 0);
-        assert_eq!(lognormal.cached_quantiles(), 0);
         // An unknown location or path errors as the answer would.
         let elsewhere = PathKey {
             side: ExecSide::Destination,
             ..path
         };
         assert_eq!(
-            lognormal.t_rep_floor(elsewhere, 1 << 30, 16, false, 0.99),
+            lognormal.t_rep_quantile_unless(elsewhere, 1 << 30, 16, false, 0.99, never),
             Err(ModelError::UnknownPath(elsewhere))
         );
     }
 
     #[test]
-    fn a_floor_that_loses_leaves_the_model_as_it_was() {
+    fn a_floor_that_loses_is_memoised_as_a_floor() {
         let r = regions();
         let (mut m, path) = model_with(&r, 400, 0.15);
         let (size, n, p) = (1 << 30, 16, 0.9999);
-        let floor = m.t_rep_floor(path, size, n, false, p).unwrap().unwrap();
+        // The first stage of a new key reads no maxima: it is `T_func`'s
+        // quantile over the shift draws.
+        let t_func = m.t_func(path.src, n, false).unwrap();
+        let draws = ShiftDraws::cached(&mut m.shift_draws, 400);
+        let shifts = (0..400).map(|i| draws.shift(t_func.mean(), t_func.std_dev(), i));
+        let floor = EmpiricalDist::new(shifts.collect()).unwrap().quantile(p);
         let seen = std::cell::Cell::new(None);
         let skipped = m.t_rep_quantile_unless(path, size, n, false, p, |f| {
             seen.set(Some(f));
             true
         });
         assert_eq!(skipped, Ok(None));
-        assert_eq!(seen.get().map(f64::to_bits), Some(floor.to_bits()));
-        assert_eq!((m.cached_max_dists(), m.cached_quantiles()), (0, 0));
+        let floor = floor.max(0.0).to_bits();
+        assert_eq!(seen.get().map(f64::to_bits), Some(floor));
+        assert!(m.bootstraps.is_empty());
+        assert_eq!(m.cached_quantiles(), 0, "a floor is not an answer");
+        // The next miss tries the memoised floor first.
+        let again = m.t_rep_quantile_unless(path, size, n, false, p, |f| {
+            seen.set(Some(f));
+            true
+        });
+        assert_eq!(again, Ok(None));
+        assert_eq!(seen.get().map(f64::to_bits), Some(floor));
+        assert!(m.bootstraps.is_empty(), "stage 0 reads no maxima");
         // A floor that does not lose gives the answer, and memoises it; a
         // memoised answer no longer consults the floor.
         let q = m.t_rep_quantile_unless(path, size, n, false, p, |_| false);
@@ -1326,11 +1538,11 @@ mod tests {
         assert_eq!(m.cached_quantiles(), 2);
         let mut slower = m.loc_params(path.src).unwrap().clone();
         slower.cold = Dist::normal(2.0, 0.5);
-        let maxima = m.std_maxima(16, 8);
+        let maxima = m.std_maxima(16, 8).as_ptr();
         m.set_loc(path.src, slower);
         assert_eq!(m.cached_quantiles(), 0);
         assert_eq!(m.cached_max_dists(), 1, "the maxima do not read I/D/P");
-        assert!(Rc::ptr_eq(&maxima, &m.std_maxima(16, 8)));
+        assert_eq!(maxima, m.std_maxima(16, 8).as_ptr());
         let after = m.t_rep_quantile(path, 1 << 30, 16, false, 0.9).unwrap();
         assert!(after > before + 1.0, "{before} -> {after}");
     }

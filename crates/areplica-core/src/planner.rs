@@ -6,13 +6,18 @@
 //! SLO, it returns the fastest one — with an SLO of zero this degenerates to
 //! "always fastest", the configuration the paper's delay tables use.
 //!
-//! A level-side whose prediction is not memoised is skipped when a floor on
-//! it that needs no Monte Carlo ([`PerfModel::t_rep_quantile_unless`])
-//! already loses to the best plan so far: it could neither replace that
-//! plan nor meet the SLO. The search returns the plan the full walk would,
-//! at less bootstrap work.
+//! The search returns that walk's plan at less bootstrap work. It prices
+//! the closed-form levels first (`n = 1` and the Gumbel regime), then the
+//! Monte-Carlo levels in ascending order, and ranks every level-side by
+//! its place in the ascending walk: a plan replaces the best so far if it
+//! is faster, or as fast and ranked earlier, and no level ranked after the
+//! first compliant one is priced. A Monte-Carlo level whose prediction is
+//! not memoised is bootstrapped in stages
+//! ([`PerfModel::t_rep_quantile_unless`]), and stops as soon as a stage's
+//! floor proves it can neither comply nor be the fastest.
 
 use simkernel::SimDuration;
+use stats::GUMBEL_THRESHOLD_N;
 
 use crate::config::EngineConfig;
 use crate::model::{ExecSide, ModelError, PathKey, PerfModel};
@@ -34,6 +39,14 @@ pub struct Plan {
     pub slo_met: bool,
 }
 
+impl Plan {
+    /// The plan's place in the ascending walk: by level, then source
+    /// before destination.
+    fn rank(&self) -> (u32, ExecSide) {
+        (self.n, self.side)
+    }
+}
+
 /// Generates a plan for replicating `size` bytes from `src` to `dst` with a
 /// remaining budget of `slo_rep` (already net of the notification delay) at
 /// percentile `p`.
@@ -51,25 +64,48 @@ pub fn generate_plan(
 ) -> Result<Plan, ModelError> {
     let num_parts = cfg.num_parts(size);
     let max_n = cfg.max_parallelism.min(num_parts).max(1);
+    let levels = std::iter::successors(Some(1u32), |&n| (n < max_n).then(|| (n * 2).min(max_n)));
+    let closed_form = |n: &u32| *n == 1 || *n as usize >= GUMBEL_THRESHOLD_N;
+    let monte_carlo = |n: &u32| !closed_form(n);
 
     let mut best: Option<Plan> = None;
-    let mut n = 1u32;
-    loop {
+    // The compliant plan ranked first among those priced.
+    let mut compliant: Option<Plan> = None;
+    for n in levels
+        .clone()
+        .filter(closed_form)
+        .chain(levels.filter(monte_carlo))
+    {
         for side in ExecSide::BOTH {
+            let rank = (n, side);
             let path = PathKey { src, dst, side };
-            if !model.has_path(path) {
+            if compliant.is_some_and(|c| rank > c.rank()) || !model.has_path(path) {
                 continue;
             }
             // Local handling is only possible for a single "function" on the
             // source side (the orchestrator itself) and small objects.
             let local = n == 1 && side == ExecSide::Source && size <= cfg.local_threshold;
-            // A candidate no faster than `best` cannot replace it (the `<`
-            // below is strict), nor meet the SLO: `best` does not, or the
-            // search would have returned. `from_secs_f64` is monotone, so a
-            // converted floor stays at or below the converted prediction.
-            let so_far = best;
-            let loses =
-                |floor| so_far.is_some_and(|b| SimDuration::from_secs_f64(floor) >= b.predicted);
+            // A level loses once a floor on its prediction shows that it
+            // cannot comply and, while no compliant plan is known, that it
+            // cannot replace `best` (faster, or as fast and ranked earlier)
+            // either. `best` then does not comply, so a floor that rules out
+            // replacing it rules out complying too. `from_secs_f64` is
+            // monotone: a converted floor stays at or below the converted
+            // prediction.
+            let (so_far, complies) = (best, compliant.is_some());
+            let loses = |floor| {
+                let floor = SimDuration::from_secs_f64(floor);
+                if complies {
+                    return slo_rep.is_none_or(|slo| floor > slo);
+                }
+                so_far.is_some_and(|b| {
+                    if rank < b.rank() {
+                        floor > b.predicted
+                    } else {
+                        floor >= b.predicted
+                    }
+                })
+            };
             let Some(predicted_s) = model.t_rep_quantile_unless(path, size, n, local, p, loses)?
             else {
                 continue;
@@ -83,21 +119,21 @@ pub fn generate_plan(
                 predicted,
                 slo_met,
             };
-            if best.is_none_or(|b| candidate.predicted < b.predicted) {
-                best = Some(candidate);
-            }
             if slo_met {
                 // First SLO-compliant plan is the cheapest: fewer functions
-                // mean fewer API calls and less aggregate execution time.
-                return Ok(candidate);
+                // mean fewer API calls and less aggregate execution time. A
+                // Monte-Carlo level is priced after every closed-form one
+                // and every Monte-Carlo one ranked before it.
+                if monte_carlo(&n) {
+                    return Ok(candidate);
+                }
+                compliant = Some(candidate);
+            } else if best.is_none_or(|b| (candidate.predicted, rank) < (b.predicted, b.rank())) {
+                best = Some(candidate);
             }
         }
-        if n >= max_n {
-            break;
-        }
-        n = (n * 2).min(max_n);
     }
-    best.ok_or(ModelError::UnknownPath(PathKey {
+    compliant.or(best).ok_or(ModelError::UnknownPath(PathKey {
         src,
         dst,
         side: ExecSide::Source,
@@ -294,21 +330,22 @@ mod tests {
         );
         let cfg = EngineConfig::default();
         let plan = generate_plan(&mut m, &cfg, src, dst, 1 << 30, None, 0.9999).unwrap();
-        assert_eq!(plan.side, ExecSide::Source);
+        assert_eq!((plan.n, plan.side), (32, ExecSide::Source));
         // 1 GiB is 128 parts: levels 1, 2, 4, …, 128 on each side. The
-        // destination's levels 2..=64 were skipped; its n = 1 and its
-        // Gumbel-regime n = 128 have no floor.
-        assert_eq!(m.cached_quantiles(), 8 + 2);
-        let dst_side = PathKey {
-            src,
-            dst,
-            side: ExecSide::Destination,
-        };
-        for n in [2, 4, 8, 16, 32, 64] {
-            let q = m
-                .t_rep_quantile(dst_side, 1 << 30, n, false, 0.9999)
-                .unwrap();
-            assert!(SimDuration::from_secs_f64(q) >= plan.predicted, "n {n}");
+        // closed-form levels, n = 1 and the Gumbel-regime n = 128, are
+        // priced first on both sides. Then the source's n = 2 and 4 stop at
+        // a stage that loses to its n = 128, and its n = 64 at one that
+        // loses to its n = 32; the destination's Monte-Carlo levels stop at
+        // stage 0, on `T_func` alone.
+        assert_eq!(m.cached_quantiles(), 4 + 3);
+        assert_eq!(m.cached_max_dists(), 3, "n = 8, 16 and 32");
+        for side in ExecSide::BOTH {
+            let path = PathKey { src, dst, side };
+            for n in [2, 4, 8, 16, 32, 64] {
+                let q = m.t_rep_quantile(path, 1 << 30, n, false, 0.9999).unwrap();
+                let q = SimDuration::from_secs_f64(q);
+                assert!(q > plan.predicted || (n, side) == (32, ExecSide::Source));
+            }
         }
         // With every level memoised, the search is the exhaustive one.
         assert_eq!(m.cached_quantiles(), 16);

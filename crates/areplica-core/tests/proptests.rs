@@ -204,7 +204,7 @@ proptest! {
     fn pruned_plans_match_the_exhaustive_search(
         setup in arb_planner_setup(),
         queries in proptest::collection::vec(
-            (arb_plan_size(), 0.0f64..1.0, arb_slo_budget(), 0.5f64..2.0),
+            (arb_plan_size(), 0.0f64..1.0, arb_budget(), 0.5f64..2.0),
             1..4,
         ),
     ) {
@@ -219,8 +219,9 @@ proptest! {
             e.apply(&mut pruned, src, dst);
             e.apply(&mut exhaustive, src, dst);
         }
-        for (i, &(size, p_any, slo, factor)) in queries.iter().enumerate() {
+        for (i, &(size, p_any, budget, factor)) in queries.iter().enumerate() {
             for p in [0.5, 0.9, 0.99, 0.9999, p_any] {
+                let slo = budget.slo(&mut exhaustive, &cfg, src, dst, size, p);
                 let want = exhaustive_plan(&mut exhaustive, &cfg, src, dst, size, slo, p);
                 let got = generate_plan(&mut pruned, &cfg, src, dst, size, slo, p).unwrap();
                 prop_assert_eq!(got, want, "size {} p {} slo {:?}", size, p, slo);
@@ -232,9 +233,9 @@ proptest! {
     }
 }
 
-/// Algorithm 3's search with every level-side's prediction computed: the
-/// planner's loop before it skipped levels, in the same order and with the
-/// same comparisons.
+/// Algorithm 3's search with every level-side's prediction computed, in
+/// ascending order: the planner's loop before it reordered and skipped
+/// levels, with the same comparisons.
 fn exhaustive_plan(
     model: &mut PerfModel,
     cfg: &EngineConfig,
@@ -304,39 +305,98 @@ fn pruning_at_fig23s_shape_bootstraps_less_for_the_same_plans() {
     }
     let (bootstrapped, exhaustive_keys) =
         (pruned.cached_max_dists(), exhaustive.cached_max_dists());
-    assert!(
-        bootstrapped < exhaustive_keys,
-        "{bootstrapped} (n, chunks) keys bootstrapped against {exhaustive_keys}"
+    // A `T_func` floor alone, ascending, completed 142: the stages and the
+    // closed-form levels first complete 101.
+    assert_eq!(
+        (bootstrapped, exhaustive_keys),
+        (101, 189),
+        "(n, chunks) keys bootstrapped, pruned against exhaustive"
     );
+}
+
+#[test]
+fn bulk_plans_complete_no_bootstrap_below_the_last_monte_carlo_level() {
+    // bulk-xcloud's shape: LogNormal per-instance times (instance CV 0.15)
+    // and a cross-cloud chunk time on both sides, planned at p99 with no
+    // SLO budget, for objects of 128 parts and more. The Gumbel levels are
+    // priced first, and every level at n = 2..=32 stops at a stage that
+    // loses to them.
+    let cfg = EngineConfig::default();
+    let (mut pruned, src, dst) = fixed_model();
+    let (mut exhaustive, _, _) = fixed_model();
+    for side in 0..2 {
+        let lognormal = ModelEdit::SetPath {
+            side,
+            chunk_s: 0.8,
+            instance_cv: 0.15,
+        };
+        lognormal.apply(&mut pruned, src, dst);
+        lognormal.apply(&mut exhaustive, src, dst);
+    }
+    // Distinct part counts at every level: no two sizes share a bootstrap.
+    let sizes = [128, 192, 256, 384, 512, 768, 1024].map(|parts| parts * cfg.part_size);
+    for size in sizes {
+        let want = exhaustive_plan(&mut exhaustive, &cfg, src, dst, size, None, 0.99);
+        let got = generate_plan(&mut pruned, &cfg, src, dst, size, None, 0.99).unwrap();
+        assert_eq!(got, want, "size {size}");
+        assert!(got.n >= 64, "size {size}: n = {}", got.n);
+    }
+    // Only n = 64 can have completed a bootstrap, once per size.
+    let completed = pruned.cached_max_dists();
+    assert!(completed <= sizes.len(), "{completed} bootstraps completed");
+    // A miss on a complete bootstrap answers after at most one floor (the
+    // memoised one, or stage 0); on a stopped one it reads that floor, then
+    // resumes at the trials held. Both sides share each `(n, chunks)`
+    // bootstrap, so one side's query probes it.
+    let path = PathKey {
+        src,
+        dst,
+        side: ExecSide::Source,
+    };
+    for size in sizes {
+        for n in [2, 4, 8, 16, 32] {
+            let stages = std::cell::Cell::new(0);
+            let q = pruned.t_rep_quantile_unless(path, size, n, false, 0.99, |_| {
+                stages.set(stages.get() + 1);
+                false
+            });
+            assert!(q.unwrap().is_some());
+            assert!(stages.get() >= 2, "size {size} n {n}: complete");
+        }
+    }
 }
 
 /// A profiled model as the planner meets it: each side's chunk time and
 /// instance CV (0 for a Normal per-instance time, 0.05–0.4 for a
 /// LogNormal), a drift correction on each side, and each location's cold
-/// start.
+/// start. In one model in four the destination's parameters are the
+/// source's, so that predictions tie across sides.
 fn arb_planner_setup() -> impl Strategy<Value = Vec<ModelEdit>> {
-    let side = |side: usize| {
+    let side = || {
         (
             0.05f64..0.5,
             prop_oneof![Just(0.0), 0.05f64..0.4],
             0.5f64..2.0,
+            0.1f64..2.0,
         )
-            .prop_map(move |(chunk_s, instance_cv, factor)| {
-                [
-                    ModelEdit::SetPath {
-                        side,
-                        chunk_s,
-                        instance_cv,
-                    },
-                    ModelEdit::Rescale { side, factor },
-                ]
-            })
     };
-    (side(0), side(1), 0.1f64..2.0, 0.1f64..2.0).prop_map(|(s, d, src_cold, dst_cold)| {
-        let cold = |at_dst, cold_s| ModelEdit::SetLoc { at_dst, cold_s };
-        let mut edits = s.to_vec();
-        edits.extend(d);
-        edits.extend([cold(false, src_cold), cold(true, dst_cold)]);
+    (side(), side(), 0u8..4).prop_map(|(s, d, mirror)| {
+        let d = if mirror == 0 { s } else { d };
+        let mut edits = Vec::new();
+        for (side, (chunk_s, instance_cv, factor, cold_s)) in [s, d].into_iter().enumerate() {
+            edits.extend([
+                ModelEdit::SetPath {
+                    side,
+                    chunk_s,
+                    instance_cv,
+                },
+                ModelEdit::Rescale { side, factor },
+            ]);
+            edits.push(ModelEdit::SetLoc {
+                at_dst: side == 1,
+                cold_s,
+            });
+        }
         edits
     })
 }
@@ -346,11 +406,61 @@ fn arb_plan_size() -> impl Strategy<Value = u64> {
     prop_oneof![1u64..(64 << 20), 1u64..(8 << 30) + 1, 1u64..(8 << 30) + 1]
 }
 
-/// No budget (the fastest plan wins), or one from 1 ms to 2 minutes.
-fn arb_slo_budget() -> impl Strategy<Value = Option<SimDuration>> {
+/// An SLO budget for one query.
+#[derive(Debug, Clone, Copy)]
+enum Budget {
+    /// No budget (the fastest plan wins), or a fixed one.
+    Fixed(Option<SimDuration>),
+    /// One level-side's exhaustive prediction, give or take a nanosecond,
+    /// so that it is (or just misses being) compliant. The last level is
+    /// often the first compliant one, and at 128 parts or more it is in
+    /// the Gumbel regime.
+    AtLevel {
+        level: usize,
+        side: usize,
+        nudge: i64,
+    },
+}
+
+impl Budget {
+    fn slo(
+        self,
+        exhaustive: &mut PerfModel,
+        cfg: &EngineConfig,
+        src: cloudsim::RegionId,
+        dst: cloudsim::RegionId,
+        size: u64,
+        p: f64,
+    ) -> Option<SimDuration> {
+        let (level, side, nudge) = match self {
+            Budget::Fixed(slo) => return slo,
+            Budget::AtLevel { level, side, nudge } => (level, side, nudge),
+        };
+        let max_n = cfg.max_parallelism.min(cfg.num_parts(size)).max(1);
+        let levels =
+            std::iter::successors(Some(1u32), |&n| (n < max_n).then(|| (n * 2).min(max_n)));
+        let n = levels.take(level.saturating_add(1)).last().unwrap();
+        let side = ExecSide::BOTH[side];
+        let local = n == 1 && side == ExecSide::Source && size <= cfg.local_threshold;
+        let path = PathKey { src, dst, side };
+        let q = exhaustive.t_rep_quantile(path, size, n, local, p).unwrap();
+        let nanos = SimDuration::from_secs_f64(q).as_nanos() as i64 + nudge;
+        Some(SimDuration::from_nanos(nanos.max(0) as u64))
+    }
+}
+
+/// No budget, one from 1 ms to 2 minutes, or one at a level-side's
+/// prediction, most often the last level's.
+fn arb_budget() -> impl Strategy<Value = Budget> {
     prop_oneof![
-        Just(None),
-        (1u64..120_000).prop_map(|ms| Some(SimDuration::from_millis(ms)))
+        Just(Budget::Fixed(None)),
+        (1u64..120_000).prop_map(|ms| Budget::Fixed(Some(SimDuration::from_millis(ms)))),
+        (
+            prop_oneof![Just(usize::MAX), 0usize..12],
+            0usize..2,
+            -1i64..=1
+        )
+            .prop_map(|(level, side, nudge)| Budget::AtLevel { level, side, nudge }),
     ]
 }
 

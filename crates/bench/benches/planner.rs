@@ -2,10 +2,11 @@
 //! runs on the critical path of every replication, so it must be fast even
 //! when Monte-Carlo distributions are cold. The warm cases time the model's
 //! quantile memo; the drift cases time re-planning after a rescale; the cold
-//! cases time the max-of-n bootstrap. Each cold case runs twice: under
-//! Normal per-instance times, where every level is bootstrapped, and under
-//! the profiler's LogNormal ones at p99.99 (fig23's shape), where the
-//! search skips the levels whose `T_func` floor already loses.
+//! cases time the max-of-n bootstrap. Each cold case runs under Normal
+//! per-instance times, where every level is bootstrapped in full, and
+//! under the profiler's LogNormal ones (fig23's shape at p99.99,
+//! bulk-xcloud's at p99), where the search bootstraps each level in stages
+//! and stops it once a stage's floor proves it loses.
 
 use areplica_core::model::{ExecSide, LocParams, PathKey, PathParams, PerfModel};
 use areplica_core::{generate_plan, EngineConfig};
@@ -134,6 +135,21 @@ fn bench_planner(c: &mut Criterion) {
             })
         });
     }
+
+    c.bench_function("plan_bulk_sizes_cold_lognormal_p99", |b| {
+        // bulk-xcloud's objects: 256 MiB to 8 GiB, each with a part count
+        // of its own, planned at p99 with no SLO on a cold model. From 128
+        // parts on, the Gumbel levels are priced first.
+        let parts = [32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024];
+        b.iter(|| {
+            let (mut model, src, dst) = build_model_with(0.15);
+            for parts in parts {
+                let size = black_box(parts * cfg.part_size);
+                let plan = generate_plan(&mut model, &cfg, src, dst, size, None, 0.99).unwrap();
+                black_box(plan);
+            }
+        })
+    });
 }
 
 fn quick() -> Criterion {

@@ -562,6 +562,33 @@ mod tests {
     }
 
     #[test]
+    fn maxima_drawn_in_stages_match_one_call_at_every_monte_carlo_n() {
+        // The model's staged bootstrap: 32 trials, then doubling, then the
+        // rest of the budget, all from one RNG.
+        for trials in [2_500, 3_000] {
+            let (mut batches, mut held) = (vec![32], 32);
+            while held * 2 < trials {
+                batches.push(held);
+                held *= 2;
+            }
+            batches.push(trials - held);
+            for n in 1..GUMBEL_THRESHOLD_N {
+                let seed = (n as u64) << 32 ^ trials as u64;
+                let mut one_rng = StdRng::seed_from_u64(seed);
+                let one = std_normal_maxima(n, trials, &mut one_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let staged: Vec<f64> = batches
+                    .iter()
+                    .flat_map(|&batch| std_normal_maxima(n, batch, &mut rng))
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&staged) == bits(&one), "n={n} trials={trials}");
+                assert!(rng == one_rng, "stream drift at n={n} trials={trials}");
+            }
+        }
+    }
+
+    #[test]
     #[ignore = "release-mode sweep, about 15 s: cargo test --release -p stats -- --ignored"]
     fn pruned_maxima_match_full_monte_carlo_over_ten_seeds() {
         for seed in 0..10u64 {

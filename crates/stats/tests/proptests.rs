@@ -216,6 +216,26 @@ proptest! {
     }
 
     #[test]
+    fn std_normal_maxima_in_batches_match_one_call(
+        seed in 0u64..=u64::MAX,
+        n in 1usize..=127,
+        batches in proptest::collection::vec(1usize..=64, 1..6),
+    ) {
+        use rand::SeedableRng;
+        let trials = batches.iter().sum();
+        let mut one_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = one_rng.clone();
+        let one = stats::std_normal_maxima(n, trials, &mut one_rng);
+        let staged: Vec<f64> = batches
+            .iter()
+            .flat_map(|&batch| stats::std_normal_maxima(n, batch, &mut rng))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&staged), bits(&one), "n={} batches={:?}", n, batches);
+        prop_assert!(rng == one_rng, "stream drift at n={} batches={:?}", n, batches);
+    }
+
+    #[test]
     fn empirical_cdf_is_monotone(
         samples in proptest::collection::vec(finite_f64(-100.0..100.0), 1..60),
         x1 in finite_f64(-150.0..150.0),

@@ -1,26 +1,19 @@
-//! The AReplica control plane.
+//! The AReplica control plane: per-(tenant, destination) circuit
+//! breakers.
 //!
-//! The data plane ([`areplica_core`]) moves bytes for one tenant at a
-//! time; this crate owns everything *about* tenants:
+//! * [`breaker`] — circuit breakers over windowed error ratios, consulted
+//!   by the data plane through [`areplica_core::health::BreakerProbe`];
+//!   each tenant's breaker set keeps its own transitions.
 //!
-//! * [`registry`] — the deterministic tenant registry: identity, SLO and
-//!   FaaS-concurrency quota. Stored in a `BTreeMap`, so iteration (and
-//!   thus any provisioning loop driven off it) is ordered and independent
-//!   of registration order.
-//! * [`slo`] — the SLO monitor: burn-rate alert rules built from tenant
-//!   specs, evaluated on sim-time ticks against `simtrace`'s sliding
-//!   windows; it keeps each tenant's fire/resolve transitions.
-//! * [`breaker`] — per-(tenant, destination) circuit breakers over
-//!   windowed error ratios, consulted by the data plane through
-//!   [`areplica_core::health::BreakerProbe`]; each tenant's breaker set
-//!   keeps its own transitions.
+//! An experiment or test describes a tenant to the data plane with
+//! [`areplica_core::tenant::TenantCtx`] (its id, SLO and FaaS-concurrency
+//! quota), attaching the tenant's [`BreakerSet`] as its health handle.
+//! Burn-rate alerting on each tenant's SLO lives in [`simtrace::alert`].
 //!
 //! Layering (a Cargo fact): this crate reaches backends only through
 //! `areplica_core::backend` traits. Its manifest lists no `cloudsim`
 //! dependency, so a `cloudsim::` path fails to compile here, and
-//! `areplica-core` cannot depend on this crate without a cycle. The
-//! seam between the two planes is [`areplica_core::tenant::TenantCtx`],
-//! which [`TenantRegistry::tenant_ctx`] manufactures.
+//! `areplica-core` cannot depend on this crate without a cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +26,5 @@
 )]
 
 pub mod breaker;
-pub mod registry;
-pub mod slo;
 
 pub use breaker::{BreakerConfig, BreakerSet};
-pub use registry::{TenantRegistry, TenantSpec};
-pub use slo::SloMonitor;

@@ -10,10 +10,10 @@ use std::collections::BTreeMap;
 
 use crate::model::{PathKey, PerfModel};
 
-/// Default observation window per path.
+/// Observations per path in one window, before a drift decision.
 pub const DEFAULT_WINDOW: usize = 16;
 
-/// Default relative deviation that counts as drift.
+/// Relative deviation of a window's mean that counts as drift.
 pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.35;
 
 /// One predicted/actual observation.
@@ -55,36 +55,15 @@ impl ObserveOutcome {
 }
 
 /// The online model updater.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OnlineLogger {
     windows: BTreeMap<PathKey, Vec<Obs>>,
-    /// Observations per window before a drift decision.
-    pub window_len: usize,
-    /// Relative deviation treated as drift.
-    pub drift_threshold: f64,
     /// Number of model adjustments performed.
     pub adjustments: u64,
-    /// Total observations recorded.
-    pub observations: u64,
-    /// Full windows evicted (drift decisions made, adjusted or not).
-    pub window_evictions: u64,
-}
-
-impl Default for OnlineLogger {
-    fn default() -> Self {
-        OnlineLogger {
-            windows: BTreeMap::new(),
-            window_len: DEFAULT_WINDOW,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
-            adjustments: 0,
-            observations: 0,
-            window_evictions: 0,
-        }
-    }
 }
 
 impl OnlineLogger {
-    /// Creates a logger with default thresholds.
+    /// Creates a logger with no observations.
     pub fn new() -> Self {
         OnlineLogger::default()
     }
@@ -103,24 +82,22 @@ impl OnlineLogger {
         if predicted_s.is_nan() || actual_s.is_nan() || predicted_s <= 0.0 || actual_s <= 0.0 {
             return ObserveOutcome::Invalid;
         }
-        self.observations += 1;
         let window = self.windows.entry(path).or_default();
         window.push(Obs {
             predicted_s,
             actual_s,
         });
-        if window.len() < self.window_len {
+        if window.len() < DEFAULT_WINDOW {
             return ObserveOutcome::Recorded;
         }
         let mean_pred: f64 =
             window.iter().map(|o| o.predicted_s).sum::<f64>() / window.len() as f64;
         let mean_act: f64 = window.iter().map(|o| o.actual_s).sum::<f64>() / window.len() as f64;
         window.clear();
-        self.window_evictions += 1;
         let ratio = mean_act / mean_pred;
         // The model intentionally overestimates (the parallel bound); only a
         // deviation beyond the threshold in either direction is drift.
-        let applied = if (ratio - 1.0).abs() > self.drift_threshold {
+        let applied = if (ratio - 1.0).abs() > DEFAULT_DRIFT_THRESHOLD {
             // Damped correction avoids oscillation on noisy windows.
             let factor = ratio.clamp(0.25, 4.0).sqrt();
             model.rescale_path_chunks(path, factor);
@@ -174,10 +151,10 @@ mod tests {
         let (mut model, path) = setup();
         let mut logger = OnlineLogger::new();
         for _ in 0..100 {
-            logger.observe(&mut model, path, 1.0, 1.1);
+            let outcome = logger.observe(&mut model, path, 1.0, 1.1);
+            assert_ne!(outcome, ObserveOutcome::Invalid);
         }
         assert_eq!(logger.adjustments, 0);
-        assert_eq!(logger.observations, 100);
     }
 
     #[test]
@@ -192,7 +169,6 @@ mod tests {
         let factor = factor.expect("2x deviation must trigger");
         assert!(factor > 1.0);
         assert_eq!(logger.adjustments, 1);
-        assert_eq!(logger.window_evictions, 1);
         let after = model.t_rep_quantile(path, 64 << 20, 1, false, 0.9).unwrap();
         assert!(after > before, "model must predict slower after drift up");
     }
@@ -242,8 +218,11 @@ mod tests {
             logger.observe(&mut model, path, 1.0, f64::NAN),
             ObserveOutcome::Invalid
         );
-        assert_eq!(logger.observations, 0);
-        assert_eq!(logger.window_evictions, 0);
+        // Neither counts towards the window: it closes on the
+        // DEFAULT_WINDOW-th valid observation.
+        let closed_at = (1..=DEFAULT_WINDOW)
+            .find(|_| logger.observe(&mut model, path, 1.0, 1.0) != ObserveOutcome::Recorded);
+        assert_eq!(closed_at, Some(DEFAULT_WINDOW));
     }
 
     #[test]
@@ -267,7 +246,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(logger.window_evictions, 1);
         assert_eq!(logger.adjustments, 0);
     }
 }

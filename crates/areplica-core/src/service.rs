@@ -816,7 +816,7 @@ fn conclude<B: Backend>(
                 let delay = now.saturating_since(task.event_time);
                 // Live SLO accounting: classify the completion against the
                 // effective SLO and feed the windowed good/bad counters the
-                // burn-rate monitor watches. Pure registry memory, gated on
+                // burn-rate alerts watch. Pure registry memory, gated on
                 // enablement — untraced runs pay one branch.
                 if sim.tracer().enabled() && !exempt {
                     if let Some(slo) = slo {

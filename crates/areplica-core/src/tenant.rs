@@ -1,9 +1,11 @@
-//! Tenant context: the data plane's view of control-plane tenancy.
+//! Tenant context: the one record of a tenant.
 //!
 //! The data plane (this crate) never owns tenant policy — it receives a
 //! [`TenantCtx`] describing one tenant's SLO, FaaS-concurrency quota and
-//! breakers, and threads it through the replication service and engine. The control plane (`areplica-control`) constructs
-//! these contexts from its registry.
+//! breakers, and threads it through the replication service and engine.
+//! Whatever installs a service (an experiment, a test, simcheck) builds its
+//! context with [`TenantCtx::named`] and the `with_*` builders, and attaches
+//! the tenant's breakers from the control plane (`areplica-control`).
 //!
 //! **Default-tenant invariant:** [`TenantCtx::default_tenant`] (also the
 //! `Default` impl) carries no id, no SLO override, no quota and no
@@ -138,10 +140,13 @@ mod tests {
 
     #[test]
     fn named_tenant_scopes_metrics() {
-        let t = TenantCtx::named("acme").with_faas_concurrency(4);
+        let t = TenantCtx::named("acme")
+            .with_faas_concurrency(4)
+            .with_slo(SimDuration::from_secs(60));
         assert_eq!(t.id(), Some("acme"));
         assert!(!t.is_default());
         assert_eq!(t.metric("service.tasks"), "tenant.acme.service.tasks");
         assert_eq!(t.faas_concurrency, Some(4));
+        assert_eq!(t.slo, Some(SimDuration::from_secs(60)));
     }
 }

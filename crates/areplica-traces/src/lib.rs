@@ -1,10 +1,11 @@
-//! # areplica-traces — object-storage trace synthesis, parsing, and replay
+//! # areplica-traces — object-storage trace synthesis and replay
 //!
 //! The paper's characterization and trace-replay experiments build on the
-//! public IBM Cloud Object Storage traces. This crate provides
+//! public IBM Cloud Object Storage traces. Those traces are not in the
+//! repository, so every run replays a synthetic trace shaped like them.
+//! This crate provides
 //!
-//! * [`record`] — the trace model and the IBM-COS-like text format (so the
-//!   real traces can be dropped in when available);
+//! * [`record`] — the trace model: timed PUT and DELETE records;
 //! * [`synth`] — a seeded synthetic generator matching the published
 //!   characterization (Figure 2's size mixture, Figure 3's burstiness);
 //! * [`replay`] — scheduling a trace's writes against a simulated bucket.
@@ -18,6 +19,6 @@ pub mod record;
 pub mod replay;
 pub mod synth;
 
-pub use record::{ParseError, Trace, TraceOp, TraceRecord};
+pub use record::{Trace, TraceOp, TraceRecord};
 pub use replay::{schedule, ReplayConfig, ReplayStats};
 pub use synth::{generate, ibm_size_mixture, sample_size, SynthConfig};

@@ -1,10 +1,10 @@
-//! Trace record model and text serialization.
+//! The trace record model.
 //!
 //! The record shape follows the public IBM Cloud Object Storage traces
-//! (SNIA IOTTA #36305): whitespace-separated
-//! `<timestamp_ms> <op> <object_id> [<size> [<range_start> <range_end>]]`.
-//! Only PUT and DELETE drive replication; GET/HEAD records are parsed and
-//! can be filtered out, exactly as §8.3 does before replay.
+//! (SNIA IOTTA #36305): a millisecond timestamp, an operation and an
+//! object id. Only PUT and DELETE drive replication, so those are the only
+//! operations a trace holds: §8.3 removes the GET and HEAD records before
+//! replay, and the generator ([`crate::synth`]) emits none.
 
 use serde::{Deserialize, Serialize};
 use simkernel::SimDuration;
@@ -19,10 +19,6 @@ pub enum TraceOp {
     },
     /// Delete an object.
     Delete,
-    /// Read (ignored by replication; kept for trace fidelity).
-    Get,
-    /// Metadata read (ignored by replication).
-    Head,
 }
 
 /// One trace record.
@@ -56,40 +52,6 @@ pub struct Trace {
     pub records: Vec<TraceRecord>,
 }
 
-/// Errors from trace parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// A line had too few fields.
-    TooFewFields {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A numeric field failed to parse.
-    BadNumber {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// An unknown operation name.
-    UnknownOp {
-        /// 1-based line number.
-        line: usize,
-        /// The operation string encountered.
-        op: String,
-    },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::TooFewFields { line } => write!(f, "line {line}: too few fields"),
-            ParseError::BadNumber { line } => write!(f, "line {line}: bad number"),
-            ParseError::UnknownOp { line, op } => write!(f, "line {line}: unknown op {op:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 impl Trace {
     /// Number of records.
     pub fn len(&self) -> usize {
@@ -108,126 +70,15 @@ impl Trace {
             .map(|r| r.at.to_duration())
             .unwrap_or(SimDuration::ZERO)
     }
-
-    /// Keeps only PUT and DELETE records (the replication-relevant subset,
-    /// as in §8.3: "after removing non-replicating GET and HEAD
-    /// operations").
-    pub fn writes_only(&self) -> Trace {
-        Trace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| matches!(r.op, TraceOp::Put { .. } | TraceOp::Delete))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// A sub-trace covering `[from, from + len)`, re-based to zero.
-    pub fn window(&self, from: SimDuration, len: SimDuration) -> Trace {
-        let start_ms = from.as_nanos() / 1_000_000;
-        let end_ms = (from + len).as_nanos() / 1_000_000;
-        Trace {
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.at.0 >= start_ms && r.at.0 < end_ms)
-                .map(|r| TraceRecord {
-                    at: SimDurationMs(r.at.0 - start_ms),
-                    key: r.key.clone(),
-                    op: r.op.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Total bytes written by PUT records.
-    pub fn put_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| match r.op {
-                TraceOp::Put { size } => size,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Serializes to the IBM-COS-like text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            match &r.op {
-                TraceOp::Put { size } => {
-                    out.push_str(&format!("{} REST.PUT.OBJECT {} {}\n", r.at.0, r.key, size))
-                }
-                TraceOp::Delete => {
-                    out.push_str(&format!("{} REST.DELETE.OBJECT {}\n", r.at.0, r.key))
-                }
-                TraceOp::Get => out.push_str(&format!("{} REST.GET.OBJECT {} 0\n", r.at.0, r.key)),
-                TraceOp::Head => out.push_str(&format!("{} REST.HEAD.OBJECT {}\n", r.at.0, r.key)),
-            }
-        }
-        out
-    }
-
-    /// Parses the IBM-COS-like text format.
-    pub fn from_text(text: &str) -> Result<Trace, ParseError> {
-        let mut records = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            let ts: u64 = fields
-                .next()
-                .ok_or(ParseError::TooFewFields { line: line_no })?
-                .parse()
-                .map_err(|_| ParseError::BadNumber { line: line_no })?;
-            let op = fields
-                .next()
-                .ok_or(ParseError::TooFewFields { line: line_no })?;
-            let key = fields
-                .next()
-                .ok_or(ParseError::TooFewFields { line: line_no })?
-                .to_string();
-            let op = match op {
-                "REST.PUT.OBJECT" => {
-                    let size: u64 = fields
-                        .next()
-                        .ok_or(ParseError::TooFewFields { line: line_no })?
-                        .parse()
-                        .map_err(|_| ParseError::BadNumber { line: line_no })?;
-                    TraceOp::Put { size }
-                }
-                "REST.DELETE.OBJECT" => TraceOp::Delete,
-                "REST.GET.OBJECT" => TraceOp::Get,
-                "REST.HEAD.OBJECT" => TraceOp::Head,
-                other => {
-                    return Err(ParseError::UnknownOp {
-                        line: line_no,
-                        op: other.to_string(),
-                    })
-                }
-            };
-            records.push(TraceRecord {
-                at: SimDurationMs(ts),
-                key,
-                op,
-            });
-        }
-        records.sort_by_key(|r| r.at);
-        Ok(Trace { records })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Trace {
-        Trace {
+    #[test]
+    fn accounting() {
+        let t = Trace {
             records: vec![
                 TraceRecord {
                     at: SimDurationMs(0),
@@ -235,89 +86,14 @@ mod tests {
                     op: TraceOp::Put { size: 100 },
                 },
                 TraceRecord {
-                    at: SimDurationMs(500),
-                    key: "a".into(),
-                    op: TraceOp::Get,
-                },
-                TraceRecord {
-                    at: SimDurationMs(1500),
-                    key: "b".into(),
-                    op: TraceOp::Put { size: 2048 },
-                },
-                TraceRecord {
                     at: SimDurationMs(2500),
                     key: "a".into(),
                     op: TraceOp::Delete,
                 },
             ],
-        }
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let t = sample();
-        let parsed = Trace::from_text(&t.to_text()).unwrap();
-        assert_eq!(t, parsed);
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(matches!(
-            Trace::from_text("123"),
-            Err(ParseError::TooFewFields { line: 1 })
-        ));
-        assert!(matches!(
-            Trace::from_text("abc REST.GET.OBJECT k 0"),
-            Err(ParseError::BadNumber { line: 1 })
-        ));
-        assert!(matches!(
-            Trace::from_text("5 REST.FROB.OBJECT k"),
-            Err(ParseError::UnknownOp { .. })
-        ));
-        assert!(matches!(
-            Trace::from_text("5 REST.PUT.OBJECT k notanumber"),
-            Err(ParseError::BadNumber { line: 1 })
-        ));
-    }
-
-    #[test]
-    fn comments_and_blanks_skipped() {
-        let t = Trace::from_text("# header\n\n10 REST.PUT.OBJECT k 5\n").unwrap();
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn parse_sorts_by_timestamp() {
-        let t = Trace::from_text("20 REST.PUT.OBJECT b 1\n10 REST.PUT.OBJECT a 1\n").unwrap();
-        assert_eq!(t.records[0].key, "a");
-    }
-
-    #[test]
-    fn writes_only_filters_reads() {
-        let w = sample().writes_only();
-        assert_eq!(w.len(), 3);
-        assert!(w
-            .records
-            .iter()
-            .all(|r| !matches!(r.op, TraceOp::Get | TraceOp::Head)));
-    }
-
-    #[test]
-    fn window_rebases() {
-        let w = sample().window(
-            SimDuration::from_millis(400),
-            SimDuration::from_millis(2000),
-        );
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.records[0].at, SimDurationMs(100));
-        assert_eq!(w.records[1].at, SimDurationMs(1100));
-    }
-
-    #[test]
-    fn accounting() {
-        let t = sample();
-        assert_eq!(t.put_bytes(), 2148);
+        };
         assert_eq!(t.duration(), SimDuration::from_millis(2500));
+        assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert!(Trace::default().is_empty());
     }

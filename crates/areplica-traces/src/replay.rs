@@ -1,6 +1,6 @@
 //! Trace replay against a simulated world.
 //!
-//! Schedules every PUT/DELETE record as a user operation on a bucket,
+//! Schedules every record as a user operation on a bucket,
 //! optionally time-scaled (the paper replays "at a high rate"). Replication
 //! systems installed on the bucket react through the normal notification
 //! pipeline.
@@ -39,9 +39,6 @@ pub struct ReplayStats {
     pub puts: u64,
     /// DELETEs scheduled.
     pub deletes: u64,
-    /// DELETE records skipped because the key did not exist at replay time
-    /// (e.g. written before the trace window).
-    pub skipped_deletes_expected: u64,
 }
 
 /// Schedules the trace's write operations into the simulator.
@@ -81,7 +78,6 @@ pub fn schedule(
                     let _ = world::user_delete(sim, region, &bucket, &key);
                 });
             }
-            TraceOp::Get | TraceOp::Head => {}
         }
     }
     stats

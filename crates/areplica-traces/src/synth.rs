@@ -372,7 +372,6 @@ mod tests {
                     deletes += 1;
                     assert!(live.remove(&r.key), "delete of dead key {}", r.key);
                 }
-                _ => {}
             }
         }
         assert!(deletes > 0, "no deletes generated");

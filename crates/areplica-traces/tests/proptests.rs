@@ -1,60 +1,10 @@
-//! Property-based tests of the trace format and generator invariants.
+//! Property-based tests of the generator's invariants.
 
-use areplica_traces::record::SimDurationMs;
-use areplica_traces::{generate, SynthConfig, Trace, TraceOp, TraceRecord};
+use areplica_traces::{generate, SynthConfig, TraceOp};
 use proptest::prelude::*;
 use simkernel::SimDuration;
 
-fn arb_key() -> impl Strategy<Value = String> {
-    "[a-z0-9]{1,12}".prop_map(|s| s.to_string())
-}
-
-fn arb_record() -> impl Strategy<Value = TraceRecord> {
-    (
-        0u64..10_000_000,
-        arb_key(),
-        prop_oneof![
-            (1u64..(4 << 30)).prop_map(|size| TraceOp::Put { size }),
-            Just(TraceOp::Delete),
-            Just(TraceOp::Get),
-            Just(TraceOp::Head),
-        ],
-    )
-        .prop_map(|(at, key, op)| TraceRecord {
-            at: SimDurationMs(at),
-            key,
-            op,
-        })
-}
-
 proptest! {
-    #[test]
-    fn text_roundtrip_arbitrary_traces(mut records in proptest::collection::vec(arb_record(), 0..60)) {
-        records.sort_by_key(|r| r.at);
-        let trace = Trace { records };
-        let parsed = Trace::from_text(&trace.to_text()).unwrap();
-        // Parsing sorts by timestamp (stable), so a pre-sorted trace
-        // round-trips exactly.
-        prop_assert_eq!(parsed.len(), trace.len());
-        prop_assert_eq!(parsed.put_bytes(), trace.put_bytes());
-    }
-
-    #[test]
-    fn windows_partition_the_trace(minutes in 2u64..20, cut_min in 1u64..19) {
-        prop_assume!(cut_min < minutes);
-        let cfg = SynthConfig {
-            duration: SimDuration::from_mins(minutes),
-            mean_ops_per_sec: 2.0,
-            ..SynthConfig::ibm_cos_like()
-        };
-        let trace = generate(&cfg, 42);
-        let cut = SimDuration::from_mins(cut_min);
-        let head = trace.window(SimDuration::ZERO, cut);
-        let tail = trace.window(cut, SimDuration::from_mins(minutes));
-        prop_assert_eq!(head.len() + tail.len(), trace.len());
-        prop_assert_eq!(head.put_bytes() + tail.put_bytes(), trace.put_bytes());
-    }
-
     #[test]
     fn generated_traces_are_time_ordered_and_causal(seed in 0u64..500) {
         let cfg = SynthConfig {
@@ -77,7 +27,6 @@ proptest! {
                 TraceOp::Delete => {
                     prop_assert!(live.remove(&r.key), "delete of dead key {}", r.key);
                 }
-                _ => {}
             }
         }
     }

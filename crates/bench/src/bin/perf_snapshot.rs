@@ -1,4 +1,5 @@
-//! Seeds the ROADMAP item-4 perf trajectory: one `BENCH_<pr>.json` per PR
+//! Records the perf trajectory that ROADMAP's "measured performance" aim
+//! asks for (item 1 extends it): one `BENCH_<pr>.json` per PR
 //! recording (a) raw event throughput through `simkernel`, with a shallow
 //! queue and with 100 k far-future timers pending, (b) wall-clock
 //! for a fixed-scale fig17 run, (c) wall-clock for the fig23 trace replay
@@ -30,7 +31,7 @@ use bench::WallTimer;
 use simkernel::{Sim, SimDuration};
 
 /// The PR this snapshot belongs to (also names the output file).
-const PR: u32 = 33;
+const PR: u32 = 35;
 
 /// Events pushed through the bare kernel for the throughput figure.
 const KERNEL_EVENTS: u64 = 2_000_000;

@@ -28,7 +28,7 @@ fn tenant_trace(minutes: u64) -> areplica_traces::Trace {
         delete_fraction: 0.0,
         ..SynthConfig::ibm_cos_like()
     };
-    generate(&cfg, seed() ^ 0x05).writes_only()
+    generate(&cfg, seed() ^ 0x05)
 }
 
 struct PolicyOutcome {

@@ -25,7 +25,7 @@ fn busy_trace() -> areplica_traces::Trace {
         // Keep objects to the replication-relevant range (99.99% < 1 GB).
         ..SynthConfig::ibm_cos_like()
     };
-    generate(&cfg, seed() ^ 0x23).writes_only()
+    generate(&cfg, seed() ^ 0x23)
 }
 
 struct WindowedDelays {

@@ -15,8 +15,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use areplica_control::{TenantRegistry, TenantSpec};
-use areplica_core::{AReplicaBuilder, ProfilerConfig, ReplicationRule};
+use areplica_core::{AReplicaBuilder, ProfilerConfig, ReplicationRule, TenantCtx};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::Cloud;
 use simkernel::SimDuration;
@@ -86,23 +85,18 @@ fn run_world(loads: &[Load]) -> BTreeMap<&'static str, Outcome> {
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
 
-    let mut reg = TenantRegistry::new();
-    for l in loads {
-        reg.register(
-            TenantSpec::new(l.id)
-                .with_faas_concurrency(l.quota)
-                .with_slo(SimDuration::from_secs(l.slo_secs)),
-        );
-    }
     let mut services = Vec::new();
     for l in loads {
+        let tenant = TenantCtx::named(l.id)
+            .with_faas_concurrency(l.quota)
+            .with_slo(SimDuration::from_secs(l.slo_secs));
         let service = AReplicaBuilder::new()
             .rule(
                 ReplicationRule::new(src, format!("src-{}", l.id), dst, format!("dst-{}", l.id))
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id).unwrap())
+            .tenant(tenant)
             .install(&mut sim);
         services.push((l, service));
     }

@@ -25,14 +25,14 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use areplica_control::breaker::BreakerState;
-use areplica_control::{BreakerConfig, BreakerSet, SloMonitor, TenantRegistry, TenantSpec};
+use areplica_control::{BreakerConfig, BreakerSet};
 use areplica_core::health::HealthHandle;
-use areplica_core::{catchup, AReplica, AReplicaBuilder, ReplicationRule};
+use areplica_core::{catchup, AReplica, AReplicaBuilder, ReplicationRule, TenantCtx};
 use cloudsim::outage::FailureMode;
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::{Cloud, RegionId};
 use simkernel::SimDuration;
-use simtrace::alert::AlertKind;
+use simtrace::alert::{AlertEngine, AlertKind};
 use simtrace::dash::DashFrame;
 
 use super::slo_burn::{bench_profiler, dash_row};
@@ -95,7 +95,7 @@ pub struct Artifacts {
     pub report: String,
     /// The dashboard stream: one [`DashFrame`] per driver tick.
     pub dashboards: String,
-    /// The SLO monitor's rendered alert log.
+    /// The alert engine's rendered alert log.
     pub alert_log: String,
     /// The breaker sets' transition logs, in tenant-id order.
     pub breaker_log: String,
@@ -114,15 +114,7 @@ pub fn run_full() -> Artifacts {
         .map(|l| sim.world.regions.lookup(l.dst.0, l.dst.1).unwrap())
         .collect();
 
-    let mut reg = TenantRegistry::new();
-    for l in &loads {
-        reg.register(
-            TenantSpec::new(l.id)
-                .with_faas_concurrency(l.quota)
-                .with_slo(SimDuration::from_secs(SLO_SECS)),
-        );
-    }
-    let mut mon = SloMonitor::from_registry(&reg);
+    let mut alerts = AlertEngine::default();
 
     // One circuit breaker per tenant, watching its destination region and
     // logging its own transitions. The typed handles are kept, by tenant
@@ -130,6 +122,7 @@ pub fn run_full() -> Artifacts {
     let mut breakers: BTreeMap<&str, Rc<RefCell<BreakerSet>>> = BTreeMap::new();
     let mut services: Vec<(&Load, AReplica)> = Vec::new();
     for (l, &dst) in loads.iter().zip(&dsts) {
+        alerts.register(l.id);
         let mut set = BreakerSet::new(l.id, BreakerConfig::default());
         set.add_destination(dst, l.dst_label);
         let set = Rc::new(RefCell::new(set));
@@ -141,7 +134,12 @@ pub fn run_full() -> Artifacts {
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id).unwrap().with_health(handle))
+            .tenant(
+                TenantCtx::named(l.id)
+                    .with_faas_concurrency(l.quota)
+                    .with_slo(SimDuration::from_secs(SLO_SECS))
+                    .with_health(handle),
+            )
             .install(&mut sim);
         services.push((l, service));
     }
@@ -203,7 +201,7 @@ pub fn run_full() -> Artifacts {
     while tick <= horizon_secs {
         sim.run_until(simkernel::SimTime::from_nanos(tick * 1_000_000_000));
         let now = sim.now();
-        let evs = mon.observe(now, sim.world.trace.windows());
+        let evs = alerts.observe(now, sim.world.trace.windows());
         if flight_dump.is_empty()
             && evs
                 .iter()
@@ -213,21 +211,21 @@ pub fn run_full() -> Artifacts {
         }
         let rows = loads
             .iter()
-            .map(|l| dash_row(&sim, &mon, l.id, l.quota))
+            .map(|l| dash_row(&sim, &alerts, l.id, l.quota))
             .collect();
         dashboards.push_str(&DashFrame { at: now, rows }.render());
         tick += TICK_SECS;
     }
     sim.run_to_completion(u64::MAX);
-    let final_evs = mon.observe(sim.now(), sim.world.trace.windows());
+    let final_evs = alerts.observe(sim.now(), sim.world.trace.windows());
     assert!(
         final_evs.iter().all(|e| e.tenant != "quiet"),
         "quiet tenant must never transition"
     );
 
     // The headline contract, stage by stage.
-    let victim_alerts = mon.alerts("victim");
-    let quiet_alerts = mon.alerts("quiet");
+    let victim_alerts = alerts.alerts("victim");
+    let quiet_alerts = alerts.alerts("quiet");
     assert!(
         victim_alerts.iter().any(|e| e.kind == AlertKind::Fired),
         "the victim's burn-rate alert must fire during the outage"
@@ -321,7 +319,7 @@ pub fn run_full() -> Artifacts {
             .iter()
             .filter(|r| r.delay() <= SimDuration::from_secs(SLO_SECS))
             .count();
-        let alerts = mon.alerts(l.id);
+        let tenant_alerts = alerts.alerts(l.id);
         let transitions = breakers[l.id].borrow().events().len();
         table.row([
             l.id.to_string(),
@@ -336,12 +334,12 @@ pub fn run_full() -> Artifacts {
             m.failbacks.to_string(),
             m.read_fallbacks.to_string(),
             transitions.to_string(),
-            alerts
+            tenant_alerts
                 .iter()
                 .filter(|e| e.kind == AlertKind::Fired)
                 .count()
                 .to_string(),
-            alerts
+            tenant_alerts
                 .iter()
                 .filter(|e| e.kind == AlertKind::Resolved)
                 .count()
@@ -349,7 +347,7 @@ pub fn run_full() -> Artifacts {
         ]);
     }
 
-    let alert_log = mon.alert_log();
+    let alert_log = alerts.alert_log();
     let breaker_log: String = breakers.values().map(|b| b.borrow().render_log()).collect();
     let report = format!(
         "Fault-domain outage — regional object-store blackout with breaker + failback\n\n{}\n\

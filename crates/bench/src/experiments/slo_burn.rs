@@ -1,12 +1,12 @@
 //! SLO burn-rate alerting under a mid-run FaaS degradation: two tenants
 //! share one world, a slowdown is injected into one tenant's FaaS
-//! instances partway through, and the control plane's burn-rate monitor
-//! must fire for that tenant — and only that tenant — then resolve after
-//! the slowdown is lifted and the fast window drains.
+//! instances partway through, and that tenant's burn-rate alert must fire
+//! — and only that tenant's — then resolve after the slowdown is lifted
+//! and the fast window drains.
 //!
 //! The experiment is also the reference driver for the observability
 //! plane: it steps the simulation on a fixed sim-time cadence and, between
-//! steps, evaluates the [`SloMonitor`], emits a deterministic dashboard
+//! steps, evaluates the [`AlertEngine`], emits a deterministic dashboard
 //! frame, and (on the first FIRE) dumps the tenant's recent trace events.
 //! Everything it writes — report, dashboard stream, alert log, flight
 //! dump — is a pure function of the seed: two identically-seeded runs are
@@ -14,12 +14,11 @@
 
 use std::rc::Rc;
 
-use areplica_control::{SloMonitor, TenantRegistry, TenantSpec};
-use areplica_core::{AReplica, AReplicaBuilder, ProfilerConfig, ReplicationRule};
+use areplica_core::{AReplica, AReplicaBuilder, ProfilerConfig, ReplicationRule, TenantCtx};
 use cloudsim::world::{schedule_scoped, user_put, CloudSim};
 use cloudsim::Cloud;
 use simkernel::SimDuration;
-use simtrace::alert::{AlertKind, SLOW_WINDOW};
+use simtrace::alert::{AlertEngine, AlertKind, SLOW_WINDOW};
 use simtrace::dash::{DashFrame, DashRow};
 
 use crate::harness::{scaled, Table};
@@ -82,16 +81,16 @@ pub struct Artifacts {
     pub report: String,
     /// The dashboard stream: one [`DashFrame`] per driver tick.
     pub dashboards: String,
-    /// The SLO monitor's rendered alert log.
+    /// The alert engine's rendered alert log.
     pub alert_log: String,
     /// Flight dump of the noisy tenant, captured at first FIRE.
     pub flight_dump: String,
 }
 
-pub(crate) fn dash_row(sim: &CloudSim, mon: &SloMonitor, id: &str, quota: u32) -> DashRow {
+pub(crate) fn dash_row(sim: &CloudSim, alerts: &AlertEngine, id: &str, quota: u32) -> DashRow {
     let now = sim.now();
     let windows = sim.world.trace.windows();
-    let snap = mon.snapshot_for(id, now, windows);
+    let snap = alerts.snapshot(id, now, windows);
     let good = simtrace::scoped(id, "slo.good");
     let bad = simtrace::scoped(id, "slo.bad");
     DashRow {
@@ -126,25 +125,20 @@ pub fn run_full() -> Artifacts {
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
 
-    let mut reg = TenantRegistry::new();
-    for l in &loads {
-        reg.register(
-            TenantSpec::new(l.id)
-                .with_faas_concurrency(l.quota)
-                .with_slo(SimDuration::from_secs(SLO_SECS)),
-        );
-    }
-    let mut mon = SloMonitor::from_registry(&reg);
-
+    let mut alerts = AlertEngine::default();
     let mut services: Vec<(&Load, AReplica)> = Vec::new();
     for l in &loads {
+        alerts.register(l.id);
+        let tenant = TenantCtx::named(l.id)
+            .with_faas_concurrency(l.quota)
+            .with_slo(SimDuration::from_secs(SLO_SECS));
         let service = AReplicaBuilder::new()
             .rule(
                 ReplicationRule::new(src, format!("src-{}", l.id), dst, format!("dst-{}", l.id))
                     .with_batching(false),
             )
             .profiler_config(bench_profiler())
-            .tenant(reg.tenant_ctx(l.id).unwrap())
+            .tenant(tenant)
             .install(&mut sim);
         services.push((l, service));
     }
@@ -194,7 +188,7 @@ pub fn run_full() -> Artifacts {
         }
         // Driver-side observability: evaluate alerts, then render one
         // dashboard frame. Neither touches the event queue or the RNG.
-        let evs = mon.observe(now, sim.world.trace.windows());
+        let evs = alerts.observe(now, sim.world.trace.windows());
         if flight_dump.is_empty()
             && evs
                 .iter()
@@ -204,14 +198,14 @@ pub fn run_full() -> Artifacts {
         }
         let rows = loads
             .iter()
-            .map(|l| dash_row(&sim, &mon, l.id, l.quota))
+            .map(|l| dash_row(&sim, &alerts, l.id, l.quota))
             .collect();
         dashboards.push_str(&DashFrame { at: now, rows }.render());
         tick += TICK_SECS;
     }
     sim.run_to_completion(u64::MAX);
     // One final tick after the queue drains so late completions are seen.
-    let final_evs = mon.observe(sim.now(), sim.world.trace.windows());
+    let final_evs = alerts.observe(sim.now(), sim.world.trace.windows());
     assert!(
         final_evs.iter().all(|e| e.tenant != "quiet"),
         "quiet tenant must never transition"
@@ -219,8 +213,8 @@ pub fn run_full() -> Artifacts {
 
     // The headline contract: the degraded tenant's alert fired and then
     // resolved; the healthy tenant never alerted at all.
-    let noisy_alerts = mon.alerts("noisy");
-    let quiet_alerts = mon.alerts("quiet");
+    let noisy_alerts = alerts.alerts("noisy");
+    let quiet_alerts = alerts.alerts("quiet");
     assert!(
         noisy_alerts.iter().any(|e| e.kind == AlertKind::Fired),
         "the degraded tenant's burn-rate alert must fire"
@@ -260,7 +254,7 @@ pub fn run_full() -> Artifacts {
             .iter()
             .filter(|r| r.delay() <= SimDuration::from_secs(SLO_SECS))
             .count();
-        let alerts = mon.alerts(l.id);
+        let transitions = alerts.alerts(l.id);
         table.row([
             l.id.to_string(),
             l.puts.to_string(),
@@ -270,12 +264,12 @@ pub fn run_full() -> Artifacts {
                 l.puts,
                 100.0 * attained as f64 / l.puts as f64
             ),
-            alerts
+            transitions
                 .iter()
                 .filter(|e| e.kind == AlertKind::Fired)
                 .count()
                 .to_string(),
-            alerts
+            transitions
                 .iter()
                 .filter(|e| e.kind == AlertKind::Resolved)
                 .count()
@@ -293,7 +287,7 @@ pub fn run_full() -> Artifacts {
         ]);
     }
 
-    let alert_log = mon.alert_log();
+    let alert_log = alerts.alert_log();
     let report = format!(
         "SLO burn-rate alerting — mid-run FaaS degradation of one tenant\n\n{}\n\
          timeline: slowdown x{SLOWDOWN:.0} injected into tenant `noisy` at t={degrade_secs}s,\n\

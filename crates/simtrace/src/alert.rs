@@ -9,13 +9,17 @@
 //! a 10× burn). A window with no events has *no* burn — silence is not an
 //! outage in a discrete-event simulation where a tenant may simply be idle.
 //!
-//! The engine is pure: [`AlertEngine::evaluate`] reads window state and
-//! mutates only its own rule/firing bookkeeping. It never schedules events,
-//! draws randomness, or touches wall clock, so alert logs from
-//! identically-seeded runs are byte-identical. Drivers (bench binaries,
-//! simcheck) call `evaluate` between `run_until` steps on a sim-time
-//! cadence; nothing inside the simulation observes the engine, preserving
-//! the passivity invariant.
+//! [`AlertEngine`] keeps one rule per registered tenant, in id order, and
+//! each rule keeps its firing state and every transition it made. The
+//! engine is pure: [`AlertEngine::observe`] reads window state and mutates
+//! only its own rules. It never schedules events, draws randomness, or
+//! touches wall clock, so alert logs from identically-seeded runs are
+//! byte-identical. The `slo_burn` and `region_outage` experiments call
+//! `observe` between `run_until` steps on a sim-time cadence; nothing
+//! inside the simulation observes the engine, preserving the passivity
+//! invariant.
+
+use std::collections::BTreeMap;
 
 use simkernel::{SimDuration, SimTime};
 
@@ -104,21 +108,28 @@ pub struct BurnSnapshot {
 }
 
 /// Evaluates one burn-rate rule per registered tenant against a
-/// [`WindowStore`] on sim-time ticks, tracking firing state and returning
-/// each tick's transitions. A tenant's rule judges its
+/// [`WindowStore`] on sim-time ticks, keeping each rule's firing state and
+/// its log of transitions. A tenant's rule judges its
 /// tenant-[`crate::scoped`] `slo.good`/`slo.bad` counters against the
 /// [`ERROR_BUDGET`] over the fast and slow windows.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
-    tenants: Vec<String>,
-    firing: Vec<bool>,
+    /// Each tenant's rule, keyed (and so evaluated) in id order.
+    rules: BTreeMap<String, Rule>,
+}
+
+/// One tenant's rule: whether it is firing, and every transition so far.
+#[derive(Debug, Default)]
+struct Rule {
+    firing: bool,
+    log: Vec<AlertEvent>,
 }
 
 impl AlertEngine {
-    /// Registers `tenant`'s rule; evaluation order is registration order.
+    /// Registers `tenant`'s rule. Rules are evaluated in id order whatever
+    /// the registration order; registering a tenant again keeps its rule.
     pub fn register(&mut self, tenant: &str) {
-        self.tenants.push(tenant.to_string());
-        self.firing.push(false);
+        self.rules.entry(tenant.to_string()).or_default();
     }
 
     /// Burn rates for `tenant`'s rule right now (no state change); `None`
@@ -129,7 +140,7 @@ impl AlertEngine {
         now: SimTime,
         windows: &WindowStore,
     ) -> Option<BurnSnapshot> {
-        let idx = self.tenants.iter().position(|t| t == tenant)?;
+        let rule = self.rules.get(tenant)?;
         let (fast_burn, fast_bad, fast_total) = burn(tenant, now, FAST_WINDOW, windows);
         let (slow_burn, _, _) = burn(tenant, now, SLOW_WINDOW, windows);
         Some(BurnSnapshot {
@@ -137,26 +148,18 @@ impl AlertEngine {
             slow_burn,
             fast_bad,
             fast_total,
-            firing: self.firing[idx],
+            firing: rule.firing,
         })
     }
 
-    /// True if the named tenant's rule is currently firing.
-    pub fn tenant_firing(&self, tenant: &str) -> bool {
-        self.tenants
-            .iter()
-            .zip(&self.firing)
-            .any(|(t, f)| *f && t == tenant)
-    }
-
-    /// Evaluates every rule at `now` and returns the transitions this tick
-    /// produced.
-    pub fn evaluate(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
+    /// Evaluates every rule at `now` in id order, logs each transition
+    /// under its tenant, and returns the transitions this tick produced.
+    pub fn observe(&mut self, now: SimTime, windows: &WindowStore) -> Vec<AlertEvent> {
         let mut out = Vec::new();
-        for (tenant, firing) in self.tenants.iter().zip(&mut self.firing) {
+        for (tenant, rule) in &mut self.rules {
             let (fast_burn, fast_bad, fast_total) = burn(tenant, now, FAST_WINDOW, windows);
             let (slow_burn, _, _) = burn(tenant, now, SLOW_WINDOW, windows);
-            let was = *firing;
+            let was = rule.firing;
             let is = if was {
                 // Hysteresis: stay firing until the fast window recovers.
                 fast_burn >= FAST_THRESHOLD
@@ -164,8 +167,8 @@ impl AlertEngine {
                 fast_burn >= FAST_THRESHOLD && slow_burn >= SLOW_THRESHOLD
             };
             if is != was {
-                *firing = is;
-                out.push(AlertEvent {
+                rule.firing = is;
+                let ev = AlertEvent {
                     at: now,
                     tenant: tenant.clone(),
                     kind: if is {
@@ -177,7 +180,30 @@ impl AlertEngine {
                     slow_burn,
                     fast_bad,
                     fast_total,
-                });
+                };
+                rule.log.push(ev.clone());
+                out.push(ev);
+            }
+        }
+        out
+    }
+
+    /// One tenant's transitions, in recording order; empty for a tenant
+    /// without a rule.
+    pub fn alerts(&self, tenant: &str) -> &[AlertEvent] {
+        self.rules.get(tenant).map_or(&[], |r| r.log.as_slice())
+    }
+
+    /// Every transition as fixed-format lines (see [`AlertEvent::render`]),
+    /// under a `# alerts tenant=<id>` header per tenant that has one, in id
+    /// order; empty when nothing fired (byte-deterministic).
+    pub fn alert_log(&self) -> String {
+        let mut out = String::new();
+        for (tenant, rule) in self.rules.iter().filter(|(_, r)| !r.log.is_empty()) {
+            out.push_str(&format!("# alerts tenant={tenant}\n"));
+            for ev in &rule.log {
+                out.push_str(&ev.render());
+                out.push('\n');
             }
         }
         out
@@ -220,32 +246,35 @@ mod tests {
         for m in 0..10u64 {
             w.counter_add(t(m * 60), "tenant.noisy.slo.good", 10);
         }
-        assert!(eng.evaluate(t(600), &w).is_empty());
+        assert!(eng.observe(t(600), &w).is_empty());
 
         // Total failure for 6 minutes: fast burn = 1/0.01 = 100 ≥ 14.4 and
         // the hour window accumulates enough bad to clear the 6× slow bar.
         for m in 10..16u64 {
             w.counter_add(t(m * 60), "tenant.noisy.slo.bad", 10);
         }
-        let evs = eng.evaluate(t(16 * 60), &w);
+        let evs = eng.observe(t(16 * 60), &w);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, AlertKind::Fired);
         assert_eq!(evs[0].tenant, "noisy");
         assert!(evs[0].fast_burn >= 14.4, "fast={}", evs[0].fast_burn);
         assert!(evs[0].slow_burn >= 6.0, "slow={}", evs[0].slow_burn);
-        assert!(eng.tenant_firing("noisy"));
+        assert!(eng.snapshot("noisy", t(16 * 60), &w).unwrap().firing);
         // Still firing on the next tick: no duplicate transition.
-        assert!(eng.evaluate(t(17 * 60), &w).is_empty());
+        assert!(eng.observe(t(17 * 60), &w).is_empty());
 
         // Recovery: good traffic resumes; once the fast window is clean the
         // alert resolves, even though the slow window still remembers.
         for m in 17..25u64 {
             w.counter_add(t(m * 60), "tenant.noisy.slo.good", 10);
         }
-        let evs = eng.evaluate(t(24 * 60), &w);
+        let evs = eng.observe(t(24 * 60), &w);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, AlertKind::Resolved);
-        assert!(!eng.tenant_firing("noisy"));
+        assert!(!eng.snapshot("noisy", t(24 * 60), &w).unwrap().firing);
+        // The rule logged both transitions, in order.
+        let kinds: Vec<AlertKind> = eng.alerts("noisy").iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [AlertKind::Fired, AlertKind::Resolved]);
     }
 
     #[test]
@@ -260,7 +289,7 @@ mod tests {
         // …then one bad minute: fast window burns hot, slow window shrugs.
         w.counter_add(t(55 * 60), "tenant.t1.slo.bad", 100);
         let snap_time = t(56 * 60);
-        assert!(eng.evaluate(snap_time, &w).is_empty());
+        assert!(eng.observe(snap_time, &w).is_empty());
         let snap = eng.snapshot("t1", snap_time, &w).unwrap();
         assert!(snap.fast_burn >= 14.4, "fast={}", snap.fast_burn);
         assert!(snap.slow_burn < 6.0, "slow={}", snap.slow_burn);
@@ -273,8 +302,115 @@ mod tests {
         let mut eng = AlertEngine::default();
         eng.register("idle");
         for m in 0..120u64 {
-            assert!(eng.evaluate(t(m * 60), &w).is_empty());
+            assert!(eng.observe(t(m * 60), &w).is_empty());
         }
+    }
+
+    /// An engine with `order`'s tenants registered in that order.
+    fn engine(order: &[&str]) -> AlertEngine {
+        let mut eng = AlertEngine::default();
+        for tenant in order {
+            eng.register(tenant);
+        }
+        eng
+    }
+
+    #[test]
+    fn observe_runs_in_id_order_whatever_the_registration_order() {
+        let mut w = WindowStore::default();
+        for tenant in ["noisy", "quiet"] {
+            w.counter_add(t(0), &crate::scoped(tenant, "slo.bad"), 3);
+            w.counter_add(t(0), &crate::scoped(tenant, "slo.good"), 1);
+        }
+        let mut fwd = engine(&["noisy", "quiet"]);
+        let mut rev = engine(&["quiet", "noisy"]);
+        // Each rule reads its own tenant's scoped counters.
+        for tenant in ["noisy", "quiet"] {
+            let snap = rev.snapshot(tenant, t(30), &w).unwrap();
+            assert_eq!((snap.fast_bad, snap.fast_total), (3, 4));
+        }
+        // Both fire on one tick, in id order, on either engine.
+        let a = fwd.observe(t(30), &w);
+        let b = rev.observe(t(30), &w);
+        assert_eq!(a, b);
+        let fired: Vec<&str> = b.iter().map(|e| e.tenant.as_str()).collect();
+        assert_eq!(fired, ["noisy", "quiet"]);
+        assert_eq!(fwd.alert_log(), rev.alert_log());
+    }
+
+    #[test]
+    fn transitions_are_logged_for_the_right_tenant_only() {
+        let mut w = WindowStore::default();
+        let mut eng = engine(&["noisy", "quiet", "idle"]);
+
+        // Both tenants complete work; only noisy's completions violate.
+        for m in 0..10u64 {
+            w.counter_add(t(m * 60), "tenant.noisy.slo.bad", 5);
+            w.counter_add(t(m * 60), "tenant.quiet.slo.good", 5);
+            let evs = eng.observe(t(m * 60 + 30), &w);
+            assert!(evs.iter().all(|e| e.tenant == "noisy"));
+        }
+        let snap = eng.snapshot("noisy", t(600), &w).unwrap();
+        assert!(snap.firing && snap.fast_burn > 14.4);
+        assert!(!eng.snapshot("quiet", t(600), &w).unwrap().firing);
+        assert_eq!(eng.alerts("noisy").len(), 1);
+        assert_eq!(eng.alerts("noisy")[0].kind, AlertKind::Fired);
+        assert!(eng.alerts("quiet").is_empty());
+        assert!(eng.alerts("idle").is_empty());
+        assert!(eng.alert_log().contains("FIRE slo-burn tenant=noisy"));
+    }
+
+    #[test]
+    fn alert_log_groups_by_tenant_in_sorted_order() {
+        let mut w = WindowStore::default();
+        let mut eng = engine(&["quiet", "noisy", "idle"]);
+        assert_eq!(eng.alert_log(), "");
+        // quiet fires first, noisy a tick later; both resolve at t=630.
+        w.counter_add(t(0), "tenant.quiet.slo.bad", 3);
+        w.counter_add(t(0), "tenant.quiet.slo.good", 1);
+        eng.observe(t(30), &w);
+        w.counter_add(t(60), "tenant.noisy.slo.bad", 2);
+        eng.observe(t(90), &w);
+        w.counter_add(t(600), "tenant.quiet.slo.good", 4);
+        eng.observe(t(630), &w);
+        assert_eq!(eng.alerts("quiet").len(), 2);
+        // A tenant without transitions gets no header.
+        assert!(eng.alerts("idle").is_empty());
+        assert_eq!(
+            eng.alert_log(),
+            concat!(
+                "# alerts tenant=noisy\n",
+                "90.000 FIRE slo-burn tenant=noisy fast_burn=100.00 slow_burn=100.00 fast_bad=2/2\n",
+                "630.000 RESOLVE slo-burn tenant=noisy fast_burn=0.00 slow_burn=100.00 fast_bad=0/0\n",
+                "# alerts tenant=quiet\n",
+                "30.000 FIRE slo-burn tenant=quiet fast_burn=75.00 slow_burn=75.00 fast_bad=3/4\n",
+                "630.000 RESOLVE slo-burn tenant=quiet fast_burn=0.00 slow_burn=37.50 fast_bad=0/4\n",
+            )
+        );
+    }
+
+    #[test]
+    fn an_unregistered_tenant_has_no_alerts_and_no_snapshot() {
+        let mut w = WindowStore::default();
+        let mut eng = engine(&["noisy"]);
+        w.counter_add(t(0), "tenant.stranger.slo.bad", 10);
+        assert!(eng.observe(t(30), &w).is_empty());
+        assert!(eng.alerts("stranger").is_empty());
+        assert!(eng.snapshot("stranger", t(30), &w).is_none());
+        assert_eq!(eng.alert_log(), "");
+    }
+
+    #[test]
+    fn registering_a_tenant_twice_keeps_one_rule() {
+        let mut w = WindowStore::default();
+        let mut eng = engine(&["noisy", "noisy"]);
+        w.counter_add(t(0), "tenant.noisy.slo.bad", 3);
+        assert_eq!(eng.observe(t(30), &w).len(), 1);
+        // A second registration of a firing tenant keeps its state and log.
+        eng.register("noisy");
+        assert!(eng.snapshot("noisy", t(30), &w).unwrap().firing);
+        assert_eq!(eng.alerts("noisy").len(), 1);
+        assert_eq!(eng.alert_log().matches("# alerts tenant=noisy").count(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rule by switching to a LogNormal fit when the sample skewness indicates a
 //! long right tail.
 
-use crate::dist::{Dist, EmpiricalDist};
+use crate::dist::Dist;
 
 /// Errors from fitting routines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,14 +106,6 @@ pub fn fit_auto(samples: &[f64]) -> Result<Dist, FitError> {
     fit_normal(samples)
 }
 
-/// Wraps the raw samples as an [`EmpiricalDist`] without fitting.
-pub fn fit_empirical(samples: &[f64]) -> Result<Dist, FitError> {
-    validate(samples)?;
-    Ok(Dist::Empirical(
-        EmpiricalDist::new(samples.to_vec()).expect("validated non-empty finite samples"),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,15 +190,6 @@ mod tests {
         let mut samples = vec![0.0; 50];
         samples.extend(std::iter::repeat_n(100.0, 3));
         assert!(matches!(fit_auto(&samples).unwrap(), Dist::Normal { .. }));
-    }
-
-    #[test]
-    fn empirical_fit_keeps_samples() {
-        let d = fit_empirical(&[3.0, 1.0, 2.0]).unwrap();
-        match d {
-            Dist::Empirical(e) => assert_eq!(e.samples(), &[1.0, 2.0, 3.0]),
-            other => panic!("expected empirical, got {other:?}"),
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use dist::{
     EmpiricalDist, EULER_GAMMA,
 };
 pub use extremes::{
-    gumbel_max_of_normals, max_of_n, monte_carlo_max, monte_carlo_max_from_std, std_normal_maxima,
+    gumbel_max_of_normals, monte_carlo_max, monte_carlo_max_from_std, std_normal_maxima,
     StdNormalMap, GUMBEL_THRESHOLD_N,
 };
-pub use fit::{fit_auto, fit_empirical, fit_lognormal, fit_normal, FitError};
+pub use fit::{fit_auto, fit_lognormal, fit_normal, FitError};

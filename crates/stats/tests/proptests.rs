@@ -264,7 +264,7 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let parent = Dist::normal(mu, sigma);
-        let max_dist = stats::max_of_n(&parent, n, 400, &mut rng);
+        let max_dist = stats::monte_carlo_max(&parent, n, 400, &mut rng);
         // The median of the max must exceed the parent's median.
         prop_assert!(max_dist.quantile(0.5) > parent.quantile(0.5) - 1e-9);
     }

@@ -13,6 +13,7 @@ use areplica::sim::world;
 use areplica::traces::{self, ReplayConfig, SynthConfig};
 use std::collections::HashMap;
 use std::process::exit;
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,11 +21,24 @@ fn main() {
         usage();
         exit(2);
     };
-    let opts = parse_opts(&args[1..]);
+    let rest = &args[1..];
     match command.as_str() {
-        "regions" => cmd_regions(),
-        "replicate" => cmd_replicate(&opts),
-        "trace" => cmd_trace(&opts),
+        "regions" => {
+            parse_opts(command, rest, &[], &[]);
+            cmd_regions()
+        }
+        "replicate" => cmd_replicate(&parse_opts(
+            command,
+            rest,
+            &["src", "dst", "size", "slo", "trials", "seed"],
+            &["no-batching"],
+        )),
+        "trace" => cmd_trace(&parse_opts(
+            command,
+            rest,
+            &["src", "dst", "minutes", "rate", "slo", "seed"],
+            &[],
+        )),
         "-h" | "--help" | "help" => usage(),
         other => {
             eprintln!("unknown command: {other}\n");
@@ -32,6 +46,12 @@ fn main() {
             exit(2);
         }
     }
+}
+
+/// Prints `msg` and exits with code 2, the CLI's code for bad input.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    exit(2)
 }
 
 fn usage() {
@@ -46,20 +66,43 @@ fn usage() {
     );
 }
 
-fn parse_opts(args: &[String]) -> HashMap<String, String> {
+/// Reads `command`'s options: `--<flag> <value>` for each flag in `values`
+/// and a bare `--<flag>` for each in `switches`. Any other argument, or a
+/// value flag without its value, stops the CLI with exit code 2.
+fn parse_opts(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> HashMap<String, String> {
     let mut opts = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].trim_start_matches("--").to_string();
-        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-            opts.insert(key, args[i + 1].clone());
-            i += 2;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(flag) = arg.strip_prefix("--") else {
+            fail(&format!("`{command}` takes no argument {arg}"));
+        };
+        if switches.contains(&flag) {
+            opts.insert(flag.to_string(), String::new());
+        } else if values.contains(&flag) {
+            let Some(value) = args.next() else {
+                fail(&format!("--{flag} needs a value"));
+            };
+            opts.insert(flag.to_string(), value.clone());
         } else {
-            opts.insert(key, "true".into());
-            i += 1;
+            fail(&format!("`{command}` takes no option --{flag}"));
         }
     }
     opts
+}
+
+/// The value of `--<flag>`, or `None` when it is absent. A value that does
+/// not parse as `T` stops the CLI with exit code 2.
+fn opt<T: FromStr>(opts: &HashMap<String, String>, flag: &str) -> Option<T> {
+    opts.get(flag).map(|value| {
+        value
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("bad value for --{flag}: {value}")))
+    })
 }
 
 fn parse_size(s: &str) -> u64 {
@@ -73,30 +116,26 @@ fn parse_size(s: &str) -> u64 {
     } else {
         (upper.as_str(), 1)
     };
-    let value: f64 = num.trim().parse().unwrap_or_else(|_| {
-        eprintln!("bad size: {s}");
-        exit(2);
-    });
-    (value * mult as f64) as u64
+    match num.trim().parse::<f64>() {
+        Ok(value) if value.is_finite() && value >= 0.0 => (value * mult as f64) as u64,
+        _ => fail(&format!("bad value for --size: {s}")),
+    }
 }
 
 fn parse_region(sim: &CloudSim, spec: &str) -> RegionId {
     let Some((cloud, name)) = spec.split_once(':') else {
-        eprintln!("region must be <cloud>:<name>, got {spec}");
-        exit(2);
+        fail(&format!("region must be <cloud>:<name>, got {spec}"));
     };
     let cloud = match cloud.to_lowercase().as_str() {
         "aws" => Cloud::Aws,
         "azure" => Cloud::Azure,
         "gcp" => Cloud::Gcp,
-        other => {
-            eprintln!("unknown cloud: {other}");
-            exit(2);
-        }
+        other => fail(&format!("unknown cloud: {other}")),
     };
     sim.world.regions.lookup(cloud, name).unwrap_or_else(|| {
-        eprintln!("unknown region {name} on {cloud}; run `areplica-cli regions`");
-        exit(2);
+        fail(&format!(
+            "unknown region {name} on {cloud}; run `areplica-cli regions`"
+        ))
     })
 }
 
@@ -115,33 +154,26 @@ fn cmd_regions() {
 }
 
 fn seed_of(opts: &HashMap<String, String>) -> u64 {
-    opts.get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2026)
+    opt(opts, "seed").unwrap_or(2026)
 }
 
 fn cmd_replicate(opts: &HashMap<String, String>) {
     let mut sim = World::paper_sim(seed_of(opts));
     let src = parse_region(
         &sim,
-        opts.get("src").map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--src required");
-            exit(2)
-        }),
+        opts.get("src")
+            .map(String::as_str)
+            .unwrap_or_else(|| fail("--src required")),
     );
     let dst = parse_region(
         &sim,
-        opts.get("dst").map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--dst required");
-            exit(2)
-        }),
+        opts.get("dst")
+            .map(String::as_str)
+            .unwrap_or_else(|| fail("--dst required")),
     );
     let size = parse_size(opts.get("size").map(String::as_str).unwrap_or("1MB"));
-    let trials: usize = opts.get("trials").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let slo = opts
-        .get("slo")
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(SimDuration::from_secs);
+    let trials: usize = opt(opts, "trials").unwrap_or(3);
+    let slo = opt(opts, "slo").map(SimDuration::from_secs);
 
     eprintln!(
         "profiling {} -> {} ...",
@@ -202,15 +234,12 @@ fn cmd_trace(opts: &HashMap<String, String>) {
             .map(String::as_str)
             .unwrap_or("aws:us-east-2"),
     );
-    let minutes: u64 = opts
-        .get("minutes")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    let rate: f64 = opts.get("rate").and_then(|s| s.parse().ok()).unwrap_or(5.0);
-    let slo = opts
-        .get("slo")
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(SimDuration::from_secs);
+    let minutes: u64 = opt(opts, "minutes").unwrap_or(10);
+    let rate: f64 = opt(opts, "rate").unwrap_or(5.0);
+    if !(rate.is_finite() && rate > 0.0) {
+        fail(&format!("bad value for --rate: {rate}"));
+    }
+    let slo = opt(opts, "slo").map(SimDuration::from_secs);
 
     eprintln!("profiling + generating a {minutes}-minute trace at ~{rate} ops/s ...");
     let mut rule = ReplicationRule::new(src, "cli-src", dst, "cli-dst");
@@ -223,8 +252,7 @@ fn cmd_trace(opts: &HashMap<String, String>) {
             ..SynthConfig::ibm_cos_like()
         },
         seed_of(opts) ^ 0xCE,
-    )
-    .writes_only();
+    );
     let stats = traces::schedule(&mut sim, &trace, src, "cli-src", &ReplayConfig::default());
     eprintln!(
         "replaying {} PUTs / {} DELETEs ...",

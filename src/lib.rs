@@ -10,8 +10,8 @@
 //!
 //! * [`core`] ([`areplica_core`]) — the data plane: engine, lock,
 //!   performance model, planner, profiler, changelog, batching.
-//! * [`control`] ([`areplica_control`]) — the control plane: tenant
-//!   registry, SLO monitoring, circuit breakers.
+//! * [`control`] ([`areplica_control`]) — the control plane: per-tenant
+//!   circuit breakers. A tenant is a [`core::TenantCtx`].
 //! * [`sim`] ([`cloudsim`]) — the simulated AWS/Azure/GCP world.
 //! * [`stats`] — distributions and extreme-value machinery.
 //! * [`kernel`] ([`simkernel`]) — the deterministic event simulator.
@@ -67,7 +67,6 @@ pub use stats;
 
 /// Everything needed for typical use, in one import.
 pub mod prelude {
-    pub use areplica_control::{TenantRegistry, TenantSpec};
     pub use areplica_core::{
         AReplica, AReplicaBuilder, CompletionRecord, EngineConfig, ExecSide, Metrics, PerfModel,
         Plan, ProfilerConfig, ReplicationRule, SchedulingMode, TenantCtx,

@@ -122,7 +122,7 @@ fn trace_replay_through_full_stack() {
         key_space: 200,
         ..SynthConfig::ibm_cos_like()
     };
-    let trace = traces::generate(&cfg, 77).writes_only();
+    let trace = traces::generate(&cfg, 77);
     let stats = traces::schedule(
         &mut sim,
         &trace,

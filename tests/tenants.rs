@@ -1,5 +1,5 @@
-//! Multi-tenant end-to-end tests: control-plane registry + data-plane
-//! services sharing one simulated world.
+//! Multi-tenant end-to-end tests: data-plane services, each built with its
+//! tenant's `TenantCtx`, sharing one simulated world.
 //!
 //! The central invariant: tenancy is *isolating*. A tenant's observable
 //! outcome (replication delays, per-tenant cost ledger) is a function of
@@ -25,13 +25,6 @@ fn quick_profiler() -> ProfilerConfig {
     }
 }
 
-fn registry() -> TenantRegistry {
-    let mut reg = TenantRegistry::new();
-    reg.register(TenantSpec::new("aqua").with_faas_concurrency(8));
-    reg.register(TenantSpec::new("zeph").with_faas_concurrency(8));
-    reg
-}
-
 /// One full run: both tenants' services installed in `order`, then one
 /// fixed workload (aqua's put always first). Returns each tenant's
 /// replication delays and total cost in nanodollars.
@@ -39,11 +32,9 @@ fn run_with_install_order(order: [&'static str; 2]) -> Vec<(String, Vec<f64>, i6
     let mut sim = World::paper_sim(2026);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let reg = registry();
-
     let mut services = Vec::new();
     for id in order {
-        let tenant = reg.tenant_ctx(id).unwrap();
+        let tenant = TenantCtx::named(id).with_faas_concurrency(8);
         let service = AReplicaBuilder::new()
             .rule(
                 ReplicationRule::new(src, format!("src-{id}"), dst, format!("dst-{id}"))
@@ -101,12 +92,10 @@ fn faas_quota_caps_tenant_concurrency() {
     let mut sim = World::paper_sim(7);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let mut reg = TenantRegistry::new();
-    reg.register(TenantSpec::new("capped").with_faas_concurrency(2));
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-capped", dst, "dst-capped").with_batching(false))
         .profiler_config(quick_profiler())
-        .tenant(reg.tenant_ctx("capped").unwrap())
+        .tenant(TenantCtx::named("capped").with_faas_concurrency(2))
         .install(&mut sim);
     sim.set_tenant_scope(Some(Rc::from("capped")));
     for k in 0..6 {

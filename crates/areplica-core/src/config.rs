@@ -103,10 +103,6 @@ pub struct EngineConfig {
     pub local_threshold: u64,
     /// Maximum parallelism considered by the planner.
     pub max_parallelism: u32,
-    /// Whether replicators validate the source ETag on every part
-    /// (optimistic replication with validation, §5.2). Disabled only by the
-    /// consistency ablation tests.
-    pub validate_etags: bool,
     /// How replicators schedule parts: the paper's decentralized
     /// part-granularity scheduling, or the fair fixed assignment baseline
     /// (Figure 17's ablation).
@@ -135,7 +131,6 @@ impl Default for EngineConfig {
             part_size: DEFAULT_PART_SIZE,
             local_threshold: DEFAULT_LOCAL_THRESHOLD,
             max_parallelism: DEFAULT_MAX_PARALLELISM,
-            validate_etags: true,
             scheduling: SchedulingMode::PartGranularity,
             unsafe_disable_upload_adoption: false,
         }
@@ -203,6 +198,5 @@ mod tests {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.part_size, 8 << 20);
         assert_eq!(cfg.scheduling, SchedulingMode::PartGranularity);
-        assert!(cfg.validate_etags);
     }
 }

@@ -357,7 +357,6 @@ fn stream_single_chunk<B: Backend>(
     ctx: Rc<TaskCtx<B>>,
     exit: Option<StreamExit<B>>,
 ) {
-    let if_match = ctx.cfg.validate_etags.then_some(ctx.task.etag);
     let ctx2 = ctx.clone();
     sim.get_object_range(
         exec,
@@ -366,7 +365,7 @@ fn stream_single_chunk<B: Backend>(
         ctx.task.key.clone(),
         0,
         ctx.task.size,
-        if_match,
+        Some(ctx.task.etag),
         move |sim, got| match got {
             Ok((content, read_etag)) => {
                 let ctx3 = ctx2.clone();
@@ -425,7 +424,6 @@ fn stream_chunk_loop<B: Backend>(
     }
     let offset = chunk as u64 * ctx.cfg.part_size;
     let len = ctx.cfg.part_size.min(ctx.task.size - offset);
-    let if_match = ctx.cfg.validate_etags.then_some(ctx.task.etag);
     let ctx2 = ctx.clone();
     sim.get_object_range(
         exec,
@@ -434,7 +432,7 @@ fn stream_chunk_loop<B: Backend>(
         ctx.task.key.clone(),
         offset,
         len,
-        if_match,
+        Some(ctx.task.etag),
         move |sim, got| match got {
             Ok((content, _etag)) => {
                 let ctx3 = ctx2.clone();
@@ -1012,7 +1010,6 @@ fn replicate_part<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64,
     let part_size = r.ctx.cfg.part_size;
     let offset = part as u64 * part_size;
     let len = part_size.min(task.size - offset);
-    let if_match = r.ctx.cfg.validate_etags.then_some(task.etag);
     let exec = Exec::Function(r.handle);
     sim.get_object_range(
         exec,
@@ -1021,7 +1018,7 @@ fn replicate_part<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64,
         task.key.clone(),
         offset,
         len,
-        if_match,
+        Some(task.etag),
         move |sim, got| match got {
             Ok((content, _etag)) => {
                 sim.upload_part(

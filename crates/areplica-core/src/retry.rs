@@ -3,16 +3,15 @@
 //! Data-plane invocations leave retries to the platform: every `invoke`
 //! passes [`cloudapi::faas::RetryPolicy::PLATFORM_DEFAULT`]. What remains
 //! here is the one client-side schedule, which the circuit breaker uses to
-//! stretch its cooldown across failed probes: a capped exponential with
-//! optional *deterministic decorrelated jitter*. Jitter draws come from an
-//! RNG derived off a policy seed and a per-schedule label
+//! stretch its cooldown across failed probes: capped *deterministic
+//! decorrelated jitter*, or a fixed delay without it. Jitter draws come
+//! from an RNG derived off a policy seed and a per-schedule label
 //! ([`RetryPolicy::schedule`]), an independent stream that by construction
 //! cannot perturb the shared latency RNGs — identically-seeded runs see
 //! identical delays.
 //!
 //! The [`Default`] policy is a fixed 250 ms back-off without jitter;
-//! [`RetryPolicy::resilient`] enables the capped exponential with
-//! decorrelated jitter.
+//! [`RetryPolicy::resilient`] enables decorrelated jitter up to an 8 s cap.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -24,15 +23,14 @@ pub struct RetryPolicy {
     /// Maximum client-side retry delays a [`BackoffSchedule`] yields before
     /// reporting exhaustion.
     pub max_attempts: u32,
-    /// Backoff before the first client-side retry.
+    /// Backoff before the first client-side retry, and every retry's
+    /// backoff without jitter.
     pub base_backoff: SimDuration,
-    /// Per-attempt multiplier of the capped exponential (1.0 = fixed).
-    pub multiplier: f64,
-    /// Upper cap on any single backoff delay.
+    /// Upper cap on any single jittered delay.
     pub max_backoff: SimDuration,
     /// Decorrelated-jitter seed: `Some(seed)` draws each delay uniformly
     /// from `[base, min(cap, 3 × previous)]` using an RNG derived from
-    /// `(seed, label)`; `None` yields the deterministic exponential.
+    /// `(seed, label)`; `None` yields `base_backoff` every time.
     pub jitter_seed: Option<u64>,
 }
 
@@ -42,7 +40,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             base_backoff: SimDuration::from_millis(250),
-            multiplier: 1.0,
             max_backoff: SimDuration::from_millis(250),
             jitter_seed: None,
         }
@@ -51,14 +48,13 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// A policy for sustained-failure environments: deep attempt budget,
-    /// capped exponential from 250 ms to 8 s, decorrelated jitter seeded
-    /// off `seed` so concurrent retriers decorrelate without sharing (or
-    /// perturbing) any latency RNG stream.
+    /// decorrelated jitter from 250 ms up to an 8 s cap, seeded off `seed`
+    /// so concurrent retriers decorrelate without sharing (or perturbing)
+    /// any latency RNG stream.
     pub fn resilient(seed: u64) -> Self {
         RetryPolicy {
             max_attempts: 8,
             base_backoff: SimDuration::from_millis(250),
-            multiplier: 2.0,
             max_backoff: SimDuration::from_secs(8),
             jitter_seed: Some(seed),
         }
@@ -99,22 +95,17 @@ impl BackoffSchedule {
         if self.issued >= self.policy.max_attempts {
             return None;
         }
-        let cap = self.policy.max_backoff.max(self.policy.base_backoff);
+        let base = self.policy.base_backoff;
         let delay = match &mut self.rng {
             // Decorrelated jitter (capped): uniform in
             // [base, min(cap, 3 × previous)].
             Some(rng) => {
-                let base = self.policy.base_backoff.as_nanos();
-                let prev = self.prev.unwrap_or(self.policy.base_backoff).as_nanos();
-                let hi = (3 * prev).clamp(base, cap.as_nanos());
-                SimDuration::from_nanos(rng.gen_range(base..hi + 1))
+                let cap = self.policy.max_backoff.max(base).as_nanos();
+                let prev = self.prev.unwrap_or(base).as_nanos();
+                let hi = (3 * prev).clamp(base.as_nanos(), cap);
+                SimDuration::from_nanos(rng.gen_range(base.as_nanos()..hi + 1))
             }
-            // Deterministic capped exponential: base × multiplier^n.
-            None => {
-                let exp = self.policy.base_backoff.as_secs_f64()
-                    * self.policy.multiplier.powi(self.issued as i32);
-                SimDuration::from_secs_f64(exp.min(cap.as_secs_f64()))
-            }
+            None => base,
         };
         self.issued += 1;
         self.prev = Some(delay);
@@ -140,32 +131,6 @@ mod tests {
             assert_eq!(s.next_delay(), Some(SimDuration::from_millis(250)));
         }
         assert_eq!(s.next_delay(), None);
-    }
-
-    #[test]
-    fn capped_exponential_without_jitter() {
-        let p = RetryPolicy {
-            max_attempts: 6,
-            base_backoff: SimDuration::from_millis(250),
-            multiplier: 2.0,
-            max_backoff: SimDuration::from_secs(1),
-            jitter_seed: None,
-        };
-        let delays: Vec<_> = {
-            let mut s = p.schedule("x");
-            std::iter::from_fn(|| s.next_delay()).collect()
-        };
-        assert_eq!(
-            delays,
-            vec![
-                SimDuration::from_millis(250),
-                SimDuration::from_millis(500),
-                SimDuration::from_secs(1),
-                SimDuration::from_secs(1), // capped
-                SimDuration::from_secs(1),
-                SimDuration::from_secs(1),
-            ]
-        );
     }
 
     #[test]

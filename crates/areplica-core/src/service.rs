@@ -46,22 +46,22 @@ use crate::profiler::{self, ProfilerConfig};
 use crate::tenant::TenantCtx;
 
 /// Mutable service state shared by every event closure.
-pub struct ServiceState {
+struct ServiceState {
     /// Installed rules.
-    pub rules: Vec<ReplicationRule>,
+    rules: Vec<ReplicationRule>,
     /// Engine configuration.
-    pub cfg: EngineConfig,
+    cfg: EngineConfig,
     /// The performance model (profiled offline, updated online).
-    pub model: PerfModel,
+    model: PerfModel,
     /// Collected metrics.
-    pub metrics: Metrics,
+    metrics: Metrics,
     /// Per-rule batching state.
-    pub batchers: Vec<Batcher>,
+    batchers: Vec<Batcher>,
     /// Online model updater.
-    pub logger: OnlineLogger,
+    logger: OnlineLogger,
     /// The tenant this service instance replicates for (the implicit
     /// default tenant unless the control plane supplied one).
-    pub tenant: TenantCtx,
+    tenant: TenantCtx,
     /// Tasks currently between trigger and conclusion, for the deadline
     /// watchdog. Populated only when a health handle is attached.
     inflight: HashSet<(usize, String, u64)>,
@@ -222,11 +222,6 @@ impl AReplica {
     /// Number of online model adjustments so far.
     pub fn model_adjustments(&self) -> u64 {
         self.state.borrow().logger.adjustments
-    }
-
-    /// Direct handle to the shared state (tests and experiment harnesses).
-    pub fn state(&self) -> St {
-        self.state.clone()
     }
 
     /// Degraded read for a rule's object: reads from the destination

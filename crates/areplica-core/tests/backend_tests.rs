@@ -18,7 +18,7 @@ use cloudsim::{Cloud, RegionId, World};
 use pricing::CostSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simkernel::{SimDuration, SimTime};
+use simkernel::{RunStats, SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
 // Generic-instantiation tests: one generic function per backend trait,
@@ -327,12 +327,29 @@ fn fault_injection_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism regression guard: the same seeded replication through the
-// plain cloudsim adapter twice must yield identical completion-record
-// sequences and cost-ledger totals.
+// Determinism regression guards: the same seeded replication through the
+// plain cloudsim adapter twice must yield identical completion records,
+// cost-ledger totals and kernel event counts, and so must a run under a
+// decider that never fires, whose presence alone must not show.
 // ---------------------------------------------------------------------------
 
-fn run_plain(seed: u64) -> (Vec<CompletionRecord>, CostSnapshot) {
+/// A decider that declines every fault.
+struct NeverFault;
+
+impl FaultDecider for NeverFault {
+    fn decide(&mut self, _: FaultSite) -> bool {
+        false
+    }
+}
+
+#[derive(Debug, PartialEq)]
+struct PlainRun {
+    completions: Vec<CompletionRecord>,
+    ledger: CostSnapshot,
+    stats: RunStats,
+}
+
+fn run_plain(seed: u64, decider: Option<Box<dyn FaultDecider>>) -> PlainRun {
     let mut sim = World::paper_sim(seed);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim
@@ -345,6 +362,9 @@ fn run_plain(seed: u64) -> (Vec<CompletionRecord>, CostSnapshot) {
         .engine_config(EngineConfig::default())
         .profiler_config(small_profiler())
         .install(&mut sim);
+    if let Some(decider) = decider {
+        sim.world.set_fault_decider(decider, None);
+    }
     for (i, size) in [4 << 20, 96 << 20, 512 << 10].into_iter().enumerate() {
         sim.user_put(src, "src-bucket", &format!("obj-{i}"), size)
             .unwrap();
@@ -353,19 +373,25 @@ fn run_plain(seed: u64) -> (Vec<CompletionRecord>, CostSnapshot) {
     let completions = service.metrics().completions.clone();
     assert_eq!(completions.len(), 3);
     assert_tables_quiesced(&sim.world, &[src, dst]);
-    (completions, sim.world.ledger.snapshot())
+    PlainRun {
+        completions,
+        ledger: sim.world.ledger.snapshot(),
+        stats: sim.stats(),
+    }
 }
 
 #[test]
 fn same_seed_replications_are_bit_identical() {
-    let (completions_a, ledger_a) = run_plain(31);
-    let (completions_b, ledger_b) = run_plain(31);
     assert_eq!(
-        completions_a, completions_b,
-        "completion records diverged between identically-seeded runs"
+        run_plain(31, None),
+        run_plain(31, None),
+        "identically-seeded runs diverged"
     );
-    assert_eq!(
-        ledger_a, ledger_b,
-        "cost-ledger totals diverged between identically-seeded runs"
-    );
+}
+
+#[test]
+fn a_decider_that_never_fires_changes_nothing() {
+    let plain = run_plain(31, None);
+    let silent = run_plain(31, Some(Box::new(NeverFault)));
+    assert_eq!(plain, silent, "a silent decider perturbed the run");
 }

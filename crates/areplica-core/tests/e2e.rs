@@ -6,9 +6,12 @@ use areplica_core::{
     changelog, AReplica, AReplicaBuilder, EngineConfig, ExecSide, PathKey, PerfModel,
     ProfilerConfig, ReplicationRule, SchedulingMode,
 };
+use cloudsim::fault::{FaultDecider, FaultSite};
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, RegionId, World};
 use pricing::{CostCategory, Money};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simkernel::{SimDuration, SimTime};
 
 fn small_profiler() -> ProfilerConfig {
@@ -173,35 +176,6 @@ fn concurrent_update_during_large_replication_stays_consistent() {
         .stat("dst-bucket", "racy.bin")
         .unwrap();
     assert_eq!(stat.size, 220 << 20);
-}
-
-#[test]
-fn validation_disabled_can_corrupt_ablation() {
-    // The §5.2 ablation: without optimistic validation, a concurrent update
-    // can produce a destination object stitched from two source versions.
-    // (Not guaranteed every run — but with validation ON this must NEVER
-    // happen, which is what the previous test asserts.)
-    let engine = EngineConfig {
-        validate_etags: false,
-        ..EngineConfig::default()
-    };
-    let (mut sim, _service, src, dst) = setup(
-        5,
-        (Cloud::Aws, "us-east-1"),
-        (Cloud::Azure, "eastus"),
-        |r| r,
-        engine,
-    );
-    world::user_put(&mut sim, src, "src-bucket", "racy.bin", 200 << 20).unwrap();
-    sim.schedule_at(SimTime::from_nanos(3_000_000_000), move |sim| {
-        world::user_put(sim, src, "src-bucket", "racy.bin", 220 << 20).unwrap();
-    });
-    sim.run_to_completion(10_000_000);
-    // The destination exists but may be inconsistent; we only assert the
-    // pipeline terminated. The point of the test is the contrast with the
-    // validated run above; print the observation for the ablation log.
-    let dst_obj = sim.world.objstore(dst).read_full("dst-bucket", "racy.bin");
-    assert!(dst_obj.is_ok(), "replication must still terminate");
 }
 
 #[test]
@@ -492,6 +466,23 @@ fn batching_disabled_replicates_every_version() {
     assert!(m.completions.len() >= 9, "got {}", m.completions.len());
 }
 
+/// Crashes the calling function at each kill site (after a part upload or
+/// a committed DB transaction) with probability `rate`, drawn from its own
+/// seeded stream; every other site stays clear.
+struct KillRate {
+    rate: f64,
+    rng: StdRng,
+}
+
+impl FaultDecider for KillRate {
+    fn decide(&mut self, site: FaultSite) -> bool {
+        matches!(
+            site,
+            FaultSite::KillAfterUpload | FaultSite::PostTransactKill
+        ) && self.rng.gen_bool(self.rate)
+    }
+}
+
 #[test]
 fn crash_injection_does_not_strand_tasks() {
     let (mut sim, service, src, dst) = setup(
@@ -501,11 +492,18 @@ fn crash_injection_does_not_strand_tasks() {
         |r| r,
         EngineConfig::default(),
     );
-    sim.world.params.crash_probability = 0.02;
+    let decider = KillRate {
+        rate: 0.05,
+        rng: StdRng::seed_from_u64(0xC4A5),
+    };
+    sim.world.set_fault_decider(Box::new(decider), None);
     world::user_put(&mut sim, src, "src-bucket", "fragile.bin", 128 << 20).unwrap();
     sim.run_to_completion(20_000_000);
     assert_replica_matches(&sim, src, dst, "fragile.bin");
     assert_eq!(service.metrics().completions.len(), 1);
+    let faults = sim.world.fault_stats();
+    assert!(faults.lease_holder_kills + faults.post_transact_kills > 0);
+    assert!(sim.world.faas.stats.crashes > 0, "no function was killed");
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Direct engine tests: the streamed and distributed paths, abort handling,
 //! crash rescue via leases and the watchdog, and scheduling-mode behaviour.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use areplica_core::engine::{self, TaskOutcome, TaskSpec, TaskStatus};
 use areplica_core::model::ExecSide;
 use areplica_core::{EngineConfig, Plan, SchedulingMode};
+use cloudsim::faas::FailureReason;
+use cloudsim::fault::{FaultDecider, FaultSite};
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, RegionId, World};
 use simkernel::{SimDuration, SimTime};
@@ -179,13 +181,29 @@ fn source_deletion_midway_reports_gone() {
     ));
 }
 
+/// Crashes the calling function at every kill site (after a part upload or
+/// a committed DB transaction) while the shared flag holds.
+struct KillWhile(Rc<Cell<bool>>);
+
+impl FaultDecider for KillWhile {
+    fn decide(&mut self, site: FaultSite) -> bool {
+        self.0.get()
+            && matches!(
+                site,
+                FaultSite::KillAfterUpload | FaultSite::PostTransactKill
+            )
+    }
+}
+
 #[test]
 fn watchdog_rescues_task_after_total_replicator_loss() {
-    // Kill replicators aggressively (high crash rate, no platform retries):
+    // Kill every replicator attempt until the platform's retries are spent:
     // the part-pool leases expire and the watchdog's rescue replicator must
     // finish the task. This is the deep fault-tolerance path.
     let mut s = setup(47);
-    s.sim.world.params.crash_probability = 0.10;
+    let armed = Rc::new(Cell::new(true));
+    let decider = KillWhile(armed.clone());
+    s.sim.world.set_fault_decider(Box::new(decider), None);
     let task = task_for(&mut s, "doomed", 128 << 20); // 16 chunks
     let out: Rc<RefCell<Option<TaskOutcome>>> = Rc::default();
     let out2 = out.clone();
@@ -199,8 +217,8 @@ fn watchdog_rescues_task_after_total_replicator_loss() {
     );
     // Stop crashing after the initial fleet dies so the rescue can work.
     s.sim
-        .schedule_at(SimTime::from_nanos(20_000_000_000), |sim| {
-            sim.world.params.crash_probability = 0.0;
+        .schedule_at(SimTime::from_nanos(20_000_000_000), move |_| {
+            armed.set(false);
         });
     s.sim.run_to_completion(100_000_000);
     let o = out
@@ -221,6 +239,13 @@ fn watchdog_rescues_task_after_total_replicator_loss() {
         .read_full("dst", "doomed")
         .unwrap();
     assert!(a.same_bytes(&b));
+    // The path the test names: each initial replicator spent its retries
+    // and was parked, and the rescue came from the watchdog.
+    assert!(s.sim.world.fault_stats().post_transact_kills > 0);
+    assert!(s.sim.world.faas.stats.crashes > 0);
+    let dlq = &s.sim.world.faas.dlq;
+    assert_eq!(dlq.len(), 4, "{dlq:?}");
+    assert!(dlq.iter().all(|e| e.reason == FailureReason::Crash));
 }
 
 #[test]

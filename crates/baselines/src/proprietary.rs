@@ -8,10 +8,9 @@
 //! per-GB surcharge, inter-region egress, replication PUT requests, and the
 //! versioning storage overhead both services require.
 
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use cloudsim::objstore::Content;
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, RegionId};
 use pricing::{CostCategory, Money};
@@ -193,26 +192,6 @@ impl ManagedReplication {
     /// Completed replications so far.
     pub fn completed(&self) -> u64 {
         self.state.borrow().completed
-    }
-
-    /// The destination's current content for a key (verification helper).
-    pub fn dst_content(&self, sim: &CloudSim, key: &str) -> Option<Content> {
-        let s = self.state.borrow();
-        sim.world
-            .objstore(s.dst_region)
-            .read_full(&s.dst_bucket, key)
-            .ok()
-            .map(|(c, _)| c)
-    }
-
-    /// Source region of the rule.
-    pub fn src_region(&self) -> RegionId {
-        self.state.borrow().src_region
-    }
-
-    /// Source bucket of the rule.
-    pub fn src_bucket(&self) -> Ref<'_, str> {
-        Ref::map(self.state.borrow(), |s| s.src_bucket.as_str())
     }
 }
 

@@ -34,8 +34,6 @@ pub struct SkyplaneConfig {
     /// Job orchestration overhead distribution, seconds (Figure 4's
     /// "Others": planning, chunking, dispatch — ~18 s).
     pub job_overhead: Dist,
-    /// Chunk size gateways relay at.
-    pub chunk_size: u64,
 }
 
 impl Default for SkyplaneConfig {
@@ -44,7 +42,6 @@ impl Default for SkyplaneConfig {
             vms_per_region: 1,
             keep_alive: None,
             job_overhead: Dist::normal(18.0, 2.5),
-            chunk_size: 64 << 20,
         }
     }
 }
@@ -90,8 +87,6 @@ struct Job {
 struct SkyState {
     cfg: SkyplaneConfig,
     pairs: BTreeMap<(RegionId, RegionId), PairState>,
-    /// Total jobs completed (stats).
-    completed_jobs: u64,
     /// Phase timeline (timestamp, phase label) for breakdown reporting
     /// (Figure 4).
     timeline: Vec<(SimTime, &'static str)>,
@@ -109,15 +104,9 @@ impl Skyplane {
             state: Rc::new(RefCell::new(SkyState {
                 cfg,
                 pairs: BTreeMap::new(),
-                completed_jobs: 0,
                 timeline: Vec::new(),
             })),
         }
-    }
-
-    /// Total jobs completed so far.
-    pub fn completed_jobs(&self) -> u64 {
-        self.state.borrow().completed_jobs
     }
 
     /// A second handle sharing the same gateway fleet and queues (for moving
@@ -379,7 +368,6 @@ fn finish_job(
     {
         let mut s = st.borrow_mut();
         s.timeline.push((completed, "job_complete"));
-        s.completed_jobs += 1;
         if let Some(pair) = s.pairs.get_mut(&(src, dst)) {
             pair.busy = false;
         }

@@ -3,73 +3,34 @@
 //! flexibility but pay per-part API/DB overhead; large parts are efficient
 //! but let one slow instance stall the tail. The paper lands on 8 MB.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use areplica_core::engine::{self, TaskSpec, TaskStatus};
 use areplica_core::model::ExecSide;
-use areplica_core::{EngineConfig, Plan};
-use cloudsim::world;
+use areplica_core::EngineConfig;
 use cloudsim::Cloud;
 use pricing::CostCategory;
 use simkernel::SimDuration;
 
 use crate::harness::{mean, scaled, Table};
-use crate::runners::fresh_sim;
+use crate::runners::{pair_sim, replicate_fixed};
 
 fn run_part_size(part_size: u64, trials: usize, seed_offset: u64) -> (f64, f64, u64) {
-    let mut sim = fresh_sim(seed_offset);
-    let src = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let dst = sim
-        .world
-        .regions
-        .lookup(Cloud::Gcp, "asia-northeast1")
-        .unwrap();
-    sim.world.objstore_mut(src).create_bucket("src");
-    sim.world.objstore_mut(dst).create_bucket("dst");
+    let (mut sim, pair) = pair_sim(
+        seed_offset,
+        (Cloud::Azure, "eastus"),
+        (Cloud::Gcp, "asia-northeast1"),
+    );
     let cfg = EngineConfig {
         part_size,
         ..EngineConfig::default()
     };
     let size: u64 = 1 << 30;
-    let mut times = Vec::new();
+    let n = 32.min(cfg.num_parts(size));
     let before = sim.world.ledger.snapshot();
-    for t in 0..trials {
-        let key = format!("obj-{t}");
-        let put = world::user_put(&mut sim, src, "src", &key, size).unwrap();
-        let start = sim.now();
-        let done: Rc<RefCell<Option<f64>>> = Rc::default();
-        let d2 = done.clone();
-        engine::execute(
-            &mut sim,
-            cfg.clone(),
-            TaskSpec {
-                src_region: src,
-                src_bucket: "src".into(),
-                dst_region: dst,
-                dst_bucket: "dst".into(),
-                key,
-                etag: put.etag,
-                seq: put.event.seq,
-                size,
-                event_time: start,
-            },
-            Plan {
-                n: 32.min(cfg.num_parts(size)),
-                side: ExecSide::Source,
-                local: false,
-                predicted: SimDuration::from_secs(30),
-                slo_met: false,
-            },
-            None,
-            Rc::new(move |sim, outcome| {
-                assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
-                *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
-            }),
-        );
-        sim.run_to_completion(100_000_000);
-        times.push(done.borrow().expect("completed"));
-    }
+    let times: Vec<f64> = (0..trials)
+        .map(|t| {
+            let key = format!("obj-{t}");
+            replicate_fixed(&mut sim, &cfg, pair, &key, size, n, ExecSide::Source).0
+        })
+        .collect();
     let settle = sim.now() + SimDuration::from_secs(30);
     sim.run_until(settle);
     let spent = sim.world.ledger.since(&before);

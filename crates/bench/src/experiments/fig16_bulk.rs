@@ -6,9 +6,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use areplica_core::engine::{self, TaskSpec, TaskStatus};
 use areplica_core::model::ExecSide;
-use areplica_core::{EngineConfig, Plan};
+use areplica_core::EngineConfig;
 use baselines::{Skyplane, SkyplaneConfig};
 use cloudsim::world;
 use cloudsim::Cloud;
@@ -16,7 +15,7 @@ use pricing::CostSnapshot;
 use simkernel::SimDuration;
 
 use crate::harness::Table;
-use crate::runners::fresh_sim;
+use crate::runners::{pair_sim, replicate_fixed};
 
 /// `(source, destination, AReplica function count)` per bulk pair.
 type BulkPair = ((Cloud, &'static str), (Cloud, &'static str), u32);
@@ -55,51 +54,16 @@ fn areplica_bulk(
     dst: (Cloud, &str),
     n: u32,
 ) -> (f64, CostSnapshot) {
-    let mut sim = fresh_sim(0x1600 + pair_idx);
-    let src_r = sim.world.regions.lookup(src.0, src.1).unwrap();
-    let dst_r = sim.world.regions.lookup(dst.0, dst.1).unwrap();
-    sim.world.objstore_mut(src_r).create_bucket("src");
-    sim.world.objstore_mut(dst_r).create_bucket("dst");
+    let (mut sim, pair) = pair_sim(0x1600 + pair_idx, src, dst);
     // Lift the default quota for 512-way bulk (the paper notes quotas are
     // adjustable and AReplica uses 128-512 instances here).
     for cloud in [Cloud::Aws, Cloud::Azure, Cloud::Gcp] {
         sim.world.params.cloud_mut(cloud).concurrency_limit = 1024;
     }
-    let size = object_size();
-    let put = world::user_put(&mut sim, src_r, "src", "bulk", size).unwrap();
     let before = sim.world.ledger.snapshot();
-    let start = sim.now();
-    let done: Rc<RefCell<Option<f64>>> = Rc::default();
-    let d2 = done.clone();
-    engine::execute(
-        &mut sim,
-        EngineConfig::default(),
-        TaskSpec {
-            src_region: src_r,
-            src_bucket: "src".into(),
-            dst_region: dst_r,
-            dst_bucket: "dst".into(),
-            key: "bulk".into(),
-            etag: put.etag,
-            seq: put.event.seq,
-            size,
-            event_time: start,
-        },
-        Plan {
-            n,
-            side: ExecSide::Source,
-            local: false,
-            predicted: SimDuration::from_secs(60),
-            slo_met: false,
-        },
-        None,
-        Rc::new(move |sim, outcome| {
-            assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
-            *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
-        }),
-    );
-    sim.run_to_completion(100_000_000);
-    let t = done.borrow().expect("bulk completed");
+    let cfg = EngineConfig::default();
+    let size = object_size();
+    let (t, _) = replicate_fixed(&mut sim, &cfg, pair, "bulk", size, n, ExecSide::Source);
     // Drain replicators before costing.
     let settle = sim.now() + SimDuration::from_secs(30);
     sim.run_until(settle);
@@ -107,11 +71,7 @@ fn areplica_bulk(
 }
 
 fn skyplane_bulk(pair_idx: u64, src: (Cloud, &str), dst: (Cloud, &str)) -> (f64, CostSnapshot) {
-    let mut sim = fresh_sim(0x1700 + pair_idx);
-    let src_r = sim.world.regions.lookup(src.0, src.1).unwrap();
-    let dst_r = sim.world.regions.lookup(dst.0, dst.1).unwrap();
-    sim.world.objstore_mut(src_r).create_bucket("src");
-    sim.world.objstore_mut(dst_r).create_bucket("dst");
+    let (mut sim, (src_r, dst_r)) = pair_sim(0x1700 + pair_idx, src, dst);
     world::user_put(&mut sim, src_r, "src", "bulk", object_size()).unwrap();
     let before = sim.world.ledger.snapshot();
     let sky = Skyplane::new(SkyplaneConfig {

@@ -4,18 +4,12 @@
 //! scheduling lets fast instances take more chunks, so all instances finish
 //! at roughly the same time and the end-to-end time drops.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use areplica_core::engine::{self, ReplicatorStat, TaskSpec, TaskStatus};
 use areplica_core::model::ExecSide;
-use areplica_core::{EngineConfig, Plan, SchedulingMode};
-use cloudsim::world;
+use areplica_core::{EngineConfig, SchedulingMode};
 use cloudsim::Cloud;
-use simkernel::SimDuration;
 
 use crate::harness::{mean, percentile, scaled, trace_artifacts, trace_out_dir, Table};
-use crate::runners::fresh_sim;
+use crate::runners::{pair_sim, replicate_fixed};
 
 struct ModeOutcome {
     e2e_times: Vec<f64>,
@@ -25,23 +19,16 @@ struct ModeOutcome {
     trace: Option<(String, String)>,
 }
 
-/// `(elapsed_seconds, per-replicator stats)` filled in on completion.
-type DoneSlot = Rc<RefCell<Option<(f64, Rc<RefCell<Vec<ReplicatorStat>>>)>>>;
-
 fn run_mode(mode: SchedulingMode, trials: usize, seed_offset: u64, traced: bool) -> ModeOutcome {
-    let mut sim = fresh_sim(seed_offset);
+    let (mut sim, pair) = pair_sim(
+        seed_offset,
+        (Cloud::Azure, "eastus"),
+        (Cloud::Gcp, "asia-northeast1"),
+    );
     // Recording draws no randomness and schedules no events, so the traced
     // run's report stays bit-identical to the untraced one.
     sim.world.trace.set_enabled(traced);
-    let src = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-    let dst = sim
-        .world
-        .regions
-        .lookup(Cloud::Gcp, "asia-northeast1")
-        .unwrap();
-    sim.world.objstore_mut(src).create_bucket("src");
-    sim.world.objstore_mut(dst).create_bucket("dst");
-    let engine_cfg = EngineConfig {
+    let cfg = EngineConfig {
         scheduling: mode,
         ..EngineConfig::default()
     };
@@ -55,44 +42,10 @@ fn run_mode(mode: SchedulingMode, trials: usize, seed_offset: u64, traced: bool)
     };
     for t in 0..trials {
         let key = format!("obj-{t}");
-        let put = world::user_put(&mut sim, src, "src", &key, size).unwrap();
-        let start = sim.now();
-        let done: DoneSlot = Rc::default();
-        let d2 = done.clone();
-        engine::execute(
-            &mut sim,
-            engine_cfg.clone(),
-            TaskSpec {
-                src_region: src,
-                src_bucket: "src".into(),
-                dst_region: dst,
-                dst_bucket: "dst".into(),
-                key,
-                etag: put.etag,
-                seq: put.event.seq,
-                size,
-                event_time: start,
-            },
-            Plan {
-                n: 32,
-                side: ExecSide::Source,
-                local: false,
-                predicted: SimDuration::from_secs(20),
-                slo_met: false,
-            },
-            None,
-            Rc::new(move |sim, outcome| {
-                assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
-                *d2.borrow_mut() = Some((
-                    (sim.now() - start).as_secs_f64(),
-                    outcome.replicator_stats.clone(),
-                ));
-            }),
-        );
-        sim.run_to_completion(50_000_000);
-        let (e2e, stats) = done.borrow().clone().expect("completed");
+        let (e2e, outcome) =
+            replicate_fixed(&mut sim, &cfg, pair, &key, size, 32, ExecSide::Source);
         out.e2e_times.push(e2e);
-        for s in stats.borrow().iter() {
+        for s in outcome.replicator_stats.borrow().iter() {
             out.exec_times.push((s.finished - s.started).as_secs_f64());
             out.chunks.push(s.chunks as f64);
         }

@@ -3,18 +3,12 @@
 //! instances, on a fast/stable path (AWS us-east-1 → Azure eastus) and a
 //! slow/fluctuating one (Azure eastus → GCP asia-northeast1).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use areplica_core::engine::{self, TaskSpec, TaskStatus};
 use areplica_core::model::{ExecSide, PathKey};
-use areplica_core::{EngineConfig, Plan};
-use cloudsim::world;
+use areplica_core::EngineConfig;
 use cloudsim::Cloud;
-use simkernel::SimDuration;
 
 use crate::harness::{mean, scaled, std_dev, trace_artifacts, trace_out_dir, Table};
-use crate::runners::{fresh_sim, measure_areplica_once, profile_pairs};
+use crate::runners::{fresh_sim, measure_areplica_once, pair_sim, profile_pairs, replicate_fixed};
 
 /// Runs `trials` actual replications with fixed parallelism `n`, functions
 /// at the source.
@@ -25,50 +19,14 @@ pub fn actual_times(
     trials: usize,
     seed_offset: u64,
 ) -> Vec<f64> {
-    let mut sim = fresh_sim(seed_offset);
-    let src_r = sim.world.regions.lookup(src.0, src.1).unwrap();
-    let dst_r = sim.world.regions.lookup(dst.0, dst.1).unwrap();
-    sim.world.objstore_mut(src_r).create_bucket("src");
-    sim.world.objstore_mut(dst_r).create_bucket("dst");
-    let size: u64 = 1 << 30;
-    let mut times = Vec::new();
-    for t in 0..trials {
-        let key = format!("obj-{t}");
-        let put = world::user_put(&mut sim, src_r, "src", &key, size).unwrap();
-        let start = sim.now();
-        let done: Rc<RefCell<Option<f64>>> = Rc::default();
-        let d2 = done.clone();
-        engine::execute(
-            &mut sim,
-            EngineConfig::default(),
-            TaskSpec {
-                src_region: src_r,
-                src_bucket: "src".into(),
-                dst_region: dst_r,
-                dst_bucket: "dst".into(),
-                key,
-                etag: put.etag,
-                seq: put.event.seq,
-                size,
-                event_time: start,
-            },
-            Plan {
-                n,
-                side: ExecSide::Source,
-                local: false,
-                predicted: SimDuration::from_secs(60),
-                slo_met: false,
-            },
-            None,
-            Rc::new(move |sim, outcome| {
-                assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
-                *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
-            }),
-        );
-        sim.run_to_completion(50_000_000);
-        times.push(done.borrow().expect("completed"));
-    }
-    times
+    let (mut sim, pair) = pair_sim(seed_offset, src, dst);
+    let cfg = EngineConfig::default();
+    (0..trials)
+        .map(|t| {
+            let key = format!("obj-{t}");
+            replicate_fixed(&mut sim, &cfg, pair, &key, 1 << 30, n, ExecSide::Source).0
+        })
+        .collect()
 }
 
 /// Predicted T_rep distribution stats (mean, std, p50, p99) for the path.

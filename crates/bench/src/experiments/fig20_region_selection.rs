@@ -4,19 +4,13 @@
 //! Certain regions have very distinct characteristics; neither static choice
 //! wins everywhere.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use areplica_core::engine::{self, TaskSpec, TaskStatus};
 use areplica_core::model::ExecSide;
 use areplica_core::planner::generate_plan;
-use areplica_core::{EngineConfig, Plan};
-use cloudsim::world;
+use areplica_core::EngineConfig;
 use cloudsim::Cloud;
-use simkernel::SimDuration;
 
 use crate::harness::{mean, scaled, Table};
-use crate::runners::fresh_sim;
+use crate::runners::{fresh_sim, pair_sim, replicate_fixed};
 
 const SIZE: u64 = 128 << 20;
 
@@ -27,48 +21,14 @@ fn measure_side(
     trials: usize,
     seed_offset: u64,
 ) -> f64 {
-    let mut sim = fresh_sim(seed_offset);
-    let src_r = sim.world.regions.lookup(src.0, src.1).unwrap();
-    let dst_r = sim.world.regions.lookup(dst.0, dst.1).unwrap();
-    sim.world.objstore_mut(src_r).create_bucket("src");
-    sim.world.objstore_mut(dst_r).create_bucket("dst");
-    let mut times = Vec::new();
-    for t in 0..trials {
-        let key = format!("obj-{t}");
-        let put = world::user_put(&mut sim, src_r, "src", &key, SIZE).unwrap();
-        let start = sim.now();
-        let done: Rc<RefCell<Option<f64>>> = Rc::default();
-        let d2 = done.clone();
-        engine::execute(
-            &mut sim,
-            EngineConfig::default(),
-            TaskSpec {
-                src_region: src_r,
-                src_bucket: "src".into(),
-                dst_region: dst_r,
-                dst_bucket: "dst".into(),
-                key,
-                etag: put.etag,
-                seq: put.event.seq,
-                size: SIZE,
-                event_time: start,
-            },
-            Plan {
-                n: 1,
-                side,
-                local: false,
-                predicted: SimDuration::from_secs(30),
-                slo_met: false,
-            },
-            None,
-            Rc::new(move |sim, outcome| {
-                assert!(matches!(outcome.status, TaskStatus::Replicated { .. }));
-                *d2.borrow_mut() = Some((sim.now() - start).as_secs_f64());
-            }),
-        );
-        sim.run_to_completion(10_000_000);
-        times.push(done.borrow().expect("completed"));
-    }
+    let (mut sim, pair) = pair_sim(seed_offset, src, dst);
+    let cfg = EngineConfig::default();
+    let times: Vec<f64> = (0..trials)
+        .map(|t| {
+            let key = format!("obj-{t}");
+            replicate_fixed(&mut sim, &cfg, pair, &key, SIZE, 1, side).0
+        })
+        .collect();
     mean(&times)
 }
 

@@ -5,6 +5,12 @@
 //! returning a formatted report; the binaries print it and write it under
 //! `results/`.
 //!
+//! The experiments that isolate one design choice at a fixed parallelism
+//! (the part-size ablation, Figures 8, 12/17, 16, 18–19 and 20, and Table
+//! 4) replicate through one runner, [`runners::replicate_fixed`], on a world
+//! set up by [`runners::pair_sim`]; the service-driven ones measure through
+//! [`runners::measure_areplica_once`].
+//!
 //! Environment knobs:
 //!
 //! * `AREPLICA_SCALE` — scales trial counts / workload sizes (default 1.0;

@@ -75,10 +75,10 @@ impl RetryPolicy {
     /// async-invoke default, and what every data-plane invocation passes).
     pub const PLATFORM_DEFAULT: RetryPolicy = RetryPolicy { max_retries: 2 };
 
-    /// A deep retry budget for crash-heavy environments: with several crash
-    /// draws per attempt at injection rates around 0.35, 24 retries push the
-    /// chance of exhausting the budget below 1e-3 per invocation. Named here
-    /// so the constant is policy, not a per-call-site literal.
+    /// A deep retry budget for crash-heavy environments: even if a third of
+    /// all attempts are killed, 24 retries make exhausting the budget
+    /// vanishingly unlikely. Named here so the constant is policy, not a
+    /// per-call-site literal.
     pub const CRASH_RECOVERY: RetryPolicy = RetryPolicy { max_retries: 24 };
 }
 

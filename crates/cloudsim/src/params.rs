@@ -204,9 +204,6 @@ pub struct WorldParams {
     /// Shape constant of the distance attenuation `1 / (1 + k * d)` applied
     /// to WAN legs, where `d` is [`pricing::Geo::distance_factor`].
     pub distance_attenuation: f64,
-    /// Probability that any single transfer or DB operation inside a function
-    /// crashes the instance (fault injection; 0 by default).
-    pub crash_probability: f64,
 }
 
 impl WorldParams {
@@ -218,7 +215,6 @@ impl WorldParams {
             gcp: CloudParams::gcp(),
             cross_cloud_factor: 0.88,
             distance_attenuation: 2.2,
-            crash_probability: 0.0,
         }
     }
 

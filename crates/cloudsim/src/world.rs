@@ -20,7 +20,6 @@ use std::rc::Rc;
 
 use pricing::{Cloud, CostCategory, CostLedger, Money, PriceCatalog};
 use rand::rngs::StdRng;
-use rand::Rng;
 use simkernel::{rng::derive_rng, Sim, SimDuration};
 
 use crate::clouddb::{Item, KvDb};
@@ -235,11 +234,6 @@ impl World {
         self.tenant_ledgers.get(tenant)
     }
 
-    /// Tenants with attributed charges, in deterministic order.
-    pub fn tenant_ledgers(&self) -> impl Iterator<Item = (&str, &CostLedger)> {
-        self.tenant_ledgers.iter().map(|(t, l)| (&**t, l))
-    }
-
     /// The object store of a region.
     pub fn objstore(&self, region: RegionId) -> &ObjectStore {
         &self.objstores[region.index()]
@@ -409,23 +403,6 @@ fn tenant_tag(world: &World, tags: &mut Vec<(&'static str, String)>) {
     }
 }
 
-/// Samples a crash for the executor (fault injection); returns `true` and
-/// fails the instance if a crash fires.
-fn maybe_crash(sim: &mut CloudSim, exec: Executor) -> bool {
-    let p = sim.world.params.crash_probability;
-    if p <= 0.0 {
-        return false;
-    }
-    if let Executor::Function(handle) = exec {
-        let roll: f64 = sim.world.net_rng_mut().gen();
-        if roll < p {
-            crate::faas::fail(sim, handle, FailureReason::Crash);
-            return true;
-        }
-    }
-    false
-}
-
 /// Runs one WAN/LAN transfer leg for `exec`, calling `cb` at completion.
 ///
 /// Meters egress on the source cloud when the leg leaves a region. The
@@ -438,9 +415,6 @@ pub fn run_leg(
     bytes: u64,
     cb: impl FnOnce(&mut CloudSim) + 'static,
 ) {
-    if maybe_crash(sim, exec) {
-        return;
-    }
     let Some(profile) = sim.world.exec_profile(exec) else {
         return;
     };
@@ -659,7 +633,7 @@ where
 }
 
 /// One control-plane request from `exec` to `region`'s object store: the
-/// crash check, the storage round trip, the ObjStore outage gate (a hard
+/// storage round trip, the ObjStore outage gate (a hard
 /// error answers `Unavailable` after one round trip) and the `span`. On
 /// arrival, if the caller still lives, the request `fee` is charged and
 /// `arrive` applies the operation and answers `cb`.
@@ -674,9 +648,6 @@ fn store_request<T, C>(
 ) where
     C: FnOnce(&mut CloudSim, Result<T, StoreError>) + 'static,
 {
-    if maybe_crash(sim, exec) {
-        return;
-    }
     let Some(exec_region) = sim.world.exec_region(exec) else {
         return;
     };
@@ -1098,9 +1069,8 @@ pub fn complete_multipart(
     );
 }
 
-/// One request from `exec` to `region`'s KV database: the crash check, the
-/// latency and the span. Returns the latency, or `None` when the caller
-/// crashed or is dead.
+/// One request from `exec` to `region`'s KV database: the latency and the
+/// span. Returns the latency, or `None` when the caller is dead.
 fn db_request(
     sim: &mut CloudSim,
     exec: Executor,
@@ -1108,9 +1078,6 @@ fn db_request(
     name: &'static str,
     counter: &str,
 ) -> Option<SimDuration> {
-    if maybe_crash(sim, exec) {
-        return None;
-    }
     let exec_region = sim.world.exec_region(exec)?;
     let latency = db_op_latency(&mut sim.world, exec_region, region);
     trace_api_call(sim, region, latency, name, counter);

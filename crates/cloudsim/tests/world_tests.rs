@@ -6,11 +6,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cloudsim::faas::{self, FailureReason, FnHandle, RetryPolicy};
+use cloudsim::fault::{FaultDecider, FaultSite};
 use cloudsim::objstore::{Content, EventKind, StoreError};
 use cloudsim::vm;
 use cloudsim::world::{self, CloudSim, Executor};
 use cloudsim::{Cloud, RegionId, World};
 use pricing::{CostCategory, Money};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simkernel::{SimDuration, SimTime};
 
 fn sim() -> CloudSim {
@@ -629,6 +632,19 @@ fn workflow_delay_fires_and_cancels() {
     assert!(sim.world.ledger.category_total(CostCategory::Workflow) > Money::ZERO);
 }
 
+/// Crashes the function right after each committed DB transaction with
+/// probability `rate`, drawn from its own seeded stream.
+struct TransactKills {
+    rate: f64,
+    rng: StdRng,
+}
+
+impl FaultDecider for TransactKills {
+    fn decide(&mut self, site: FaultSite) -> bool {
+        site == FaultSite::PostTransactKill && self.rng.gen_bool(self.rate)
+    }
+}
+
 #[test]
 fn crash_injection_kills_instances_and_platform_retries() {
     let mut sim = sim();
@@ -637,7 +653,11 @@ fn crash_injection_kills_instances_and_platform_retries() {
     sim.world.objstore_mut(use1).create_bucket("src");
     sim.world.objstore_mut(use2).create_bucket("dst");
     world::user_put(&mut sim, use1, "src", "k", 1 << 20).unwrap();
-    sim.world.params.crash_probability = 0.35;
+    let kills = TransactKills {
+        rate: 0.35,
+        rng: StdRng::seed_from_u64(0xDEAD),
+    };
+    sim.world.set_fault_decider(Box::new(kills), None);
 
     let spec = faas::default_spec(&sim.world, use1);
     let successes: Rc<RefCell<u32>> = Rc::default();
@@ -667,8 +687,21 @@ fn crash_injection_kills_instances_and_platform_retries() {
                         content,
                         move |sim, r| {
                             r.unwrap();
-                            *successes.borrow_mut() += 1;
-                            faas::finish(sim, handle);
+                            // The kill site: a crash here loses the
+                            // committed write's continuation, and the
+                            // platform retries the whole body.
+                            world::db_transact(
+                                sim,
+                                exec,
+                                use1,
+                                "runs".into(),
+                                "k".into(),
+                                |_| (),
+                                move |sim, ()| {
+                                    *successes.borrow_mut() += 1;
+                                    faas::finish(sim, handle);
+                                },
+                            );
                         },
                     );
                 },
@@ -685,13 +718,14 @@ fn crash_injection_kills_instances_and_platform_retries() {
         );
     }
     sim.run_to_completion(1_000_000);
+    assert!(sim.world.fault_stats().post_transact_kills > 0);
     assert!(
         sim.world.faas.stats.crashes > 0,
         "crashes should fire at p=0.35"
     );
-    // Each attempt makes several crash draws, so a single attempt fails with
-    // probability ~0.7; the CRASH_RECOVERY budget keeps the chance of
-    // exhausting it below 1e-3 per invocation.
+    // One kill draw per attempt fails it with probability 0.35; the
+    // CRASH_RECOVERY budget (24 retries) makes exhausting it vanishingly
+    // unlikely.
     assert_eq!(*successes.borrow(), 20);
     assert_eq!(sim.world.faas.active_in(use1), 0);
 }

@@ -311,11 +311,6 @@ impl<W> Sim<W> {
         self.now
     }
 
-    /// The master seed this simulation was created with.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Mutable access to the simulator-global RNG stream.
     ///
     /// Prefer [`Sim::fork_rng`] for per-component streams; the global stream

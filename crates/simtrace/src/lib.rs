@@ -112,11 +112,6 @@ pub struct SpanId(u64);
 impl SpanId {
     /// The inert id handed out while tracing is disabled.
     pub const NULL: SpanId = SpanId(0);
-
-    /// Raw id value (0 = null).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// A named interval on the simulation clock.

@@ -3,7 +3,11 @@
 //! source object must be byte-identical at the destination and no replica
 //! may be a mixed-version hybrid (§5.2's guarantees, adversarially).
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use areplica::prelude::*;
+use areplica::sim::fault::{FaultDecider, FaultSite};
 use areplica::sim::world;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,6 +24,25 @@ fn quick_profiler() -> ProfilerConfig {
     }
 }
 
+/// Crashes the calling function at each kill site (after a part upload or
+/// a committed DB transaction) with probability `rate` while `armed` holds.
+struct MildKills {
+    armed: Rc<Cell<bool>>,
+    rate: f64,
+    rng: StdRng,
+}
+
+impl FaultDecider for MildKills {
+    fn decide(&mut self, site: FaultSite) -> bool {
+        self.armed.get()
+            && matches!(
+                site,
+                FaultSite::KillAfterUpload | FaultSite::PostTransactKill
+            )
+            && self.rng.gen_bool(self.rate)
+    }
+}
+
 #[test]
 fn hostile_workload_converges_consistently() {
     let mut sim = World::paper_sim(4242);
@@ -30,7 +53,13 @@ fn hostile_workload_converges_consistently() {
         .profiler_config(quick_profiler())
         .install(&mut sim);
     // Mild crash injection throughout.
-    sim.world.params.crash_probability = 0.005;
+    let armed = Rc::new(Cell::new(true));
+    let kills = MildKills {
+        armed: armed.clone(),
+        rate: 0.02,
+        rng: StdRng::seed_from_u64(0x5EED),
+    };
+    sim.world.set_fault_decider(Box::new(kills), None);
 
     let mut rng = StdRng::seed_from_u64(99);
     let keys = ["hot-a", "hot-b", "hot-c", "big-x", "big-y"];
@@ -54,8 +83,8 @@ fn hostile_workload_converges_consistently() {
         });
     }
     // Stop injecting faults near the end so the system can converge.
-    sim.schedule_at(SimTime::from_nanos(320_000_000_000), |sim| {
-        sim.world.params.crash_probability = 0.0;
+    sim.schedule_at(SimTime::from_nanos(320_000_000_000), move |_| {
+        armed.set(false);
     });
     sim.run_to_completion(u64::MAX);
 
@@ -94,5 +123,7 @@ fn hostile_workload_converges_consistently() {
         "only {} completions",
         m.completions.len()
     );
+    let faults = sim.world.fault_stats();
+    assert!(faults.lease_holder_kills + faults.post_transact_kills > 0);
     assert!(sim.world.faas.stats.crashes > 0, "no crashes were injected");
 }

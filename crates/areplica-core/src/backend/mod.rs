@@ -343,9 +343,10 @@ pub trait Backend: Clock + RngSource + ObjectStore + KvStore + FunctionRuntime +
     ) -> CancelToken;
 
     /// A fresh, isolated backend over the same ground truth, seeded with
-    /// `seed` — the sandbox the offline [`crate::profiler`] measures
-    /// against without perturbing production state.
-    fn profiling_sandbox(&self, seed: u64) -> Self;
+    /// [`crate::profiler::SANDBOX_SEED`] — the sandbox the offline
+    /// [`crate::profiler`] measures against without perturbing production
+    /// state.
+    fn profiling_sandbox(&self) -> Self;
 
     /// The backend's [`simtrace::Tracer`]. Disabled by default; recording
     /// draws no randomness and schedules no events, so enabling it cannot

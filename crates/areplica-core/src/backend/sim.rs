@@ -39,8 +39,9 @@ use simkernel::{CancelToken, Sim, SimDuration, SimTime};
 use super::{
     Backend, Clock, Exec, FnBody, FunctionRuntime, KvStore, NotifHandler, ObjectStore, RngSource,
 };
+use crate::config::DEFAULT_PART_SIZE;
 use crate::model::PerfModel;
-use crate::profiler::{self, ProfilerConfig};
+use crate::profiler::{self, ProfilerConfig, SANDBOX_SEED};
 
 impl From<Exec> for Executor {
     fn from(exec: Exec) -> Executor {
@@ -340,11 +341,11 @@ impl Backend for CloudSim {
         world::workflow_delay(self, region, delay, cb)
     }
 
-    fn profiling_sandbox(&self, seed: u64) -> Self {
+    fn profiling_sandbox(&self) -> Self {
         Sim::new(
-            seed,
+            SANDBOX_SEED,
             World::new(
-                seed,
+                SANDBOX_SEED,
                 self.world.regions.clone(),
                 self.world.params.clone(),
                 self.world.catalog,
@@ -365,10 +366,10 @@ impl Backend for CloudSim {
     }
 }
 
-/// Profiles the given pairs against a fresh sandbox world built from
-/// explicit ground truth (exposed for benches that reuse one model across
-/// many experiments; the service itself profiles via
-/// [`Backend::profiling_sandbox`]).
+/// Profiles the given pairs at the default part size against a fresh
+/// sandbox world built from explicit ground truth (exposed for benches that
+/// reuse one model across many experiments; the service itself profiles via
+/// [`Backend::profiling_sandbox`], at its engine's part size).
 pub fn build_model_for(
     regions: &RegionRegistry,
     params: &WorldParams,
@@ -376,7 +377,7 @@ pub fn build_model_for(
     pairs: &[(RegionId, RegionId)],
     cfg: &ProfilerConfig,
 ) -> Result<PerfModel, profiler::ProfileError> {
-    let world = World::new(cfg.seed, regions.clone(), params.clone(), *catalog);
-    let mut sandbox = Sim::new(cfg.seed, world);
-    profiler::build_model(&mut sandbox, pairs, cfg)
+    let world = World::new(SANDBOX_SEED, regions.clone(), params.clone(), *catalog);
+    let mut sandbox = Sim::new(SANDBOX_SEED, world);
+    profiler::build_model(&mut sandbox, pairs, cfg, DEFAULT_PART_SIZE)
 }

@@ -101,6 +101,17 @@ pub enum TaskStatus {
     SourceGone,
 }
 
+impl TaskStatus {
+    /// The status's tag in trace spans and counters.
+    pub fn tag(self) -> &'static str {
+        match self {
+            TaskStatus::Replicated { .. } => "replicated",
+            TaskStatus::AbortedEtagMismatch { .. } => "aborted_etag_mismatch",
+            TaskStatus::SourceGone => "source_gone",
+        }
+    }
+}
+
 /// Per-replicator-instance record (Figure 17's distributions).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicatorStat {
@@ -151,12 +162,7 @@ impl<B: Backend> TaskCtx<B> {
         }
         if sim.tracer().enabled() {
             let now = sim.now();
-            let status_tag = match status {
-                TaskStatus::Replicated { .. } => "replicated",
-                TaskStatus::AbortedEtagMismatch { .. } => "aborted_etag_mismatch",
-                TaskStatus::SourceGone => "source_gone",
-            };
-            let tags = vec![("status", status_tag.to_string())];
+            let tags = vec![("status", status.tag().to_string())];
             sim.tracer().span_end_tagged(now, self.span, tags);
         }
         let outcome = TaskOutcome {

@@ -39,13 +39,12 @@ pub struct ProfilerConfig {
     pub chunks_per_invocation: u64,
     /// Notification deliveries measured per source region.
     pub notif_samples: usize,
-    /// The chunk size `c` (must match the engine's part size).
-    pub chunk_size: u64,
     /// Monte-Carlo budget handed to the resulting model.
     pub mc_trials: usize,
-    /// Sandbox seed (independent of experiment seeds).
-    pub seed: u64,
 }
+
+/// The profiling sandbox's seed, independent of experiment seeds.
+pub const SANDBOX_SEED: u64 = 0xA11CE;
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
@@ -55,9 +54,7 @@ impl Default for ProfilerConfig {
             transfer_samples: 8,
             chunks_per_invocation: 4,
             notif_samples: 10,
-            chunk_size: crate::config::DEFAULT_PART_SIZE,
             mc_trials: 3000,
-            seed: 0xA11CE,
         }
     }
 }
@@ -142,12 +139,16 @@ fn run_job_chain<B: Backend>(sim: &mut B, queue: Rc<RefCell<VecDeque<Job<B>>>>) 
 /// [`Backend::profiling_sandbox`]); profiling drives it to completion and
 /// leaves probe buckets behind.
 ///
+/// Transfers are measured in chunks of `chunk_size` bytes, which must be the
+/// engine's part size.
+///
 /// Fails with [`ProfileError::NoFit`] when a probe stage collects too few
 /// samples to fit a distribution (e.g. a zero-sample [`ProfilerConfig`]).
 pub fn build_model<B: Backend>(
     sim: &mut B,
     pairs: &[(RegionId, RegionId)],
     cfg: &ProfilerConfig,
+    chunk_size: u64,
 ) -> Result<PerfModel, ProfileError> {
     // Collect the distinct regions to profile.
     let mut locs: Vec<RegionId> = Vec::new();
@@ -198,15 +199,18 @@ pub fn build_model<B: Backend>(
             let s: Samples = Rc::default();
             let c: Samples = Rc::default();
             let c_dist: Samples = Rc::default();
-            queue.borrow_mut().push_back(profile_path_job(
+            queue.borrow_mut().push_back(profile_path_job(TransferJob {
                 src,
                 dst,
-                side,
-                cfg.clone(),
-                s.clone(),
-                c.clone(),
-                c_dist.clone(),
-            ));
+                loc: side.region(src, dst),
+                src_bucket: format!("areplica-profile-src-{}", src.index()),
+                dst_bucket: format!("areplica-profile-dst-{}", dst.index()),
+                cfg: cfg.clone(),
+                chunk_size,
+                s_out: s.clone(),
+                c_out: c.clone(),
+                c_dist_out: c_dist.clone(),
+            }));
             path_collectors.push((PathKey { src, dst, side }, s, c, c_dist));
         }
     }
@@ -215,7 +219,7 @@ pub fn build_model<B: Backend>(
     sim.run_to_completion(50_000_000);
 
     // Fit everything into the model.
-    let mut model = PerfModel::new(cfg.chunk_size, cfg.mc_trials, cfg.seed ^ 0x5eed);
+    let mut model = PerfModel::new(chunk_size, cfg.mc_trials, SANDBOX_SEED ^ 0x5eed);
     for (region, warm, cold) in loc_collectors {
         let cloud = sim.cloud_of(region);
         let invoke = fit_auto(&warm.borrow()).map_err(no_fit("warm invocations", region))?;
@@ -420,45 +424,18 @@ fn profile_notifications_job<B: Backend>(
 }
 
 /// Measures `S`, `C`, and `C′` for one path/side.
-fn profile_path_job<B: Backend>(
-    src: RegionId,
-    dst: RegionId,
-    side: ExecSide,
-    cfg: ProfilerConfig,
-    s_out: Samples,
-    c_out: Samples,
-    c_dist_out: Samples,
-) -> Job<B> {
+fn profile_path_job<B: Backend>(job: TransferJob) -> Job<B> {
     Box::new(move |sim, done| {
-        let loc = side.region(src, dst);
-        let src_bucket = format!("areplica-profile-src-{}", src.index());
-        let dst_bucket = format!("areplica-profile-dst-{}", dst.index());
-        sim.create_bucket(src, &src_bucket);
-        sim.create_bucket(dst, &dst_bucket);
-        let probe_size = cfg.chunk_size * cfg.chunks_per_invocation;
+        sim.create_bucket(job.src, &job.src_bucket);
+        sim.create_bucket(job.dst, &job.dst_bucket);
+        let probe_size = job.chunk_size * job.cfg.chunks_per_invocation;
         #[expect(
             clippy::expect_used,
             reason = "the profiler owns its sandbox: probe buckets/objects are created by this module immediately beforehand, so a miss is a simulator bug"
         )]
-        sim.user_put(src, &src_bucket, "probe-object", probe_size)
+        sim.user_put(job.src, &job.src_bucket, "probe-object", probe_size)
             .expect("probe object");
-
-        run_transfer_seq(
-            sim,
-            TransferJob {
-                src,
-                dst,
-                loc,
-                src_bucket,
-                dst_bucket,
-                cfg,
-                s_out,
-                c_out,
-                c_dist_out,
-            },
-            0,
-            done,
-        );
+        run_transfer_seq(sim, job, 0, done);
     })
 }
 
@@ -470,6 +447,8 @@ struct TransferJob {
     src_bucket: String,
     dst_bucket: String,
     cfg: ProfilerConfig,
+    /// The engine's part size, the chunk every probe transfer moves.
+    chunk_size: u64,
     s_out: Samples,
     c_out: Samples,
     c_dist_out: Samples,
@@ -573,14 +552,14 @@ fn measure_chunks<B: Backend>(
     let transfer = move |sim: &mut B| {
         let done_cell = done_cell.clone();
         let job = job2.clone();
-        let offset = chunk * job.cfg.chunk_size;
+        let offset = chunk * job.chunk_size;
         sim.get_object_range(
             exec,
             job.src,
             job.src_bucket.clone(),
             "probe-object".into(),
             offset,
-            job.cfg.chunk_size,
+            job.chunk_size,
             None,
             move |sim, got| {
                 #[expect(

@@ -138,19 +138,18 @@ impl AReplicaBuilder {
         assert!(!self.rules.is_empty(), "at least one rule required");
         // Offline profiling in a sandbox backend with the same ground truth,
         // at the chunk size the engine will replicate with.
-        self.profiler_cfg.chunk_size = self.cfg.part_size;
         let model = self.model.take().unwrap_or_else(|| {
             let pairs: Vec<(RegionId, RegionId)> = self
                 .rules
                 .iter()
                 .map(|r| (r.src_region, r.dst_region))
                 .collect();
-            let mut sandbox = sim.profiling_sandbox(self.profiler_cfg.seed);
+            let mut sandbox = sim.profiling_sandbox();
             #[expect(
                 clippy::expect_used,
                 reason = "deploy-time boundary: a profiling failure here means a misconfigured ProfilerConfig, surfaced before any replication starts"
             )]
-            profiler::build_model(&mut sandbox, &pairs, &self.profiler_cfg)
+            profiler::build_model(&mut sandbox, &pairs, &self.profiler_cfg, self.cfg.part_size)
                 .expect("offline profiling failed")
         });
 
@@ -362,30 +361,8 @@ fn on_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: ObjectE
         Some(BatchDecision::ReplicateNow {
             absorbed,
             earliest_deadline,
-        }) => {
-            let event_time = {
-                let mut s = st.borrow_mut();
-                s.metrics.batched_skips += absorbed;
-                // Delay accounting is bound by the earliest absorbed
-                // version's PUT time (deadline - SLO), if any.
-                match (earliest_deadline, s.rules[rule_idx].slo) {
-                    (Some(d), Some(slo)) => {
-                        SimTime::from_nanos(d.as_nanos().saturating_sub(slo.as_nanos()))
-                            .min(ev.event_time)
-                    }
-                    _ => ev.event_time,
-                }
-            };
-            if absorbed > 0 {
-                sim.tracer().counter_add("service.batched_skips", absorbed);
-                if sim.tracer().enabled() {
-                    let now = sim.now();
-                    let tags = vec![("key", ev.key.clone()), ("absorbed", absorbed.to_string())];
-                    sim.tracer().instant(now, names::TASK_BATCHED, tags);
-                }
-            }
-            event_time
-        }
+        }) => absorb_batched(sim, &st, rule_idx, &ev.key, absorbed, earliest_deadline)
+            .map_or(ev.event_time, |t| t.min(ev.event_time)),
         Some(BatchDecision::Buffered { fire_at, arm_timer }) => {
             if arm_timer {
                 let src_region = st.borrow().rules[rule_idx].src_region;
@@ -411,33 +388,47 @@ fn on_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: ObjectE
     trigger_replication(sim, st, rule_idx, task);
 }
 
-/// A batching timer fired: replicate the newest version of the key.
-fn on_batch_timer<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: String) {
-    let (src_region, src_bucket, earliest_event, absorbed) = {
+/// Counts the `absorbed` buffered versions a batched replication of `key`
+/// covers, and returns when the earliest of them was PUT (its deadline
+/// minus the rule's SLO, saturating): the batched replication's delay runs
+/// from there.
+fn absorb_batched<B: Backend>(
+    sim: &mut B,
+    st: &St,
+    rule_idx: usize,
+    key: &str,
+    absorbed: u64,
+    earliest_deadline: Option<SimTime>,
+) -> Option<SimTime> {
+    let earliest_put = {
         let mut s = st.borrow_mut();
-        let drained = s.batchers[rule_idx].take_pending(&key);
-        let slo = s.rules[rule_idx].slo;
-        let earliest_event = match (&drained, slo) {
-            (Some(d), Some(slo)) => Some(SimTime::from_nanos(
-                d.earliest_deadline
-                    .as_nanos()
-                    .saturating_sub(slo.as_nanos()),
-            )),
-            _ => None,
-        };
-        let absorbed = drained.map_or(0, |d| d.absorbed);
         s.metrics.batched_skips += absorbed;
-        let r = &s.rules[rule_idx];
-        (r.src_region, r.src_bucket.clone(), earliest_event, absorbed)
+        let slo = s.rules[rule_idx].slo;
+        earliest_deadline
+            .zip(slo)
+            .map(|(d, slo)| SimTime::from_nanos(d.as_nanos().saturating_sub(slo.as_nanos())))
     };
     if absorbed > 0 {
         sim.tracer().counter_add("service.batched_skips", absorbed);
         if sim.tracer().enabled() {
             let now = sim.now();
-            let tags = vec![("key", key.clone()), ("absorbed", absorbed.to_string())];
+            let tags = vec![("key", key.to_string()), ("absorbed", absorbed.to_string())];
             sim.tracer().instant(now, names::TASK_BATCHED, tags);
         }
     }
+    earliest_put
+}
+
+/// A batching timer fired: replicate the newest version of the key.
+fn on_batch_timer<B: Backend>(sim: &mut B, st: St, rule_idx: usize, key: String) {
+    let drained = st.borrow_mut().batchers[rule_idx].take_pending(&key);
+    let (absorbed, earliest_deadline) =
+        drained.map_or((0, None), |d| (d.absorbed, Some(d.earliest_deadline)));
+    let earliest_event = absorb_batched(sim, &st, rule_idx, &key, absorbed, earliest_deadline);
+    let (src_region, src_bucket) = {
+        let r = &st.borrow().rules[rule_idx];
+        (r.src_region, r.src_bucket.clone())
+    };
     // Replicate whatever is newest *now* (Algorithm 4 line 6). Delay
     // accounting runs from the earliest buffered version's PUT.
     let stat = sim.stat_now(src_region, &src_bucket, &key);
@@ -764,12 +755,8 @@ fn conclude<B: Backend>(
         TaskStatus::Replicated { etag } => Some(etag),
         _ => None,
     };
-    let status_tag = match status {
-        TaskStatus::Replicated { .. } => "replicated",
-        TaskStatus::AbortedEtagMismatch { .. } => "aborted_etag_mismatch",
-        TaskStatus::SourceGone => "source_gone",
-    };
     if sim.tracer().enabled() {
+        let status_tag = status.tag();
         let tags = vec![
             ("status", status_tag.to_string()),
             ("via_changelog", via_changelog.to_string()),

@@ -93,7 +93,7 @@ fn generic_faas<F: FunctionRuntime + Clock>(f: &mut F, region: RegionId) -> bool
 }
 
 fn generic_backend<B: Backend>(b: &mut B, region: RegionId) -> Cloud {
-    let _sandbox: B = b.profiling_sandbox(1);
+    let _sandbox: B = b.profiling_sandbox();
     b.cloud_of(region)
 }
 
@@ -127,7 +127,6 @@ fn small_profiler() -> ProfilerConfig {
         chunks_per_invocation: 2,
         notif_samples: 4,
         mc_trials: 600,
-        ..ProfilerConfig::default()
     }
 }
 

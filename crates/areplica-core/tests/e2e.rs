@@ -22,7 +22,6 @@ fn small_profiler() -> ProfilerConfig {
         chunks_per_invocation: 2,
         notif_samples: 4,
         mc_trials: 600,
-        ..ProfilerConfig::default()
     }
 }
 
@@ -444,6 +443,34 @@ fn slo_bounded_batching_absorbs_hot_updates() {
         "attainment {}",
         m.slo_attainment(slo)
     );
+}
+
+/// A batched replication is timed from the earliest PUT it absorbs: three
+/// PUTs of one key 1.5 s apart replicate once, as the newest version, with
+/// the delay measured from the first PUT.
+#[test]
+fn batched_delay_runs_from_the_earliest_absorbed_put() {
+    let (mut sim, service, src, _dst) = setup(
+        9,
+        (Cloud::Aws, "us-east-1"),
+        (Cloud::Aws, "us-east-2"),
+        |r| r.with_slo(SimDuration::from_secs(30)),
+        EngineConfig::default(),
+    );
+    let etags = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..3u64 {
+        let etags = etags.clone();
+        sim.schedule_at(SimTime::from_nanos(i * 1_500_000_000), move |sim| {
+            let put = world::user_put(sim, src, "src-bucket", "hot.bin", 8 << 20).unwrap();
+            etags.borrow_mut().push(put.etag);
+        });
+    }
+    sim.run_to_completion(10_000_000);
+    let m = service.metrics();
+    assert_eq!(m.completions.len(), 1);
+    assert_eq!(m.completions[0].etag, etags.borrow()[2]);
+    assert_eq!(m.completions[0].event_time, SimTime::ZERO);
+    assert_eq!(m.batched_skips, 2);
 }
 
 #[test]

@@ -25,7 +25,6 @@ fn bench_replication(c: &mut Criterion) {
             chunks_per_invocation: 2,
             notif_samples: 3,
             mc_trials: 500,
-            ..ProfilerConfig::default()
         },
     )
     .expect("profiling");

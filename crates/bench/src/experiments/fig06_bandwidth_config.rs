@@ -11,8 +11,6 @@ use crate::runners::fresh_sim;
 /// Runs the experiment and returns the report.
 pub fn run() -> String {
     let sim = fresh_sim(0x06);
-    let regions = &sim.world.regions;
-    let params = &sim.world.params;
 
     let mut out = String::new();
     out.push_str("Figure 6 — function download(↓)/upload(↑) bandwidth vs configuration (Mbps)\n\n");
@@ -83,7 +81,6 @@ pub fn run() -> String {
          faster (local not always fastest); a sweet spot beyond which more expensive\n\
          configurations gain nothing.\n",
     );
-    let _ = (regions, params);
     out
 }
 

@@ -14,7 +14,7 @@ use cloudsim::Cloud;
 use simkernel::SimDuration;
 
 use crate::harness::Table;
-use crate::runners::{fresh_sim, profile_pairs, wait_for_completions};
+use crate::runners::{fresh_sim, profile_pairs};
 
 fn sizes() -> Vec<u64> {
     let mut v = vec![100 << 20, 1 << 30, 10 << 30];
@@ -41,7 +41,7 @@ fn areplica_copy(size: u64, with_changelog: bool, seed_offset: u64) -> (f64, f64
         .model(model)
         .install(&mut sim);
     world::user_put(&mut sim, src, "src", "base", size).unwrap();
-    wait_for_completions(&mut sim, &service, 1);
+    sim.run_while_pending(|_| !service.metrics().completions.is_empty());
     let settle = sim.now() + SimDuration::from_secs(30);
     sim.run_until(settle);
 
@@ -56,7 +56,7 @@ fn areplica_copy(size: u64, with_changelog: bool, seed_offset: u64) -> (f64, f64
         |_, _| {},
     )
     .expect("source object was seeded above");
-    wait_for_completions(&mut sim, &service, 2);
+    sim.run_while_pending(|_| service.metrics().completions.len() >= 2);
     let delay = service
         .metrics()
         .completions

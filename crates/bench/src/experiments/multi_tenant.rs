@@ -13,166 +13,93 @@
 //! nanodollars — orders of magnitude below a cent.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use areplica_core::{AReplicaBuilder, ProfilerConfig, ReplicationRule, TenantCtx};
-use cloudsim::world::{schedule_scoped, user_put, CloudSim};
-use cloudsim::Cloud;
+use cloudsim::{Cloud, RegionId};
 use simkernel::SimDuration;
 
 use crate::harness::{mean, percentile, scaled, Table};
-use crate::runners::fresh_sim;
-
-/// One tenant's load shape: `(id, quota, slo_secs, puts)` where each put is
-/// `(offset, size_bytes)` against the tenant's own bucket pair.
-struct Load {
-    id: &'static str,
-    quota: u32,
-    slo_secs: u64,
-    puts: Vec<(SimDuration, u64)>,
-}
+use crate::runners::{cents, fresh_sim, install_tenants, steady_puts, tenant_profiler, TenantLoad};
 
 /// The quiet tenant: a steady trickle well inside its quota.
-fn quiet_load() -> Load {
-    Load {
-        id: "quiet",
-        quota: 8,
-        slo_secs: 30,
-        puts: (0..scaled(6, 3) as u64)
-            .map(|i| (SimDuration::from_secs(5 + i * 10), 8 << 20))
-            .collect(),
-    }
+fn quiet_load(dst: RegionId) -> TenantLoad {
+    TenantLoad::new("quiet", 8, dst, steady_puts(5, 10, scaled(6, 3), 8 << 20))
 }
 
 /// The noisy neighbor: a tight burst far above its quota.
-fn noisy_load() -> Load {
-    Load {
-        id: "noisy",
-        quota: 4,
-        slo_secs: 30,
-        puts: (0..scaled(20, 8) as u64)
-            .map(|i| (SimDuration::from_millis(i * 50), 16 << 20))
-            .collect(),
-    }
-}
-
-fn bench_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 800,
-        ..ProfilerConfig::default()
-    }
+fn noisy_load(dst: RegionId) -> TenantLoad {
+    let puts = (0..scaled(20, 8) as u64)
+        .map(|i| (SimDuration::from_millis(i * 50), 16 << 20))
+        .collect();
+    TenantLoad::new("noisy", 4, dst, puts)
 }
 
 /// What one tenant observed over a run.
 #[derive(Debug, Clone, PartialEq)]
 struct Outcome {
+    objects: usize,
+    quota: u32,
     delays: Vec<f64>,
-    slo_attained: usize,
+    slo_attainment: String,
     cost_nanos: i64,
     faas_peak: u32,
     faas_throttled: u64,
 }
 
-/// Runs one world with the given tenant loads installed together and
-/// returns each tenant's outcome, keyed by id.
-fn run_world(loads: &[Load]) -> BTreeMap<&'static str, Outcome> {
-    let mut sim: CloudSim = fresh_sim(0x6000);
+/// Runs one world with the quiet tenant installed, and with the noisy
+/// neighbor beside it if `with_neighbor`, and returns each tenant's
+/// outcome, keyed by id.
+fn run_world(with_neighbor: bool) -> BTreeMap<String, Outcome> {
+    let mut sim = fresh_sim(0x6000);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
-
-    let mut services = Vec::new();
-    for l in loads {
-        let tenant = TenantCtx::named(l.id)
-            .with_faas_concurrency(l.quota)
-            .with_slo(SimDuration::from_secs(l.slo_secs));
-        let service = AReplicaBuilder::new()
-            .rule(
-                ReplicationRule::new(src, format!("src-{}", l.id), dst, format!("dst-{}", l.id))
-                    .with_batching(false),
-            )
-            .profiler_config(bench_profiler())
-            .tenant(tenant)
-            .install(&mut sim);
-        services.push((l, service));
+    let mut loads = vec![quiet_load(dst)];
+    if with_neighbor {
+        loads.push(noisy_load(dst));
     }
-    // Schedule each tenant's PUTs under its scope. `schedule_scoped`
-    // captures the ambient scope at schedule time and re-establishes it
-    // when the event fires, so the PUT and every continuation it spawns
-    // stay attributed to the tenant.
-    for l in loads {
-        sim.world.set_tenant_scope(Some(Rc::from(l.id)));
-        let bucket: Rc<str> = Rc::from(format!("src-{}", l.id));
-        for (i, &(offset, size)) in l.puts.iter().enumerate() {
-            let bucket = bucket.clone();
-            schedule_scoped(&mut sim, offset, move |sim| {
-                user_put(sim, src, &bucket, &format!("obj-{i}"), size).expect("tenant PUT");
-            });
-        }
-        sim.world.set_tenant_scope(None);
-    }
+    let services = install_tenants(&mut sim, src, &loads, &tenant_profiler(800));
     sim.run_to_completion(u64::MAX);
-
-    let mut out = BTreeMap::new();
-    for (l, service) in &services {
-        let m = service.metrics();
-        assert_eq!(
-            m.completions.len(),
-            l.puts.len(),
-            "tenant {} must replicate its whole workload",
-            l.id
-        );
-        let delays: Vec<f64> = m
-            .completions
-            .iter()
-            .map(|r| r.delay().as_secs_f64())
-            .collect();
-        let slo = l.slo_secs as f64;
-        out.insert(
-            l.id,
-            Outcome {
-                slo_attained: delays.iter().filter(|d| **d <= slo).count(),
-                delays,
-                cost_nanos: sim
-                    .world
-                    .tenant_ledger(l.id)
-                    .map(|ledger| ledger.grand_total().as_nanos())
-                    .unwrap_or(0),
-                faas_peak: sim.world.faas.tenant_peak(l.id),
-                faas_throttled: sim.world.faas.tenant_throttled(l.id),
-            },
-        );
-    }
-    out
+    loads
+        .iter()
+        .zip(&services)
+        .map(|(l, service)| {
+            let id = l.id();
+            let outcome = Outcome {
+                objects: l.puts.len(),
+                quota: l.quota(),
+                slo_attainment: l.slo_attainment(service),
+                delays: service
+                    .metrics()
+                    .completions
+                    .iter()
+                    .map(|r| r.delay().as_secs_f64())
+                    .collect(),
+                cost_nanos: l.cost_nanos(&sim),
+                faas_peak: sim.world.faas.tenant_peak(id),
+                faas_throttled: sim.world.faas.tenant_throttled(id),
+            };
+            (id.to_string(), outcome)
+        })
+        .collect()
 }
 
-fn row(table: &mut Table, label: &str, load: &Load, o: &Outcome) {
+fn row(table: &mut Table, label: &str, o: &Outcome) {
     table.row([
         label.to_string(),
-        load.puts.len().to_string(),
-        load.quota.to_string(),
+        o.objects.to_string(),
+        o.quota.to_string(),
         format!("{:.2}", mean(&o.delays)),
         format!("{:.2}", percentile(&o.delays, 95.0)),
-        format!(
-            "{}/{} ({:.0}%)",
-            o.slo_attained,
-            o.delays.len(),
-            100.0 * o.slo_attained as f64 / o.delays.len() as f64
-        ),
+        o.slo_attainment.clone(),
         o.faas_peak.to_string(),
         o.faas_throttled.to_string(),
-        format!("{:.2}", o.cost_nanos as f64 / 1e9 * 100.0),
+        format!("{:.2}", cents(o.cost_nanos)),
     ]);
 }
 
 /// Runs the experiment and returns the report.
 pub fn run() -> String {
-    let solo = run_world(&[quiet_load()]);
-    let shared = run_world(&[quiet_load(), noisy_load()]);
+    let solo = run_world(false);
+    let shared = run_world(true);
 
     let quiet_solo = &solo["quiet"];
     let quiet_shared = &shared["quiet"];
@@ -182,7 +109,7 @@ pub fn run() -> String {
     // burst is contained by its own quota, and the quiet tenant cannot
     // tell the neighbor exists.
     assert!(
-        noisy.faas_peak <= noisy_load().quota,
+        noisy.faas_peak <= noisy.quota,
         "noisy peak {} exceeded its quota",
         noisy.faas_peak
     );
@@ -191,11 +118,11 @@ pub fn run() -> String {
         "the burst must actually hit the quota"
     );
     assert_eq!(
-        quiet_solo.slo_attained, quiet_shared.slo_attained,
+        quiet_solo.slo_attainment, quiet_shared.slo_attainment,
         "quiet tenant's SLO attainment must match its solo run"
     );
-    let solo_cents = (quiet_solo.cost_nanos as f64 / 1e9 * 100.0).round() as i64;
-    let shared_cents = (quiet_shared.cost_nanos as f64 / 1e9 * 100.0).round() as i64;
+    let solo_cents = cents(quiet_solo.cost_nanos).round() as i64;
+    let shared_cents = cents(quiet_shared.cost_nanos).round() as i64;
     assert_eq!(
         solo_cents, shared_cents,
         "quiet tenant's cost must match its solo run to the cent \
@@ -214,9 +141,9 @@ pub fn run() -> String {
         "throttled",
         "cost (¢)",
     ]);
-    row(&mut table, "quiet (solo)", &quiet_load(), quiet_solo);
-    row(&mut table, "quiet (shared)", &quiet_load(), quiet_shared);
-    row(&mut table, "noisy (shared)", &noisy_load(), noisy);
+    row(&mut table, "quiet (solo)", quiet_solo);
+    row(&mut table, "quiet (shared)", quiet_shared);
+    row(&mut table, "noisy (shared)", noisy);
 
     let cost_delta = (quiet_shared.cost_nanos - quiet_solo.cost_nanos).abs();
     format!(
@@ -228,10 +155,10 @@ pub fn run() -> String {
          for a {} nanodollar difference).\n",
         table.render(),
         noisy.faas_peak,
-        noisy_load().quota,
+        noisy.quota,
         noisy.faas_throttled,
-        quiet_solo.cost_nanos as f64 / 1e9 * 100.0,
-        quiet_shared.cost_nanos as f64 / 1e9 * 100.0,
+        cents(quiet_solo.cost_nanos),
+        cents(quiet_shared.cost_nanos),
         cost_delta,
     )
 }

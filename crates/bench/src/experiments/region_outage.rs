@@ -15,10 +15,11 @@
 //! 4. the quiet tenant, replicating to a different region, never alerts and
 //!    its breaker never leaves Closed.
 //!
-//! Like `slo_burn`, the driver steps the simulation on a fixed sim-time
-//! cadence and emits a deterministic dashboard frame per tick; every
-//! artifact (report, dashboards, alert log, breaker log, flight dump) is a
-//! pure function of the seed, which CI enforces with a double-run `cmp`.
+//! Like `slo_burn`, it runs on the tenant runner ([`run_observed`]), which
+//! steps the simulation on a fixed sim-time cadence and emits a
+//! deterministic dashboard frame per tick; every artifact (report,
+//! dashboards, alert log, breaker log, flight dump) is a pure function of
+//! the seed, which CI enforces with a double-run `cmp`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -26,74 +27,50 @@ use std::rc::Rc;
 
 use areplica_control::breaker::BreakerState;
 use areplica_control::{BreakerConfig, BreakerSet};
-use areplica_core::health::HealthHandle;
-use areplica_core::{catchup, AReplica, AReplicaBuilder, ReplicationRule, TenantCtx};
+use areplica_core::catchup;
 use cloudsim::outage::FailureMode;
-use cloudsim::world::{schedule_scoped, user_put, CloudSim};
+use cloudsim::world::{schedule_scoped, CloudSim};
 use cloudsim::{Cloud, RegionId};
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 use simtrace::alert::{AlertEngine, AlertKind};
-use simtrace::dash::DashFrame;
 
-use super::slo_burn::{bench_profiler, dash_row};
 use crate::harness::{scaled, Table};
-use crate::runners::fresh_sim;
+use crate::runners::{
+    fresh_sim, install_tenants, run_observed, steady_puts, tenant_profiler, TenantLoad, TICK_SECS,
+};
 
-/// Replication SLO both tenants carry.
-const SLO_SECS: u64 = 30;
 /// Object size: small enough that a healthy replication lands well inside
 /// the SLO, so every miss during the outage is the window's doing.
 const OBJ_BYTES: u64 = 8 << 20;
-/// Sim-time cadence of the driver loop (dashboard frames, alert ticks).
-const TICK_SECS: u64 = 60;
 
-/// One tenant's steady load and destination fault domain.
-struct Load {
-    id: &'static str,
-    quota: u32,
-    dst: (Cloud, &'static str),
-    dst_label: &'static str,
-    start_secs: u64,
-    spacing_secs: u64,
-    puts: usize,
-}
+/// The victim's destination `(cloud, region, label)`: it goes dark mid-run.
+const VICTIM_DST: (Cloud, &str, &str) = (Cloud::Azure, "eastus", "azure/eastus");
+/// The quiet tenant's destination: same source region, different
+/// destination region, so the outage's fault domain does not contain it.
+const QUIET_DST: (Cloud, &str, &str) = (Cloud::Gcp, "us-east1", "gcp/us-east1");
 
-/// The tenant whose destination region goes dark mid-run.
-fn victim_load() -> Load {
-    Load {
-        id: "victim",
-        quota: 6,
-        dst: (Cloud::Azure, "eastus"),
-        dst_label: "azure/eastus",
-        start_secs: 10,
-        spacing_secs: 20,
-        puts: scaled(36, 20),
-    }
-}
-
-/// The control tenant: same source region, different destination region,
-/// so the outage's fault domain does not contain it.
-fn quiet_load() -> Load {
-    Load {
-        id: "quiet",
-        quota: 6,
-        dst: (Cloud::Gcp, "us-east1"),
-        dst_label: "gcp/us-east1",
-        start_secs: 15,
-        spacing_secs: 25,
-        puts: scaled(24, 14),
-    }
-}
-
-fn put_at(l: &Load, i: usize) -> u64 {
-    l.start_secs + i as u64 * l.spacing_secs
+/// Tenant `id`'s load of `puts` toward `dst`, under a circuit breaker that
+/// watches `dst` and logs its own transitions. Returns the load and the
+/// breaker set.
+fn breaker_load(
+    sim: &CloudSim,
+    id: &str,
+    (cloud, region, label): (Cloud, &str, &str),
+    puts: Vec<(SimDuration, u64)>,
+) -> (TenantLoad, Rc<RefCell<BreakerSet>>) {
+    let dst = sim.world.regions.lookup(cloud, region).unwrap();
+    let mut set = BreakerSet::new(id, BreakerConfig::default());
+    set.add_destination(dst, label);
+    let set = Rc::new(RefCell::new(set));
+    let load = TenantLoad::new(id, 6, dst, puts).with_health(set.clone());
+    (load, set)
 }
 
 /// Everything one run produces. Each field is seed-deterministic.
 pub struct Artifacts {
     /// The experiment report (goes to `results/region_outage.txt`).
     pub report: String,
-    /// The dashboard stream: one [`DashFrame`] per driver tick.
+    /// The dashboard stream: one frame per driver tick.
     pub dashboards: String,
     /// The alert engine's rendered alert log.
     pub alert_log: String,
@@ -105,56 +82,18 @@ pub struct Artifacts {
 
 /// Runs the experiment and returns every artifact.
 pub fn run_full() -> Artifacts {
-    let loads = [victim_load(), quiet_load()];
-    let mut sim: CloudSim = fresh_sim(0x9000);
+    let mut sim = fresh_sim(0x9000);
     sim.world.trace.set_enabled(true);
     let src = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
-    let dsts: Vec<RegionId> = loads
-        .iter()
-        .map(|l| sim.world.regions.lookup(l.dst.0, l.dst.1).unwrap())
-        .collect();
-
-    let mut alerts = AlertEngine::default();
-
-    // One circuit breaker per tenant, watching its destination region and
-    // logging its own transitions. The typed handles are kept, by tenant
-    // id, so the end-of-run assertions and logs can read them directly.
-    let mut breakers: BTreeMap<&str, Rc<RefCell<BreakerSet>>> = BTreeMap::new();
-    let mut services: Vec<(&Load, AReplica)> = Vec::new();
-    for (l, &dst) in loads.iter().zip(&dsts) {
-        alerts.register(l.id);
-        let mut set = BreakerSet::new(l.id, BreakerConfig::default());
-        set.add_destination(dst, l.dst_label);
-        let set = Rc::new(RefCell::new(set));
-        let handle: HealthHandle = set.clone();
-        breakers.insert(l.id, set);
-        let service = AReplicaBuilder::new()
-            .rule(
-                ReplicationRule::new(src, format!("src-{}", l.id), dst, format!("dst-{}", l.id))
-                    .with_batching(false),
-            )
-            .profiler_config(bench_profiler())
-            .tenant(
-                TenantCtx::named(l.id)
-                    .with_faas_concurrency(l.quota)
-                    .with_slo(SimDuration::from_secs(SLO_SECS))
-                    .with_health(handle),
-            )
-            .install(&mut sim);
-        services.push((l, service));
-    }
-    for l in &loads {
-        sim.world.set_tenant_scope(Some(Rc::from(l.id)));
-        let bucket: Rc<str> = Rc::from(format!("src-{}", l.id));
-        for i in 0..l.puts {
-            let bucket = bucket.clone();
-            let offset = SimDuration::from_secs(put_at(l, i));
-            schedule_scoped(&mut sim, offset, move |sim| {
-                user_put(sim, src, &bucket, &format!("obj-{i}"), OBJ_BYTES).expect("tenant PUT");
-            });
-        }
-        sim.world.set_tenant_scope(None);
-    }
+    let victim_puts = steady_puts(10, 20, scaled(36, 20), OBJ_BYTES);
+    let (victim, victim_breakers) = breaker_load(&sim, "victim", VICTIM_DST, victim_puts);
+    let quiet_puts = steady_puts(15, 25, scaled(24, 14), OBJ_BYTES);
+    let (quiet, quiet_breakers) = breaker_load(&sim, "quiet", QUIET_DST, quiet_puts);
+    // The breaker sets are kept by tenant id, so the end-of-run assertions
+    // and logs can read them directly.
+    let breakers = BTreeMap::from([("victim", victim_breakers), ("quiet", quiet_breakers)]);
+    let loads = [victim, quiet];
+    let services = install_tenants(&mut sim, src, &loads, &tenant_profiler(600));
 
     // The outage: the victim's destination object store black-holes every
     // request for the middle third of the victim's PUT schedule. Timeout
@@ -162,28 +101,30 @@ pub fn run_full() -> Artifacts {
     // realistic shape for a regional brown-to-black event, and the one that
     // exercises both the SLO watchdog (stalls blow the deadline) and the
     // breaker probe (the half-open probe itself stalls until recovery).
-    let victim = victim_load();
-    let outage_from_secs = put_at(&victim, victim.puts / 3);
-    let outage_until_secs = put_at(&victim, 2 * victim.puts / 3);
+    let victim = &loads[0];
+    let outage_from_secs = victim.put_secs(victim.puts.len() / 3);
+    let outage_until_secs = victim.put_secs(2 * victim.puts.len() / 3);
     sim.world.outage.region_window(
-        dsts[0],
-        simkernel::SimTime::from_nanos(outage_from_secs * 1_000_000_000),
-        simkernel::SimTime::from_nanos(outage_until_secs * 1_000_000_000),
+        victim.dst,
+        SimTime::from_nanos(outage_from_secs * 1_000_000_000),
+        SimTime::from_nanos(outage_until_secs * 1_000_000_000),
         FailureMode::Timeout,
     );
 
     // Degraded-read demonstration: mid-window, a destination-side consumer
-    // asks for a key whose write was diverted into the catch-up log. The
-    // replica cannot serve it (the key has not converged), so the read
-    // falls back to the source region.
-    let read_at_secs = outage_from_secs + 3 * (outage_until_secs - outage_from_secs) / 4;
-    let read_idx = (read_at_secs - victim.start_secs) / victim.spacing_secs - 1;
+    // asks for a key whose write was diverted into the catch-up log (the
+    // PUT before the newest one issued by then). The replica cannot serve
+    // it (the key has not converged), so the read falls back to the source
+    // region.
+    let read_at =
+        SimDuration::from_secs(outage_from_secs + 3 * (outage_until_secs - outage_from_secs) / 4);
+    let read_idx = victim.puts.iter().filter(|&&(at, _)| at <= read_at).count() - 2;
     let fallback_read: Rc<RefCell<Option<RegionId>>> = Rc::new(RefCell::new(None));
     {
-        let service = services[0].1.clone();
+        let service = services[0].clone();
         let slot = fallback_read.clone();
-        sim.world.set_tenant_scope(Some(Rc::from(victim.id)));
-        schedule_scoped(&mut sim, SimDuration::from_secs(read_at_secs), move |sim| {
+        sim.world.set_tenant_scope(Some(Rc::from(victim.id())));
+        schedule_scoped(&mut sim, read_at, move |sim| {
             service.read_with_fallback(sim, 0, format!("obj-{read_idx}"), move |_sim, res| {
                 let (_content, _etag, region) = res.expect("degraded read must serve");
                 *slot.borrow_mut() = Some(region);
@@ -192,56 +133,9 @@ pub fn run_full() -> Artifacts {
         sim.world.set_tenant_scope(None);
     }
 
-    let last_put = loads.iter().map(|l| put_at(l, l.puts - 1)).max().unwrap();
-    let horizon_secs = last_put + 420;
-
-    let mut dashboards = String::new();
-    let mut flight_dump = String::new();
-    let mut tick = TICK_SECS;
-    while tick <= horizon_secs {
-        sim.run_until(simkernel::SimTime::from_nanos(tick * 1_000_000_000));
-        let now = sim.now();
-        let evs = alerts.observe(now, sim.world.trace.windows());
-        if flight_dump.is_empty()
-            && evs
-                .iter()
-                .any(|e| e.tenant == "victim" && e.kind == AlertKind::Fired)
-        {
-            flight_dump = sim.world.trace.flight_dump(Some("victim"));
-        }
-        let rows = loads
-            .iter()
-            .map(|l| dash_row(&sim, &alerts, l.id, l.quota))
-            .collect();
-        dashboards.push_str(&DashFrame { at: now, rows }.render());
-        tick += TICK_SECS;
-    }
-    sim.run_to_completion(u64::MAX);
-    let final_evs = alerts.observe(sim.now(), sim.world.trace.windows());
-    assert!(
-        final_evs.iter().all(|e| e.tenant != "quiet"),
-        "quiet tenant must never transition"
-    );
-
-    // The headline contract, stage by stage.
-    let victim_alerts = alerts.alerts("victim");
-    let quiet_alerts = alerts.alerts("quiet");
-    assert!(
-        victim_alerts.iter().any(|e| e.kind == AlertKind::Fired),
-        "the victim's burn-rate alert must fire during the outage"
-    );
-    assert!(
-        victim_alerts.iter().any(|e| e.kind == AlertKind::Resolved),
-        "the alert must resolve after failback"
-    );
-    assert!(
-        quiet_alerts.is_empty(),
-        "the quiet tenant must not alert: {quiet_alerts:?}"
-    );
-    assert!(
-        !flight_dump.is_empty(),
-        "the first FIRE must capture a flight-recorder dump"
-    );
+    let mut alerts = AlertEngine::default();
+    let (dashboards, flight_dump) =
+        run_observed(&mut sim, &mut alerts, &loads, "victim", |_, _| {});
 
     let victim_transitions: Vec<_> = breakers["victim"]
         .borrow()
@@ -263,15 +157,14 @@ pub fn run_full() -> Artifacts {
         breakers["quiet"].borrow().events().is_empty(),
         "quiet tenant's breaker must never transition"
     );
-    assert_eq!(
-        breakers["victim"].borrow().state(dsts[0]),
-        BreakerState::Closed,
-        "victim breaker must end Closed"
-    );
-    assert_eq!(
-        breakers["quiet"].borrow().state(dsts[1]),
-        BreakerState::Closed
-    );
+    for l in &loads {
+        assert_eq!(
+            breakers[l.id()].borrow().state(l.dst),
+            BreakerState::Closed,
+            "{}'s breaker must end Closed",
+            l.id()
+        );
+    }
 
     assert_eq!(
         sim.world.db(src).table_len(catchup::CATCHUP_TABLE),
@@ -295,15 +188,10 @@ pub fn run_full() -> Artifacts {
         "fired",
         "resolved",
     ]);
-    for (l, service) in &services {
+    for (l, service) in loads.iter().zip(&services) {
+        let slo_attainment = l.slo_attainment(service);
         let m = service.metrics();
-        assert_eq!(
-            m.completions.len(),
-            l.puts,
-            "tenant {} must replicate its whole workload",
-            l.id
-        );
-        if l.id == "victim" {
+        if l.id() == "victim" {
             assert!(m.diverted > 0, "outage writes must divert to catch-up");
             assert!(
                 m.failbacks > 0,
@@ -314,36 +202,18 @@ pub fn run_full() -> Artifacts {
         } else {
             assert_eq!(m.diverted, 0, "quiet tenant must never divert");
         }
-        let attained = m
-            .completions
-            .iter()
-            .filter(|r| r.delay() <= SimDuration::from_secs(SLO_SECS))
-            .count();
-        let tenant_alerts = alerts.alerts(l.id);
-        let transitions = breakers[l.id].borrow().events().len();
+        let tenant_alerts = alerts.alerts(l.id());
+        let count = |kind| tenant_alerts.iter().filter(|e| e.kind == kind).count();
         table.row([
-            l.id.to_string(),
-            l.puts.to_string(),
-            format!(
-                "{}/{} ({:.0}%)",
-                attained,
-                l.puts,
-                100.0 * attained as f64 / l.puts as f64
-            ),
+            l.id().to_string(),
+            l.puts.len().to_string(),
+            slo_attainment,
             m.diverted.to_string(),
             m.failbacks.to_string(),
             m.read_fallbacks.to_string(),
-            transitions.to_string(),
-            tenant_alerts
-                .iter()
-                .filter(|e| e.kind == AlertKind::Fired)
-                .count()
-                .to_string(),
-            tenant_alerts
-                .iter()
-                .filter(|e| e.kind == AlertKind::Resolved)
-                .count()
-                .to_string(),
+            breakers[l.id()].borrow().events().len().to_string(),
+            count(AlertKind::Fired).to_string(),
+            count(AlertKind::Resolved).to_string(),
         ]);
     }
 
@@ -359,8 +229,8 @@ pub fn run_full() -> Artifacts {
          the breaker, failback drains the log to convergence, and the alert\n\
          resolves. The quiet tenant (destination `{}`) rides through untouched.\n\n{}\n{}",
         table.render(),
-        victim.dst_label,
-        quiet_load().dst_label,
+        VICTIM_DST.2,
+        QUIET_DST.2,
         breaker_log,
         alert_log,
     );

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use areplica_core::{AReplicaBuilder, ReplicationRule};
 use baselines::{ManagedConfig, ManagedReplication, Skyplane, SkyplaneConfig};
 use cloudsim::world;
-use cloudsim::{Cloud, CloudSim};
+use cloudsim::Cloud;
 use pricing::CostSnapshot;
 use simkernel::SimDuration;
 
@@ -137,7 +137,7 @@ fn measure_pair(
                     *d2.borrow_mut() = Some((r.completed - r.submitted).as_secs_f64());
                 }),
             );
-            run_until_some(&mut sim, &done);
+            sim.run_while_pending(|_| done.borrow().is_some());
             // Let the gateway shutdown billing land.
             let settle = sim.now() + SimDuration::from_secs(10);
             sim.run_until(settle);
@@ -177,11 +177,7 @@ fn measure_pair(
                 let before = sim.world.ledger.snapshot();
                 world::user_put(&mut sim, src_r, "man-src", &key, size).unwrap();
                 let want = delay_base + t + 1;
-                loop {
-                    if delays.borrow().len() >= want || !sim.step() {
-                        break;
-                    }
-                }
+                sim.run_while_pending(|_| delays.borrow().len() >= want);
                 costs.push(cost_1e4(&sim.world.ledger.since(&before)));
             }
             let slice = &delays.borrow()[delay_base..];
@@ -199,14 +195,6 @@ fn measure_pair(
         areplica,
         skyplane,
         managed,
-    }
-}
-
-fn run_until_some(sim: &mut CloudSim, slot: &Rc<RefCell<Option<f64>>>) {
-    loop {
-        if slot.borrow().is_some() || !sim.step() {
-            return;
-        }
     }
 }
 

@@ -95,12 +95,35 @@ fn out_dir(flag: &str, env: &str) -> Option<PathBuf> {
     }
     let dir = dir.or_else(|| std::env::var(env).ok())?;
     Some(if dir.is_empty() {
-        std::env::var("AREPLICA_RESULTS_DIR")
-            .unwrap_or_else(|_| "results".to_string())
-            .into()
+        results_dir()
     } else {
         dir.into()
     })
+}
+
+/// The results directory from `AREPLICA_RESULTS_DIR` (default `results`).
+fn results_dir() -> PathBuf {
+    std::env::var("AREPLICA_RESULTS_DIR")
+        .unwrap_or_else(|_| "results".to_string())
+        .into()
+}
+
+/// Writes `content` to `dir/filename`, creating `dir` if needed. A
+/// directory that cannot be created or a file that cannot be written stops
+/// the binary with exit code 2 and an error naming the path — as
+/// [`from_env`] does for a bad variable — so an experiment whose output
+/// was not saved cannot exit 0.
+#[expect(
+    clippy::print_stderr,
+    reason = "designated sink: operator-facing save diagnostics, never in results"
+)]
+fn save(dir: &Path, filename: &str, content: &str) {
+    let path = dir.join(filename);
+    if let Err(e) = fs::create_dir_all(dir).and_then(|()| fs::write(&path, content)) {
+        eprintln!("cannot save {}: {e}", path.display());
+        std::process::exit(2)
+    }
+    eprintln!("[saved {}]", path.display());
 }
 
 /// Writes one named dashboard artifact (dashboard stream, alert log, or
@@ -108,19 +131,7 @@ fn out_dir(flag: &str, env: &str) -> Option<PathBuf> {
 /// simulation seed — identically-seeded runs must produce byte-identical
 /// files, which CI checks with `cmp`.
 pub fn write_dash(dir: &Path, filename: &str, content: &str) {
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(filename);
-    #[expect(
-        clippy::print_stderr,
-        reason = "designated sink: operator-facing save diagnostics, never in results"
-    )]
-    if let Err(e) = fs::write(&path, content) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[saved {}]", path.display());
-    }
+    save(dir, filename, content);
 }
 
 /// The paper's per-phase delay taxonomy, derived purely from the trace:
@@ -158,45 +169,18 @@ pub fn trace_artifacts(tracer: &Tracer) -> (String, String) {
 
 /// Writes `<name>.trace.json` and `<name>.metrics.txt` into `dir`.
 pub fn write_trace(dir: &Path, name: &str, artifacts: &(String, String)) {
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    for (suffix, content) in [("trace.json", &artifacts.0), ("metrics.txt", &artifacts.1)] {
-        let path = dir.join(format!("{name}.{suffix}"));
-        #[expect(
-            clippy::print_stderr,
-            reason = "designated sink: operator-facing save diagnostics, never in results"
-        )]
-        if let Err(e) = fs::write(&path, content) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("[saved {}]", path.display());
-        }
-    }
+    save(dir, &format!("{name}.trace.json"), &artifacts.0);
+    save(dir, &format!("{name}.metrics.txt"), &artifacts.1);
 }
 
-/// Writes a report to stdout and `results/<name>.txt`.
+/// Writes a report to stdout and `<results dir>/<name>.txt`.
 #[expect(
     clippy::print_stdout,
     reason = "designated sink: stdout IS the report channel for the experiment binaries"
 )]
 pub fn write_report(name: &str, content: &str) {
     println!("{content}");
-    let dir: PathBuf = std::env::var("AREPLICA_RESULTS_DIR")
-        .unwrap_or_else(|_| "results".to_string())
-        .into();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        #[expect(
-            clippy::print_stderr,
-            reason = "designated sink: operator-facing save diagnostics, never in results"
-        )]
-        if let Err(e) = fs::write(&path, content) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("[saved {}]", path.display());
-        }
-    }
+    save(&results_dir(), &format!("{name}.txt"), content);
 }
 
 /// A fixed-width text table.

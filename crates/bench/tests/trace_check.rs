@@ -10,7 +10,7 @@
 //! service metrics.
 
 use areplica_core::{changelog, AReplica, AReplicaBuilder, ProfilerConfig, ReplicationRule};
-use bench::{phase_breakdown, profile_pairs, trace_artifacts, wait_for_completions};
+use bench::{phase_breakdown, profile_pairs, trace_artifacts};
 use cloudsim::world::{self, CloudSim};
 use cloudsim::{Cloud, World};
 use simkernel::{SimDuration, SimTime};
@@ -24,7 +24,6 @@ fn small_profiler() -> ProfilerConfig {
         chunks_per_invocation: 2,
         notif_samples: 4,
         mc_trials: 600,
-        ..ProfilerConfig::default()
     }
 }
 
@@ -213,7 +212,7 @@ fn changelog_path_issues_no_byte_range_gets() {
         .profiler_config(small_profiler())
         .install(&mut sim);
     world::user_put(&mut sim, src, "src", "base", 64 << 20).unwrap();
-    wait_for_completions(&mut sim, &service, 1);
+    sim.run_while_pending(|_| !service.metrics().completions.is_empty());
     let settle = sim.now() + SimDuration::from_secs(30);
     sim.run_until(settle);
 
@@ -226,7 +225,7 @@ fn changelog_path_issues_no_byte_range_gets() {
         |_, _| {},
     )
     .expect("base object seeded above");
-    wait_for_completions(&mut sim, &service, 2);
+    sim.run_while_pending(|_| service.metrics().completions.len() >= 2);
     sim.run_to_completion(10_000_000);
 
     let m = service.metrics();

@@ -65,7 +65,6 @@ fn small_profiler() -> ProfilerConfig {
         chunks_per_invocation: 2,
         notif_samples: 4,
         mc_trials: 600,
-        ..ProfilerConfig::default()
     }
 }
 

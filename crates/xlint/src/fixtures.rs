@@ -1,8 +1,8 @@
 //! Embedded self-test fixtures: for every rule, a violating snippet, a
-//! clean snippet, and a pragma-suppressed snippet. `xlint --self-test` runs
+//! clean snippet, and a pragma-suppressed snippet. [`run_self_test`] runs
 //! the real engine over these in memory, under the committed `xlint.toml`
-//! embedded at build time, and fails loudly if any rule stops firing — a
-//! tripwire against the linter itself rotting.
+//! embedded at build time, and `cargo test` fails loudly if any rule stops
+//! firing — a tripwire against the linter itself rotting.
 
 use crate::config::Config;
 use crate::rules::check_file;

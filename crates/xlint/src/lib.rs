@@ -17,7 +17,7 @@
 //! * [`rules::check_file`] — lint one source text.
 //! * [`lint_root`] — walk a workspace and lint every `.rs` file.
 //! * [`fixtures::run_self_test`] — run the engine against the embedded
-//!   violating/clean/pragma'd corpus.
+//!   violating/clean/pragma'd corpus (`cargo test` runs it).
 
 pub mod ast;
 pub mod config;

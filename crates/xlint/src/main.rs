@@ -1,22 +1,23 @@
 //! CLI for the workspace linter.
 //!
 //! ```text
-//! xlint [--root DIR] [--self-test] [--list-rules]
+//! xlint [--root DIR]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO
-//! error. CI runs `cargo run -p xlint --release` as a hard gate.
+//! Exit codes: 0 clean, 1 findings, 2 usage/IO error. CI runs `cargo run -p
+//! xlint --release` as a hard gate; `cargo test` runs the fixture corpus
+//! (`rule_tests.rs`'s `embedded_self_test_passes`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xlint::config::Config;
 use xlint::report::render;
-use xlint::rules::RULE_NAMES;
+
+const USAGE: &str = "xlint [--root DIR]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut self_test = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -24,34 +25,12 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root takes a directory"),
             },
-            "--self-test" => self_test = true,
-            "--list-rules" => {
-                for r in RULE_NAMES {
-                    println!("{r}");
-                }
-                return ExitCode::SUCCESS;
-            }
             "--help" | "-h" => {
-                println!("xlint [--root DIR] [--self-test] [--list-rules]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
-    }
-
-    if self_test {
-        let failures = xlint::fixtures::run_self_test();
-        if failures.is_empty() {
-            println!(
-                "xlint --self-test: all {} fixtures behaved",
-                xlint::fixtures::FIXTURES.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        for f in &failures {
-            eprintln!("self-test failure: {f}");
-        }
-        return ExitCode::FAILURE;
     }
 
     let root = match root.or_else(|| {
@@ -88,6 +67,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("xlint: {msg}");
-    eprintln!("usage: xlint [--root DIR] [--self-test] [--list-rules]");
+    eprintln!("usage: {USAGE}");
     ExitCode::from(2)
 }

@@ -13,7 +13,7 @@ use crate::config::Config;
 use crate::flow::{self, SemInput, Summaries};
 use crate::lexer::{lex, LexedFile};
 
-/// All rule names, for pragma validation and `--list-rules`.
+/// All rule names, for pragma validation.
 pub const RULE_NAMES: [&str; 4] = [
     "bad-pragma",
     "protocol-resource-balance",

@@ -40,7 +40,6 @@
 //!         notif_samples: 3,
 //!         chunks_per_invocation: 2,
 //!         mc_trials: 500,
-//!         ..ProfilerConfig::default()
 //!     })
 //!     .install(&mut sim);
 //!

@@ -21,7 +21,6 @@ fn quick_profiler() -> ProfilerConfig {
         chunks_per_invocation: 2,
         notif_samples: 4,
         mc_trials: 600,
-        ..ProfilerConfig::default()
     }
 }
 

@@ -16,9 +16,10 @@
 //! invalidates: every answer maps them through the path's current
 //! per-instance time.
 //!
-//! The planner's percentile queries are memoised exactly: a `T_rep` quantile
+//! The planner's percentile queries and the online logger's mean
+//! predictions are memoised exactly, in one map: a `T_rep` quantile or mean
 //! depends on the object size only through one chunk count, so repeated
-//! queries for sizes that share that count are answered from a map, with
+//! queries for sizes that share that count are answered from the map, with
 //! the same bits a fresh computation would produce. The online logger's
 //! drift corrections invalidate the memo. Under a LogNormal per-instance
 //! time, a memo miss below the Gumbel threshold bootstraps in stages
@@ -134,15 +135,24 @@ pub struct PathKey {
     pub side: ExecSide,
 }
 
-/// Everything a `t_rep_quantile` answer depends on, given the model's
+/// Everything a memoised `T_rep` statistic depends on, given the model's
 /// parameters: the size enters only through [`PerfModel::plan_chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct QuantileKey {
+struct MemoKey {
     path: PathKey,
     n: u32,
     local: bool,
     chunks: u64,
-    p_bits: u64,
+    stat: Stat,
+}
+
+/// Which statistic of `T_rep` a memo entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stat {
+    /// The `p`-quantile clamped at zero, keyed by `p`'s bits.
+    Quantile(u64),
+    /// The mean.
+    Mean,
 }
 
 /// One length's shift draws, in draw order, and their indices sorted by
@@ -267,11 +277,11 @@ pub struct PerfModel {
     loc: BTreeMap<RegionId, LocParams>,
     path: BTreeMap<PathKey, PathParams>,
     notif: BTreeMap<RegionId, Dist>,
-    /// Memoised `t_rep_quantile` answers, and the floors staged misses
-    /// stopped at. Invalidated per path by `set_path` and
-    /// `rescale_path_chunks`, and entirely by `set_loc` (`T_func` reads the
-    /// location).
-    quantile_memo: BTreeMap<QuantileKey, Memo>,
+    /// Memoised `t_rep_quantile` and `t_rep_mean` answers, and the floors
+    /// staged quantile misses stopped at. Invalidated per path by
+    /// `set_path` and `rescale_path_chunks`, and entirely by `set_loc`
+    /// (`T_func` reads the location).
+    memo: BTreeMap<MemoKey, Memo>,
     /// Each `(n, chunks_per_fn)` key's bootstrap of standardized per-trial
     /// maxima: the model's only max-of-n cache. The derived MC seed
     /// depends only on that pair — never on path parameters — so these
@@ -291,8 +301,8 @@ pub struct PerfModel {
     mc_seed: u64,
 }
 
-/// A memoised quantile: the answer, or the floor on it at which a staged
-/// miss stopped, which the next miss tries before any stage.
+/// A memoised statistic: the answer, or, for a quantile, the floor on it at
+/// which a staged miss stopped, which the next miss tries before any stage.
 #[derive(Debug, Clone, Copy)]
 enum Memo {
     Answer(f64),
@@ -321,8 +331,10 @@ impl Bootstrap {
     /// The maxima are kept sorted: the maps `monte_carlo_max_from_std`
     /// applies are monotone, so its output is then already in the order
     /// `EmpiricalDist::new` sorts into, and that sort returns after its
-    /// check pass. Each batch is appended and the whole re-sorted; the sort
-    /// is stable, so the complete vector is the one-shot maxima's sort.
+    /// check pass. Each batch is sorted alone and merged into the held
+    /// maxima, held first on a tie ([`stats::extend_ascending`]), so the
+    /// complete vector is the one-shot maxima's stable sort and each
+    /// trial's maximum is sorted once.
     fn drawn(
         cache: &mut BTreeMap<(u32, u64), Bootstrap>,
         mc_seed: u64,
@@ -339,9 +351,8 @@ impl Bootstrap {
         let more = trials.saturating_sub(b.maxima.len());
         if more > 0 {
             b.maxima.reserve_exact(more);
-            b.maxima
-                .extend(stats::std_normal_maxima(n as usize, more, &mut b.rng));
-            stats::sort_ascending(&mut b.maxima);
+            let batch = stats::std_normal_maxima(n as usize, more, &mut b.rng);
+            stats::extend_ascending(&mut b.maxima, batch);
         }
         &b.maxima
     }
@@ -384,21 +395,21 @@ impl PerfModel {
     }
 
     /// Installs (or replaces) a region's `I/D/P` parameters, invalidating
-    /// every memoised quantile.
+    /// every memoised answer.
     pub fn set_loc(&mut self, region: RegionId, params: LocParams) {
-        self.quantile_memo.clear();
+        self.memo.clear();
         self.loc.insert(region, params);
     }
 
     /// Installs (or replaces) a path's `S/C/C′` parameters, invalidating its
-    /// memoised quantiles.
+    /// memoised answers.
     pub fn set_path(&mut self, key: PathKey, params: PathParams) {
         self.invalidate_path(key);
         self.path.insert(key, params);
     }
 
     fn invalidate_path(&mut self, key: PathKey) {
-        self.quantile_memo.retain(|k, _| k.path != key);
+        self.memo.retain(|k, _| k.path != key);
     }
 
     /// Installs the notification-delay distribution for a source region.
@@ -591,11 +602,31 @@ impl PerfModel {
         local: bool,
         p: f64,
     ) -> Result<f64, ModelError> {
-        let key = self.quantile_key(path, size, n, local, p);
-        match self.quantile_memo.get(&key) {
+        let key = self.memo_key(path, size, n, local, Stat::Quantile(p.to_bits()));
+        match self.memo.get(&key) {
             Some(&Memo::Answer(q)) => Ok(q),
-            _ => self.answer(key, size),
+            _ => self.answer(key, size, p),
         }
+    }
+
+    /// `t_rep_dist(..).mean()`, bit for bit: the online logger's mean
+    /// prediction. It is memoised with the quantiles, on
+    /// `(path, n, local, chunk count)`, so it is computed once per model
+    /// state.
+    pub fn t_rep_mean(
+        &mut self,
+        path: PathKey,
+        size: u64,
+        n: u32,
+        local: bool,
+    ) -> Result<f64, ModelError> {
+        let key = self.memo_key(path, size, n, local, Stat::Mean);
+        if let Some(&Memo::Answer(mean)) = self.memo.get(&key) {
+            return Ok(mean);
+        }
+        let mean = self.t_rep_dist(path, size, n, local)?.mean();
+        self.memo.insert(key, Memo::Answer(mean));
+        Ok(mean)
     }
 
     /// [`t_rep_quantile`](Self::t_rep_quantile)'s answer, unless it is not
@@ -625,8 +656,8 @@ impl PerfModel {
         p: f64,
         loses: impl Fn(f64) -> bool,
     ) -> Result<Option<f64>, ModelError> {
-        let key = self.quantile_key(path, size, n, local, p);
-        let stopped = match self.quantile_memo.get(&key) {
+        let key = self.memo_key(path, size, n, local, Stat::Quantile(p.to_bits()));
+        let stopped = match self.memo.get(&key) {
             Some(&Memo::Answer(q)) => return Ok(Some(q)),
             Some(&Memo::Floor(floor)) => Some(floor),
             None => None,
@@ -637,7 +668,7 @@ impl PerfModel {
                 .per_instance_base(path, key.chunks)
                 .is_ok_and(|(base, cv)| widens(&base, cv));
         if !staged {
-            return self.answer(key, size).map(Some);
+            return self.answer(key, size, p).map(Some);
         }
         let mut floor = match stopped {
             Some(floor) => Some(floor),
@@ -650,13 +681,13 @@ impl PerfModel {
         let mut trials = held.max(FIRST_STAGE_TRIALS).min(self.mc_trials);
         loop {
             if let Some(floor) = floor.filter(|&floor| loses(floor)) {
-                self.quantile_memo.insert(key, Memo::Floor(floor));
+                self.memo.insert(key, Memo::Floor(floor));
                 return Ok(None);
             }
             let q = self.fused_samples(path, size, n, local, trials)?;
             let q = q.quantile(p).max(0.0);
             if trials == self.mc_trials {
-                self.quantile_memo.insert(key, Memo::Answer(q));
+                self.memo.insert(key, Memo::Answer(q));
                 return Ok(Some(q));
             }
             floor = Some(q);
@@ -681,20 +712,20 @@ impl PerfModel {
         Ok(floor.map(|q| q.max(0.0)))
     }
 
-    fn quantile_key(&self, path: PathKey, size: u64, n: u32, local: bool, p: f64) -> QuantileKey {
-        QuantileKey {
+    fn memo_key(&self, path: PathKey, size: u64, n: u32, local: bool, stat: Stat) -> MemoKey {
+        MemoKey {
             path,
             n,
             local,
             chunks: self.plan_chunks(size, n),
-            p_bits: p.to_bits(),
+            stat,
         }
     }
 
-    /// Computes and memoises the answer at `key` for an object of `size`.
-    fn answer(&mut self, key: QuantileKey, size: u64) -> Result<f64, ModelError> {
-        let QuantileKey { path, n, local, .. } = key;
-        let p = f64::from_bits(key.p_bits);
+    /// Computes and memoises the `p`-quantile at `key` for an object of
+    /// `size`.
+    fn answer(&mut self, key: MemoKey, size: u64, p: f64) -> Result<f64, ModelError> {
+        let MemoKey { path, n, local, .. } = key;
         let q = if n >= 2 && (n as usize) < GUMBEL_THRESHOLD_N {
             let trials = self.mc_trials;
             self.fused_samples(path, size, n, local, trials)?
@@ -703,12 +734,12 @@ impl PerfModel {
             self.t_rep_dist(path, size, n, local)?.quantile(p)
         }
         .max(0.0);
-        self.quantile_memo.insert(key, Memo::Answer(q));
+        self.memo.insert(key, Memo::Answer(q));
         Ok(q)
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
-    /// correction) and invalidates the path's memoised quantiles.
+    /// correction) and invalidates the path's memoised answers.
     pub fn rescale_path_chunks(&mut self, key: PathKey, factor: f64) {
         assert!(factor > 0.0 && factor.is_finite());
         if let Some(p) = self.path.get_mut(&key) {
@@ -729,12 +760,12 @@ impl PerfModel {
             .count()
     }
 
-    /// Number of memoised `t_rep_quantile` answers; a memoised floor does
-    /// not count (test/inspection hook).
+    /// Number of memoised `t_rep_quantile` answers; a memoised floor or
+    /// mean does not count (test/inspection hook).
     pub fn cached_quantiles(&self) -> usize {
-        self.quantile_memo
-            .values()
-            .filter(|m| matches!(m, Memo::Answer(_)))
+        self.memo
+            .iter()
+            .filter(|(k, m)| matches!((k.stat, m), (Stat::Quantile(_), Memo::Answer(_))))
             .count()
     }
 
@@ -1138,6 +1169,8 @@ mod tests {
                     let dist = m.t_rep_dist(path, size, n, false).unwrap();
                     prop_assert_eq!(format!("{dist:?}"), format!("{reference:?}"), "n {}", n);
                     prop_assert_eq!(dist.mean().to_bits(), reference.mean().to_bits());
+                    let mean = m.t_rep_mean(path, size, n, false).unwrap();
+                    prop_assert_eq!(mean.to_bits(), reference.mean().to_bits());
                     for p in [0.5, 0.9, 0.99, 0.995, 0.999, 0.9999, 1.0, p_any] {
                         let q = m.t_rep_quantile(path, size, n, false, p).unwrap();
                         let want = reference.quantile(p).max(0.0);
@@ -1420,7 +1453,7 @@ mod tests {
                     assert_eq!(q.to_bits(), fresh.to_bits());
                 }
                 assert_eq!(m.cached_max_dists(), 1);
-                assert_eq!(m.std_maxima(n, 8), cold.std_maxima(n, 8));
+                assert_eq!(bits(m.std_maxima(n, 8)), bits(cold.std_maxima(n, 8)));
             }
         }
         // Two stopped keys and one complete one: only the complete one counts.
@@ -1576,6 +1609,27 @@ mod tests {
         assert_eq!(m.cached_max_dists(), 2, "the maxima survive a rescale");
         m.set_path(dst_side, m.path_params(dst_side).unwrap().clone());
         assert_eq!(m.cached_quantiles(), 0);
+    }
+
+    #[test]
+    fn means_share_the_quantiles_memo_and_its_invalidations() {
+        let r = regions();
+        let (mut m, path) = test_model(&r);
+        let mean = |m: &mut PerfModel, n| m.t_rep_mean(path, 1 << 30, n, false).unwrap();
+        for n in [1, 16, 200] {
+            let want = m.t_rep_dist(path, 1 << 30, n, false).unwrap().mean();
+            assert_eq!(mean(&mut m, n).to_bits(), want.to_bits(), "n {n}");
+        }
+        assert_eq!(m.memo.len(), 3);
+        assert_eq!(m.cached_quantiles(), 0, "a mean is not a quantile");
+        m.t_rep_quantile(path, 1 << 30, 16, false, 0.99).unwrap();
+        let before = mean(&mut m, 16);
+        assert_eq!((m.memo.len(), m.cached_quantiles()), (4, 1));
+        m.rescale_path_chunks(path, 2.0);
+        assert!(m.memo.is_empty());
+        assert!(mean(&mut m, 16) > before * 1.4);
+        m.set_loc(path.src, m.loc_params(path.src).unwrap().clone());
+        assert!(m.memo.is_empty());
     }
 
     #[test]

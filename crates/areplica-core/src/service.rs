@@ -687,7 +687,7 @@ fn plan_and_execute<B: Backend>(
         // would register permanent "drift" and corrupt the model).
         let predicted_mean = s
             .model
-            .t_rep_dist(
+            .t_rep_mean(
                 PathKey {
                     src: src_region,
                     dst: dst_region,
@@ -697,7 +697,6 @@ fn plan_and_execute<B: Backend>(
                 plan.n,
                 plan.local,
             )
-            .map(|d| d.mean())
             .unwrap_or(plan.predicted.as_secs_f64());
         (cfg, plan, predicted_mean)
     };

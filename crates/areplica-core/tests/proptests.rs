@@ -1,6 +1,6 @@
 //! Property-based tests of AReplica's protocol building blocks: the
 //! replication lock, the batcher, the planner's monotonicity, the
-//! exactness of the performance model's quantile memo, and the planner's
+//! exactness of the performance model's memo, and the planner's
 //! level pruning against the exhaustive search.
 
 use areplica_core::batching::{BatchDecision, Batcher};
@@ -164,7 +164,8 @@ proptest! {
         // The warm model is queried before every edit, so stale memo entries
         // would surface. Each answer must equal, bit for bit, the answer of
         // a cold model that saw the same edits and was never queried, and
-        // the quantile of the sorted `t_rep_dist` it selects from.
+        // the quantile of the sorted `t_rep_dist` it selects from; each
+        // memoised mean, the cold model's `t_rep_dist` mean.
         let cfg = EngineConfig::default();
         let (mut warm, src, dst) = fixed_model();
         for step in 0..=edits.len() {
@@ -187,6 +188,8 @@ proptest! {
                     prop_assert_eq!(w.to_bits(), dist.quantile(p).max(0.0).to_bits());
                     let c = cold().t_rep_dist(path, size, n, local).unwrap().mean();
                     prop_assert_eq!(dist.mean().to_bits(), c.to_bits());
+                    let mean = warm.t_rep_mean(path, size, n, local).unwrap();
+                    prop_assert_eq!(mean.to_bits(), c.to_bits());
                 }
                 let w = generate_plan(&mut warm, &cfg, src, dst, size, None, p).unwrap();
                 let c = generate_plan(&mut cold(), &cfg, src, dst, size, None, p).unwrap();

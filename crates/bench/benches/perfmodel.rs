@@ -5,7 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stats::{gumbel_max_of_normals, monte_carlo_max, std_normal_maxima, Dist, EmpiricalDist};
+use stats::{
+    extend_ascending, gumbel_max_of_normals, monte_carlo_max, std_normal_maxima, Dist,
+    EmpiricalDist,
+};
 use std::hint::black_box;
 
 fn bench_max_of_n(c: &mut Criterion) {
@@ -30,6 +33,26 @@ fn bench_max_of_n(c: &mut Criterion) {
             b.iter(|| black_box(std_normal_maxima(black_box(n), 3000, &mut rng)))
         });
     }
+
+    // One new key's bootstrap staged the way a planner miss stages it: 32,
+    // 64, …, 2,048, then 2,500 trials, each batch drawn, sorted alone and
+    // merged into the held maxima.
+    c.bench_function("staged_bootstrap_n64_2500trials", |b| {
+        let stages: Vec<usize> = std::iter::successors(Some(32), |t| Some(t * 2))
+            .take_while(|&t| t < 2500)
+            .chain([2500])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        b.iter(|| {
+            let mut maxima = Vec::new();
+            for &trials in &stages {
+                let batch = std_normal_maxima(64, trials - maxima.len(), &mut rng);
+                maxima.reserve_exact(batch.len());
+                extend_ascending(&mut maxima, batch);
+            }
+            black_box(maxima)
+        })
+    });
 
     // Sorting a model-sized sample, as `t_rep_dist` does for its shifted sums.
     c.bench_function("empirical_new_3000", |b| {

@@ -125,7 +125,9 @@ impl KvDb {
     /// by editing the `Option`, and returns a result passed back to the
     /// caller. This is the primitive Algorithm 1's part claiming and
     /// Algorithm 2's lock acquisition are built on; the simulated apply is a
-    /// single event, so it is serializable by construction.
+    /// single event, so it is serializable by construction. An existing row
+    /// is handed to `f` and written back in place; only a new row allocates
+    /// its key.
     pub fn transact<T>(
         &mut self,
         table: &str,
@@ -134,13 +136,31 @@ impl KvDb {
     ) -> T {
         self.reads += 1;
         self.writes += 1;
-        let t = self.tables.entry(table.to_string()).or_default();
-        let mut slot = t.remove(key);
-        let result = f(&mut slot);
-        if let Some(item) = slot {
-            t.insert(key.to_string(), item);
+        let t = match self.tables.get_mut(table) {
+            Some(t) => t,
+            None => self.tables.entry(table.to_string()).or_default(),
+        };
+        match t.get_mut(key) {
+            Some(row) => {
+                let mut slot = Some(std::mem::take(row));
+                let result = f(&mut slot);
+                match slot {
+                    Some(item) => *row = item,
+                    None => {
+                        t.remove(key);
+                    }
+                }
+                result
+            }
+            None => {
+                let mut slot = None;
+                let result = f(&mut slot);
+                if let Some(item) = slot {
+                    t.insert(key.to_string(), item);
+                }
+                result
+            }
         }
-        result
     }
 
     /// Number of items in a table.
@@ -238,6 +258,42 @@ mod tests {
             *slot = None;
         });
         assert_eq!(db.get("t", "k"), None);
+    }
+
+    #[test]
+    fn transact_updates_in_place_deletes_and_leaves_a_missing_row_missing() {
+        let mut db = KvDb::new();
+        db.put("t", "a", item("v", Value::Int(1)));
+        db.put("t", "b", item("v", Value::Int(2)));
+        // An update in place keeps the row and leaves its neighbour alone.
+        let was = db.transact("t", "a", |slot| {
+            let it = slot.as_mut().unwrap();
+            it.insert("w".into(), Value::Bool(true));
+            it["v"].clone()
+        });
+        assert_eq!(was, Value::Int(1));
+        let mut updated = item("v", Value::Int(1));
+        updated.insert("w".into(), Value::Bool(true));
+        let b = item("v", Value::Int(2));
+        assert_eq!(
+            db.table_items("t"),
+            vec![("a".to_string(), updated), ("b".to_string(), b)]
+        );
+        // A delete of an existing row.
+        db.transact("t", "b", |slot| assert!(slot.take().is_some()));
+        assert_eq!(db.get("t", "b"), None);
+        assert_eq!(db.table_len("t"), 1);
+        // A missing row, in a table that exists and in one that does not,
+        // that the transaction does not insert stays missing.
+        for table in ["t", "u"] {
+            assert!(!db.transact(table, "c", |slot| slot.is_some()));
+            assert_eq!(db.get(table, "c"), None);
+        }
+        assert_eq!((db.table_len("t"), db.table_len("u")), (1, 0));
+        assert_eq!(db.table_items("u"), vec![]);
+        // Two puts and four transactions write; the transactions and three
+        // gets read.
+        assert_eq!((db.reads, db.writes), (7, 6));
     }
 
     #[test]

@@ -163,6 +163,33 @@ pub fn sort_ascending(values: &mut [f64]) {
     values[zeros].copy_from_slice(&input_zeros);
 }
 
+/// Extends `values`, which [`sort_ascending`] left sorted, by `batch`, so
+/// that `values` ends as `sort_ascending` leaves its earlier inputs
+/// followed by `batch`, bit for bit.
+///
+/// Only the batch is sorted. It is then merged into `values` from the
+/// back, in place: a held value goes first on a tie, since its input came
+/// first, which keeps `−0.0` and `+0.0` in input order. The merge stops
+/// once the batch is placed, so a batch whose smallest value is at least
+/// the largest held one moves no held value.
+pub fn extend_ascending(values: &mut Vec<f64>, mut batch: Vec<f64>) {
+    sort_ascending(&mut batch);
+    // `values[..held]` holds the held values not yet moved, and
+    // `values[free..]` the merged tail.
+    let mut held = values.len();
+    let mut free = held + batch.len();
+    values.resize(free, 0.0);
+    for b in batch.into_iter().rev() {
+        while held > 0 && values[held - 1] > b {
+            held -= 1;
+            free -= 1;
+            values[free] = values[held];
+        }
+        free -= 1;
+        values[free] = b;
+    }
+}
+
 /// A key whose unsigned order is `x`'s total order: the sign bit set for
 /// positives, every bit flipped for negatives.
 fn order_key(x: f64) -> u64 {

@@ -24,8 +24,8 @@ pub mod fit;
 pub mod special;
 
 pub use dist::{
-    interpolate_ranks, quantile_of_sums, sample_std_normal, sort_ascending, sum_as_normal, Dist,
-    EmpiricalDist, EULER_GAMMA,
+    extend_ascending, interpolate_ranks, quantile_of_sums, sample_std_normal, sort_ascending,
+    sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA,
 };
 pub use extremes::{
     gumbel_max_of_normals, monte_carlo_max, monte_carlo_max_from_std, std_normal_maxima,

@@ -198,6 +198,25 @@ proptest! {
     }
 
     #[test]
+    fn extend_ascending_sorts_the_prefix_and_batch_as_one(
+        values in sort_inputs(),
+        // An empty prefix, an empty batch, or a split anywhere between.
+        split in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+    ) {
+        // The inputs' duplicates, signed zeros, subnormals and infinities
+        // fall on both sides of the split; sorted inputs put the whole
+        // batch at or above the prefix, reversed ones below it.
+        let at = (split * values.len() as f64).round() as usize;
+        let mut expected = values.clone();
+        expected.sort_by(ascending);
+        let mut merged = values[..at].to_vec();
+        stats::sort_ascending(&mut merged);
+        stats::extend_ascending(&mut merged, values[at..].to_vec());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&merged), bits(&expected));
+    }
+
+    #[test]
     fn std_normal_maxima_match_monte_carlo_bit_for_bit(
         seed in 0u64..=u64::MAX,
         n in 1usize..=127,

@@ -38,7 +38,6 @@ use simtrace::{names, SpanId};
 
 use crate::backend::{Backend, Exec, FnBody};
 use crate::config::{EngineConfig, SchedulingMode};
-use crate::fleet::{self, TaskWatch};
 use crate::model::ExecSide;
 use crate::planner::Plan;
 use crate::tenant::TenantCtx;
@@ -53,6 +52,20 @@ pub const CLAIM_HEADROOM: SimDuration = SimDuration::from_secs(20);
 
 /// How long a claimed part stays reserved before peers may re-claim it.
 pub const PART_LEASE: SimDuration = SimDuration::from_secs(60);
+
+/// How often the watchdog inspects a distributed task.
+pub const WATCHDOG_INTERVAL: SimDuration = SimDuration::from_secs(90);
+
+/// Maximum watchdog inspections of one task before giving up (bounds
+/// runaway tasks).
+pub const WATCHDOG_MAX_CHECKS: u32 = 40;
+
+/// How long an aborted task's tombstone outlives the abort before the
+/// janitor deletes it. Comfortably beyond any straggler replicator's
+/// lifetime (the longest per-cloud function timeout is 1800 s, plus retry
+/// backoffs), so every late claim still observes the terminal state before
+/// the row disappears.
+pub const ABORTED_POOL_TTL: SimDuration = SimDuration::from_secs(3 * 1800);
 
 /// What the engine is asked to replicate.
 #[derive(Debug, Clone)]
@@ -832,11 +845,11 @@ fn start_distributed<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, orch: Option<
                             .ok();
                     }
                     // 3. Invoke the replicators, pipelined at I per call;
-                    //    the orchestrator is then done. The fleet watchdog
+                    //    the orchestrator is then done. The watchdog
                     //    rescues crash-stalled pools.
                     invoke_replicators(sim, ctx3.clone(), adopted, num_parts);
                     if scheduling == SchedulingMode::PartGranularity {
-                        register_fleet_watch(sim, ctx3, adopted);
+                        watch(sim, ctx3, adopted, 0);
                     }
                     if let Some(h) = orch {
                         sim.finish_function(h);
@@ -960,7 +973,7 @@ fn claim_loop<B: Backend>(sim: &mut B, r: Rc<Replicator<B>>, upload_id: u64) {
         Some(remaining) if remaining > CLAIM_HEADROOM => {}
         _ => {
             record_and_finish(sim, &r);
-            // xlint::allow(protocol-resource-balance, out of exec headroom: the part lease hands outstanding work to a peer or a platform retry, and the fleet watchdog re-aborts any orphaned upload)
+            // xlint::allow(protocol-resource-balance, out of exec headroom: the part lease hands outstanding work to a peer or a platform retry, and the watchdog re-aborts any orphaned upload)
             return;
         }
     }
@@ -1200,7 +1213,10 @@ fn conclude_aborted<B: Backend>(
     }
     sim.abort_multipart_now(ctx.task.dst_region, upload_id).ok();
     ctx.finish_once(sim, status);
-    // The fleet janitor deletes the tombstone after `fleet::ABORTED_POOL_TTL`.
+    // The janitor deletes the tombstone after [`ABORTED_POOL_TTL`]. TTL
+    // reaping is a free background process, so it goes through
+    // [`KvStore::db_ttl_expire`](crate::backend::KvStore::db_ttl_expire)
+    // rather than the metered request path.
     //
     // Found by simcheck (see EXPERIMENTS.md): aborted pools were terminal
     // but never deleted — `{aborted: true}` rows accumulated in
@@ -1208,40 +1224,55 @@ fn conclude_aborted<B: Backend>(
     // delete is guarded on `aborted` so it can never reap a live pool;
     // reaping also aborts any orphan uploads losing adopters recorded in
     // the tombstone (see [`adopt_tx`]).
-    let dst_region = ctx.task.dst_region;
-    fleet::schedule_tombstone_cleanup(
-        sim,
-        ctx.exec_region,
-        TASK_TABLE,
-        ctx.task.task_id(),
-        |item| item.get("aborted").and_then(Value::as_bool) == Some(true),
-        move |sim: &mut B, item| {
+    let (db_region, dst_region) = (ctx.exec_region, ctx.task.dst_region);
+    let task_id = ctx.task.task_id();
+    sim.schedule_in(ABORTED_POOL_TTL, move |sim| {
+        let expired = sim.db_ttl_expire(db_region, TASK_TABLE, &task_id, |item| {
+            item.get("aborted").and_then(Value::as_bool) == Some(true)
+        });
+        if let Some(item) = expired {
             for orphan in recorded_orphans(&item) {
                 sim.abort_multipart_now(dst_region, orphan).ok();
             }
-        },
-    );
+        }
+    });
 }
 
-/// Registers a distributed task with the fleet watchdog
-/// ([`fleet::watch_task`]): on each stalled inspection the fleet runs this
-/// task's rescue — one extra replicator whose claim loop drains stale
-/// leases and re-runs the idempotent conclusion.
-fn register_fleet_watch<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload_id: u64) {
-    let done = ctx.clone();
-    let rescuer = ctx.clone();
-    fleet::watch_task(
-        sim,
-        TaskWatch {
-            db_region: ctx.exec_region,
-            table: TASK_TABLE,
-            task_id: ctx.task.task_id(),
-            concluded: Rc::new(move || done.done.get()),
-            rescue: Rc::new(move |sim: &mut B| {
-                invoke_rescue_replicator(sim, rescuer.clone(), upload_id);
-            }),
-        },
-    );
+/// The dead-letter watchdog a production deployment runs beside the
+/// engine. If every replicator (and its platform retries) died while
+/// holding part leases, the pool stalls with live-looking leases that
+/// nobody will ever re-claim. Every [`WATCHDOG_INTERVAL`] of simulated
+/// time, until the task concludes or [`WATCHDOG_MAX_CHECKS`] inspections
+/// have run, the watchdog reads the pool row. A row that still exists is a
+/// stall, and the watchdog invokes one rescue replicator, whose claim loop
+/// drains stale leases and re-runs the idempotent conclusion.
+///
+/// An `aborted` tombstone counts as a stall too: the rescue maps it to its
+/// recorded terminal status and re-runs the conclusion (found by simcheck,
+/// see EXPERIMENTS.md).
+fn watch<B: Backend>(sim: &mut B, ctx: Rc<TaskCtx<B>>, upload_id: u64, checks: u32) {
+    sim.schedule_in(WATCHDOG_INTERVAL, move |sim| {
+        if ctx.done.get() || checks >= WATCHDOG_MAX_CHECKS {
+            return;
+        }
+        let exec = Exec::Platform {
+            region: ctx.exec_region,
+            mbps: 1000.0,
+        };
+        let (db_region, task_id) = (ctx.exec_region, ctx.task.task_id());
+        sim.db_get(
+            exec,
+            db_region,
+            TASK_TABLE.into(),
+            task_id,
+            move |sim, item| {
+                if item.is_some() && !ctx.done.get() {
+                    invoke_rescue_replicator(sim, ctx.clone(), upload_id);
+                    watch(sim, ctx, upload_id, checks + 1);
+                }
+            },
+        );
+    });
 }
 
 /// Invokes one extra replicator to drain stale leases of a stalled task.

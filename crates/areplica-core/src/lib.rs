@@ -39,7 +39,6 @@ pub mod catchup;
 pub mod changelog;
 pub mod config;
 pub mod engine;
-pub mod fleet;
 pub mod health;
 pub mod lock;
 pub mod logger;

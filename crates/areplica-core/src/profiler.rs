@@ -46,6 +46,22 @@ pub struct ProfilerConfig {
 /// The profiling sandbox's seed, independent of experiment seeds.
 pub const SANDBOX_SEED: u64 = 0xA11CE;
 
+impl ProfilerConfig {
+    /// The small budget the tests, simcheck and the tenant experiments
+    /// profile with: about half the default samples, which the planner
+    /// still accepts, and 600 Monte-Carlo trials.
+    pub fn small() -> Self {
+        ProfilerConfig {
+            warm_samples: 4,
+            cold_samples: 3,
+            transfer_samples: 4,
+            chunks_per_invocation: 2,
+            notif_samples: 4,
+            mc_trials: 600,
+        }
+    }
+}
+
 impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {

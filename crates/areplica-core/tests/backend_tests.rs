@@ -119,17 +119,6 @@ fn every_trait_is_usable_generically_over_cloudsim() {
 // crashes a lease-holding replicator mid-task.
 // ---------------------------------------------------------------------------
 
-fn small_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 /// KvDb quiescence: once the world drains, every replication lock must have
 /// been deleted on release (not merely flag-cleared) and every part pool
 /// must have been cleaned up by its concluder or the tombstone janitor — a
@@ -209,7 +198,7 @@ fn run_faulty(seed: u64, script: RateScript) -> FaultRun {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-bucket", dst, "dst-bucket"))
         .engine_config(EngineConfig::default())
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     sim.user_put(src, "src-bucket", "big.bin", 256 << 20)
         .unwrap();
@@ -359,7 +348,7 @@ fn run_plain(seed: u64, decider: Option<Box<dyn FaultDecider>>) -> PlainRun {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-bucket", dst, "dst-bucket"))
         .engine_config(EngineConfig::default())
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     if let Some(decider) = decider {
         sim.world.set_fault_decider(decider, None);

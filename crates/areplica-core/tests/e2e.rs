@@ -14,17 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simkernel::{SimDuration, SimTime};
 
-fn small_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 fn setup(
     seed: u64,
     src: (Cloud, &str),
@@ -39,7 +28,7 @@ fn setup(
     let service = AReplicaBuilder::new()
         .rule(rule)
         .engine_config(engine)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     (sim, service, src, dst)
 }
@@ -810,7 +799,7 @@ fn degraded_setup(
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-bucket", dst, "dst-bucket"))
         .engine_config(EngineConfig::default())
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .tenant(
             TenantCtx::named("victim")
                 .with_slo(SimDuration::from_secs(30))

@@ -14,11 +14,12 @@
 
 use std::collections::BTreeMap;
 
+use areplica_core::ProfilerConfig;
 use cloudsim::{Cloud, RegionId};
 use simkernel::SimDuration;
 
 use crate::harness::{mean, percentile, scaled, Table};
-use crate::runners::{cents, fresh_sim, install_tenants, steady_puts, tenant_profiler, TenantLoad};
+use crate::runners::{cents, fresh_sim, install_tenants, steady_puts, TenantLoad};
 
 /// The quiet tenant: a steady trickle well inside its quota.
 fn quiet_load(dst: RegionId) -> TenantLoad {
@@ -56,7 +57,11 @@ fn run_world(with_neighbor: bool) -> BTreeMap<String, Outcome> {
     if with_neighbor {
         loads.push(noisy_load(dst));
     }
-    let services = install_tenants(&mut sim, src, &loads, &tenant_profiler(800));
+    let profiler = ProfilerConfig {
+        mc_trials: 800,
+        ..ProfilerConfig::small()
+    };
+    let services = install_tenants(&mut sim, src, &loads, &profiler);
     sim.run_to_completion(u64::MAX);
     loads
         .iter()

@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use areplica_control::breaker::BreakerState;
 use areplica_control::{BreakerConfig, BreakerSet};
-use areplica_core::catchup;
+use areplica_core::{catchup, ProfilerConfig};
 use cloudsim::outage::FailureMode;
 use cloudsim::world::{schedule_scoped, CloudSim};
 use cloudsim::{Cloud, RegionId};
@@ -36,7 +36,7 @@ use simtrace::alert::{AlertEngine, AlertKind};
 
 use crate::harness::{scaled, Table};
 use crate::runners::{
-    fresh_sim, install_tenants, run_observed, steady_puts, tenant_profiler, TenantLoad, TICK_SECS,
+    fresh_sim, install_tenants, run_observed, steady_puts, TenantLoad, TICK_SECS,
 };
 
 /// Object size: small enough that a healthy replication lands well inside
@@ -93,7 +93,7 @@ pub fn run_full() -> Artifacts {
     // and logs can read them directly.
     let breakers = BTreeMap::from([("victim", victim_breakers), ("quiet", quiet_breakers)]);
     let loads = [victim, quiet];
-    let services = install_tenants(&mut sim, src, &loads, &tenant_profiler(600));
+    let services = install_tenants(&mut sim, src, &loads, &ProfilerConfig::small());
 
     // The outage: the victim's destination object store black-holes every
     // request for the middle third of the victim's PUT schedule. Timeout

@@ -13,13 +13,13 @@
 //! function of the seed: two identically-seeded runs are byte-identical,
 //! which CI enforces with `cmp`.
 
+use areplica_core::ProfilerConfig;
 use cloudsim::Cloud;
 use simtrace::alert::{AlertEngine, AlertKind};
 
 use crate::harness::{scaled, Table};
 use crate::runners::{
-    cents, fresh_sim, install_tenants, run_observed, steady_puts, tenant_profiler, TenantLoad,
-    TICK_SECS,
+    cents, fresh_sim, install_tenants, run_observed, steady_puts, TenantLoad, TICK_SECS,
 };
 
 /// FaaS bandwidth divisor injected into the noisy tenant mid-run.
@@ -63,7 +63,7 @@ pub fn run_full() -> Artifacts {
             steady_puts(15, 25, scaled(30, 18), OBJ_BYTES),
         ),
     ];
-    let services = install_tenants(&mut sim, src, &loads, &tenant_profiler(600));
+    let services = install_tenants(&mut sim, src, &loads, &ProfilerConfig::small());
 
     // Timeline, derived from the noisy tenant's load shape: its FaaS fleet
     // runs degraded from the first tick a third of the way through the PUT

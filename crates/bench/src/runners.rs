@@ -269,19 +269,6 @@ pub fn cents(nanos: i64) -> f64 {
     nanos as f64 / 1e9 * 100.0
 }
 
-/// The profiler budget of the tenant runner's services, with `mc_trials`
-/// Monte-Carlo trials.
-pub fn tenant_profiler(mc_trials: usize) -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials,
-    }
-}
-
 /// Installs every load's service (rule `src-{id}` at `src` to `dst-{id}`,
 /// batching off) in load order, then schedules every load's PUTs in load
 /// order, each under its tenant's scope. Returns the services in load

@@ -16,17 +16,6 @@ use cloudsim::{Cloud, World};
 use simkernel::{SimDuration, SimTime};
 use simtrace::names;
 
-fn small_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 /// A small traced service run: `n_puts` objects replicated AWS us-east-1 →
 /// Azure eastus (cross-cloud, so invocation/cold-start/transfer phases all
 /// appear). Fixed seed; no env dependence.
@@ -39,7 +28,7 @@ fn traced_run(seed: u64, n_puts: usize, traced: bool) -> (CloudSim, AReplica) {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src", dst, "dst"))
         .model(model)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     for t in 0..n_puts {
         let key = format!("obj-{t}");
@@ -209,7 +198,7 @@ fn changelog_path_issues_no_byte_range_gets() {
                 .with_batching(false),
         )
         .model(model)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     world::user_put(&mut sim, src, "src", "base", 64 << 20).unwrap();
     sim.run_while_pending(|_| !service.metrics().completions.is_empty());
@@ -284,7 +273,7 @@ fn batching_and_slo_counters_match_metrics() {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src", dst, "dst").with_slo(slo))
         .model(model)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     // 30 updates over 45 s on one hot 8 MB object: SLO-bounded batching
     // absorbs most of them.
@@ -310,7 +299,7 @@ fn batching_and_slo_counters_match_metrics() {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src", dst, "dst").with_slo(SimDuration::from_millis(1)))
         .model(model)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     world::user_put(&mut sim, src, "src", "late.bin", 4 << 20).unwrap();
     sim.run_to_completion(10_000_000);
@@ -339,7 +328,7 @@ fn etag_race_traces_abort_and_retry() {
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src", dst, "dst").with_batching(false))
         .model(model)
-        .profiler_config(small_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     // A 256 MB transfer whose byte-range reads start at ~1 s and finish at
     // ~2.5 s; the overwrite at 1.2 s lands mid-read and forces the mismatch.

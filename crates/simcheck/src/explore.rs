@@ -54,20 +54,6 @@ impl RunReport {
     }
 }
 
-/// The profiler configuration every scenario runs with: the smallest
-/// sample counts the planner accepts, so a schedule spends its decisions on
-/// the replication protocol rather than on profiling traffic.
-fn small_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 /// Runs `sc` under the schedule selected by `mode` and checks every oracle
 /// against the quiesced world.
 ///
@@ -107,7 +93,9 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
 
     // Classic scenarios run one anonymous service on the shared bucket
     // pair; multi-tenant scenarios run one service per tenant on per-tenant
-    // buckets, with the control plane's FaaS quota applied at install.
+    // buckets, with the control plane's FaaS quota applied at install. Both
+    // profile with the small budget, so a schedule spends its decisions on
+    // the replication protocol rather than on profiling traffic.
     let mut services = Vec::new();
     if sc.tenants.is_empty() {
         let rule = ReplicationRule::new(src, SRC_BUCKET, dst, DST_BUCKET)
@@ -116,7 +104,7 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
         let mut builder = AReplicaBuilder::new()
             .rule(rule)
             .engine_config(sc.engine.clone())
-            .profiler_config(small_profiler());
+            .profiler_config(ProfilerConfig::small());
         if let Some(b) = &breaker {
             let handle: HealthHandle = b.clone();
             builder = builder.tenant(
@@ -140,7 +128,7 @@ pub fn run_schedule(sc: &Scenario, mode: Mode) -> RunReport {
                 AReplicaBuilder::new()
                     .rule(rule)
                     .engine_config(sc.engine.clone())
-                    .profiler_config(small_profiler())
+                    .profiler_config(ProfilerConfig::small())
                     .tenant(tenant)
                     .install(&mut sim),
             );

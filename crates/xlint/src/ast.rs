@@ -874,7 +874,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips the type after `as`: a path with optional generics/parens.
+    /// Pointer and reference markers come only before the type's name, so
+    /// a later `*` or `&` is the next operator (`chunk as u64 * size`).
     fn skip_cast_type(&mut self) {
+        while self.is_punct('&') || self.is_punct('*') {
+            self.bump();
+        }
         loop {
             match self.tok() {
                 Some(Tok::Ident(_)) => self.bump(),
@@ -883,7 +888,6 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
                 Some(Tok::Punct('<')) => self.skip_angles(),
-                Some(Tok::Punct('&')) | Some(Tok::Punct('*')) => self.bump(),
                 Some(Tok::Punct('(')) => {
                     self.skip_balanced('(', ')');
                     return;
@@ -966,6 +970,17 @@ impl<'a> Parser<'a> {
                 Ok(Expr::Block { block, line })
             }
             Some(Tok::Punct('|')) => self.closure(line),
+            Some(Tok::Punct('.')) if self.punct_at(1, '.') => {
+                // A range with no start: `..`, `..end`, `..=end`.
+                self.bump();
+                self.bump();
+                self.eat_punct('=');
+                let mut children = Vec::new();
+                if self.starts_unit() {
+                    children.push(self.unit(no_struct)?);
+                }
+                Ok(Expr::Other { children, line })
+            }
             Some(Tok::Ident(w)) => {
                 let w = w.clone();
                 match w.as_str() {
@@ -1279,7 +1294,7 @@ impl<'a> Parser<'a> {
             });
         }
         // Struct literal?
-        if self.is_punct('{') && !no_struct && struct_lit_ahead(self.toks, self.pos) {
+        if self.is_punct('{') && !no_struct && self.struct_lit_ahead() {
             return self.struct_lit(segs, line);
         }
         Ok(Expr::Path { segs, line })
@@ -1396,6 +1411,7 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 Some(Tok::Punct(',')) => self.bump(),
+                Some(Tok::Punct('#')) if self.punct_at(1, '[') => self.skip_attrs(),
                 Some(Tok::Punct('.')) if self.punct_at(1, '.') => {
                     self.bump();
                     self.bump();
@@ -1421,6 +1437,28 @@ impl<'a> Parser<'a> {
             rest,
             line,
         })
+    }
+
+    /// Disambiguates `path {` (cursor on the brace) between a struct
+    /// literal and a block that merely follows a path expression: past any
+    /// field attributes, a struct literal starts with `ident :`/`ident ,`/
+    /// `ident }`/`..`/`}`, with `::` excluded.
+    fn struct_lit_ahead(&mut self) -> bool {
+        let brace = self.pos;
+        self.bump();
+        self.skip_attrs();
+        let lit = match self.tok() {
+            Some(Tok::Punct('}')) => true,
+            Some(Tok::Punct('.')) => self.punct_at(1, '.'),
+            Some(Tok::Ident(_)) => {
+                (self.punct_at(1, ':') && !self.punct_at(2, ':'))
+                    || self.punct_at(1, ',')
+                    || self.punct_at(1, '}')
+            }
+            _ => false,
+        };
+        self.pos = brace;
+        lit
     }
 
     /// Postfix chain: `.method(args)`, `.field`, `.await`, `?`, indexing.
@@ -1530,22 +1568,5 @@ fn ids_of(p: Pat) -> Vec<String> {
         Pat::Name(n) => vec![n],
         Pat::Wild => Vec::new(),
         Pat::Other(v) => v,
-    }
-}
-
-/// Disambiguates `path {` between a struct literal and a block that merely
-/// follows a path expression: inside the braces, a struct literal starts
-/// with `ident :`/`ident ,`/`ident }`/`..`/`}`  — with `::` excluded.
-fn struct_lit_ahead(toks: &[Token], brace_pos: usize) -> bool {
-    let at = |i: usize| toks.get(brace_pos + i).map(|t| &t.tok);
-    match at(1) {
-        Some(Tok::Punct('}')) => true,
-        Some(Tok::Punct('.')) => matches!(at(2), Some(Tok::Punct('.'))),
-        Some(Tok::Ident(_)) => match at(2) {
-            Some(Tok::Punct(':')) => !matches!(at(3), Some(Tok::Punct(':'))),
-            Some(Tok::Punct(',')) | Some(Tok::Punct('}')) => true,
-            _ => false,
-        },
-        _ => false,
     }
 }

@@ -1,10 +1,9 @@
 //! Embedded self-test fixtures: for every rule, a violating snippet, a
 //! clean snippet, and a pragma-suppressed snippet. [`run_self_test`] runs
-//! the real engine over these in memory, under the committed `xlint.toml`
-//! embedded at build time, and `cargo test` fails loudly if any rule stops
-//! firing — a tripwire against the linter itself rotting.
+//! the real engine over these in memory, under the policy the workspace run
+//! enforces, and `cargo test` fails loudly if any rule stops firing — a
+//! tripwire against the linter itself rotting.
 
-use crate::config::Config;
 use crate::rules::check_file;
 
 /// What a fixture expects from the engine.
@@ -443,6 +442,51 @@ pub fn run_task(sim: &mut Sim) {
 }
 "##,
     },
+    // Grammar that, misread, drops the whole function from every flow rule:
+    // each leak below is reported only if its function parses. A `*` after
+    // a cast's type is a product, not a pointer type.
+    Fixture {
+        name: "span-leak-past-cast-product-fires",
+        rel_path: "crates/areplica-core/src/fixture.rs",
+        rule: "span-balance",
+        expect: Expect::Fires,
+        source: r##"
+pub fn read_chunk(sim: &mut Sim, ctx: &Ctx, chunk: u32) {
+    let span = sim.tracer().span_begin(sim.now(), "chunk");
+    let offset = chunk as u64 * ctx.part_size;
+    sim.read(offset);
+}
+"##,
+    },
+    // A range with no start.
+    Fixture {
+        name: "span-leak-past-open-range-fires",
+        rel_path: "crates/areplica-core/src/fixture.rs",
+        rule: "span-balance",
+        expect: Expect::Fires,
+        source: r##"
+pub fn read_head(sim: &mut Sim, parts: &[u64], n: usize) {
+    let span = sim.tracer().span_begin(sim.now(), "head");
+    sim.read(&parts[..n]);
+}
+"##,
+    },
+    // An attribute on a struct literal's first field.
+    Fixture {
+        name: "span-leak-past-field-attribute-fires",
+        rel_path: "crates/areplica-core/src/fixture.rs",
+        rule: "span-balance",
+        expect: Expect::Fires,
+        source: r##"
+pub fn start(sim: &mut Sim) -> Timer {
+    let span = sim.tracer().span_begin(sim.now(), "timer");
+    Timer {
+        #[expect(clippy::disallowed_methods, reason = "fixture")]
+        start: sim.now(),
+    }
+}
+"##,
+    },
     // ---- determinism-taint ----------------------------------------------
     Fixture {
         name: "taint-sink-fires",
@@ -540,16 +584,12 @@ pub fn snapshot(sim: &mut Sim) {
     },
 ];
 
-/// Runs every fixture through the engine under the committed config;
-/// returns a human-readable failure list (empty = pass).
+/// Runs every fixture through the engine; returns a human-readable failure
+/// list (empty = pass).
 pub fn run_self_test() -> Vec<String> {
-    let cfg = match Config::committed() {
-        Ok(cfg) => cfg,
-        Err(e) => return vec![format!("committed config: {e}")],
-    };
     let mut failures = Vec::new();
     for fx in FIXTURES {
-        let findings = check_file(fx.rel_path, fx.source, &cfg);
+        let findings = check_file(fx.rel_path, fx.source);
         match fx.expect {
             Expect::Fires => {
                 let hit = findings.iter().any(|f| f.rule == fx.rule);

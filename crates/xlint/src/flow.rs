@@ -35,13 +35,13 @@
 //!   exit and then considered diverged.
 
 use crate::ast::{Block, Expr, FnItem, ParsedFile, Pat, Stmt};
-use crate::config::Config;
 use crate::lexer::LexedFile;
+use crate::policy::{SPECS, TAINT_CRATES, TAINT_SINKS, TAINT_SOURCES};
 use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How an acquire site binds the tracked value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bind {
     /// The call's return value is the resource (`span_begin` → SpanId).
     Return,
@@ -58,67 +58,29 @@ pub enum Bind {
     Reach,
 }
 
-/// A resolved acquire/release pair the walker enforces.
-#[derive(Debug, Clone)]
+/// An acquire/release pair the walker enforces (the table is
+/// [`crate::policy::SPECS`]).
+#[derive(Debug)]
 pub struct Spec {
+    /// The rule a leak is reported under.
     pub rule: &'static str,
-    pub kind: String,
-    pub acquire: String,
+    /// Human name used in findings ("replication lock", "multipart upload").
+    pub kind: &'static str,
+    /// Crates whose sources are checked for acquires.
+    pub crates: &'static [&'static str],
+    /// Function whose call is the acquire site.
+    pub acquire: &'static str,
     pub bind: Bind,
-    pub releases: Vec<String>,
+    /// Functions that conclude the obligation when the value reaches them
+    /// (or, for `Reach` binds, when any path calls into them).
+    pub releases: &'static [&'static str],
     /// Calls that take *ownership* of the value (passing it concludes the
     /// local obligation — e.g. `adopt_tx` records the upload id in the
     /// pool row, whose deleters clean up orphans).
-    pub handoffs: Vec<String>,
-    pub exempt_arms: Vec<String>,
-    pub crates: Vec<String>,
-}
-
-/// Builds the active spec list: configured `[[resource]]` entries plus the
-/// built-in span-balance pair.
-pub fn specs_from(cfg: &Config) -> Vec<Spec> {
-    let mut specs: Vec<Spec> = cfg
-        .resources
-        .iter()
-        .map(|r| Spec {
-            rule: "protocol-resource-balance",
-            kind: r.kind.clone(),
-            acquire: r.acquire.clone(),
-            bind: parse_bind(&r.bind),
-            releases: r.release.clone(),
-            handoffs: r.handoff.clone(),
-            exempt_arms: r.exempt_arms.clone(),
-            crates: r.crates.clone(),
-        })
-        .collect();
-    if !cfg.span_crates.is_empty() {
-        specs.push(Spec {
-            rule: "span-balance",
-            kind: "trace span".into(),
-            acquire: "span_begin".into(),
-            bind: Bind::Return,
-            releases: vec!["span_end".into(), "span_end_tagged".into()],
-            handoffs: Vec::new(),
-            exempt_arms: Vec::new(),
-            crates: cfg.span_crates.clone(),
-        });
-    }
-    specs
-}
-
-fn parse_bind(s: &str) -> Bind {
-    if s == "return" {
-        Bind::Return
-    } else if s == "reach" {
-        Bind::Reach
-    } else if let Some(n) = s.strip_prefix("callback-param:") {
-        Bind::CallbackParam(n.parse().unwrap_or(0))
-    } else if let Some(n) = s.strip_prefix("transact-callback-param:") {
-        Bind::TransactCallbackParam(n.parse().unwrap_or(0))
-    } else {
-        // Config::parse validates; default defensively.
-        Bind::Return
-    }
+    pub handoffs: &'static [&'static str],
+    /// Match-arm pattern identifiers that discharge the obligation — the
+    /// not-acquired / peer-owns-it outcomes of the protocol.
+    pub exempt_arms: &'static [&'static str],
 }
 
 /// One prepared file, as the summary builder and checker consume it.
@@ -142,7 +104,6 @@ enum Fate {
 /// whose name is defined more than once get no `concludes` entry (callers
 /// fall back to trusting the handoff) and a unioned `reaches` set.
 pub struct Summaries {
-    specs: Vec<Spec>,
     /// (fn name, spec index, param index) → fate of a value passed there.
     concludes: BTreeMap<(String, usize, usize), Fate>,
     /// fn name → release-site names reachable through its call graph.
@@ -152,12 +113,6 @@ pub struct Summaries {
     selfish: BTreeSet<String>,
 }
 
-impl Summaries {
-    pub fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
-}
-
 /// Builds interprocedural summaries for every function in `inputs`.
 ///
 /// `reaches` is a standard may-reach fixpoint over the name-resolved call
@@ -165,12 +120,8 @@ impl Summaries {
 /// re-walks bodies against the current table until stable — the greatest
 /// fixpoint, so mutual/self recursion (`stream_chunk_loop`) settles on
 /// "concludes" unless some path concretely drops the value.
-pub fn build_summaries(inputs: &[SemInput<'_>], cfg: &Config) -> Summaries {
-    let specs = specs_from(cfg);
-    let release_names: BTreeSet<&str> = specs
-        .iter()
-        .flat_map(|s| s.releases.iter().map(String::as_str))
-        .collect();
+pub fn build_summaries(inputs: &[SemInput<'_>]) -> Summaries {
+    let release_names: BTreeSet<&str> = SPECS.iter().flat_map(|s| s.releases).copied().collect();
 
     // Collect functions; detect duplicate names and methods.
     let mut seen = BTreeSet::new();
@@ -228,7 +179,6 @@ pub fn build_summaries(inputs: &[SemInput<'_>], cfg: &Config) -> Summaries {
     }
 
     let mut summaries = Summaries {
-        specs,
         concludes: BTreeMap::new(),
         reaches,
         selfish,
@@ -243,7 +193,7 @@ pub fn build_summaries(inputs: &[SemInput<'_>], cfg: &Config) -> Summaries {
                 if dupes.contains(&f.name) {
                     continue;
                 }
-                for spec_idx in 0..summaries.specs.len() {
+                for spec_idx in 0..SPECS.len() {
                     for (param_idx, pname) in f.params.iter().enumerate() {
                         if pname == "_" || pname == "self" {
                             continue;
@@ -288,15 +238,13 @@ fn param_fate(
     inp: &SemInput<'_>,
     summaries: &Summaries,
 ) -> Fate {
-    let spec = &summaries.specs[spec_idx];
-    if spec.bind == Bind::Reach {
+    if SPECS[spec_idx].bind == Bind::Reach {
         return Fate::Concludes; // reach obligations are not value-carried
     }
     let mut w = Walker {
-        specs: &summaries.specs,
-        active: (0..summaries.specs.len()).collect(),
-        summaries: Some(summaries),
-        taint: None,
+        active: (0..SPECS.len()).collect(),
+        summaries,
+        taint: false,
         rel: inp.rel,
         leaks: Vec::new(),
         taint_findings: Vec::new(),
@@ -321,7 +269,7 @@ fn param_fate(
         if !leak.seeded {
             continue;
         }
-        let rule = summaries.specs[leak.spec].rule;
+        let rule = SPECS[leak.spec].rule;
         if inp.lexed.allowed(rule, leak.exit_line) || inp.lexed.is_test_line(f.line) {
             continue;
         }
@@ -334,33 +282,26 @@ fn param_fate(
 }
 
 /// Runs the semantic rules over one prepared file, appending findings.
-pub fn check_semantic(
-    inp: &SemInput<'_>,
-    cfg: &Config,
-    summaries: &Summaries,
-    out: &mut Vec<Finding>,
-) {
+pub fn check_semantic(inp: &SemInput<'_>, summaries: &Summaries, out: &mut Vec<Finding>) {
     if !inp.in_src || inp.test_tree {
         return;
     }
-    let active: Vec<usize> = summaries
-        .specs
+    let active: Vec<usize> = SPECS
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.crates.iter().any(|c| c == inp.krate))
+        .filter(|(_, s)| s.crates.contains(&inp.krate))
         .map(|(i, _)| i)
         .collect();
-    let taint_active = cfg.taint_crates.iter().any(|c| c == inp.krate);
+    let taint_active = TAINT_CRATES.contains(&inp.krate);
     if active.is_empty() && !taint_active {
         return;
     }
 
     for f in &inp.parsed.fns {
         let mut w = Walker {
-            specs: &summaries.specs,
             active: active.clone(),
-            summaries: Some(summaries),
-            taint: taint_active.then_some((&cfg.taint_sources, &cfg.taint_sinks)),
+            summaries,
+            taint: taint_active,
             rel: inp.rel,
             leaks: Vec::new(),
             taint_findings: Vec::new(),
@@ -377,7 +318,7 @@ pub fn check_semantic(
         let leaks = std::mem::take(&mut w.leaks);
         let taints = std::mem::take(&mut w.taint_findings);
         for leak in leaks {
-            let spec = &summaries.specs[leak.spec];
+            let spec = &SPECS[leak.spec];
             if inp.lexed.is_test_line(leak.acq_line)
                 || inp.lexed.allowed(spec.rule, leak.exit_line)
                 || inp.lexed.allowed(spec.rule, leak.acq_line)
@@ -665,12 +606,11 @@ const WRAPPERS: [&str; 16] = [
 const DIVERGING: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 struct Walker<'a> {
-    specs: &'a [Spec],
     /// Spec indices whose acquires are tracked in this file.
     active: Vec<usize>,
-    summaries: Option<&'a Summaries>,
-    /// (sources, sinks) when determinism-taint applies to this file.
-    taint: Option<(&'a [String], &'a [String])>,
+    summaries: &'a Summaries,
+    /// Whether determinism-taint applies to this file.
+    taint: bool,
     rel: &'a str,
     leaks: Vec<Leak>,
     taint_findings: Vec<Finding>,
@@ -749,10 +689,8 @@ impl<'a> Walker<'a> {
                             c.taint = Some(origin.clone());
                         }
                     }
-                    if let Some((sources, _)) = self.taint {
-                        if segs.iter().any(|s| sources.contains(s)) {
-                            c.taint = Some(segs.join("::"));
-                        }
+                    if self.taint && segs.iter().any(|s| TAINT_SOURCES.contains(&s.as_str())) {
+                        c.taint = Some(segs.join("::"));
                     }
                 }
                 c
@@ -937,7 +875,7 @@ impl<'a> Walker<'a> {
                     // peer-owned outcomes of the protocol.
                     for r in s_arm.res.iter_mut() {
                         if !r.concluded
-                            && self.specs[r.spec]
+                            && SPECS[r.spec]
                                 .exempt_arms
                                 .iter()
                                 .any(|x| arm.pat_idents.iter().any(|p| p == x))
@@ -1024,13 +962,11 @@ impl<'a> Walker<'a> {
                     let r = &st.res[*idx];
                     (r.spec, r.concluded)
                 };
-                let spec = &self.specs[spec_idx];
+                let spec = &SPECS[spec_idx];
                 if concluded {
                     continue;
                 }
-                if spec.releases.iter().any(|r| r == callee)
-                    || spec.handoffs.iter().any(|h| h == callee)
-                {
+                if spec.releases.contains(&callee) || spec.handoffs.contains(&callee) {
                     st.res[*idx].concluded = true;
                     continue;
                 }
@@ -1040,14 +976,13 @@ impl<'a> Walker<'a> {
                 // Interprocedural: consult the callee's summary. For a
                 // method call on a fn with a leading `self` param, argument
                 // `j` is parameter `j + 1`.
-                let fate = self.summaries.and_then(|s| {
-                    let pos = if is_method && s.selfish.contains(callee) {
-                        argpos + 1
-                    } else {
-                        argpos
-                    };
-                    s.concludes.get(&(callee.to_string(), spec_idx, pos))
-                });
+                let s = self.summaries;
+                let pos = if is_method && s.selfish.contains(callee) {
+                    argpos + 1
+                } else {
+                    argpos
+                };
+                let fate = s.concludes.get(&(callee.to_string(), spec_idx, pos));
                 match fate {
                     Some(Fate::Leaks { file, line: l }) => {
                         let seeded = st.res[*idx].seeded;
@@ -1060,7 +995,7 @@ impl<'a> Walker<'a> {
                             message: format!(
                                 "{} acquired at {}:{} via `{}` is passed to `{}`, which drops it on the path exiting at {}:{}; expected {} on every path",
                                 spec.kind, self.rel, acq_line, spec.acquire, callee, file, l,
-                                or_list(&spec.releases),
+                                or_list(spec.releases),
                             ),
                         });
                         st.res[*idx].concluded = true; // reported once
@@ -1076,18 +1011,16 @@ impl<'a> Walker<'a> {
                 result.merge(carry.clone());
             }
             // Taint sink?
-            if let Some((_, sinks)) = self.taint {
-                if sinks.iter().any(|s| s == callee) {
-                    if let Some(origin) = &carry.taint {
-                        self.taint_findings.push(Finding {
-                            rule: "determinism-taint",
-                            file: self.rel.to_string(),
-                            line,
-                            message: format!(
-                                "value derived from wall-clock/entropy source `{origin}` flows into `{callee}`; sim state, KV writes, and results must stay deterministic"
-                            ),
-                        });
-                    }
+            if self.taint && TAINT_SINKS.contains(&callee) {
+                if let Some(origin) = &carry.taint {
+                    self.taint_findings.push(Finding {
+                        rule: "determinism-taint",
+                        file: self.rel.to_string(),
+                        line,
+                        message: format!(
+                            "value derived from wall-clock/entropy source `{origin}` flows into `{callee}`; sim state, KV writes, and results must stay deterministic"
+                        ),
+                    });
                 }
             }
             result.taint = result.taint.clone().or(carry.taint.clone());
@@ -1106,16 +1039,17 @@ impl<'a> Walker<'a> {
             }
         }
         for r in st.res.iter_mut() {
-            if r.concluded || self.specs[r.spec].bind != Bind::Reach {
+            let spec = &SPECS[r.spec];
+            if r.concluded || spec.bind != Bind::Reach {
                 continue;
             }
-            let spec = &self.specs[r.spec];
             let discharged = reached.iter().any(|name| {
-                spec.releases.iter().any(|rel| rel == name)
+                spec.releases.contains(name)
                     || self
                         .summaries
-                        .and_then(|s| s.reaches.get(*name))
-                        .is_some_and(|set| spec.releases.iter().any(|rel| set.contains(rel)))
+                        .reaches
+                        .get(*name)
+                        .is_some_and(|set| spec.releases.iter().any(|rel| set.contains(*rel)))
             });
             if discharged {
                 r.concluded = true;
@@ -1125,9 +1059,9 @@ impl<'a> Walker<'a> {
         // 4. Acquire sites.
         if self.track_acquires {
             let mut bind_closure_param: Option<(usize, usize)> = None; // (res idx, param idx)
-            for spec_idx in self.active.clone() {
-                let spec = &self.specs[spec_idx];
-                match &spec.bind {
+            for &spec_idx in &self.active {
+                let spec = &SPECS[spec_idx];
+                match spec.bind {
                     Bind::Return if spec.acquire == callee => {
                         st.res.push(ResState {
                             spec: spec_idx,
@@ -1148,12 +1082,12 @@ impl<'a> Walker<'a> {
                             concluded: false,
                             seeded: false,
                         });
-                        bind_closure_param = Some((st.res.len() - 1, *p));
+                        bind_closure_param = Some((st.res.len() - 1, p));
                     }
                     Bind::TransactCallbackParam(p) => {
                         let triggered = args.iter().any(|a| {
                             matches!(a, Expr::Call { path, .. }
-                                if path.last().map(String::as_str) == Some(spec.acquire.as_str()))
+                                if path.last().map(String::as_str) == Some(spec.acquire))
                         });
                         if triggered && closure_split.is_some() {
                             st.res.push(ResState {
@@ -1163,14 +1097,14 @@ impl<'a> Walker<'a> {
                                 concluded: false,
                                 seeded: false,
                             });
-                            bind_closure_param = Some((st.res.len() - 1, *p));
+                            bind_closure_param = Some((st.res.len() - 1, p));
                         }
                     }
                     Bind::Reach => {
                         let triggered = spec.acquire == callee
                             || args.iter().any(|a| {
                                 matches!(a, Expr::Call { path, .. }
-                                    if path.last().map(String::as_str) == Some(spec.acquire.as_str()))
+                                    if path.last().map(String::as_str) == Some(spec.acquire))
                             });
                         if triggered {
                             st.res.push(ResState {
@@ -1208,11 +1142,11 @@ impl<'a> Walker<'a> {
         }
 
         // Taint source?
-        if let Some((sources, _)) = self.taint {
+        if self.taint {
             let named = path
-                .map(|p| p.iter().any(|s| sources.contains(s)))
+                .map(|p| p.iter().any(|s| TAINT_SOURCES.contains(&s.as_str())))
                 .unwrap_or(false);
-            if named || sources.iter().any(|s| s == callee) {
+            if named || TAINT_SOURCES.contains(&callee) {
                 result.taint = Some(
                     path.map(|p| p.join("::"))
                         .unwrap_or_else(|| callee.to_string()),
@@ -1324,7 +1258,7 @@ impl<'a> Walker<'a> {
             if r.concluded || r.acq_line == skip_acq_line {
                 continue;
             }
-            let spec = &self.specs[r.spec];
+            let spec = &SPECS[r.spec];
             self.leaks.push(Leak {
                 spec: r.spec,
                 acq_line: r.acq_line,
@@ -1333,7 +1267,7 @@ impl<'a> Walker<'a> {
                 message: format!(
                     "{} acquired at {}:{} via `{}` is not concluded on the path exiting at line {line} ({why}); expected {} on every path",
                     spec.kind, self.rel, r.acq_line, spec.acquire,
-                    or_list(&spec.releases),
+                    or_list(spec.releases),
                 ),
             });
             r.concluded = true; // report each acquisition once per path
@@ -1341,24 +1275,7 @@ impl<'a> Walker<'a> {
     }
 }
 
-fn or_list(names: &[String]) -> String {
+fn or_list(names: &[&str]) -> String {
     let quoted: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
     quoted.join(" or ")
-}
-
-impl Summaries {
-    /// Debug helper (examples/fates.rs): prints the summary rows for `name`.
-    pub fn debug_fn(&self, name: &str) {
-        for ((f, spec, param), fate) in &self.concludes {
-            if f == name {
-                println!(
-                    "{f} spec={} ({}) param={param}: {fate:?}",
-                    spec, self.specs[*spec].kind
-                );
-            }
-        }
-        if let Some(r) = self.reaches.get(name) {
-            println!("{name} reaches: {r:?}");
-        }
-    }
 }

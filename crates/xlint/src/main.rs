@@ -1,55 +1,28 @@
 //! CLI for the workspace linter.
 //!
 //! ```text
-//! xlint [--root DIR]
+//! xlint
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage/IO error. CI runs `cargo run -p
+//! Takes no arguments: it walks up from the current directory to the
+//! workspace root and lints every workspace `.rs` file under it. Exit
+//! codes: 0 clean, 1 findings, 2 usage/IO error. CI runs `cargo run -p
 //! xlint --release` as a hard gate; `cargo test` runs the fixture corpus
 //! (`rule_tests.rs`'s `embedded_self_test_passes`).
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xlint::config::Config;
 use xlint::report::render;
 
-const USAGE: &str = "xlint [--root DIR]";
-
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage("--root takes a directory"),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(&format!("unknown argument `{other}`")),
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        return usage(&format!("unexpected argument `{arg}`"));
     }
-
-    let root = match root.or_else(|| {
-        let cwd = std::env::current_dir().ok()?;
-        xlint::find_workspace_root(&cwd)
-    }) {
-        Some(r) => r,
-        None => return usage("no workspace root found (run inside the repo or pass --root)"),
+    let cwd = std::env::current_dir().ok();
+    let Some(root) = cwd.and_then(|cwd| xlint::find_workspace_root(&cwd)) else {
+        return usage("no workspace root found (run inside the repo)");
     };
-
-    let cfg = match Config::load(&root) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("xlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match xlint::lint_root(&root, &cfg) {
+    match xlint::lint_root(&root) {
         Ok(findings) => {
             print!("{}", render(&findings));
             if findings.is_empty() {
@@ -67,6 +40,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("xlint: {msg}");
-    eprintln!("usage: {USAGE}");
+    eprintln!("usage: xlint (no arguments; run inside the workspace)");
     ExitCode::from(2)
 }

@@ -1,5 +1,6 @@
 //! The rule engine: the flow-aware protocol rules (see [`crate::flow`])
-//! plus `bad-pragma`, evaluated one prepared file at a time.
+//! plus `bad-pragma` and `parse-error`, evaluated one prepared file at a
+//! time.
 //!
 //! The token-level determinism rules live in clippy and the Cargo graph
 //! (`clippy.toml`, the packages' `[lints.clippy]` tables, the lib roots'
@@ -9,11 +10,11 @@
 //! heuristics misread.
 
 use crate::ast::{self, ParsedFile};
-use crate::config::Config;
 use crate::flow::{self, SemInput, Summaries};
 use crate::lexer::{lex, LexedFile};
 
-/// All rule names, for pragma validation.
+/// The rules a pragma may name. `parse-error` is not one: a pragma naming
+/// it is itself a `bad-pragma` finding.
 pub const RULE_NAMES: [&str; 4] = [
     "bad-pragma",
     "protocol-resource-balance",
@@ -67,8 +68,8 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Lines where the parser gave up; those functions drop out of the flow
-    /// rules, while `bad-pragma` still checks the whole file.
+    /// Lines where the parser gave up. Each is a `parse-error` finding:
+    /// the item it sits in escapes the flow rules.
     pub fn parse_errors(&self) -> &[ast::ParseError] {
         &self.parsed.errors
     }
@@ -86,7 +87,7 @@ impl Prepared {
 }
 
 /// Lexes and parses one file. Never fails: parse errors are recorded per
-/// item and the affected functions simply drop out of the semantic pass.
+/// item, and [`check_prepared`] reports each one.
 pub fn prepare(rel: &str, src: &str) -> Prepared {
     let scope = classify(rel);
     let lexed = lex(src);
@@ -100,16 +101,17 @@ pub fn prepare(rel: &str, src: &str) -> Prepared {
 }
 
 /// Builds cross-file call summaries from every prepared file.
-pub fn build_summaries(files: &[Prepared], cfg: &Config) -> Summaries {
+pub fn build_summaries(files: &[Prepared]) -> Summaries {
     let inputs: Vec<SemInput<'_>> = files.iter().map(|p| p.sem_input()).collect();
-    flow::build_summaries(&inputs, cfg)
+    flow::build_summaries(&inputs)
 }
 
 /// Runs every rule over one prepared file.
-pub fn check_prepared(p: &Prepared, cfg: &Config, summaries: &Summaries) -> Vec<Finding> {
+pub fn check_prepared(p: &Prepared, summaries: &Summaries) -> Vec<Finding> {
     let mut out = Vec::new();
     pragma_hygiene(&p.rel, &p.lexed, &mut out);
-    flow::check_semantic(&p.sem_input(), cfg, summaries, &mut out);
+    parse_coverage(p, &mut out);
+    flow::check_semantic(&p.sem_input(), summaries, &mut out);
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out.dedup();
@@ -119,11 +121,26 @@ pub fn check_prepared(p: &Prepared, cfg: &Config, summaries: &Summaries) -> Vec<
 /// Lints one file's source text in isolation (fixtures, unit tests):
 /// interprocedural summaries are built from this file alone. `rel` is the
 /// workspace-relative path used for scoping and reporting.
-pub fn check_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let p = prepare(rel, src);
-    let files = [p];
-    let summaries = build_summaries(&files, cfg);
-    check_prepared(&files[0], cfg, &summaries)
+pub fn check_file(rel: &str, src: &str) -> Vec<Finding> {
+    let files = [prepare(rel, src)];
+    let summaries = build_summaries(&files);
+    check_prepared(&files[0], &summaries)
+}
+
+/// parse-error: an item the parser could not read. Every function in it
+/// would silently escape the flow rules, so no pragma suppresses this.
+fn parse_coverage(p: &Prepared, out: &mut Vec<Finding>) {
+    for e in p.parse_errors() {
+        out.push(Finding {
+            rule: "parse-error",
+            file: p.rel.clone(),
+            line: e.line,
+            message: format!(
+                "xlint cannot parse this item ({}), so the flow rules would skip its functions",
+                e.message
+            ),
+        });
+    }
 }
 
 /// bad-pragma: malformed pragmas and pragmas naming unknown rules. Not

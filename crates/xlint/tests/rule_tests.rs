@@ -1,17 +1,15 @@
 //! Integration tests: every embedded fixture behaves, the real workspace is
 //! lint-clean, and a seeded violation is caught.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xlint::config::Config;
 use xlint::fixtures::{run_self_test, FIXTURES};
+use xlint::lexer::Tok;
+use xlint::policy::{SPECS, TAINT_SINKS, TAINT_SOURCES};
 use xlint::rules::check_file;
-use xlint::{find_workspace_root, lint_root};
-
-fn committed() -> Config {
-    Config::committed().expect("committed xlint.toml parses")
-}
+use xlint::{find_workspace_root, lint_root, prepare_root};
 
 /// How many embedded fixtures exercise `rule`; `embedded_self_test_passes`
 /// checks each one's expectation.
@@ -44,7 +42,6 @@ fn determinism_taint_fixtures() {
 /// acquisition site in its message.
 #[test]
 fn historical_bugs_are_reseeded() {
-    let cfg = committed();
     for name in [
         "prb-lost-abort-historical",
         "prb-rival-upload-historical",
@@ -54,7 +51,7 @@ fn historical_bugs_are_reseeded() {
             .iter()
             .find(|f| f.name == name)
             .unwrap_or_else(|| panic!("fixture {name} missing"));
-        let findings = check_file(fx.rel_path, fx.source, &cfg);
+        let findings = check_file(fx.rel_path, fx.source);
         let hit = findings
             .iter()
             .find(|f| f.rule == "protocol-resource-balance")
@@ -78,13 +75,11 @@ fn repo_root() -> PathBuf {
     find_workspace_root(&manifest).expect("workspace root above crates/xlint")
 }
 
-/// The hard gate: the repository itself must be lint-clean under its own
-/// committed `xlint.toml`.
+/// The hard gate: the repository itself must be lint-clean, every file
+/// parsed in full.
 #[test]
 fn workspace_is_lint_clean() {
-    let root = repo_root();
-    let cfg = Config::load(&root).expect("xlint.toml parses");
-    let findings = lint_root(&root, &cfg).expect("workspace walk");
+    let findings = lint_root(&repo_root()).expect("workspace walk");
     assert!(
         findings.is_empty(),
         "workspace has xlint findings:\n{}",
@@ -155,16 +150,17 @@ fn lint_core_copy(name: &str, edit: Option<(&str, &str, &str)>) -> Vec<xlint::ru
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
     let scratch = scratch_workspace(name, &borrowed);
-    let findings = lint_root(&scratch, &committed()).expect("scratch walk");
+    let findings = lint_root(&scratch).expect("scratch walk");
     fs::remove_dir_all(&scratch).ok();
     findings
 }
 
 /// xlint still sees the real replication pipeline: the committed core is
-/// clean on its own, and two seeded leaks in it are caught. Both checks
+/// clean on its own, and three seeded leaks in it are caught. The first two
 /// depend on the TASK span and the adopted upload id travelling as
 /// parameters: the flow walk treats a value moved into a struct literal as
-/// concluded, so folding either into a record would silence them.
+/// concluded, so folding either into a record would silence them. The third
+/// needs `stream_chunk_loop` parsed in full, `chunk as u64 * …` included.
 #[test]
 fn real_pipeline_leaks_are_caught() {
     let clean = lint_core_copy("xlint-core-clean", None);
@@ -202,6 +198,26 @@ fn real_pipeline_leaks_are_caught() {
             && f.message.contains("`invoke_replicators`")),
         "adopted-upload leak not caught: {upload:?}"
     );
+
+    // The streamed path's failed range read aborts the task but forgets
+    // the multipart upload it owns.
+    let streamed = lint_core_copy(
+        "xlint-core-stream-leak",
+        Some((
+            "engine.rs",
+            "sim.abort_multipart_now(ctx2.task.dst_region, upload_id)\n                    .ok();",
+            "",
+        )),
+    );
+    assert!(
+        streamed
+            .iter()
+            .any(|f| f.rule == "protocol-resource-balance"
+                && f.file.ends_with("engine.rs")
+                && f.message.contains("multipart upload")
+                && f.message.contains("`stream_chunk_loop`")),
+        "streamed-upload leak not caught: {streamed:?}"
+    );
 }
 
 /// Seeding a violating file into a scratch mini-workspace must be caught
@@ -221,7 +237,7 @@ fn seeded_violation_is_caught() {
              }\n",
         )],
     );
-    let findings = lint_root(&scratch, &committed()).expect("scratch walk");
+    let findings = lint_root(&scratch).expect("scratch walk");
     assert!(
         findings
             .iter()
@@ -236,7 +252,6 @@ fn seeded_violation_is_caught() {
 /// non-suppressible bad-pragma finding (end-to-end through `check_file`).
 #[test]
 fn pragma_reason_is_mandatory() {
-    let cfg = committed();
     let rel = "crates/areplica-core/src/pragma_e2e.rs";
     let good = "pub fn hold(sim: &mut Sim, key: u64) {\n\
                 \x20   sim.db_transact(key, try_lock_tx(key), move |sim, got| match got {\n\
@@ -254,12 +269,12 @@ fn pragma_reason_is_mandatory() {
                 \x20   sim.db_transact(key, unlock_tx(key), move |_sim, _o| {});\n\
                 }\n";
     assert!(
-        check_file(rel, good, &cfg).is_empty(),
+        check_file(rel, good).is_empty(),
         "reasoned pragma should suppress: {:?}",
-        check_file(rel, good, &cfg)
+        check_file(rel, good)
     );
     let bad = good.replace(", the lease-expiry reaper unlocks abandoned rows", "");
-    let findings = check_file(rel, &bad, &cfg);
+    let findings = check_file(rel, &bad);
     assert!(
         findings.iter().any(|f| f.rule == "bad-pragma"),
         "reasonless pragma should be flagged: {findings:?}"
@@ -275,49 +290,13 @@ fn pragma_naming_a_migrated_rule_is_unknown() {
                \x20   // xlint::allow(no-wall-clock, progress logging only)\n\
                \x20   0\n\
                }\n";
-    let findings = check_file("crates/bench/src/timer.rs", src, &committed());
+    let findings = check_file("crates/bench/src/timer.rs", src);
     assert!(
         findings
             .iter()
             .any(|f| f.rule == "bad-pragma" && f.message.contains("unknown rule `no-wall-clock`")),
         "migrated-rule pragma should be an unknown rule: {findings:?}"
     );
-}
-
-/// Config parsing round-trips the committed policy file.
-#[test]
-fn committed_config_parses() {
-    let root = repo_root();
-    let cfg = Config::load(&root).expect("xlint.toml parses");
-    assert!(cfg.skip.iter().any(|s| Path::new(s) == Path::new("vendor")));
-    assert!(cfg.skip.iter().any(|s| s == "replbench"));
-    // All five protocol resources plus the span and taint policies must
-    // survive the round-trip.
-    assert_eq!(cfg.resources.len(), 5, "five [[resource]] blocks");
-    for acquire in [
-        "try_lock_tx",
-        "abort_tx",
-        "create_multipart",
-        "adopt_tx",
-        "probe_open",
-    ] {
-        assert!(
-            cfg.resources.iter().any(|r| r.acquire == acquire),
-            "missing resource acquired via {acquire}"
-        );
-    }
-    assert!(cfg.taint_sources.iter().any(|s| s == "WallTimer"));
-    assert!(cfg.taint_sinks.iter().any(|s| s == "schedule_in"));
-    assert!(cfg.span_crates.iter().any(|c| c == "areplica-core"));
-}
-
-/// A missing `xlint.toml` is an error, not a silent fallback policy.
-#[test]
-fn missing_config_is_an_error() {
-    let empty = repo_root().join("target/xlint-missing-config-test");
-    fs::create_dir_all(&empty).expect("scratch dir");
-    assert!(Config::load(&empty).is_err());
-    fs::remove_dir_all(&empty).ok();
 }
 
 /// Summaries come from the whole tree: a lock acquired in `caller.rs` and
@@ -344,7 +323,7 @@ fn cross_file_summaries_conclude_in_other_files() {
             ),
         ],
     );
-    let findings = lint_root(&scratch, &committed()).expect("walk");
+    let findings = lint_root(&scratch).expect("walk");
     assert!(
         findings.is_empty(),
         "cross-file conclusion missed: {findings:?}"
@@ -353,21 +332,84 @@ fn cross_file_summaries_conclude_in_other_files() {
     fs::remove_dir_all(&scratch).ok();
 }
 
-/// A file the parser cannot digest still reports where it gave up, and the
-/// pragma check, which needs no parse, still covers it.
+/// A file the parser cannot digest is a `parse-error` finding at the line
+/// where it gave up, which no pragma suppresses; the pragma check, which
+/// needs no parse, still covers the file.
 #[test]
 fn parse_errors_degrade_gracefully() {
-    let cfg = committed();
     let rel = "crates/areplica-core/src/broken.rs";
-    let src = "pub fn broken( {\n    // xlint::allow(span-balance)\n    let t0 = 1;\n}\n";
+    let src = "// xlint::allow(parse-error, the parser cannot read this)\n\
+               pub fn broken( {\n    // xlint::allow(span-balance)\n    let t0 = 1;\n}\n";
     let prepared = xlint::rules::prepare(rel, src);
+    let errors = prepared.parse_errors();
+    assert!(!errors.is_empty(), "parser should report an error");
+    let findings = check_file(rel, src);
     assert!(
-        !prepared.parse_errors().is_empty(),
-        "parser should report an error"
+        findings
+            .iter()
+            .any(|f| f.rule == "parse-error" && f.line == errors[0].line),
+        "a parse error should be a finding: {findings:?}"
     );
-    let findings = check_file(rel, src, &cfg);
     assert!(
-        findings.iter().any(|f| f.rule == "bad-pragma"),
+        findings
+            .iter()
+            .any(|f| f.rule == "bad-pragma" && f.line == 1),
+        "a pragma naming parse-error should be flagged: {findings:?}"
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "bad-pragma" && f.line == 3),
         "bad-pragma should survive parse errors: {findings:?}"
+    );
+}
+
+/// Every name in the policy table means something in the workspace: each
+/// acquire, release, handoff and taint sink is a function some non-xlint
+/// file defines, and each taint source occurs there as an identifier. A
+/// renamed protocol call cannot leave its policy entry silently matching
+/// nothing.
+#[test]
+fn every_policy_name_resolves() {
+    let files: Vec<_> = prepare_root(&repo_root())
+        .expect("workspace walk")
+        .into_iter()
+        .filter(|p| !p.rel.starts_with("crates/xlint/"))
+        .collect();
+    let defined: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|p| &p.parsed.fns)
+        .map(|f| f.name.as_str())
+        .collect();
+    let idents: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|p| &p.lexed.tokens)
+        .filter_map(|t| match &t.tok {
+            Tok::Ident(w) => Some(w.as_str()),
+            _ => None,
+        })
+        .collect();
+    let called = SPECS
+        .iter()
+        .flat_map(|s| {
+            [s.acquire]
+                .into_iter()
+                .chain(s.releases.iter().copied())
+                .chain(s.handoffs.iter().copied())
+        })
+        .chain(TAINT_SINKS.iter().copied());
+    let undefined: BTreeSet<&str> = called.filter(|n| !defined.contains(n)).collect();
+    assert!(
+        undefined.is_empty(),
+        "policy names no workspace function defines: {undefined:?}"
+    );
+    let absent: Vec<&str> = TAINT_SOURCES
+        .iter()
+        .copied()
+        .filter(|n| !idents.contains(n))
+        .collect();
+    assert!(
+        absent.is_empty(),
+        "taint sources that occur nowhere: {absent:?}"
     );
 }

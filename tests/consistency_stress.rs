@@ -12,17 +12,6 @@ use areplica::sim::world;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn quick_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 500,
-    }
-}
-
 /// Crashes the calling function at each kill site (after a part upload or
 /// a committed DB transaction) with probability `rate` while `armed` holds.
 struct MildKills {
@@ -49,7 +38,10 @@ fn hostile_workload_converges_consistently() {
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "b", dst, "m"))
-        .profiler_config(quick_profiler())
+        .profiler_config(ProfilerConfig {
+            mc_trials: 500,
+            ..ProfilerConfig::small()
+        })
         .install(&mut sim);
     // Mild crash injection throughout.
     let armed = Rc::new(Cell::new(true));

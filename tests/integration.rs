@@ -10,17 +10,6 @@ use areplica::prelude::*;
 use areplica::sim::world;
 use areplica::traces::{self, ReplayConfig, SynthConfig};
 
-fn quick_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 #[test]
 fn areplica_beats_skyplane_and_rtc_head_to_head() {
     // The paper's headline: on a 1 MB object AReplica replicates in ~1.5 s
@@ -32,7 +21,7 @@ fn areplica_beats_skyplane_and_rtc_head_to_head() {
     // AReplica.
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "a-src", dst, "a-dst").with_batching(false))
-        .profiler_config(quick_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     let before = sim.world.ledger.snapshot();
     user_put(&mut sim, src, "a-src", "obj", 1 << 20).unwrap();
@@ -112,7 +101,7 @@ fn trace_replay_through_full_stack() {
         .rule(
             ReplicationRule::new(src, "bucket", dst, "mirror").with_slo(SimDuration::from_secs(10)),
         )
-        .profiler_config(quick_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
 
     let cfg = SynthConfig {
@@ -179,7 +168,7 @@ fn deterministic_end_to_end_replay() {
         let dst = sim.world.regions.lookup(Cloud::Gcp, "us-east1").unwrap();
         let service = AReplicaBuilder::new()
             .rule(ReplicationRule::new(src, "b", dst, "m"))
-            .profiler_config(quick_profiler())
+            .profiler_config(ProfilerConfig::small())
             .install(&mut sim);
         for i in 0..5u64 {
             let key = format!("k{i}");
@@ -208,7 +197,7 @@ fn ledger_costs_are_attributed_to_the_right_clouds() {
     let dst = sim.world.regions.lookup(Cloud::Aws, "us-east-1").unwrap();
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "b", dst, "m"))
-        .profiler_config(quick_profiler())
+        .profiler_config(ProfilerConfig::small())
         .install(&mut sim);
     user_put(&mut sim, src, "b", "obj", 32 << 20).unwrap();
     sim.run_to_completion(u64::MAX);

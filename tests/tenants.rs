@@ -13,17 +13,6 @@ use areplica::core::Backend;
 use areplica::prelude::*;
 use areplica::sim::world::user_put;
 
-fn quick_profiler() -> ProfilerConfig {
-    ProfilerConfig {
-        warm_samples: 4,
-        cold_samples: 3,
-        transfer_samples: 4,
-        chunks_per_invocation: 2,
-        notif_samples: 4,
-        mc_trials: 600,
-    }
-}
-
 /// One full run: both tenants' services installed in `order`, then one
 /// fixed workload (aqua's put always first). Returns each tenant's
 /// replication delays and total cost in nanodollars.
@@ -39,7 +28,7 @@ fn run_with_install_order(order: [&'static str; 2]) -> Vec<(String, Vec<f64>, i6
                 ReplicationRule::new(src, format!("src-{id}"), dst, format!("dst-{id}"))
                     .with_batching(false),
             )
-            .profiler_config(quick_profiler())
+            .profiler_config(ProfilerConfig::small())
             .tenant(tenant)
             .install(&mut sim);
         services.push((id, service));
@@ -93,7 +82,7 @@ fn faas_quota_caps_tenant_concurrency() {
     let dst = sim.world.regions.lookup(Cloud::Azure, "eastus").unwrap();
     let service = AReplicaBuilder::new()
         .rule(ReplicationRule::new(src, "src-capped", dst, "dst-capped").with_batching(false))
-        .profiler_config(quick_profiler())
+        .profiler_config(ProfilerConfig::small())
         .tenant(TenantCtx::named("capped").with_faas_concurrency(2))
         .install(&mut sim);
     sim.set_tenant_scope(Some(Rc::from("capped")));
